@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -193,6 +194,8 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     The base case must drive a parabolic inflow by flow_samples; the same
     waveform feeds the time solver, and the outlet-flow error of each
     spectral solve is tabulated against the boundary truncation error.
+    The table also records newton_failures, the time reference's steps
+    whose Newton loop did not converge; a nonzero count is warned about.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,6 +252,9 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
                          max_linear_iters=int(base.solver.get("time_max_linear_iters", 3000)))
     tres = run_time_simulation(tcase, mesh, tconf, report_groups=[group],
                                ramp_steps=int(ref_block.get("ramp_steps", 10)))
+    if tres.newton_failures:
+        warnings.warn(f"mode sweep on group {group!r}: {tres.newton_failures} time-reference "
+                      "steps ended with an unconverged Newton loop")
     q_ref = tres.flow[group]
     t_ref = tres.last_cycle_times
     q_ref_cycle = q_ref[-t_ref.size:]
@@ -267,7 +273,8 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
                      "flow_error": err, "converged": bool(summary.converged)})
 
     table = {"kind": "mode_sweep", "group": group, "rows": rows,
-             "cycle_change": [float(c) for c in tres.cycle_change]}
+             "cycle_change": [float(c) for c in tres.cycle_change],
+             "newton_failures": int(tres.newton_failures)}
     with open(out_dir / "sweep.yaml", "w") as fh:
         yaml.safe_dump(table, fh, sort_keys=True)
     export_traces(t_ref, {"Q_time": q_ref_cycle}, out_dir / "reference_trace.csv")

@@ -167,7 +167,6 @@ def _bc_coeffs(bc: Dict[str, Any], key: str, n_modes: int, name: str):
         return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}"), None
     samples = np.asarray(bc[f"{key}_samples"], dtype=float)
     coeffs = fourier_coefficients(samples, n_modes)
-    recon = np.zeros_like(samples)
     t = np.arange(samples.size) / samples.size
     n = np.arange(-n_modes + 1, n_modes)
     recon = (np.exp(2j * np.pi * np.outer(t, n)) @ coeffs.values).real
@@ -284,5 +283,4 @@ def build_solver_config(solver_block: Dict[str, Any]) -> SolverConfig:
         max_linear_iters=int(block.get("max_linear_iters", 10_000)),
         pseudo_dt=pseudo,
         max_steps=int(block.get("max_steps", 200)),
-        c1=float(block.get("c1", 1.5)),
     )

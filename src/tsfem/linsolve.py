@@ -26,7 +26,8 @@ __all__ = [
     "SolverConfig",
     "BlockMatrix",
     "BlockTangent",
-    "block_matvec",
+    "AssemblyContext",
+    "Segments",
     "build_graph",
     "block_to_real",
     "diag_to_real",
@@ -67,7 +68,6 @@ class SolverConfig:
     max_linear_iters: int = 10_000
     pseudo_dt: Optional[float] = None
     max_steps: int = 200
-    c1: float = 1.5
 
     def __post_init__(self):
         if not (0.0 < self.eps_nr < 1.0 and 0.0 < self.eps_ls < 1.0):
@@ -95,6 +95,60 @@ def build_graph(elements: np.ndarray, n_nodes: int):
     cols = (uniq % n_nodes).astype(int)
     edge_of = inv.reshape(elements.shape[0], nen, nen)
     return rows, cols, edge_of
+
+
+def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """First position of each run of equal keys in a sorted key array."""
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+
+
+@dataclass(frozen=True)
+class Segments:
+    """Sorted reduction plan for scattering values onto repeated keys.
+
+    add_to(out, values) does np.add.at(out, keys, values) as one gather in
+    the stable sort order of the keys and one np.add.reduceat over the runs
+    of equal keys.
+    """
+
+    order: np.ndarray   # stable sort order of the keys
+    starts: np.ndarray  # first sorted position of each distinct key
+    ids: np.ndarray     # the distinct keys, ascending
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "Segments":
+        keys = np.asarray(keys).ravel()
+        order = np.argsort(keys, kind="stable")
+        starts = segment_starts(keys[order])
+        return cls(order, starts, keys[order][starts])
+
+    def add_to(self, out: np.ndarray, values: np.ndarray) -> None:
+        out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
+
+
+@dataclass(frozen=True)
+class AssemblyContext:
+    """Per-mesh scatter plan: the nodal graph and its sorted reductions.
+
+    The elements are processed in chunks of at most `chunk`; for each chunk
+    the plan holds the Segments of its element-node keys (residual scatter)
+    and of its build_graph edge_of keys (tangent scatter).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    chunks: tuple  # of (slice, node Segments, edge Segments)
+
+    @classmethod
+    def build(cls, elements: np.ndarray, graph, chunk: int) -> "AssemblyContext":
+        """Plan for a connectivity and its build_graph output."""
+        rows, cols, edge_of = graph
+        n_el = elements.shape[0]
+        chunks = []
+        for start in range(0, n_el, chunk):
+            sl = slice(start, min(start + chunk, n_el))
+            chunks.append((sl, Segments.of(elements[sl]), Segments.of(edge_of[sl])))
+        return cls(rows, cols, tuple(chunks))
 
 
 @dataclass
@@ -250,7 +304,10 @@ class BlockTangent:
     Per directed node pair: k_real is the shared velocity diagonal block,
     l_real the pressure block, g_diag/d_diag the mode-diagonal gradient
     and divergence blocks (modes 0..N-1).  g_full/d_full optionally hold
-    the exact mode-coupled blocks for verification runs.
+    the exact mode-coupled blocks for verification runs.  The rows must be
+    sorted, as build_graph returns them; row_starts, the starts of their
+    runs, are worked out here once per tangent and the matvec reduces the
+    edge products over them.
     """
 
     rows: np.ndarray
@@ -264,6 +321,12 @@ class BlockTangent:
     d_diag: np.ndarray                    # (E, dim, N) complex
     g_full: Optional[np.ndarray] = field(default=None, repr=False)
     d_full: Optional[np.ndarray] = field(default=None, repr=False)
+    row_starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if np.any(self.rows[1:] < self.rows[:-1]):
+            raise ValueError("BlockTangent rows must be sorted")
+        self.row_starts = segment_starts(self.rows)
 
     @property
     def n_dof(self) -> int:
@@ -293,7 +356,7 @@ class BlockTangent:
             yp[:, 1::2] += dv.imag
         contrib = np.concatenate([yv, yp[:, None, :]], axis=1)
         y = np.zeros((self.n_nodes, d + 1, n2))
-        np.add.at(y, self.rows, contrib)
+        y[self.rows[self.row_starts]] = np.add.reduceat(contrib, self.row_starts, axis=0)
         return y.ravel()
 
     def diag_blocks(self) -> np.ndarray:
@@ -346,11 +409,6 @@ class BlockTangent:
 # ---------------------------------------------------------------------------
 # GMRES
 # ---------------------------------------------------------------------------
-
-def block_matvec(tangent: BlockTangent, x: np.ndarray) -> np.ndarray:
-    """Structure-exploiting product of the block tangent with a real vector."""
-    return tangent.matvec(x)
-
 
 class GmresResult(NamedTuple):
     x: np.ndarray

@@ -130,6 +130,8 @@ class Mesh:
     elem_type: str
     facet_groups: Dict[str, FacetGroup] = field(default_factory=dict)
     _edata: "ElementData" = field(default=None, repr=False, compare=False)
+    # scatter plan (linsolve.AssemblyContext), built by the first assembly
+    _assembly: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

@@ -13,6 +13,12 @@ mode index; the exact mode-coupled blocks can be requested for
 verification.  Pseudo-time stepping augments the velocity diagonal block
 with a mass term and performs one Newton update per step; the converged
 solution is independent of the pseudo step size.
+
+Assembly sums each element integrand over the quadrature points before
+scattering it once per element chunk, through a sorted plan cached on
+the mesh at its first assembly.  Blocks that depend on geometry only
+(pseudo-time mass, viscous and pressure stiffness, gradient/divergence)
+are formed once per chunk instead of once per quadrature point.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from .linsolve import (
+    AssemblyContext,
     BlockTangent,
     SolverConfig,
     block_jacobi_preconditioner,
@@ -205,6 +212,14 @@ def _facet_state_velocity(state: NSState, fq, q: int) -> np.ndarray:
     return np.einsum("a,faim->fim", fq.shape[q], state.velocity[fq.nodes])
 
 
+def _assembly_context(mesh: Mesh) -> AssemblyContext:
+    """The mesh's scatter plan, built on its first assembly and cached."""
+    if mesh._assembly is None:
+        mesh._assembly = AssemblyContext.build(
+            mesh.elements, build_graph(mesh.elements, mesh.n_nodes), _CHUNK)
+    return mesh._assembly
+
+
 def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
               need_residual: bool, need_tangent: bool,
               pseudo_dt: float = np.inf, exact_gd: bool = False,
@@ -213,6 +228,15 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
 
     coeff_state supplies the velocity entering A_i, tau and the backflow
     operator (frozen coefficients); it defaults to state.
+
+    Per element chunk, the integrands are summed over the quadrature
+    points and scattered once through the mesh's cached sorted plan.  The
+    Galerkin weight N_A rides with the least-squares weight P_A, so both
+    act through one product (N_A I + P_A) per point.  The blocks that
+    depend on geometry only are formed after the point loop from
+    sum_q w_q N_A N_B and sum_q w_q N_A: the pseudo-time mass, the viscous
+    gab I, the pressure block gab/rho (sum_q w_q tau), and the scalar
+    gradient/divergence blocks.
     """
     _check_groups(case, mesh)
     if coeff_state is None:
@@ -222,13 +246,16 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
     rho, mu = case.rho, case.mu
     c_i = case.c_i_for(mesh)
     ed = mesh.element_data()
+    ctx = _assembly_context(mesh)
     rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
+    shp = shape_values(mesh.elem_type, rule.points)             # (n_qp, nen)
+    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+    n_ref = rule.weights @ shp
     omega_mat = build_omega(n, case.omega)
     eye = np.eye(m)
+    diag = np.arange(m)
 
-    rows, cols, edge_of = build_graph(mesh.elements, mesh.n_nodes)
-    n_edges = rows.shape[0]
+    n_edges = ctx.rows.shape[0]
     resid = np.zeros((mesh.n_nodes, dim + 1, m), dtype=complex) if need_residual else None
     if need_tangent:
         k_c = np.zeros((n_edges, m, m), dtype=complex)
@@ -239,14 +266,12 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
         d_c = np.zeros((n_edges, dim, m, m), dtype=complex) if exact_gd else None
     mass_coeff = 0.0 if not np.isfinite(pseudo_dt) else 1.5 * rho / pseudo_dt
 
-    for start in range(0, mesh.n_elements, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_elements))
+    for sl, node_seg, edge_seg in ctx.chunks:
         elems = mesh.elements[sl]
         grads = ed.grads[sl]
         detj = ed.detj[sl]
         metric = ed.metric[sl]
-        edges = edge_of[sl]
-        nen = elems.shape[1]
+        n_el, nen = elems.shape
         u_el = state.velocity[elems]                      # (E, nen, dim, M)
         p_el = state.pressure[elems]                      # (E, nen, M)
         uc_el = coeff_state.velocity[elems]
@@ -254,75 +279,78 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
         grad_p = np.einsum("eaj,eam->ejm", grads, p_el)
         div_u = np.einsum("eiim->em", grad_u)
         gab = np.einsum("eai,ebi->eab", grads, grads)
+        vol = detj * rule.weights.sum()
+        n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
+        if need_residual:
+            r_m = np.zeros((n_el, nen, dim, m), dtype=complex)
+            tau_strong = np.zeros((n_el, dim, m), dtype=complex)
+        if need_tangent:
+            k_el = np.zeros((n_el, nen, nen, m, m), dtype=complex)
+            tau_sum = np.zeros((n_el, m, m), dtype=complex)
+            if exact_gd:
+                p_sum = np.zeros((n_el, nen, m, m), dtype=complex)
+                q_sum = np.zeros((n_el, nen, m, m), dtype=complex)
 
         for q in range(rule.n_points):
             w = rule.weights[q] * detj
+            n_q = shp[q][None, :, None, None]
             uc_q = np.einsum("a,eaim->eim", shp[q], uc_el)
             conv = convolution_dense(uc_q, n)              # (E, dim, M, M)
             tau = tau_from_modes(uc_q, metric, case.nu, c_i, n)
             a_dir = np.einsum("ead,edrc->earc", grads, conv)
-            w_a = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-            p_a = np.matmul(w_a, tau[:, None])             # (E, nen, M, M)
+            p_a = np.matmul(a_dir - n_q * omega_mat, tau[:, None])   # (E, nen, M, M)
+            s_a = w[:, None, None, None] * (p_a + n_q * eye)
 
             if need_residual:
                 u_q = np.einsum("a,eaim->eim", shp[q], u_el)
-                p_q = np.einsum("a,eam->em", shp[q], p_el)
                 conv_term = np.einsum("ejrc,ejic->eir", conv, grad_u)
                 accel = np.einsum("rc,eic->eir", omega_mat, u_q)
                 strong = rho * (accel + conv_term) + grad_p
-                r_m = (rho * np.einsum("a,eir->eair", shp[q], accel + conv_term)
-                       - np.einsum("eai,em->eaim", grads, p_q)
-                       + mu * np.einsum("eaj,ejim->eaim", grads, grad_u)
-                       + np.einsum("earc,eic->eair", p_a, strong))
-                tau_r = np.einsum("erc,eic->eir", tau, strong)
-                r_c = (np.einsum("a,em->eam", shp[q], div_u)
-                       + np.einsum("eai,eir->ear", grads, tau_r) / rho)
-                contrib = np.concatenate([r_m, r_c[:, :, None, :]], axis=2)
-                np.add.at(resid, elems.ravel(),
-                          (contrib * w[:, None, None, None]).reshape(-1, dim + 1, m))
+                r_m += np.einsum("earc,eic->eair", s_a, strong)
+                tau_strong += w[:, None, None] * np.einsum("erc,eic->eir", tau, strong)
 
             if need_tangent:
-                t_b = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-                nn = np.outer(shp[q], shp[q])              # (nen, nen)
-                k_el = (rho * np.einsum("ab,rc->abrc", nn, omega_mat)[None]
-                        + rho * np.einsum("a,ebrc->eabrc", shp[q], a_dir)
-                        + np.einsum("eab,rc->eabrc", mu * gab, eye)
-                        + rho * np.matmul(p_a[:, :, None], t_b[:, None, :]))
-                if mass_coeff:
-                    k_el = k_el + mass_coeff * np.einsum("ab,rc->abrc", nn, eye)[None]
-                np.add.at(k_c, edges.ravel(),
-                          (k_el * w[:, None, None, None, None]).reshape(-1, m, m))
-                l_el = np.einsum("eab,erc->eabrc", gab / rho, tau)
-                np.add.at(l_c, edges.ravel(),
-                          (l_el * w[:, None, None, None, None]).reshape(-1, m, m))
-                g_el = -np.einsum("eai,b->eabi", grads, shp[q])
-                d_el = np.einsum("a,ebj->eabj", shp[q], grads)
-                np.add.at(g_scal, edges.ravel(),
-                          (g_el * w[:, None, None, None]).reshape(-1, dim))
-                np.add.at(d_scal, edges.ravel(),
-                          (d_el * w[:, None, None, None]).reshape(-1, dim))
+                t_b = n_q * omega_mat + a_dir
+                k_el += np.matmul(s_a[:, :, None], rho * t_b[:, None, :])
+                tau_sum += w[:, None, None] * tau
                 if exact_gd:
-                    g_ls = np.einsum("earc,ebi->eabirc", p_a, grads)
-                    q_b = np.matmul(tau[:, None], t_b)
-                    d_ls = np.einsum("eaj,ebrc->eabjrc", grads, q_b)
-                    np.add.at(g_c, edges.ravel(),
-                              (g_ls * w[:, None, None, None, None, None]).reshape(-1, dim, m, m))
-                    np.add.at(d_c, edges.ravel(),
-                              (d_ls * w[:, None, None, None, None, None]).reshape(-1, dim, m, m))
+                    p_sum += w[:, None, None, None] * p_a
+                    q_sum += w[:, None, None, None] * np.matmul(tau[:, None], t_b)
+
+        if need_residual:
+            p_int = np.einsum("eb,ebm->em", n_int, p_el)
+            r_m -= (n_int[:, :, None, None] * grad_p[:, None]
+                    + np.einsum("eai,em->eaim", grads, p_int))
+            r_m += mu * vol[:, None, None, None] * np.einsum("eaj,ejim->eaim", grads, grad_u)
+            r_c = (n_int[:, :, None] * div_u[:, None]
+                   + np.einsum("eai,eir->ear", grads, tau_strong) / rho)
+            contrib = np.concatenate([r_m, r_c[:, :, None, :]], axis=2)
+            node_seg.add_to(resid, contrib.reshape(-1, dim + 1, m))
+
+        if need_tangent:
+            mass = detj[:, None, None] * nn_ref
+            k_el[..., diag, diag] += (mu * vol[:, None, None] * gab
+                                      + mass_coeff * mass)[..., None]
+            edge_seg.add_to(k_c, k_el.reshape(-1, m, m))
+            l_el = np.einsum("eab,erc->eabrc", gab / rho, tau_sum)
+            edge_seg.add_to(l_c, l_el.reshape(-1, m, m))
+            edge_seg.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
+            edge_seg.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
+            if exact_gd:
+                edge_seg.add_to(g_c, np.einsum("earc,ebi->eabirc", p_sum, grads)
+                                .reshape(-1, dim, m, m))
+                edge_seg.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, q_sum)
+                                .reshape(-1, dim, m, m))
 
     if need_residual:
         for name, data in case.neumann.items():
             h_modes = _neumann_modes(data, m)
             fq = facet_quadrature(mesh, name)
-            for q in range(fq.shape.shape[0]):
-                r_el = -np.einsum("f,a,fi,r->fair", fq.weights[:, q], fq.shape[q],
-                                  fq.normals, h_modes)
-                pad = np.zeros(r_el.shape[:2] + (1, m), dtype=complex)
-                np.add.at(resid, fq.nodes.ravel(),
-                          np.concatenate([r_el, pad], axis=2).reshape(-1, dim + 1, m))
+            r_el = -np.einsum("fq,qa,fi,r->fair", fq.weights, fq.shape, fq.normals, h_modes)
+            np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
 
     if case.backflow_beta > 0.0 and case.neumann:
-        _add_ns_backflow(case, mesh, state, coeff_state, rows, cols,
+        _add_ns_backflow(case, mesh, state, coeff_state, ctx.rows, ctx.cols,
                          resid, k_c if need_tangent else None)
 
     tangent = None
@@ -331,7 +359,7 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
         g_diag = np.repeat(g_scal[:, :, None], n_half, axis=2).astype(complex)
         d_diag = np.repeat(d_scal[:, :, None], n_half, axis=2).astype(complex)
         tangent = BlockTangent(
-            rows, cols, mesh.n_nodes, dim, n_half,
+            ctx.rows, ctx.cols, mesh.n_nodes, dim, n_half,
             k_real=block_to_real(k_c), l_real=block_to_real(l_c),
             g_diag=g_diag, d_diag=d_diag,
             g_full=block_to_real(g_c) + _diag_expand(g_scal, n_half) if exact_gd else None,
@@ -355,6 +383,8 @@ def _add_ns_backflow(case, mesh, state, coeff_state, rows, cols, resid, k_c):
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
         k = fq.nodes.shape[1]
+        r_el = np.zeros(fq.nodes.shape + (dim, m), dtype=complex)
+        k_el = np.zeros(fq.nodes.shape + (k, m, m), dtype=complex)
         for q in range(fq.shape.shape[0]):
             uc = _facet_state_velocity(coeff_state, fq, q)
             un = np.einsum("fim,fi->fm", uc, fq.normals)
@@ -362,18 +392,17 @@ def _add_ns_backflow(case, mesh, state, coeff_state, rows, cols, resid, k_c):
             if resid is not None:
                 u_q = _facet_state_velocity(state, fq, q)
                 term = np.einsum("frc,fic->fir", an_neg, u_q)
-                r_el = -factor * np.einsum("f,a,fir->fair", fq.weights[:, q],
-                                           fq.shape[q], term)
-                pad = np.zeros(r_el.shape[:2] + (1, m), dtype=complex)
-                np.add.at(resid, fq.nodes.ravel(),
-                          np.concatenate([r_el, pad], axis=2).reshape(-1, dim + 1, m))
+                r_el += np.einsum("f,a,fir->fair", fq.weights[:, q], fq.shape[q], term)
             if k_c is not None:
-                k_el = -factor * np.einsum("f,a,b,frc->fabrc", fq.weights[:, q],
-                                           fq.shape[q], fq.shape[q], an_neg)
-                r = np.repeat(fq.nodes, k, axis=1).ravel()
-                c = np.tile(fq.nodes, (1, k)).ravel()
-                idx = np.searchsorted(keys, r.astype(np.int64) * mesh.n_nodes + c)
-                np.add.at(k_c, idx, k_el.reshape(-1, m, m))
+                k_el += np.einsum("f,a,b,frc->fabrc", fq.weights[:, q],
+                                  fq.shape[q], fq.shape[q], an_neg)
+        if resid is not None:
+            np.add.at(resid[:, :dim], fq.nodes.ravel(), -factor * r_el.reshape(-1, dim, m))
+        if k_c is not None:
+            r = np.repeat(fq.nodes, k, axis=1).ravel()
+            c = np.tile(fq.nodes, (1, k)).ravel()
+            idx = np.searchsorted(keys, r.astype(np.int64) * mesh.n_nodes + c)
+            np.add.at(k_c, idx, -factor * k_el.reshape(-1, m, m))
 
 
 def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,

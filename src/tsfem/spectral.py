@@ -272,8 +272,7 @@ def matrix_negative_part(matrix: np.ndarray) -> np.ndarray:
 def negative_part_batch(matrices: np.ndarray) -> np.ndarray:
     """Batched matrix_negative_part over stacked Hermitian matrices."""
     w, v = np.linalg.eigh(matrices)
-    w_neg = np.minimum(w, 0.0)
-    out = np.einsum("...rk,...k,...ck->...rc", v, w_neg, np.conj(v))
+    out = (v * np.minimum(w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
@@ -283,12 +282,15 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
 
     Batched over quadrature points: u_modes has shape (..., dim, 2N-1) and
     metric (..., dim, dim); the result is (..., 2N-1, 2N-1) Hermitian
-    positive definite.
+    positive definite.  A_i G_ij A_j is formed as sum_i A_i (sum_j G_ij A_j)
+    with batched matmuls, and tau as the eigenvectors scaled by w^{-1/2}
+    times their adjoint.
     """
     u_modes = np.asarray(u_modes, dtype=complex)
     metric = np.asarray(metric, dtype=float)
     conv = convolution_dense(u_modes, n_modes)
-    arg = np.einsum("...ij,...irs,...jst->...rt", metric, conv, conv)
+    g_conv = np.einsum("...ij,...jst->...ist", metric, conv)
+    arg = np.matmul(conv, g_conv).sum(axis=-3)
     gg = np.einsum("...ij,...ij->...", metric, metric)
     m = n_coeffs(n_modes)
     arg[..., np.arange(m), np.arange(m)] += (c_i * kappa**2 * gg)[..., None]
@@ -299,7 +301,7 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
             "singular stabilization argument (zero velocity with kappa = 0?); "
             f"min eigenvalue {np.min(w):.6e}"
         )
-    tau = np.einsum("...rk,...k,...ck->...rc", v, w**-0.5, np.conj(v))
+    tau = (v * (w**-0.5)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return 0.5 * (tau + np.conj(np.swapaxes(tau, -1, -2)))
 
 

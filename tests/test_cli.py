@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+import tsfem.cli as cli
 from tsfem.cli import main, run_case, sweep
 from tsfem.config import (
     CaseConfig,
@@ -194,6 +195,27 @@ class TestSweep:
         # flow error tracks the boundary truncation error
         for r in rows:
             assert r["flow_error"] <= 2 * r["truncation"] + 0.01
+
+
+    def test_mode_sweep_reports_time_reference_failures(self, tmp_path, monkeypatch):
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["modes"] = [1, 2]
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        real = cli.run_time_simulation
+
+        def failing_reference(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.newton_failures = 3
+            return result
+
+        monkeypatch.setattr(cli, "run_time_simulation", failing_reference)
+        with pytest.warns(UserWarning, match="'xmax': 3 time-reference steps"):
+            sweep(path, tmp_path / "out")
+        table = yaml.safe_load((tmp_path / "out" / "sweep.yaml").read_text())
+        assert table["newton_failures"] == 3
 
 
 class TestMainEntry:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsfem.linsolve import (
     BlockMatrix,
     BlockTangent,
     GmresConfig,
+    Segments,
     block_jacobi_preconditioner,
     block_to_real,
     build_graph,
@@ -143,6 +146,17 @@ def dense_tangent_oracle(tg):
     return dense
 
 
+class TestSegments:
+    def test_matches_add_at(self):
+        keys = RNG.integers(0, 7, size=40)
+        values = RNG.standard_normal((40, 3))
+        ref = np.zeros((9, 3))
+        np.add.at(ref, keys, values)
+        out = np.zeros((9, 3))
+        Segments.of(keys).add_to(out, values)
+        np.testing.assert_allclose(out, ref, atol=1e-14)
+
+
 class TestBlockTangent:
     def test_zero_vector(self):
         tg = random_tangent(3, 3, 2)
@@ -157,6 +171,34 @@ class TestBlockTangent:
             ref = dense @ x
             assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
             np.testing.assert_allclose(tg.to_dense(), dense, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_nodes=st.integers(2, 8), nen=st.integers(2, 4), dim=st.integers(1, 3),
+           n_modes=st.integers(1, 4), full=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matvec_matches_to_dense_property(self, n_nodes, nen, dim, n_modes, full, seed):
+        rng = np.random.default_rng(seed)
+        elements = np.array([rng.choice(n_nodes, size=min(nen, n_nodes), replace=False)
+                             for _ in range(rng.integers(1, 6))])
+        rows, cols, _ = build_graph(elements, n_nodes)
+        e, n2 = rows.shape[0], 2 * n_modes
+        tg = BlockTangent(
+            rows, cols, n_nodes, dim, n_modes,
+            k_real=rng.standard_normal((e, n2, n2)),
+            l_real=rng.standard_normal((e, n2, n2)),
+            g_diag=rng.standard_normal((e, dim, n_modes)) + 1j * rng.standard_normal((e, dim, n_modes)),
+            d_diag=rng.standard_normal((e, dim, n_modes)) + 1j * rng.standard_normal((e, dim, n_modes)),
+            g_full=rng.standard_normal((e, dim, n2, n2)) if full else None,
+            d_full=rng.standard_normal((e, dim, n2, n2)) if full else None,
+        )
+        x = rng.standard_normal(tg.n_dof)
+        ref = tg.to_dense() @ x
+        assert np.linalg.norm(tg.matvec(x) - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+    def test_unsorted_rows_rejected(self):
+        tg = random_tangent(3, 2, 2)
+        with pytest.raises(ValueError, match="sorted"):
+            BlockTangent(tg.rows[::-1], tg.cols[::-1], 3, 2, 2, tg.k_real, tg.l_real,
+                         tg.g_diag, tg.d_diag)
 
     def test_identity_momentum_pass_through(self):
         tg = random_tangent(3, 3, 2)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from tsfem.linsolve import SolverConfig, from_real, rhs_to_real
-from tsfem.mesh import Mesh, generate_box_tet, generate_rect_tri, quadrature_rule, shape_values
+import tsfem.navier_stokes as navier_stokes
+from tsfem.mesh import (
+    Mesh,
+    generate_bent_channel_tet,
+    generate_box_tet,
+    generate_rect_tri,
+    quadrature_rule,
+    shape_values,
+)
 from tsfem.navier_stokes import (
     NSCase,
     NSState,
@@ -208,6 +216,37 @@ class TestTangent:
         tg = assemble_ns_tangent(case, mesh, state)
         assert tg.g_full is None and tg.d_full is None
         assert tg.g_diag.shape == (len(tg.rows), 2, 3)
+
+
+class TestChunkInvariance:
+    @staticmethod
+    def _assemble_all(n_modes):
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 1, 1), bend_angle=1.0)
+        m = n_coeffs(n_modes)
+        inflow = np.zeros((3, m), dtype=complex)
+        inflow[0, n_modes - 1] = 1.0
+        case = NSCase(rho=1.0, mu=0.1, omega=2.0, n_modes=n_modes,
+                      dirichlet={"xmin": inflow}, walls=["ymin", "ymax", "zmin", "zmax"],
+                      neumann={"xmax": np.zeros(m, dtype=complex)}, backflow_beta=0.2)
+        rng = np.random.default_rng(11)
+        state = random_state(mesh, n_modes, rng)
+        frozen = random_state(mesh, n_modes, rng)
+        prod = assemble_ns_tangent(case, mesh, state, pseudo_dt=0.2)
+        exact = assemble_ns_tangent(case, mesh, state, exact_gd=True)
+        return {
+            "residual": assemble_ns_residual(case, mesh, state),
+            "residual_frozen": assemble_ns_residual(case, mesh, state, coeff_state=frozen),
+            "k": prod.k_real, "l": prod.l_real, "g": prod.g_diag, "d": prod.d_diag,
+            "g_full": exact.g_full, "d_full": exact.d_full, "k_exact": exact.k_real,
+        }
+
+    def test_assembly_independent_of_chunk_size(self, monkeypatch):
+        one_chunk = self._assemble_all(3)
+        monkeypatch.setattr(navier_stokes, "_CHUNK", 5)   # 18 tets in 4 chunks
+        chunked = self._assemble_all(3)
+        for name, ref in one_chunk.items():
+            diff = np.max(np.abs(chunked[name] - ref))
+            assert diff <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestSolve:

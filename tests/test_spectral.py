@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsfem.spectral import (
     SpectralCoeffs,
@@ -14,6 +16,7 @@ from tsfem.spectral import (
     hermitian_eig,
     matrix_inv_sqrt,
     matrix_negative_part,
+    negative_part_batch,
     tau_from_modes,
 )
 
@@ -302,3 +305,50 @@ class TestComputeTau:
             tau = tau_from_modes(modes[None], g[None], kappa, 3.0, n)[0]
             scalar = (u0 @ g @ u0 + 3.0 * kappa**2 * np.sum(g * g)) ** -0.5
             assert np.linalg.norm(tau - scalar * np.eye(2 * n - 1)) <= 1e-12 * scalar
+
+
+def tau_einsum_oracle(u_modes, metric, kappa, c_i, n_modes):
+    """tau by the three-operand einsum for A_i G_ij A_j and eigh."""
+    conv = convolution_dense(u_modes, n_modes)
+    arg = np.einsum("...ij,...irs,...jst->...rt", metric, conv, conv)
+    gg = np.einsum("...ij,...ij->...", metric, metric)
+    arg = arg + (c_i * kappa**2 * gg)[..., None, None] * np.eye(2 * n_modes - 1)
+    w, v = np.linalg.eigh(0.5 * (arg + np.conj(np.swapaxes(arg, -1, -2))))
+    return np.einsum("...rk,...k,...ck->...rc", v, w**-0.5, np.conj(v))
+
+
+def random_point_states(rng, n_pts, dim, n_modes):
+    """Conjugate-symmetric velocity modes (n_pts, dim, 2N-1) and SPD metrics."""
+    pos = rng.standard_normal((n_pts, dim, n_modes)) + 1j * rng.standard_normal((n_pts, dim, n_modes))
+    pos[..., 0] = pos[..., 0].real
+    u = np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
+    a = rng.standard_normal((n_pts, dim, dim))
+    metric = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(dim)
+    return u, metric
+
+
+class TestTauProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n_modes=st.integers(1, 8), dim=st.integers(1, 3), n_pts=st.integers(1, 4),
+           kappa=st.sampled_from([0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_einsum_oracle_and_is_hpd_centrosymmetric(self, n_modes, dim, n_pts,
+                                                             kappa, seed):
+        u, metric = random_point_states(np.random.default_rng(seed), n_pts, dim, n_modes)
+        tau = tau_from_modes(u, metric, kappa, 4.0, n_modes)
+        scale = np.linalg.norm(tau, axis=(-2, -1))[..., None, None]
+        oracle = tau_einsum_oracle(u, metric, kappa, 4.0, n_modes)
+        assert np.all(np.abs(tau - oracle) <= 1e-10 * scale)
+        assert np.all(np.abs(tau - np.conj(np.swapaxes(tau, -1, -2))) <= 1e-13 * scale)
+        assert np.all(np.linalg.eigvalsh(tau) > 0.0)
+        # tau[-r, -c] = conj(tau[r, c])
+        assert np.all(np.abs(tau[..., ::-1, ::-1] - np.conj(tau)) <= 1e-10 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 6), n_pts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_negative_part_batch_matches_single(self, n_modes, n_pts, seed):
+        u, _ = random_point_states(np.random.default_rng(seed), n_pts, 1, n_modes)
+        mats = convolution_dense(u[:, 0], n_modes)
+        batch = negative_part_batch(mats)
+        for mat, neg in zip(mats, batch):
+            ref = matrix_negative_part(mat)
+            assert np.linalg.norm(neg - ref) <= 1e-12 * max(np.linalg.norm(mat), 1.0)
