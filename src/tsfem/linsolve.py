@@ -28,6 +28,7 @@ __all__ = [
     "BlockTangent",
     "AssemblyContext",
     "Segments",
+    "assembly_context",
     "build_graph",
     "block_to_real",
     "diag_to_real",
@@ -126,39 +127,78 @@ class Segments:
         out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
 
 
+_CHUNK = 2048  # elements per assembly chunk, bounds transient memory
+
+
 @dataclass(frozen=True)
 class AssemblyContext:
     """Per-mesh scatter plan: the nodal graph and its sorted reductions.
 
-    The elements are processed in chunks of at most `chunk`; for each chunk
+    The elements are processed in chunks of at most _CHUNK; for each chunk
     the plan holds the Segments of its element-node keys (residual scatter)
     and of its build_graph edge_of keys (tangent scatter).
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    n_nodes: int
     chunks: tuple  # of (slice, node Segments, edge Segments)
 
     @classmethod
-    def build(cls, elements: np.ndarray, graph, chunk: int) -> "AssemblyContext":
+    def build(cls, elements: np.ndarray, n_nodes: int, graph) -> "AssemblyContext":
         """Plan for a connectivity and its build_graph output."""
         rows, cols, edge_of = graph
         n_el = elements.shape[0]
         chunks = []
-        for start in range(0, n_el, chunk):
-            sl = slice(start, min(start + chunk, n_el))
+        for start in range(0, n_el, _CHUNK):
+            sl = slice(start, min(start + _CHUNK, n_el))
             chunks.append((sl, Segments.of(elements[sl]), Segments.of(edge_of[sl])))
-        return cls(rows, cols, tuple(chunks))
+        return cls(rows, cols, n_nodes, tuple(chunks))
+
+    def edge_ids(self, nodes: np.ndarray) -> np.ndarray:
+        """Edge index of every (nodes[f, a], nodes[f, b]) pair, in (f, a, b) order.
+
+        Every pair must be an edge of the graph, e.g. the nodes of a facet.
+        """
+        k = nodes.shape[1]
+        keys = self.rows.astype(np.int64) * self.n_nodes + self.cols
+        r = np.repeat(nodes, k, axis=1).ravel().astype(np.int64)
+        c = np.tile(nodes, (1, k)).ravel()
+        return np.searchsorted(keys, r * self.n_nodes + c)
+
+
+def assembly_context(mesh, graph_builder: Callable) -> AssemblyContext:
+    """The mesh's scatter plan, built at its first assembly and cached on it.
+
+    graph_builder is the build_graph the calling solver imported; going
+    through the caller's name lets a wrapper installed there see the one
+    graph build per mesh.
+    """
+    if mesh._assembly is None:
+        mesh._assembly = AssemblyContext.build(
+            mesh.elements, mesh.n_nodes, graph_builder(mesh.elements, mesh.n_nodes))
+    return mesh._assembly
 
 
 @dataclass
 class BlockMatrix:
-    """Sparse matrix of dense nodal blocks on a directed edge list."""
+    """Sparse matrix of dense nodal blocks on a directed edge list.
+
+    The rows must be sorted, as build_graph returns them; row_starts, the
+    starts of their runs, are worked out here and the matvec reduces the
+    edge products over them.
+    """
 
     rows: np.ndarray
     cols: np.ndarray
     blocks: np.ndarray  # (n_edges, b, b), real or complex
     n_nodes: int
+    row_starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if np.any(self.rows[1:] < self.rows[:-1]):
+            raise ValueError("BlockMatrix rows must be sorted")
+        self.row_starts = segment_starts(self.rows)
 
     @property
     def block_size(self) -> int:
@@ -169,7 +209,7 @@ class BlockMatrix:
         xr = np.asarray(x).reshape(self.n_nodes, b)
         contrib = np.einsum("eij,ej->ei", self.blocks, xr[self.cols])
         y = np.zeros_like(contrib, shape=(self.n_nodes, b))
-        np.add.at(y, self.rows, contrib)
+        y[self.rows[self.row_starts]] = np.add.reduceat(contrib, self.row_starts, axis=0)
         return y.ravel()
 
     def diag_blocks(self) -> np.ndarray:
@@ -361,24 +401,20 @@ class BlockTangent:
 
     def diag_blocks(self) -> np.ndarray:
         d, n2 = self.dim, 2 * self.n_modes
-        b = (d + 1) * n2
-        diag = np.zeros((self.n_nodes, b, b))
-        sel = np.where(self.rows == self.cols)[0]
+        diag = np.zeros((self.n_nodes, d + 1, n2, d + 1, n2))
+        # build_graph pairs are unique: one self-edge per node
+        sel = np.flatnonzero(self.rows == self.cols)
+        nodes = self.rows[sel]
         g_real = (self.g_full[sel] if self.g_full is not None
                   else diag_to_real(self.g_diag[sel]))
         d_real = (self.d_full[sel] if self.d_full is not None
                   else diag_to_real(self.d_diag[sel]))
-        for e, node in zip(sel, self.rows[sel]):
-            blk = diag[node]
-            for i in range(d):
-                blk[i * n2:(i + 1) * n2, i * n2:(i + 1) * n2] += self.k_real[e]
-            blk[d * n2:, d * n2:] += self.l_real[e]
-        for k, e in enumerate(sel):
-            node = self.rows[e]
-            for i in range(d):
-                diag[node, i * n2:(i + 1) * n2, d * n2:] += g_real[k, i]
-                diag[node, d * n2:, i * n2:(i + 1) * n2] += d_real[k, i]
-        return diag
+        for i in range(d):
+            diag[nodes, i, :, i, :] = self.k_real[sel]
+            diag[nodes, i, :, d, :] = g_real[:, i]
+            diag[nodes, d, :, i, :] = d_real[:, i]
+        diag[nodes, d, :, d, :] = self.l_real[sel]
+        return diag.reshape(self.n_nodes, (d + 1) * n2, (d + 1) * n2)
 
     def to_dense(self) -> np.ndarray:
         d, n2 = self.dim, 2 * self.n_modes

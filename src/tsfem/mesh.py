@@ -132,6 +132,9 @@ class Mesh:
     _edata: "ElementData" = field(default=None, repr=False, compare=False)
     # scatter plan (linsolve.AssemblyContext), built by the first assembly
     _assembly: object = field(default=None, repr=False, compare=False)
+    # read-only FacetQuadData per group, built by the first facet_quadrature
+    _facet_quad: Dict[str, "FacetQuadData"] = field(default_factory=dict, repr=False,
+                                                    compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -251,7 +254,14 @@ class FacetQuadData:
 
 
 def facet_quadrature(mesh: Mesh, group: str) -> FacetQuadData:
-    """Quadrature data for all facets of a named boundary group."""
+    """Quadrature data for all facets of a named boundary group.
+
+    Built once per mesh and group and cached on the mesh; the arrays are
+    read-only views, so editing one in place raises.
+    """
+    cached = mesh._facet_quad.get(group)
+    if cached is not None:
+        return cached
     fg = mesh.facet_groups[group]
     rule = facet_rule(mesh.elem_type)
     ft = FACET_TYPE[mesh.elem_type]
@@ -260,7 +270,13 @@ def facet_quadrature(mesh: Mesh, group: str) -> FacetQuadData:
     scale = areas / rule.weights.sum()
     weights = rule.weights[None, :] * scale[:, None]
     points = np.einsum("qk,fki->fqi", vals, mesh.coords[fg.nodes])
-    return FacetQuadData(fg.nodes, fg.parents, vals, weights, normals, points, areas)
+    arrays = []
+    for arr in (fg.nodes, fg.parents, vals, weights, normals, points, areas):
+        view = arr.view()
+        view.setflags(write=False)
+        arrays.append(view)
+    mesh._facet_quad[group] = FacetQuadData(*arrays)
+    return mesh._facet_quad[group]
 
 
 def facet_normal_area(mesh: Mesh, facet) -> tuple[np.ndarray, float]:

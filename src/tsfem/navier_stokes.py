@@ -30,9 +30,9 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from .linsolve import (
-    AssemblyContext,
     BlockTangent,
     SolverConfig,
+    assembly_context,
     block_jacobi_preconditioner,
     block_to_real,
     build_graph,
@@ -72,8 +72,6 @@ __all__ = [
     "resolve_ns_dirichlet",
     "default_pseudo_dt",
 ]
-
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -212,14 +210,6 @@ def _facet_state_velocity(state: NSState, fq, q: int) -> np.ndarray:
     return np.einsum("a,faim->fim", fq.shape[q], state.velocity[fq.nodes])
 
 
-def _assembly_context(mesh: Mesh) -> AssemblyContext:
-    """The mesh's scatter plan, built on its first assembly and cached."""
-    if mesh._assembly is None:
-        mesh._assembly = AssemblyContext.build(
-            mesh.elements, build_graph(mesh.elements, mesh.n_nodes), _CHUNK)
-    return mesh._assembly
-
-
 def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
               need_residual: bool, need_tangent: bool,
               pseudo_dt: float = np.inf, exact_gd: bool = False,
@@ -246,7 +236,7 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
     rho, mu = case.rho, case.mu
     c_i = case.c_i_for(mesh)
     ed = mesh.element_data()
-    ctx = _assembly_context(mesh)
+    ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)             # (n_qp, nen)
     nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
@@ -350,7 +340,7 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
             np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
 
     if case.backflow_beta > 0.0 and case.neumann:
-        _add_ns_backflow(case, mesh, state, coeff_state, ctx.rows, ctx.cols,
+        _add_ns_backflow(case, mesh, state, coeff_state, ctx,
                          resid, k_c if need_tangent else None)
 
     tangent = None
@@ -375,10 +365,9 @@ def _diag_expand(scal: np.ndarray, n_half: int) -> np.ndarray:
     return out
 
 
-def _add_ns_backflow(case, mesh, state, coeff_state, rows, cols, resid, k_c):
+def _add_ns_backflow(case, mesh, state, coeff_state, ctx, resid, k_c):
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
-    keys = rows.astype(np.int64) * mesh.n_nodes + cols
     factor = 0.5 * case.rho * case.backflow_beta
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
@@ -399,10 +388,7 @@ def _add_ns_backflow(case, mesh, state, coeff_state, rows, cols, resid, k_c):
         if resid is not None:
             np.add.at(resid[:, :dim], fq.nodes.ravel(), -factor * r_el.reshape(-1, dim, m))
         if k_c is not None:
-            r = np.repeat(fq.nodes, k, axis=1).ravel()
-            c = np.tile(fq.nodes, (1, k)).ravel()
-            idx = np.searchsorted(keys, r.astype(np.int64) * mesh.n_nodes + c)
-            np.add.at(k_c, idx, -factor * k_el.reshape(-1, m, m))
+            np.add.at(k_c, ctx.edge_ids(fq.nodes), -factor * k_el.reshape(-1, m, m))
 
 
 def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,

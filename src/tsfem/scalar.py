@@ -20,6 +20,7 @@ import numpy as np
 from .linsolve import (
     BlockMatrix,
     SolverConfig,
+    assembly_context,
     block_jacobi_preconditioner,
     build_graph,
     from_real,
@@ -54,8 +55,6 @@ BCData = Union[np.ndarray, SpectralCoeffs, Callable]
 # Parent-convention constants for the diffusive limit of tau:
 # lines use xi in [-1, 1] (parent size 2), simplices the unit simplex.
 _C_I = {"line2": 9.0, "tri3": 3.0, "tet4": 3.0}
-
-_CHUNK = 2048  # elements per assembly chunk, bounds transient memory
 
 
 def default_c_i(elem_type: str) -> float:
@@ -151,81 +150,73 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
 
     Returns (BlockMatrix with (2N-1)^2 complex blocks, rhs (n_nodes, 2N-1)).
     Dirichlet rows are left untouched; they are pinned at the solver level.
+    Per element chunk, the integrands are summed over the quadrature
+    points and scattered once through the mesh's cached sorted plan; the
+    geometry-only Galerkin terms N_A N_B Omega and kappa gab are formed
+    from sum_q w_q N_A N_B and the element volume.
     """
     _check_groups(case, mesh)
     _womersley_warning(case, mesh)
     n, m = case.n_modes, n_coeffs(case.n_modes)
     c_i = case.c_i_for(mesh)
     ed = mesh.element_data()
+    ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)
-    rows, cols, edge_of = build_graph(mesh.elements, mesh.n_nodes)
-    blocks = np.zeros((rows.shape[0], m, m), dtype=complex)
+    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+    blocks = np.zeros((ctx.rows.shape[0], m, m), dtype=complex)
     rhs = np.zeros((mesh.n_nodes, m), dtype=complex)
     omega_mat = build_omega(n, case.omega)
     eye = np.eye(m)
 
-    for start in range(0, mesh.n_elements, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_elements))
+    for sl, node_seg, edge_seg in ctx.chunks:
         elems = mesh.elements[sl]
         grads = ed.grads[sl]
         detj = ed.detj[sl]
         metric = ed.metric[sl]
         xe = mesh.coords[elems]
-        edges = edge_of[sl]
-        nen = elems.shape[1]
+        gab = np.einsum("eai,ebi->eab", grads, grads)
+        vol = detj * rule.weights.sum()
+        k_el = ((detj[:, None, None] * nn_ref)[..., None, None] * omega_mat
+                + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
+        r_el = np.zeros(elems.shape + (m,), dtype=complex)
         for q in range(rule.n_points):
             w = rule.weights[q] * detj                       # (E,)
             points = np.einsum("a,eai->ei", shp[q], xe)
             uq = _velocity_at(case, mesh, elems, shp[q], points)
             conv = convolution_dense(uq, n)                  # (E, dim, M, M)
             a_dir = np.einsum("ead,edrc->earc", grads, conv)  # (E, nen, M, M)
-            gal = (np.einsum("a,b,rc->abrc", shp[q], shp[q], omega_mat)[None]
-                   + np.einsum("a,ebrc->eabrc", shp[q], a_dir)
-                   + np.einsum("eab,rc->eabrc", np.einsum("eai,ebi->eab", grads, grads),
-                               case.kappa * eye))
-            k_el = gal
+            k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
             if not case.galerkin_only:
                 tau = tau_from_modes(uq, metric, case.kappa, c_i, n)
                 weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
                 p_a = np.matmul(weight, tau[:, None])        # (E, nen, M, M)
                 trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-                k_el = k_el + np.matmul(p_a[:, :, None], trial[:, None, :])
-            np.add.at(blocks, edges.ravel(),
-                      (k_el * w[:, None, None, None, None]).reshape(-1, m, m))
+                k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
+            k_el += w[:, None, None, None, None] * k_q
             if case.source is not None:
                 s = np.asarray(case.source(points), dtype=complex)  # (E, M)
-                r_el = np.einsum("a,em->eam", shp[q], s)
+                r_q = np.einsum("a,em->eam", shp[q], s)
                 if not case.galerkin_only:
-                    r_el = r_el + np.einsum("earc,ec->ear", p_a, s)
-                np.add.at(rhs, elems.ravel(),
-                          (r_el * w[:, None, None]).reshape(-1, m))
+                    r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
+                r_el += w[:, None, None] * r_q
+        edge_seg.add_to(blocks, k_el.reshape(-1, m, m))
+        if case.source is not None:
+            node_seg.add_to(rhs, r_el.reshape(-1, m))
 
     # Neumann flux data
     for name, data in case.neumann.items():
         fq = facet_quadrature(mesh, name)
         hvals = _bc_values(data, mesh.coords[fq.nodes.ravel()], m)
         hvals = hvals.reshape(fq.nodes.shape + (m,))
-        for q in range(fq.shape.shape[0]):
-            hq = np.einsum("a,fam->fm", fq.shape[q], hvals)
-            r_el = np.einsum("f,a,fm->fam", fq.weights[:, q], fq.shape[q], hq)
-            np.add.at(rhs, fq.nodes.ravel(), r_el.reshape(-1, m))
+        r_el = np.einsum("fq,qa,qb,fbm->fam", fq.weights, fq.shape, fq.shape, hvals)
+        np.add.at(rhs, fq.nodes.ravel(), r_el.reshape(-1, m))
 
     # boundary eigenvalue correction where flow enters a Neumann boundary
     if case.backflow_beta > 0.0:
-        _add_scalar_backflow(case, mesh, rows, cols, blocks)
+        _add_scalar_backflow(case, mesh, ctx, blocks)
 
-    return BlockMatrix(rows, cols, blocks, mesh.n_nodes), rhs
-
-
-def _edge_lookup(rows, cols, n_nodes):
-    keys = rows.astype(np.int64) * n_nodes + cols
-
-    def lookup(r, c):
-        idx = np.searchsorted(keys, r.astype(np.int64) * n_nodes + c)
-        return idx
-
-    return lookup
+    return BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes), rhs
 
 
 def _facet_velocity(case: ScalarCase, mesh: Mesh, fq, q: int) -> np.ndarray:
@@ -235,21 +226,19 @@ def _facet_velocity(case: ScalarCase, mesh: Mesh, fq, q: int) -> np.ndarray:
     return np.einsum("a,fadm->fdm", fq.shape[q], vel[fq.nodes])
 
 
-def _add_scalar_backflow(case, mesh, rows, cols, blocks):
+def _add_scalar_backflow(case, mesh, ctx, blocks):
     n, m = case.n_modes, n_coeffs(case.n_modes)
-    lookup = _edge_lookup(rows, cols, mesh.n_nodes)
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
         k = fq.nodes.shape[1]
+        k_el = np.zeros(fq.nodes.shape + (k, m, m), dtype=complex)
         for q in range(fq.shape.shape[0]):
             uq = _facet_velocity(case, mesh, fq, q)
             un = np.einsum("fdm,fd->fm", uq, fq.normals)
             an_neg = negative_part_batch(convolution_dense(un, n))
             coeff = -0.5 * case.backflow_beta * fq.weights[:, q]
-            k_el = np.einsum("f,a,b,frc->fabrc", coeff, fq.shape[q], fq.shape[q], an_neg)
-            r = np.repeat(fq.nodes, k, axis=1).ravel()
-            c = np.tile(fq.nodes, (1, k)).ravel()
-            np.add.at(blocks, lookup(r, c), k_el.reshape(-1, m, m))
+            k_el += np.einsum("f,a,b,frc->fabrc", coeff, fq.shape[q], fq.shape[q], an_neg)
+        np.add.at(blocks, ctx.edge_ids(fq.nodes), k_el.reshape(-1, m, m))
 
 
 def resolve_scalar_dirichlet(case: ScalarCase, mesh: Mesh):

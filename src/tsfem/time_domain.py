@@ -9,8 +9,11 @@ the spectral solver.  The stabilization parameter is the scalar
 per quadrature point, where w_hat = ||du/dt|| / ||u|| is a global
 acceleration frequency; this keeps the method consistent in dt while
 controlling the pressure-stabilization term at small time steps.
-Convective velocity and tau are frozen within the Newton iterations of a
-time step.
+The convective velocity u_af, w_hat and tau are re-evaluated at every
+Newton iterate of a time step.  The tangent drops their derivatives and
+the Galerkin reaction term N_A N_B du_i/dx_k, so the Newton loop
+converges only linearly.  A linear solve that stagnates ends the step's
+Newton loop unconverged, with a warning.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .linsolve import (
     BlockMatrix,
     SolverConfig,
+    assembly_context,
     block_jacobi_preconditioner,
     build_graph,
     gmres,
@@ -42,8 +46,6 @@ __all__ = [
     "generalized_alpha_step",
     "run_time_simulation",
 ]
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -172,26 +174,40 @@ def _resolve_time_dirichlet(case: TimeCase, mesh: Mesh, t: float):
 
 
 def _assemble_time(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
-                   what: float, *, need_tangent: bool,
-                   alpha_m: float, fac: float):
-    """SUPG/PSPG residual (and frozen-coefficient tangent) at the alpha state."""
+                   what: float, *, alpha_m: float, fac: float):
+    """SUPG/PSPG residual and tangent at the alpha state.
+
+    Per element chunk, the integrands are summed over the quadrature
+    points and scattered once through the mesh's cached sorted plan,
+    shared with the spectral solvers.  The point loop accumulates only
+    what depends on the velocity there: the residual, the convective part
+    of K, the tau-weighted advection vectors of the least-squares
+    gradient/divergence blocks, and sum_q w_q tau.  The geometry-only
+    terms (the mass rho alpha_m N_A N_B, viscous fac mu gab, Galerkin
+    gradient/divergence, the pressure, viscous and continuity residual
+    terms, and the pressure block gab/rho sum_q w_q tau) are formed after
+    the point loop from sum_q w_q N_A N_B and sum_q w_q N_A.  The
+    (dim+1)^2 nodal blocks are built once per chunk.
+    """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
     c_i = case.c_i_for(mesh)
     ed = mesh.element_data()
+    ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)
-    rows, cols, edge_of = build_graph(mesh.elements, mesh.n_nodes)
+    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+    n_ref = rule.weights @ shp
+    diag = np.arange(dim)
     resid = np.zeros((mesh.n_nodes, dim + 1))
-    blocks = np.zeros((rows.shape[0], dim + 1, dim + 1)) if need_tangent else None
+    blocks = np.zeros((ctx.rows.shape[0], dim + 1, dim + 1))
 
-    for start in range(0, mesh.n_elements, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_elements))
+    for sl, node_seg, edge_seg in ctx.chunks:
         elems = mesh.elements[sl]
         grads = ed.grads[sl]
         detj = ed.detj[sl]
         metric = ed.metric[sl]
-        edges = edge_of[sl]
+        n_el, nen = elems.shape
         u_el = u_af[elems]
         a_el = udot_am[elems]
         p_el = pres[elems]
@@ -199,61 +215,59 @@ def _assemble_time(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
         grad_p = np.einsum("eaj,ea->ej", grads, p_el)
         div_u = np.einsum("eii->e", grad_u)
         gab = np.einsum("eai,ebi->eab", grads, grads)
+        vol = detj * rule.weights.sum()
+        n_int = np.outer(detj, n_ref)                     # sum_q w_q N_A
+        r_m = np.zeros((n_el, nen, dim))
+        tau_strong = np.zeros((n_el, dim))
+        k_el = np.zeros((n_el, nen, nen))
+        tau_adv = np.zeros((n_el, nen))     # sum_q w_q tau u.grad N_A
+        tau_trial = np.zeros((n_el, nen))   # sum_q w_q tau (alpha_m N_B + fac u.grad N_B)
+        tau_sum = np.zeros(n_el)
 
         for q in range(rule.n_points):
             w = rule.weights[q] * detj
             uq = np.einsum("a,eai->ei", shp[q], u_el)
             aq = np.einsum("a,eai->ei", shp[q], a_el)
-            pq = np.einsum("a,ea->e", shp[q], p_el)
             tau = time_tau(uq, what, metric, nu, c_i)
-            adv_a = np.einsum("ej,eaj->ea", uq, grads)    # u . grad N_A
-            conv = np.einsum("ej,eji->ei", uq, grad_u)
-            strong = rho * (aq + conv) + grad_p
-            r_m = (rho * np.einsum("a,ei->eai", shp[q], aq + conv)
-                   - np.einsum("eai,e->eai", grads, pq)
-                   + mu * np.einsum("eaj,eji->eai", grads, grad_u)
-                   + np.einsum("ea,e,ei->eai", adv_a, tau, strong))
-            r_c = (np.einsum("a,e->ea", shp[q], div_u)
-                   + np.einsum("eai,e,ei->ea", grads, tau, strong) / rho)
-            contrib = np.concatenate([r_m, r_c[:, :, None]], axis=2) \
-                .transpose(0, 1, 2) * w[:, None, None]
-            np.add.at(resid, elems.ravel(), contrib.reshape(-1, dim + 1))
+            wt = w * tau
+            adv = np.einsum("ej,eaj->ea", uq, grads)      # u . grad N_A
+            inertia = rho * (aq + np.einsum("ej,eji->ei", uq, grad_u))
+            strong = inertia + grad_p
+            trial = alpha_m * shp[q] + fac * adv
+            r_m += (np.einsum("e,a,ei->eai", w, shp[q], inertia)
+                    + np.einsum("ea,ei->eai", wt[:, None] * adv, strong))
+            tau_strong += wt[:, None] * strong
+            k_el += rho * (np.einsum("e,a,eb->eab", fac * w, shp[q], adv)
+                           + np.einsum("ea,eb->eab", wt[:, None] * adv, trial))
+            tau_adv += wt[:, None] * adv
+            tau_trial += wt[:, None] * trial
+            tau_sum += wt
 
-            if need_tangent:
-                nn = np.outer(shp[q], shp[q])
-                adv_b = adv_a
-                k_scal = (rho * alpha_m * nn[None]
-                          + fac * (rho * np.einsum("a,eb->eab", shp[q], adv_b)
-                                   + mu * gab)
-                          + rho * np.einsum("ea,e,eb->eab", adv_a, tau,
-                                            alpha_m * shp[q][None, :] + fac * adv_b))
-                g_blk = (-np.einsum("eai,b->eabi", grads, shp[q])
-                         + np.einsum("ea,e,ebi->eabi", adv_a, tau, grads))
-                d_blk = (fac * np.einsum("a,ebj->eabj", shp[q], grads)
-                         + np.einsum("eaj,e,eb->eabj", grads, tau,
-                                     alpha_m * shp[q][None, :] + fac * adv_b))
-                l_blk = np.einsum("eab,e->eab", gab, tau) / rho
-                blk = np.zeros(k_scal.shape[:3] + (dim + 1, dim + 1))
-                for i in range(dim):
-                    blk[..., i, i] = k_scal
-                    blk[..., i, dim] = g_blk[..., i]
-                    blk[..., dim, i] = d_blk[..., i]
-                blk[..., dim, dim] = l_blk
-                np.add.at(blocks, edges.ravel(),
-                          (blk * w[:, None, None, None, None]).reshape(-1, dim + 1, dim + 1))
+        p_int = np.einsum("ea,ea->e", n_int, p_el)        # sum_q w_q p
+        r_m += (mu * vol[:, None, None] * np.einsum("eaj,eji->eai", grads, grad_u)
+                - grads * p_int[:, None, None])
+        r_c = n_int * div_u[:, None] + np.einsum("eai,ei->ea", grads, tau_strong) / rho
+        node_seg.add_to(resid, np.concatenate([r_m, r_c[:, :, None]], axis=2)
+                        .reshape(-1, dim + 1))
+
+        k_el += (rho * alpha_m * detj[:, None, None] * nn_ref
+                 + fac * mu * vol[:, None, None] * gab)
+        blk = np.zeros((n_el, nen, nen, dim + 1, dim + 1))
+        blk[..., diag, diag] = k_el[..., None]
+        blk[..., :dim, dim] = (np.einsum("ea,ebi->eabi", tau_adv, grads)
+                               - np.einsum("eai,eb->eabi", grads, n_int))
+        blk[..., dim, :dim] = (fac * np.einsum("ea,ebj->eabj", n_int, grads)
+                               + np.einsum("eaj,eb->eabj", grads, tau_trial))
+        blk[..., dim, dim] = gab * (tau_sum / rho)[:, None, None]
+        edge_seg.add_to(blocks, blk.reshape(-1, dim + 1, dim + 1))
 
     for name, data in case.neumann.items():
-        h_val = float(data(t_af))
         fq = facet_quadrature(mesh, name)
-        for q in range(fq.shape.shape[0]):
-            r_el = -h_val * np.einsum("f,a,fi->fai", fq.weights[:, q], fq.shape[q],
-                                      fq.normals)
-            pad = np.zeros(r_el.shape[:2] + (1,))
-            np.add.at(resid, fq.nodes.ravel(),
-                      np.concatenate([r_el, pad], axis=2).reshape(-1, dim + 1))
+        r_el = -float(data(t_af)) * np.einsum("fq,qa,fi->fai", fq.weights, fq.shape,
+                                              fq.normals)
+        np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim))
 
-    tangent = BlockMatrix(rows, cols, blocks, mesh.n_nodes) if need_tangent else None
-    return resid, tangent
+    return resid, BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes)
 
 
 def _pins_for(mesh: Mesh, dir_nodes: np.ndarray) -> np.ndarray:
@@ -270,7 +284,9 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     """Advance one implicit step; returns (new_state, converged, n_newton).
 
     Newton sub-iterations (at most max_newton) reduce the residual to
-    eps_nr relative to its value at the start of the step.  The Dirichlet
+    eps_nr relative to its value at the start of the step.  A linear solve
+    that stagnates (unconverged, with no residual reduction) is not
+    applied: it ends the Newton loop unconverged and warns.  The Dirichlet
     velocity is imposed strongly at t_{n+1} with a rate-consistent
     boundary acceleration; dirichlet_scale ramps the data during start-up.
     """
@@ -307,8 +323,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         what = omega_hat(u_af, udot_am, mesh)
         t_af = state.t + af * dt
         resid, tangent = _assemble_time(case, mesh, u_af, udot_am, pres, t_af,
-                                        what, need_tangent=True,
-                                        alpha_m=am, fac=af * gamma * dt)
+                                        what, alpha_m=am, fac=af * gamma * dt)
         rr = resid.copy()
         rr[dir_nodes, :dim] = 0.0
         rnorm = float(np.linalg.norm(rr))
@@ -322,14 +337,17 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         op = pinned_operator(tangent.matvec, pins)
         precond = block_jacobi_preconditioner(tangent, pins)
         res = gmres(op, rhs, config.gmres_config(), precond=precond)
+        if not res.converged and res.residuals[-1] >= res.residuals[0]:
+            warnings.warn(f"time step to t={t_new:.6g}: linear solver stagnated at "
+                          f"Newton iteration {iters} (matvecs {res.matvecs}, residual "
+                          f"{res.residuals[-1]:.3e}); update rejected, step unconverged")
+            break
         delta = res.x.reshape(mesh.n_nodes, dim + 1)
         accel = accel + delta[:, :dim]
         pres = pres + delta[:, dim]
         vel_new = state.velocity + dt * ((1 - gamma) * state.accel + gamma * accel)
         if dir_nodes.size:
             vel_new[dir_nodes] = dir_vals
-    else:
-        converged = False
 
     new = TimeState(vel_new, accel, pres, t_new)
     return new, converged, iters

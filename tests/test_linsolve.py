@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsfem.linsolve import (
+    AssemblyContext,
     BlockMatrix,
     BlockTangent,
     GmresConfig,
@@ -229,6 +230,53 @@ class TestBlockTangent:
             np.testing.assert_allclose(
                 diag[node], dense[node * b:(node + 1) * b, node * b:(node + 1) * b],
                 atol=1e-13)
+        # exact mode-coupled gradient/divergence blocks
+        e, n2 = tg.rows.shape[0], 2 * tg.n_modes
+        tg.g_full = RNG.standard_normal((e, tg.dim, n2, n2))
+        tg.d_full = RNG.standard_normal((e, tg.dim, n2, n2))
+        dense = tg.to_dense()
+        diag = tg.diag_blocks()
+        for node in range(3):
+            np.testing.assert_allclose(
+                diag[node], dense[node * b:(node + 1) * b, node * b:(node + 1) * b],
+                atol=1e-13)
+
+
+class TestBlockMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(n_nodes=st.integers(1, 8), nen=st.integers(1, 4), b=st.integers(1, 5),
+           complex_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matvec_matches_to_dense_property(self, n_nodes, nen, b, complex_blocks, seed):
+        rng = np.random.default_rng(seed)
+        elements = np.array([rng.choice(n_nodes, size=min(nen, n_nodes), replace=False)
+                             for _ in range(rng.integers(1, 6))])
+        rows, cols, _ = build_graph(elements, n_nodes)
+        blocks = rng.standard_normal((rows.shape[0], b, b))
+        x = rng.standard_normal(n_nodes * b)
+        if complex_blocks:
+            blocks = blocks + 1j * rng.standard_normal(blocks.shape)
+            x = x + 1j * rng.standard_normal(x.shape)
+        sys = BlockMatrix(rows, cols, blocks, n_nodes)
+        ref = sys.to_dense() @ x
+        assert np.linalg.norm(sys.matvec(x) - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+    def test_unsorted_rows_rejected(self):
+        sys, _ = small_block_system(3, 2)
+        with pytest.raises(ValueError, match="sorted"):
+            BlockMatrix(sys.rows[::-1], sys.cols[::-1], sys.blocks, 3)
+
+
+class TestAssemblyContext:
+    def test_edge_ids_match_graph(self):
+        elements = np.array([[0, 3, 1], [1, 3, 4], [4, 2, 1]])
+        rows, cols, edge_of = build_graph(elements, 5)
+        ctx = AssemblyContext.build(elements, 5, (rows, cols, edge_of))
+        np.testing.assert_array_equal(ctx.edge_ids(elements), edge_of.ravel())
+        facets = elements[:, :2]
+        ids = ctx.edge_ids(facets)
+        pairs = [(r, c) for f in facets for r in f for c in f]
+        np.testing.assert_array_equal(rows[ids], [p[0] for p in pairs])
+        np.testing.assert_array_equal(cols[ids], [p[1] for p in pairs])
 
 
 class TestGmres:

@@ -6,6 +6,7 @@ from tsfem.mesh import (
     FacetGroup,
     facet_geometry,
     facet_normal_area,
+    facet_quadrature,
     generate_bent_channel_tet,
     generate_box_tet,
     generate_interval,
@@ -175,6 +176,18 @@ class TestFacets:
             normals, areas, _ = facet_geometry(mesh, name)
             total += (normals * areas[:, None]).sum(axis=0)
         assert np.linalg.norm(total) < 1e-12
+
+    def test_facet_quadrature_cached_read_only(self):
+        mesh = generate_box_tet((1.0, 1.0, 1.0), (2, 2, 2))
+        fq = facet_quadrature(mesh, "xmax")
+        assert facet_quadrature(mesh, "xmax") is fq
+        assert facet_quadrature(mesh, "xmin") is not fq
+        for arr in (fq.nodes, fq.weights, fq.normals, fq.shape, fq.points, fq.areas):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        # the facet group itself stays writable
+        assert mesh.facet_groups["xmax"].nodes.flags.writeable
+        np.testing.assert_allclose(fq.weights.sum(), 1.0, atol=1e-14)
 
 
 class TestMetricScaleBound:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import tsfem.linsolve as linsolve
 from tsfem.linsolve import SolverConfig, from_real, rhs_to_real
-import tsfem.navier_stokes as navier_stokes
 from tsfem.mesh import (
     Mesh,
     generate_bent_channel_tet,
@@ -242,7 +242,7 @@ class TestChunkInvariance:
 
     def test_assembly_independent_of_chunk_size(self, monkeypatch):
         one_chunk = self._assemble_all(3)
-        monkeypatch.setattr(navier_stokes, "_CHUNK", 5)   # 18 tets in 4 chunks
+        monkeypatch.setattr(linsolve, "_CHUNK", 5)   # 18 tets in 4 chunks
         chunked = self._assemble_all(3)
         for name, ref in one_chunk.items():
             diff = np.max(np.abs(chunked[name] - ref))

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from tsfem.linsolve import SolverConfig
-from tsfem.mesh import generate_rect_tri
+import tsfem.linsolve as linsolve
+import tsfem.time_domain as time_domain
+from tsfem.linsolve import GmresResult, SolverConfig, build_graph
+from tsfem.mesh import (
+    facet_quadrature,
+    generate_bent_channel_tet,
+    generate_rect_tri,
+    quadrature_rule,
+    shape_values,
+)
 from tsfem.navier_stokes import NSCase, solve_ns
 from tsfem.spectral import SpectralCoeffs, build_convolution, compute_tau
 from tsfem.time_domain import (
+    _assemble_time,
     GenAlphaConfig,
     TimeCase,
     TimeState,
@@ -217,3 +226,129 @@ class TestRunTimeSimulation:
         q_num = res.flow["xmax"][-len(t):]
         err = np.linalg.norm(q_num - q_exact) / np.linalg.norm(q_exact)
         assert err < 0.02
+
+
+def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m, fac):
+    """Literal per-quadrature-point np.add.at assembly: the oracle for _assemble_time."""
+    dim = mesh.dim
+    rho, mu, nu = case.rho, case.mu, case.nu
+    c_i = case.c_i_for(mesh)
+    ed = mesh.element_data()
+    rule = quadrature_rule(mesh.elem_type)
+    shp = shape_values(mesh.elem_type, rule.points)
+    rows, cols, edge_of = build_graph(mesh.elements, mesh.n_nodes)
+    resid = np.zeros((mesh.n_nodes, dim + 1))
+    blocks = np.zeros((rows.shape[0], dim + 1, dim + 1))
+    elems, grads, detj, metric = mesh.elements, ed.grads, ed.detj, ed.metric
+    u_el, a_el, p_el = u_af[elems], udot_am[elems], pres[elems]
+    grad_u = np.einsum("eaj,eai->eji", grads, u_el)
+    grad_p = np.einsum("eaj,ea->ej", grads, p_el)
+    div_u = np.einsum("eii->e", grad_u)
+    gab = np.einsum("eai,ebi->eab", grads, grads)
+    for q in range(rule.n_points):
+        w = rule.weights[q] * detj
+        uq = np.einsum("a,eai->ei", shp[q], u_el)
+        aq = np.einsum("a,eai->ei", shp[q], a_el)
+        pq = np.einsum("a,ea->e", shp[q], p_el)
+        tau = time_tau(uq, what, metric, nu, c_i)
+        adv = np.einsum("ej,eaj->ea", uq, grads)
+        conv = np.einsum("ej,eji->ei", uq, grad_u)
+        strong = rho * (aq + conv) + grad_p
+        r_m = (rho * np.einsum("a,ei->eai", shp[q], aq + conv)
+               - np.einsum("eai,e->eai", grads, pq)
+               + mu * np.einsum("eaj,eji->eai", grads, grad_u)
+               + np.einsum("ea,e,ei->eai", adv, tau, strong))
+        r_c = (np.einsum("a,e->ea", shp[q], div_u)
+               + np.einsum("eai,e,ei->ea", grads, tau, strong) / rho)
+        contrib = np.concatenate([r_m, r_c[:, :, None]], axis=2) * w[:, None, None]
+        np.add.at(resid, elems.ravel(), contrib.reshape(-1, dim + 1))
+
+        nn = np.outer(shp[q], shp[q])
+        k_scal = (rho * alpha_m * nn[None]
+                  + fac * (rho * np.einsum("a,eb->eab", shp[q], adv) + mu * gab)
+                  + rho * np.einsum("ea,e,eb->eab", adv, tau,
+                                    alpha_m * shp[q][None, :] + fac * adv))
+        g_blk = (-np.einsum("eai,b->eabi", grads, shp[q])
+                 + np.einsum("ea,e,ebi->eabi", adv, tau, grads))
+        d_blk = (fac * np.einsum("a,ebj->eabj", shp[q], grads)
+                 + np.einsum("eaj,e,eb->eabj", grads, tau,
+                             alpha_m * shp[q][None, :] + fac * adv))
+        blk = np.zeros(k_scal.shape + (dim + 1, dim + 1))
+        for i in range(dim):
+            blk[..., i, i] = k_scal
+            blk[..., i, dim] = g_blk[..., i]
+            blk[..., dim, i] = d_blk[..., i]
+        blk[..., dim, dim] = np.einsum("eab,e->eab", gab, tau) / rho
+        np.add.at(blocks, edge_of.ravel(),
+                  (blk * w[:, None, None, None, None]).reshape(-1, dim + 1, dim + 1))
+
+    for name, data in case.neumann.items():
+        h_val = float(data(t_af))
+        fq = facet_quadrature(mesh, name)
+        for q in range(fq.shape.shape[0]):
+            r_el = -h_val * np.einsum("f,a,fi->fai", fq.weights[:, q], fq.shape[q],
+                                      fq.normals)
+            np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim))
+    return resid, rows, cols, blocks
+
+
+class TestAssembly:
+    MESHES = {
+        "tri": lambda: generate_rect_tri((1.0, 1.0), (4, 5)),
+        "bent": lambda: generate_bent_channel_tet(3.0, 1.0, 1.0, (6, 2, 2), bend_angle=1.0),
+    }
+
+    @staticmethod
+    def _compare(mesh):
+        rng = np.random.default_rng(2024)
+        n, dim = mesh.n_nodes, mesh.dim
+        state = (rng.standard_normal((n, dim)), rng.standard_normal((n, dim)),
+                 rng.standard_normal(n))
+        case = TimeCase(rho=1.3, mu=0.07, period=1.0, n_cycles=2, dt=0.05,
+                        neumann={"xmax": lambda t: 0.3 + t, "xmin": lambda t: -0.8})
+        args = state + (0.2, 1.7)
+        resid, tangent = _assemble_time(case, mesh, *args, alpha_m=0.9, fac=0.03)
+        ref_resid, rows, cols, ref_blocks = per_point_assemble_time(
+            case, mesh, *args, alpha_m=0.9, fac=0.03)
+        np.testing.assert_array_equal(tangent.rows, rows)
+        np.testing.assert_array_equal(tangent.cols, cols)
+        assert np.max(np.abs(resid - ref_resid)) <= 1e-12 * np.max(np.abs(ref_resid))
+        assert np.max(np.abs(tangent.blocks - ref_blocks)) <= 1e-12 * np.max(np.abs(ref_blocks))
+
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_matches_per_point_reference(self, kind):
+        self._compare(self.MESHES[kind]())
+
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_matches_per_point_reference_in_chunks(self, kind, monkeypatch):
+        monkeypatch.setattr(linsolve, "_CHUNK", 7)
+        mesh = self.MESHES[kind]()
+        self._compare(mesh)
+        assert len(mesh._assembly.chunks) > 2
+
+
+class TestLinearStagnation:
+    @staticmethod
+    def _stagnated_gmres(op, rhs, config, precond=None):
+        return GmresResult(np.full_like(rhs, 1e3), 7, [1.0, 1.0], False)
+
+    def test_step_rejects_update_and_reports_unconverged(self, monkeypatch):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = channel_time_case(mesh)
+        state = TimeState.zeros(mesh.n_nodes, 2)
+        monkeypatch.setattr(time_domain, "gmres", self._stagnated_gmres)
+        with pytest.warns(UserWarning, match=r"t=0\.1: linear solver stagnated at "
+                                             r"Newton iteration 1"):
+            new, ok, iters = generalized_alpha_step(case, mesh, state)
+        assert not ok and iters == 1
+        # the predictor stands: zero pressure, no 1e3 increment applied
+        assert np.max(np.abs(new.pressure)) == 0.0
+        assert np.max(np.abs(new.velocity)) <= 1.0
+
+    def test_simulation_counts_stagnated_steps(self, monkeypatch):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        case = channel_time_case(mesh, period=1.0, n_cycles=2, dt=0.5)
+        monkeypatch.setattr(time_domain, "gmres", self._stagnated_gmres)
+        with pytest.warns(UserWarning, match="stagnated"):
+            res = run_time_simulation(case, mesh, report_groups=["xmax"])
+        assert res.newton_failures == 4
