@@ -57,6 +57,14 @@ class CaseConfig:
 
 _GENERATORS = {"interval", "rect_tri", "box_tet", "bent_channel"}
 _BC_KINDS = {"dirichlet", "noslip", "neumann", "parabolic_inflow"}
+# the keys the case builders and the runner read; any other key is a typo
+_KNOWN_KEYS = {
+    "physics": {"kind", "rho", "mu", "kappa", "omega", "n_modes", "backflow_beta",
+                "c_i", "velocity_modes", "galerkin_only"},
+    "solver": {"eps_nr", "eps_ls", "krylov_dim", "max_linear_iters", "pseudo_dt",
+               "max_steps", "time_max_linear_iters"},
+    "output": {"directory", "trace_samples", "fields_t_samples"},
+}
 
 
 def parse_config(text: str) -> CaseConfig:
@@ -111,10 +119,16 @@ def parse_config(text: str) -> CaseConfig:
             errors.append(f"bcs.{name}: give exactly one of a *_modes table "
                           f"or *_samples list (got {data_keys})")
 
+    solver = dict(raw.get("solver", {}))
+    output = dict(raw.get("output", {}))
+    for section, block in (("physics", physics), ("solver", solver), ("output", output)):
+        known = _KNOWN_KEYS[section]
+        for key in sorted(set(block) - known, key=str):
+            errors.append(f"unknown key {section}.{key}; known keys: {sorted(known)}")
+
     if errors:
         raise ConfigError(errors)
-    return CaseConfig(physics, mesh_block, bcs,
-                      dict(raw.get("solver", {})), dict(raw.get("output", {})))
+    return CaseConfig(physics, mesh_block, bcs, solver, output)
 
 
 def load_config(path) -> CaseConfig:

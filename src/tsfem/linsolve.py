@@ -4,7 +4,10 @@ Complex mode-coupled systems with conjugate symmetry are reduced to real
 unknowns before solving: per node and component, the layout is mode
 0..N-1 with (real, imag) interleaved, so a node carries 2N real slots per
 component.  The imaginary slot of the steady mode is retained and pinned
-to zero, which keeps the layout uniform.
+to zero, which keeps the layout uniform.  Operators and vectors given in
+the orthonormal real coordinates of spectral (z_0, sqrt2 Re z_n,
+sqrt2 Im z_n) enter this layout by a fixed map (block_from_orthonormal,
+rhs_from_orthonormal) instead of through complex form.
 
 The Navier-Stokes tangent is stored block-structured: the 6 identically
 zero component blocks are never stored, the velocity diagonal block K is
@@ -35,6 +38,8 @@ __all__ = [
     "rhs_to_real",
     "from_real",
     "to_real",
+    "block_from_orthonormal",
+    "rhs_from_orthonormal",
     "check_block_symmetry",
     "gmres",
     "block_jacobi_preconditioner",
@@ -300,6 +305,44 @@ def from_real(x: np.ndarray) -> np.ndarray:
     pos = x[..., 0::2] + 1j * x[..., 1::2]
     pos[..., 0] = pos[..., 0].real
     out = np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
+    return out
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def rhs_from_orthonormal(r: np.ndarray) -> np.ndarray:
+    """Layout (..., 2N) of orthonormal real mode coordinates (..., 2N-1).
+
+    Coordinate i goes to slot t(i) scaled by s_i, where t skips the
+    steady imaginary slot 1 (left zero) and s is 1 for the steady mode and
+    1/sqrt2 otherwise: the result equals rhs_to_real of the complex modes.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+    out[..., 0] = r[..., 0]
+    out[..., 2:] = r[..., 1:] / _SQRT2
+    return out
+
+
+def block_from_orthonormal(blocks: np.ndarray, pinned: float) -> np.ndarray:
+    """Layout (..., 2N, 2N) of real-basis operators (..., 2N-1, 2N-1).
+
+    K_L[t(i), t(j)] = K_O[i, j] s_i / s_j with t and s as in
+    rhs_from_orthonormal.  The steady imaginary slot gets a zero row and
+    column and `pinned` on its diagonal (1 for the diagonal component
+    blocks, so a pinned unknown is an identity row, 0 for the coupling
+    blocks).  On the unpinned slots this is block_to_real of the complex
+    operator.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    m = blocks.shape[-1]
+    out = np.zeros(blocks.shape[:-2] + (m + 1, m + 1))
+    out[..., 0, 0] = blocks[..., 0, 0]
+    out[..., 0, 2:] = blocks[..., 0, 1:] * _SQRT2
+    out[..., 2:, 0] = blocks[..., 1:, 0] / _SQRT2
+    out[..., 2:, 2:] = blocks[..., 1:, 1:]
+    out[..., 1, 1] = pinned
     return out
 
 

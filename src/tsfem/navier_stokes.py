@@ -14,6 +14,17 @@ verification.  Pseudo-time stepping augments the velocity diagonal block
 with a mass term and performs one Newton update per step; the converged
 solution is independent of the pseudo step size.
 
+Assembly runs in the real orthonormal mode basis of spectral: the states
+are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
+sqrt2 Im z_n), and the kernels come from spectral_real, so every
+per-point product is a real matmul (real symmetric convolution matrices
+and tau, real skew Omega).  The assembled blocks and residual are emitted
+directly in linsolve's 2N layout by the fixed map
+K_L[t(i), t(j)] = K_O[i, j] s_i / s_j, with s = 1 for the steady mode and
+1/sqrt2 otherwise, and t skipping the pinned steady imaginary slot (zero
+row and column, identity on the diagonal blocks).  The complex API
+(NSState, assemble_ns_residual) is unchanged.
+
 Assembly sums each element integrand over the quadrature points before
 scattering it once per element chunk, through a sorted plan cached on
 the mesh at its first assembly.  Blocks that depend on geometry only
@@ -29,27 +40,26 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from . import spectral
 from .linsolve import (
     BlockTangent,
     SolverConfig,
     assembly_context,
+    block_from_orthonormal,
     block_jacobi_preconditioner,
-    block_to_real,
     build_graph,
     from_real,
     gmres,
     pinned_operator,
-    rhs_to_real,
+    rhs_from_orthonormal,
 )
 from .mesh import Mesh, facet_quadrature, quadrature_rule, shape_values
 from .scalar import LinearSolveError, default_c_i
-from .spectral import (
-    SpectralCoeffs,
+from .spectral import SpectralCoeffs, modes_to_real, n_coeffs, symmetrize_modes
+from .spectral_real import (
     build_omega,
     convolution_dense,
-    n_coeffs,
     negative_part_batch,
-    symmetrize_modes,
     tau_from_modes,
 )
 
@@ -206,31 +216,36 @@ def _neumann_modes(data, m: int) -> np.ndarray:
     return vals
 
 
-def _facet_state_velocity(state: NSState, fq, q: int) -> np.ndarray:
-    return np.einsum("a,faim->fim", fq.shape[q], state.velocity[fq.nodes])
+def _facet_values(values: np.ndarray, fq, q: int) -> np.ndarray:
+    """Nodal (n_nodes, dim, M) values at facet quadrature point q, (F, dim, M)."""
+    return np.einsum("a,faim->fim", fq.shape[q], values[fq.nodes])
 
 
 def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
               need_residual: bool, need_tangent: bool,
               pseudo_dt: float = np.inf, exact_gd: bool = False,
               coeff_state: NSState | None = None):
-    """Shared residual/tangent assembly.
+    """Shared residual/tangent assembly in the real orthonormal mode basis.
 
-    coeff_state supplies the velocity entering A_i, tau and the backflow
-    operator (frozen coefficients); it defaults to state.
+    Returns the residual in linsolve's 2N layout, shape
+    (n_nodes, dim+1, 2N), and the BlockTangent.  coeff_state supplies the
+    velocity entering A_i, tau and the backflow operator (frozen
+    coefficients); it defaults to state.
 
-    Per element chunk, the integrands are summed over the quadrature
-    points and scattered once through the mesh's cached sorted plan.  The
-    Galerkin weight N_A rides with the least-squares weight P_A, so both
-    act through one product (N_A I + P_A) per point.  The blocks that
-    depend on geometry only are formed after the point loop from
-    sum_q w_q N_A N_B and sum_q w_q N_A: the pseudo-time mass, the viscous
-    gab I, the pressure block gab/rho (sum_q w_q tau), and the scalar
-    gradient/divergence blocks.
+    The states are converted once to their real coordinates, so every
+    per-point product is a real matmul: the convolution matrices and tau
+    are real symmetric, Omega real skew-symmetric.  Per element chunk, the
+    integrands are summed over the quadrature points and scattered once
+    through the mesh's cached sorted plan.  The Galerkin weight N_A rides
+    with the least-squares weight P_A, so both act through one product
+    (N_A I + P_A) per point.  The blocks that depend on geometry only are
+    formed after the point loop from sum_q w_q N_A N_B and sum_q w_q N_A:
+    the pseudo-time mass, the viscous gab I, the pressure block
+    gab/rho (sum_q w_q tau), and the scalar gradient/divergence blocks.
+    The assembled real-basis blocks and residual enter the 2N layout by
+    linsolve's fixed map (block_from_orthonormal, rhs_from_orthonormal).
     """
     _check_groups(case, mesh)
-    if coeff_state is None:
-        coeff_state = state
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
     rho, mu = case.rho, case.mu
@@ -244,16 +259,19 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
     omega_mat = build_omega(n, case.omega)
     eye = np.eye(m)
     diag = np.arange(m)
+    vel = modes_to_real(state.velocity)                          # (n_nodes, dim, M)
+    pres = modes_to_real(state.pressure)                         # (n_nodes, M)
+    vel_c = vel if coeff_state is None else modes_to_real(coeff_state.velocity)
 
     n_edges = ctx.rows.shape[0]
-    resid = np.zeros((mesh.n_nodes, dim + 1, m), dtype=complex) if need_residual else None
+    resid = np.zeros((mesh.n_nodes, dim + 1, m)) if need_residual else None
     if need_tangent:
-        k_c = np.zeros((n_edges, m, m), dtype=complex)
-        l_c = np.zeros((n_edges, m, m), dtype=complex)
+        k_c = np.zeros((n_edges, m, m))
+        l_c = np.zeros((n_edges, m, m))
         g_scal = np.zeros((n_edges, dim))
         d_scal = np.zeros((n_edges, dim))
-        g_c = np.zeros((n_edges, dim, m, m), dtype=complex) if exact_gd else None
-        d_c = np.zeros((n_edges, dim, m, m), dtype=complex) if exact_gd else None
+        g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
+        d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
     mass_coeff = 0.0 if not np.isfinite(pseudo_dt) else 1.5 * rho / pseudo_dt
 
     for sl, node_seg, edge_seg in ctx.chunks:
@@ -262,9 +280,9 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
         detj = ed.detj[sl]
         metric = ed.metric[sl]
         n_el, nen = elems.shape
-        u_el = state.velocity[elems]                      # (E, nen, dim, M)
-        p_el = state.pressure[elems]                      # (E, nen, M)
-        uc_el = coeff_state.velocity[elems]
+        u_el = vel[elems]                                  # (E, nen, dim, M)
+        p_el = pres[elems]                                 # (E, nen, M)
+        uc_el = vel_c[elems]
         grad_u = np.einsum("eaj,eaim->ejim", grads, u_el)  # d u_i / d x_j
         grad_p = np.einsum("eaj,eam->ejm", grads, p_el)
         div_u = np.einsum("eiim->em", grad_u)
@@ -272,14 +290,14 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
         vol = detj * rule.weights.sum()
         n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
         if need_residual:
-            r_m = np.zeros((n_el, nen, dim, m), dtype=complex)
-            tau_strong = np.zeros((n_el, dim, m), dtype=complex)
+            r_m = np.zeros((n_el, nen, dim, m))
+            tau_strong = np.zeros((n_el, dim, m))
         if need_tangent:
-            k_el = np.zeros((n_el, nen, nen, m, m), dtype=complex)
-            tau_sum = np.zeros((n_el, m, m), dtype=complex)
+            k_el = np.zeros((n_el, nen, nen, m, m))
+            tau_sum = np.zeros((n_el, m, m))
             if exact_gd:
-                p_sum = np.zeros((n_el, nen, m, m), dtype=complex)
-                q_sum = np.zeros((n_el, nen, m, m), dtype=complex)
+                p_sum = np.zeros((n_el, nen, m, m))
+                q_sum = np.zeros((n_el, nen, m, m))
 
         for q in range(rule.n_points):
             w = rule.weights[q] * detj
@@ -334,52 +352,49 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
 
     if need_residual:
         for name, data in case.neumann.items():
-            h_modes = _neumann_modes(data, m)
+            h_modes = modes_to_real(_neumann_modes(data, m))
             fq = facet_quadrature(mesh, name)
             r_el = -np.einsum("fq,qa,fi,r->fair", fq.weights, fq.shape, fq.normals, h_modes)
             np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
 
     if case.backflow_beta > 0.0 and case.neumann:
-        _add_ns_backflow(case, mesh, state, coeff_state, ctx,
+        _add_ns_backflow(case, mesh, vel, vel_c, ctx,
                          resid, k_c if need_tangent else None)
 
     tangent = None
     if need_tangent:
-        n_half = case.n_modes
-        g_diag = np.repeat(g_scal[:, :, None], n_half, axis=2).astype(complex)
-        d_diag = np.repeat(d_scal[:, :, None], n_half, axis=2).astype(complex)
+        g_diag = np.repeat(g_scal[:, :, None], n, axis=2).astype(complex)
+        d_diag = np.repeat(d_scal[:, :, None], n, axis=2).astype(complex)
+        if exact_gd:
+            g_c[..., diag, diag] += g_scal[..., None]
+            d_c[..., diag, diag] += d_scal[..., None]
         tangent = BlockTangent(
-            ctx.rows, ctx.cols, mesh.n_nodes, dim, n_half,
-            k_real=block_to_real(k_c), l_real=block_to_real(l_c),
+            ctx.rows, ctx.cols, mesh.n_nodes, dim, n,
+            k_real=block_from_orthonormal(k_c, 1.0),
+            l_real=block_from_orthonormal(l_c, 1.0),
             g_diag=g_diag, d_diag=d_diag,
-            g_full=block_to_real(g_c) + _diag_expand(g_scal, n_half) if exact_gd else None,
-            d_full=block_to_real(d_c) + _diag_expand(d_scal, n_half) if exact_gd else None,
+            g_full=block_from_orthonormal(g_c, 0.0) if exact_gd else None,
+            d_full=block_from_orthonormal(d_c, 0.0) if exact_gd else None,
         )
-    return resid, tangent
+    return (rhs_from_orthonormal(resid) if need_residual else None), tangent
 
 
-def _diag_expand(scal: np.ndarray, n_half: int) -> np.ndarray:
-    out = np.zeros(scal.shape + (2 * n_half, 2 * n_half))
-    idx = np.arange(2 * n_half)
-    out[..., idx, idx] = scal[..., None]
-    return out
-
-
-def _add_ns_backflow(case, mesh, state, coeff_state, ctx, resid, k_c):
+def _add_ns_backflow(case, mesh, vel, vel_c, ctx, resid, k_c):
+    """Backflow term from real velocity coordinates, added to the real-basis resid/k_c."""
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
     factor = 0.5 * case.rho * case.backflow_beta
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
         k = fq.nodes.shape[1]
-        r_el = np.zeros(fq.nodes.shape + (dim, m), dtype=complex)
-        k_el = np.zeros(fq.nodes.shape + (k, m, m), dtype=complex)
+        r_el = np.zeros(fq.nodes.shape + (dim, m))
+        k_el = np.zeros(fq.nodes.shape + (k, m, m))
         for q in range(fq.shape.shape[0]):
-            uc = _facet_state_velocity(coeff_state, fq, q)
+            uc = _facet_values(vel_c, fq, q)
             un = np.einsum("fim,fi->fm", uc, fq.normals)
             an_neg = negative_part_batch(convolution_dense(un, n))
             if resid is not None:
-                u_q = _facet_state_velocity(state, fq, q)
+                u_q = _facet_values(vel, fq, q)
                 term = np.einsum("frc,fic->fir", an_neg, u_q)
                 r_el += np.einsum("f,a,fir->fair", fq.weights[:, q], fq.shape[q], term)
             if k_c is not None:
@@ -400,7 +415,7 @@ def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,
     """
     resid, _ = _assemble(case, mesh, state, need_residual=True,
                          need_tangent=False, coeff_state=coeff_state)
-    return resid
+    return from_real(resid)
 
 
 def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
@@ -428,8 +443,8 @@ def _pins_for(mesh: Mesh, n_modes: int, dir_nodes: np.ndarray) -> np.ndarray:
 
 
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
-    """Norm of the free real-mapped residual (Dirichlet momentum rows off)."""
-    rr = rhs_to_real(residual).copy()
+    """Norm of the free residual, given in the 2N layout (Dirichlet momentum rows off)."""
+    rr = residual.copy()
     rr[dir_nodes, :dim, :] = 0.0
     return float(np.linalg.norm(rr))
 
@@ -475,7 +490,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
         return state.copy(), rnorm, 0
 
     pins = _pins_for(mesh, case.n_modes, dir_nodes)
-    rhs = -rhs_to_real(resid).ravel()
+    rhs = -resid.ravel()
     rhs[pins] = 0.0
     op = pinned_operator(tangent.matvec, pins)
     precond = block_jacobi_preconditioner(tangent, pins)
@@ -544,7 +559,7 @@ def backflow_surface_matrix(case: NSCase, mesh: Mesh, state: NSState,
     fq = facet_quadrature(mesh, group)
     u_mean = state.velocity[fq.nodes[idx]].mean(axis=0)   # (dim, M)
     un = np.einsum("im,i->m", u_mean, fq.normals[idx])
-    an_neg = negative_part_batch(convolution_dense(un[None], case.n_modes))[0]
+    an_neg = negative_part_batch(spectral.convolution_dense(un[None], case.n_modes))[0]
     return 0.5 * case.rho * case.backflow_beta * an_neg
 
 
@@ -567,7 +582,7 @@ def flow_report(state: NSState, mesh: Mesh, groups) -> FlowReport:
         q_modes = np.zeros(n_coeffs(n), dtype=complex)
         p_modes = np.zeros(n_coeffs(n), dtype=complex)
         for q in range(fq.shape.shape[0]):
-            u_q = _facet_state_velocity(state, fq, q)
+            u_q = _facet_values(state.velocity, fq, q)
             p_q = np.einsum("a,fam->fm", fq.shape[q], state.pressure[fq.nodes])
             q_modes += np.einsum("f,fim,fi->m", fq.weights[:, q], u_q, fq.normals)
             p_modes += np.einsum("f,fm->m", fq.weights[:, q], p_q)

@@ -14,11 +14,28 @@ products inside the resolved spectrum (no aliasing).  The stabilization
 matrix for the solvers is an inverse matrix square root of a Hermitian
 positive-definite combination of convolution matrices and the element
 metric tensor; it is evaluated through a dense Hermitian eigensolve.
+
+Real basis.  A conjugate-symmetric vector z has the orthonormal real
+coordinates
+
+    r = (z_0, sqrt2 Re z_1, sqrt2 Im z_1, ..., sqrt2 Re z_{N-1}, sqrt2 Im z_{N-1}),
+
+r = Q z with Q unitary, so |r| = |z| and an operator A on modes maps to
+the real matrix R(A) = Q A Q^H, with R(AB) = R(A) R(B).  Convolution
+matrices and tau become real symmetric and Omega real skew-symmetric
+(the Fourier pair of each mode becomes its cos/sin pair, as in
+harmonic-balance solvers).  modes_to_real and modes_from_real convert
+vectors in O(M); real_basis(N) holds the per-N tables, built once and
+cached: Q, the convolution as a linear map of r, and Omega.  The
+kernels that act on real coordinates live in spectral_real under the
+names of their complex counterparts here; tau_from_conv is the one tau
+implementation both share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,11 +54,17 @@ __all__ = [
     "compute_tau",
     "convolution_dense",
     "tau_from_modes",
+    "tau_from_conv",
+    "RealBasis",
+    "real_basis",
+    "modes_to_real",
+    "modes_from_real",
     "symmetrize_modes",
     "check_conjugate_symmetry",
 ]
 
 _SYM_TOL = 1e-10
+_SQRT2 = np.sqrt(2.0)
 
 
 def n_coeffs(n_modes: int) -> int:
@@ -269,11 +292,44 @@ def matrix_negative_part(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes (a view for real input)."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def negative_part_batch(matrices: np.ndarray) -> np.ndarray:
-    """Batched matrix_negative_part over stacked Hermitian matrices."""
+    """Batched matrix_negative_part over stacked Hermitian or real symmetric matrices."""
     w, v = np.linalg.eigh(matrices)
-    out = (v * np.minimum(w, 0.0)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    out = (v * np.minimum(w, 0.0)[..., None, :]) @ _adjoint(v)
+    return 0.5 * (out + _adjoint(out))
+
+
+def tau_from_conv(conv: np.ndarray, metric: np.ndarray, kappa: float,
+                  c_i: float) -> np.ndarray:
+    """tau = [A_i G_ij A_j + C_I k^2 G_ij G_ij I]^{-1/2} from the A_i themselves.
+
+    conv holds the convolution matrices, shape (..., dim, M, M), either
+    complex Hermitian (complex modes) or real symmetric (real basis);
+    metric is (..., dim, dim).  A_i G_ij A_j is formed as
+    sum_i A_i (sum_j G_ij A_j) with batched matmuls, and tau as the
+    eigenvectors scaled by w^{-1/2} times their adjoint, in the dtype of
+    conv.
+    """
+    metric = np.asarray(metric, dtype=float)
+    g_conv = np.einsum("...ij,...jst->...ist", metric, conv)
+    arg = np.matmul(conv, g_conv).sum(axis=-3)
+    gg = np.einsum("...ij,...ij->...", metric, metric)
+    m = conv.shape[-1]
+    arg[..., np.arange(m), np.arange(m)] += (c_i * kappa**2 * gg)[..., None]
+    arg = 0.5 * (arg + _adjoint(arg))
+    w, v = np.linalg.eigh(arg)
+    if np.any(w[..., 0] <= 0.0):
+        raise ValueError(
+            "singular stabilization argument (zero velocity with kappa = 0?); "
+            f"min eigenvalue {np.min(w):.6e}"
+        )
+    tau = (v * (w**-0.5)[..., None, :]) @ _adjoint(v)
+    return 0.5 * (tau + _adjoint(tau))
 
 
 def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
@@ -282,27 +338,10 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
 
     Batched over quadrature points: u_modes has shape (..., dim, 2N-1) and
     metric (..., dim, dim); the result is (..., 2N-1, 2N-1) Hermitian
-    positive definite.  A_i G_ij A_j is formed as sum_i A_i (sum_j G_ij A_j)
-    with batched matmuls, and tau as the eigenvectors scaled by w^{-1/2}
-    times their adjoint.
+    positive definite (see tau_from_conv).
     """
-    u_modes = np.asarray(u_modes, dtype=complex)
-    metric = np.asarray(metric, dtype=float)
-    conv = convolution_dense(u_modes, n_modes)
-    g_conv = np.einsum("...ij,...jst->...ist", metric, conv)
-    arg = np.matmul(conv, g_conv).sum(axis=-3)
-    gg = np.einsum("...ij,...ij->...", metric, metric)
-    m = n_coeffs(n_modes)
-    arg[..., np.arange(m), np.arange(m)] += (c_i * kappa**2 * gg)[..., None]
-    arg = 0.5 * (arg + np.conj(np.swapaxes(arg, -1, -2)))
-    w, v = np.linalg.eigh(arg)
-    if np.any(w[..., 0] <= 0.0):
-        raise ValueError(
-            "singular stabilization argument (zero velocity with kappa = 0?); "
-            f"min eigenvalue {np.min(w):.6e}"
-        )
-    tau = (v * (w**-0.5)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return 0.5 * (tau + np.conj(np.swapaxes(tau, -1, -2)))
+    conv = convolution_dense(np.asarray(u_modes, dtype=complex), n_modes)
+    return tau_from_conv(conv, metric, kappa, c_i)
 
 
 def compute_tau(conv, metric: np.ndarray, kappa: float, c_i: float) -> np.ndarray:
@@ -330,3 +369,82 @@ def compute_tau(conv, metric: np.ndarray, kappa: float, c_i: float) -> np.ndarra
         raise ValueError("metric tensor must be positive definite")
     u = np.stack([m.entries for m in mats])
     return tau_from_modes(u[None], metric[None], kappa, c_i, n_modes)[0]
+
+
+# ---------------------------------------------------------------------------
+# real orthonormal basis
+# ---------------------------------------------------------------------------
+
+def modes_to_real(values: np.ndarray) -> np.ndarray:
+    """Orthonormal real coordinates of conjugate-symmetric modes (..., 2N-1).
+
+    The result (..., 2N-1) is (z_0, sqrt2 Re z_1, sqrt2 Im z_1, ...); only
+    the modes n >= 0 are read, and the imaginary part of z_0 is dropped.
+    """
+    values = np.asarray(values)
+    n = (values.shape[-1] + 1) // 2
+    pos = values[..., n - 1:]
+    out = np.empty(values.shape, dtype=float)
+    out[..., 0] = pos[..., 0].real
+    out[..., 1::2] = _SQRT2 * pos[..., 1:].real
+    out[..., 2::2] = _SQRT2 * pos[..., 1:].imag
+    return out
+
+
+def modes_from_real(real: np.ndarray) -> np.ndarray:
+    """Conjugate-symmetric modes (..., 2N-1) of orthonormal real coordinates."""
+    real = np.asarray(real, dtype=float)
+    n = (real.shape[-1] + 1) // 2
+    pos = np.empty(real.shape[:-1] + (n,), dtype=complex)
+    pos[..., 0] = real[..., 0]
+    pos[..., 1:] = (real[..., 1::2] + 1j * real[..., 2::2]) / _SQRT2
+    return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
+
+
+@dataclass(frozen=True)
+class RealBasis:
+    """Per-N tables of the real orthonormal basis (read-only arrays).
+
+    unitary is Q with r = Q z; conv maps real coordinates to convolution
+    matrices, R(A(z)) = (r @ conv).reshape(M, M), built from
+    convolution_dense so the band limit is the same; omega is
+    R(build_omega(N, 1)), real skew-symmetric with the 2x2 block
+    [[0, -n], [n, 0]] on the cos/sin pair of mode n.
+    """
+
+    n_modes: int
+    unitary: np.ndarray = field(repr=False)   # (M, M) complex
+    conv: np.ndarray = field(repr=False)      # (M, M*M) real
+    omega: np.ndarray = field(repr=False)     # (M, M) real
+
+    def matrix(self, a: np.ndarray) -> np.ndarray:
+        """R(A) = Q A Q^H of mode operators (..., M, M); see _real_form."""
+        return _real_form(self.unitary, a)
+
+
+def _real_form(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Q A Q^H, real for operators that keep conjugate symmetry.
+
+    Operators with A[-m, -n] != conj(A[m, n]) beyond 1e-10 relative have
+    no real form and are rejected.
+    """
+    out = q @ np.asarray(a, dtype=complex) @ q.conj().T
+    scale = np.max(np.abs(out)) if out.size else 0.0
+    if scale > 0 and np.max(np.abs(out.imag)) > 1e-10 * scale:
+        raise ValueError("operator does not preserve conjugate symmetry")
+    return out.real
+
+
+@lru_cache(maxsize=None)
+def real_basis(n_modes: int) -> RealBasis:
+    """The real-basis tables for N modes, built at first use and cached."""
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    m = n_coeffs(n_modes)
+    cols = modes_from_real(np.eye(m))     # cols[k] = Q^H e_k
+    q = cols.conj()
+    conv = _real_form(q, convolution_dense(cols, n_modes)).reshape(m, m * m)
+    omega = _real_form(q, build_omega(n_modes, 1.0))
+    for a in (q, conv, omega):
+        a.setflags(write=False)
+    return RealBasis(n_modes, q, conv, omega)

@@ -136,23 +136,24 @@ def time_tau(u_gauss: np.ndarray, omega_hat_val: float, metric: np.ndarray,
 
 
 def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
-    """Global frequency estimate ||du/dt||_Omega / ||u||_Omega (0 if u = 0)."""
+    """Global frequency estimate ||du/dt||_Omega / ||u||_Omega (0 if u = 0).
+
+    Both squared norms are quadratic forms of the element mass matrices
+    detj sum_q w_q N_A N_B, which depend on geometry only.
+    """
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)
-    ed = mesh.element_data()
-    u_el = np.asarray(velocity)[mesh.elements]
-    a_el = np.asarray(accel)[mesh.elements]
-    nrm_u = 0.0
-    nrm_a = 0.0
-    for q in range(rule.n_points):
-        w = rule.weights[q] * ed.detj
-        uq = np.einsum("a,eai->ei", shp[q], u_el)
-        aq = np.einsum("a,eai->ei", shp[q], a_el)
-        nrm_u += np.einsum("e,ei,ei->", w, uq, uq)
-        nrm_a += np.einsum("e,ei,ei->", w, aq, aq)
+    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+    detj = mesh.element_data().detj
+
+    def norm2(values):
+        v_el = np.asarray(values)[mesh.elements]           # (E, nen, dim)
+        return np.einsum("e,eai,eai->", detj, v_el, nn_ref @ v_el)
+
+    nrm_u = norm2(velocity)
     if nrm_u == 0.0:
         return 0.0
-    return float(np.sqrt(nrm_a / nrm_u))
+    return float(np.sqrt(norm2(accel) / nrm_u))
 
 
 def _resolve_time_dirichlet(case: TimeCase, mesh: Mesh, t: float):

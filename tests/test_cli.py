@@ -19,6 +19,7 @@ from tsfem.config import (
 from tsfem.spectral import SpectralCoeffs, evaluate_in_time
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
 
 
 class TestConfigParsing:
@@ -44,6 +45,29 @@ bcs:
         assert "n_modes" in joined
         assert "generator" in joined
         assert "inlet" in joined
+
+    def test_unknown_keys_named(self):
+        bad = """
+physics: {kind: ns, rho: 1.0, mu: 0.1, omega: 1.0, n_modes: 2, backflow_bta: 0.2}
+mesh: {generator: interval, length: 1.0, resolution: 4}
+bcs: {}
+solver: {eps_nr: 1.0e-3, eps_lss: 0.01}
+output: {trace_sample: 8}
+"""
+        with pytest.raises(ConfigError) as err:
+            parse_config(bad)
+        joined = "\n".join(err.value.errors)
+        for name in ("physics.backflow_bta", "solver.eps_lss", "output.trace_sample"):
+            assert f"unknown key {name}" in joined
+        assert "unknown key solver.eps_nr" not in joined
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml"))
+                             + sorted(BENCH_CASES.glob("*.yaml")), ids=lambda p: p.name)
+    def test_bundled_configs_validate(self, path):
+        raw = yaml.safe_load(path.read_text())
+        text = yaml.safe_dump(raw["study"]["case"]) if "study" in raw else path.read_text()
+        config = parse_config(text)
+        build_case(config, build_mesh(config.mesh))
 
     def test_exactly_one_data_source_per_bc(self):
         bad = """
@@ -230,6 +254,14 @@ class TestMainEntry:
         code = main(["validate-config", str(bad)])
         assert code == 2
         assert "invalid" in capsys.readouterr().err
+
+    def test_validate_verb_names_mistyped_key(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "steady_channel.yaml").read_text()
+        bad = tmp_path / "typo.yaml"
+        bad.write_text(text.replace("max_steps:", "max_step:"))
+        code = main(["validate-config", str(bad)])
+        assert code == 2
+        assert "unknown key solver.max_step" in capsys.readouterr().err
 
     def test_mesh_gen_verb(self, tmp_path, capsys):
         cfg = tmp_path / "mesh.yaml"

@@ -1,10 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tsfem.linsolve as linsolve
-from tsfem.linsolve import SolverConfig, from_real, rhs_to_real
+import tsfem.navier_stokes as navier_stokes
+from tsfem.linsolve import (
+    BlockTangent,
+    SolverConfig,
+    assembly_context,
+    block_to_real,
+    build_graph,
+    from_real,
+    rhs_to_real,
+)
 from tsfem.mesh import (
     Mesh,
+    facet_quadrature,
     generate_bent_channel_tet,
     generate_box_tet,
     generate_rect_tri,
@@ -12,6 +24,8 @@ from tsfem.mesh import (
     shape_values,
 )
 from tsfem.navier_stokes import (
+    _check_groups,
+    _neumann_modes,
     NSCase,
     NSState,
     assemble_ns_residual,
@@ -25,10 +39,13 @@ from tsfem.navier_stokes import (
 )
 from tsfem.spectral import (
     SpectralCoeffs,
+    build_omega,
     check_conjugate_symmetry,
     matrix_negative_part,
     convolution_dense,
     n_coeffs,
+    negative_part_batch,
+    tau_from_modes,
 )
 
 RNG = np.random.default_rng(2718)
@@ -216,6 +233,264 @@ class TestTangent:
         tg = assemble_ns_tangent(case, mesh, state)
         assert tg.g_full is None and tg.d_full is None
         assert tg.g_diag.shape == (len(tg.rows), 2, 3)
+
+
+def _oracle_facet_state_velocity(state: NSState, fq, q: int) -> np.ndarray:
+    return np.einsum("a,faim->fim", fq.shape[q], state.velocity[fq.nodes])
+
+
+def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
+                            need_residual: bool, need_tangent: bool,
+                            pseudo_dt: float = np.inf, exact_gd: bool = False,
+                            coeff_state: NSState | None = None):
+    """The complex-mode NS assembly, kept as the oracle for the real-basis one.
+
+    A literal copy of the residual/tangent assembly that worked in the
+    complex +-n mode layout and mapped its blocks with block_to_real.
+
+    coeff_state supplies the velocity entering A_i, tau and the backflow
+    operator (frozen coefficients); it defaults to state.
+
+    Per element chunk, the integrands are summed over the quadrature
+    points and scattered once through the mesh's cached sorted plan.  The
+    Galerkin weight N_A rides with the least-squares weight P_A, so both
+    act through one product (N_A I + P_A) per point.  The blocks that
+    depend on geometry only are formed after the point loop from
+    sum_q w_q N_A N_B and sum_q w_q N_A: the pseudo-time mass, the viscous
+    gab I, the pressure block gab/rho (sum_q w_q tau), and the scalar
+    gradient/divergence blocks.
+    """
+    _check_groups(case, mesh)
+    if coeff_state is None:
+        coeff_state = state
+    n, m = case.n_modes, n_coeffs(case.n_modes)
+    dim = mesh.dim
+    rho, mu = case.rho, case.mu
+    c_i = case.c_i_for(mesh)
+    ed = mesh.element_data()
+    ctx = assembly_context(mesh, build_graph)
+    rule = quadrature_rule(mesh.elem_type)
+    shp = shape_values(mesh.elem_type, rule.points)             # (n_qp, nen)
+    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+    n_ref = rule.weights @ shp
+    omega_mat = build_omega(n, case.omega)
+    eye = np.eye(m)
+    diag = np.arange(m)
+
+    n_edges = ctx.rows.shape[0]
+    resid = np.zeros((mesh.n_nodes, dim + 1, m), dtype=complex) if need_residual else None
+    if need_tangent:
+        k_c = np.zeros((n_edges, m, m), dtype=complex)
+        l_c = np.zeros((n_edges, m, m), dtype=complex)
+        g_scal = np.zeros((n_edges, dim))
+        d_scal = np.zeros((n_edges, dim))
+        g_c = np.zeros((n_edges, dim, m, m), dtype=complex) if exact_gd else None
+        d_c = np.zeros((n_edges, dim, m, m), dtype=complex) if exact_gd else None
+    mass_coeff = 0.0 if not np.isfinite(pseudo_dt) else 1.5 * rho / pseudo_dt
+
+    for sl, node_seg, edge_seg in ctx.chunks:
+        elems = mesh.elements[sl]
+        grads = ed.grads[sl]
+        detj = ed.detj[sl]
+        metric = ed.metric[sl]
+        n_el, nen = elems.shape
+        u_el = state.velocity[elems]                      # (E, nen, dim, M)
+        p_el = state.pressure[elems]                      # (E, nen, M)
+        uc_el = coeff_state.velocity[elems]
+        grad_u = np.einsum("eaj,eaim->ejim", grads, u_el)  # d u_i / d x_j
+        grad_p = np.einsum("eaj,eam->ejm", grads, p_el)
+        div_u = np.einsum("eiim->em", grad_u)
+        gab = np.einsum("eai,ebi->eab", grads, grads)
+        vol = detj * rule.weights.sum()
+        n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
+        if need_residual:
+            r_m = np.zeros((n_el, nen, dim, m), dtype=complex)
+            tau_strong = np.zeros((n_el, dim, m), dtype=complex)
+        if need_tangent:
+            k_el = np.zeros((n_el, nen, nen, m, m), dtype=complex)
+            tau_sum = np.zeros((n_el, m, m), dtype=complex)
+            if exact_gd:
+                p_sum = np.zeros((n_el, nen, m, m), dtype=complex)
+                q_sum = np.zeros((n_el, nen, m, m), dtype=complex)
+
+        for q in range(rule.n_points):
+            w = rule.weights[q] * detj
+            n_q = shp[q][None, :, None, None]
+            uc_q = np.einsum("a,eaim->eim", shp[q], uc_el)
+            conv = convolution_dense(uc_q, n)              # (E, dim, M, M)
+            tau = tau_from_modes(uc_q, metric, case.nu, c_i, n)
+            a_dir = np.einsum("ead,edrc->earc", grads, conv)
+            p_a = np.matmul(a_dir - n_q * omega_mat, tau[:, None])   # (E, nen, M, M)
+            s_a = w[:, None, None, None] * (p_a + n_q * eye)
+
+            if need_residual:
+                u_q = np.einsum("a,eaim->eim", shp[q], u_el)
+                conv_term = np.einsum("ejrc,ejic->eir", conv, grad_u)
+                accel = np.einsum("rc,eic->eir", omega_mat, u_q)
+                strong = rho * (accel + conv_term) + grad_p
+                r_m += np.einsum("earc,eic->eair", s_a, strong)
+                tau_strong += w[:, None, None] * np.einsum("erc,eic->eir", tau, strong)
+
+            if need_tangent:
+                t_b = n_q * omega_mat + a_dir
+                k_el += np.matmul(s_a[:, :, None], rho * t_b[:, None, :])
+                tau_sum += w[:, None, None] * tau
+                if exact_gd:
+                    p_sum += w[:, None, None, None] * p_a
+                    q_sum += w[:, None, None, None] * np.matmul(tau[:, None], t_b)
+
+        if need_residual:
+            p_int = np.einsum("eb,ebm->em", n_int, p_el)
+            r_m -= (n_int[:, :, None, None] * grad_p[:, None]
+                    + np.einsum("eai,em->eaim", grads, p_int))
+            r_m += mu * vol[:, None, None, None] * np.einsum("eaj,ejim->eaim", grads, grad_u)
+            r_c = (n_int[:, :, None] * div_u[:, None]
+                   + np.einsum("eai,eir->ear", grads, tau_strong) / rho)
+            contrib = np.concatenate([r_m, r_c[:, :, None, :]], axis=2)
+            node_seg.add_to(resid, contrib.reshape(-1, dim + 1, m))
+
+        if need_tangent:
+            mass = detj[:, None, None] * nn_ref
+            k_el[..., diag, diag] += (mu * vol[:, None, None] * gab
+                                      + mass_coeff * mass)[..., None]
+            edge_seg.add_to(k_c, k_el.reshape(-1, m, m))
+            l_el = np.einsum("eab,erc->eabrc", gab / rho, tau_sum)
+            edge_seg.add_to(l_c, l_el.reshape(-1, m, m))
+            edge_seg.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
+            edge_seg.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
+            if exact_gd:
+                edge_seg.add_to(g_c, np.einsum("earc,ebi->eabirc", p_sum, grads)
+                                .reshape(-1, dim, m, m))
+                edge_seg.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, q_sum)
+                                .reshape(-1, dim, m, m))
+
+    if need_residual:
+        for name, data in case.neumann.items():
+            h_modes = _neumann_modes(data, m)
+            fq = facet_quadrature(mesh, name)
+            r_el = -np.einsum("fq,qa,fi,r->fair", fq.weights, fq.shape, fq.normals, h_modes)
+            np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
+
+    if case.backflow_beta > 0.0 and case.neumann:
+        _oracle_add_ns_backflow(case, mesh, state, coeff_state, ctx,
+                         resid, k_c if need_tangent else None)
+
+    tangent = None
+    if need_tangent:
+        n_half = case.n_modes
+        g_diag = np.repeat(g_scal[:, :, None], n_half, axis=2).astype(complex)
+        d_diag = np.repeat(d_scal[:, :, None], n_half, axis=2).astype(complex)
+        tangent = BlockTangent(
+            ctx.rows, ctx.cols, mesh.n_nodes, dim, n_half,
+            k_real=block_to_real(k_c), l_real=block_to_real(l_c),
+            g_diag=g_diag, d_diag=d_diag,
+            g_full=block_to_real(g_c) + _oracle_diag_expand(g_scal, n_half) if exact_gd else None,
+            d_full=block_to_real(d_c) + _oracle_diag_expand(d_scal, n_half) if exact_gd else None,
+        )
+    return resid, tangent
+
+
+def _oracle_diag_expand(scal: np.ndarray, n_half: int) -> np.ndarray:
+    out = np.zeros(scal.shape + (2 * n_half, 2 * n_half))
+    idx = np.arange(2 * n_half)
+    out[..., idx, idx] = scal[..., None]
+    return out
+
+
+def _oracle_add_ns_backflow(case, mesh, state, coeff_state, ctx, resid, k_c):
+    n, m = case.n_modes, n_coeffs(case.n_modes)
+    dim = mesh.dim
+    factor = 0.5 * case.rho * case.backflow_beta
+    for name in case.neumann:
+        fq = facet_quadrature(mesh, name)
+        k = fq.nodes.shape[1]
+        r_el = np.zeros(fq.nodes.shape + (dim, m), dtype=complex)
+        k_el = np.zeros(fq.nodes.shape + (k, m, m), dtype=complex)
+        for q in range(fq.shape.shape[0]):
+            uc = _oracle_facet_state_velocity(coeff_state, fq, q)
+            un = np.einsum("fim,fi->fm", uc, fq.normals)
+            an_neg = negative_part_batch(convolution_dense(un, n))
+            if resid is not None:
+                u_q = _oracle_facet_state_velocity(state, fq, q)
+                term = np.einsum("frc,fic->fir", an_neg, u_q)
+                r_el += np.einsum("f,a,fir->fair", fq.weights[:, q], fq.shape[q], term)
+            if k_c is not None:
+                k_el += np.einsum("f,a,b,frc->fabrc", fq.weights[:, q],
+                                  fq.shape[q], fq.shape[q], an_neg)
+        if resid is not None:
+            np.add.at(resid[:, :dim], fq.nodes.ravel(), -factor * r_el.reshape(-1, dim, m))
+        if k_c is not None:
+            np.add.at(k_c, ctx.edge_ids(fq.nodes), -factor * k_el.reshape(-1, m, m))
+
+
+def bent_oracle_setup(n_modes, beta=0.2):
+    """Bent channel (18 tets) case and two random states for oracle checks."""
+    mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 1, 1), bend_angle=1.0)
+    m = n_coeffs(n_modes)
+    inflow = np.zeros((3, m), dtype=complex)
+    inflow[0, n_modes - 1] = 1.0
+    case = NSCase(rho=1.0, mu=0.1, omega=2.0, n_modes=n_modes,
+                  dirichlet={"xmin": inflow}, walls=["ymin", "ymax", "zmin", "zmax"],
+                  neumann={"xmax": np.zeros(m, dtype=complex)}, backflow_beta=beta)
+    rng = np.random.default_rng(11 + n_modes)
+    return mesh, case, random_state(mesh, n_modes, rng), random_state(mesh, n_modes, rng)
+
+
+def assert_close(got, ref, name):
+    scale = np.max(np.abs(ref))
+    assert scale > 0.0, name
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
+
+
+class TestRealBasisAssembly:
+    """The real-basis assembly against the complex-mode oracle above."""
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 7])
+    def test_matches_complex_oracle(self, n_modes, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(linsolve, "_CHUNK", chunk)   # 18 tets in 4 chunks
+        mesh, case, state, frozen = bent_oracle_setup(n_modes)
+        free = np.r_[0, np.arange(2, 2 * n_modes)]   # slot 1 is the pinned steady imag
+
+        for coeff in (None, frozen):
+            ref, _ = complex_assemble_oracle(case, mesh, state, need_residual=True,
+                                             need_tangent=False, coeff_state=coeff)
+            assert_close(assemble_ns_residual(case, mesh, state, coeff_state=coeff), ref,
+                         "residual")
+
+        for kwargs in ({"pseudo_dt": 0.2}, {"exact_gd": True}):
+            ref_r, ref_t = complex_assemble_oracle(case, mesh, state, need_residual=True,
+                                                   need_tangent=True, **kwargs)
+            got_r, got_t = navier_stokes._assemble(case, mesh, state, need_residual=True,
+                                                   need_tangent=True, **kwargs)
+            assert_close(got_r[..., free], rhs_to_real(ref_r)[..., free], "residual 2N")
+            assert np.all(got_r[..., 1] == 0.0)
+            pairs = [("k", got_t.k_real, ref_t.k_real, 1.0), ("l", got_t.l_real, ref_t.l_real, 1.0)]
+            if kwargs.get("exact_gd"):
+                pairs += [("g_full", got_t.g_full, ref_t.g_full, 0.0),
+                          ("d_full", got_t.d_full, ref_t.d_full, 0.0)]
+            for name, got, ref, pinned in pairs:
+                assert_close(got[..., free[:, None], free], ref[..., free[:, None], free], name)
+                assert np.all(got[..., 1, free] == 0.0) and np.all(got[..., free, 1] == 0.0)
+                assert np.all(got[..., 1, 1] == pinned)
+            assert_close(got_t.g_diag, ref_t.g_diag, "g_diag")
+            assert_close(got_t.d_diag, ref_t.d_diag, "d_diag")
+
+    def test_backflow_term_is_covered(self):
+        # the random state reverses the flow on the outlet, so the oracle
+        # check above includes a nonzero backflow term
+        mesh, case, state, _ = bent_oracle_setup(3)
+        _, off = complex_assemble_oracle(replace(case, backflow_beta=0.0), mesh, state,
+                                         need_residual=False, need_tangent=True)
+        ref_r, ref_t = complex_assemble_oracle(case, mesh, state, need_residual=True,
+                                               need_tangent=True)
+        got_r, got_t = navier_stokes._assemble(case, mesh, state, need_residual=True,
+                                               need_tangent=True)
+        assert np.max(np.abs(ref_t.k_real - off.k_real)) > 1e-3 * np.max(np.abs(ref_t.k_real))
+        free = np.r_[0, np.arange(2, 6)]
+        assert_close(got_t.k_real[:, free[:, None], free], ref_t.k_real[:, free[:, None], free],
+                     "k with backflow")
 
 
 class TestChunkInvariance:

@@ -16,9 +16,13 @@ from tsfem.spectral import (
     hermitian_eig,
     matrix_inv_sqrt,
     matrix_negative_part,
+    modes_from_real,
+    modes_to_real,
     negative_part_batch,
+    real_basis,
     tau_from_modes,
 )
+import tsfem.spectral_real as spectral_real
 
 RNG = np.random.default_rng(20240811)
 
@@ -352,3 +356,90 @@ class TestTauProperties:
         for mat, neg in zip(mats, batch):
             ref = matrix_negative_part(mat)
             assert np.linalg.norm(neg - ref) <= 1e-12 * max(np.linalg.norm(mat), 1.0)
+
+
+def random_symmetric_operators(rng, n_ops, n_modes):
+    """Mode operators (n_ops, M, M) with A[-m, -n] = conj(A[m, n])."""
+    m = 2 * n_modes - 1
+    x = rng.standard_normal((n_ops, m, m)) + 1j * rng.standard_normal((n_ops, m, m))
+    return 0.5 * (x + np.conj(x[:, ::-1, ::-1]))
+
+
+class TestRealBasis:
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 8), n_pts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, n_modes, n_pts, seed):
+        rng = np.random.default_rng(seed)
+        z, _ = random_point_states(rng, n_pts, 2, n_modes)
+        r = modes_to_real(z)
+        assert r.dtype == float and r.shape == z.shape
+        np.testing.assert_allclose(modes_from_real(r), z, rtol=0, atol=1e-14 * np.abs(z).max())
+        # orthonormal: the coordinates keep the norm, and equal Q z
+        np.testing.assert_allclose(np.linalg.norm(r, axis=-1), np.linalg.norm(z, axis=-1),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(r, (z @ real_basis(n_modes).unitary.T).real,
+                                   atol=1e-13 * np.abs(z).max())
+        x = rng.standard_normal((n_pts, 2 * n_modes - 1))
+        np.testing.assert_allclose(modes_to_real(modes_from_real(x)), x, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 8), n_pts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_convolution_is_mapped_complex_and_symmetric(self, n_modes, n_pts, seed):
+        u, _ = random_point_states(np.random.default_rng(seed), n_pts, 1, n_modes)
+        real = spectral_real.convolution_dense(modes_to_real(u[:, 0]), n_modes)
+        mapped = real_basis(n_modes).matrix(convolution_dense(u[:, 0], n_modes))
+        scale = np.abs(u).max()
+        np.testing.assert_allclose(real, mapped, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(real, np.swapaxes(real, -1, -2), rtol=0, atol=1e-13 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_map_is_multiplicative(self, n_modes, seed):
+        a, b = random_symmetric_operators(np.random.default_rng(seed), 2, n_modes)
+        basis = real_basis(n_modes)
+        lhs = basis.matrix(a @ b)
+        np.testing.assert_allclose(lhs, basis.matrix(a) @ basis.matrix(b),
+                                   rtol=0, atol=1e-12 * np.abs(lhs).max())
+
+    def test_operator_without_conjugate_symmetry_rejected(self):
+        a = np.zeros((3, 3), dtype=complex)
+        a[2, 0] = 1.0
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            real_basis(2).matrix(a)
+
+    @pytest.mark.parametrize("n_modes", range(1, 9))
+    def test_omega_is_skew_and_mapped(self, n_modes):
+        omega = spectral_real.build_omega(n_modes, 1.7)
+        np.testing.assert_array_equal(omega, -omega.T)
+        np.testing.assert_allclose(omega, real_basis(n_modes).matrix(build_omega(n_modes, 1.7)),
+                                   atol=1e-14)
+        with pytest.raises(ValueError):
+            spectral_real.build_omega(n_modes, -1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 8), dim=st.integers(1, 3), n_pts=st.integers(1, 4),
+           kappa=st.sampled_from([0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_real_tau_maps_back_to_complex_tau(self, n_modes, dim, n_pts, kappa, seed):
+        u, metric = random_point_states(np.random.default_rng(seed), n_pts, dim, n_modes)
+        tau_r = spectral_real.tau_from_modes(modes_to_real(u), metric, kappa, 4.0, n_modes)
+        tau_c = tau_from_modes(u, metric, kappa, 4.0, n_modes)
+        q = real_basis(n_modes).unitary
+        back = q.conj().T @ tau_r @ q
+        scale = np.linalg.norm(tau_c, axis=(-2, -1))[..., None, None]
+        assert tau_r.dtype == float
+        assert np.all(np.abs(back - tau_c) <= 1e-12 * scale)
+        assert np.all(np.abs(tau_r - np.swapaxes(tau_r, -1, -2)) <= 1e-13 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 8), extra=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_convolution_matches_sampled_product(self, n_modes, extra, seed):
+        # modes |m| < N of u(t) x(t), sampled without aliasing (>= 4N-3 samples)
+        u, _ = random_point_states(np.random.default_rng(seed), 2, 1, n_modes)
+        u, x = u[0, 0], u[1, 0]
+        n_samp = 4 * n_modes - 3 + extra
+        n = np.arange(-n_modes + 1, n_modes)
+        phase = np.exp(2j * np.pi * np.outer(np.arange(n_samp), n) / n_samp)
+        product = (phase @ u) * (phase @ x)
+        modes = np.conj(phase).T @ product / n_samp
+        got = convolution_dense(u, n_modes) @ x
+        np.testing.assert_allclose(got, modes, rtol=0, atol=1e-12 * np.abs(u).max() * np.abs(x).max())

@@ -103,6 +103,38 @@ class TestOmegaHat:
         assert w1 == pytest.approx(w2, rel=1e-13)
 
 
+    @pytest.mark.parametrize("mesh_kind", ["tri", "bent"])
+    def test_matches_quadrature_point_loop(self, mesh_kind):
+        mesh = (generate_rect_tri((1.0, 1.0), (4, 5)) if mesh_kind == "tri" else
+                generate_bent_channel_tet(3.0, 1.0, 1.0, (6, 2, 2), bend_angle=1.0))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u = rng.standard_normal((mesh.n_nodes, mesh.dim))
+            a = rng.standard_normal((mesh.n_nodes, mesh.dim)) * rng.uniform(0.1, 10.0)
+            ref = omega_hat_loop_oracle(u, a, mesh)
+            assert omega_hat(u, a, mesh) == pytest.approx(ref, rel=1e-12)
+
+
+def omega_hat_loop_oracle(velocity, accel, mesh):
+    """omega_hat as a loop over quadrature points (its earlier implementation)."""
+    rule = quadrature_rule(mesh.elem_type)
+    shp = shape_values(mesh.elem_type, rule.points)
+    ed = mesh.element_data()
+    u_el = np.asarray(velocity)[mesh.elements]
+    a_el = np.asarray(accel)[mesh.elements]
+    nrm_u = 0.0
+    nrm_a = 0.0
+    for q in range(rule.n_points):
+        w = rule.weights[q] * ed.detj
+        uq = np.einsum("a,eai->ei", shp[q], u_el)
+        aq = np.einsum("a,eai->ei", shp[q], a_el)
+        nrm_u += np.einsum("e,ei,ei->", w, uq, uq)
+        nrm_a += np.einsum("e,ei,ei->", w, aq, aq)
+    if nrm_u == 0.0:
+        return 0.0
+    return float(np.sqrt(nrm_a / nrm_u))
+
+
 def channel_time_case(mesh, mu=0.2, u_max=1.0, period=1.0, n_cycles=2, dt=0.1,
                       modulation=None):
     height = 1.0
