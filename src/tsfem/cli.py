@@ -4,7 +4,8 @@ Verbs:
   run CONFIG              solve one case, write summary/traces/fields
   sweep STUDY             mode sweeps against the time reference, h sweeps
   mesh-gen CONFIG         generate a mesh file (and optional VTK preview)
-  validate-config CONFIG  report every validation problem, exit nonzero on any
+  validate-config CONFIG  report every validation problem of a case file or of a
+                          study's case block, exit nonzero on any
 
 All solves are serial and deterministic; rerunning a config reproduces its
 CSV outputs byte for byte.
@@ -29,9 +30,9 @@ from .config import (
     build_case,
     build_mesh,
     build_solver_config,
+    config_from_mapping,
     load_config,
     mode_table,
-    parse_config,
 )
 from .io import export_fields, export_mesh_vtk, export_traces
 from .linsolve import SolverConfig
@@ -188,26 +189,20 @@ def _truncation_error(samples: np.ndarray, n_modes: int) -> float:
     return float(np.linalg.norm(samples - recon) / np.linalg.norm(samples))
 
 
-def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
-    """Spectral solves over a mode list against the time-domain reference.
+def _study_case(study: Dict[str, Any]) -> CaseConfig:
+    """A study's case block, validated as a case file is."""
+    if "case" not in study:
+        raise ConfigError(["study.case is required"])
+    return config_from_mapping(study["case"])
 
-    The base case must drive a parabolic inflow by flow_samples; the same
-    waveform feeds the time solver, and the outlet-flow error of each
-    spectral solve is tabulated against the boundary truncation error.
-    The table also records newton_failures, the time reference's steps
-    whose Newton loop did not converge; a nonzero count is warned about.
+
+def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
+    """The time-domain counterpart of a mode-sweep case; returns (case, mesh, samples).
+
+    The inflow's flow_samples drive the same unit-flux parabolic profile
+    through their trigonometric interpolant; walls and traction-free
+    outlets carry over; dt_per_cycle and n_cycles come from ref_block.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = CaseConfig(**study["case"])
-    modes = [int(n) for n in study["modes"]]
-    if len(modes) < 2:
-        raise ConfigError(["study.modes needs at least two entries"])
-    ref_block = dict(study.get("reference", {}))
-    group = ref_block.get("group")
-    if group is None:
-        raise ConfigError(["study.reference.group is required"])
-
     inflow_name = None
     for name, bc in base.bcs.items():
         if bc.get("kind") == "parabolic_inflow" and "flow_samples" in bc:
@@ -218,8 +213,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
 
     mesh = build_mesh(base.mesh)
     phys = base.physics
-    omega = float(phys["omega"])
-    period = 2 * np.pi / omega
+    period = 2 * np.pi / float(phys["omega"])
     n_fit = int(ref_block.get("n_fit", min(16, (samples.size + 2) // 4)))
     waveform = _waveform_from_samples(samples, period, n_fit)
 
@@ -227,7 +221,6 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     unit = parabolic_inflow(mesh, base.bcs[inflow_name]["group"],
                             SpectralCoeffs(1, np.array([1.0], dtype=complex)))
     profile = unit.values[:, :, 0].real
-    node_index = {int(nd): i for i, nd in enumerate(unit.nodes)}
 
     def time_inflow(coords, t):
         del coords
@@ -247,6 +240,33 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
                      n_cycles=int(ref_block.get("n_cycles", 4)), dt=period / steps,
                      dirichlet={base.bcs[inflow_name]["group"]: time_inflow},
                      walls=walls, neumann=neumann_time, c_i=phys.get("c_i"))
+    return tcase, mesh, samples
+
+
+def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
+    """Spectral solves over a mode list against the time-domain reference.
+
+    The base case must drive a parabolic inflow by flow_samples; the same
+    waveform feeds the time solver, and the outlet-flow error of each
+    spectral solve is tabulated against the boundary truncation error.
+    The table also records the time reference's Newton work: newton_failures,
+    its steps whose Newton loop did not converge (a nonzero count is warned
+    about), and the total and per-step maximum of its Newton iterations.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    base = _study_case(study)
+    modes = [int(n) for n in study["modes"]]
+    if len(modes) < 2:
+        raise ConfigError(["study.modes needs at least two entries"])
+    ref_block = dict(study.get("reference", {}))
+    group = ref_block.get("group")
+    if group is None:
+        raise ConfigError(["study.reference.group is required"])
+
+    tcase, mesh, samples = _time_reference_case(base, ref_block)
+    phys = base.physics
+    omega = float(phys["omega"])
     tconf = SolverConfig(eps_nr=float(base.solver.get("eps_nr", 1e-3)),
                          eps_ls=float(base.solver.get("eps_ls", 0.05)),
                          max_linear_iters=int(base.solver.get("time_max_linear_iters", 3000)))
@@ -274,7 +294,9 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
 
     table = {"kind": "mode_sweep", "group": group, "rows": rows,
              "cycle_change": [float(c) for c in tres.cycle_change],
-             "newton_failures": int(tres.newton_failures)}
+             "newton_failures": int(tres.newton_failures),
+             "newton_iters_total": int(sum(tres.newton_iters)),
+             "newton_iters_max": int(max(tres.newton_iters))}
     with open(out_dir / "sweep.yaml", "w") as fh:
         yaml.safe_dump(table, fh, sort_keys=True)
     export_traces(t_ref, {"Q_time": q_ref_cycle}, out_dir / "reference_trace.csv")
@@ -287,7 +309,7 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = CaseConfig(**study["case"])
+    base = _study_case(study)
     resolutions = [int(r) for r in study["resolutions"]]
     if len(resolutions) < 2:
         raise ConfigError(["study.resolutions needs at least two entries"])
@@ -370,7 +392,7 @@ def main(argv=None) -> int:
     p_mesh.add_argument("--out", required=True)
     p_mesh.add_argument("--vtk", default=None)
 
-    p_val = sub.add_parser("validate-config", help="validate a case file")
+    p_val = sub.add_parser("validate-config", help="validate a case or study file")
     p_val.add_argument("config")
 
     args = parser.parse_args(argv)
@@ -400,7 +422,10 @@ def main(argv=None) -> int:
                   f"{mesh.n_elements} {mesh.elem_type} elements")
             return 0
         if args.verb == "validate-config":
-            config = parse_config(Path(args.config).read_text())
+            raw = yaml.safe_load(Path(args.config).read_text())
+            config = (_study_case(raw["study"])
+                      if isinstance(raw, dict) and isinstance(raw.get("study"), dict)
+                      else config_from_mapping(raw))
             mesh = build_mesh(config.mesh)
             build_case(config, mesh)
             print("configuration is valid")

@@ -29,7 +29,7 @@ from .navier_stokes import NSCase, parabolic_inflow
 from .scalar import ScalarCase
 from .spectral import SpectralCoeffs, fourier_coefficients, n_coeffs
 
-__all__ = ["ConfigError", "CaseConfig", "parse_config", "load_config",
+__all__ = ["ConfigError", "CaseConfig", "parse_config", "config_from_mapping", "load_config",
            "serialize_config", "build_mesh", "build_case", "mode_table"]
 
 
@@ -68,7 +68,11 @@ _KNOWN_KEYS = {
 
 
 def parse_config(text: str) -> CaseConfig:
-    raw = yaml.safe_load(text)
+    return config_from_mapping(yaml.safe_load(text))
+
+
+def config_from_mapping(raw: Any) -> CaseConfig:
+    """Validate a case given as a mapping (a parsed case file or a study's case block)."""
     errors: List[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a mapping"])

@@ -17,6 +17,7 @@ gradient/divergence blocks keep only their mode diagonal.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -537,12 +538,12 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
         k_max = max(1, min(config.restart, config.max_matvecs - matvecs))
         v = np.empty((k_max + 1, b.size))
         v[0] = r / beta
-        h = np.zeros((k_max + 1, k_max))
-        cs = np.zeros(k_max)
-        sn = np.zeros(k_max)
-        g = np.zeros(k_max + 1)
-        g[0] = beta
-        k_used = 0
+        # the rotated Hessenberg columns, the Givens rotations and the
+        # rotated right-hand side are small: kept as Python floats
+        cols: list[list[float]] = []
+        cs: list[float] = []
+        sn: list[float] = []
+        g = [float(beta)]
         for j in range(k_max):
             z = precond(v[j]) if precond is not None else v[j]
             w = matvec(z)
@@ -551,33 +552,36 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
             w = w - v[:j + 1].T @ hj
             corr = v[:j + 1] @ w
             w = w - v[:j + 1].T @ corr
-            hj = hj + corr
-            h[:j + 1, j] = hj
-            h_low = np.linalg.norm(w)
-            h[j + 1, j] = h_low
-            if not np.isfinite(h_low):
+            col = (hj + corr).tolist()
+            h_low = float(np.linalg.norm(w))
+            if not math.isfinite(h_low):
                 raise RuntimeError(f"gmres: Arnoldi breakdown with NaN/Inf at step {matvecs}")
             if h_low > 0.0:
                 v[j + 1] = w / h_low
             # rotate the new column and update the residual estimate
             for i in range(j):
-                t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-                h[i, j] = t
-            denom = np.hypot(h[j, j], h[j + 1, j])
-            cs[j], sn[j] = (1.0, 0.0) if denom == 0.0 else (h[j, j] / denom, h[j + 1, j] / denom)
-            h[j, j] = denom
-            h[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            k_used = j + 1
-            history.append(float(abs(g[j + 1])))
+                t = cs[i] * col[i] + sn[i] * col[i + 1]
+                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
+                col[i] = t
+            denom = math.hypot(col[j], h_low)
+            c, s = (1.0, 0.0) if denom == 0.0 else (col[j] / denom, h_low / denom)
+            cs.append(c)
+            sn.append(s)
+            col[j] = denom
+            cols.append(col)
+            g.append(-s * g[j])
+            g[j] = c * g[j]
+            history.append(abs(g[j + 1]))
             if abs(g[j + 1]) <= target or matvecs >= config.max_matvecs or h_low == 0.0:
                 break
-        y = np.zeros(k_used)
+        k_used = len(cols)
+        y = [0.0] * k_used
         for i in range(k_used - 1, -1, -1):
-            y[i] = (g[i] - h[i, i + 1:k_used] @ y[i + 1:k_used]) / h[i, i]
-        dz = v[:k_used].T @ y
+            acc = 0.0
+            for m in range(i + 1, k_used):
+                acc += cols[m][i] * y[m]
+            y[i] = (g[i] - acc) / cols[i][i]
+        dz = v[:k_used].T @ np.array(y)
         x = x + (precond(dz) if precond is not None else dz)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"gmres: non-finite iterate after {matvecs} matvecs")

@@ -449,18 +449,22 @@ def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> floa
     return float(np.linalg.norm(rr))
 
 
-def default_pseudo_dt(case: NSCase, mesh: Mesh) -> float:
+def default_pseudo_dt(case: NSCase, mesh: Mesh,
+                      dir_vals: np.ndarray | None = None) -> float:
     """Pseudo step heuristic: the smallest of the case time scales.
 
     Roughly an order of magnitude above a physical-integration step, and
     small enough that the mass term still conditions the tangent.
+    dir_vals, the Dirichlet values of resolve_ns_dirichlet, is resolved
+    here when not given.
     """
     ed = mesh.element_data()
     h_min = float(np.min(ed.h))
     scales = [h_min**2 * case.rho / case.mu]
     if case.omega > 0.0:
         scales.append(1.0 / case.omega)
-    _, dir_vals = resolve_ns_dirichlet(case, mesh)
+    if dir_vals is None:
+        _, dir_vals = resolve_ns_dirichlet(case, mesh)
     if dir_vals.size:
         amp = np.abs(dir_vals).sum(axis=2)        # per node, per direction
         u_max = float(np.max(np.linalg.norm(amp, axis=1)))
@@ -470,7 +474,8 @@ def default_pseudo_dt(case: NSCase, mesh: Mesh) -> float:
 
 
 def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
-                pseudo_dt: float | None = None, skip_below: float = 0.0):
+                pseudo_dt: float | None = None, skip_below: float = 0.0,
+                dir_nodes: np.ndarray | None = None):
     """One linearized update y <- y - H^{-1} r at the current state.
 
     Returns (new_state, residual_norm_before, linear_matvecs).  The linear
@@ -478,11 +483,14 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     Dirichlet increments are pinned to zero.  Stagnation of the linear
     solver raises LinearSolveError and leaves the state untouched.  If the
     residual norm is already at or below skip_below, no solve is run.
+    dir_nodes, the Dirichlet node ids of resolve_ns_dirichlet, is resolved
+    here when not given.
     """
     if pseudo_dt is None:
         pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
             else default_pseudo_dt(case, mesh)
-    dir_nodes, _ = resolve_ns_dirichlet(case, mesh)
+    if dir_nodes is None:
+        dir_nodes, _ = resolve_ns_dirichlet(case, mesh)
     resid, tangent = _assemble(case, mesh, state, need_residual=True,
                                need_tangent=True, pseudo_dt=pseudo_dt)
     rnorm = residual_norm(resid, dir_nodes, mesh.dim)
@@ -523,7 +531,7 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     state = NSState.zeros(mesh.n_nodes, mesh.dim, case.n_modes)
     state.velocity[dir_nodes] = dir_vals
     pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
-        else default_pseudo_dt(case, mesh)
+        else default_pseudo_dt(case, mesh, dir_vals)
 
     residuals: List[float] = []
     lin_iters: List[int] = []
@@ -531,8 +539,8 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     for step in range(config.max_steps):
         skip = config.eps_nr * r0 if r0 is not None else 0.0
         try:
-            new_state, rnorm, mv = newton_step(case, mesh, state, config,
-                                               pseudo_dt, skip_below=skip)
+            new_state, rnorm, mv = newton_step(case, mesh, state, config, pseudo_dt,
+                                               skip_below=skip, dir_nodes=dir_nodes)
         except LinearSolveError as err:
             warnings.warn(str(err))
             return NSResult(state, False, residuals, step, lin_iters)

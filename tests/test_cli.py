@@ -241,11 +241,49 @@ class TestSweep:
         table = yaml.safe_load((tmp_path / "out" / "sweep.yaml").read_text())
         assert table["newton_failures"] == 3
 
+    def test_mode_sweep_reports_time_reference_newton_iterations(self, tmp_path, monkeypatch):
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["modes"] = [1, 2]
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        real = cli.run_time_simulation
+        results = []
+
+        def recording_reference(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_time_simulation", recording_reference)
+        sweep(path, tmp_path / "out")
+        iters = results[0].newton_iters
+        assert len(iters) == 24 and min(iters) >= 1
+        table = yaml.safe_load((tmp_path / "out" / "sweep.yaml").read_text())
+        assert table["newton_iters_total"] == sum(iters)
+        assert table["newton_iters_max"] == max(iters)
+
+    @pytest.mark.parametrize("name", ["mode_sweep_bent.yaml", "h_sweep_1d.yaml"])
+    def test_study_case_unknown_key_rejected(self, tmp_path, capsys, name):
+        study = yaml.safe_load((CONFIG_DIR / name).read_text())
+        study["study"]["case"]["solver"]["eps_lss"] = 0.01
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        with pytest.raises(ConfigError, match=r"unknown key solver\.eps_lss"):
+            sweep(path, tmp_path / "out")
+        assert main(["validate-config", str(path)]) == 2
+        assert "unknown key solver.eps_lss" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_validate_verb(self, capsys):
         code = main(["validate-config", str(CONFIG_DIR / "tracer_1d.yaml")])
         assert code == 0
+        assert "valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["mode_sweep_bent.yaml", "h_sweep_1d.yaml"])
+    def test_validate_verb_study(self, capsys, name):
+        assert main(["validate-config", str(CONFIG_DIR / name)]) == 0
         assert "valid" in capsys.readouterr().out
 
     def test_validate_verb_bad_config(self, tmp_path, capsys):

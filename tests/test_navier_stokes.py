@@ -566,6 +566,30 @@ class TestSolve:
         delta = np.max(np.abs(new_state.velocity - result.state.velocity))
         assert delta <= 1e-8 * np.max(np.abs(result.state.velocity))
 
+    def test_solve_resolves_dirichlet_data_once(self, monkeypatch):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = poiseuille_case(n_modes=2, omega=1.5, u_max=0.4, mu=0.2)
+        config = SolverConfig(eps_nr=1e-6, eps_ls=1e-8, pseudo_dt=np.inf, max_steps=20)
+        reference = solve_ns(case, mesh, config)
+        real = navier_stokes.resolve_ns_dirichlet
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(navier_stokes, "resolve_ns_dirichlet", counting)
+        for pseudo_dt in (np.inf, None):
+            calls.clear()
+            result = solve_ns(case, mesh, replace(config, pseudo_dt=pseudo_dt))
+            assert result.converged and len(calls) == 1
+        calls.clear()
+        result = solve_ns(case, mesh, config)
+        assert result.residuals == reference.residuals
+        # a direct newton_step call resolves the data itself
+        newton_step(case, mesh, result.state, config)
+        assert len(calls) == 2
+
     def test_update_preserves_conjugate_symmetry(self):
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
         case = poiseuille_case(n_modes=3, omega=1.5, u_max=0.4, mu=0.2)

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 import tsfem.linsolve as linsolve
 import tsfem.time_domain as time_domain
+from tsfem.cli import _time_reference_case
+from tsfem.config import config_from_mapping
 from tsfem.linsolve import GmresResult, SolverConfig, build_graph
 from tsfem.mesh import (
     facet_quadrature,
@@ -26,6 +31,7 @@ from tsfem.time_domain import (
 from tsfem.verification import oscillatory_channel_exact
 
 RNG = np.random.default_rng(7321)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestGenAlphaConfig:
@@ -261,7 +267,11 @@ class TestRunTimeSimulation:
 
 
 def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m, fac):
-    """Literal per-quadrature-point np.add.at assembly: the oracle for _assemble_time."""
+    """Literal per-quadrature-point np.add.at assembly: the oracle for _assemble_time.
+
+    Returns the residual, the graph, the local tangent blocks and
+    dR/d(omega_hat^2).
+    """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
     c_i = case.c_i_for(mesh)
@@ -270,6 +280,7 @@ def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m
     shp = shape_values(mesh.elem_type, rule.points)
     rows, cols, edge_of = build_graph(mesh.elements, mesh.n_nodes)
     resid = np.zeros((mesh.n_nodes, dim + 1))
+    dr_dw2 = np.zeros((mesh.n_nodes, dim + 1))
     blocks = np.zeros((rows.shape[0], dim + 1, dim + 1))
     elems, grads, detj, metric = mesh.elements, ed.grads, ed.detj, ed.metric
     u_el, a_el, p_el = u_af[elems], udot_am[elems], pres[elems]
@@ -295,6 +306,12 @@ def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m
         contrib = np.concatenate([r_m, r_c[:, :, None]], axis=2) * w[:, None, None]
         np.add.at(resid, elems.ravel(), contrib.reshape(-1, dim + 1))
 
+        # d tau / d(omega_hat^2) = -tau^3 / 2 in the least-squares terms
+        dr_m = np.einsum("ea,e,ei->eai", adv, -0.5 * tau**3, strong)
+        dr_c = np.einsum("eai,e,ei->ea", grads, -0.5 * tau**3, strong) / rho
+        contrib = np.concatenate([dr_m, dr_c[:, :, None]], axis=2) * w[:, None, None]
+        np.add.at(dr_dw2, elems.ravel(), contrib.reshape(-1, dim + 1))
+
         nn = np.outer(shp[q], shp[q])
         k_scal = (rho * alpha_m * nn[None]
                   + fac * (rho * np.einsum("a,eb->eab", shp[q], adv) + mu * gab)
@@ -305,9 +322,20 @@ def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m
         d_blk = (fac * np.einsum("a,ebj->eabj", shp[q], grads)
                  + np.einsum("eaj,e,eb->eabj", grads, tau,
                              alpha_m * shp[q][None, :] + fac * adv))
+        # velocity-velocity coupling of directions i (row) and k (column)
+        gu = np.einsum("eij,ej->ei", metric, uq)
+        test = shp[q][None, :] + tau[:, None] * adv
+        v_blk = fac * (rho * np.einsum("ea,b,eki->eabik", test, shp[q], grad_u)
+                       + np.einsum("e,b,ei,eak->eabik", tau, shp[q], strong, grads)
+                       - np.einsum("e,ek,b,ea,ei->eabik", tau**3, gu, shp[q], adv,
+                                   strong))
+        d_blk += fac * (np.einsum("e,b,eai,eki->eabk", tau, shp[q], grads, grad_u)
+                        - np.einsum("e,ek,b,eai,ei->eabk", tau**3, gu, shp[q], grads,
+                                    strong) / rho)
         blk = np.zeros(k_scal.shape + (dim + 1, dim + 1))
+        blk[..., :dim, :dim] = v_blk
         for i in range(dim):
-            blk[..., i, i] = k_scal
+            blk[..., i, i] += k_scal
             blk[..., i, dim] = g_blk[..., i]
             blk[..., dim, i] = d_blk[..., i]
         blk[..., dim, dim] = np.einsum("eab,e->eab", gab, tau) / rho
@@ -321,15 +349,16 @@ def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m
             r_el = -h_val * np.einsum("f,a,fi->fai", fq.weights[:, q], fq.shape[q],
                                       fq.normals)
             np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim))
-    return resid, rows, cols, blocks
+    return resid, rows, cols, blocks, dr_dw2
+
+
+MESHES = {
+    "tri": lambda: generate_rect_tri((1.0, 1.0), (4, 5)),
+    "bent": lambda: generate_bent_channel_tet(3.0, 1.0, 1.0, (6, 2, 2), bend_angle=1.0),
+}
 
 
 class TestAssembly:
-    MESHES = {
-        "tri": lambda: generate_rect_tri((1.0, 1.0), (4, 5)),
-        "bent": lambda: generate_bent_channel_tet(3.0, 1.0, 1.0, (6, 2, 2), bend_angle=1.0),
-    }
-
     @staticmethod
     def _compare(mesh):
         rng = np.random.default_rng(2024)
@@ -340,23 +369,83 @@ class TestAssembly:
                         neumann={"xmax": lambda t: 0.3 + t, "xmin": lambda t: -0.8})
         args = state + (0.2, 1.7)
         resid, tangent = _assemble_time(case, mesh, *args, alpha_m=0.9, fac=0.03)
-        ref_resid, rows, cols, ref_blocks = per_point_assemble_time(
+        ref_resid, rows, cols, ref_blocks, ref_dr = per_point_assemble_time(
             case, mesh, *args, alpha_m=0.9, fac=0.03)
-        np.testing.assert_array_equal(tangent.rows, rows)
-        np.testing.assert_array_equal(tangent.cols, cols)
+        local = tangent.local
+        np.testing.assert_array_equal(local.rows, rows)
+        np.testing.assert_array_equal(local.cols, cols)
         assert np.max(np.abs(resid - ref_resid)) <= 1e-12 * np.max(np.abs(ref_resid))
-        assert np.max(np.abs(tangent.blocks - ref_blocks)) <= 1e-12 * np.max(np.abs(ref_blocks))
+        assert np.max(np.abs(local.blocks - ref_blocks)) <= 1e-12 * np.max(np.abs(ref_blocks))
+        assert np.max(np.abs(tangent.dr_dw2 - ref_dr)) <= 1e-12 * np.max(np.abs(ref_dr))
 
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_matches_per_point_reference(self, kind):
-        self._compare(self.MESHES[kind]())
+        self._compare(MESHES[kind]())
 
     @pytest.mark.parametrize("kind", sorted(MESHES))
     def test_matches_per_point_reference_in_chunks(self, kind, monkeypatch):
         monkeypatch.setattr(linsolve, "_CHUNK", 7)
-        mesh = self.MESHES[kind]()
+        mesh = MESHES[kind]()
         self._compare(mesh)
         assert len(mesh._assembly.chunks) > 2
+
+
+class TestNewtonOperator:
+    """The step's Newton operator against central differences of its residual.
+
+    The residual is a function of the acceleration a and the pressure p:
+    u_af = u0 + fac a and udot_am = a0 + alpha_m a, with omega_hat
+    recomputed from them, as generalized_alpha_step does.
+    """
+
+    @staticmethod
+    def _defect(mesh, mu, u_scale):
+        rng = np.random.default_rng(11)
+        n, dim = mesh.n_nodes, mesh.dim
+        u0 = u_scale * rng.standard_normal((n, dim))
+        a0 = rng.standard_normal((n, dim))
+        case = TimeCase(rho=1.3, mu=mu, period=1.0, n_cycles=2, dt=0.05,
+                        neumann={"xmax": lambda t: 0.3 + t})
+        alpha_m, fac = 0.9, 0.03
+
+        def assemble(x):
+            a = x[:, :dim]
+            u_af, udot_am = u0 + fac * a, a0 + alpha_m * a
+            return _assemble_time(case, mesh, u_af, udot_am, x[:, dim], 0.1,
+                                  omega_hat(u_af, udot_am, mesh),
+                                  alpha_m=alpha_m, fac=fac)
+
+        x = rng.standard_normal((n, dim + 1))
+        v = rng.standard_normal((n, dim + 1))
+        h = 1e-5
+        fd = (assemble(x + h * v)[0] - assemble(x - h * v)[0]) / (2 * h)
+        jv = assemble(x)[1].matvec(v.ravel()).reshape(n, dim + 1)
+        return np.linalg.norm(jv - fd) / np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("kind", sorted(MESHES))
+    def test_matches_central_differences(self, kind):
+        assert self._defect(MESHES[kind](), mu=0.07, u_scale=1.0) <= 1e-6
+
+    def test_matches_central_differences_diffusive_tau(self):
+        # tau argument dominated by C_I nu^2 G:G
+        assert self._defect(MESHES["tri"](), mu=100.0, u_scale=0.01) <= 1e-8
+
+
+class TestNewtonConvergence:
+    def test_bent_channel_thirty_steps_per_cycle(self):
+        # the bundled spectral-versus-time study on the 6x2x2 bent channel,
+        # at half its time steps: the Newton loop must still converge fast
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())["study"]
+        study["case"]["mesh"]["resolution"] = [6, 2, 2]
+        ref = dict(study["reference"], dt_per_cycle=30)
+        case, mesh, _ = _time_reference_case(config_from_mapping(study["case"]), ref)
+        config = SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_linear_iters=3000)
+        res = run_time_simulation(case, mesh, config, report_groups=["xmax"],
+                                  ramp_steps=ref["ramp_steps"])
+        assert res.newton_failures == 0
+        assert len(res.newton_iters) == 30 * ref["n_cycles"]
+        assert max(res.newton_iters) <= 6
+        assert np.mean(res.newton_iters) <= 5
 
 
 class TestLinearStagnation:
