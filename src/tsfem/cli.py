@@ -7,8 +7,8 @@ Verbs:
   validate-config CONFIG  report every validation problem of a case file or of a
                           study's case block, exit nonzero on any
 
-All solves are serial and deterministic; rerunning a config reproduces its
-CSV outputs byte for byte.
+All solves are serial and deterministic (no option selects otherwise);
+rerunning a config reproduces its CSV outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _trace_times(omega: float, samples: int) -> np.ndarray:
     return period * np.arange(samples) / samples
 
 
-def run_case(config: CaseConfig, out_dir, serial: bool = True) -> RunSummary:
+def run_case(config: CaseConfig, out_dir) -> RunSummary:
     """Solve one configured case and write its artifacts.
 
     The output directory receives summary.yaml, traces.csv for flow cases,
@@ -159,11 +159,11 @@ def run_case(config: CaseConfig, out_dir, serial: bool = True) -> RunSummary:
     return summary
 
 
-def run(config_path, out_dir=None, serial: bool = True) -> RunSummary:
+def run(config_path, out_dir=None) -> RunSummary:
     config = load_config(config_path)
     if out_dir is None:
         out_dir = config.output.get("directory", Path(config_path).stem + "_out")
-    return run_case(config, out_dir, serial=serial)
+    return run_case(config, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +181,6 @@ def _waveform_from_samples(samples: np.ndarray, period: float, n_fit: int):
     return waveform
 
 
-def _truncation_error(samples: np.ndarray, n_modes: int) -> float:
-    coeffs = fourier_coefficients(samples, n_modes)
-    t = np.arange(samples.size) / samples.size
-    n = np.arange(-n_modes + 1, n_modes)
-    recon = (np.exp(2j * np.pi * np.outer(t, n)) @ coeffs.values).real
-    return float(np.linalg.norm(samples - recon) / np.linalg.norm(samples))
-
-
 def _study_case(study: Dict[str, Any]) -> CaseConfig:
     """A study's case block, validated as a case file is."""
     if "case" not in study:
@@ -197,7 +189,7 @@ def _study_case(study: Dict[str, Any]) -> CaseConfig:
 
 
 def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
-    """The time-domain counterpart of a mode-sweep case; returns (case, mesh, samples).
+    """The time-domain counterpart of a mode-sweep case; returns (case, mesh, inflow bc name).
 
     The inflow's flow_samples drive the same unit-flux parabolic profile
     through their trigonometric interpolant; walls and traction-free
@@ -240,7 +232,7 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
                      n_cycles=int(ref_block.get("n_cycles", 4)), dt=period / steps,
                      dirichlet={base.bcs[inflow_name]["group"]: time_inflow},
                      walls=walls, neumann=neumann_time, c_i=phys.get("c_i"))
-    return tcase, mesh, samples
+    return tcase, mesh, inflow_name
 
 
 def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
@@ -248,7 +240,8 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
 
     The base case must drive a parabolic inflow by flow_samples; the same
     waveform feeds the time solver, and the outlet-flow error of each
-    spectral solve is tabulated against the boundary truncation error.
+    spectral solve is tabulated against the inflow truncation error that its
+    run reports (the one build_case computes).
     The table also records the time reference's Newton work: newton_failures,
     its steps whose Newton loop did not converge (a nonzero count is warned
     about), and the total and per-step maximum of its Newton iterations.
@@ -264,7 +257,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     if group is None:
         raise ConfigError(["study.reference.group is required"])
 
-    tcase, mesh, samples = _time_reference_case(base, ref_block)
+    tcase, mesh, inflow_name = _time_reference_case(base, ref_block)
     phys = base.physics
     omega = float(phys["omega"])
     tconf = SolverConfig(eps_nr=float(base.solver.get("eps_nr", 1e-3)),
@@ -289,7 +282,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
         q_spec = np.array([evaluate_field_in_time(coeffs.values, t, omega)
                            for t in t_ref])
         err = float(np.linalg.norm(q_spec - q_ref_cycle) / np.linalg.norm(q_ref_cycle))
-        rows.append({"n_modes": n, "truncation": _truncation_error(samples, n),
+        rows.append({"n_modes": n, "truncation": summary.truncation[inflow_name],
                      "flow_error": err, "converged": bool(summary.converged)})
 
     table = {"kind": "mode_sweep", "group": group, "rows": rows,
@@ -379,8 +372,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="solve a configured case")
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument("--serial", action="store_true", default=True,
-                       help="deterministic serial execution (default)")
     p_run.add_argument("-v", "--verbose", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="run a study")
@@ -398,7 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            summary = run(args.config, args.output_dir, serial=args.serial)
+            summary = run(args.config, args.output_dir)
             if args.verbose:
                 print(yaml.safe_dump(summary.to_dict(), sort_keys=True))
             else:

@@ -1,13 +1,17 @@
 """Real-mapped nodal-block sparse systems and a restarted GMRES solver.
 
-Complex mode-coupled systems with conjugate symmetry are reduced to real
-unknowns before solving: per node and component, the layout is mode
-0..N-1 with (real, imag) interleaved, so a node carries 2N real slots per
-component.  The imaginary slot of the steady mode is retained and pinned
-to zero, which keeps the layout uniform.  Operators and vectors given in
-the orthonormal real coordinates of spectral (z_0, sqrt2 Re z_n,
-sqrt2 Im z_n) enter this layout by a fixed map (block_from_orthonormal,
-rhs_from_orthonormal) instead of through complex form.
+The spectral solvers solve in real unknowns: per node and component, the
+layout is mode 0..N-1 with (real, imag) interleaved, so a node carries
+2N real slots per component.  The imaginary slot of the steady mode is
+retained and pinned to zero (layout_pins), which keeps the layout
+uniform.  Both spectral solvers assemble in the orthonormal real
+coordinates of spectral (z_0, sqrt2 Re z_n, sqrt2 Im z_n), which enter
+this layout by a fixed map (block_from_orthonormal, rhs_from_orthonormal).
+
+The maps from complex mode-coupled systems (to_real, block_to_real,
+rhs_to_real, check_block_symmetry) are no longer called by the solvers:
+they stay as the reference that the real-basis assemblies and the
+criterion-10 real-map check are tested against.
 
 The Navier-Stokes tangent is stored block-structured: the 6 identically
 zero component blocks are never stored, the velocity diagonal block K is
@@ -42,8 +46,10 @@ __all__ = [
     "block_from_orthonormal",
     "rhs_from_orthonormal",
     "check_block_symmetry",
+    "LinearSolveError",
     "gmres",
     "block_jacobi_preconditioner",
+    "layout_pins",
     "pinned_operator",
 ]
 
@@ -364,6 +370,19 @@ def to_real(system: BlockMatrix, rhs: np.ndarray, tol: float = 1e-10):
     return BlockMatrix(system.rows, system.cols, real_blocks, system.n_nodes), real_rhs.ravel()
 
 
+def layout_pins(n_nodes: int, n_modes: int, dir_nodes: np.ndarray,
+                n_comp: int = 1, n_dir_comp: int = 1) -> np.ndarray:
+    """Pinned slots of the flattened 2N layout with n_comp components per node.
+
+    Every steady imaginary slot is pinned, and every slot of the first
+    n_dir_comp components at the Dirichlet nodes dir_nodes.
+    """
+    pins = np.zeros((n_nodes, n_comp, 2 * n_modes), dtype=bool)
+    pins[:, :, 1] = True
+    pins[dir_nodes, :n_dir_comp, :] = True
+    return pins.ravel()
+
+
 def pinned_operator(matvec: Callable, pins: np.ndarray) -> Callable:
     """Wrap a matvec so pinned slots act as identity rows/columns."""
 
@@ -489,6 +508,13 @@ class BlockTangent:
 # ---------------------------------------------------------------------------
 # GMRES
 # ---------------------------------------------------------------------------
+
+class LinearSolveError(RuntimeError):
+    def __init__(self, message: str, iterations: int, residual: float):
+        super().__init__(f"{message} (matvecs {iterations}, residual {residual:.3e})")
+        self.iterations = iterations
+        self.residual = residual
+
 
 class GmresResult(NamedTuple):
     x: np.ndarray

@@ -24,6 +24,7 @@ __all__ = [
     "QuadratureRule",
     "ShapeEval",
     "ElementData",
+    "c_i_for",
     "quadrature_rule",
     "facet_rule",
     "shape_values",
@@ -44,6 +45,15 @@ ELEM_NODES = {"line2": 2, "tri3": 3, "tet4": 4}
 ELEM_DIM = {"line2": 1, "tri3": 2, "tet4": 3}
 FACET_TYPE = {"tet4": "tri3", "tri3": "line2", "line2": "point"}
 FACET_NODES = {"tri3": 3, "line2": 2, "point": 1}
+
+# C_I of the diffusive limit of tau: lines use xi in [-1, 1] (parent
+# size 2), simplices the unit simplex.
+_C_I = {"line2": 9.0, "tri3": 3.0, "tet4": 3.0}
+
+
+def c_i_for(elem_type: str, c_i: float | None = None) -> float:
+    """A case's C_I: its own value c_i if set, else the element-type default."""
+    return _C_I[elem_type] if c_i is None else c_i
 
 # Reference shape gradients dN_A/dxi_k (constant for linear elements).
 _REF_GRADS = {
@@ -251,6 +261,10 @@ class FacetQuadData:
     normals: np.ndarray    # (F, dim) unit outward
     points: np.ndarray     # (F, qf, dim) physical quadrature points
     areas: np.ndarray      # (F,)
+
+    def interpolate(self, nodal: np.ndarray) -> np.ndarray:
+        """Nodal values (n_nodes, ...) at every facet quadrature point, (F, qf, ...)."""
+        return np.einsum("qa,fa...->fq...", self.shape, nodal[self.nodes])
 
 
 def facet_quadrature(mesh: Mesh, group: str) -> FacetQuadData:

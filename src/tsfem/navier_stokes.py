@@ -22,8 +22,8 @@ and tau, real skew Omega).  The assembled blocks and residual are emitted
 directly in linsolve's 2N layout by the fixed map
 K_L[t(i), t(j)] = K_O[i, j] s_i / s_j, with s = 1 for the steady mode and
 1/sqrt2 otherwise, and t skipping the pinned steady imaginary slot (zero
-row and column, identity on the diagonal blocks).  The complex API
-(NSState, assemble_ns_residual) is unchanged.
+row and column, identity on the diagonal blocks).  States and
+assemble_ns_residual stay complex.
 
 Assembly sums each element integrand over the quadrature points before
 scattering it once per element chunk, through a sorted plan cached on
@@ -41,8 +41,10 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from . import spectral
+from .boundary import NodalValues, boundary_values, check_groups, resolve_dirichlet
 from .linsolve import (
     BlockTangent,
+    LinearSolveError,
     SolverConfig,
     assembly_context,
     block_from_orthonormal,
@@ -50,12 +52,18 @@ from .linsolve import (
     build_graph,
     from_real,
     gmres,
+    layout_pins,
     pinned_operator,
     rhs_from_orthonormal,
 )
-from .mesh import Mesh, facet_quadrature, quadrature_rule, shape_values
-from .scalar import LinearSolveError, default_c_i
-from .spectral import SpectralCoeffs, modes_to_real, n_coeffs, symmetrize_modes
+from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
+from .spectral import (
+    SpectralCoeffs,
+    modes_to_real,
+    n_coeffs,
+    require_conjugate_symmetry,
+    symmetrize_modes,
+)
 from .spectral_real import (
     build_omega,
     convolution_dense,
@@ -84,14 +92,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NodalValues:
-    """Per-node boundary values, e.g. a scaled inflow profile."""
-
-    nodes: np.ndarray   # (K,) node ids
-    values: np.ndarray  # (K, dim, 2N-1) complex
-
-
 DirichletSpec = Union[np.ndarray, Callable, NodalValues]
 
 
@@ -102,7 +102,8 @@ class NSCase:
     dirichlet maps facet groups to velocity data: a uniform (dim, 2N-1)
     mode array, a callable of node coordinates returning (n, dim, 2N-1),
     or precomputed NodalValues.  walls lists no-slip groups.  neumann maps
-    groups to scalar mode vectors h (2N-1,) imposed as h n_i.
+    groups to scalar mode vectors h (2N-1,) imposed as h n_i; they must be
+    conjugate-symmetric (ValueError if not).
     """
 
     rho: float
@@ -120,9 +121,6 @@ class NSCase:
             raise ValueError("rho and mu must be positive")
         if not 0.0 <= self.backflow_beta <= 1.0:
             raise ValueError("backflow_beta must lie in [0, 1]")
-
-    def c_i_for(self, mesh: Mesh) -> float:
-        return self.c_i if self.c_i is not None else default_c_i(mesh.elem_type)
 
     @property
     def nu(self) -> float:
@@ -146,8 +144,8 @@ class NSState:
         return NSState(self.velocity.copy(), self.pressure.copy())
 
     def symmetrize(self) -> None:
-        self.velocity[:] = 0.5 * (self.velocity + np.conj(self.velocity[..., ::-1]))
-        self.pressure[:] = 0.5 * (self.pressure + np.conj(self.pressure[..., ::-1]))
+        self.velocity[:] = symmetrize_modes(self.velocity)
+        self.pressure[:] = symmetrize_modes(self.pressure)
 
 
 @dataclass
@@ -159,61 +157,11 @@ class NSResult:
     linear_iters: List[int]
 
 
-def _check_groups(case: NSCase, mesh: Mesh) -> None:
-    for name in list(case.dirichlet) + list(case.walls) + list(case.neumann):
-        if name not in mesh.facet_groups:
-            raise ValueError(f"unknown facet group {name!r}")
-    roles: Dict[str, str] = {}
-    for kind, names in (("dirichlet", case.dirichlet), ("wall", case.walls),
-                        ("neumann", case.neumann)):
-        for name in names:
-            if name in roles:
-                raise ValueError(f"facet group {name!r} assigned to both "
-                                 f"{roles[name]} and {kind}")
-            roles[name] = kind
-
-
 def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
     """Dirichlet node ids and (K, dim, 2N-1) values; walls override."""
-    m = n_coeffs(case.n_modes)
-    dim = mesh.dim
-    values: Dict[int, np.ndarray] = {}
-
-    def store(nodes, vals):
-        for node, v in zip(nodes, vals):
-            values[int(node)] = np.stack([symmetrize_modes(v[i]) for i in range(dim)])
-
-    for name, data in case.dirichlet.items():
-        if isinstance(data, NodalValues):
-            store(data.nodes, np.asarray(data.values, dtype=complex))
-            continue
-        nodes = np.unique(mesh.facet_groups[name].nodes)
-        if callable(data):
-            vals = np.asarray(data(mesh.coords[nodes]), dtype=complex)
-            if vals.shape != (nodes.size, dim, m):
-                raise ValueError(f"dirichlet callable for {name!r} returned {vals.shape}")
-        else:
-            arr = np.asarray(data, dtype=complex)
-            if arr.shape != (dim, m):
-                raise ValueError(f"expected ({dim}, {m}) modes for group {name!r}")
-            vals = np.tile(arr, (nodes.size, 1, 1))
-        store(nodes, vals)
-    for name in case.walls:
-        nodes = np.unique(mesh.facet_groups[name].nodes)
-        store(nodes, np.zeros((nodes.size, dim, m), dtype=complex))
-    node_ids = np.array(sorted(values), dtype=int)
-    vals = (np.array([values[i] for i in node_ids]) if node_ids.size
-            else np.zeros((0, dim, m), dtype=complex))
-    return node_ids, vals
-
-
-def _neumann_modes(data, m: int) -> np.ndarray:
-    if isinstance(data, SpectralCoeffs):
-        data = data.values
-    vals = np.asarray(data, dtype=complex)
-    if vals.shape != (m,):
-        raise ValueError(f"expected {m} Neumann modes, got shape {vals.shape}")
-    return vals
+    nodes, vals = resolve_dirichlet(mesh, case.dirichlet, case.walls,
+                                    (mesh.dim, n_coeffs(case.n_modes)))
+    return nodes, symmetrize_modes(vals)
 
 
 def _facet_values(values: np.ndarray, fq, q: int) -> np.ndarray:
@@ -245,11 +193,11 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
     The assembled real-basis blocks and residual enter the 2N layout by
     linsolve's fixed map (block_from_orthonormal, rhs_from_orthonormal).
     """
-    _check_groups(case, mesh)
+    check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
     rho, mu = case.rho, case.mu
-    c_i = case.c_i_for(mesh)
+    c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
@@ -352,7 +300,9 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
 
     if need_residual:
         for name, data in case.neumann.items():
-            h_modes = modes_to_real(_neumann_modes(data, m))
+            what = f"Neumann data of group {name!r}"
+            h_modes = modes_to_real(require_conjugate_symmetry(
+                boundary_values(data, (m,), what), what))
             fq = facet_quadrature(mesh, name)
             r_el = -np.einsum("fq,qa,fi,r->fair", fq.weights, fq.shape, fq.normals, h_modes)
             np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
@@ -435,13 +385,6 @@ def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
     return tangent
 
 
-def _pins_for(mesh: Mesh, n_modes: int, dir_nodes: np.ndarray) -> np.ndarray:
-    pins = np.zeros((mesh.n_nodes, mesh.dim + 1, 2 * n_modes), dtype=bool)
-    pins[:, :, 1] = True                 # steady imaginary slots
-    pins[dir_nodes, :mesh.dim, :] = True  # prescribed velocity nodes
-    return pins.ravel()
-
-
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
     """Norm of the free residual, given in the 2N layout (Dirichlet momentum rows off)."""
     rr = residual.copy()
@@ -497,7 +440,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     if rnorm <= skip_below:
         return state.copy(), rnorm, 0
 
-    pins = _pins_for(mesh, case.n_modes, dir_nodes)
+    pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
     rhs = -resid.ravel()
     rhs[pins] = 0.0
     op = pinned_operator(tangent.matvec, pins)
@@ -526,7 +469,7 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     """
     if config is None:
         config = SolverConfig()
-    _check_groups(case, mesh)
+    check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     dir_nodes, dir_vals = resolve_ns_dirichlet(case, mesh)
     state = NSState.zeros(mesh.n_nodes, mesh.dim, case.n_modes)
     state.velocity[dir_nodes] = dir_vals
@@ -587,13 +530,9 @@ def flow_report(state: NSState, mesh: Mesh, groups) -> FlowReport:
     out: FlowReport = {}
     for name in groups:
         fq = facet_quadrature(mesh, name)
-        q_modes = np.zeros(n_coeffs(n), dtype=complex)
-        p_modes = np.zeros(n_coeffs(n), dtype=complex)
-        for q in range(fq.shape.shape[0]):
-            u_q = _facet_values(state.velocity, fq, q)
-            p_q = np.einsum("a,fam->fm", fq.shape[q], state.pressure[fq.nodes])
-            q_modes += np.einsum("f,fim,fi->m", fq.weights[:, q], u_q, fq.normals)
-            p_modes += np.einsum("f,fm->m", fq.weights[:, q], p_q)
+        q_modes = np.einsum("fq,fqim,fi->m", fq.weights, fq.interpolate(state.velocity),
+                            fq.normals)
+        p_modes = np.einsum("fq,fqm->m", fq.weights, fq.interpolate(state.pressure))
         area = float(fq.areas.sum())
         out[name] = FlowData(SpectralCoeffs(n, symmetrize_modes(q_modes)),
                              SpectralCoeffs(n, symmetrize_modes(p_modes / area)),
@@ -662,15 +601,11 @@ def parabolic_inflow(mesh: Mesh, group: str, flow: SpectralCoeffs,
         profile = np.maximum(0.0, 1.0 - ratio**2)
 
     # flux of the raw profile through the group (inward direction -n)
-    node_pos = {int(nd): i for i, nd in enumerate(nodes)}
-    prof_facets = profile[[node_pos[int(nd)] for nd in fq.nodes.ravel()]]
-    prof_facets = prof_facets.reshape(fq.nodes.shape)
-    raw_flux = 0.0
-    for q in range(fq.shape.shape[0]):
-        raw_flux += np.einsum("f,a,fa->", fq.weights[:, q], fq.shape[q], prof_facets)
+    nodal = np.zeros(mesh.n_nodes)
+    nodal[nodes] = profile
+    raw_flux = float(np.sum(fq.weights * fq.interpolate(nodal)))
     if raw_flux <= 0.0:
         raise ValueError(f"degenerate inflow profile on group {group!r}")
 
-    m = n_coeffs(flow.n_modes)
     values = np.einsum("k,i,m->kim", profile / raw_flux, -n_mean, flow.values)
     return NodalValues(nodes, values.astype(complex))

@@ -61,6 +61,7 @@ __all__ = [
     "modes_from_real",
     "symmetrize_modes",
     "check_conjugate_symmetry",
+    "require_conjugate_symmetry",
 ]
 
 _SYM_TOL = 1e-10
@@ -78,23 +79,38 @@ def mode_index(n: int, n_modes: int) -> int:
 
 
 def check_conjugate_symmetry(values: np.ndarray, tol: float = _SYM_TOL) -> float:
-    """Return the relative conjugate-symmetry defect of a coefficient vector.
+    """Return the relative conjugate-symmetry defect of coefficient vectors.
 
-    values[-n] must equal conj(values[n]); the defect is measured in the
-    max norm relative to the coefficient magnitude (0 for a zero vector).
+    values[..., -n] must equal conj(values[..., n]); leading axes are
+    batch axes.  The defect is measured in the max norm relative to the
+    largest coefficient magnitude of the whole array (0 for zeros).
     """
     values = np.asarray(values)
-    scale = np.max(np.abs(values))
+    scale = np.max(np.abs(values)) if values.size else 0.0
     if scale == 0.0:
         return 0.0
-    defect = np.max(np.abs(values - np.conj(values[::-1])))
+    defect = np.max(np.abs(values - np.conj(values[..., ::-1])))
     return float(defect / scale)
 
 
-def symmetrize_modes(values: np.ndarray) -> np.ndarray:
-    """Project a coefficient vector onto exact conjugate symmetry."""
+def require_conjugate_symmetry(values: np.ndarray, what: str) -> np.ndarray:
+    """Complex mode values (..., 2N-1), checked for conjugate symmetry.
+
+    A check_conjugate_symmetry defect over 1e-10 raises a ValueError
+    naming the input `what`; modes_to_real would drop it silently, as it
+    reads the modes n >= 0 only.
+    """
     values = np.asarray(values, dtype=complex)
-    return 0.5 * (values + np.conj(values[::-1]))
+    defect = check_conjugate_symmetry(values)
+    if defect > _SYM_TOL:
+        raise ValueError(f"{what} violates conjugate symmetry (defect {defect:.3e})")
+    return values
+
+
+def symmetrize_modes(values: np.ndarray) -> np.ndarray:
+    """Project coefficient vectors (..., 2N-1) onto exact conjugate symmetry."""
+    values = np.asarray(values, dtype=complex)
+    return 0.5 * (values + np.conj(values[..., ::-1]))
 
 
 @dataclass(frozen=True)
@@ -116,9 +132,7 @@ class SpectralCoeffs:
             raise ValueError(
                 f"expected {n_coeffs(self.n_modes)} coefficients, got shape {vals.shape}"
             )
-        defect = check_conjugate_symmetry(vals)
-        if defect > _SYM_TOL:
-            raise ValueError(f"conjugate symmetry violated (defect {defect:.3e})")
+        vals = require_conjugate_symmetry(vals, "coefficient vector")
         object.__setattr__(self, "values", symmetrize_modes(vals))
 
     @classmethod

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from .boundary import check_groups, resolve_dirichlet
 from .linsolve import (
     BlockMatrix,
     Segments,
@@ -38,8 +39,7 @@ from .linsolve import (
     gmres,
     pinned_operator,
 )
-from .mesh import Mesh, facet_quadrature, quadrature_rule, shape_values
-from .scalar import default_c_i
+from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
 
 __all__ = [
     "TimeCase",
@@ -100,9 +100,6 @@ class TimeCase:
             raise ValueError("rho and mu must be positive")
         if self.dt <= 0 or self.period <= 0:
             raise ValueError("dt and period must be positive")
-
-    def c_i_for(self, mesh: Mesh) -> float:
-        return self.c_i if self.c_i is not None else default_c_i(mesh.elem_type)
 
     @property
     def nu(self) -> float:
@@ -165,24 +162,6 @@ def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
     return float(np.sqrt(norm2(accel) / nrm_u))
 
 
-def _resolve_time_dirichlet(case: TimeCase, mesh: Mesh, t: float):
-    values: Dict[int, np.ndarray] = {}
-    for name, data in case.dirichlet.items():
-        nodes = np.unique(mesh.facet_groups[name].nodes)
-        vals = np.asarray(data(mesh.coords[nodes], t), dtype=float)
-        if vals.shape != (nodes.size, mesh.dim):
-            raise ValueError(f"dirichlet callable for {name!r} returned {vals.shape}")
-        for node, v in zip(nodes, vals):
-            values[int(node)] = v
-    for name in case.walls:
-        for node in np.unique(mesh.facet_groups[name].nodes):
-            values[int(node)] = np.zeros(mesh.dim)
-    node_ids = np.array(sorted(values), dtype=int)
-    vals = (np.array([values[i] for i in node_ids]) if node_ids.size
-            else np.zeros((0, mesh.dim)))
-    return node_ids, vals
-
-
 class _ChunkFields(NamedTuple):
     """Point fields of one element chunk, kept from the residual for the tangent."""
 
@@ -229,7 +208,7 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
     """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
-    c_i = case.c_i_for(mesh)
+    c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
@@ -378,12 +357,6 @@ def _assemble_time(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
                                 alpha_m=alpha_m, fac=fac)
 
 
-def _pins_for(mesh: Mesh, dir_nodes: np.ndarray) -> np.ndarray:
-    pins = np.zeros((mesh.n_nodes, mesh.dim + 1), dtype=bool)
-    pins[dir_nodes, :mesh.dim] = True
-    return pins.ravel()
-
-
 def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                            config: SolverConfig | None = None,
                            gen_alpha: GenAlphaConfig | None = None,
@@ -411,9 +384,11 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     t_af = state.t + af * dt
     dim = mesh.dim
 
-    dir_nodes, dir_vals = _resolve_time_dirichlet(case, mesh, t_new)
+    dir_nodes, dir_vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (dim,), t_new,
+                                            dtype=float)
     dir_vals = dirichlet_scale * dir_vals
-    pins = _pins_for(mesh, dir_nodes)
+    pins = np.zeros(mesh.n_nodes * (dim + 1), dtype=bool)
+    pins.reshape(mesh.n_nodes, dim + 1)[dir_nodes, :dim] = True
 
     # predictor: constant velocity, consistent boundary acceleration
     accel = (gamma - 1.0) / gamma * state.accel
@@ -482,15 +457,9 @@ def _flow_trace(state: TimeState, mesh: Mesh, groups):
     out_p = {}
     for name in groups:
         fq = facet_quadrature(mesh, name)
-        qsum = 0.0
-        psum = 0.0
-        for q in range(fq.shape.shape[0]):
-            uq = np.einsum("a,fai->fi", fq.shape[q], state.velocity[fq.nodes])
-            pq = fq.shape[q] @ state.pressure[fq.nodes].T
-            qsum += np.einsum("f,fi,fi->", fq.weights[:, q], uq, fq.normals)
-            psum += fq.weights[:, q] @ pq
-        out_q[name] = qsum
-        out_p[name] = psum / fq.areas.sum()
+        out_q[name] = np.einsum("fq,fqi,fi->", fq.weights, fq.interpolate(state.velocity),
+                                fq.normals)
+        out_p[name] = np.sum(fq.weights * fq.interpolate(state.pressure)) / fq.areas.sum()
     return out_q, out_p
 
 
@@ -508,6 +477,7 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")
+    check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     if config is None:
         config = SolverConfig(eps_ls=0.05)
     steps_per_cycle = int(round(case.period / case.dt))

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mesh import Mesh, quadrature_rule, shape_values
+from .mesh import Mesh, c_i_for, quadrature_rule, shape_values
 from .spectral import convolution_dense, n_coeffs
 
 __all__ = [
@@ -176,7 +176,7 @@ def diagnostics(case, mesh: Mesh, velocity=None) -> DiagnosticNumbers:
     kappa = getattr(case, "kappa", None)
     if kappa is None:
         kappa = case.mu / case.rho
-    c_i = case.c_i_for(mesh) if hasattr(case, "c_i_for") else case.c_i
+    c_i = c_i_for(mesh.elem_type, case.c_i)
     n = case.n_modes
     if velocity is None:
         velocity = case.velocity

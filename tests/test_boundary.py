@@ -1,0 +1,192 @@
+from typing import Dict
+
+import numpy as np
+import pytest
+
+from tsfem.boundary import NodalValues, check_groups, resolve_dirichlet
+from tsfem.mesh import generate_bent_channel_tet, generate_rect_tri
+from tsfem.navier_stokes import NSCase, parabolic_inflow, resolve_ns_dirichlet
+from tsfem.scalar import ScalarCase, resolve_scalar_dirichlet
+from tsfem.spectral import SpectralCoeffs, modes_from_real, n_coeffs, symmetrize_modes
+from tsfem.time_domain import TimeCase
+
+RNG = np.random.default_rng(4242)
+
+
+# ---------------------------------------------------------------------------
+# the per-node resolvers, kept as the oracle for the shared merge
+# ---------------------------------------------------------------------------
+
+def oracle_resolve_ns_dirichlet(case, mesh):
+    """Dirichlet node ids and (K, dim, 2N-1) values; walls override."""
+    m = n_coeffs(case.n_modes)
+    dim = mesh.dim
+    values: Dict[int, np.ndarray] = {}
+
+    def store(nodes, vals):
+        for node, v in zip(nodes, vals):
+            values[int(node)] = np.stack([symmetrize_modes(v[i]) for i in range(dim)])
+
+    for name, data in case.dirichlet.items():
+        if isinstance(data, NodalValues):
+            store(data.nodes, np.asarray(data.values, dtype=complex))
+            continue
+        nodes = np.unique(mesh.facet_groups[name].nodes)
+        if callable(data):
+            vals = np.asarray(data(mesh.coords[nodes]), dtype=complex)
+            if vals.shape != (nodes.size, dim, m):
+                raise ValueError(f"dirichlet callable for {name!r} returned {vals.shape}")
+        else:
+            arr = np.asarray(data, dtype=complex)
+            if arr.shape != (dim, m):
+                raise ValueError(f"expected ({dim}, {m}) modes for group {name!r}")
+            vals = np.tile(arr, (nodes.size, 1, 1))
+        store(nodes, vals)
+    for name in case.walls:
+        nodes = np.unique(mesh.facet_groups[name].nodes)
+        store(nodes, np.zeros((nodes.size, dim, m), dtype=complex))
+    node_ids = np.array(sorted(values), dtype=int)
+    vals = (np.array([values[i] for i in node_ids]) if node_ids.size
+            else np.zeros((0, dim, m), dtype=complex))
+    return node_ids, vals
+
+
+def _oracle_bc_values(data, coords, m):
+    if isinstance(data, SpectralCoeffs):
+        data = data.values
+    if callable(data):
+        vals = np.asarray(data(coords), dtype=complex)
+        if vals.shape != (coords.shape[0], m):
+            raise ValueError(f"boundary callable returned shape {vals.shape}")
+        return vals
+    vals = np.asarray(data, dtype=complex)
+    if vals.shape != (m,):
+        raise ValueError(f"expected {m} modes of boundary data, got shape {vals.shape}")
+    return np.tile(vals, (coords.shape[0], 1))
+
+
+def oracle_resolve_scalar_dirichlet(case, mesh):
+    """Dirichlet node ids and per-node mode values; later groups override."""
+    m = n_coeffs(case.n_modes)
+    values: Dict[int, np.ndarray] = {}
+    for name, data in case.dirichlet.items():
+        fg = mesh.facet_groups[name]
+        nodes = np.unique(fg.nodes)
+        vals = _oracle_bc_values(data, mesh.coords[nodes], m)
+        for node, v in zip(nodes, vals):
+            values[int(node)] = symmetrize_modes(v)
+    node_ids = np.array(sorted(values), dtype=int)
+    vals = np.array([values[i] for i in node_ids]) if node_ids.size else np.zeros((0, m), complex)
+    return node_ids, vals
+
+
+def oracle_resolve_time_dirichlet(case, mesh, t):
+    values: Dict[int, np.ndarray] = {}
+    for name, data in case.dirichlet.items():
+        nodes = np.unique(mesh.facet_groups[name].nodes)
+        vals = np.asarray(data(mesh.coords[nodes], t), dtype=float)
+        if vals.shape != (nodes.size, mesh.dim):
+            raise ValueError(f"dirichlet callable for {name!r} returned {vals.shape}")
+        for node, v in zip(nodes, vals):
+            values[int(node)] = v
+    for name in case.walls:
+        for node in np.unique(mesh.facet_groups[name].nodes):
+            values[int(node)] = np.zeros(mesh.dim)
+    node_ids = np.array(sorted(values), dtype=int)
+    vals = (np.array([values[i] for i in node_ids]) if node_ids.size
+            else np.zeros((0, mesh.dim)))
+    return node_ids, vals
+
+
+def assert_identical(got, ref):
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        np.testing.assert_array_equal(g, r)
+
+
+def near_symmetric(shape, rng=RNG):
+    """Modes with a small conjugate-symmetry defect, so symmetrizing matters."""
+    return modes_from_real(rng.standard_normal(shape)) + 1e-3 * rng.standard_normal(shape)
+
+
+def near_symmetric_field(shape, dim=2):
+    """A callable of the coordinates (P, dim) -> (P,) + shape, affine, near-symmetric."""
+    base, slope = near_symmetric(shape), near_symmetric((dim,) + shape)
+    return lambda x: base + np.tensordot(x, slope, axes=1)
+
+
+class TestSharedMerge:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_ns_bent_channel_inflow_and_walls(self, n_modes):
+        # NodalValues inflow, walls overriding it on the inlet rim
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (6, 2, 2), bend_angle=1.0)
+        flow = SpectralCoeffs(n_modes, modes_from_real(RNG.standard_normal(n_coeffs(n_modes))))
+        case = NSCase(rho=1.0, mu=0.1, omega=2.0, n_modes=n_modes,
+                      dirichlet={"xmin": parabolic_inflow(mesh, "xmin", flow)},
+                      walls=["ymin", "ymax", "zmin", "zmax"])
+        assert_identical(resolve_ns_dirichlet(case, mesh),
+                         oracle_resolve_ns_dirichlet(case, mesh))
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_ns_later_group_and_wall_override(self, n_modes):
+        mesh = generate_rect_tri((1.0, 1.0), (4, 3))
+        m = n_coeffs(n_modes)
+        nodal = np.unique(mesh.facet_groups["xmax"].nodes)
+        # ymin shares a corner with xmin and xmax; the xmax NodalValues
+        # repeat a node, whose last entry wins; the ymax wall overrides
+        # xmin and xmax at their upper corners
+        nodes = np.r_[nodal, nodal[:1]]
+        case = NSCase(rho=1.0, mu=0.1, omega=1.0, n_modes=n_modes,
+                      dirichlet={"xmin": near_symmetric((2, m)),
+                                 "ymin": near_symmetric_field((2, m)),
+                                 "xmax": NodalValues(nodes, near_symmetric((nodes.size, 2, m)))},
+                      walls=["ymax"])
+        assert_identical(resolve_ns_dirichlet(case, mesh),
+                         oracle_resolve_ns_dirichlet(case, mesh))
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_scalar_later_group_override(self, n_modes):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        m = n_coeffs(n_modes)
+        case = ScalarCase(kappa=0.1, omega=1.0, n_modes=n_modes,
+                          velocity=np.zeros((mesh.n_nodes, 2, m)),
+                          dirichlet={"xmin": near_symmetric(m),
+                                     "ymin": near_symmetric_field((m,)),
+                                     "xmax": SpectralCoeffs(n_modes, modes_from_real(
+                                         RNG.standard_normal(m)))})
+        assert_identical(resolve_scalar_dirichlet(case, mesh),
+                         oracle_resolve_scalar_dirichlet(case, mesh))
+
+    def test_time_domain_later_group_and_wall_override(self):
+        mesh = generate_rect_tri((1.0, 1.0), (4, 3))
+        case = TimeCase(rho=1.0, mu=0.1, period=1.0, n_cycles=2, dt=0.1,
+                        dirichlet={"xmin": lambda x, t: np.cos(t) * x + 1.0,
+                                   "ymin": lambda x, t: np.sin(t) * x[:, ::-1]},
+                        walls=["ymax", "xmax"])
+        got = resolve_dirichlet(mesh, case.dirichlet, case.walls, (2,), 0.3, dtype=float)
+        assert_identical(got, oracle_resolve_time_dirichlet(case, mesh, 0.3))
+
+    def test_empty(self):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        nodes, vals = resolve_dirichlet(mesh, {}, [], (2, 3))
+        assert nodes.shape == (0,) and vals.shape == (0, 2, 3) and vals.dtype == complex
+
+    def test_wrong_shape_names_the_group(self):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        with pytest.raises(ValueError, match="group 'xmin'"):
+            resolve_dirichlet(mesh, {"xmin": np.zeros((2, 4))}, [], (2, 3))
+        with pytest.raises(ValueError, match="group 'ymin'"):
+            resolve_dirichlet(mesh, {"ymin": lambda x: np.zeros((1, 2, 3))}, [], (2, 3))
+
+
+class TestCheckGroups:
+    def test_unknown_group(self):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        with pytest.raises(ValueError, match="unknown facet group 'bogus'"):
+            check_groups(mesh, dirichlet=["xmin"], neumann=["bogus"])
+
+    def test_group_in_two_roles(self):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        with pytest.raises(ValueError, match="'xmin' assigned to both dirichlet and wall"):
+            check_groups(mesh, dirichlet=["xmin"], wall=["ymin", "xmin"])
+        check_groups(mesh, dirichlet=["xmin"], wall=["ymin"], neumann=["xmax"])

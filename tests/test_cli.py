@@ -1,4 +1,5 @@
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,29 @@ class TestSweep:
         for r in rows:
             assert r["flow_error"] <= 2 * r["truncation"] + 0.01
 
+
+    @pytest.mark.parametrize("zero_flow", [False, True])
+    def test_mode_sweep_truncation_is_build_case_truncation(self, tmp_path, zero_flow):
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["modes"] = [1, 2]
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        case_block = study["study"]["case"]
+        case_block["mesh"]["resolution"] = [3, 2, 2]
+        inlet = case_block["bcs"]["inlet"]
+        if zero_flow:
+            inlet["flow_samples"] = [0.0] * len(inlet["flow_samples"])
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        with warnings.catch_warnings():
+            # a zero reference flow leaves the relative flow error undefined
+            warnings.simplefilter("ignore" if zero_flow else "default", RuntimeWarning)
+            table = sweep(path, tmp_path / "out")
+        mesh = build_mesh(case_block["mesh"])
+        for row in table["rows"]:
+            physics = dict(case_block["physics"], n_modes=row["n_modes"])
+            _, info = build_case(CaseConfig(physics, case_block["mesh"], case_block["bcs"]), mesh)
+            assert row["truncation"] == info["truncation"]["inlet"]
+            assert (row["truncation"] == 0.0) == zero_flow
 
     def test_mode_sweep_reports_time_reference_failures(self, tmp_path, monkeypatch):
         study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())

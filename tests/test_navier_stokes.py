@@ -14,8 +14,10 @@ from tsfem.linsolve import (
     from_real,
     rhs_to_real,
 )
+from tsfem.boundary import check_groups
 from tsfem.mesh import (
     Mesh,
+    c_i_for,
     facet_quadrature,
     generate_bent_channel_tet,
     generate_box_tet,
@@ -24,8 +26,6 @@ from tsfem.mesh import (
     shape_values,
 )
 from tsfem.navier_stokes import (
-    _check_groups,
-    _neumann_modes,
     NSCase,
     NSState,
     assemble_ns_residual,
@@ -175,6 +175,15 @@ class TestResidual:
         with pytest.raises(ValueError, match="xmax"):
             assemble_ns_residual(case, mesh, state)
 
+    def test_non_symmetric_neumann_data_rejected(self):
+        # the real-basis assembly reads modes n >= 0 only: the rest is checked
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        case = poiseuille_case(n_modes=2, omega=1.0)
+        case.neumann["xmax"] = np.array([0.3 + 0.1j, 0.0, 0.0], dtype=complex)
+        state = NSState.zeros(mesh.n_nodes, 2, 2)
+        with pytest.raises(ValueError, match="Neumann data of group 'xmax' violates"):
+            assemble_ns_residual(case, mesh, state)
+
 
 class TestTangent:
     def test_zero_velocity_hermitian_part_positive(self):
@@ -260,13 +269,13 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
     gab I, the pressure block gab/rho (sum_q w_q tau), and the scalar
     gradient/divergence blocks.
     """
-    _check_groups(case, mesh)
+    check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     if coeff_state is None:
         coeff_state = state
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
     rho, mu = case.rho, case.mu
-    c_i = case.c_i_for(mesh)
+    c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
@@ -366,7 +375,7 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
 
     if need_residual:
         for name, data in case.neumann.items():
-            h_modes = _neumann_modes(data, m)
+            h_modes = _oracle_neumann_modes(data, m)
             fq = facet_quadrature(mesh, name)
             r_el = -np.einsum("fq,qa,fi,r->fair", fq.weights, fq.shape, fq.normals, h_modes)
             np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
@@ -388,6 +397,15 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
             d_full=block_to_real(d_c) + _oracle_diag_expand(d_scal, n_half) if exact_gd else None,
         )
     return resid, tangent
+
+
+def _oracle_neumann_modes(data, m: int) -> np.ndarray:
+    if isinstance(data, SpectralCoeffs):
+        data = data.values
+    vals = np.asarray(data, dtype=complex)
+    if vals.shape != (m,):
+        raise ValueError(f"expected {m} Neumann modes, got shape {vals.shape}")
+    return vals
 
 
 def _oracle_diag_expand(scal: np.ndarray, n_half: int) -> np.ndarray:

@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
 
-from tsfem.linsolve import SolverConfig
-from tsfem.mesh import generate_interval, generate_rect_tri
+from tsfem.boundary import check_groups
+from tsfem.linsolve import (
+    BlockMatrix,
+    SolverConfig,
+    assembly_context,
+    block_from_orthonormal,
+    block_to_real,
+    build_graph,
+    check_block_symmetry,
+    rhs_from_orthonormal,
+    rhs_to_real,
+)
+from tsfem.mesh import (
+    c_i_for,
+    facet_quadrature,
+    generate_interval,
+    generate_rect_tri,
+    quadrature_rule,
+    shape_values,
+)
 from tsfem.scalar import (
     CoercivityReport,
     ScalarCase,
@@ -11,7 +29,17 @@ from tsfem.scalar import (
     resolve_scalar_dirichlet,
     solve_scalar,
 )
-from tsfem.spectral import check_conjugate_symmetry, n_coeffs
+from tsfem.spectral import (
+    SpectralCoeffs,
+    build_omega,
+    check_conjugate_symmetry,
+    convolution_dense,
+    modes_from_real,
+    modes_to_real,
+    n_coeffs,
+    negative_part_batch,
+    tau_from_modes,
+)
 from tsfem.verification import exact_steady_advection_diffusion_1d
 
 RNG = np.random.default_rng(99)
@@ -59,9 +87,9 @@ class TestAssembleScalar:
         case = ScalarCase(kappa=0.3, omega=2.0, n_modes=3,
                           velocity=uniform_velocity(mesh.n_nodes, 1, vel),
                           dirichlet={"left": const, "right": const})
-        sys_c, rhs = assemble_scalar(case, mesh)
-        y = np.tile(const, (mesh.n_nodes, 1))
-        resid = sys_c.matvec(y.ravel()).reshape(mesh.n_nodes, m) - rhs
+        sys_r, rhs = assemble_scalar(case, mesh)
+        y = modes_to_real(np.tile(const, (mesh.n_nodes, 1)))
+        resid = sys_r.matvec(y.ravel()).reshape(mesh.n_nodes, m) - rhs
         assert np.max(np.abs(resid)) < 1e-13
 
     def test_steady_supg_stencil(self):
@@ -142,17 +170,18 @@ class TestSolveScalar:
                           dirichlet={"left": np.zeros(m, complex), "right": g})
         sol = solve_scalar(case, mesh)
 
-        # dense direct solve with Dirichlet rows replaced by identity
-        sys_c, rhs = assemble_scalar(case, mesh)
-        dense = sys_c.to_dense()
+        # dense direct solve in real mode coordinates with Dirichlet rows
+        # replaced by identity
+        sys_r, rhs = assemble_scalar(case, mesh)
+        dense = sys_r.to_dense()
         b = rhs.ravel().copy()
         nodes, vals = resolve_scalar_dirichlet(case, mesh)
-        for node, val in zip(nodes, vals):
+        for node, val in zip(nodes, modes_to_real(vals)):
             sl = slice(node * m, (node + 1) * m)
             dense[sl, :] = 0.0
             dense[sl, sl] = np.eye(m)
             b[sl] = val
-        ref = np.linalg.solve(dense, b).reshape(mesh.n_nodes, m)
+        ref = modes_from_real(np.linalg.solve(dense, b).reshape(mesh.n_nodes, m))
         assert np.max(np.abs(sol - ref)) < 1e-9
 
     def test_solution_conjugate_symmetric(self):
@@ -255,6 +284,241 @@ class TestCoercivityProbe:
         k0, _ = assemble_scalar(case0, mesh)
         k1, _ = assemble_scalar(case1, mesh)
         for _ in range(5):
-            w = self._admissible(case0, mesh).ravel()
-            added = np.vdot(w, k1.matvec(w) - k0.matvec(w)).real
+            r = modes_to_real(self._admissible(case0, mesh)).ravel()
+            added = r @ (k1.matvec(r) - k0.matvec(r))
             assert added >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the complex-mode assembly, kept as the oracle for the real-basis one
+# ---------------------------------------------------------------------------
+
+def _oracle_bc_values(data, coords, m):
+    """Per-node (n, m) complex values from uniform data or a callable."""
+    if isinstance(data, SpectralCoeffs):
+        data = data.values
+    if callable(data):
+        vals = np.asarray(data(coords), dtype=complex)
+        if vals.shape != (coords.shape[0], m):
+            raise ValueError(f"boundary callable returned shape {vals.shape}")
+        return vals
+    vals = np.asarray(data, dtype=complex)
+    if vals.shape != (m,):
+        raise ValueError(f"expected {m} modes of boundary data, got shape {vals.shape}")
+    return np.tile(vals, (coords.shape[0], 1))
+
+
+def _oracle_velocity_at(case, mesh, elems, shape_q, points):
+    """Velocity modes at quadrature points of the given elements, (E, dim, M)."""
+    if callable(case.velocity):
+        return np.asarray(case.velocity(points), dtype=complex)
+    vel = np.asarray(case.velocity, dtype=complex)
+    return np.einsum("a,eadm->edm", shape_q, vel[elems])
+
+
+def complex_assemble_scalar_oracle(case, mesh):
+    """A literal copy of the scalar assembly in the complex +-n mode layout.
+
+    Returns (BlockMatrix with (2N-1)^2 complex blocks, rhs (n_nodes, 2N-1)).
+    Per element chunk, the integrands are summed over the quadrature
+    points and scattered once through the mesh's cached sorted plan; the
+    geometry-only Galerkin terms N_A N_B Omega and kappa gab are formed
+    from sum_q w_q N_A N_B and the element volume.
+    """
+    check_groups(mesh, dirichlet=case.dirichlet, neumann=case.neumann)
+    n, m = case.n_modes, n_coeffs(case.n_modes)
+    c_i = c_i_for(mesh.elem_type, case.c_i)
+    ed = mesh.element_data()
+    ctx = assembly_context(mesh, build_graph)
+    rule = quadrature_rule(mesh.elem_type)
+    shp = shape_values(mesh.elem_type, rule.points)
+    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+    blocks = np.zeros((ctx.rows.shape[0], m, m), dtype=complex)
+    rhs = np.zeros((mesh.n_nodes, m), dtype=complex)
+    omega_mat = build_omega(n, case.omega)
+    eye = np.eye(m)
+
+    for sl, node_seg, edge_seg in ctx.chunks:
+        elems = mesh.elements[sl]
+        grads = ed.grads[sl]
+        detj = ed.detj[sl]
+        metric = ed.metric[sl]
+        xe = mesh.coords[elems]
+        gab = np.einsum("eai,ebi->eab", grads, grads)
+        vol = detj * rule.weights.sum()
+        k_el = ((detj[:, None, None] * nn_ref)[..., None, None] * omega_mat
+                + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
+        r_el = np.zeros(elems.shape + (m,), dtype=complex)
+        for q in range(rule.n_points):
+            w = rule.weights[q] * detj                       # (E,)
+            points = np.einsum("a,eai->ei", shp[q], xe)
+            uq = _oracle_velocity_at(case, mesh, elems, shp[q], points)
+            conv = convolution_dense(uq, n)                  # (E, dim, M, M)
+            a_dir = np.einsum("ead,edrc->earc", grads, conv)  # (E, nen, M, M)
+            k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
+            if not case.galerkin_only:
+                tau = tau_from_modes(uq, metric, case.kappa, c_i, n)
+                weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
+                p_a = np.matmul(weight, tau[:, None])        # (E, nen, M, M)
+                trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
+                k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
+            k_el += w[:, None, None, None, None] * k_q
+            if case.source is not None:
+                s = np.asarray(case.source(points), dtype=complex)  # (E, M)
+                r_q = np.einsum("a,em->eam", shp[q], s)
+                if not case.galerkin_only:
+                    r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
+                r_el += w[:, None, None] * r_q
+        edge_seg.add_to(blocks, k_el.reshape(-1, m, m))
+        if case.source is not None:
+            node_seg.add_to(rhs, r_el.reshape(-1, m))
+
+    # Neumann flux data
+    for name, data in case.neumann.items():
+        fq = facet_quadrature(mesh, name)
+        hvals = _oracle_bc_values(data, mesh.coords[fq.nodes.ravel()], m)
+        hvals = hvals.reshape(fq.nodes.shape + (m,))
+        r_el = np.einsum("fq,qa,qb,fbm->fam", fq.weights, fq.shape, fq.shape, hvals)
+        np.add.at(rhs, fq.nodes.ravel(), r_el.reshape(-1, m))
+
+    # boundary eigenvalue correction where flow enters a Neumann boundary
+    if case.backflow_beta > 0.0:
+        _oracle_add_scalar_backflow(case, mesh, ctx, blocks)
+
+    return BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes), rhs
+
+
+def _oracle_facet_velocity(case, mesh, fq, q):
+    if callable(case.velocity):
+        return np.asarray(case.velocity(fq.points[:, q]), dtype=complex)
+    vel = np.asarray(case.velocity, dtype=complex)
+    return np.einsum("a,fadm->fdm", fq.shape[q], vel[fq.nodes])
+
+
+def _oracle_add_scalar_backflow(case, mesh, ctx, blocks):
+    n, m = case.n_modes, n_coeffs(case.n_modes)
+    for name in case.neumann:
+        fq = facet_quadrature(mesh, name)
+        k = fq.nodes.shape[1]
+        k_el = np.zeros(fq.nodes.shape + (k, m, m), dtype=complex)
+        for q in range(fq.shape.shape[0]):
+            uq = _oracle_facet_velocity(case, mesh, fq, q)
+            un = np.einsum("fdm,fd->fm", uq, fq.normals)
+            an_neg = negative_part_batch(convolution_dense(un, n))
+            coeff = -0.5 * case.backflow_beta * fq.weights[:, q]
+            k_el += np.einsum("f,a,b,frc->fabrc", coeff, fq.shape[q], fq.shape[q], an_neg)
+        np.add.at(blocks, ctx.edge_ids(fq.nodes), k_el.reshape(-1, m, m))
+
+
+def linear_mode_field(rng, shape, dim):
+    """Conjugate-symmetric modes affine in the coordinates: pts (P, dim) -> (P,) + shape."""
+    base = rng.standard_normal(shape)
+    slope = rng.standard_normal((dim,) + shape)
+    return lambda pts: modes_from_real(base + np.tensordot(pts, slope, axes=1))
+
+
+def oracle_case(dim, n_modes, galerkin_only, callable_velocity, beta=0.5):
+    """A case with source, uniform and callable Neumann data and backflow on a small mesh."""
+    rng = np.random.default_rng(100 * dim + 10 * n_modes + callable_velocity)
+    m = n_coeffs(n_modes)
+    if dim == 1:
+        mesh = generate_interval(1.0, 5)
+        dirichlet = {"left": modes_from_real(rng.standard_normal(m))}
+        neumann = {"right": modes_from_real(rng.standard_normal(m))}
+    else:
+        mesh = generate_rect_tri((1.0, 0.8), (3, 2))
+        dirichlet = {"xmin": modes_from_real(rng.standard_normal(m)),
+                     "ymin": linear_mode_field(rng, (m,), dim)}
+        neumann = {"xmax": SpectralCoeffs(n_modes, modes_from_real(rng.standard_normal(m))),
+                   "ymax": linear_mode_field(rng, (m,), dim)}
+    if callable_velocity:
+        velocity = linear_mode_field(rng, (dim, m), dim)
+    else:
+        velocity = modes_from_real(rng.standard_normal((mesh.n_nodes, dim, m)))
+    case = ScalarCase(kappa=1.0, omega=0.9, n_modes=n_modes, velocity=velocity,
+                      dirichlet=dirichlet, neumann=neumann, backflow_beta=beta,
+                      source=linear_mode_field(rng, (m,), dim), galerkin_only=galerkin_only)
+    return case, mesh
+
+
+def assert_close(got, ref, name):
+    scale = np.max(np.abs(ref))
+    assert scale > 0.0, name
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
+
+
+class TestRealBasisAssembly:
+    """The real-basis assembly against the complex-mode oracle above."""
+
+    @pytest.mark.parametrize("callable_velocity", [False, True])
+    @pytest.mark.parametrize("galerkin_only", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_matches_complex_oracle(self, n_modes, dim, galerkin_only, callable_velocity):
+        case, mesh = oracle_case(dim, n_modes, galerkin_only, callable_velocity)
+        ref_sys, ref_rhs = complex_assemble_scalar_oracle(case, mesh)
+        assert check_block_symmetry(ref_sys.blocks) <= 1e-12
+        got_sys, got_rhs = assemble_scalar(case, mesh)
+        np.testing.assert_array_equal(got_sys.rows, ref_sys.rows)
+        np.testing.assert_array_equal(got_sys.cols, ref_sys.cols)
+        free = np.r_[0, np.arange(2, 2 * n_modes)]   # slot 1 is the pinned steady imag
+        got_l = block_from_orthonormal(got_sys.blocks, 1.0)
+        assert_close(got_l[..., free[:, None], free],
+                     block_to_real(ref_sys.blocks)[..., free[:, None], free], "blocks")
+        assert_close(rhs_from_orthonormal(got_rhs)[..., free],
+                     rhs_to_real(ref_rhs)[..., free], "rhs")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_backflow_term_is_covered(self, dim):
+        # the oracle cases have flow entering through their Neumann groups
+        case, mesh = oracle_case(dim, 3, False, False)
+        no_backflow, _ = oracle_case(dim, 3, False, False, beta=0.0)
+        with_bf, _ = complex_assemble_scalar_oracle(case, mesh)
+        without, _ = complex_assemble_scalar_oracle(no_backflow, mesh)
+        assert np.max(np.abs(with_bf.blocks - without.blocks)) > 1e-3
+
+
+class TestSymmetryAtInput:
+    """Data that enters the real-basis assembly is checked for conjugate symmetry."""
+
+    @staticmethod
+    def _broken(values):
+        values = np.array(values, dtype=complex)
+        values[..., 0] += 0.5   # mode -N+1 no longer conj(mode N-1)
+        return values
+
+    def test_nodal_velocity_rejected(self):
+        case, _ = oracle_case(1, 2, False, False)
+        with pytest.raises(ValueError, match="nodal velocity violates conjugate symmetry"):
+            ScalarCase(kappa=0.3, omega=1.0, n_modes=2, velocity=self._broken(case.velocity),
+                       dirichlet=case.dirichlet)
+
+    def test_velocity_callable_rejected(self):
+        case, mesh = oracle_case(2, 2, False, True)
+        velocity = case.velocity
+        case.velocity = lambda pts: self._broken(velocity(pts))
+        with pytest.raises(ValueError, match="velocity callable output violates"):
+            assemble_scalar(case, mesh)
+
+    def test_source_callable_rejected(self):
+        case, mesh = oracle_case(1, 2, False, False)
+        source = case.source
+        case.source = lambda pts: self._broken(source(pts))
+        with pytest.raises(ValueError, match="source callable output violates"):
+            assemble_scalar(case, mesh)
+
+    @pytest.mark.parametrize("group", ["xmax", "ymax"])   # uniform and callable data
+    def test_neumann_data_rejected(self, group):
+        case, mesh = oracle_case(2, 3, False, False)
+        data = case.neumann[group]
+        case.neumann[group] = (self._broken(data.values) if group == "xmax"
+                               else lambda pts: self._broken(data(pts)))
+        with pytest.raises(ValueError, match=f"Neumann data of group '{group}' violates"):
+            assemble_scalar(case, mesh)
+
+    def test_probe_field_rejected(self):
+        case, mesh = oracle_case(1, 2, False, False, beta=0.0)
+        w = np.zeros((mesh.n_nodes, n_coeffs(2)), dtype=complex)
+        w[2, 0] = 1.0
+        with pytest.raises(ValueError, match="probe field violates"):
+            coercivity_probe(case, mesh, w)

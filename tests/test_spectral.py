@@ -20,6 +20,8 @@ from tsfem.spectral import (
     modes_to_real,
     negative_part_batch,
     real_basis,
+    require_conjugate_symmetry,
+    symmetrize_modes,
     tau_from_modes,
 )
 import tsfem.spectral_real as spectral_real
@@ -73,6 +75,41 @@ class TestFourierCoefficients:
         samples = RNG.standard_normal(40)
         c = fourier_coefficients(samples, 5)
         assert check_conjugate_symmetry(c.values) == 0.0
+
+
+class TestBatchedSymmetry:
+    """Leading axes of symmetrize_modes and check_conjugate_symmetry are batch axes."""
+
+    def test_symmetric_rows_have_no_defect(self):
+        rows = np.array([[1 - 2j, 3.0, 1 + 2j], [0.5j, -1.0, -0.5j]])
+        assert check_conjugate_symmetry(rows) == 0.0
+        np.testing.assert_array_equal(symmetrize_modes(rows), rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_modes=st.integers(1, 5), batch=st.lists(st.integers(1, 3), max_size=2),
+           symmetric=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_loop(self, n_modes, batch, symmetric, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(batch) + (2 * n_modes - 1,)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if symmetric:
+            values = modes_from_real(modes_to_real(values))
+        rows = values.reshape(-1, shape[-1])
+        loop_sym = np.array([symmetrize_modes(row) for row in rows]).reshape(shape)
+        np.testing.assert_array_equal(symmetrize_modes(values), loop_sym)
+        # the batched defect is relative to the largest coefficient of the array
+        abs_defects = [check_conjugate_symmetry(row) * np.max(np.abs(row)) for row in rows]
+        ref = max(abs_defects) / np.max(np.abs(values))
+        assert check_conjugate_symmetry(values) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        if symmetric:
+            assert check_conjugate_symmetry(values) == 0.0
+
+    def test_require_names_the_input(self):
+        values = np.array([[1.0, 2.0, 1.0], [1.0, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="my data violates conjugate symmetry"):
+            require_conjugate_symmetry(values, "my data")
+        out = require_conjugate_symmetry(values[:1], "my data")
+        assert out.dtype == complex
 
 
 class TestEvaluateInTime:

@@ -10,6 +10,7 @@ from tsfem.cli import _time_reference_case
 from tsfem.config import config_from_mapping
 from tsfem.linsolve import GmresResult, SolverConfig, build_graph
 from tsfem.mesh import (
+    c_i_for,
     facet_quadrature,
     generate_bent_channel_tet,
     generate_rect_tri,
@@ -274,7 +275,7 @@ def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m
     """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
-    c_i = case.c_i_for(mesh)
+    c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)
