@@ -53,6 +53,14 @@ __all__ = ["RunSummary", "run_case", "run", "sweep", "main"]
 
 @dataclass
 class RunSummary:
+    """What summary.yaml records of one run.
+
+    For flow cases, residuals holds the residual norm before each Newton
+    step, and pseudo_dts and linear_iters the pseudo step and GMRES
+    matvecs of each update; linear_unconverged counts the updates GMRES
+    left above eps_ls.
+    """
+
     kind: str
     converged: bool
     steps: int
@@ -64,17 +72,37 @@ class RunSummary:
     truncation: Dict[str, float] = field(default_factory=dict)
     field_range: Optional[List[float]] = None
     outputs: List[str] = field(default_factory=list)
+    pseudo_dts: List[float] = field(default_factory=list)
+    linear_iters: List[int] = field(default_factory=list)
+    linear_unconverged: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind, "converged": bool(self.converged),
             "steps": int(self.steps),
             "residuals": [float(r) for r in self.residuals],
+            "pseudo_dts": [float(dt) for dt in self.pseudo_dts],
+            "linear_iters": [int(n) for n in self.linear_iters],
+            "linear_unconverged": int(self.linear_unconverged),
             "wall_time": float(self.wall_time),
             "alpha": float(self.alpha), "beta": float(self.beta),
             "flows": self.flows, "truncation": self.truncation,
             "field_range": self.field_range, "outputs": self.outputs,
         }
+
+    def step_table(self) -> str:
+        """One line per Newton step: residual, pseudo_dt and GMRES matvecs.
+
+        The last step of a converged run made no update and shows "-".
+        """
+        lines = [f"{'step':>4}  {'residual':>10}  {'pseudo_dt':>10}  {'matvecs':>7}"]
+        for k, r in enumerate(self.residuals):
+            if k < len(self.pseudo_dts):
+                lines.append(f"{k:>4}  {r:>10.3e}  {self.pseudo_dts[k]:>10.3e}  "
+                             f"{self.linear_iters[k]:>7d}")
+            else:
+                lines.append(f"{k:>4}  {r:>10.3e}  {'-':>10}  {'-':>7}")
+        return "\n".join(lines)
 
 
 def _modes_as_rows(values: np.ndarray) -> List[List[float]]:
@@ -138,7 +166,9 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
         summary = RunSummary("ns", result.converged, result.steps,
                              result.residuals, time.perf_counter() - t0,
                              diag.alpha, diag.beta, flows,
-                             info.get("truncation", {}), None, outputs)
+                             info.get("truncation", {}), None, outputs,
+                             result.pseudo_dts, result.linear_iters,
+                             result.linear_unconverged)
     else:
         sol = solve_scalar(case, mesh, solver_config)
         diag = diagnostics(case, mesh)
@@ -241,7 +271,9 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     The base case must drive a parabolic inflow by flow_samples; the same
     waveform feeds the time solver, and the outlet-flow error of each
     spectral solve is tabulated against the inflow truncation error that its
-    run reports (the one build_case computes).
+    run reports (the one build_case computes), with its Newton steps.  A
+    reference flow that is zero throughout gives flow_error 0, as a zero
+    inflow gives truncation 0.
     The table also records the time reference's Newton work: newton_failures,
     its steps whose Newton loop did not converge (a nonzero count is warned
     about), and the total and per-step maximum of its Newton iterations.
@@ -281,9 +313,11 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
         coeffs = SpectralCoeffs.from_positive_modes(flow_modes[:, 0] + 1j * flow_modes[:, 1])
         q_spec = np.array([evaluate_field_in_time(coeffs.values, t, omega)
                            for t in t_ref])
-        err = float(np.linalg.norm(q_spec - q_ref_cycle) / np.linalg.norm(q_ref_cycle))
+        scale = np.linalg.norm(q_ref_cycle)
+        err = float(np.linalg.norm(q_spec - q_ref_cycle) / scale) if scale > 0 else 0.0
         rows.append({"n_modes": n, "truncation": summary.truncation[inflow_name],
-                     "flow_error": err, "converged": bool(summary.converged)})
+                     "flow_error": err, "converged": bool(summary.converged),
+                     "steps": int(summary.steps)})
 
     table = {"kind": "mode_sweep", "group": group, "rows": rows,
              "cycle_change": [float(c) for c in tres.cycle_change],
@@ -392,6 +426,8 @@ def main(argv=None) -> int:
             summary = run(args.config, args.output_dir)
             if args.verbose:
                 print(yaml.safe_dump(summary.to_dict(), sort_keys=True))
+                if summary.kind == "ns":
+                    print(summary.step_table())
             else:
                 print(f"converged={summary.converged} steps={summary.steps} "
                       f"alpha={summary.alpha:.3g} beta={summary.beta:.3g}")
@@ -419,6 +455,7 @@ def main(argv=None) -> int:
                       else config_from_mapping(raw))
             mesh = build_mesh(config.mesh)
             build_case(config, mesh)
+            build_solver_config(config.solver)
             print("configuration is valid")
             return 0
     except ConfigError as err:

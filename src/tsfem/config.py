@@ -294,7 +294,7 @@ def build_solver_config(solver_block: Dict[str, Any]) -> SolverConfig:
         pseudo = np.inf
     else:
         pseudo = float(pseudo)
-    return SolverConfig(
+    values = dict(
         eps_nr=float(block.get("eps_nr", 1e-3)),
         eps_ls=float(block.get("eps_ls", 0.05)),
         krylov_dim=int(block.get("krylov_dim", 100)),
@@ -302,3 +302,7 @@ def build_solver_config(solver_block: Dict[str, Any]) -> SolverConfig:
         pseudo_dt=pseudo,
         max_steps=int(block.get("max_steps", 200)),
     )
+    try:
+        return SolverConfig(**values)
+    except ValueError as err:   # the message starts with the field name
+        raise ConfigError([f"solver.{err}"]) from err

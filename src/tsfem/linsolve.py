@@ -71,8 +71,11 @@ class GmresConfig:
 class SolverConfig:
     """Nonlinear/linear solver parameters for the flow solvers.
 
-    pseudo_dt = inf disables pseudo-time stepping (plain Newton);
-    pseudo_dt = None selects a heuristic from the case time scales.
+    pseudo_dt is the initial pseudo-time step of the spectral solver, which
+    grows it as the residual falls; pseudo_dt = inf disables pseudo-time
+    stepping (plain Newton), and pseudo_dt = None selects the initial step
+    from the case time scales.  Each ValueError message starts with the
+    name of the field it rejects.
     """
 
     eps_nr: float = 1e-3
@@ -83,10 +86,16 @@ class SolverConfig:
     max_steps: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.eps_nr < 1.0 and 0.0 < self.eps_ls < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
+        for name in ("eps_nr", "eps_ls"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
         if self.krylov_dim < 2:
             raise ValueError("krylov_dim must be >= 2")
+        if self.pseudo_dt is not None and not self.pseudo_dt > 0.0:
+            raise ValueError("pseudo_dt must be positive (inf for plain Newton), "
+                             f"got {self.pseudo_dt!r}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
     def gmres_config(self) -> GmresConfig:
         return GmresConfig(self.krylov_dim, self.eps_ls, self.max_linear_iters)
@@ -117,26 +126,40 @@ def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Segments:
-    """Sorted reduction plan for scattering values onto repeated keys.
+    """Scatter plan for adding values onto repeated keys.
 
-    add_to(out, values) does np.add.at(out, keys, values) as one gather in
-    the stable sort order of the keys and one np.add.reduceat over the runs
-    of equal keys.
+    add_to(out, values) does np.add.at(out, keys, values) with one gather
+    per segment rank.  The distinct keys are ordered by their number of
+    values, most first, so the keys with more than k values are a prefix
+    of them; rank k gathers the k-th value (in key order) of each and adds
+    it to that prefix of an accumulator, which is added to out once.  Each
+    key's values are summed in their original order.
     """
 
-    order: np.ndarray   # stable sort order of the keys
-    starts: np.ndarray  # first sorted position of each distinct key
-    ids: np.ndarray     # the distinct keys, ascending
+    ids: np.ndarray  # distinct keys, by number of values, most first
+    ranks: tuple     # of (number of keys with more than k values, their k-th rows)
 
     @classmethod
     def of(cls, keys: np.ndarray) -> "Segments":
         keys = np.asarray(keys).ravel()
         order = np.argsort(keys, kind="stable")
-        starts = segment_starts(keys[order])
-        return cls(order, starts, keys[order][starts])
+        starts = segment_starts(keys[order])[:keys.size]   # no segment for no keys
+        counts = np.diff(np.r_[starts, keys.size])
+        by_count = np.argsort(-counts, kind="stable")
+        starts, counts = starts[by_count], counts[by_count]
+        ranks = []
+        for k in range(int(counts.max(initial=0))):
+            n_k = int(np.count_nonzero(counts > k))
+            ranks.append((n_k, order[starts[:n_k] + k]))
+        return cls(keys[order][starts], tuple(ranks))
 
     def add_to(self, out: np.ndarray, values: np.ndarray) -> None:
-        out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
+        if not self.ranks:
+            return
+        acc = values[self.ranks[0][1]]
+        for n_k, rows in self.ranks[1:]:
+            acc[:n_k] += values[rows]
+        out[self.ids] += acc
 
 
 _CHUNK = 2048  # elements per assembly chunk, bounds transient memory
@@ -148,24 +171,33 @@ class AssemblyContext:
 
     The elements are processed in chunks of at most _CHUNK; for each chunk
     the plan holds the Segments of its element-node keys (residual scatter)
-    and of its build_graph edge_of keys (tangent scatter).
+    and of its build_graph edge_of keys (tangent scatter).  edge_mass, when
+    the plan is built with the element mass matrices, is their sum onto the
+    edges: sum_e detj sum_q w_q N_A N_B per node pair.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     n_nodes: int
     chunks: tuple  # of (slice, node Segments, edge Segments)
+    edge_mass: Optional[np.ndarray] = None
 
     @classmethod
-    def build(cls, elements: np.ndarray, n_nodes: int, graph) -> "AssemblyContext":
-        """Plan for a connectivity and its build_graph output."""
+    def build(cls, elements: np.ndarray, n_nodes: int, graph,
+              element_mass: np.ndarray | None = None) -> "AssemblyContext":
+        """Plan for a connectivity, its build_graph output and optionally its mass."""
         rows, cols, edge_of = graph
         n_el = elements.shape[0]
         chunks = []
         for start in range(0, n_el, _CHUNK):
             sl = slice(start, min(start + _CHUNK, n_el))
             chunks.append((sl, Segments.of(elements[sl]), Segments.of(edge_of[sl])))
-        return cls(rows, cols, n_nodes, tuple(chunks))
+        edge_mass = None
+        if element_mass is not None:
+            edge_mass = np.zeros(rows.shape[0])
+            for sl, _, edge_seg in chunks:
+                edge_seg.add_to(edge_mass, element_mass[sl].ravel())
+        return cls(rows, cols, n_nodes, tuple(chunks), edge_mass)
 
     def edge_ids(self, nodes: np.ndarray) -> np.ndarray:
         """Edge index of every (nodes[f, a], nodes[f, b]) pair, in (f, a, b) order.
@@ -188,7 +220,8 @@ def assembly_context(mesh, graph_builder: Callable) -> AssemblyContext:
     """
     if mesh._assembly is None:
         mesh._assembly = AssemblyContext.build(
-            mesh.elements, mesh.n_nodes, graph_builder(mesh.elements, mesh.n_nodes))
+            mesh.elements, mesh.n_nodes, graph_builder(mesh.elements, mesh.n_nodes),
+            mesh.element_data().mass)
     return mesh._assembly
 
 
@@ -243,7 +276,7 @@ class BlockMatrix:
 # complex <-> real mapping
 # ---------------------------------------------------------------------------
 
-def check_block_symmetry(blocks: np.ndarray, tol: float = 1e-10) -> float:
+def check_block_symmetry(blocks: np.ndarray) -> float:
     """Relative defect of the mode-plane symmetry K[-m,-n] = conj(K[m,n])."""
     blocks = np.asarray(blocks)
     scale = np.max(np.abs(blocks)) if blocks.size else 0.0
@@ -359,10 +392,10 @@ def to_real(system: BlockMatrix, rhs: np.ndarray, tol: float = 1e-10):
     rhs has shape (n_nodes, 2N-1).  Systems violating the mode-plane
     symmetry beyond tol are rejected.
     """
-    defect = check_block_symmetry(system.blocks, tol)
+    defect = check_block_symmetry(system.blocks)
     if defect > tol:
         raise ValueError(f"block system violates conjugate symmetry (defect {defect:.3e})")
-    rdef = check_block_symmetry(np.asarray(rhs)[:, None, :], tol)  # same flip rule
+    rdef = check_block_symmetry(np.asarray(rhs)[:, None, :])  # same flip rule
     if rdef > tol:
         raise ValueError(f"rhs violates conjugate symmetry (defect {rdef:.3e})")
     real_blocks = block_to_real(system.blocks)

@@ -162,16 +162,18 @@ class Mesh:
 
 @dataclass(frozen=True)
 class ElementData:
-    """Per-element affine geometry: gradients, Jacobians, metric, size.
+    """Per-element affine geometry: gradients, Jacobians, metric, size, mass.
 
     grads[e, A, i] = dN_A/dx_i, detj[e] > 0, metric[e] = J^{-T} J^{-1},
-    h[e] = circumscribed-sphere diameter.
+    h[e] = circumscribed-sphere diameter, mass[e, A, B] =
+    detj sum_q w_q N_A N_B (the element mass matrix).
     """
 
     grads: np.ndarray
     detj: np.ndarray
     metric: np.ndarray
     h: np.ndarray
+    mass: np.ndarray
 
     @classmethod
     def build(cls, mesh: Mesh) -> "ElementData":
@@ -185,7 +187,10 @@ class ElementData:
         jinv = np.linalg.inv(jac)                             # (E, dim, dim): dxi_k/dx_i at [k, i]
         grads = np.einsum("ak,eki->eai", ref, jinv)
         metric = np.einsum("eki,ekj->eij", jinv, jinv)
-        return cls(grads, detj, metric, _circumsphere_diameter(mesh, xe))
+        rule = quadrature_rule(mesh.elem_type)
+        shp = shape_values(mesh.elem_type, rule.points)
+        mass = detj[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
+        return cls(grads, detj, metric, _circumsphere_diameter(mesh, xe), mass)
 
 
 def _circumsphere_diameter(mesh: Mesh, xe: np.ndarray) -> np.ndarray:

@@ -10,9 +10,15 @@ The tangent freezes the convolution matrices and tau at the current
 state.  In production form the least-squares contributions to the
 gradient/divergence blocks are dropped, which leaves them diagonal in the
 mode index; the exact mode-coupled blocks can be requested for
-verification.  Pseudo-time stepping augments the velocity diagonal block
-with a mass term and performs one Newton update per step; the converged
-solution is independent of the pseudo step size.
+verification.  Pseudo-time stepping adds the mass term
+(1.5 rho / pseudo_dt) sum_e detj sum_q w_q N_A N_B to the velocity
+diagonal block and performs one Newton update per step.  The mass is
+geometry only: it is scattered once per mesh (AssemblyContext.edge_mass)
+and added after the assembly, so each step's pseudo_dt is chosen once
+the same assembly has given the step's residual.  solve_ns grows the
+step by switched-evolution relaxation (SER) as the residual falls, from
+the configured initial step towards plain Newton; the converged solution
+is independent of the pseudo steps taken.
 
 Assembly runs in the real orthonormal mode basis of spectral: the states
 are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
@@ -28,15 +34,16 @@ assemble_ns_residual stay complex.
 Assembly sums each element integrand over the quadrature points before
 scattering it once per element chunk, through a sorted plan cached on
 the mesh at its first assembly.  Blocks that depend on geometry only
-(pseudo-time mass, viscous and pressure stiffness, gradient/divergence)
-are formed once per chunk instead of once per quadrature point.
+(viscous and pressure stiffness, gradient/divergence) are formed once
+per chunk instead of once per quadrature point.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Union
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -75,6 +82,7 @@ __all__ = [
     "NSCase",
     "NSState",
     "NSResult",
+    "NewtonUpdate",
     "NodalValues",
     "FlowReport",
     "FlowData",
@@ -89,6 +97,8 @@ __all__ = [
     "parabolic_inflow",
     "resolve_ns_dirichlet",
     "default_pseudo_dt",
+    "ser_pseudo_dt",
+    "SER_EXPONENT",
 ]
 
 
@@ -150,11 +160,21 @@ class NSState:
 
 @dataclass
 class NSResult:
+    """Outcome of solve_ns, with one record per step that updated the state.
+
+    residuals holds the residual norm before every step, including the
+    final converged one; linear_iters and pseudo_dts hold the GMRES matvecs
+    and the pseudo step of each update.  linear_unconverged counts the
+    updates applied while GMRES was still above eps_ls without stagnating.
+    """
+
     state: NSState
     converged: bool
     residuals: List[float]
     steps: int
     linear_iters: List[int]
+    pseudo_dts: List[float]
+    linear_unconverged: int
 
 
 def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
@@ -170,13 +190,13 @@ def _facet_values(values: np.ndarray, fq, q: int) -> np.ndarray:
 
 
 def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
-              need_residual: bool, need_tangent: bool,
-              pseudo_dt: float = np.inf, exact_gd: bool = False,
+              need_residual: bool, need_tangent: bool, exact_gd: bool = False,
               coeff_state: NSState | None = None):
     """Shared residual/tangent assembly in the real orthonormal mode basis.
 
     Returns the residual in linsolve's 2N layout, shape
-    (n_nodes, dim+1, 2N), and the BlockTangent.  coeff_state supplies the
+    (n_nodes, dim+1, 2N), and the BlockTangent without pseudo-time mass
+    (see _add_pseudo_mass).  coeff_state supplies the
     velocity entering A_i, tau and the backflow operator (frozen
     coefficients); it defaults to state.
 
@@ -187,9 +207,9 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
     through the mesh's cached sorted plan.  The Galerkin weight N_A rides
     with the least-squares weight P_A, so both act through one product
     (N_A I + P_A) per point.  The blocks that depend on geometry only are
-    formed after the point loop from sum_q w_q N_A N_B and sum_q w_q N_A:
-    the pseudo-time mass, the viscous gab I, the pressure block
-    gab/rho (sum_q w_q tau), and the scalar gradient/divergence blocks.
+    formed after the point loop from sum_q w_q N_A: the viscous gab I,
+    the pressure block gab/rho (sum_q w_q tau), and the scalar
+    gradient/divergence blocks.
     The assembled real-basis blocks and residual enter the 2N layout by
     linsolve's fixed map (block_from_orthonormal, rhs_from_orthonormal).
     """
@@ -202,7 +222,6 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
     ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)             # (n_qp, nen)
-    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
     n_ref = rule.weights @ shp
     omega_mat = build_omega(n, case.omega)
     eye = np.eye(m)
@@ -220,7 +239,6 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
         d_scal = np.zeros((n_edges, dim))
         g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
         d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
-    mass_coeff = 0.0 if not np.isfinite(pseudo_dt) else 1.5 * rho / pseudo_dt
 
     for sl, node_seg, edge_seg in ctx.chunks:
         elems = mesh.elements[sl]
@@ -284,9 +302,7 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
             node_seg.add_to(resid, contrib.reshape(-1, dim + 1, m))
 
         if need_tangent:
-            mass = detj[:, None, None] * nn_ref
-            k_el[..., diag, diag] += (mu * vol[:, None, None] * gab
-                                      + mass_coeff * mass)[..., None]
+            k_el[..., diag, diag] += (mu * vol[:, None, None] * gab)[..., None]
             edge_seg.add_to(k_c, k_el.reshape(-1, m, m))
             l_el = np.einsum("eab,erc->eabrc", gab / rho, tau_sum)
             edge_seg.add_to(l_c, l_el.reshape(-1, m, m))
@@ -380,9 +396,23 @@ def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
     adds the mass term (N_A, 1.5 rho / pseudo_dt N_B) to the K block.
     """
     _, tangent = _assemble(case, mesh, state, need_residual=False,
-                           need_tangent=True, pseudo_dt=pseudo_dt,
-                           exact_gd=exact_gd)
+                           need_tangent=True, exact_gd=exact_gd)
+    _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
     return tangent
+
+
+def _add_pseudo_mass(tangent: BlockTangent, mesh: Mesh, rho: float,
+                     pseudo_dt: float) -> None:
+    """Add the pseudo-time mass (N_A, 1.5 rho / pseudo_dt N_B) to K in place.
+
+    The mass is the mesh's cached edge mass times the identity on every
+    mode slot but the pinned steady imaginary one, which stays an identity
+    row; pseudo_dt = inf adds nothing.
+    """
+    if np.isfinite(pseudo_dt):
+        free = np.r_[0, 2:2 * tangent.n_modes]
+        edge_mass = assembly_context(mesh, build_graph).edge_mass
+        tangent.k_real[:, free, free] += (1.5 * rho / pseudo_dt) * edge_mass[:, None]
 
 
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
@@ -394,7 +424,7 @@ def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> floa
 
 def default_pseudo_dt(case: NSCase, mesh: Mesh,
                       dir_vals: np.ndarray | None = None) -> float:
-    """Pseudo step heuristic: the smallest of the case time scales.
+    """Initial pseudo step heuristic: the smallest of the case time scales.
 
     Roughly an order of magnitude above a physical-integration step, and
     small enough that the mass term still conditions the tangent.
@@ -416,29 +446,68 @@ def default_pseudo_dt(case: NSCase, mesh: Mesh,
     return min(scales)
 
 
+# p of the SER rule dt_k = dt_{k-1} (r_{k-1} / r_k)^p.  On the bent_n7
+# benchmark case p = 3 takes 16 steps from default_pseudo_dt, p = 2 one more.
+SER_EXPONENT = 3.0
+
+
+def ser_pseudo_dt(initial: float, previous: float | None,
+                  r_previous: float | None, r: float) -> float:
+    """Pseudo step by switched-evolution relaxation (Mulder & van Leer 1985).
+
+    The first step (previous is None) is `initial`.  While the residual
+    norm falls, the step grows as previous (r_previous / r)^SER_EXPONENT,
+    towards plain Newton; when it rises, the step falls back to
+    max(initial, previous / 2).  An infinite initial step stays infinite.
+    """
+    if previous is None:
+        return initial
+    if r > r_previous:
+        return max(initial, previous / 2)
+    return previous * (r_previous / r) ** SER_EXPONENT
+
+
+class NewtonUpdate(NamedTuple):
+    """The state after one newton_step and the record of that step."""
+
+    state: NSState
+    residual: float          # residual norm before the update
+    matvecs: int
+    pseudo_dt: float         # nan when no solve was run
+    linear_converged: bool   # GMRES reached eps_ls
+
+
 def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
-                pseudo_dt: float | None = None, skip_below: float = 0.0,
-                dir_nodes: np.ndarray | None = None):
+                pseudo_dt: float | Callable[[float], float] | None = None,
+                skip_below: float = 0.0,
+                dir_nodes: np.ndarray | None = None) -> NewtonUpdate:
     """One linearized update y <- y - H^{-1} r at the current state.
 
-    Returns (new_state, residual_norm_before, linear_matvecs).  The linear
-    solve runs to eps_ls relative tolerance with block-Jacobi GMRES;
-    Dirichlet increments are pinned to zero.  Stagnation of the linear
-    solver raises LinearSolveError and leaves the state untouched.  If the
-    residual norm is already at or below skip_below, no solve is run.
-    dir_nodes, the Dirichlet node ids of resolve_ns_dirichlet, is resolved
-    here when not given.
+    H is the production tangent plus the pseudo-time mass of the step.
+    pseudo_dt is the step, or a callable that maps this step's residual
+    norm to it (solve_ns passes its SER rule); None takes config.pseudo_dt,
+    or default_pseudo_dt when that is None.  The tangent is assembled
+    without the mass, which is added once the residual has chosen the step.
+    The linear solve runs to eps_ls relative tolerance with block-Jacobi
+    GMRES; Dirichlet increments are pinned to zero.  An update that GMRES
+    left above eps_ls without stagnating is applied and flagged
+    (linear_converged False); stagnation raises LinearSolveError and
+    leaves the state untouched.  If the residual norm is already at or
+    below skip_below, no solve is run.  dir_nodes, the Dirichlet node ids
+    of resolve_ns_dirichlet, is resolved here when not given.
     """
     if pseudo_dt is None:
         pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
             else default_pseudo_dt(case, mesh)
     if dir_nodes is None:
         dir_nodes, _ = resolve_ns_dirichlet(case, mesh)
-    resid, tangent = _assemble(case, mesh, state, need_residual=True,
-                               need_tangent=True, pseudo_dt=pseudo_dt)
+    resid, tangent = _assemble(case, mesh, state, need_residual=True, need_tangent=True)
     rnorm = residual_norm(resid, dir_nodes, mesh.dim)
     if rnorm <= skip_below:
-        return state.copy(), rnorm, 0
+        return NewtonUpdate(state.copy(), rnorm, 0, np.nan, True)
+    if callable(pseudo_dt):
+        pseudo_dt = pseudo_dt(rnorm)
+    _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
 
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
     rhs = -resid.ravel()
@@ -455,17 +524,21 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     new.pressure += delta[:, mesh.dim, :]
     new.velocity[dir_nodes] = state.velocity[dir_nodes]
     new.symmetrize()
-    return new, rnorm, res.matvecs
+    return NewtonUpdate(new, rnorm, res.matvecs, pseudo_dt, res.converged)
 
 
 def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NSResult:
     """Drive the spectral system to ||r|| <= eps_nr ||r0||.
 
     The state is initialized with the Dirichlet data on the boundary and
-    zero elsewhere.  With a finite pseudo step, exactly one Newton update
-    is performed per pseudo-time step; pseudo_dt=inf recovers plain
-    Newton-Raphson.  If max_steps is exhausted the partial state is
-    returned flagged as non-converged.
+    zero elsewhere.  Exactly one Newton update is performed per pseudo-time
+    step.  The first step is config.pseudo_dt (default_pseudo_dt when it
+    is None); each later step follows ser_pseudo_dt from the previous step
+    and the residual norms before it and before this step, so the steps
+    grow towards plain Newton as the residual falls.  pseudo_dt=inf is
+    plain Newton-Raphson throughout.  If max_steps is exhausted, or a
+    linear solve stagnates (warned about), the partial state is returned
+    flagged as non-converged.
     """
     if config is None:
         config = SolverConfig()
@@ -473,28 +546,36 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     dir_nodes, dir_vals = resolve_ns_dirichlet(case, mesh)
     state = NSState.zeros(mesh.n_nodes, mesh.dim, case.n_modes)
     state.velocity[dir_nodes] = dir_vals
-    pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
+    initial_dt = config.pseudo_dt if config.pseudo_dt is not None \
         else default_pseudo_dt(case, mesh, dir_vals)
 
     residuals: List[float] = []
     lin_iters: List[int] = []
-    r0 = None
+    pseudo_dts: List[float] = []
+    unconverged = 0
+
+    def result(converged: bool, steps: int) -> NSResult:
+        return NSResult(state, converged, residuals, steps, lin_iters, pseudo_dts,
+                        unconverged)
+
     for step in range(config.max_steps):
-        skip = config.eps_nr * r0 if r0 is not None else 0.0
+        skip = config.eps_nr * residuals[0] if residuals else 0.0
+        rule = partial(ser_pseudo_dt, initial_dt, pseudo_dts[-1] if pseudo_dts else None,
+                       residuals[-1] if residuals else None)
         try:
-            new_state, rnorm, mv = newton_step(case, mesh, state, config, pseudo_dt,
-                                               skip_below=skip, dir_nodes=dir_nodes)
+            update = newton_step(case, mesh, state, config, rule,
+                                 skip_below=skip, dir_nodes=dir_nodes)
         except LinearSolveError as err:
             warnings.warn(str(err))
-            return NSResult(state, False, residuals, step, lin_iters)
-        residuals.append(rnorm)
-        if r0 is None:
-            r0 = rnorm
-        if rnorm <= config.eps_nr * r0:
-            return NSResult(state, True, residuals, step, lin_iters)
-        state = new_state
-        lin_iters.append(mv)
-    return NSResult(state, False, residuals, config.max_steps, lin_iters)
+            return result(False, step)
+        residuals.append(update.residual)
+        if update.residual <= config.eps_nr * residuals[0]:
+            return result(True, step)
+        state = update.state
+        lin_iters.append(update.matvecs)
+        pseudo_dts.append(update.pseudo_dt)
+        unconverged += not update.linear_converged
+    return result(False, config.max_steps)
 
 
 def backflow_surface_matrix(case: NSCase, mesh: Mesh, state: NSState,

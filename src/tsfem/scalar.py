@@ -137,8 +137,8 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     they are pinned at the solver level.  Per element chunk, the
     integrands are summed over the quadrature points and scattered once
     through the mesh's cached sorted plan; the geometry-only Galerkin
-    terms N_A N_B Omega and kappa gab are formed from sum_q w_q N_A N_B
-    and the element volume.
+    terms N_A N_B Omega and kappa gab are formed from the element mass
+    matrices of mesh.element_data() and the element volume.
     """
     check_groups(mesh, dirichlet=case.dirichlet, neumann=case.neumann)
     _womersley_warning(case, mesh)
@@ -148,7 +148,6 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)
-    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
     blocks = np.zeros((ctx.rows.shape[0], m, m))
     rhs = np.zeros((mesh.n_nodes, m))
     omega_mat = build_omega(n, case.omega)
@@ -162,7 +161,7 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
         xe = mesh.coords[elems]
         gab = np.einsum("eai,ebi->eab", grads, grads)
         vol = detj * rule.weights.sum()
-        k_el = ((detj[:, None, None] * nn_ref)[..., None, None] * omega_mat
+        k_el = (ed.mass[sl][..., None, None] * omega_mat
                 + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
         r_el = np.zeros(elems.shape + (m,))
         for q in range(rule.n_points):

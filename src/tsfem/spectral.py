@@ -78,7 +78,7 @@ def mode_index(n: int, n_modes: int) -> int:
     return n + n_modes - 1
 
 
-def check_conjugate_symmetry(values: np.ndarray, tol: float = _SYM_TOL) -> float:
+def check_conjugate_symmetry(values: np.ndarray) -> float:
     """Return the relative conjugate-symmetry defect of coefficient vectors.
 
     values[..., -n] must equal conj(values[..., n]); leading axes are

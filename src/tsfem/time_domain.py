@@ -137,20 +137,12 @@ def time_tau(u_gauss: np.ndarray, omega_hat_val: float, metric: np.ndarray,
     return arg**-0.5
 
 
-def _mass_matrices(mesh: Mesh) -> np.ndarray:
-    """Element mass matrices detj sum_q w_q N_A N_B, (E, nen, nen): geometry only."""
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
-    nn_ref = np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
-    return mesh.element_data().detj[:, None, None] * nn_ref
-
-
 def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
     """Global frequency estimate ||du/dt||_Omega / ||u||_Omega (0 if u = 0).
 
     Both squared norms are quadratic forms of the element mass matrices.
     """
-    m_el = _mass_matrices(mesh)
+    m_el = mesh.element_data().mass
 
     def norm2(values):
         v_el = np.asarray(values)[mesh.elements]           # (E, nen, dim)
@@ -284,7 +276,7 @@ def _time_tangent(case: TimeCase, mesh: Mesh, fields, u_af, udot_am, what: float
     dr_dw2 = np.zeros((mesh.n_nodes, dim + 1))
     dw2_dx = np.zeros((mesh.n_nodes, dim + 1))
 
-    m_el = _mass_matrices(mesh)
+    m_el = ed.mass
     u_el = u_af[mesh.elements]
     mu_el = m_el @ u_el
     nrm_u = np.einsum("eai,eai->", u_el, mu_el)

@@ -235,8 +235,8 @@ class TestSweep:
         path = tmp_path / "study.yaml"
         path.write_text(yaml.safe_dump(study))
         with warnings.catch_warnings():
-            # a zero reference flow leaves the relative flow error undefined
-            warnings.simplefilter("ignore" if zero_flow else "default", RuntimeWarning)
+            # a zero reference flow is guarded like a zero truncation scale
+            warnings.simplefilter("error", RuntimeWarning)
             table = sweep(path, tmp_path / "out")
         mesh = build_mesh(case_block["mesh"])
         for row in table["rows"]:
@@ -244,6 +244,9 @@ class TestSweep:
             _, info = build_case(CaseConfig(physics, case_block["mesh"], case_block["bcs"]), mesh)
             assert row["truncation"] == info["truncation"]["inlet"]
             assert (row["truncation"] == 0.0) == zero_flow
+            assert np.isfinite(row["flow_error"])
+            assert (row["flow_error"] == 0.0) == zero_flow
+            assert (row["steps"] == 0) == zero_flow
 
     def test_mode_sweep_reports_time_reference_failures(self, tmp_path, monkeypatch):
         study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
@@ -324,6 +327,35 @@ class TestMainEntry:
         code = main(["validate-config", str(bad)])
         assert code == 2
         assert "unknown key solver.max_step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("pseudo_dt", 0), ("pseudo_dt", float("nan")),
+                                            ("pseudo_dt", -1.0), ("max_steps", 0)])
+    def test_validate_verb_rejects_solver_values(self, tmp_path, capsys, key, value):
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        raw["solver"][key] = value
+        bad = tmp_path / "bad_solver.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        assert main(["validate-config", str(bad)]) == 2
+        assert f"solver.{key} must be" in capsys.readouterr().err
+
+    def test_run_verbose_prints_step_table(self, tmp_path, capsys):
+        config = tmp_path / "steady.yaml"
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        raw["mesh"]["resolution"] = [4, 12]
+        config.write_text(yaml.safe_dump(raw))
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "out"), "-v"])
+        assert code == 0
+        out = capsys.readouterr().out
+        summary = yaml.safe_load((tmp_path / "out" / "summary.yaml").read_text())
+        n_updates = len(summary["residuals"]) - 1
+        assert n_updates >= 1
+        assert len(summary["pseudo_dts"]) == len(summary["linear_iters"]) == n_updates
+        assert summary["linear_unconverged"] == 0
+        table = out[out.index("step  "):].splitlines()
+        assert table[0].split() == ["step", "residual", "pseudo_dt", "matvecs"]
+        assert len(table) == n_updates + 2
+        assert table[1].split()[3] == str(summary["linear_iters"][0])
+        assert table[-1].split()[2:] == ["-", "-"]
 
     def test_mesh_gen_verb(self, tmp_path, capsys):
         cfg = tmp_path / "mesh.yaml"

@@ -157,6 +157,31 @@ class TestSegments:
         Segments.of(keys).add_to(out, values)
         np.testing.assert_allclose(out, ref, atol=1e-14)
 
+    @settings(max_examples=80, deadline=None)
+    @given(counts=st.lists(st.integers(0, 30), min_size=1, max_size=12),
+           trailing=st.lists(st.integers(1, 3), max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_add_at(self, counts, trailing, seed):
+        # key k repeats counts[k] times (segments of up to 30 entries), in a
+        # random order; out starts nonzero, as it does across element chunks
+        rng = np.random.default_rng(seed)
+        keys = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        values = rng.standard_normal((keys.size, *trailing))
+        start = rng.standard_normal((len(counts) + 1, *trailing))
+        ref = start.copy()
+        np.add.at(ref, keys, values)
+        out = start.copy()
+        seg = Segments.of(keys)
+        seg.add_to(out, values)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+        # each key's values summed in their original order: exact from zero
+        ref0 = np.zeros_like(start)
+        np.add.at(ref0, keys, values)
+        out0 = np.zeros_like(start)
+        seg.add_to(out0, values)
+        np.testing.assert_array_equal(out0, ref0)
+        assert len(seg.ranks) == max(counts)
+
 
 class TestBlockTangent:
     def test_zero_vector(self):

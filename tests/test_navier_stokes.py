@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsfem.linsolve as linsolve
 import tsfem.navier_stokes as navier_stokes
@@ -31,10 +33,12 @@ from tsfem.navier_stokes import (
     assemble_ns_residual,
     assemble_ns_tangent,
     backflow_surface_matrix,
+    default_pseudo_dt,
     flow_report,
     newton_step,
     parabolic_inflow,
     resolve_ns_dirichlet,
+    ser_pseudo_dt,
     solve_ns,
 )
 from tsfem.spectral import (
@@ -480,8 +484,11 @@ class TestRealBasisAssembly:
         for kwargs in ({"pseudo_dt": 0.2}, {"exact_gd": True}):
             ref_r, ref_t = complex_assemble_oracle(case, mesh, state, need_residual=True,
                                                    need_tangent=True, **kwargs)
-            got_r, got_t = navier_stokes._assemble(case, mesh, state, need_residual=True,
-                                                   need_tangent=True, **kwargs)
+            got_r, _ = navier_stokes._assemble(case, mesh, state, need_residual=True,
+                                               need_tangent=False)
+            # the pseudo-time mass is added after the assembly, from the
+            # mesh's cached edge mass; the oracle adds it inside the loop
+            got_t = assemble_ns_tangent(case, mesh, state, **kwargs)
             assert_close(got_r[..., free], rhs_to_real(ref_r)[..., free], "residual 2N")
             assert np.all(got_r[..., 1] == 0.0)
             pairs = [("k", got_t.k_real, ref_t.k_real, 1.0), ("l", got_t.l_real, ref_t.l_real, 1.0)]
@@ -494,6 +501,23 @@ class TestRealBasisAssembly:
                 assert np.all(got[..., 1, 1] == pinned)
             assert_close(got_t.g_diag, ref_t.g_diag, "g_diag")
             assert_close(got_t.d_diag, ref_t.d_diag, "d_diag")
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 7])
+    def test_post_hoc_mass_matches_in_assembly_mass(self, n_modes):
+        mesh, case, state, _ = bent_oracle_setup(n_modes)
+        free = np.r_[0, np.arange(2, 2 * n_modes)]
+        for dt in (0.2, 3.0):
+            _, ref_fin = complex_assemble_oracle(case, mesh, state, need_residual=False,
+                                                 need_tangent=True, pseudo_dt=dt)
+            _, ref_inf = complex_assemble_oracle(case, mesh, state, need_residual=False,
+                                                 need_tangent=True)
+            got = assemble_ns_tangent(case, mesh, state, pseudo_dt=dt).k_real
+            got_inf = assemble_ns_tangent(case, mesh, state).k_real
+            sel = (slice(None), free[:, None], free)
+            assert_close(got[sel], ref_fin.k_real[sel], "K with mass")
+            assert_close((got - got_inf)[sel], (ref_fin.k_real - ref_inf.k_real)[sel], "mass")
+            np.testing.assert_array_equal(got[:, 1, :], got_inf[:, 1, :])
+            np.testing.assert_array_equal(got[:, :, 1], got_inf[:, :, 1])
 
     def test_backflow_term_is_covered(self):
         # the random state reverses the flow on the outlet, so the oracle
@@ -579,7 +603,7 @@ class TestSolve:
         config = SolverConfig(eps_nr=1e-9, eps_ls=1e-8, pseudo_dt=np.inf, max_steps=40)
         result = solve_ns(case, mesh, config)
         assert result.converged
-        new_state, rnorm, _ = newton_step(case, mesh, result.state, config)
+        new_state, rnorm = newton_step(case, mesh, result.state, config)[:2]
         assert rnorm <= 1e-9 * result.residuals[0]
         delta = np.max(np.abs(new_state.velocity - result.state.velocity))
         assert delta <= 1e-8 * np.max(np.abs(result.state.velocity))
@@ -641,6 +665,71 @@ class TestSolve:
         diff = np.linalg.norm(sols[0].velocity - sols[1].velocity)
         scale = np.linalg.norm(sols[0].velocity)
         assert diff <= 10 * eps * scale
+
+
+class TestPseudoStep:
+    def test_ser_grows_while_residual_falls(self):
+        p = navier_stokes.SER_EXPONENT
+        assert ser_pseudo_dt(0.5, None, None, 3.0) == 0.5
+        assert ser_pseudo_dt(0.5, 0.5, 3.0, 1.5) == 0.5 * 2.0**p
+        assert ser_pseudo_dt(0.5, 2.0, 1.0, 1.0) == 2.0
+
+    def test_ser_falls_back_on_rise(self):
+        assert ser_pseudo_dt(0.5, 8.0, 1.0, 1.2) == 4.0
+        assert ser_pseudo_dt(0.5, 0.6, 1.0, 1.2) == 0.5   # never below the initial step
+
+    def test_ser_keeps_newton(self):
+        for r in (0.5, 2.0):
+            assert ser_pseudo_dt(np.inf, None, None, r) == np.inf
+            assert ser_pseudo_dt(np.inf, np.inf, 1.0, r) == np.inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(initial=st.floats(1e-3, 1e3), grow=st.floats(1.0, 1e6),
+           r_previous=st.floats(1e-8, 1e3), ratio=st.floats(1e-3, 1e3))
+    def test_ser_property(self, initial, grow, r_previous, ratio):
+        previous = initial * grow
+        r = r_previous * ratio
+        dt = ser_pseudo_dt(initial, previous, r_previous, r)
+        if r <= r_previous:
+            assert dt >= previous
+        else:
+            assert dt == max(initial, previous / 2) >= initial
+
+    @staticmethod
+    def _bent_case():
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (4, 2, 2), bend_angle=1.0)
+        inflow = np.zeros((3, n_coeffs(3)), dtype=complex)
+        inflow[0, 2:] = [1.0, 0.3 - 0.2j, 0.1j]
+        inflow[0, :2] = np.conj(inflow[0, :2:-1])
+        case = NSCase(rho=1.0, mu=0.1, omega=2.0, n_modes=3, dirichlet={"xmin": inflow},
+                      walls=["ymin", "ymax", "zmin", "zmax"],
+                      neumann={"xmax": np.zeros(n_coeffs(3), dtype=complex)},
+                      backflow_beta=0.2)
+        return mesh, case
+
+    def test_growing_step_takes_fewer_steps(self, monkeypatch):
+        mesh, case = self._bent_case()
+        config = SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60)
+        grown = solve_ns(case, mesh, config)
+        assert grown.converged and grown.linear_unconverged == 0
+        r, dts = grown.residuals, grown.pseudo_dts
+        assert len(dts) == len(grown.linear_iters) == grown.steps == len(r) - 1
+        assert dts[0] == default_pseudo_dt(case, mesh)
+        for k in range(1, len(dts)):
+            assert dts[k] == ser_pseudo_dt(dts[0], dts[k - 1], r[k - 1], r[k])
+        assert max(dts) > 100 * dts[0]
+        monkeypatch.setattr(navier_stokes, "SER_EXPONENT", 0.0)   # the step held fixed
+        fixed = solve_ns(case, mesh, config)
+        assert fixed.converged and set(fixed.pseudo_dts) == {dts[0]}
+        assert grown.steps < fixed.steps
+
+    def test_solver_config_rejects_bad_step_values(self):
+        for kwargs in ({"pseudo_dt": 0.0}, {"pseudo_dt": -1.0}, {"pseudo_dt": np.nan}):
+            with pytest.raises(ValueError, match="pseudo_dt must be positive"):
+                SolverConfig(**kwargs)
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            SolverConfig(max_steps=0)
+        assert SolverConfig(pseudo_dt=np.inf).pseudo_dt == np.inf
 
 
 class TestBackflowMatrix:
