@@ -56,9 +56,9 @@ class RunSummary:
     """What summary.yaml records of one run.
 
     For flow cases, residuals holds the residual norm before each Newton
-    step, and pseudo_dts and linear_iters the pseudo step and GMRES
-    matvecs of each update; linear_unconverged counts the updates GMRES
-    left above eps_ls.
+    step, and pseudo_dts, linear_iters and linear_residuals the pseudo step,
+    GMRES matvecs and relative linear residual reached of each update;
+    linear_unconverged counts the updates GMRES left above eps_ls.
     """
 
     kind: str
@@ -75,6 +75,7 @@ class RunSummary:
     pseudo_dts: List[float] = field(default_factory=list)
     linear_iters: List[int] = field(default_factory=list)
     linear_unconverged: int = 0
+    linear_residuals: List[float] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -83,6 +84,7 @@ class RunSummary:
             "residuals": [float(r) for r in self.residuals],
             "pseudo_dts": [float(dt) for dt in self.pseudo_dts],
             "linear_iters": [int(n) for n in self.linear_iters],
+            "linear_residuals": [float(r) for r in self.linear_residuals],
             "linear_unconverged": int(self.linear_unconverged),
             "wall_time": float(self.wall_time),
             "alpha": float(self.alpha), "beta": float(self.beta),
@@ -91,17 +93,19 @@ class RunSummary:
         }
 
     def step_table(self) -> str:
-        """One line per Newton step: residual, pseudo_dt and GMRES matvecs.
+        """One line per Newton step: residual, pseudo_dt, GMRES matvecs and
+        the relative linear residual GMRES reached.
 
         The last step of a converged run made no update and shows "-".
         """
-        lines = [f"{'step':>4}  {'residual':>10}  {'pseudo_dt':>10}  {'matvecs':>7}"]
+        lines = [f"{'step':>4}  {'residual':>10}  {'pseudo_dt':>10}  {'matvecs':>7}  "
+                 f"{'linear_res':>10}"]
         for k, r in enumerate(self.residuals):
             if k < len(self.pseudo_dts):
                 lines.append(f"{k:>4}  {r:>10.3e}  {self.pseudo_dts[k]:>10.3e}  "
-                             f"{self.linear_iters[k]:>7d}")
+                             f"{self.linear_iters[k]:>7d}  {self.linear_residuals[k]:>10.3e}")
             else:
-                lines.append(f"{k:>4}  {r:>10.3e}  {'-':>10}  {'-':>7}")
+                lines.append(f"{k:>4}  {r:>10.3e}  {'-':>10}  {'-':>7}  {'-':>10}")
         return "\n".join(lines)
 
 
@@ -168,7 +172,7 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
                              diag.alpha, diag.beta, flows,
                              info.get("truncation", {}), None, outputs,
                              result.pseudo_dts, result.linear_iters,
-                             result.linear_unconverged)
+                             result.linear_unconverged, result.linear_residuals)
     else:
         sol = solve_scalar(case, mesh, solver_config)
         diag = diagnostics(case, mesh)

@@ -16,7 +16,10 @@ criterion-10 real-map check are tested against.
 The Navier-Stokes tangent is stored block-structured: the 6 identically
 zero component blocks are never stored, the velocity diagonal block K is
 stored once per node pair and reused for every direction, and the
-gradient/divergence blocks keep only their mode diagonal.
+gradient/divergence blocks are one real scalar per node pair and direction,
+the Galerkin coefficient that multiplies every mode slot.  Its block-Jacobi
+preconditioner eliminates the velocity of each nodal block through the
+pressure Schur complement.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "assembly_context",
     "build_graph",
     "block_to_real",
-    "diag_to_real",
     "rhs_to_real",
     "from_real",
     "to_real",
@@ -306,19 +308,6 @@ def block_to_real(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def diag_to_real(diag: np.ndarray) -> np.ndarray:
-    """Real 2Nx2N form of a mode-diagonal complex block (modes 0..N-1)."""
-    diag = np.asarray(diag, dtype=complex)
-    n = diag.shape[-1]
-    out = np.zeros(diag.shape[:-1] + (2 * n, 2 * n))
-    m = np.arange(n)
-    out[..., 2 * m, 2 * m] = diag.real
-    out[..., 2 * m, 2 * m + 1] = -diag.imag
-    out[..., 2 * m + 1, 2 * m] = diag.imag
-    out[..., 2 * m + 1, 2 * m + 1] = diag.real
-    return out
-
-
 def rhs_to_real(rhs: np.ndarray) -> np.ndarray:
     """Interleave Re/Im of the nonnegative modes of a complex rhs.
 
@@ -365,7 +354,8 @@ def rhs_from_orthonormal(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_from_orthonormal(blocks: np.ndarray, pinned: float) -> np.ndarray:
+def block_from_orthonormal(blocks: np.ndarray, pinned: float,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Layout (..., 2N, 2N) of real-basis operators (..., 2N-1, 2N-1).
 
     K_L[t(i), t(j)] = K_O[i, j] s_i / s_j with t and s as in
@@ -373,11 +363,13 @@ def block_from_orthonormal(blocks: np.ndarray, pinned: float) -> np.ndarray:
     column and `pinned` on its diagonal (1 for the diagonal component
     blocks, so a pinned unknown is an identity row, 0 for the coupling
     blocks).  On the unpinned slots this is block_to_real of the complex
-    operator.
+    operator.  out, a zero array, receives the result in its own memory
+    layout when given.
     """
     blocks = np.asarray(blocks, dtype=float)
     m = blocks.shape[-1]
-    out = np.zeros(blocks.shape[:-2] + (m + 1, m + 1))
+    if out is None:
+        out = np.zeros(blocks.shape[:-2] + (m + 1, m + 1))
     out[..., 0, 0] = blocks[..., 0, 0]
     out[..., 0, 2:] = blocks[..., 0, 1:] * _SQRT2
     out[..., 2:, 0] = blocks[..., 1:, 0] / _SQRT2
@@ -438,12 +430,15 @@ class BlockTangent:
     """Real-mapped tangent with the zero component blocks never stored.
 
     Per directed node pair: k_real is the shared velocity diagonal block,
-    l_real the pressure block, g_diag/d_diag the mode-diagonal gradient
-    and divergence blocks (modes 0..N-1).  g_full/d_full optionally hold
-    the exact mode-coupled blocks for verification runs.  The rows must be
-    sorted, as build_graph returns them; row_starts, the starts of their
-    runs, are worked out here once per tangent and the matvec reduces the
-    edge products over them.
+    l_real the pressure block, and g_diag/d_diag the real gradient and
+    divergence coefficients of each direction, each multiplying every mode
+    slot (the 2Nx2N block g I).  g_full/d_full optionally hold the exact
+    mode-coupled 2Nx2N blocks for verification runs, and replace g_diag/d_diag
+    where set.  The matvec applies K to row vectors as x K^T, which BLAS
+    reads contiguously when the K blocks are stored column-major, as the
+    NS assembly stores them.  The rows must be sorted, as build_graph
+    returns them; row_starts, the starts of their runs, are worked out here
+    once per tangent and the matvec reduces the edge products over them.
     """
 
     rows: np.ndarray
@@ -453,16 +448,18 @@ class BlockTangent:
     n_modes: int
     k_real: np.ndarray                    # (E, 2N, 2N)
     l_real: np.ndarray                    # (E, 2N, 2N)
-    g_diag: np.ndarray                    # (E, dim, N) complex
-    d_diag: np.ndarray                    # (E, dim, N) complex
+    g_diag: np.ndarray                    # (E, dim)
+    d_diag: np.ndarray                    # (E, dim)
     g_full: Optional[np.ndarray] = field(default=None, repr=False)
     d_full: Optional[np.ndarray] = field(default=None, repr=False)
     row_starts: np.ndarray = field(init=False, repr=False)
+    _edge_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.rows[1:] < self.rows[:-1]):
             raise ValueError("BlockTangent rows must be sorted")
         self.row_starts = segment_starts(self.rows)
+        self._edge_out = np.empty((self.rows.shape[0], self.dim + 1, 2 * self.n_modes))
 
     @property
     def n_dof(self) -> int:
@@ -470,30 +467,28 @@ class BlockTangent:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         d, n2 = self.dim, 2 * self.n_modes
-        xr = np.asarray(x).reshape(self.n_nodes, d + 1, n2)
-        xc = xr[self.cols]
-        xp = xc[:, d, :]
-        # K fetched once, applied to all velocity directions
-        yv = np.einsum("eij,edj->edi", self.k_real, xc[:, :d, :])
-        yp = np.einsum("eij,ej->ei", self.l_real, xp)
+        xc = np.asarray(x).reshape(self.n_nodes, d + 1, n2)[self.cols]
+        xv, xp = xc[:, :d], xc[:, d]
+        out = self._edge_out                 # (E, d+1, 2N) edge products
+        np.matmul(xv, self.k_real.swapaxes(1, 2), out=out[:, :d])
+        np.matmul(self.l_real, xp[..., None], out=out[:, d, :, None])
         if self.g_full is not None:
-            yv += np.einsum("edij,ej->edi", self.g_full, xp)
+            out[:, :d] += np.matmul(self.g_full, xp[:, None, :, None])[..., 0]
         else:
-            xpc = xp[:, 0::2] + 1j * xp[:, 1::2]
-            gv = self.g_diag * xpc[:, None, :]
-            yv[:, :, 0::2] += gv.real
-            yv[:, :, 1::2] += gv.imag
+            out[:, :d] += self.g_diag[:, :, None] * xp[:, None, :]
         if self.d_full is not None:
-            yp += np.einsum("edij,edj->ei", self.d_full, xc[:, :d, :])
+            out[:, d] += np.einsum("edij,edj->ei", self.d_full, xv)
         else:
-            xvc = xc[:, :d, 0::2] + 1j * xc[:, :d, 1::2]
-            dv = np.sum(self.d_diag * xvc, axis=1)
-            yp[:, 0::2] += dv.real
-            yp[:, 1::2] += dv.imag
-        contrib = np.concatenate([yv, yp[:, None, :]], axis=1)
+            out[:, d] += np.einsum("ed,edj->ej", self.d_diag, xv)
         y = np.zeros((self.n_nodes, d + 1, n2))
-        y[self.rows[self.row_starts]] = np.add.reduceat(contrib, self.row_starts, axis=0)
+        y[self.rows[self.row_starts]] = np.add.reduceat(out, self.row_starts, axis=0)
         return y.ravel()
+
+    def _coupling(self, full, scalar, edges) -> np.ndarray:
+        """Gradient or divergence 2Nx2N blocks of the given edges, (E', dim, 2N, 2N)."""
+        if full is not None:
+            return full[edges]
+        return scalar[edges, :, None, None] * np.eye(2 * self.n_modes)
 
     def diag_blocks(self) -> np.ndarray:
         d, n2 = self.dim, 2 * self.n_modes
@@ -501,10 +496,8 @@ class BlockTangent:
         # build_graph pairs are unique: one self-edge per node
         sel = np.flatnonzero(self.rows == self.cols)
         nodes = self.rows[sel]
-        g_real = (self.g_full[sel] if self.g_full is not None
-                  else diag_to_real(self.g_diag[sel]))
-        d_real = (self.d_full[sel] if self.d_full is not None
-                  else diag_to_real(self.d_diag[sel]))
+        g_real = self._coupling(self.g_full, self.g_diag, sel)
+        d_real = self._coupling(self.d_full, self.d_diag, sel)
         for i in range(d):
             diag[nodes, i, :, i, :] = self.k_real[sel]
             diag[nodes, i, :, d, :] = g_real[:, i]
@@ -516,8 +509,8 @@ class BlockTangent:
         d, n2 = self.dim, 2 * self.n_modes
         b = (d + 1) * n2
         dense = np.zeros((self.n_nodes * b, self.n_nodes * b))
-        g_real = self.g_full if self.g_full is not None else diag_to_real(self.g_diag)
-        d_real = self.d_full if self.d_full is not None else diag_to_real(self.d_diag)
+        g_real = self._coupling(self.g_full, self.g_diag, slice(None))
+        d_real = self._coupling(self.d_full, self.d_diag, slice(None))
         for e in range(self.rows.shape[0]):
             r0, c0 = self.rows[e] * b, self.cols[e] * b
             for i in range(d):
@@ -530,8 +523,7 @@ class BlockTangent:
     def size_report(self) -> dict:
         """Stored real scalars per edge versus the naive dense-block layout."""
         n, m = self.n_modes, 2 * self.n_modes - 1
-        stored = self.k_real.shape[-1] ** 2 + self.l_real.shape[-1] ** 2 \
-            + 2 * 2 * self.dim * n
+        stored = self.k_real.shape[-1] ** 2 + self.l_real.shape[-1] ** 2 + 2 * self.dim
         budget = 2 * m * m + 12 * 2 * n + 2 * m * m
         naive = 16 * m * m * 2
         return {"stored_per_edge": stored, "budget_per_edge": budget,
@@ -646,35 +638,117 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
             raise RuntimeError(f"gmres: non-finite iterate after {matvecs} matvecs")
 
 
+def _invert_blocks(blocks: np.ndarray):
+    """Inverses of a stack of square blocks and the mask of the singular ones.
+
+    The inverse of a singular block is left zero.
+    """
+    try:
+        return np.linalg.inv(blocks), np.zeros(blocks.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        inv = np.zeros_like(blocks)
+        singular = np.zeros(blocks.shape[0], dtype=bool)
+        for i, block in enumerate(blocks):
+            try:
+                inv[i] = np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return inv, singular
+
+
+def _identity_scale(diagonal: np.ndarray) -> float:
+    """Scale of the identity that stands in for a singular nodal block."""
+    scale = np.max(np.abs(diagonal))
+    return scale if scale > 0 else 1.0
+
+
+def _pin_block(blocks: np.ndarray, free_rows: np.ndarray, free_cols: np.ndarray,
+               diagonal: bool = False) -> np.ndarray:
+    """Copy of blocks (..., r, c) with the rows and columns of pinned slots zeroed.
+
+    free_rows (..., r) and free_cols (..., c) mark the unpinned slots; a
+    diagonal block also gets 1 on the diagonal of each pinned slot.
+    """
+    out = blocks * (free_rows[..., :, None] & free_cols[..., None, :])
+    if diagonal:
+        idx = np.nonzero(~free_rows)
+        out[idx + (idx[-1],)] = 1.0
+    return out
+
+
 def block_jacobi_preconditioner(op, pins: np.ndarray | None = None) -> Callable:
     """Inverse of the per-node diagonal blocks (all components and modes).
 
     Pinned slots are forced to identity rows/columns before inversion.
     Singular nodal blocks fall back to a scaled identity with a warning.
+
+    A BlockTangent's nodal block [[I_d (x) K, G], [D, L]], with G the column
+    of the gradient blocks G_i and D the row of the divergence blocks D_i,
+    is inverted through its pressure Schur complement
+    S = L - sum_i D_i K^-1 G_i (Elman, Silvester & Wathen, ch. 9): K is
+    inverted once per node for all d velocity directions, and the apply is
+    p = S^-1 (r_p - sum_i D_i K^-1 r_i), v_i = K^-1 (r_i - G_i p).  The pins
+    must then pin every velocity direction of a node alike (ValueError
+    otherwise), and a node whose K or S is singular falls back.
     """
-    blocks = op.diag_blocks()
+    if isinstance(op, BlockTangent):
+        return _schur_jacobi(op, pins)
+    blocks = np.asarray(op.diag_blocks(), dtype=float)
     n, b = blocks.shape[0], blocks.shape[-1]
-    blocks = np.array(blocks, dtype=float)
     if pins is not None:
-        pm = pins.reshape(n, b)
-        blocks[np.broadcast_to(pm[:, :, None], blocks.shape)] = 0.0
-        blocks[np.broadcast_to(pm[:, None, :], blocks.shape)] = 0.0
-        node, slot = np.nonzero(pm)
-        blocks[node, slot, slot] = 1.0
-    try:
-        inv = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(blocks)
-        for i in range(n):
-            try:
-                inv[i] = np.linalg.inv(blocks[i])
-            except np.linalg.LinAlgError:
-                scale = np.max(np.abs(np.diag(blocks[i])))
-                inv[i] = np.eye(b) / (scale if scale > 0 else 1.0)
-                warnings.warn(f"singular nodal block at node {i}; using scaled identity")
+        free = ~pins.reshape(n, b)
+        blocks = _pin_block(blocks, free, free, diagonal=True)
+    inv, singular = _invert_blocks(blocks)
+    for i in np.flatnonzero(singular):
+        inv[i] = np.eye(b) / _identity_scale(np.diag(blocks[i]))
+        warnings.warn(f"singular nodal block at node {i}; using scaled identity")
 
     def apply(x):
         xr = np.asarray(x).reshape(n, b)
         return np.einsum("nij,nj->ni", inv, xr).ravel()
+
+    return apply
+
+
+def _schur_jacobi(op: BlockTangent, pins: np.ndarray | None) -> Callable:
+    """Block-Jacobi apply of a BlockTangent by the pressure Schur complement."""
+    n, d, n2 = op.n_nodes, op.dim, 2 * op.n_modes
+    nv = d * n2                                             # velocity slots per node
+    free = np.ones((n, d + 1, n2), dtype=bool) if pins is None \
+        else ~pins.reshape(n, d + 1, n2)
+    if np.any(free[:, :d] != free[:, :1]):
+        raise ValueError("block_jacobi_preconditioner: the pins must pin every "
+                         "velocity direction of a node alike")
+    fv, fp = free[:, 0], free[:, d]
+    # build_graph pairs are unique: one self-edge per node
+    sel = np.flatnonzero(op.rows == op.cols)
+
+    def at_nodes(edge_blocks):
+        out = np.zeros((n,) + edge_blocks.shape[1:])
+        out[op.rows[sel]] = edge_blocks
+        return out
+
+    k = _pin_block(at_nodes(op.k_real[sel]), fv, fv, diagonal=True)
+    l_p = _pin_block(at_nodes(op.l_real[sel]), fp, fp, diagonal=True)
+    g = _pin_block(at_nodes(op._coupling(op.g_full, op.g_diag, sel)), fv[:, None], fp[:, None])
+    dv = _pin_block(at_nodes(op._coupling(op.d_full, op.d_diag, sel)), fp[:, None], fv[:, None])
+    d_row = dv.transpose(0, 2, 1, 3).reshape(n, n2, nv)     # [D_1 ... D_d]
+    k_inv, k_singular = _invert_blocks(k)
+    kg = np.matmul(k_inv[:, None], g).reshape(n, nv, n2)    # K^-1 G_i, stacked
+    s_inv, s_singular = _invert_blocks(l_p - np.matmul(d_row, kg))
+    for i in np.flatnonzero(k_singular | s_singular):
+        eye = np.eye(n2) / _identity_scale(np.r_[np.diag(k[i]), np.diag(l_p[i])])
+        k_inv[i], s_inv[i], kg[i], d_row[i] = eye, eye, 0.0, 0.0
+        warnings.warn(f"singular nodal block at node {i}; using scaled identity")
+    k_inv_t = k_inv.swapaxes(1, 2)
+
+    def apply(x):
+        xr = np.asarray(x).reshape(n, d + 1, n2)
+        w = np.matmul(xr[:, :d], k_inv_t).reshape(n, nv)   # K^-1 r_i
+        p = np.einsum("nij,nj->ni", s_inv, xr[:, d] - np.einsum("nij,nj->ni", d_row, w))
+        out = np.empty((n, d + 1, n2))
+        out[:, :d] = (w - np.einsum("nij,nj->ni", kg, p)).reshape(n, d, n2)
+        out[:, d] = p
+        return out.ravel()
 
     return apply

@@ -163,9 +163,10 @@ class NSResult:
     """Outcome of solve_ns, with one record per step that updated the state.
 
     residuals holds the residual norm before every step, including the
-    final converged one; linear_iters and pseudo_dts hold the GMRES matvecs
-    and the pseudo step of each update.  linear_unconverged counts the
-    updates applied while GMRES was still above eps_ls without stagnating.
+    final converged one; linear_iters, linear_residuals and pseudo_dts hold
+    the GMRES matvecs, the relative linear residual GMRES reached and the
+    pseudo step of each update.  linear_unconverged counts the updates
+    applied while GMRES was still above eps_ls without stagnating.
     """
 
     state: NSState
@@ -175,6 +176,7 @@ class NSResult:
     linear_iters: List[int]
     pseudo_dts: List[float]
     linear_unconverged: int
+    linear_residuals: List[float]
 
 
 def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
@@ -329,16 +331,15 @@ def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
 
     tangent = None
     if need_tangent:
-        g_diag = np.repeat(g_scal[:, :, None], n, axis=2).astype(complex)
-        d_diag = np.repeat(d_scal[:, :, None], n, axis=2).astype(complex)
         if exact_gd:
             g_c[..., diag, diag] += g_scal[..., None]
             d_c[..., diag, diag] += d_scal[..., None]
         tangent = BlockTangent(
             ctx.rows, ctx.cols, mesh.n_nodes, dim, n,
-            k_real=block_from_orthonormal(k_c, 1.0),
+            k_real=block_from_orthonormal(     # column-major blocks, see BlockTangent
+                k_c, 1.0, out=np.zeros((n_edges, m + 1, m + 1)).swapaxes(1, 2)),
             l_real=block_from_orthonormal(l_c, 1.0),
-            g_diag=g_diag, d_diag=d_diag,
+            g_diag=g_scal, d_diag=d_scal,
             g_full=block_from_orthonormal(g_c, 0.0) if exact_gd else None,
             d_full=block_from_orthonormal(d_c, 0.0) if exact_gd else None,
         )
@@ -475,6 +476,7 @@ class NewtonUpdate(NamedTuple):
     matvecs: int
     pseudo_dt: float         # nan when no solve was run
     linear_converged: bool   # GMRES reached eps_ls
+    linear_residual: float   # GMRES's final ||A x - b|| / ||b||; nan when no solve was run
 
 
 def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
@@ -488,13 +490,16 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     norm to it (solve_ns passes its SER rule); None takes config.pseudo_dt,
     or default_pseudo_dt when that is None.  The tangent is assembled
     without the mass, which is added once the residual has chosen the step.
-    The linear solve runs to eps_ls relative tolerance with block-Jacobi
-    GMRES; Dirichlet increments are pinned to zero.  An update that GMRES
-    left above eps_ls without stagnating is applied and flagged
-    (linear_converged False); stagnation raises LinearSolveError and
-    leaves the state untouched.  If the residual norm is already at or
-    below skip_below, no solve is run.  dir_nodes, the Dirichlet node ids
-    of resolve_ns_dirichlet, is resolved here when not given.
+    The linear solve runs to eps_ls relative tolerance with GMRES,
+    preconditioned by block-Jacobi on the nodal blocks, which it inverts
+    through their pressure Schur complement; Dirichlet increments are
+    pinned to zero.  The update records the relative linear residual GMRES
+    reached.  An update that GMRES left above eps_ls without stagnating is
+    applied and flagged (linear_converged False); stagnation raises
+    LinearSolveError and leaves the state untouched.  If the residual norm
+    is already at or below skip_below, no solve is run.  dir_nodes, the
+    Dirichlet node ids of resolve_ns_dirichlet, is resolved here when not
+    given.
     """
     if pseudo_dt is None:
         pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
@@ -504,7 +509,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     resid, tangent = _assemble(case, mesh, state, need_residual=True, need_tangent=True)
     rnorm = residual_norm(resid, dir_nodes, mesh.dim)
     if rnorm <= skip_below:
-        return NewtonUpdate(state.copy(), rnorm, 0, np.nan, True)
+        return NewtonUpdate(state.copy(), rnorm, 0, np.nan, True, np.nan)
     if callable(pseudo_dt):
         pseudo_dt = pseudo_dt(rnorm)
     _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
@@ -524,7 +529,8 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     new.pressure += delta[:, mesh.dim, :]
     new.velocity[dir_nodes] = state.velocity[dir_nodes]
     new.symmetrize()
-    return NewtonUpdate(new, rnorm, res.matvecs, pseudo_dt, res.converged)
+    linear_residual = res.residuals[-1] / res.residuals[0] if res.residuals[0] > 0 else 0.0
+    return NewtonUpdate(new, rnorm, res.matvecs, pseudo_dt, res.converged, linear_residual)
 
 
 def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NSResult:
@@ -552,11 +558,12 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     residuals: List[float] = []
     lin_iters: List[int] = []
     pseudo_dts: List[float] = []
+    linear_residuals: List[float] = []
     unconverged = 0
 
     def result(converged: bool, steps: int) -> NSResult:
         return NSResult(state, converged, residuals, steps, lin_iters, pseudo_dts,
-                        unconverged)
+                        unconverged, linear_residuals)
 
     for step in range(config.max_steps):
         skip = config.eps_nr * residuals[0] if residuals else 0.0
@@ -574,6 +581,7 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
         state = update.state
         lin_iters.append(update.matvecs)
         pseudo_dts.append(update.pseudo_dt)
+        linear_residuals.append(update.linear_residual)
         unconverged += not update.linear_converged
     return result(False, config.max_steps)
 

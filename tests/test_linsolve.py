@@ -12,9 +12,9 @@ from tsfem.linsolve import (
     block_jacobi_preconditioner,
     block_to_real,
     build_graph,
-    diag_to_real,
     from_real,
     gmres,
+    layout_pins,
     pinned_operator,
     rhs_to_real,
     to_real,
@@ -97,14 +97,6 @@ class TestRealMapping:
             z = t @ rhs_to_real(x)
             np.testing.assert_allclose(z, rhs_to_real(y), atol=1e-12)
 
-    def test_diag_to_real_matches_block_to_real(self):
-        n_modes = 3
-        d = RNG.standard_normal(n_modes) + 1j * RNG.standard_normal(n_modes)
-        d[0] = d[0].real
-        full = np.zeros((5, 5), dtype=complex)
-        full[np.arange(5), np.arange(5)] = np.concatenate([np.conj(d[:0:-1]), d])
-        np.testing.assert_allclose(diag_to_real(d), block_to_real(full), atol=1e-14)
-
 
 def random_tangent(n_nodes, dim, n_modes, rng=RNG):
     elements = np.column_stack([np.arange(n_nodes - 1), np.arange(1, n_nodes)])
@@ -115,8 +107,8 @@ def random_tangent(n_nodes, dim, n_modes, rng=RNG):
         rows, cols, n_nodes, dim, n_modes,
         k_real=rng.standard_normal((e, n2, n2)),
         l_real=rng.standard_normal((e, n2, n2)),
-        g_diag=rng.standard_normal((e, dim, n_modes)) + 1j * rng.standard_normal((e, dim, n_modes)),
-        d_diag=rng.standard_normal((e, dim, n_modes)) + 1j * rng.standard_normal((e, dim, n_modes)),
+        g_diag=rng.standard_normal((e, dim)),
+        d_diag=rng.standard_normal((e, dim)),
     )
 
 
@@ -130,19 +122,9 @@ def dense_tangent_oracle(tg):
         r0, c0 = tg.rows[e] * b, tg.cols[e] * b
         for i in range(d):
             dense[r0 + i * n2:r0 + i * n2 + n2, c0 + i * n2:c0 + i * n2 + n2] += tg.k_real[e]
-            for m in range(n):
-                gm = tg.g_diag[e, i, m]
-                dm = tg.d_diag[e, i, m]
-                rr, cc = r0 + i * n2 + 2 * m, c0 + d * n2 + 2 * m
-                dense[rr, cc] += gm.real
-                dense[rr, cc + 1] += -gm.imag
-                dense[rr + 1, cc] += gm.imag
-                dense[rr + 1, cc + 1] += gm.real
-                rr, cc = r0 + d * n2 + 2 * m, c0 + i * n2 + 2 * m
-                dense[rr, cc] += dm.real
-                dense[rr, cc + 1] += -dm.imag
-                dense[rr + 1, cc] += dm.imag
-                dense[rr + 1, cc + 1] += dm.real
+            for slot in range(n2):
+                dense[r0 + i * n2 + slot, c0 + d * n2 + slot] += tg.g_diag[e, i]
+                dense[r0 + d * n2 + slot, c0 + i * n2 + slot] += tg.d_diag[e, i]
         dense[r0 + d * n2:r0 + b, c0 + d * n2:c0 + b] += tg.l_real[e]
     return dense
 
@@ -211,8 +193,8 @@ class TestBlockTangent:
             rows, cols, n_nodes, dim, n_modes,
             k_real=rng.standard_normal((e, n2, n2)),
             l_real=rng.standard_normal((e, n2, n2)),
-            g_diag=rng.standard_normal((e, dim, n_modes)) + 1j * rng.standard_normal((e, dim, n_modes)),
-            d_diag=rng.standard_normal((e, dim, n_modes)) + 1j * rng.standard_normal((e, dim, n_modes)),
+            g_diag=rng.standard_normal((e, dim)),
+            d_diag=rng.standard_normal((e, dim)),
             g_full=rng.standard_normal((e, dim, n2, n2)) if full else None,
             d_full=rng.standard_normal((e, dim, n2, n2)) if full else None,
         )
@@ -385,6 +367,67 @@ class TestBlockJacobi:
             pre = block_jacobi_preconditioner(sys_r)
         out = pre(np.ones(n_nodes * m))
         assert np.all(np.isfinite(out))
+
+
+def pinned_diag_blocks(tg, pins):
+    """Dense oracle: the diag_blocks() of a tangent, pinned slot by slot."""
+    blocks = tg.diag_blocks().copy()
+    n, b = blocks.shape[0], blocks.shape[-1]
+    for node, slot in zip(*np.nonzero(pins.reshape(n, b))):
+        blocks[node, slot, :] = 0.0
+        blocks[node, :, slot] = 0.0
+        blocks[node, slot, slot] = 1.0
+    return blocks
+
+
+class TestSchurBlockJacobi:
+    @settings(max_examples=60, deadline=None)
+    @given(n_nodes=st.integers(2, 6), dim=st.integers(1, 3), n_modes=st.integers(1, 4),
+           full=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pinned_block_solve(self, n_nodes, dim, n_modes, full, seed):
+        rng = np.random.default_rng(seed)
+        tg = random_tangent(n_nodes, dim, n_modes, rng=rng)
+        e, n2 = tg.rows.shape[0], 2 * n_modes
+        # diagonally dominant K and L keep K and the Schur complement regular
+        tg.k_real += 3 * n2 * np.eye(n2)
+        tg.l_real += 3 * (dim + 1) * n2 * np.eye(n2)
+        if full:
+            tg.g_full = rng.standard_normal((e, dim, n2, n2))
+            tg.d_full = rng.standard_normal((e, dim, n2, n2))
+        dir_nodes = np.flatnonzero(rng.random(n_nodes) < 0.4)   # whole-velocity pins
+        pins = layout_pins(n_nodes, n_modes, dir_nodes, dim + 1, dim)
+        r = rng.standard_normal(tg.n_dof)
+        blocks = pinned_diag_blocks(tg, pins)
+        ref = np.linalg.solve(blocks, r.reshape(n_nodes, -1, 1)).ravel()
+        got = block_jacobi_preconditioner(tg, pins)(r)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_singular_k_falls_back_with_warning(self):
+        tg = random_tangent(3, 2, 2)
+        n2 = 2 * tg.n_modes
+        tg.k_real += 3 * n2 * np.eye(n2)
+        tg.l_real += 9 * n2 * np.eye(n2)
+        tg.k_real[(tg.rows == 1) & (tg.cols == 1)] = 0.0
+        pins = layout_pins(3, tg.n_modes, np.array([], dtype=int), tg.dim + 1, tg.dim)
+        with pytest.warns(UserWarning, match="singular"):
+            pre = block_jacobi_preconditioner(tg, pins)
+        r = RNG.standard_normal(tg.n_dof)
+        out = pre(r)
+        assert np.all(np.isfinite(out))
+        blocks = pinned_diag_blocks(tg, pins)
+        regular = [0, 2]
+        ref = np.linalg.solve(blocks[regular], r.reshape(3, -1, 1)[regular])[..., 0]
+        assert np.linalg.norm(out.reshape(3, -1)[regular] - ref) <= 1e-10 * np.linalg.norm(ref)
+        # the singular node gets the identity scaled by its largest diagonal entry
+        scale = np.max(np.abs(np.diag(blocks[1])))
+        np.testing.assert_allclose(out.reshape(3, -1)[1], r.reshape(3, -1)[1] / scale)
+
+    def test_unlike_velocity_pins_rejected(self):
+        tg = random_tangent(3, 2, 2)
+        pins = np.zeros((3, tg.dim + 1, 2 * tg.n_modes), dtype=bool)
+        pins[0, 0, :] = True            # one velocity direction of node 0 only
+        with pytest.raises(ValueError, match="velocity direction"):
+            block_jacobi_preconditioner(tg, pins.ravel())
 
 
 class TestPinnedOperator:

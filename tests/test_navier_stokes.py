@@ -245,7 +245,7 @@ class TestTangent:
         state = random_state(mesh, 3)
         tg = assemble_ns_tangent(case, mesh, state)
         assert tg.g_full is None and tg.d_full is None
-        assert tg.g_diag.shape == (len(tg.rows), 2, 3)
+        assert tg.g_diag.shape == tg.d_diag.shape == (len(tg.rows), 2)
 
 
 def _oracle_facet_state_velocity(state: NSState, fq, q: int) -> np.ndarray:
@@ -391,12 +391,10 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
     tangent = None
     if need_tangent:
         n_half = case.n_modes
-        g_diag = np.repeat(g_scal[:, :, None], n_half, axis=2).astype(complex)
-        d_diag = np.repeat(d_scal[:, :, None], n_half, axis=2).astype(complex)
         tangent = BlockTangent(
             ctx.rows, ctx.cols, mesh.n_nodes, dim, n_half,
             k_real=block_to_real(k_c), l_real=block_to_real(l_c),
-            g_diag=g_diag, d_diag=d_diag,
+            g_diag=g_scal, d_diag=d_scal,
             g_full=block_to_real(g_c) + _oracle_diag_expand(g_scal, n_half) if exact_gd else None,
             d_full=block_to_real(d_c) + _oracle_diag_expand(d_scal, n_half) if exact_gd else None,
         )
@@ -722,6 +720,23 @@ class TestPseudoStep:
         fixed = solve_ns(case, mesh, config)
         assert fixed.converged and set(fixed.pseudo_dts) == {dts[0]}
         assert grown.steps < fixed.steps
+
+    def test_linear_residuals_record_what_gmres_reached(self, monkeypatch):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 6))
+        case = poiseuille_case(n_modes=2, omega=1.0)
+        reached = []
+
+        def spy(op, rhs, config, precond=None):
+            res = linsolve.gmres(op, rhs, config, precond=precond)
+            reached.append(np.linalg.norm(op(res.x) - rhs) / np.linalg.norm(rhs))
+            return res
+
+        monkeypatch.setattr(navier_stokes, "gmres", spy)
+        result = solve_ns(case, mesh, SolverConfig(eps_ls=0.05))
+        assert result.converged and result.linear_unconverged == 0
+        assert len(result.linear_residuals) == result.steps == len(reached) >= 1
+        np.testing.assert_allclose(result.linear_residuals, reached, rtol=1e-6)
+        assert all(0.0 < r <= 0.05 for r in result.linear_residuals)
 
     def test_solver_config_rejects_bad_step_values(self):
         for kwargs in ({"pseudo_dt": 0.0}, {"pseudo_dt": -1.0}, {"pseudo_dt": np.nan}):
