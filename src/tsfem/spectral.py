@@ -324,25 +324,39 @@ def tau_from_conv(conv: np.ndarray, metric: np.ndarray, kappa: float,
 
     conv holds the convolution matrices, shape (..., dim, M, M), either
     complex Hermitian (complex modes) or real symmetric (real basis);
-    metric is (..., dim, dim).  A_i G_ij A_j is formed as
-    sum_i A_i (sum_j G_ij A_j) with batched matmuls, and tau as the
-    eigenvectors scaled by w^{-1/2} times their adjoint, in the dtype of
-    conv.
+    metric is (..., dim, dim), symmetric positive definite.  With G = L L^T,
+    A_i G_ij A_j = F^H F for the stacked factor F = [C_1; ...; C_dim],
+    C_k = sum_i L_ik A_i, and s = C_I k^2 G_ij G_ij.  tau comes from the
+    eigenpairs (w, V) of arg = F^H F + sI, followed by one Newton step on
+    X arg X = I whose residual is formed from F V w^{-1/2}.  Forming F^H F
+    rounds tau in its small-eigenvalue directions by about eps * cond(arg)
+    relative; the step brings that down to about eps * sqrt(cond(arg)).
+    The result has the dtype of conv.
     """
     metric = np.asarray(metric, dtype=float)
-    g_conv = np.einsum("...ij,...jst->...ist", metric, conv)
-    arg = np.matmul(conv, g_conv).sum(axis=-3)
-    gg = np.einsum("...ij,...ij->...", metric, metric)
     m = conv.shape[-1]
-    arg[..., np.arange(m), np.arange(m)] += (c_i * kappa**2 * gg)[..., None]
-    arg = 0.5 * (arg + _adjoint(arg))
+    fac = np.einsum("...ik,...ist->...kst", np.linalg.cholesky(metric), conv)
+    fac = fac.reshape(fac.shape[:-3] + (-1, m))
+    shift = c_i * kappa**2 * np.einsum("...ij,...ij->...", metric, metric)
+    diag = np.arange(m)
+    arg = _adjoint(fac) @ fac
+    arg[..., diag, diag] += shift[..., None]
     w, v = np.linalg.eigh(arg)
     if np.any(w[..., 0] <= 0.0):
         raise ValueError(
             "singular stabilization argument (zero velocity with kappa = 0?); "
             f"min eigenvalue {np.min(w):.6e}"
         )
-    tau = (v * (w**-0.5)[..., None, :]) @ _adjoint(v)
+    inv_sqrt = w**-0.5
+    v_scaled = v * inv_sqrt[..., None, :]
+    # residual V^H (X0 arg X0 - I) V of X0 = V w^{-1/2} V^H, then the
+    # correction D is D_ab (w_a^{1/2} + w_b^{1/2}) = -residual_ab
+    fv = fac @ v_scaled
+    resid = _adjoint(fv) @ fv
+    resid[..., diag, diag] += shift[..., None] * inv_sqrt**2 - 1.0
+    sqrt_w = w**0.5
+    resid /= sqrt_w[..., :, None] + sqrt_w[..., None, :]
+    tau = (v_scaled - v @ resid) @ _adjoint(v)
     return 0.5 * (tau + _adjoint(tau))
 
 
