@@ -57,7 +57,8 @@ class RunSummary:
 
     For flow cases, residuals holds the residual norm before each Newton
     step, and pseudo_dts, linear_iters and linear_residuals the pseudo step,
-    GMRES matvecs and relative linear residual reached of each update;
+    GMRES matvecs and relative linear residual reached of each update, and
+    assembly_s and linear_s its seconds in assembly and in the linear solve;
     linear_unconverged counts the updates GMRES left above eps_ls.
     """
 
@@ -76,6 +77,8 @@ class RunSummary:
     linear_iters: List[int] = field(default_factory=list)
     linear_unconverged: int = 0
     linear_residuals: List[float] = field(default_factory=list)
+    assembly_s: List[float] = field(default_factory=list)
+    linear_s: List[float] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -86,6 +89,8 @@ class RunSummary:
             "linear_iters": [int(n) for n in self.linear_iters],
             "linear_residuals": [float(r) for r in self.linear_residuals],
             "linear_unconverged": int(self.linear_unconverged),
+            "assembly_s": [float(t) for t in self.assembly_s],
+            "linear_s": [float(t) for t in self.linear_s],
             "wall_time": float(self.wall_time),
             "alpha": float(self.alpha), "beta": float(self.beta),
             "flows": self.flows, "truncation": self.truncation,
@@ -93,19 +98,22 @@ class RunSummary:
         }
 
     def step_table(self) -> str:
-        """One line per Newton step: residual, pseudo_dt, GMRES matvecs and
-        the relative linear residual GMRES reached.
+        """One line per Newton step: residual, pseudo_dt, GMRES matvecs, the
+        relative linear residual GMRES reached, and the seconds in assembly
+        and in the linear solve.
 
         The last step of a converged run made no update and shows "-".
         """
         lines = [f"{'step':>4}  {'residual':>10}  {'pseudo_dt':>10}  {'matvecs':>7}  "
-                 f"{'linear_res':>10}"]
+                 f"{'linear_res':>10}  {'assembly_s':>10}  {'linear_s':>9}"]
         for k, r in enumerate(self.residuals):
             if k < len(self.pseudo_dts):
                 lines.append(f"{k:>4}  {r:>10.3e}  {self.pseudo_dts[k]:>10.3e}  "
-                             f"{self.linear_iters[k]:>7d}  {self.linear_residuals[k]:>10.3e}")
+                             f"{self.linear_iters[k]:>7d}  {self.linear_residuals[k]:>10.3e}  "
+                             f"{self.assembly_s[k]:>10.4f}  {self.linear_s[k]:>9.4f}")
             else:
-                lines.append(f"{k:>4}  {r:>10.3e}  {'-':>10}  {'-':>7}  {'-':>10}")
+                lines.append(f"{k:>4}  {r:>10.3e}  {'-':>10}  {'-':>7}  {'-':>10}  "
+                             f"{'-':>10}  {'-':>9}")
         return "\n".join(lines)
 
 
@@ -172,7 +180,8 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
                              diag.alpha, diag.beta, flows,
                              info.get("truncation", {}), None, outputs,
                              result.pseudo_dts, result.linear_iters,
-                             result.linear_unconverged, result.linear_residuals)
+                             result.linear_unconverged, result.linear_residuals,
+                             result.assembly_s, result.linear_s)
     else:
         sol = solve_scalar(case, mesh, solver_config)
         diag = diagnostics(case, mesh)

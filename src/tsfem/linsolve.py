@@ -39,6 +39,7 @@ __all__ = [
     "BlockTangent",
     "AssemblyContext",
     "Segments",
+    "SortedSegments",
     "assembly_context",
     "build_graph",
     "block_to_real",
@@ -164,6 +165,36 @@ class Segments:
         out[self.ids] += acc
 
 
+@dataclass(frozen=True)
+class SortedSegments:
+    """Scatter plan that adds values onto repeated keys by one sorted reduceat.
+
+    add_to(out, values) does np.add.at(out, keys, values): the values are
+    gathered in stable key order, so each key's values stay in their
+    original order, and np.add.reduceat sums each run.  numpy vectorizes
+    that sum, so the result equals np.add.at to rounding, not bit for bit
+    as Segments does.  It pays one gather and one reduction whatever the
+    number of values per key, where Segments pays one gather per rank: it
+    is the faster plan for keys with long runs, such as the nodes of the
+    elements.
+    """
+
+    order: np.ndarray   # value rows in stable key order
+    starts: np.ndarray  # first row of each key's run in that order
+    ids: np.ndarray     # the distinct keys, ascending
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "SortedSegments":
+        keys = np.asarray(keys).ravel()
+        order = np.argsort(keys, kind="stable")
+        starts = segment_starts(keys[order])[:keys.size]   # no segment for no keys
+        return cls(order, starts, keys[order][starts])
+
+    def add_to(self, out: np.ndarray, values: np.ndarray) -> None:
+        if self.starts.size:
+            out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
+
+
 _CHUNK = 2048  # elements per assembly chunk, bounds transient memory
 
 
@@ -172,16 +203,17 @@ class AssemblyContext:
     """Per-mesh scatter plan: the nodal graph and its sorted reductions.
 
     The elements are processed in chunks of at most _CHUNK; for each chunk
-    the plan holds the Segments of its element-node keys (residual scatter)
-    and of its build_graph edge_of keys (tangent scatter).  edge_mass, when
-    the plan is built with the element mass matrices, is their sum onto the
-    edges: sum_e detj sum_q w_q N_A N_B per node pair.
+    the plan holds the SortedSegments of its element-node keys (residual
+    and element-operator scatter: few keys, long runs) and the Segments of
+    its build_graph edge_of keys (tangent scatter: many keys, short runs).
+    edge_mass, when the plan is built with the element mass matrices, is
+    their sum onto the edges: sum_e detj sum_q w_q N_A N_B per node pair.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     n_nodes: int
-    chunks: tuple  # of (slice, node Segments, edge Segments)
+    chunks: tuple  # of (slice, node SortedSegments, edge Segments)
     edge_mass: Optional[np.ndarray] = None
 
     @classmethod
@@ -193,7 +225,7 @@ class AssemblyContext:
         chunks = []
         for start in range(0, n_el, _CHUNK):
             sl = slice(start, min(start + _CHUNK, n_el))
-            chunks.append((sl, Segments.of(elements[sl]), Segments.of(edge_of[sl])))
+            chunks.append((sl, SortedSegments.of(elements[sl]), Segments.of(edge_of[sl])))
         edge_mass = None
         if element_mass is not None:
             edge_mass = np.zeros(rows.shape[0])
@@ -439,6 +471,12 @@ class BlockTangent:
     NS assembly stores them.  The rows must be sorted, as build_graph
     returns them; row_starts, the starts of their runs, are worked out here
     once per tangent and the matvec reduces the edge products over them.
+
+    elements optionally adds an operator that is kept per element rather
+    than per edge (the Newton terms of the NS operator): an object whose
+    add_to(x, y) adds its product with the (n_nodes, dim+1, 2N) array x to
+    y, and whose reals_per_element and n_elements give its storage.  The
+    preconditioner, diag_blocks and to_dense see the edge blocks only.
     """
 
     rows: np.ndarray
@@ -452,6 +490,7 @@ class BlockTangent:
     d_diag: np.ndarray                    # (E, dim)
     g_full: Optional[np.ndarray] = field(default=None, repr=False)
     d_full: Optional[np.ndarray] = field(default=None, repr=False)
+    elements: Optional[object] = field(default=None, repr=False)
     row_starts: np.ndarray = field(init=False, repr=False)
     _edge_out: np.ndarray = field(init=False, repr=False)
 
@@ -467,7 +506,8 @@ class BlockTangent:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         d, n2 = self.dim, 2 * self.n_modes
-        xc = np.asarray(x).reshape(self.n_nodes, d + 1, n2)[self.cols]
+        xn = np.asarray(x).reshape(self.n_nodes, d + 1, n2)
+        xc = xn[self.cols]
         xv, xp = xc[:, :d], xc[:, d]
         out = self._edge_out                 # (E, d+1, 2N) edge products
         np.matmul(xv, self.k_real.swapaxes(1, 2), out=out[:, :d])
@@ -482,6 +522,8 @@ class BlockTangent:
             out[:, d] += np.einsum("ed,edj->ej", self.d_diag, xv)
         y = np.zeros((self.n_nodes, d + 1, n2))
         y[self.rows[self.row_starts]] = np.add.reduceat(out, self.row_starts, axis=0)
+        if self.elements is not None:
+            self.elements.add_to(xn, y)
         return y.ravel()
 
     def _coupling(self, full, scalar, edges) -> np.ndarray:
@@ -521,13 +563,17 @@ class BlockTangent:
         return dense
 
     def size_report(self) -> dict:
-        """Stored real scalars per edge versus the naive dense-block layout."""
+        """Stored real scalars per edge versus the naive dense-block layout,
+        and per element for the element-level operator (0 without one)."""
         n, m = self.n_modes, 2 * self.n_modes - 1
         stored = self.k_real.shape[-1] ** 2 + self.l_real.shape[-1] ** 2 + 2 * self.dim
         budget = 2 * m * m + 12 * 2 * n + 2 * m * m
         naive = 16 * m * m * 2
+        el = self.elements
         return {"stored_per_edge": stored, "budget_per_edge": budget,
-                "naive_per_edge": naive, "n_edges": int(self.rows.shape[0])}
+                "naive_per_edge": naive, "n_edges": int(self.rows.shape[0]),
+                "stored_per_element": el.reals_per_element if el is not None else 0,
+                "n_elements": el.n_elements if el is not None else 0}
 
 
 # ---------------------------------------------------------------------------

@@ -437,17 +437,24 @@ class RealBasis:
     matrices, R(A(z)) = (r @ conv).reshape(M, M), built from
     convolution_dense so the band limit is the same; omega is
     R(build_omega(N, 1)), real skew-symmetric with the 2x2 block
-    [[0, -n], [n, 0]] on the cos/sin pair of mode n.
+    [[0, -n], [n, 0]] on the cos/sin pair of mode n.  samples (P, M) gives
+    the values of a series at the P = 3N-2 equispaced phases 2 pi k / P:
+    with P >= 2N-1, samples^T samples = P I, and since the product of two
+    series has modes up to 2N-2, none of which aliases onto |n| < N at
+    3N-2 samples, samples^T (samples a * samples b) / P = R(A(a)) b, the
+    band-restricted product.
     """
 
     n_modes: int
     unitary: np.ndarray = field(repr=False)   # (M, M) complex
     conv: np.ndarray = field(repr=False)      # (M, M*M) real
     omega: np.ndarray = field(repr=False)     # (M, M) real
+    samples: np.ndarray = field(repr=False)   # (3N-2, M) real
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         """R(A) = Q A Q^H of mode operators (..., M, M); see _real_form."""
         return _real_form(self.unitary, a)
+
 
 
 def _real_form(q: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -473,6 +480,9 @@ def real_basis(n_modes: int) -> RealBasis:
     q = cols.conj()
     conv = _real_form(q, convolution_dense(cols, n_modes)).reshape(m, m * m)
     omega = _real_form(q, build_omega(n_modes, 1.0))
-    for a in (q, conv, omega):
+    phases = 2 * np.pi * np.arange(3 * n_modes - 2) / (3 * n_modes - 2)
+    samples = np.exp(1j * np.outer(phases, np.arange(-n_modes + 1, n_modes))) @ cols.T
+    samples = samples.real
+    for a in (q, conv, omega, samples):
         a.setflags(write=False)
-    return RealBasis(n_modes, q, conv, omega)
+    return RealBasis(n_modes, q, conv, omega, samples)

@@ -33,6 +33,7 @@ from .linsolve import (
     BlockMatrix,
     Segments,
     SolverConfig,
+    SortedSegments,
     assembly_context,
     block_jacobi_preconditioner,
     build_graph,
@@ -158,7 +159,7 @@ class _ChunkFields(NamedTuple):
     """Point fields of one element chunk, kept from the residual for the tangent."""
 
     sl: slice
-    node_seg: Segments
+    node_seg: SortedSegments
     edge_seg: Segments
     uq: np.ndarray        # (E, Q, dim) velocity u_af
     w: np.ndarray         # (E, Q) quadrature weight times detj

@@ -351,14 +351,18 @@ class TestMainEntry:
         assert n_updates >= 1
         assert len(summary["pseudo_dts"]) == len(summary["linear_iters"]) == n_updates
         assert len(summary["linear_residuals"]) == n_updates
+        assert len(summary["assembly_s"]) == len(summary["linear_s"]) == n_updates
         assert summary["linear_unconverged"] == 0
         table = out[out.index("step  "):].splitlines()
-        assert table[0].split() == ["step", "residual", "pseudo_dt", "matvecs", "linear_res"]
+        assert table[0].split() == ["step", "residual", "pseudo_dt", "matvecs", "linear_res",
+                                    "assembly_s", "linear_s"]
         assert len(table) == n_updates + 2
         assert table[1].split()[3] == str(summary["linear_iters"][0])
         assert float(table[1].split()[4]) == pytest.approx(summary["linear_residuals"][0],
                                                            rel=1e-3)
-        assert table[-1].split()[2:] == ["-", "-", "-"]
+        assert float(table[1].split()[5]) == pytest.approx(summary["assembly_s"][0], abs=1e-4)
+        assert float(table[1].split()[6]) == pytest.approx(summary["linear_s"][0], abs=1e-4)
+        assert table[-1].split()[2:] == ["-", "-", "-", "-", "-"]
 
     def test_mesh_gen_verb(self, tmp_path, capsys):
         cfg = tmp_path / "mesh.yaml"

@@ -9,6 +9,8 @@ from tsfem.linsolve import (
     BlockTangent,
     GmresConfig,
     Segments,
+    SortedSegments,
+    assembly_context,
     block_jacobi_preconditioner,
     block_to_real,
     build_graph,
@@ -19,6 +21,7 @@ from tsfem.linsolve import (
     rhs_to_real,
     to_real,
 )
+from tsfem.mesh import generate_box_tet
 
 RNG = np.random.default_rng(321)
 
@@ -135,9 +138,10 @@ class TestSegments:
         values = RNG.standard_normal((40, 3))
         ref = np.zeros((9, 3))
         np.add.at(ref, keys, values)
-        out = np.zeros((9, 3))
-        Segments.of(keys).add_to(out, values)
-        np.testing.assert_allclose(out, ref, atol=1e-14)
+        for plan in (Segments, SortedSegments):
+            out = np.zeros((9, 3))
+            plan.of(keys).add_to(out, values)
+            np.testing.assert_allclose(out, ref, atol=1e-14)
 
     @settings(max_examples=80, deadline=None)
     @given(counts=st.lists(st.integers(0, 30), min_size=1, max_size=12),
@@ -152,17 +156,32 @@ class TestSegments:
         start = rng.standard_normal((len(counts) + 1, *trailing))
         ref = start.copy()
         np.add.at(ref, keys, values)
-        out = start.copy()
-        seg = Segments.of(keys)
-        seg.add_to(out, values)
-        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
-        # each key's values summed in their original order: exact from zero
         ref0 = np.zeros_like(start)
         np.add.at(ref0, keys, values)
-        out0 = np.zeros_like(start)
-        seg.add_to(out0, values)
-        np.testing.assert_array_equal(out0, ref0)
-        assert len(seg.ranks) == max(counts)
+        for plan in (Segments, SortedSegments):
+            out = start.copy()
+            seg = plan.of(keys)
+            seg.add_to(out, values)
+            np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+            out0 = np.zeros_like(start)
+            seg.add_to(out0, values)
+            if plan is Segments:
+                # each key's values summed in their original order: exact from zero
+                np.testing.assert_array_equal(out0, ref0)
+                assert len(seg.ranks) == max(counts)
+            else:
+                # one run per key, each in the values' original order
+                assert np.array_equal(seg.ids, np.flatnonzero(np.bincount(keys)))
+                runs = np.split(seg.order, seg.starts[1:])
+                assert all(np.all(np.diff(run) > 0) for run in runs)
+                assert all(np.all(keys[run] == k) for run, k in zip(runs, seg.ids))
+                np.testing.assert_allclose(out0, ref0, rtol=0.0, atol=1e-12)
+
+    def test_assembly_context_picks_the_plan_by_key(self):
+        mesh = generate_box_tet((1.0, 1.0, 1.0), (2, 1, 1))
+        ctx = assembly_context(mesh, build_graph)
+        for _, node_seg, edge_seg in ctx.chunks:
+            assert isinstance(node_seg, SortedSegments) and isinstance(edge_seg, Segments)
 
 
 class TestBlockTangent:

@@ -41,8 +41,10 @@ from tsfem.navier_stokes import (
     ser_pseudo_dt,
     solve_ns,
 )
+from tsfem import spectral_real
 from tsfem.spectral import (
     SpectralCoeffs,
+    modes_to_real,
     build_omega,
     check_conjugate_symmetry,
     matrix_negative_part,
@@ -533,6 +535,166 @@ class TestRealBasisAssembly:
                      "k with backflow")
 
 
+def frozen_tau_residual(case, mesh, state, taus, monkeypatch):
+    """The residual with tau replayed from `taus`, in the order assembly asks for it.
+
+    A_i and everything else follow `state`; coeff_state would freeze A_i too.
+    """
+    replay = iter(taus)
+    with monkeypatch.context() as patch:
+        patch.setattr(navier_stokes, "tau_from_modes", lambda *args: next(replay))
+        return assemble_ns_residual(case, mesh, state)
+
+
+def recorded_taus(case, mesh, state, monkeypatch):
+    taus = []
+    real = navier_stokes.tau_from_modes
+
+    def record(*args):
+        taus.append(real(*args))
+        return taus[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(navier_stokes, "tau_from_modes", record)
+        assemble_ns_residual(case, mesh, state)
+    return taus
+
+
+def dense_newton_oracle(case, mesh, state):
+    """Literal per-point matrix of the element-level Newton terms (real basis).
+
+    Rows and columns run over (node, component, orthonormal mode
+    coordinate); per element and point it adds, for the momentum row
+    (A, i) and the continuity row A, the derivative terms that the edge
+    blocks leave out: the least-squares gradient and divergence coupling,
+    the Galerkin and least-squares convective reaction and the variation of
+    P_A through A_k, with tau held fixed.
+    """
+    n, m, d, rho = case.n_modes, n_coeffs(case.n_modes), mesh.dim, case.rho
+    ed = mesh.element_data()
+    rule = quadrature_rule(mesh.elem_type)
+    shp = shape_values(mesh.elem_type, rule.points)
+    c_i = c_i_for(mesh.elem_type, case.c_i)
+    omega = spectral_real.build_omega(n, case.omega)
+    vel, pres = modes_to_real(state.velocity), modes_to_real(state.pressure)
+    conv = lambda v: spectral_real.convolution_dense(v, n)   # noqa: E731
+    jac = np.zeros((mesh.n_nodes, d + 1, m, mesh.n_nodes, d + 1, m))
+    for e, nodes in enumerate(mesh.elements):
+        g = ed.grads[e]
+        du = np.einsum("aj,aim->ijm", g, vel[nodes])           # d u_i / d x_j
+        gp = g.T @ pres[nodes]
+        for q in range(rule.n_points):
+            w, nq = rule.weights[q] * ed.detj[e], shp[q]
+            uq = nq @ vel[nodes].reshape(len(nodes), -1)
+            uq = uq.reshape(d, m)
+            cq = [conv(uq[j]) for j in range(d)]
+            tau = spectral_real.tau_from_modes(uq, ed.metric[e], case.nu, c_i, n)
+            strong = [rho * (omega @ uq[i] + sum(cq[j] @ du[i, j] for j in range(d))) + gp[i]
+                      for i in range(d)]
+            for a, na in enumerate(nodes):
+                p_a = (sum(g[a, k] * cq[k] for k in range(d)) - nq[a] * omega) @ tau
+                for b, nb in enumerate(nodes):
+                    t_b = nq[b] * omega + sum(g[b, k] * cq[k] for k in range(d))
+                    for i in range(d):
+                        jac[na, i, :, nb, d] += w * p_a * g[b, i]
+                        for k in range(d):
+                            react = rho * nq[b] * conv(du[i, k])
+                            jac[na, i, :, nb, k] += w * ((nq[a] * np.eye(m) + p_a) @ react
+                                                         + g[a, k] * nq[b] * conv(tau @ strong[i]))
+                            jac[na, d, :, nb, k] += w * g[a, i] * tau @ react / rho
+                    for k in range(d):
+                        jac[na, d, :, nb, k] += w * g[a, k] * tau @ t_b
+    size = mesh.n_nodes * (d + 1) * m
+    return jac.reshape(size, size)
+
+
+class TestNewtonOperator:
+    """The operator newton_step solves with: the derivative with tau held fixed."""
+
+    @staticmethod
+    def _cases():
+        mesh2 = generate_rect_tri((1.0, 0.8), (3, 2))
+        yield mesh2, poiseuille_case(n_modes=2, omega=1.2, u_max=0.6), \
+            random_state(mesh2, 2, np.random.default_rng(3), scale=0.5)
+        for n_modes in (1, 3):
+            mesh3, case3, state3, _ = bent_oracle_setup(n_modes, beta=0.0)
+            yield mesh3, case3, state3
+
+    def test_matches_central_differences_with_tau_fixed(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        for mesh, case, base in self._cases():
+            op = navier_stokes.assemble_ns_newton(case, mesh, base)
+            taus = recorded_taus(case, mesh, base, monkeypatch)
+            for _ in range(2):
+                z = rng.standard_normal(op.n_dof)
+                z.reshape(mesh.n_nodes, mesh.dim + 1, -1)[:, :, 1] = 0.0
+                dz = from_real(z.reshape(mesh.n_nodes, mesh.dim + 1, -1))
+                eps = 1e-5
+                sides = []
+                for sign in (1.0, -1.0):
+                    pert = base.copy()
+                    pert.velocity += sign * eps * dz[:, :mesh.dim]
+                    pert.pressure += sign * eps * dz[:, mesh.dim]
+                    sides.append(frozen_tau_residual(case, mesh, pert, taus, monkeypatch))
+                fd = rhs_to_real((sides[0] - sides[1]) / (2 * eps)).ravel()
+                hv = op.matvec(z)
+                assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(fd)
+                # and the element terms matter: the edge blocks alone miss them
+                edges = replace(op, elements=None)
+                assert np.linalg.norm(fd - edges.matvec(z)) > 1e-2 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_element_terms_match_dense_point_oracle(self, n_modes, dim):
+        if dim == 2:
+            mesh = generate_rect_tri((1.0, 0.8), (2, 2))
+            case = poiseuille_case(n_modes=n_modes, omega=1.3, u_max=0.5, rho=1.2, mu=0.07)
+            state = random_state(mesh, n_modes, np.random.default_rng(n_modes), scale=0.7)
+        else:
+            mesh, case, state, _ = bent_oracle_setup(n_modes)
+        op = navier_stokes.assemble_ns_newton(case, mesh, state)
+        jac = dense_newton_oracle(case, mesh, state)
+        rng = np.random.default_rng(5 + n_modes)
+        for _ in range(3):
+            x = rng.standard_normal((mesh.n_nodes, dim + 1, 2 * n_modes))
+            x[..., 1] = 0.0
+            x_o = np.concatenate([x[..., :1], np.sqrt(2.0) * x[..., 2:]], axis=-1)
+            ref = linsolve.rhs_from_orthonormal(
+                (jac @ x_o.ravel()).reshape(mesh.n_nodes, dim + 1, -1))
+            got = np.zeros_like(x)
+            op.elements.add_to(x, got)
+            assert_close(got, ref, f"element terms N={n_modes} dim={dim}")
+
+    def test_size_report_counts_the_element_storage(self):
+        mesh, case, state, _ = bent_oracle_setup(3)
+        rep = navier_stokes.assemble_ns_newton(case, mesh, state).size_report()
+        assert rep["n_elements"] == mesh.n_elements
+        assert 0 < rep["stored_per_element"] < 64 * n_coeffs(3) ** 2
+        assert assemble_ns_tangent(case, mesh, state).size_report()["stored_per_element"] == 0
+
+    def test_solve_builds_one_operator_per_linear_solve(self, monkeypatch):
+        mesh, case = TestPseudoStep._bent_case()
+        counts = {"residual": 0, "operator": 0, "gmres": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(navier_stokes, "_residual_pass",
+                            counting("residual", navier_stokes._residual_pass))
+        monkeypatch.setattr(navier_stokes, "_tangent_pass",
+                            counting("operator", navier_stokes._tangent_pass))
+        monkeypatch.setattr(navier_stokes, "gmres", counting("gmres", linsolve.gmres))
+        result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
+        assert result.converged
+        assert counts["operator"] == counts["gmres"] == result.steps
+        assert counts["residual"] == result.steps + 1
+        assert len(result.assembly_s) == len(result.linear_s) == result.steps
+        assert all(t > 0.0 for t in result.assembly_s + result.linear_s)
+
+
 class TestChunkInvariance:
     @staticmethod
     def _assemble_all(n_modes):
@@ -548,11 +710,14 @@ class TestChunkInvariance:
         frozen = random_state(mesh, n_modes, rng)
         prod = assemble_ns_tangent(case, mesh, state, pseudo_dt=0.2)
         exact = assemble_ns_tangent(case, mesh, state, exact_gd=True)
+        newton = navier_stokes.assemble_ns_newton(case, mesh, state)
+        x = rng.standard_normal(newton.n_dof)
         return {
             "residual": assemble_ns_residual(case, mesh, state),
             "residual_frozen": assemble_ns_residual(case, mesh, state, coeff_state=frozen),
             "k": prod.k_real, "l": prod.l_real, "g": prod.g_diag, "d": prod.d_diag,
             "g_full": exact.g_full, "d_full": exact.d_full, "k_exact": exact.k_real,
+            "newton_matvec": newton.matvec(x),
         }
 
     def test_assembly_independent_of_chunk_size(self, monkeypatch):
@@ -720,6 +885,13 @@ class TestPseudoStep:
         fixed = solve_ns(case, mesh, config)
         assert fixed.converged and set(fixed.pseudo_dts) == {dts[0]}
         assert grown.steps < fixed.steps
+
+    def test_newton_operator_converges_the_bent_case_in_few_updates(self):
+        # 13 updates with the frozen-coefficient (Picard) operator
+        mesh, case = self._bent_case()
+        result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
+        assert result.converged and result.linear_unconverged == 0
+        assert result.steps <= 8
 
     def test_linear_residuals_record_what_gmres_reached(self, monkeypatch):
         mesh = generate_rect_tri((1.0, 1.0), (3, 6))

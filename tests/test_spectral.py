@@ -431,6 +431,22 @@ class TestRealBasis:
 
     @settings(max_examples=40, deadline=None)
     @given(n_modes=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_samples_give_the_band_restricted_product(self, n_modes, seed):
+        # 3N-2 phases: the pointwise product projected back is C(a) b exactly
+        rng = np.random.default_rng(seed)
+        m = 2 * n_modes - 1
+        samples = real_basis(n_modes).samples
+        assert samples.shape == (3 * n_modes - 2, m)
+        np.testing.assert_allclose(samples.T @ samples, samples.shape[0] * np.eye(m),
+                                   rtol=0, atol=1e-12)
+        a, b = rng.standard_normal((2, m))
+        ref = spectral_real.convolution_dense(a, n_modes) @ b
+        got = samples.T @ ((samples @ a) * (samples @ b)) / samples.shape[0]
+        scale = np.abs(a).max() * np.abs(b).max() * m
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_modes=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_map_is_multiplicative(self, n_modes, seed):
         a, b = random_symmetric_operators(np.random.default_rng(seed), 2, n_modes)
         basis = real_basis(n_modes)
