@@ -224,10 +224,23 @@ def _waveform_from_samples(samples: np.ndarray, period: float, n_fit: int):
     return waveform
 
 
+# the keys the studies read; any other key is a typo
+_STUDY_KEYS = {"kind", "modes", "resolutions", "case", "reference", "directory"}
+_REFERENCE_KEYS = {"group", "dt_per_cycle", "n_cycles", "ramp_steps", "n_fit"}
+
+
 def _study_case(study: Dict[str, Any]) -> CaseConfig:
-    """A study's case block, validated as a case file is."""
-    if "case" not in study:
-        raise ConfigError(["study.case is required"])
+    """A study's case block, validated as a case file is, after the study's own keys."""
+    reference = study.get("reference", {})
+    if not isinstance(reference, dict):
+        raise ConfigError(["study.reference must be a mapping"])
+    errors = [f"unknown key {section}.{key}; known keys: {sorted(known)}"
+              for section, block, known in (("study", study, _STUDY_KEYS),
+                                            ("study.reference", reference, _REFERENCE_KEYS))
+              for key in sorted(set(block) - known, key=str)]
+    errors += [] if "case" in study else ["study.case is required"]
+    if errors:
+        raise ConfigError(errors)
     return config_from_mapping(study["case"])
 
 
@@ -289,11 +302,14 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     inflow gives truncation 0.
     The table also records the time reference's Newton work: newton_failures,
     its steps whose Newton loop did not converge (a nonzero count is warned
-    about), and the total and per-step maximum of its Newton iterations.
+    about), the total and per-step maximum of its Newton iterations, and the
+    totals of its GMRES solves, matvecs and updates applied above tolerance.
+    Each row's cost_ratio, the paper's cost measure, is its run's wall_time
+    (seconds) over that of the time reference run (reference_seconds).
     """
+    base = _study_case(study)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = _study_case(study)
     modes = [int(n) for n in study["modes"]]
     if len(modes) < 2:
         raise ConfigError(["study.modes needs at least two entries"])
@@ -302,6 +318,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     if group is None:
         raise ConfigError(["study.reference.group is required"])
 
+    t0 = time.perf_counter()
     tcase, mesh, inflow_name = _time_reference_case(base, ref_block)
     phys = base.physics
     omega = float(phys["omega"])
@@ -310,6 +327,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
                          max_linear_iters=int(base.solver.get("time_max_linear_iters", 3000)))
     tres = run_time_simulation(tcase, mesh, tconf, report_groups=[group],
                                ramp_steps=int(ref_block.get("ramp_steps", 10)))
+    reference_seconds = time.perf_counter() - t0
     if tres.newton_failures:
         warnings.warn(f"mode sweep on group {group!r}: {tres.newton_failures} time-reference "
                       "steps ended with an unconverged Newton loop")
@@ -330,13 +348,18 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
         err = float(np.linalg.norm(q_spec - q_ref_cycle) / scale) if scale > 0 else 0.0
         rows.append({"n_modes": n, "truncation": summary.truncation[inflow_name],
                      "flow_error": err, "converged": bool(summary.converged),
-                     "steps": int(summary.steps)})
+                     "steps": int(summary.steps), "seconds": summary.wall_time,
+                     "cost_ratio": summary.wall_time / reference_seconds})
 
     table = {"kind": "mode_sweep", "group": group, "rows": rows,
              "cycle_change": [float(c) for c in tres.cycle_change],
              "newton_failures": int(tres.newton_failures),
              "newton_iters_total": int(sum(tres.newton_iters)),
-             "newton_iters_max": int(max(tres.newton_iters))}
+             "newton_iters_max": int(max(tres.newton_iters)),
+             "linear_solves_total": int(sum(tres.linear_solves)),
+             "matvecs_total": int(sum(tres.matvecs)),
+             "linear_unconverged": int(tres.linear_unconverged),
+             "reference_seconds": reference_seconds}
     with open(out_dir / "sweep.yaml", "w") as fh:
         yaml.safe_dump(table, fh, sort_keys=True)
     export_traces(t_ref, {"Q_time": q_ref_cycle}, out_dir / "reference_trace.csv")
@@ -347,9 +370,9 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     """Refinement study of the 1D steady transport case against its oracle."""
     from .verification import exact_steady_advection_diffusion_1d, l2_error
 
+    base = _study_case(study)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = _study_case(study)
     resolutions = [int(r) for r in study["resolutions"]]
     if len(resolutions) < 2:
         raise ConfigError(["study.resolutions needs at least two entries"])

@@ -264,8 +264,10 @@ class BlockMatrix:
     """Sparse matrix of dense nodal blocks on a directed edge list.
 
     The rows must be sorted, as build_graph returns them; row_starts, the
-    starts of their runs, are worked out here and the matvec reduces the
-    edge products over them.
+    starts of their runs, are worked out here.  blocks becomes a view of one
+    (b, n_edges, b) array, so the entries of scalar row (node r, component
+    i), blocks[e, i, :] over r's run of edges, are contiguous: a matvec is
+    one gather of x, one multiply and one reduceat over the scalar rows.
     """
 
     rows: np.ndarray
@@ -273,11 +275,22 @@ class BlockMatrix:
     blocks: np.ndarray  # (n_edges, b, b), real or complex
     n_nodes: int
     row_starts: np.ndarray = field(init=False, repr=False)
+    _entries: np.ndarray = field(init=False, repr=False)  # (b, n_edges, b)
+    _x_slots: np.ndarray = field(init=False, repr=False)  # (n_edges * b,) x slot of a column
+    _starts: np.ndarray = field(init=False, repr=False)   # first entry of each scalar row
+    _y_slots: np.ndarray = field(init=False, repr=False)  # y slot of each scalar row
 
     def __post_init__(self):
         if np.any(self.rows[1:] < self.rows[:-1]):
             raise ValueError("BlockMatrix rows must be sorted")
-        self.row_starts = segment_starts(self.rows)
+        n_edges, b = self.blocks.shape[:2]
+        self.row_starts = segment_starts(self.rows)[:n_edges]   # no run for no edges
+        comp = np.arange(b)
+        self._entries = np.ascontiguousarray(np.asarray(self.blocks).transpose(1, 0, 2))
+        self.blocks = self._entries.transpose(1, 0, 2)
+        self._x_slots = (b * self.cols[:, None] + comp).ravel()
+        self._starts = (n_edges * b * comp[:, None] + b * self.row_starts).ravel()
+        self._y_slots = (b * self.rows[self.row_starts] + comp[:, None]).ravel()
 
     @property
     def block_size(self) -> int:
@@ -285,11 +298,10 @@ class BlockMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         b = self.block_size
-        xr = np.asarray(x).reshape(self.n_nodes, b)
-        contrib = np.einsum("eij,ej->ei", self.blocks, xr[self.cols])
-        y = np.zeros_like(contrib, shape=(self.n_nodes, b))
-        y[self.rows[self.row_starts]] = np.add.reduceat(contrib, self.row_starts, axis=0)
-        return y.ravel()
+        prod = self._entries.reshape(b, -1) * np.asarray(x).ravel()[self._x_slots]
+        y = np.zeros(self.n_nodes * b, dtype=prod.dtype)
+        y[self._y_slots] = np.add.reduceat(prod.ravel(), self._starts)
+        return y
 
     def diag_blocks(self) -> np.ndarray:
         b = self.block_size

@@ -677,8 +677,8 @@ def default_pseudo_dt(case: NSCase, mesh: Mesh,
     return min(scales)
 
 
-# p of the SER rule dt_k = dt_{k-1} (r_{k-1} / r_k)^p.  On the bent_n7
-# benchmark case p = 3 takes 16 steps from default_pseudo_dt, p = 2 one more.
+# p of the SER rule dt_k = dt_{k-1} (r_{k-1} / r_k)^p.  bent_n7 (seeds 0, 5) takes 7 updates
+# from default_pseudo_dt at p = 3 and p = 2, in 152-154 and 163-168 GMRES matvecs.
 SER_EXPONENT = 3.0
 
 

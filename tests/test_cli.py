@@ -290,6 +290,47 @@ class TestSweep:
         assert table["newton_iters_total"] == sum(iters)
         assert table["newton_iters_max"] == max(iters)
 
+    def test_mode_sweep_reports_reference_work_and_cost_ratio(self, tmp_path, monkeypatch):
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["modes"] = [1, 2]
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        real = cli.run_time_simulation
+        results = []
+
+        def recording_reference(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_time_simulation", recording_reference)
+        sweep(path, tmp_path / "out")
+        table = yaml.safe_load((tmp_path / "out" / "sweep.yaml").read_text())
+        assert table["linear_solves_total"] == sum(results[0].linear_solves) > 0
+        assert table["matvecs_total"] == sum(results[0].matvecs) >= table["linear_solves_total"]
+        assert table["linear_unconverged"] == results[0].linear_unconverged == 0
+        assert table["reference_seconds"] > 0.0
+        for row in table["rows"]:
+            assert row["seconds"] > 0.0
+            assert row["cost_ratio"] == pytest.approx(row["seconds"] / table["reference_seconds"])
+
+    @pytest.mark.parametrize("section,key,known", [("study", "mode", "modes"),
+                                                   ("study.reference", "dt_per_cyle",
+                                                    "dt_per_cycle")])
+    def test_study_unknown_key_rejected(self, tmp_path, capsys, section, key, known):
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        block = study["study"] if section == "study" else study["study"]["reference"]
+        block[key] = 30
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        message = rf"unknown key {section}\.{key}; known keys: \[.*'{known}'"
+        with pytest.raises(ConfigError, match=message):
+            sweep(path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert main(["validate-config", str(path)]) == 2
+        assert f"unknown key {section}.{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["mode_sweep_bent.yaml", "h_sweep_1d.yaml"])
     def test_study_case_unknown_key_rejected(self, tmp_path, capsys, name):
         study = yaml.safe_load((CONFIG_DIR / name).read_text())

@@ -269,22 +269,37 @@ class TestBlockTangent:
 
 
 class TestBlockMatrix:
-    @settings(max_examples=40, deadline=None)
-    @given(n_nodes=st.integers(1, 8), nen=st.integers(1, 4), b=st.integers(1, 5),
-           complex_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matvec_matches_to_dense_property(self, n_nodes, nen, b, complex_blocks, seed):
+    @settings(max_examples=80, deadline=None)
+    @given(n_nodes=st.integers(1, 8), idle=st.integers(0, 3), nen=st.integers(1, 4),
+           b=st.integers(1, 5), complex_blocks=st.booleans(), complex_x=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matvec_matches_to_dense_property(self, n_nodes, idle, nen, b, complex_blocks,
+                                              complex_x, seed):
+        # the elements use the first n_nodes nodes only: the idle ones own no row
         rng = np.random.default_rng(seed)
         elements = np.array([rng.choice(n_nodes, size=min(nen, n_nodes), replace=False)
                              for _ in range(rng.integers(1, 6))])
-        rows, cols, _ = build_graph(elements, n_nodes)
+        total = n_nodes + idle
+        rows, cols, _ = build_graph(elements, total)
         blocks = rng.standard_normal((rows.shape[0], b, b))
-        x = rng.standard_normal(n_nodes * b)
+        x = rng.standard_normal(total * b)
         if complex_blocks:
             blocks = blocks + 1j * rng.standard_normal(blocks.shape)
+        if complex_x:
             x = x + 1j * rng.standard_normal(x.shape)
-        sys = BlockMatrix(rows, cols, blocks, n_nodes)
+        sys = BlockMatrix(rows, cols, blocks, total)
+        np.testing.assert_array_equal(sys.blocks, blocks)
         ref = sys.to_dense() @ x
-        assert np.linalg.norm(sys.matvec(x) - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        y = sys.matvec(x)
+        assert y.shape == ref.shape and np.iscomplexobj(y) == (complex_blocks or complex_x)
+        assert np.linalg.norm(y - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+        assert not np.any(y.reshape(total, b)[n_nodes:])
+
+    def test_matvec_follows_blocks_changed_in_place(self):
+        sys, _ = small_block_system(3, 2)
+        sys.blocks[0] += 1.0
+        x = RNG.standard_normal(sys.n_nodes * sys.block_size)
+        np.testing.assert_allclose(sys.matvec(x), sys.to_dense() @ x, rtol=1e-12, atol=1e-12)
 
     def test_unsorted_rows_rejected(self):
         sys, _ = small_block_system(3, 2)

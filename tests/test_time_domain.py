@@ -1,8 +1,11 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsfem.linsolve as linsolve
 import tsfem.time_domain as time_domain
@@ -21,9 +24,11 @@ from tsfem.navier_stokes import NSCase, solve_ns
 from tsfem.spectral import SpectralCoeffs, build_convolution, compute_tau
 from tsfem.time_domain import (
     _assemble_time,
+    FORCING_FACTOR,
     GenAlphaConfig,
     TimeCase,
     TimeState,
+    forcing_tolerance,
     generalized_alpha_step,
     omega_hat,
     run_time_simulation,
@@ -163,7 +168,7 @@ class TestGeneralizedAlphaStep:
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
         case = channel_time_case(mesh, u_max=0.0)
         state = TimeState.zeros(mesh.n_nodes, 2)
-        new, ok, iters = generalized_alpha_step(case, mesh, state)
+        new, ok, iters, *_ = generalized_alpha_step(case, mesh, state)
         assert ok
         assert np.max(np.abs(new.velocity)) == 0.0
         assert np.max(np.abs(new.pressure)) == 0.0
@@ -178,7 +183,7 @@ class TestGeneralizedAlphaStep:
                                      modulation=lambda t: np.sin(np.pi * t / 0.8) ** 2)
             state = TimeState.zeros(mesh.n_nodes, 2)
             for _ in range(int(round(t_end / dt))):
-                state, ok, _ = generalized_alpha_step(case, mesh, state, config,
+                state, ok, *_ = generalized_alpha_step(case, mesh, state, config,
                                                       max_newton=20)
                 assert ok
             probes.append(np.linalg.norm(state.velocity))
@@ -194,7 +199,7 @@ class TestGeneralizedAlphaStep:
         state = TimeState.zeros(mesh.n_nodes, 2)
         for step in range(40):
             scale = min(1.0, (step + 1) / 5)
-            state, ok, _ = generalized_alpha_step(case, mesh, state, config,
+            state, ok, *_ = generalized_alpha_step(case, mesh, state, config,
                                                   max_newton=20,
                                                   dirichlet_scale=scale)
         # spectral steady solve of the same discrete problem
@@ -443,10 +448,72 @@ class TestNewtonConvergence:
         config = SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_linear_iters=3000)
         res = run_time_simulation(case, mesh, config, report_groups=["xmax"],
                                   ramp_steps=ref["ramp_steps"])
-        assert res.newton_failures == 0
+        assert res.newton_failures == 0 and res.linear_unconverged == 0
         assert len(res.newton_iters) == 30 * ref["n_cycles"]
-        assert max(res.newton_iters) <= 6
-        assert np.mean(res.newton_iters) <= 5
+        assert max(res.newton_iters) <= 5
+        assert np.mean(res.newton_iters) <= 3.5
+        # every iteration but a converged last one solves a linear system
+        assert sum(res.linear_solves) == sum(res.newton_iters) - len(res.newton_iters)
+
+
+class TestForcing:
+    @settings(max_examples=200, deadline=None)
+    @given(eps_ls=st.floats(1e-12, 0.99), eps_nr=st.floats(1e-12, 0.99),
+           r0=st.floats(1e-200, 1e200), ratio=st.floats(1e-12, 1e6))
+    def test_tolerance_aims_at_stopping_test(self, eps_ls, eps_nr, r0, ratio):
+        # ratio = ||r_k|| / r0; the loop solves only while ||r_k|| > eps_nr r0
+        rnorm = ratio * r0
+        eta = forcing_tolerance(SolverConfig(eps_nr=eps_nr, eps_ls=eps_ls), r0, rnorm)
+        assert 0.0 < eta <= eps_ls
+        if eta < eps_ls:
+            assert eta * rnorm == pytest.approx(FORCING_FACTOR * eps_nr * r0, rel=1e-12)
+
+
+class TestLinearRecords:
+    @pytest.fixture
+    def capped_gmres(self, monkeypatch):
+        """Install a GMRES that stops at a two-matvec cap, above its tolerance
+        but not stagnated; returns the list of its results."""
+        results = []
+
+        def capped(op, rhs, config, precond=None):
+            cap = linsolve.GmresConfig(config.restart, config.tol, 2)
+            results.append(linsolve.gmres(op, rhs, cap, precond=precond))
+            return results[-1]
+
+        monkeypatch.setattr(time_domain, "gmres", capped)
+        return results
+
+    def test_step_applies_and_counts_capped_updates(self, capped_gmres):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = channel_time_case(mesh)
+        state = TimeState.zeros(mesh.n_nodes, 2)
+        with pytest.warns(UserWarning) as record:
+            step = generalized_alpha_step(case, mesh, state, max_newton=3)
+        assert len(record) == 3
+        for it, warning in enumerate(record, start=1):
+            assert re.search(r"t=0\.1: linear solver stopped above tolerance \S+ at Newton "
+                             rf"iteration {it} .*update applied", str(warning.message))
+        assert step.linear_unconverged == step.linear_solves == len(capped_gmres) == 3
+        assert not any(r.converged for r in capped_gmres)
+        assert step.matvecs == sum(r.matvecs for r in capped_gmres)
+        assert np.max(np.abs(step.state.pressure)) > 0.0   # the updates were applied
+
+    def test_simulation_records_linear_work(self):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        case = channel_time_case(mesh, period=1.0, n_cycles=2, dt=0.5)
+        res = run_time_simulation(case, mesh, report_groups=["xmax"])
+        assert res.linear_unconverged == 0
+        assert len(res.linear_solves) == len(res.matvecs) == 4
+        assert all(m >= s >= 1 for s, m in zip(res.linear_solves, res.matvecs))
+
+    def test_simulation_counts_capped_updates(self, capped_gmres):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        case = channel_time_case(mesh, period=1.0, n_cycles=2, dt=0.5)
+        with pytest.warns(UserWarning, match="update applied"):
+            res = run_time_simulation(case, mesh, report_groups=["xmax"])
+        assert res.linear_unconverged == sum(res.linear_solves) == len(capped_gmres) > 0
+        assert sum(res.matvecs) == sum(r.matvecs for r in capped_gmres)
 
 
 class TestLinearStagnation:
@@ -461,7 +528,7 @@ class TestLinearStagnation:
         monkeypatch.setattr(time_domain, "gmres", self._stagnated_gmres)
         with pytest.warns(UserWarning, match=r"t=0\.1: linear solver stagnated at "
                                              r"Newton iteration 1"):
-            new, ok, iters = generalized_alpha_step(case, mesh, state)
+            new, ok, iters, *_ = generalized_alpha_step(case, mesh, state)
         assert not ok and iters == 1
         # the predictor stands: zero pressure, no 1e3 increment applied
         assert np.max(np.abs(new.pressure)) == 0.0
