@@ -1,4 +1,5 @@
-"""Boundary data shared by the solvers: facet-group roles and Dirichlet values.
+"""Boundary data shared by the solvers: facet-group roles, Dirichlet values
+and the Neumann traction term.
 
 Boundary data of a facet group is uniform (an array of the per-node
 shape, or SpectralCoeffs), a callable of the node coordinates, or, for
@@ -16,7 +17,8 @@ import numpy as np
 from .mesh import Mesh
 from .spectral import SpectralCoeffs
 
-__all__ = ["NodalValues", "check_groups", "boundary_values", "resolve_dirichlet"]
+__all__ = ["NodalValues", "add_traction", "check_groups", "boundary_values",
+           "resolve_dirichlet"]
 
 
 @dataclass(frozen=True)
@@ -85,3 +87,14 @@ def resolve_dirichlet(mesh: Mesh, dirichlet: Dict[str, object], walls: Iterable[
     nodes = np.concatenate([p[0] for p in parts])[::-1]
     ids, last = np.unique(nodes, return_index=True)
     return ids, np.concatenate([p[1] for p in parts])[::-1][last]
+
+
+def add_traction(out: np.ndarray, fq, h) -> None:
+    """Add the traction term -sum_q w_q N_A h n_i of a facet group to out in place.
+
+    fq is the group's FacetQuadData and out the momentum rows of a residual,
+    (n_nodes, dim) for a scalar h or (n_nodes, dim, M) for a vector h (M,),
+    such as the real mode coordinates of the spectral solver.
+    """
+    r_el = np.multiply.outer(-np.einsum("fq,qa,fi->fai", fq.weights, fq.shape, fq.normals), h)
+    np.add.at(out, fq.nodes.ravel(), r_el.reshape((-1,) + out.shape[1:]))

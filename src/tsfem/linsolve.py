@@ -1,16 +1,17 @@
 """Real-mapped nodal-block sparse systems and a restarted GMRES solver.
 
 The spectral solvers solve in real unknowns: per node and component, the
-layout is mode 0..N-1 with (real, imag) interleaved, so a node carries
-2N real slots per component.  The imaginary slot of the steady mode is
-retained and pinned to zero (layout_pins), which keeps the layout
-uniform.  Both spectral solvers assemble in the orthonormal real
-coordinates of spectral (z_0, sqrt2 Re z_n, sqrt2 Im z_n), which enter
-this layout by a fixed map (block_from_orthonormal, rhs_from_orthonormal).
+layout holds the 2N-1 real coordinates (Re z_0, Re z_1, Im z_1, ...,
+Re z_N-1, Im z_N-1) of the conjugate-symmetric modes.  Both spectral
+solvers assemble in the orthonormal real coordinates of spectral
+(z_0, sqrt2 Re z_n, sqrt2 Im z_n), which enter this layout by the diagonal
+scaling s = (1, 1/sqrt2, ...) (block_from_orthonormal,
+rhs_from_orthonormal).  The only pinned slots are the Dirichlet ones
+(layout_pins).
 
 The maps from complex mode-coupled systems (to_real, block_to_real,
-rhs_to_real, check_block_symmetry) are no longer called by the solvers:
-they stay as the reference that the real-basis assemblies and the
+rhs_to_real, check_block_symmetry) are not called by the solvers: they
+stay as the reference that the real-basis assemblies and the
 criterion-10 real-map check are tested against.
 
 The Navier-Stokes tangent is stored block-structured: the 6 identically
@@ -333,10 +334,11 @@ def check_block_symmetry(blocks: np.ndarray) -> float:
 
 
 def block_to_real(blocks: np.ndarray) -> np.ndarray:
-    """Map complex (2N-1)x(2N-1) mode blocks to real 2Nx2N blocks.
+    """Map complex (2N-1)x(2N-1) mode blocks to real blocks in the layout.
 
-    Rows/columns pair (real, imag) per mode 0..N-1; the steady imaginary
-    row and column are left for pinning by the solver.
+    Rows and columns run over (Re z_0, Re z_1, Im z_1, ...): the real
+    (real, imag) pairs of the modes 0..N-1, without the imaginary part of
+    the steady mode, which a conjugate-symmetric vector does not have.
     """
     blocks = np.asarray(blocks, dtype=complex)
     m = blocks.shape[-1]
@@ -349,84 +351,69 @@ def block_to_real(blocks: np.ndarray) -> np.ndarray:
     out[..., 0::2, 1::2] = -kp.imag + km.imag
     out[..., 1::2, 0::2] = kp.imag + km.imag
     out[..., 1::2, 1::2] = kp.real - km.real
-    return out
+    return np.delete(np.delete(out, 1, axis=-1), 1, axis=-2)
 
 
 def rhs_to_real(rhs: np.ndarray) -> np.ndarray:
-    """Interleave Re/Im of the nonnegative modes of a complex rhs.
-
-    rhs has shape (..., 2N-1); the result has shape (..., 2N).
-    """
+    """Layout (Re z_0, Re z_1, Im z_1, ...) of complex modes (..., 2N-1)."""
     rhs = np.asarray(rhs, dtype=complex)
-    m = rhs.shape[-1]
-    n = (m + 1) // 2
+    n = (rhs.shape[-1] + 1) // 2
     pos = rhs[..., n - 1:]
-    out = np.zeros(rhs.shape[:-1] + (2 * n,))
-    out[..., 0::2] = pos.real
-    out[..., 1::2] = pos.imag
+    out = np.empty(rhs.shape, dtype=float)
+    out[..., 0] = pos[..., 0].real
+    out[..., 1::2] = pos[..., 1:].real
+    out[..., 2::2] = pos[..., 1:].imag
     return out
 
 
 def from_real(x: np.ndarray) -> np.ndarray:
-    """Rebuild conjugate-symmetric complex modes from interleaved reals.
-
-    x has shape (..., 2N); the result has shape (..., 2N-1) with exact
-    conjugate symmetry (the steady imaginary slot is dropped).
-    """
+    """Conjugate-symmetric complex modes (..., 2N-1) of the layout (..., 2N-1)."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1] // 2
-    pos = x[..., 0::2] + 1j * x[..., 1::2]
-    pos[..., 0] = pos[..., 0].real
-    out = np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
-    return out
+    n = (x.shape[-1] + 1) // 2
+    pos = np.empty(x.shape[:-1] + (n,), dtype=complex)
+    pos[..., 0] = x[..., 0]
+    pos[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
+    return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
 
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def rhs_from_orthonormal(r: np.ndarray) -> np.ndarray:
-    """Layout (..., 2N) of orthonormal real mode coordinates (..., 2N-1).
+    """Layout of orthonormal real mode coordinates (..., 2N-1): r_i s_i.
 
-    Coordinate i goes to slot t(i) scaled by s_i, where t skips the
-    steady imaginary slot 1 (left zero) and s is 1 for the steady mode and
-    1/sqrt2 otherwise: the result equals rhs_to_real of the complex modes.
+    s is 1 for the steady mode and 1/sqrt2 otherwise, so the result
+    equals rhs_to_real of the complex modes.
     """
     r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+    out = np.empty(r.shape)
     out[..., 0] = r[..., 0]
-    out[..., 2:] = r[..., 1:] / _SQRT2
+    out[..., 1:] = r[..., 1:] / _SQRT2
     return out
 
 
-def block_from_orthonormal(blocks: np.ndarray, pinned: float,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """Layout (..., 2N, 2N) of real-basis operators (..., 2N-1, 2N-1).
+def block_from_orthonormal(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Layout of real-basis operators (..., 2N-1, 2N-1): K_L[i, j] = K_O[i, j] s_i / s_j.
 
-    K_L[t(i), t(j)] = K_O[i, j] s_i / s_j with t and s as in
-    rhs_from_orthonormal.  The steady imaginary slot gets a zero row and
-    column and `pinned` on its diagonal (1 for the diagonal component
-    blocks, so a pinned unknown is an identity row, 0 for the coupling
-    blocks).  On the unpinned slots this is block_to_real of the complex
-    operator.  out, a zero array, receives the result in its own memory
-    layout when given.
+    With s as in rhs_from_orthonormal this is block_to_real of the complex
+    operator.  out receives the result in its own memory layout when
+    given.
     """
     blocks = np.asarray(blocks, dtype=float)
-    m = blocks.shape[-1]
     if out is None:
-        out = np.zeros(blocks.shape[:-2] + (m + 1, m + 1))
+        out = np.empty(blocks.shape)
     out[..., 0, 0] = blocks[..., 0, 0]
-    out[..., 0, 2:] = blocks[..., 0, 1:] * _SQRT2
-    out[..., 2:, 0] = blocks[..., 1:, 0] / _SQRT2
-    out[..., 2:, 2:] = blocks[..., 1:, 1:]
-    out[..., 1, 1] = pinned
+    out[..., 0, 1:] = blocks[..., 0, 1:] * _SQRT2
+    out[..., 1:, 0] = blocks[..., 1:, 0] / _SQRT2
+    out[..., 1:, 1:] = blocks[..., 1:, 1:]
     return out
 
 
 def to_real(system: BlockMatrix, rhs: np.ndarray, tol: float = 1e-10):
     """Real-mapped copy of a complex conjugate-symmetric block system.
 
-    rhs has shape (n_nodes, 2N-1).  Systems violating the mode-plane
-    symmetry beyond tol are rejected.
+    rhs has shape (n_nodes, 2N-1), and so has each real block row.
+    Systems violating the mode-plane symmetry beyond tol are rejected.
     """
     defect = check_block_symmetry(system.blocks)
     if defect > tol:
@@ -441,13 +428,13 @@ def to_real(system: BlockMatrix, rhs: np.ndarray, tol: float = 1e-10):
 
 def layout_pins(n_nodes: int, n_modes: int, dir_nodes: np.ndarray,
                 n_comp: int = 1, n_dir_comp: int = 1) -> np.ndarray:
-    """Pinned slots of the flattened 2N layout with n_comp components per node.
+    """Pinned slots of a flattened layout with n_comp components per node.
 
-    Every steady imaginary slot is pinned, and every slot of the first
-    n_dir_comp components at the Dirichlet nodes dir_nodes.
+    Every slot of the first n_dir_comp components at the Dirichlet nodes
+    dir_nodes is pinned, and no other.  A spectral layout has 2N-1 slots
+    per component; the time-domain one, a single slot, is n_modes = 1.
     """
-    pins = np.zeros((n_nodes, n_comp, 2 * n_modes), dtype=bool)
-    pins[:, :, 1] = True
+    pins = np.zeros((n_nodes, n_comp, 2 * n_modes - 1), dtype=bool)
     pins[dir_nodes, :n_dir_comp, :] = True
     return pins.ravel()
 
@@ -476,18 +463,19 @@ class BlockTangent:
     Per directed node pair: k_real is the shared velocity diagonal block,
     l_real the pressure block, and g_diag/d_diag the real gradient and
     divergence coefficients of each direction, each multiplying every mode
-    slot (the 2Nx2N block g I).  g_full/d_full optionally hold the exact
-    mode-coupled 2Nx2N blocks for verification runs, and replace g_diag/d_diag
-    where set.  The matvec applies K to row vectors as x K^T, which BLAS
-    reads contiguously when the K blocks are stored column-major, as the
-    NS assembly stores them.  The rows must be sorted, as build_graph
-    returns them; row_starts, the starts of their runs, are worked out here
-    once per tangent and the matvec reduces the edge products over them.
+    slot (the (2N-1)x(2N-1) block g I).  g_full/d_full optionally hold the
+    exact mode-coupled blocks for verification runs, and replace
+    g_diag/d_diag where set.  The matvec applies K to row vectors as
+    x K^T, which BLAS reads contiguously when the K blocks are stored
+    column-major, as the NS assembly stores them.  The rows must be sorted,
+    as build_graph returns them; row_starts, the starts of their runs, are
+    worked out here once per tangent and the matvec reduces the edge
+    products over them.
 
     elements optionally adds an operator that is kept per element rather
     than per edge (the Newton terms of the NS operator): an object whose
-    add_to(x, y) adds its product with the (n_nodes, dim+1, 2N) array x to
-    y, and whose reals_per_element and n_elements give its storage.  The
+    add_to(x, y) adds its product with the (n_nodes, dim+1, 2N-1) array x
+    to y, and whose reals_per_element and n_elements give its storage.  The
     preconditioner, diag_blocks and to_dense see the edge blocks only.
     """
 
@@ -496,8 +484,8 @@ class BlockTangent:
     n_nodes: int
     dim: int
     n_modes: int
-    k_real: np.ndarray                    # (E, 2N, 2N)
-    l_real: np.ndarray                    # (E, 2N, 2N)
+    k_real: np.ndarray                    # (E, 2N-1, 2N-1)
+    l_real: np.ndarray                    # (E, 2N-1, 2N-1)
     g_diag: np.ndarray                    # (E, dim)
     d_diag: np.ndarray                    # (E, dim)
     g_full: Optional[np.ndarray] = field(default=None, repr=False)
@@ -510,18 +498,23 @@ class BlockTangent:
         if np.any(self.rows[1:] < self.rows[:-1]):
             raise ValueError("BlockTangent rows must be sorted")
         self.row_starts = segment_starts(self.rows)
-        self._edge_out = np.empty((self.rows.shape[0], self.dim + 1, 2 * self.n_modes))
+        self._edge_out = np.empty((self.rows.shape[0], self.dim + 1, self.n_slots))
+
+    @property
+    def n_slots(self) -> int:
+        """Real slots per node and component, 2N-1."""
+        return 2 * self.n_modes - 1
 
     @property
     def n_dof(self) -> int:
-        return self.n_nodes * (self.dim + 1) * 2 * self.n_modes
+        return self.n_nodes * (self.dim + 1) * self.n_slots
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        d, n2 = self.dim, 2 * self.n_modes
-        xn = np.asarray(x).reshape(self.n_nodes, d + 1, n2)
+        d, m = self.dim, self.n_slots
+        xn = np.asarray(x).reshape(self.n_nodes, d + 1, m)
         xc = xn[self.cols]
         xv, xp = xc[:, :d], xc[:, d]
-        out = self._edge_out                 # (E, d+1, 2N) edge products
+        out = self._edge_out                 # (E, d+1, 2N-1) edge products
         np.matmul(xv, self.k_real.swapaxes(1, 2), out=out[:, :d])
         np.matmul(self.l_real, xp[..., None], out=out[:, d, :, None])
         if self.g_full is not None:
@@ -532,21 +525,21 @@ class BlockTangent:
             out[:, d] += np.einsum("edij,edj->ei", self.d_full, xv)
         else:
             out[:, d] += np.einsum("ed,edj->ej", self.d_diag, xv)
-        y = np.zeros((self.n_nodes, d + 1, n2))
+        y = np.zeros((self.n_nodes, d + 1, m))
         y[self.rows[self.row_starts]] = np.add.reduceat(out, self.row_starts, axis=0)
         if self.elements is not None:
             self.elements.add_to(xn, y)
         return y.ravel()
 
     def _coupling(self, full, scalar, edges) -> np.ndarray:
-        """Gradient or divergence 2Nx2N blocks of the given edges, (E', dim, 2N, 2N)."""
+        """Gradient or divergence blocks of the given edges, (E', dim, 2N-1, 2N-1)."""
         if full is not None:
             return full[edges]
-        return scalar[edges, :, None, None] * np.eye(2 * self.n_modes)
+        return scalar[edges, :, None, None] * np.eye(self.n_slots)
 
     def diag_blocks(self) -> np.ndarray:
-        d, n2 = self.dim, 2 * self.n_modes
-        diag = np.zeros((self.n_nodes, d + 1, n2, d + 1, n2))
+        d, m = self.dim, self.n_slots
+        diag = np.zeros((self.n_nodes, d + 1, m, d + 1, m))
         # build_graph pairs are unique: one self-edge per node
         sel = np.flatnonzero(self.rows == self.cols)
         nodes = self.rows[sel]
@@ -557,21 +550,21 @@ class BlockTangent:
             diag[nodes, i, :, d, :] = g_real[:, i]
             diag[nodes, d, :, i, :] = d_real[:, i]
         diag[nodes, d, :, d, :] = self.l_real[sel]
-        return diag.reshape(self.n_nodes, (d + 1) * n2, (d + 1) * n2)
+        return diag.reshape(self.n_nodes, (d + 1) * m, (d + 1) * m)
 
     def to_dense(self) -> np.ndarray:
-        d, n2 = self.dim, 2 * self.n_modes
-        b = (d + 1) * n2
+        d, m = self.dim, self.n_slots
+        b = (d + 1) * m
         dense = np.zeros((self.n_nodes * b, self.n_nodes * b))
         g_real = self._coupling(self.g_full, self.g_diag, slice(None))
         d_real = self._coupling(self.d_full, self.d_diag, slice(None))
         for e in range(self.rows.shape[0]):
             r0, c0 = self.rows[e] * b, self.cols[e] * b
             for i in range(d):
-                dense[r0 + i * n2:r0 + (i + 1) * n2, c0 + i * n2:c0 + (i + 1) * n2] += self.k_real[e]
-                dense[r0 + i * n2:r0 + (i + 1) * n2, c0 + d * n2:c0 + b] += g_real[e, i]
-                dense[r0 + d * n2:r0 + b, c0 + i * n2:c0 + (i + 1) * n2] += d_real[e, i]
-            dense[r0 + d * n2:r0 + b, c0 + d * n2:c0 + b] += self.l_real[e]
+                dense[r0 + i * m:r0 + (i + 1) * m, c0 + i * m:c0 + (i + 1) * m] += self.k_real[e]
+                dense[r0 + i * m:r0 + (i + 1) * m, c0 + d * m:c0 + b] += g_real[e, i]
+                dense[r0 + d * m:r0 + b, c0 + i * m:c0 + (i + 1) * m] += d_real[e, i]
+            dense[r0 + d * m:r0 + b, c0 + d * m:c0 + b] += self.l_real[e]
         return dense
 
     def size_report(self) -> dict:
@@ -607,14 +600,18 @@ class GmresResult(NamedTuple):
 
 
 def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
-          precond: Callable | None = None, x0: np.ndarray | None = None) -> GmresResult:
-    """Right-preconditioned restarted GMRES.
+          precond: Callable | None = None) -> GmresResult:
+    """Right-preconditioned restarted GMRES from x = 0.
 
     Classical Gram-Schmidt with one reorthogonalization pass builds the
     Arnoldi basis; the Hessenberg least-squares problem is solved with
     Givens rotations, so the recorded residuals are true residual norms of
-    the unpreconditioned system.  Terminates when ||Ax - b|| <= tol*||b||
-    or the matvec budget is exhausted (flagged in the result).
+    the unpreconditioned system.  The first residual is b itself; every
+    restart, and the end, takes the true residual b - Ax, so a cycle of k
+    Arnoldi steps costs k + 1 matvecs.  Terminates when ||Ax - b|| <=
+    tol*||b||, on stagnation, or when the matvec budget cannot pay for
+    another cycle (flagged in the result); matvec is never called more
+    than max_matvecs times.
     """
     if config is None:
         config = GmresConfig()
@@ -624,27 +621,21 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return GmresResult(np.zeros_like(b), 0, [0.0], True)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros_like(b)
+    r, beta = b, norm_b
     target = config.tol * norm_b
     matvecs = 0
-    history: list[float] = []
+    history = [float(beta)]
     prev_beta = np.inf
 
     while True:
-        r = b - matvec(x)
-        matvecs += 1
-        beta = np.linalg.norm(r)
-        if not np.isfinite(beta):
-            raise RuntimeError(f"gmres: non-finite residual after {matvecs} matvecs")
-        if not history:
-            history.append(float(beta))
         if beta <= target:
             return GmresResult(x, matvecs, history, True)
-        if matvecs >= config.max_matvecs or beta >= prev_beta * (1.0 - 1e-14):
+        if matvecs + 2 > config.max_matvecs or beta >= prev_beta * (1.0 - 1e-14):
             return GmresResult(x, matvecs, history, False)
         prev_beta = beta
 
-        k_max = max(1, min(config.restart, config.max_matvecs - matvecs))
+        k_max = min(config.restart, config.max_matvecs - matvecs - 1)   # one for b - Ax
         v = np.empty((k_max + 1, b.size))
         v[0] = r / beta
         # the rotated Hessenberg columns, the Givens rotations and the
@@ -664,7 +655,7 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
             col = (hj + corr).tolist()
             h_low = float(np.linalg.norm(w))
             if not math.isfinite(h_low):
-                raise RuntimeError(f"gmres: Arnoldi breakdown with NaN/Inf at step {matvecs}")
+                raise RuntimeError(f"gmres: Arnoldi breakdown with NaN/Inf after {matvecs} matvecs")
             if h_low > 0.0:
                 v[j + 1] = w / h_low
             # rotate the new column and update the residual estimate
@@ -681,7 +672,7 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
             g.append(-s * g[j])
             g[j] = c * g[j]
             history.append(abs(g[j + 1]))
-            if abs(g[j + 1]) <= target or matvecs >= config.max_matvecs or h_low == 0.0:
+            if abs(g[j + 1]) <= target or h_low == 0.0:
                 break
         k_used = len(cols)
         y = [0.0] * k_used
@@ -694,6 +685,11 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
         x = x + (precond(dz) if precond is not None else dz)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"gmres: non-finite iterate after {matvecs} matvecs")
+        r = b - matvec(x)
+        matvecs += 1
+        beta = np.linalg.norm(r)
+        if not np.isfinite(beta):
+            raise RuntimeError(f"gmres: non-finite residual after {matvecs} matvecs")
 
 
 def _invert_blocks(blocks: np.ndarray):
@@ -770,10 +766,10 @@ def block_jacobi_preconditioner(op, pins: np.ndarray | None = None) -> Callable:
 
 def _schur_jacobi(op: BlockTangent, pins: np.ndarray | None) -> Callable:
     """Block-Jacobi apply of a BlockTangent by the pressure Schur complement."""
-    n, d, n2 = op.n_nodes, op.dim, 2 * op.n_modes
-    nv = d * n2                                             # velocity slots per node
-    free = np.ones((n, d + 1, n2), dtype=bool) if pins is None \
-        else ~pins.reshape(n, d + 1, n2)
+    n, d, m = op.n_nodes, op.dim, op.n_slots
+    nv = d * m                                              # velocity slots per node
+    free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
+        else ~pins.reshape(n, d + 1, m)
     if np.any(free[:, :d] != free[:, :1]):
         raise ValueError("block_jacobi_preconditioner: the pins must pin every "
                          "velocity direction of a node alike")
@@ -790,22 +786,22 @@ def _schur_jacobi(op: BlockTangent, pins: np.ndarray | None) -> Callable:
     l_p = _pin_block(at_nodes(op.l_real[sel]), fp, fp, diagonal=True)
     g = _pin_block(at_nodes(op._coupling(op.g_full, op.g_diag, sel)), fv[:, None], fp[:, None])
     dv = _pin_block(at_nodes(op._coupling(op.d_full, op.d_diag, sel)), fp[:, None], fv[:, None])
-    d_row = dv.transpose(0, 2, 1, 3).reshape(n, n2, nv)     # [D_1 ... D_d]
+    d_row = dv.transpose(0, 2, 1, 3).reshape(n, m, nv)      # [D_1 ... D_d]
     k_inv, k_singular = _invert_blocks(k)
-    kg = np.matmul(k_inv[:, None], g).reshape(n, nv, n2)    # K^-1 G_i, stacked
+    kg = np.matmul(k_inv[:, None], g).reshape(n, nv, m)     # K^-1 G_i, stacked
     s_inv, s_singular = _invert_blocks(l_p - np.matmul(d_row, kg))
     for i in np.flatnonzero(k_singular | s_singular):
-        eye = np.eye(n2) / _identity_scale(np.r_[np.diag(k[i]), np.diag(l_p[i])])
+        eye = np.eye(m) / _identity_scale(np.r_[np.diag(k[i]), np.diag(l_p[i])])
         k_inv[i], s_inv[i], kg[i], d_row[i] = eye, eye, 0.0, 0.0
         warnings.warn(f"singular nodal block at node {i}; using scaled identity")
     k_inv_t = k_inv.swapaxes(1, 2)
 
     def apply(x):
-        xr = np.asarray(x).reshape(n, d + 1, n2)
+        xr = np.asarray(x).reshape(n, d + 1, m)
         w = np.matmul(xr[:, :d], k_inv_t).reshape(n, nv)   # K^-1 r_i
         p = np.einsum("nij,nj->ni", s_inv, xr[:, d] - np.einsum("nij,nj->ni", d_row, w))
-        out = np.empty((n, d + 1, n2))
-        out[:, :d] = (w - np.einsum("nij,nj->ni", kg, p)).reshape(n, d, n2)
+        out = np.empty((n, d + 1, m))
+        out[:, :d] = (w - np.einsum("nij,nj->ni", kg, p)).reshape(n, d, m)
         out[:, d] = p
         return out.ravel()
 

@@ -33,12 +33,11 @@ Assembly runs in the real orthonormal mode basis of spectral: the states
 are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
 sqrt2 Im z_n), and the kernels come from spectral_real, so every
 per-point product is a real matmul (real symmetric convolution matrices
-and tau, real skew Omega).  The assembled blocks and residual are emitted
-directly in linsolve's 2N layout by the fixed map
-K_L[t(i), t(j)] = K_O[i, j] s_i / s_j, with s = 1 for the steady mode and
-1/sqrt2 otherwise, and t skipping the pinned steady imaginary slot (zero
-row and column, identity on the diagonal blocks).  States and
-assemble_ns_residual stay complex.
+and tau, real skew Omega).  The assembled blocks and residual enter
+linsolve's layout of 2N-1 real slots per node and component by the
+diagonal scaling K_L[i, j] = K_O[i, j] s_i / s_j, with s = 1 for the
+steady mode and 1/sqrt2 otherwise.  The linear solve pins the Dirichlet
+velocity slots only.  States and assemble_ns_residual stay complex.
 
 Assembly sums each element integrand over the quadrature points before
 scattering it once per element chunk, through the plans cached on the
@@ -58,7 +57,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Union
 import numpy as np
 
 from . import spectral
-from .boundary import NodalValues, boundary_values, check_groups, resolve_dirichlet
+from .boundary import (
+    NodalValues,
+    add_traction,
+    boundary_values,
+    check_groups,
+    resolve_dirichlet,
+)
 from .linsolve import (
     BlockTangent,
     LinearSolveError,
@@ -220,7 +225,7 @@ class _Linearization(NamedTuple):
 
 def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
                    coeff_state: NSState | None = None):
-    """Residual in the 2N layout, (n_nodes, dim+1, 2N), and its _Linearization.
+    """Residual in the solve layout, (n_nodes, dim+1, 2N-1), and its _Linearization.
 
     Per point, with v_i = tau strong_i, the momentum row of node A is
     w [N_A (strong_i - Omega v_i) + sum_j dN_A/dx_j C_j v_i], which is
@@ -291,9 +296,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         what = f"Neumann data of group {name!r}"
         h_modes = modes_to_real(require_conjugate_symmetry(
             boundary_values(data, (m,), what), what))
-        fq = facet_quadrature(mesh, name)
-        r_el = -np.einsum("fq,qa,fi,r->fair", fq.weights, fq.shape, fq.normals, h_modes)
-        np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim, m))
+        add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _backflow_operators(case, mesh, vel_c)
     _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, None)
     return rhs_from_orthonormal(resid), _Linearization(vel, vel_c, taus, zs, backflow)
@@ -396,11 +399,11 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     return BlockTangent(
         ctx.rows, ctx.cols, mesh.n_nodes, dim, n,
         k_real=block_from_orthonormal(     # column-major blocks, see BlockTangent
-            k_c, 1.0, out=np.zeros((n_edges, m + 1, m + 1)).swapaxes(1, 2)),
-        l_real=block_from_orthonormal(l_c, 1.0),
+            k_c, out=np.empty((n_edges, m, m)).swapaxes(1, 2)),
+        l_real=block_from_orthonormal(l_c),
         g_diag=g_scal, d_diag=d_scal,
-        g_full=block_from_orthonormal(g_c, 0.0) if exact_gd else None,
-        d_full=block_from_orthonormal(d_c, 0.0) if exact_gd else None,
+        g_full=block_from_orthonormal(g_c) if exact_gd else None,
+        d_full=block_from_orthonormal(d_c) if exact_gd else None,
         elements=_NewtonElements(mesh.n_nodes, dim, n, shp, parts) if newton else None,
     )
 
@@ -483,14 +486,14 @@ class _NewtonElements:
         return sum(a.size for a in (c.s_w, c.qt, c.du_t, c.z_t)) // c.elements.shape[0]
 
     def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
-        """y += this operator times x, both (n_nodes, dim+1, 2N) in the 2N layout."""
+        """y += this operator times x, both (n_nodes, dim+1, 2N-1) in the solve layout."""
         d, m, shp = self.dim, 2 * self.n_modes - 1, self.shp
         n_qp, nen = shp.shape
         samples = real_basis(self.n_modes).samples
         back = samples.T / samples.shape[0]                # time samples to modes
         xo = np.empty((d + 1, self.n_nodes, m))            # orthonormal coordinates
         xo[..., 0] = x[..., 0].T
-        xo[..., 1:] = x[..., 2:].transpose(1, 0, 2) * _SQRT2
+        xo[..., 1:] = x[..., 1:].transpose(1, 0, 2) * _SQRT2
         xo_t = (xo[:d].reshape(-1, m) @ samples.T).reshape(d, self.n_nodes, -1)
         xo_t = np.ascontiguousarray(xo_t.transpose(0, 2, 1))          # (dim, P, n_nodes)
         out = np.zeros((self.n_nodes, d + 1, m))
@@ -516,36 +519,7 @@ class _NewtonElements:
             res[:, :, d] = np.matmul(c.grads, cont)
             c.node_seg.add_to(out, res.reshape(n_el * nen, d + 1, m))
         y[..., 0] += out[..., 0]
-        y[..., 2:] += out[..., 1:] / _SQRT2
-
-
-def _assemble(case: NSCase, mesh: Mesh, state: NSState, *,
-              need_residual: bool, need_tangent: bool, exact_gd: bool = False,
-              coeff_state: NSState | None = None, newton: bool = False):
-    """Shared residual/tangent assembly in the real orthonormal mode basis.
-
-    Returns the residual in linsolve's 2N layout, shape
-    (n_nodes, dim+1, 2N), and the BlockTangent without pseudo-time mass
-    (see _add_pseudo_mass).  coeff_state supplies the
-    velocity entering A_i, tau and the backflow operator (frozen
-    coefficients); it defaults to state.  The residual pass always runs,
-    since the tangent pass takes tau from it.
-
-    The states are converted once to their real coordinates, so every
-    per-point product is a real matmul: the convolution matrices and tau
-    are real symmetric, Omega real skew-symmetric.  Per element chunk, the
-    integrands are summed over the quadrature points and scattered once
-    through the mesh's cached plans.  The blocks that depend on geometry
-    only are formed after the point loop from sum_q w_q N_A: the viscous
-    gab I, the pressure block gab/rho (sum_q w_q tau), and the scalar
-    gradient/divergence blocks.
-    The assembled real-basis blocks and residual enter the 2N layout by
-    linsolve's fixed map (block_from_orthonormal, rhs_from_orthonormal).
-    """
-    resid, lin = _residual_pass(case, mesh, state, coeff_state)
-    tangent = _tangent_pass(case, mesh, lin, exact_gd=exact_gd, newton=newton) \
-        if need_tangent else None
-    return (resid if need_residual else None), tangent
+        y[..., 1:] += out[..., 1:] / _SQRT2
 
 
 def _backflow_operators(case, mesh, vel_c) -> dict:
@@ -595,9 +569,7 @@ def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,
     coeff_state optionally freezes A_i and tau at a different state (used
     to verify the frozen-coefficient tangent against finite differences).
     """
-    resid, _ = _assemble(case, mesh, state, need_residual=True,
-                         need_tangent=False, coeff_state=coeff_state)
-    return from_real(resid)
+    return from_real(_residual_pass(case, mesh, state, coeff_state)[0])
 
 
 def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
@@ -612,8 +584,8 @@ def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
     the frozen-coefficient residual.  A finite pseudo_dt adds the mass term
     (N_A, 1.5 rho / pseudo_dt N_B) to the K block.
     """
-    _, tangent = _assemble(case, mesh, state, need_residual=False,
-                           need_tangent=True, exact_gd=exact_gd)
+    tangent = _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1],
+                            exact_gd=exact_gd)
     _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
     return tangent
 
@@ -626,8 +598,7 @@ def assemble_ns_newton(case: NSCase, mesh: Mesh, state: NSState,
     element-level Newton terms (_NewtonElements); the backflow operator
     stays frozen.  A finite pseudo_dt adds the pseudo-time mass.
     """
-    _, tangent = _assemble(case, mesh, state, need_residual=False,
-                           need_tangent=True, newton=True)
+    tangent = _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1], newton=True)
     _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
     return tangent
 
@@ -636,18 +607,17 @@ def _add_pseudo_mass(tangent: BlockTangent, mesh: Mesh, rho: float,
                      pseudo_dt: float) -> None:
     """Add the pseudo-time mass (N_A, 1.5 rho / pseudo_dt N_B) to K in place.
 
-    The mass is the mesh's cached edge mass times the identity on every
-    mode slot but the pinned steady imaginary one, which stays an identity
-    row; pseudo_dt = inf adds nothing.
+    The mass is the mesh's cached edge mass times the identity on the mode
+    slots; pseudo_dt = inf adds nothing.
     """
     if np.isfinite(pseudo_dt):
-        free = np.r_[0, 2:2 * tangent.n_modes]
+        slots = np.arange(tangent.n_slots)
         edge_mass = assembly_context(mesh, build_graph).edge_mass
-        tangent.k_real[:, free, free] += (1.5 * rho / pseudo_dt) * edge_mass[:, None]
+        tangent.k_real[:, slots, slots] += (1.5 * rho / pseudo_dt) * edge_mass[:, None]
 
 
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
-    """Norm of the free residual, given in the 2N layout (Dirichlet momentum rows off)."""
+    """Norm of the free residual, given in the solve layout (Dirichlet momentum rows off)."""
     rr = residual.copy()
     rr[dir_nodes, :dim, :] = 0.0
     return float(np.linalg.norm(rr))
@@ -764,7 +734,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     if not res.converged and res.residuals[-1] >= res.residuals[0]:
         raise LinearSolveError("linear solver stagnated; step rejected",
                                res.matvecs, res.residuals[-1])
-    delta = from_real(res.x.reshape(mesh.n_nodes, mesh.dim + 1, 2 * case.n_modes))
+    delta = from_real(res.x.reshape(mesh.n_nodes, mesh.dim + 1, -1))
     new = state.copy()
     new.velocity += delta[:, :mesh.dim, :]
     new.pressure += delta[:, mesh.dim, :]

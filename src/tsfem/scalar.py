@@ -11,9 +11,11 @@ linear-solver level.
 
 Assembly runs in the real orthonormal mode basis, as for Navier-Stokes:
 velocity, source and Neumann modes are checked for conjugate symmetry
-where they enter and converted by modes_to_real, the kernels come from
-spectral_real, and the solver enters linsolve's 2N layout through
-block_from_orthonormal and rhs_from_orthonormal.
+where they enter and converted by modes_to_real, and the kernels come
+from spectral_real.  The solver maps the system to linsolve's layout of
+2N-1 real slots per node, (Re phi_0, Re phi_1, Im phi_1, ...), through
+block_from_orthonormal and rhs_from_orthonormal, and pins the Dirichlet
+nodes only.
 """
 
 from __future__ import annotations
@@ -222,11 +224,11 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
                  solver_config: SolverConfig | None = None) -> np.ndarray:
     """Solve for the nodal spectral field, shape (n_nodes, 2N-1) complex.
 
-    The real-basis system is mapped to the 2N layout (modes 0..N-1, real
-    and imaginary interleaved), Dirichlet nodes and steady-imaginary slots
-    are pinned, and the system is solved with block-Jacobi preconditioned
-    GMRES.  The returned field carries the Dirichlet data exactly and is
-    conjugate-symmetric at every node.
+    The real-basis system is mapped to the solve layout (Re phi_0,
+    Re phi_1, Im phi_1, ...), the Dirichlet nodes are pinned, and the
+    system is solved with block-Jacobi preconditioned GMRES.  The returned
+    field carries the Dirichlet data exactly and is conjugate-symmetric at
+    every node.
     """
     if solver_config is None:
         solver_config = SolverConfig(eps_ls=1e-10, max_linear_iters=50_000)
@@ -236,7 +238,7 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
     y0[dir_nodes] = dir_vals
     resid = rhs - system.matvec(modes_to_real(y0).ravel()).reshape(rhs.shape)
 
-    layout = BlockMatrix(system.rows, system.cols, block_from_orthonormal(system.blocks, 1.0),
+    layout = BlockMatrix(system.rows, system.cols, block_from_orthonormal(system.blocks),
                          mesh.n_nodes)
     layout_rhs = rhs_from_orthonormal(resid).ravel()
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes)

@@ -150,10 +150,6 @@ class SpectralCoeffs:
     def mode(self, n: int) -> complex:
         return complex(self.values[mode_index(n, self.n_modes)])
 
-    @property
-    def positive_modes(self) -> np.ndarray:
-        return self.values[self.n_modes - 1:].copy()
-
     def __len__(self) -> int:
         return self.values.shape[0]
 

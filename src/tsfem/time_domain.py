@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from .boundary import check_groups, resolve_dirichlet
+from .boundary import add_traction, check_groups, resolve_dirichlet
 from .linsolve import (
     BlockMatrix,
     GmresConfig,
@@ -40,6 +40,7 @@ from .linsolve import (
     block_jacobi_preconditioner,
     build_graph,
     gmres,
+    layout_pins,
     pinned_operator,
 )
 from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
@@ -245,10 +246,7 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
                                    test, grad_u, n_int))
 
     for name, data in case.neumann.items():
-        fq = facet_quadrature(mesh, name)
-        r_el = -float(data(t_af)) * np.einsum("fq,qa,fi->fai", fq.weights, fq.shape,
-                                              fq.normals)
-        np.add.at(resid[:, :dim], fq.nodes.ravel(), r_el.reshape(-1, dim))
+        add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
 
     return resid, fields
 
@@ -347,14 +345,6 @@ def _time_tangent(case: TimeCase, mesh: Mesh, fields, u_af, udot_am, what: float
                        dr_dw2, dw2_dx)
 
 
-def _assemble_time(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
-                   what: float, *, alpha_m: float, fac: float):
-    """Residual and exact Newton operator at the alpha state (see _time_tangent)."""
-    resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af, what)
-    return resid, _time_tangent(case, mesh, fields, u_af, udot_am, what,
-                                alpha_m=alpha_m, fac=fac)
-
-
 # The fraction of a time step's stopping threshold eps_nr * r0 that its Newton
 # systems are solved to.  sweep_bent's reference takes 583 Newton iterations on
 # seed 0 at 0.5, 587 at 0.9, 760 at eps_ls alone; 0.5 is faster at criterion 07.
@@ -415,8 +405,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     dir_nodes, dir_vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (dim,), t_new,
                                             dtype=float)
     dir_vals = dirichlet_scale * dir_vals
-    pins = np.zeros(mesh.n_nodes * (dim + 1), dtype=bool)
-    pins.reshape(mesh.n_nodes, dim + 1)[dir_nodes, :dim] = True
+    pins = layout_pins(mesh.n_nodes, 1, dir_nodes, dim + 1, dim)
 
     # predictor: constant velocity, consistent boundary acceleration
     accel = (gamma - 1.0) / gamma * state.accel

@@ -3,8 +3,8 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from tsfem.boundary import NodalValues, check_groups, resolve_dirichlet
-from tsfem.mesh import generate_bent_channel_tet, generate_rect_tri
+from tsfem.boundary import NodalValues, add_traction, check_groups, resolve_dirichlet
+from tsfem.mesh import facet_quadrature, generate_bent_channel_tet, generate_rect_tri
 from tsfem.navier_stokes import NSCase, parabolic_inflow, resolve_ns_dirichlet
 from tsfem.scalar import ScalarCase, resolve_scalar_dirichlet
 from tsfem.spectral import SpectralCoeffs, modes_from_real, n_coeffs, symmetrize_modes
@@ -190,3 +190,18 @@ class TestCheckGroups:
         with pytest.raises(ValueError, match="'xmin' assigned to both dirichlet and wall"):
             check_groups(mesh, dirichlet=["xmin"], wall=["ymin", "xmin"])
         check_groups(mesh, dirichlet=["xmin"], wall=["ymin"], neumann=["xmax"])
+
+
+class TestTraction:
+    def test_scalar_and_mode_vector_data(self):
+        # on the xmax side (outward normal +x, length 0.8) the traction sums to -h n |side|
+        mesh = generate_rect_tri((1.0, 0.8), (3, 4))
+        fq = facet_quadrature(mesh, "xmax")
+        scalar = np.zeros((mesh.n_nodes, 2))
+        add_traction(scalar, fq, 1.5)
+        np.testing.assert_allclose(scalar.sum(axis=0), [-1.5 * 0.8, 0.0], atol=1e-14)
+        assert np.all(scalar[np.setdiff1d(np.arange(mesh.n_nodes), fq.nodes)] == 0.0)
+        h = np.array([1.5, -0.4, 2.0])
+        modes = np.ones((mesh.n_nodes, 2, 3))
+        add_traction(modes, fq, h)
+        np.testing.assert_allclose(modes - 1.0, scalar[..., None] * h / 1.5, atol=1e-14)

@@ -11,6 +11,7 @@ from tsfem.linsolve import (
     Segments,
     SortedSegments,
     assembly_context,
+    block_from_orthonormal,
     block_jacobi_preconditioner,
     block_to_real,
     build_graph,
@@ -18,10 +19,12 @@ from tsfem.linsolve import (
     gmres,
     layout_pins,
     pinned_operator,
+    rhs_from_orthonormal,
     rhs_to_real,
     to_real,
 )
 from tsfem.mesh import generate_box_tet
+from tsfem.spectral import modes_from_real, modes_to_real
 
 RNG = np.random.default_rng(321)
 
@@ -48,12 +51,6 @@ def small_block_system(n_nodes, n_modes, rng=RNG, diag_boost=0.0):
     return BlockMatrix(rows, cols, blocks, n_nodes), rhs
 
 
-def steady_imag_pins(n_nodes, ncomp, n_modes):
-    pins = np.zeros((n_nodes, ncomp, 2 * n_modes), dtype=bool)
-    pins[:, :, 1] = True
-    return pins.ravel()
-
-
 class TestRealMapping:
     def test_round_trip_is_identity(self):
         x = np.stack([random_symmetric_vector(7) for _ in range(5)])
@@ -61,12 +58,12 @@ class TestRealMapping:
         np.testing.assert_allclose(from_real(z), x, atol=1e-15)
 
     def test_n1_steady_problem(self):
+        # a steady system is real: one slot per node, the real part of the complex one
         sys_c, rhs = small_block_system(3, 1, diag_boost=4.0)
         real_sys, real_rhs = to_real(sys_c, rhs)
-        assert real_sys.block_size == 2
-        dense = real_sys.to_dense()
-        # steady imag rows/columns carry no coupling before pinning
-        np.testing.assert_allclose(dense[1::2, 0::2], 0.0, atol=1e-14)
+        assert real_sys.block_size == 1
+        np.testing.assert_array_equal(real_sys.to_dense(), sys_c.to_dense().real)
+        np.testing.assert_array_equal(real_rhs, rhs.real.ravel())
 
     def test_real_solve_matches_complex_dense(self):
         n_nodes, n_modes = 4, 3
@@ -74,11 +71,8 @@ class TestRealMapping:
         x_complex = np.linalg.solve(sys_c.to_dense(), rhs.ravel()).reshape(n_nodes, -1)
 
         real_sys, real_rhs = to_real(sys_c, rhs)
-        pins = steady_imag_pins(n_nodes, 1, n_modes)
-        real_rhs[pins] = 0.0
-        op = pinned_operator(real_sys.matvec, pins)
-        res = gmres(op, real_rhs, GmresConfig(restart=60, tol=1e-13, max_matvecs=500),
-                    precond=block_jacobi_preconditioner(real_sys, pins))
+        res = gmres(real_sys.matvec, real_rhs, GmresConfig(restart=60, tol=1e-13, max_matvecs=500),
+                    precond=block_jacobi_preconditioner(real_sys))
         assert res.converged
         x_back = from_real(res.x.reshape(n_nodes, -1))
         np.testing.assert_allclose(x_back, x_complex, atol=1e-10)
@@ -100,16 +94,35 @@ class TestRealMapping:
             z = t @ rhs_to_real(x)
             np.testing.assert_allclose(z, rhs_to_real(y), atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_modes=st.integers(1, 7), n_nodes=st.integers(1, 4), dim=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_layout_maps_property(self, n_modes, n_nodes, dim, seed):
+        # the layout holds 2N-1 reals per component, and the orthonormal maps
+        # land in it: from_real inverts them, and blocks act as the coordinates do
+        rng = np.random.default_rng(seed)
+        m = 2 * n_modes - 1
+        z = modes_from_real(rng.standard_normal((n_nodes, m)))
+        np.testing.assert_allclose(from_real(rhs_from_orthonormal(modes_to_real(z))), z,
+                                   rtol=0, atol=1e-14 * np.abs(z).max())
+        big, r = rng.standard_normal((n_nodes, m, m)), rng.standard_normal((n_nodes, m))
+        lhs = np.einsum("nij,nj->ni", block_from_orthonormal(big), rhs_from_orthonormal(r))
+        ref = rhs_from_orthonormal(np.einsum("nij,nj->ni", big, r))
+        np.testing.assert_allclose(lhs, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        tg = random_tangent(n_nodes + 1, dim, n_modes, rng=rng)
+        assert tg.n_dof == (n_nodes + 1) * (dim + 1) * m
+        assert tg.matvec(np.ones(tg.n_dof)).shape == (tg.n_dof,)
+
 
 def random_tangent(n_nodes, dim, n_modes, rng=RNG):
     elements = np.column_stack([np.arange(n_nodes - 1), np.arange(1, n_nodes)])
     rows, cols, _ = build_graph(elements, n_nodes)
     e = rows.shape[0]
-    n2 = 2 * n_modes
+    m = 2 * n_modes - 1
     return BlockTangent(
         rows, cols, n_nodes, dim, n_modes,
-        k_real=rng.standard_normal((e, n2, n2)),
-        l_real=rng.standard_normal((e, n2, n2)),
+        k_real=rng.standard_normal((e, m, m)),
+        l_real=rng.standard_normal((e, m, m)),
         g_diag=rng.standard_normal((e, dim)),
         d_diag=rng.standard_normal((e, dim)),
     )
@@ -117,18 +130,17 @@ def random_tangent(n_nodes, dim, n_modes, rng=RNG):
 
 def dense_tangent_oracle(tg):
     """Plain-loop dense expansion, independent of the vectorized matvec."""
-    d, n = tg.dim, tg.n_modes
-    n2 = 2 * n
-    b = (d + 1) * n2
+    d, m = tg.dim, 2 * tg.n_modes - 1
+    b = (d + 1) * m
     dense = np.zeros((tg.n_nodes * b, tg.n_nodes * b))
     for e in range(len(tg.rows)):
         r0, c0 = tg.rows[e] * b, tg.cols[e] * b
         for i in range(d):
-            dense[r0 + i * n2:r0 + i * n2 + n2, c0 + i * n2:c0 + i * n2 + n2] += tg.k_real[e]
-            for slot in range(n2):
-                dense[r0 + i * n2 + slot, c0 + d * n2 + slot] += tg.g_diag[e, i]
-                dense[r0 + d * n2 + slot, c0 + i * n2 + slot] += tg.d_diag[e, i]
-        dense[r0 + d * n2:r0 + b, c0 + d * n2:c0 + b] += tg.l_real[e]
+            dense[r0 + i * m:r0 + i * m + m, c0 + i * m:c0 + i * m + m] += tg.k_real[e]
+            for slot in range(m):
+                dense[r0 + i * m + slot, c0 + d * m + slot] += tg.g_diag[e, i]
+                dense[r0 + d * m + slot, c0 + i * m + slot] += tg.d_diag[e, i]
+        dense[r0 + d * m:r0 + b, c0 + d * m:c0 + b] += tg.l_real[e]
     return dense
 
 
@@ -207,15 +219,15 @@ class TestBlockTangent:
         elements = np.array([rng.choice(n_nodes, size=min(nen, n_nodes), replace=False)
                              for _ in range(rng.integers(1, 6))])
         rows, cols, _ = build_graph(elements, n_nodes)
-        e, n2 = rows.shape[0], 2 * n_modes
+        e, m = rows.shape[0], 2 * n_modes - 1
         tg = BlockTangent(
             rows, cols, n_nodes, dim, n_modes,
-            k_real=rng.standard_normal((e, n2, n2)),
-            l_real=rng.standard_normal((e, n2, n2)),
+            k_real=rng.standard_normal((e, m, m)),
+            l_real=rng.standard_normal((e, m, m)),
             g_diag=rng.standard_normal((e, dim)),
             d_diag=rng.standard_normal((e, dim)),
-            g_full=rng.standard_normal((e, dim, n2, n2)) if full else None,
-            d_full=rng.standard_normal((e, dim, n2, n2)) if full else None,
+            g_full=rng.standard_normal((e, dim, m, m)) if full else None,
+            d_full=rng.standard_normal((e, dim, m, m)) if full else None,
         )
         x = rng.standard_normal(tg.n_dof)
         ref = tg.to_dense() @ x
@@ -229,15 +241,15 @@ class TestBlockTangent:
 
     def test_identity_momentum_pass_through(self):
         tg = random_tangent(3, 3, 2)
-        n2 = 2 * tg.n_modes
+        m = 2 * tg.n_modes - 1
         tg.k_real[:] = 0.0
-        tg.k_real[tg.rows == tg.cols] = np.eye(n2)
+        tg.k_real[tg.rows == tg.cols] = np.eye(m)
         tg.l_real[:] = 0.0
         tg.g_diag[:] = 0.0
         tg.d_diag[:] = 0.0
         x = RNG.standard_normal(tg.n_dof)
-        y = tg.matvec(x).reshape(3, 4, n2)
-        xr = x.reshape(3, 4, n2)
+        y = tg.matvec(x).reshape(3, 4, m)
+        xr = x.reshape(3, 4, m)
         np.testing.assert_allclose(y[:, :3], xr[:, :3], atol=1e-14)
         np.testing.assert_allclose(y[:, 3], 0.0, atol=1e-14)
 
@@ -250,16 +262,16 @@ class TestBlockTangent:
     def test_diag_blocks_match_dense(self):
         tg = random_tangent(3, 2, 2)
         dense = dense_tangent_oracle(tg)
-        b = (tg.dim + 1) * 2 * tg.n_modes
+        b = (tg.dim + 1) * (2 * tg.n_modes - 1)
         diag = tg.diag_blocks()
         for node in range(3):
             np.testing.assert_allclose(
                 diag[node], dense[node * b:(node + 1) * b, node * b:(node + 1) * b],
                 atol=1e-13)
         # exact mode-coupled gradient/divergence blocks
-        e, n2 = tg.rows.shape[0], 2 * tg.n_modes
-        tg.g_full = RNG.standard_normal((e, tg.dim, n2, n2))
-        tg.d_full = RNG.standard_normal((e, tg.dim, n2, n2))
+        e, m = tg.rows.shape[0], 2 * tg.n_modes - 1
+        tg.g_full = RNG.standard_normal((e, tg.dim, m, m))
+        tg.d_full = RNG.standard_normal((e, tg.dim, m, m))
         dense = tg.to_dense()
         diag = tg.diag_blocks()
         for node in range(3):
@@ -368,6 +380,26 @@ class TestGmres:
         res = gmres(lambda x: x, np.zeros(5))
         assert res.converged and np.all(res.x == 0.0)
 
+    def test_matvecs_counted_and_capped(self):
+        # the start residual is b: one Arnoldi step and the final b - Ax
+        calls = []
+
+        def identity(x):
+            calls.append(1)
+            return x
+
+        res = gmres(identity, RNG.standard_normal(10), GmresConfig(restart=5, tol=1e-12))
+        assert res.converged and res.matvecs == len(calls) == 2
+        a = RNG.standard_normal((40, 40)) + 2 * np.eye(40)
+        b = RNG.standard_normal(40)
+        for cap in (1, 2, 3, 7, 12):
+            calls.clear()
+            res = gmres(lambda x: calls.append(1) or a @ x, b,
+                        GmresConfig(restart=5, tol=1e-14, max_matvecs=cap))
+            assert not res.converged and res.matvecs == len(calls) <= cap
+            np.testing.assert_allclose(np.linalg.norm(a @ res.x - b), res.residuals[-1],
+                                       rtol=1e-8)
+
 
 class TestBlockJacobi:
     def test_diagonal_system_converges_in_one_iteration(self):
@@ -382,8 +414,8 @@ class TestBlockJacobi:
 
     def test_linearity(self):
         tg = random_tangent(3, 2, 2)
-        tg.k_real += 5 * np.eye(2 * tg.n_modes)
-        tg.l_real += 5 * np.eye(2 * tg.n_modes)
+        tg.k_real += 5 * np.eye(2 * tg.n_modes - 1)
+        tg.l_real += 5 * np.eye(2 * tg.n_modes - 1)
         pre = block_jacobi_preconditioner(tg)
         x = RNG.standard_normal(tg.n_dof)
         y = RNG.standard_normal(tg.n_dof)
@@ -421,13 +453,13 @@ class TestSchurBlockJacobi:
     def test_matches_pinned_block_solve(self, n_nodes, dim, n_modes, full, seed):
         rng = np.random.default_rng(seed)
         tg = random_tangent(n_nodes, dim, n_modes, rng=rng)
-        e, n2 = tg.rows.shape[0], 2 * n_modes
+        e, m = tg.rows.shape[0], 2 * n_modes - 1
         # diagonally dominant K and L keep K and the Schur complement regular
-        tg.k_real += 3 * n2 * np.eye(n2)
-        tg.l_real += 3 * (dim + 1) * n2 * np.eye(n2)
+        tg.k_real += 3 * m * np.eye(m)
+        tg.l_real += 3 * (dim + 1) * m * np.eye(m)
         if full:
-            tg.g_full = rng.standard_normal((e, dim, n2, n2))
-            tg.d_full = rng.standard_normal((e, dim, n2, n2))
+            tg.g_full = rng.standard_normal((e, dim, m, m))
+            tg.d_full = rng.standard_normal((e, dim, m, m))
         dir_nodes = np.flatnonzero(rng.random(n_nodes) < 0.4)   # whole-velocity pins
         pins = layout_pins(n_nodes, n_modes, dir_nodes, dim + 1, dim)
         r = rng.standard_normal(tg.n_dof)
@@ -438,9 +470,9 @@ class TestSchurBlockJacobi:
 
     def test_singular_k_falls_back_with_warning(self):
         tg = random_tangent(3, 2, 2)
-        n2 = 2 * tg.n_modes
-        tg.k_real += 3 * n2 * np.eye(n2)
-        tg.l_real += 9 * n2 * np.eye(n2)
+        m = 2 * tg.n_modes - 1
+        tg.k_real += 3 * m * np.eye(m)
+        tg.l_real += 9 * m * np.eye(m)
         tg.k_real[(tg.rows == 1) & (tg.cols == 1)] = 0.0
         pins = layout_pins(3, tg.n_modes, np.array([], dtype=int), tg.dim + 1, tg.dim)
         with pytest.warns(UserWarning, match="singular"):
@@ -458,13 +490,22 @@ class TestSchurBlockJacobi:
 
     def test_unlike_velocity_pins_rejected(self):
         tg = random_tangent(3, 2, 2)
-        pins = np.zeros((3, tg.dim + 1, 2 * tg.n_modes), dtype=bool)
+        pins = np.zeros((3, tg.dim + 1, 2 * tg.n_modes - 1), dtype=bool)
         pins[0, 0, :] = True            # one velocity direction of node 0 only
         with pytest.raises(ValueError, match="velocity direction"):
             block_jacobi_preconditioner(tg, pins.ravel())
 
 
 class TestPinnedOperator:
+    def test_layout_pins_pin_dirichlet_slots_only(self):
+        pins = layout_pins(5, 3, np.array([1, 4]), n_comp=3, n_dir_comp=2).reshape(5, 3, 5)
+        assert pins.sum() == 2 * 2 * 5
+        assert pins[[1, 4], :2].all() and not pins[:, 2].any()
+        assert not pins[[0, 2, 3]].any()
+        # the time-domain layout: one slot per component
+        np.testing.assert_array_equal(layout_pins(3, 1, np.array([0]), 3, 2),
+                                      [True, True, False] + [False] * 6)
+
     def test_pins_act_as_identity(self):
         a = RNG.standard_normal((6, 6)) + 6 * np.eye(6)
         pins = np.array([False, True, False, False, True, False])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tsfem.scalar as scalar
 from tsfem.boundary import check_groups
 from tsfem.linsolve import (
     BlockMatrix,
@@ -134,6 +135,21 @@ class TestSolveScalar:
         nodal = sol[:, 0].real
         ref = exact(mesh.coords[:, 0])
         assert np.max(np.abs(nodal - ref)) / np.max(np.abs(ref)) < 1e-3
+
+    def test_steady_solve_pins_dirichlet_nodes_only(self, monkeypatch):
+        # N = 1: one real slot per node, and the Dirichlet nodes are the only pins
+        case, mesh = steady_1d_case(0.4, 0.3)
+        seen = []
+        real = scalar.pinned_operator
+        monkeypatch.setattr(scalar, "pinned_operator",
+                            lambda matvec, pins: seen.append(pins) or real(matvec, pins))
+        sol = solve_scalar(case, mesh)
+        nodes, _ = resolve_scalar_dirichlet(case, mesh)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(np.flatnonzero(seen[0]), nodes)
+        assert seen[0].size == mesh.n_nodes
+        exact = exact_steady_advection_diffusion_1d(0.4, 0.3, 1.0, 1.0)
+        np.testing.assert_allclose(sol[:, 0].real, exact(mesh.coords[:, 0]), atol=1e-3)
 
     def test_dirichlet_exact_on_boundary(self):
         case, mesh = steady_1d_case(0.8, 0.05, n_modes=2, omega=1.0)
@@ -461,12 +477,9 @@ class TestRealBasisAssembly:
         got_sys, got_rhs = assemble_scalar(case, mesh)
         np.testing.assert_array_equal(got_sys.rows, ref_sys.rows)
         np.testing.assert_array_equal(got_sys.cols, ref_sys.cols)
-        free = np.r_[0, np.arange(2, 2 * n_modes)]   # slot 1 is the pinned steady imag
-        got_l = block_from_orthonormal(got_sys.blocks, 1.0)
-        assert_close(got_l[..., free[:, None], free],
-                     block_to_real(ref_sys.blocks)[..., free[:, None], free], "blocks")
-        assert_close(rhs_from_orthonormal(got_rhs)[..., free],
-                     rhs_to_real(ref_rhs)[..., free], "rhs")
+        assert_close(block_from_orthonormal(got_sys.blocks), block_to_real(ref_sys.blocks),
+                     "blocks")
+        assert_close(rhs_from_orthonormal(got_rhs), rhs_to_real(ref_rhs), "rhs")
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_backflow_term_is_covered(self, dim):

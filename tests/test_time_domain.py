@@ -23,7 +23,8 @@ from tsfem.mesh import (
 from tsfem.navier_stokes import NSCase, solve_ns
 from tsfem.spectral import SpectralCoeffs, build_convolution, compute_tau
 from tsfem.time_domain import (
-    _assemble_time,
+    _time_residual,
+    _time_tangent,
     FORCING_FACTOR,
     GenAlphaConfig,
     TimeCase,
@@ -273,10 +274,10 @@ class TestRunTimeSimulation:
 
 
 def per_point_assemble_time(case, mesh, u_af, udot_am, pres, t_af, what, alpha_m, fac):
-    """Literal per-quadrature-point np.add.at assembly: the oracle for _assemble_time.
+    """Literal per-quadrature-point np.add.at assembly of a time step.
 
-    Returns the residual, the graph, the local tangent blocks and
-    dR/d(omega_hat^2).
+    The oracle for _time_residual and _time_tangent.  Returns the
+    residual, the graph, the local tangent blocks and dR/d(omega_hat^2).
     """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
@@ -374,7 +375,9 @@ class TestAssembly:
         case = TimeCase(rho=1.3, mu=0.07, period=1.0, n_cycles=2, dt=0.05,
                         neumann={"xmax": lambda t: 0.3 + t, "xmin": lambda t: -0.8})
         args = state + (0.2, 1.7)
-        resid, tangent = _assemble_time(case, mesh, *args, alpha_m=0.9, fac=0.03)
+        resid, fields = _time_residual(case, mesh, *args)
+        tangent = _time_tangent(case, mesh, fields, state[0], state[1], 1.7,
+                                alpha_m=0.9, fac=0.03)
         ref_resid, rows, cols, ref_blocks, ref_dr = per_point_assemble_time(
             case, mesh, *args, alpha_m=0.9, fac=0.03)
         local = tangent.local
@@ -417,9 +420,10 @@ class TestNewtonOperator:
         def assemble(x):
             a = x[:, :dim]
             u_af, udot_am = u0 + fac * a, a0 + alpha_m * a
-            return _assemble_time(case, mesh, u_af, udot_am, x[:, dim], 0.1,
-                                  omega_hat(u_af, udot_am, mesh),
-                                  alpha_m=alpha_m, fac=fac)
+            what = omega_hat(u_af, udot_am, mesh)
+            resid, fields = _time_residual(case, mesh, u_af, udot_am, x[:, dim], 0.1, what)
+            return resid, _time_tangent(case, mesh, fields, u_af, udot_am, what,
+                                        alpha_m=alpha_m, fac=fac)
 
         x = rng.standard_normal((n, dim + 1))
         v = rng.standard_normal((n, dim + 1))
