@@ -3,7 +3,7 @@
 Subpackages:
   spectral      Fourier-mode arithmetic, convolution and stabilization matrices
   mesh          simplex meshes, generators, shape functions, quadrature
-  boundary      facet-group checks and Dirichlet data shared by the solvers
+  boundary      facet-group checks, Dirichlet data and facet terms shared by the solvers
   linsolve      real-mapped block systems, GMRES, preconditioning
   scalar        spectral convection-diffusion solver
   navier_stokes spectral incompressible Navier-Stokes solver

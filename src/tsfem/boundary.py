@@ -1,5 +1,5 @@
-"""Boundary data shared by the solvers: facet-group roles, Dirichlet values
-and the Neumann traction term.
+"""Boundary data shared by the solvers: facet-group roles, Dirichlet values,
+the Neumann traction term and the backflow edge blocks.
 
 Boundary data of a facet group is uniform (an array of the per-node
 shape, or SpectralCoeffs), a callable of the node coordinates, or, for
@@ -17,8 +17,8 @@ import numpy as np
 from .mesh import Mesh
 from .spectral import SpectralCoeffs
 
-__all__ = ["NodalValues", "add_traction", "check_groups", "boundary_values",
-           "resolve_dirichlet"]
+__all__ = ["NodalValues", "add_backflow", "add_traction", "check_groups",
+           "boundary_values", "resolve_dirichlet"]
 
 
 @dataclass(frozen=True)
@@ -98,3 +98,14 @@ def add_traction(out: np.ndarray, fq, h) -> None:
     """
     r_el = np.multiply.outer(-np.einsum("fq,qa,fi->fai", fq.weights, fq.shape, fq.normals), h)
     np.add.at(out, fq.nodes.ravel(), r_el.reshape((-1,) + out.shape[1:]))
+
+
+def add_backflow(blocks: np.ndarray, ctx, fq, scale: float, an_neg: np.ndarray) -> None:
+    """Add scale sum_q w_q N_A N_B |A_n|_- of a facet group to the edge blocks in place.
+
+    an_neg is |A_n|_- at every facet quadrature point of fq, (F, Q, M, M),
+    and blocks the (n_edges, M, M) blocks on the edges of ctx, the mesh's
+    AssemblyContext, whose edge_ids locate each facet node pair.
+    """
+    k_el = np.einsum("fq,qa,qb,fqrc->fabrc", scale * fq.weights, fq.shape, fq.shape, an_neg)
+    np.add.at(blocks, ctx.edge_ids(fq.nodes), k_el.reshape((-1,) + blocks.shape[1:]))

@@ -38,7 +38,7 @@ from .io import export_fields, export_mesh_vtk, export_traces
 from .linsolve import SolverConfig
 from .mesh import save_mesh
 from .navier_stokes import NSCase, flow_report, parabolic_inflow, solve_ns
-from .scalar import ScalarCase, solve_scalar
+from .scalar import solve_scalar
 from .spectral import (
     SpectralCoeffs,
     evaluate_field_in_time,
@@ -227,10 +227,17 @@ def _waveform_from_samples(samples: np.ndarray, period: float, n_fit: int):
 # the keys the studies read; any other key is a typo
 _STUDY_KEYS = {"kind", "modes", "resolutions", "case", "reference", "directory"}
 _REFERENCE_KEYS = {"group", "dt_per_cycle", "n_cycles", "ramp_steps", "n_fit"}
+# the list each study kind sweeps over
+_STUDY_LISTS = {"mode_sweep": "modes", "h_sweep": "resolutions"}
 
 
-def _study_case(study: Dict[str, Any]) -> CaseConfig:
-    """A study's case block, validated as a case file is, after the study's own keys."""
+def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
+    """A study's case block, validated as a case file is, after the study's own keys.
+
+    kind is the study kind to check against, study.kind when None: a
+    mode_sweep needs modes and reference.group, an h_sweep resolutions,
+    each list with at least two integers >= 1.
+    """
     reference = study.get("reference", {})
     if not isinstance(reference, dict):
         raise ConfigError(["study.reference must be a mapping"])
@@ -239,6 +246,18 @@ def _study_case(study: Dict[str, Any]) -> CaseConfig:
                                             ("study.reference", reference, _REFERENCE_KEYS))
               for key in sorted(set(block) - known, key=str)]
     errors += [] if "case" in study else ["study.case is required"]
+    kind = study.get("kind") if kind is None else kind
+    if kind not in _STUDY_LISTS:
+        errors.append(f"study.kind must be one of {sorted(_STUDY_LISTS)} (got {kind!r})")
+    else:
+        key = _STUDY_LISTS[kind]
+        values = study.get(key)
+        if not (isinstance(values, list) and len(values) >= 2
+                and all(type(v) is int and v >= 1 for v in values)):
+            errors.append(f"study.{key} needs a list of at least two integers >= 1 "
+                          f"(got {values!r})")
+    if kind == "mode_sweep" and "group" not in reference:
+        errors.append("study.reference.group is required")
     if errors:
         raise ConfigError(errors)
     return config_from_mapping(study["case"])
@@ -307,16 +326,12 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     Each row's cost_ratio, the paper's cost measure, is its run's wall_time
     (seconds) over that of the time reference run (reference_seconds).
     """
-    base = _study_case(study)
+    base = _study_case(study, "mode_sweep")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    modes = [int(n) for n in study["modes"]]
-    if len(modes) < 2:
-        raise ConfigError(["study.modes needs at least two entries"])
+    modes = study["modes"]
     ref_block = dict(study.get("reference", {}))
-    group = ref_block.get("group")
-    if group is None:
-        raise ConfigError(["study.reference.group is required"])
+    group = ref_block["group"]
 
     t0 = time.perf_counter()
     tcase, mesh, inflow_name = _time_reference_case(base, ref_block)
@@ -370,12 +385,10 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     """Refinement study of the 1D steady transport case against its oracle."""
     from .verification import exact_steady_advection_diffusion_1d, l2_error
 
-    base = _study_case(study)
+    base = _study_case(study, "h_sweep")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolutions = [int(r) for r in study["resolutions"]]
-    if len(resolutions) < 2:
-        raise ConfigError(["study.resolutions needs at least two entries"])
+    resolutions = study["resolutions"]
     phys = base.physics
     if phys["kind"] != "scalar" or base.mesh.get("generator") != "interval":
         raise ConfigError(["h_sweep expects a scalar case on an interval mesh"])
@@ -418,17 +431,13 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
 
 def sweep(study_path, out_dir=None) -> Dict[str, Any]:
     raw = yaml.safe_load(Path(study_path).read_text())
-    if not isinstance(raw, dict) or "study" not in raw:
-        raise ConfigError(["study file needs a top-level 'study' section"])
+    if not isinstance(raw, dict) or not isinstance(raw.get("study"), dict):
+        raise ConfigError(["study file needs a top-level 'study' mapping"])
     study = raw["study"]
+    _study_case(study)
     if out_dir is None:
         out_dir = study.get("directory", Path(study_path).stem + "_out")
-    kind = study.get("kind")
-    if kind == "mode_sweep":
-        return mode_sweep(study, out_dir)
-    if kind == "h_sweep":
-        return h_sweep(study, out_dir)
-    raise ConfigError([f"unknown study kind {kind!r}"])
+    return (mode_sweep if study["kind"] == "mode_sweep" else h_sweep)(study, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 import yaml
@@ -65,6 +65,12 @@ _KNOWN_KEYS = {
                "max_steps", "time_max_linear_iters"},
     "output": {"directory", "trace_samples", "fields_t_samples"},
 }
+# the physics values that must be numbers when given
+_NUMBER_KEYS = {"rho", "mu", "kappa", "omega", "backflow_beta", "c_i"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_config(text: str) -> CaseConfig:
@@ -95,8 +101,14 @@ def config_from_mapping(raw: Any) -> CaseConfig:
     for key in ("omega", "n_modes"):
         if key not in physics:
             errors.append(f"physics.{key} is required")
-    if physics.get("n_modes", 1) < 1:
-        errors.append("physics.n_modes must be >= 1")
+    for key in sorted(_NUMBER_KEYS & set(physics)):
+        if not _is_number(physics[key]):
+            errors.append(f"physics.{key} must be a number (got {physics[key]!r})")
+    n_modes = physics.get("n_modes", 1)
+    if not (type(n_modes) is int and n_modes >= 1):
+        errors.append(f"physics.n_modes must be an integer >= 1 (got {n_modes!r})")
+    if _is_number(physics.get("omega")) and not physics["omega"] >= 0.0:
+        errors.append("physics.omega must be >= 0")
 
     mesh_block = dict(raw["mesh"])
     has_gen = "generator" in mesh_block
@@ -108,6 +120,9 @@ def config_from_mapping(raw: Any) -> CaseConfig:
                       f"choose from {sorted(_GENERATORS)}")
 
     bcs = {name: dict(v) for name, v in raw["bcs"].items()}
+    if kind == "scalar" and not any(bc.get("kind") in ("dirichlet", "noslip")
+                                    for bc in bcs.values()):
+        errors.append("bcs: a scalar case needs a dirichlet or noslip bc")
     for name, bc in bcs.items():
         kind_bc = bc.get("kind")
         if kind_bc not in _BC_KINDS:
@@ -243,13 +258,11 @@ def build_case(config: CaseConfig, mesh: Mesh):
                          "physics.velocity_modes")
         velocity = np.zeros((mesh.n_nodes, mesh.dim, m), dtype=complex)
         velocity[:, 0, :] = vel
-        case = ScalarCase(
-            kappa=float(phys["kappa"]), omega=float(phys["omega"]),
-            n_modes=n_modes, velocity=velocity, dirichlet=dirichlet,
-            neumann=neumann, c_i=phys.get("c_i"),
-            backflow_beta=float(phys.get("backflow_beta", 0.0)),
-            galerkin_only=bool(phys.get("galerkin_only", False)))
-        return case, info
+        return _constructed(ScalarCase, kappa=float(phys["kappa"]), omega=float(phys["omega"]),
+                            n_modes=n_modes, velocity=velocity, dirichlet=dirichlet,
+                            neumann=neumann, c_i=phys.get("c_i"),
+                            backflow_beta=float(phys.get("backflow_beta", 0.0)),
+                            galerkin_only=bool(phys.get("galerkin_only", False))), info
 
     dirichlet = {}
     walls = []
@@ -277,30 +290,45 @@ def build_case(config: CaseConfig, mesh: Mesh):
                 dirichlet[g] = arr
                 if trunc is not None:
                     info["truncation"][name] = trunc
-    case = NSCase(rho=float(phys["rho"]), mu=float(phys["mu"]),
-                  omega=float(phys["omega"]), n_modes=n_modes,
-                  dirichlet=dirichlet, walls=walls, neumann=neumann,
-                  c_i=phys.get("c_i"),
-                  backflow_beta=float(phys.get("backflow_beta", 0.0)))
-    return case, info
+    return _constructed(NSCase, rho=float(phys["rho"]), mu=float(phys["mu"]),
+                        omega=float(phys["omega"]), n_modes=n_modes,
+                        dirichlet=dirichlet, walls=walls, neumann=neumann,
+                        c_i=phys.get("c_i"),
+                        backflow_beta=float(phys.get("backflow_beta", 0.0))), info
+
+
+def _constructed(case_type, **values):
+    """case_type(**values), its ValueError (which starts with the field name) a ConfigError."""
+    try:
+        return case_type(**values)
+    except ValueError as err:
+        raise ConfigError([f"physics.{err}"]) from err
 
 
 def build_solver_config(solver_block: Dict[str, Any]) -> SolverConfig:
     block = dict(solver_block)
+
+    def value(key, kind, default):
+        try:
+            return kind(block.get(key, default))
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError([f"solver.{key} must be {what} (got {block[key]!r})"]) from None
+
     pseudo = block.get("pseudo_dt", "auto")
     if pseudo in ("auto", None):
         pseudo = None
     elif pseudo in ("inf", ".inf", "newton"):
         pseudo = np.inf
     else:
-        pseudo = float(pseudo)
+        pseudo = value("pseudo_dt", float, None)
     values = dict(
-        eps_nr=float(block.get("eps_nr", 1e-3)),
-        eps_ls=float(block.get("eps_ls", 0.05)),
-        krylov_dim=int(block.get("krylov_dim", 100)),
-        max_linear_iters=int(block.get("max_linear_iters", 10_000)),
+        eps_nr=value("eps_nr", float, 1e-3),
+        eps_ls=value("eps_ls", float, 0.05),
+        krylov_dim=value("krylov_dim", int, 100),
+        max_linear_iters=value("max_linear_iters", int, 10_000),
         pseudo_dt=pseudo,
-        max_steps=int(block.get("max_steps", 200)),
+        max_steps=value("max_steps", int, 200),
     )
     try:
         return SolverConfig(**values)

@@ -196,25 +196,23 @@ class SortedSegments:
             out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
 
 
-_CHUNK = 2048  # elements per assembly chunk, bounds transient memory
-
-
 @dataclass(frozen=True)
 class AssemblyContext:
     """Per-mesh scatter plan: the nodal graph and its sorted reductions.
 
-    The elements are processed in chunks of at most _CHUNK; for each chunk
-    the plan holds the SortedSegments of its element-node keys (residual
-    and element-operator scatter: few keys, long runs) and the Segments of
-    its build_graph edge_of keys (tangent scatter: many keys, short runs).
-    edge_mass, when the plan is built with the element mass matrices, is
-    their sum onto the edges: sum_e detj sum_q w_q N_A N_B per node pair.
+    nodes is the SortedSegments of the element-node keys (residual and
+    element-operator scatter: few keys, long runs) and edges the Segments
+    of the build_graph edge_of keys (tangent scatter: many keys, short
+    runs).  edge_mass, when the plan is built with the element mass
+    matrices, is their sum onto the edges: sum_e detj sum_q w_q N_A N_B
+    per node pair.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     n_nodes: int
-    chunks: tuple  # of (slice, node SortedSegments, edge Segments)
+    nodes: SortedSegments
+    edges: Segments
     edge_mass: Optional[np.ndarray] = None
 
     @classmethod
@@ -222,17 +220,12 @@ class AssemblyContext:
               element_mass: np.ndarray | None = None) -> "AssemblyContext":
         """Plan for a connectivity, its build_graph output and optionally its mass."""
         rows, cols, edge_of = graph
-        n_el = elements.shape[0]
-        chunks = []
-        for start in range(0, n_el, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, n_el))
-            chunks.append((sl, SortedSegments.of(elements[sl]), Segments.of(edge_of[sl])))
+        edges = Segments.of(edge_of)
         edge_mass = None
         if element_mass is not None:
             edge_mass = np.zeros(rows.shape[0])
-            for sl, _, edge_seg in chunks:
-                edge_seg.add_to(edge_mass, element_mass[sl].ravel())
-        return cls(rows, cols, n_nodes, tuple(chunks), edge_mass)
+            edges.add_to(edge_mass, element_mass.ravel())
+        return cls(rows, cols, n_nodes, SortedSegments.of(elements), edges, edge_mass)
 
     def edge_ids(self, nodes: np.ndarray) -> np.ndarray:
         """Edge index of every (nodes[f, a], nodes[f, b]) pair, in (f, a, b) order.

@@ -22,14 +22,11 @@ __all__ = [
     "Mesh",
     "FacetGroup",
     "QuadratureRule",
-    "ShapeEval",
     "ElementData",
     "c_i_for",
     "quadrature_rule",
     "facet_rule",
     "shape_values",
-    "shape_eval",
-    "facet_normal_area",
     "facet_geometry",
     "generate_interval",
     "generate_rect_tri",
@@ -203,29 +200,6 @@ def _circumsphere_diameter(mesh: Mesh, xe: np.ndarray) -> np.ndarray:
     return 2.0 * np.linalg.norm(center - xe[:, 0, :], axis=1)
 
 
-@dataclass(frozen=True)
-class ShapeEval:
-    """Shape data of one element at the points of a quadrature rule."""
-
-    values: np.ndarray     # (n_qp, n_nodes)
-    grads: np.ndarray      # (n_nodes, dim), constant over the element
-    jacobian_det: float
-    metric: np.ndarray     # (dim, dim)
-    h: float
-    weights: np.ndarray    # rule weights times jacobian_det
-
-
-def shape_eval(mesh: Mesh, element_id: int, rule: QuadratureRule | None = None) -> ShapeEval:
-    """Evaluate shape functions, gradients and metric for one element."""
-    if rule is None:
-        rule = quadrature_rule(mesh.elem_type)
-    ed = mesh.element_data()
-    vals = shape_values(mesh.elem_type, rule.points)
-    detj = float(ed.detj[element_id])
-    return ShapeEval(vals, ed.grads[element_id], detj, ed.metric[element_id],
-                     float(ed.h[element_id]), rule.weights * detj)
-
-
 def facet_geometry(mesh: Mesh, group: str):
     """Outward unit normals, measures and centroids of a facet group.
 
@@ -296,22 +270,6 @@ def facet_quadrature(mesh: Mesh, group: str) -> FacetQuadData:
         arrays.append(view)
     mesh._facet_quad[group] = FacetQuadData(*arrays)
     return mesh._facet_quad[group]
-
-
-def facet_normal_area(mesh: Mesh, facet) -> tuple[np.ndarray, float]:
-    """Unit outward normal and measure of one boundary facet.
-
-    facet is either (group_name, index) or a (node_ids, parent) pair.
-    """
-    if isinstance(facet, tuple) and isinstance(facet[0], str):
-        group, idx = facet
-        normals, areas, _ = facet_geometry(mesh, group)
-        return normals[idx], float(areas[idx])
-    nodes, parent = facet
-    tmp = Mesh(mesh.dim, mesh.coords, mesh.elements, mesh.elem_type,
-               {"_one": FacetGroup("_one", np.asarray([nodes]), np.asarray([parent]))})
-    normals, areas, _ = facet_geometry(tmp, "_one")
-    return normals[0], float(areas[0])
 
 
 # ---------------------------------------------------------------------------

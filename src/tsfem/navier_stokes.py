@@ -39,18 +39,20 @@ diagonal scaling K_L[i, j] = K_O[i, j] s_i / s_j, with s = 1 for the
 steady mode and 1/sqrt2 otherwise.  The linear solve pins the Dirichlet
 velocity slots only.  States and assemble_ns_residual stay complex.
 
-Assembly sums each element integrand over the quadrature points before
-scattering it once per element chunk, through the plans cached on the
-mesh at its first assembly.  Blocks that depend on geometry only
-(viscous and pressure stiffness, gradient/divergence) are formed once
-per chunk instead of once per quadrature point.
+Assembly runs over all elements of the mesh at once: it sums each
+element integrand over the quadrature points before scattering it once,
+through the plans cached on the mesh at its first assembly.  Blocks that
+depend on geometry only (viscous and pressure stiffness,
+gradient/divergence) are formed once per element instead of once per
+quadrature point.  The backflow term is formed on every facet
+quadrature point of a group at once.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
@@ -59,6 +61,7 @@ import numpy as np
 from . import spectral
 from .boundary import (
     NodalValues,
+    add_backflow,
     add_traction,
     boundary_values,
     check_groups,
@@ -145,8 +148,9 @@ class NSCase:
     backflow_beta: float = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0.0 or self.mu <= 0.0:
-            raise ValueError("rho and mu must be positive")
+        for name in ("rho", "mu"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.backflow_beta <= 1.0:
             raise ValueError("backflow_beta must lie in [0, 1]")
 
@@ -208,18 +212,13 @@ def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
     return nodes, symmetrize_modes(vals)
 
 
-def _facet_values(values: np.ndarray, fq, q: int) -> np.ndarray:
-    """Nodal (n_nodes, dim, M) values at facet quadrature point q, (F, dim, M)."""
-    return np.einsum("a,faim->fim", fq.shape[q], values[fq.nodes])
-
-
 class _Linearization(NamedTuple):
     """What the residual pass keeps for the tangent pass of the same state."""
 
     vel: np.ndarray      # (n_nodes, dim, M) real coordinates of the velocity
     vel_c: np.ndarray    # the velocity entering A_i, tau and the backflow operator
-    taus: list           # per chunk, (n_qp, E, M, M) tau at each quadrature point
-    z: list              # per chunk, (E, nen, dim, M) sum_q w_q N_B tau strong_i
+    taus: np.ndarray     # (n_qp, E, M, M) tau at each quadrature point
+    z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
     backflow: dict       # per Neumann group, |A_n|_- at each facet quadrature point
 
 
@@ -248,49 +247,43 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     pres = modes_to_real(state.pressure)                         # (n_nodes, M)
     vel_c = vel if coeff_state is None else modes_to_real(coeff_state.velocity)
 
+    elems, grads, detj = mesh.elements, ed.grads, ed.detj
+    n_el, nen = elems.shape
+    u_el = vel[elems].reshape(n_el, nen, dim * m)
+    uc_el = vel_c[elems].reshape(n_el, nen, dim * m)
+    p_el = pres[elems]                                     # (E, nen, M)
+    # d u_i / d x_j at [e, j, i]
+    grad_u = np.matmul(grads.swapaxes(1, 2), u_el).reshape(n_el, dim, dim, m)
+    grad_p = np.matmul(grads.swapaxes(1, 2), p_el)         # (E, dim, M)
+    tau_q = np.empty((rule.n_points, n_el, m, m))
+    gal = np.empty((rule.n_points, n_el, dim, m))          # w (strong - Omega v)
+    wv = np.empty((rule.n_points, n_el, dim, m))           # w v
+    cv = np.zeros((n_el, dim, dim, m))                     # sum_q w C_j v_i at [e, j, i]
+    for q in range(rule.n_points):
+        w = (rule.weights[q] * detj)[:, None, None]
+        uc_q = (shp[q] @ uc_el).reshape(n_el, dim, m)
+        conv = convolution_dense(uc_q, n)                  # (E, dim, M, M), symmetric
+        tau_q[q] = tau_from_modes(uc_q, ed.metric, case.nu, c_i, n)
+        strong = rho * ((shp[q] @ u_el).reshape(n_el, dim, m) @ omega_t
+                        + np.matmul(grad_u, conv).sum(axis=1)) + grad_p
+        v = np.matmul(strong, tau_q[q])
+        gal[q] = w * (strong - v @ omega_t)
+        wv[q] = w * v
+        cv += np.matmul(wv[q][:, None], conv)
+    r_m = np.tensordot(shp, gal, axes=(0, 0)).transpose(1, 0, 2, 3)   # (E, nen, dim, M)
+    r_m += np.matmul(grads, cv.reshape(n_el, dim, dim * m)).reshape(n_el, nen, dim, m)
+    n_int = np.outer(detj, n_ref)                          # sum_q w_q N_A
+    vol = detj * rule.weights.sum()
+    p_int = np.einsum("eb,ebm->em", n_int, p_el)
+    r_m -= n_int[:, :, None, None] * grad_p[:, None] + grads[..., None] * p_int[:, None, None]
+    r_m += (mu * vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
+            ).reshape(n_el, nen, dim, m)
+    div_u = np.einsum("eiim->em", grad_u)
+    r_c = n_int[:, :, None] * div_u[:, None] + np.matmul(grads, wv.sum(axis=0)) / rho
     resid = np.zeros((mesh.n_nodes, dim + 1, m))
-    taus, zs = [], []
-    for sl, node_seg, _ in ctx.chunks:
-        elems = mesh.elements[sl]
-        grads = ed.grads[sl]
-        detj = ed.detj[sl]
-        metric = ed.metric[sl]
-        n_el, nen = elems.shape
-        u_el = vel[elems].reshape(n_el, nen, dim * m)
-        uc_el = vel_c[elems].reshape(n_el, nen, dim * m)
-        p_el = pres[elems]                                 # (E, nen, M)
-        # d u_i / d x_j at [e, j, i]
-        grad_u = np.matmul(grads.swapaxes(1, 2), u_el).reshape(n_el, dim, dim, m)
-        grad_p = np.matmul(grads.swapaxes(1, 2), p_el)     # (E, dim, M)
-        tau_q = np.empty((rule.n_points, n_el, m, m))
-        gal = np.empty((rule.n_points, n_el, dim, m))      # w (strong - Omega v)
-        wv = np.empty((rule.n_points, n_el, dim, m))       # w v
-        cv = np.zeros((n_el, dim, dim, m))                 # sum_q w C_j v_i at [e, j, i]
-        for q in range(rule.n_points):
-            w = (rule.weights[q] * detj)[:, None, None]
-            uc_q = (shp[q] @ uc_el).reshape(n_el, dim, m)
-            conv = convolution_dense(uc_q, n)              # (E, dim, M, M), symmetric
-            tau_q[q] = tau_from_modes(uc_q, metric, case.nu, c_i, n)
-            strong = rho * ((shp[q] @ u_el).reshape(n_el, dim, m) @ omega_t
-                            + np.matmul(grad_u, conv).sum(axis=1)) + grad_p
-            v = np.matmul(strong, tau_q[q])
-            gal[q] = w * (strong - v @ omega_t)
-            wv[q] = w * v
-            cv += np.matmul(wv[q][:, None], conv)
-        r_m = np.tensordot(shp, gal, axes=(0, 0)).transpose(1, 0, 2, 3)   # (E, nen, dim, M)
-        r_m += np.matmul(grads, cv.reshape(n_el, dim, dim * m)).reshape(n_el, nen, dim, m)
-        n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
-        vol = detj * rule.weights.sum()
-        p_int = np.einsum("eb,ebm->em", n_int, p_el)
-        r_m -= n_int[:, :, None, None] * grad_p[:, None] + grads[..., None] * p_int[:, None, None]
-        r_m += (mu * vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
-                ).reshape(n_el, nen, dim, m)
-        div_u = np.einsum("eiim->em", grad_u)
-        r_c = n_int[:, :, None] * div_u[:, None] + np.matmul(grads, wv.sum(axis=0)) / rho
-        node_seg.add_to(resid, np.concatenate([r_m, r_c[:, :, None]], axis=2)
-                        .reshape(-1, dim + 1, m))
-        taus.append(tau_q)
-        zs.append(np.tensordot(shp, wv, axes=(0, 0)).swapaxes(0, 1))   # (E, nen, dim, M)
+    ctx.nodes.add_to(resid, np.concatenate([r_m, r_c[:, :, None]], axis=2)
+                     .reshape(-1, dim + 1, m))
+    z = np.tensordot(shp, wv, axes=(0, 0)).swapaxes(0, 1)   # (E, nen, dim, M)
 
     for name, data in case.neumann.items():
         what = f"Neumann data of group {name!r}"
@@ -299,7 +292,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _backflow_operators(case, mesh, vel_c)
     _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, None)
-    return rhs_from_orthonormal(resid), _Linearization(vel, vel_c, taus, zs, backflow)
+    return rhs_from_orthonormal(resid), _Linearization(vel, vel_c, tau_q, z, backflow)
 
 
 def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
@@ -340,57 +333,59 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     d_scal = np.zeros((n_edges, dim))
     g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
     d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
-    parts = []
 
-    for (sl, node_seg, edge_seg), tau_q, z in zip(ctx.chunks, lin.taus, lin.z):
-        elems = mesh.elements[sl]
-        grads = ed.grads[sl]
-        detj = ed.detj[sl]
-        n_el, nen = elems.shape
-        uc_el = lin.vel_c[elems].reshape(n_el, nen, dim * m)
-        w_q = np.outer(rule.weights, detj)                  # (n_qp, E)
-        t_st = np.empty((n_el, n_qp, m, nen, m))            # t_B(q)[s, c] at [e, q, s, B, c]
-        for q in range(n_qp):
-            conv = convolution_dense((shp[q] @ uc_el).reshape(n_el, dim, m), n)
-            a_dir = np.matmul(grads, conv.reshape(n_el, dim, m * m)).reshape(n_el, nen, m, m)
-            t_st[:, q] = a_dir.swapaxes(1, 2)
-            t_st[:, q] += shp[q][:, None] * omega_mat[:, None, :]
-        del conv, a_dir
-        w_tau = (w_q[:, :, None, None] * tau_q).swapaxes(0, 1)    # (E, n_qp, M, M)
-        # S_A(q)[r, c] at [e, (q, r), (A, c)]
-        s_w = np.matmul(w_tau, t_st.reshape(n_el, n_qp, m, nen * m)).reshape(n_el, -1, nen * m)
-        wn = w_q[:, :, None] * shp[:, None, :]             # w N_A(q) at [q, e, A]
-        s_w.reshape(n_el, n_qp, m, nen, m)[:, :, diag, :, diag] += wn.transpose(1, 0, 2)[None]
-        k_el = np.matmul(s_w.swapaxes(1, 2), t_st.reshape(n_el, n_qp * m, nen * m))
-        del t_st
-        k_el *= rho
-        gab = np.matmul(grads, grads.swapaxes(1, 2))
-        vol = detj * rule.weights.sum()
-        k_el = k_el.reshape(n_el, nen, m, nen, m)
-        k_el[:, :, diag, :, diag] += (mu * vol[:, None, None] * gab)[None]
-        edge_seg.add_to(k_c, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
-        del k_el
-        tau_sum = np.einsum("qe,qerc->erc", w_q, tau_q)
-        edge_seg.add_to(l_c, ((gab / rho)[..., None, None] * tau_sum[:, None, None])
-                        .reshape(-1, m, m))
-        n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
-        edge_seg.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
-        edge_seg.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
-        # Q_B[r, c] = P_B[c, r] at [e, r, B, c]
-        u_sum = s_w.reshape(n_el, n_qp, m, nen, m).sum(axis=1)
-        u_sum[:, diag, :, diag] -= n_int[None]
-        if exact_gd:
-            edge_seg.add_to(g_c, np.einsum("ecar,ebi->eabirc", u_sum, grads)
-                            .reshape(-1, dim, m, m))
-            edge_seg.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, u_sum.swapaxes(1, 2))
-                            .reshape(-1, dim, m, m))
-        if newton:
-            # T_B / rho = sum_q w N_B tau / rho, symmetric
-            t_rho = np.matmul(wn.transpose(1, 2, 0) / rho,
-                              tau_q.swapaxes(0, 1).reshape(n_el, n_qp, m * m))
-            qt = np.concatenate([u_sum.transpose(0, 2, 3, 1), t_rho.reshape(n_el, nen, m, m)],
-                                axis=1).reshape(n_el, 2 * nen * m, m)
-            parts.append(_newton_chunk(case, lin, elems, sl, ed, n_int, s_w, qt, z, node_seg))
+    elems, grads, detj, tau_q = mesh.elements, ed.grads, ed.detj, lin.taus
+    n_el, nen = elems.shape
+    uc_el = lin.vel_c[elems].reshape(n_el, nen, dim * m)
+    w_q = np.outer(rule.weights, detj)                      # (n_qp, E)
+    t_st = np.empty((n_el, n_qp, m, nen, m))                # t_B(q)[s, c] at [e, q, s, B, c]
+    for q in range(n_qp):
+        conv = convolution_dense((shp[q] @ uc_el).reshape(n_el, dim, m), n)
+        a_dir = np.matmul(grads, conv.reshape(n_el, dim, m * m)).reshape(n_el, nen, m, m)
+        t_st[:, q] = a_dir.swapaxes(1, 2)
+        t_st[:, q] += shp[q][:, None] * omega_mat[:, None, :]
+    del conv, a_dir
+    w_tau = (w_q[:, :, None, None] * tau_q).swapaxes(0, 1)    # (E, n_qp, M, M)
+    # S_A(q)[r, c] at [e, (q, r), (A, c)]
+    s_w = np.matmul(w_tau, t_st.reshape(n_el, n_qp, m, nen * m)).reshape(n_el, -1, nen * m)
+    wn = w_q[:, :, None] * shp[:, None, :]                 # w N_A(q) at [q, e, A]
+    s_w.reshape(n_el, n_qp, m, nen, m)[:, :, diag, :, diag] += wn.transpose(1, 0, 2)[None]
+    k_el = np.matmul(s_w.swapaxes(1, 2), t_st.reshape(n_el, n_qp * m, nen * m))
+    del t_st
+    k_el *= rho
+    gab = np.matmul(grads, grads.swapaxes(1, 2))
+    vol = detj * rule.weights.sum()
+    k_el = k_el.reshape(n_el, nen, m, nen, m)
+    k_el[:, :, diag, :, diag] += (mu * vol[:, None, None] * gab)[None]
+    ctx.edges.add_to(k_c, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
+    del k_el
+    tau_sum = np.einsum("qe,qerc->erc", w_q, tau_q)
+    ctx.edges.add_to(l_c, ((gab / rho)[..., None, None] * tau_sum[:, None, None])
+                     .reshape(-1, m, m))
+    n_int = np.outer(detj, n_ref)                          # sum_q w_q N_A
+    ctx.edges.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
+    ctx.edges.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
+    # Q_B[r, c] = P_B[c, r] at [e, r, B, c]
+    u_sum = s_w.reshape(n_el, n_qp, m, nen, m).sum(axis=1)
+    u_sum[:, diag, :, diag] -= n_int[None]
+    if exact_gd:
+        ctx.edges.add_to(g_c, np.einsum("ecar,ebi->eabirc", u_sum, grads)
+                         .reshape(-1, dim, m, m))
+        ctx.edges.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, u_sum.swapaxes(1, 2))
+                         .reshape(-1, dim, m, m))
+    elements = None
+    if newton:
+        # T_B / rho = sum_q w N_B tau / rho, symmetric
+        t_rho = np.matmul(wn.transpose(1, 2, 0) / rho,
+                          tau_q.swapaxes(0, 1).reshape(n_el, n_qp, m * m))
+        qt = np.concatenate([u_sum.transpose(0, 2, 3, 1), t_rho.reshape(n_el, nen, m, m)],
+                            axis=1).reshape(n_el, 2 * nen * m, m)
+        samples = real_basis(n).samples
+        grad_u = np.einsum("eak,eaim->ikme", grads, lin.vel[elems])      # d u_i / d x_k
+        z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
+        elements = _NewtonElements(mesh.n_nodes, n, shp, elems, ctx.nodes, grads,
+                                   n_int[:, None, :, None], s_w, qt, samples @ (rho * grad_u),
+                                   z_t.reshape(dim, -1, nen, n_el))
 
     _add_ns_backflow(case, mesh, lin.vel, lin.backflow, ctx, None, k_c)
     if exact_gd:
@@ -404,42 +399,11 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
         g_diag=g_scal, d_diag=d_scal,
         g_full=block_from_orthonormal(g_c) if exact_gd else None,
         d_full=block_from_orthonormal(d_c) if exact_gd else None,
-        elements=_NewtonElements(mesh.n_nodes, dim, n, shp, parts) if newton else None,
+        elements=elements,
     )
 
 
-class _NewtonChunk(NamedTuple):
-    """The element arrays of _NewtonElements for one element chunk.
-
-    Every matrix is stored as the right factor of a row-vector product, in
-    the layout matmul reads contiguously; the factors of the products *
-    are stored time-sampled, with the elements last.
-    """
-
-    elements: np.ndarray   # (E, nen)
-    node_seg: object       # the chunk's node scatter plan
-    grads: np.ndarray      # (E, nen, dim) dN_A / dx_j
-    n_int: np.ndarray      # (E, 1, nen, 1) sum_q w N_A
-    s_w: np.ndarray        # (E, n_qp M, nen M): S_A(q) = w (N_A I + P_A(q))^T at [(q, r), (A, c)]
-    qt: np.ndarray         # (E, 2 nen M, M): Q_B[c, s] and T_B[c, s] / rho at [(0|1, B, s), c]
-    du_t: np.ndarray       # (dim, dim, P, E): rho d u_i / d x_k at [i, k]
-    z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
-
-
-def _newton_chunk(case: NSCase, lin: _Linearization, elems: np.ndarray, sl: slice, ed,
-                  n_int: np.ndarray, s_w: np.ndarray, qt: np.ndarray, z: np.ndarray,
-                  node_seg) -> _NewtonChunk:
-    """The _NewtonChunk of one element chunk; z is its Z_B,i (E, nen, dim, M)."""
-    n_el, nen, dim, m = z.shape
-    samples = real_basis(case.n_modes).samples
-    grads = ed.grads[sl]
-    grad_u = np.einsum("eak,eaim->ikme", grads, lin.vel[elems])      # d u_i / d x_k
-    z_t = samples @ z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
-    return _NewtonChunk(elems, node_seg, grads, n_int[:, None, :, None], s_w, qt,
-                        samples @ (case.rho * grad_u), z_t.reshape(dim, -1, nen, n_el))
-
-
-class _NewtonElements:
+class _NewtonElements(NamedTuple):
     """The Newton terms of the NS operator that the edge blocks leave out.
 
     With tau held fixed, the derivative of the residual adds to the
@@ -464,31 +428,40 @@ class _NewtonElements:
     element matrices.  The products * run pointwise on the P = 3N-2
     time samples of real_basis(N), on arrays with the elements last, which
     stores a vector where C(d u_i/d x_k) and C(Z_B,i) would take a matrix.
-    The element results go onto the nodes through the chunk's node plan.
+    The element results go onto the nodes through the mesh's node plan.
+    Every matrix is stored as the right factor of a row-vector product, in
+    the layout matmul reads contiguously; the factors of the products *
+    are stored time-sampled, with the elements last.
     """
 
-    def __init__(self, n_nodes: int, dim: int, n_modes: int, shp: np.ndarray,
-                 chunks: List[_NewtonChunk]):
-        self.n_nodes, self.dim, self.n_modes = n_nodes, dim, n_modes
-        self.shp = shp                                     # (n_qp, nen)
-        self.chunks = chunks
+    n_nodes: int
+    n_modes: int
+    shp: np.ndarray        # (n_qp, nen)
+    elements: np.ndarray   # (E, nen)
+    node_seg: object       # the mesh's node scatter plan
+    grads: np.ndarray      # (E, nen, dim) dN_A / dx_j
+    n_int: np.ndarray      # (E, 1, nen, 1) sum_q w N_A
+    s_w: np.ndarray        # (E, n_qp M, nen M): S_A(q) = w (N_A I + P_A(q))^T at [(q, r), (A, c)]
+    qt: np.ndarray         # (E, 2 nen M, M): Q_B[c, s] and T_B[c, s] / rho at [(0|1, B, s), c]
+    du_t: np.ndarray       # (dim, dim, P, E): rho d u_i / d x_k at [i, k]
+    z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
 
     @property
     def n_elements(self) -> int:
-        return sum(c.elements.shape[0] for c in self.chunks)
+        return self.elements.shape[0]
 
     @property
     def reals_per_element(self) -> int:
         """Reals stored per element beyond the mesh's element data."""
-        if not self.chunks:
+        if not self.n_elements:
             return 0
-        c = self.chunks[0]
-        return sum(a.size for a in (c.s_w, c.qt, c.du_t, c.z_t)) // c.elements.shape[0]
+        return sum(a.size for a in (self.s_w, self.qt, self.du_t, self.z_t)) // self.n_elements
 
     def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
         """y += this operator times x, both (n_nodes, dim+1, 2N-1) in the solve layout."""
-        d, m, shp = self.dim, 2 * self.n_modes - 1, self.shp
-        n_qp, nen = shp.shape
+        n_el, nen, d = self.grads.shape
+        m, shp = 2 * self.n_modes - 1, self.shp
+        n_qp = shp.shape[0]
         samples = real_basis(self.n_modes).samples
         back = samples.T / samples.shape[0]                # time samples to modes
         xo = np.empty((d + 1, self.n_nodes, m))            # orthonormal coordinates
@@ -496,34 +469,32 @@ class _NewtonElements:
         xo[..., 1:] = x[..., 1:].transpose(1, 0, 2) * _SQRT2
         xo_t = (xo[:d].reshape(-1, m) @ samples.T).reshape(d, self.n_nodes, -1)
         xo_t = np.ascontiguousarray(xo_t.transpose(0, 2, 1))          # (dim, P, n_nodes)
+        x_t = np.take(xo_t, self.elements.T, axis=2)                 # (dim, P, nen, E)
+        y_t = np.einsum("ikte,ktbe->itbe", self.du_t, x_t)
+        h_t = np.einsum("itbe,jtbe->ijte", self.z_t, x_t)
+        react = (back @ y_t.reshape(d, -1, nen * n_el)).reshape(d, m, nen, n_el)
+        react = np.ascontiguousarray(react.transpose(3, 0, 2, 1))  # y_B,i at [e, i, B, r]
+        h = (back @ h_t.reshape(d * d, -1, n_el)).reshape(d, d, m, n_el)
+        x_el = xo[:, self.elements]                                  # (dim+1, E, nen, M)
+        x_r = x_el[:d].swapaxes(0, 1).reshape(n_el, d, nen * m)
+        gp = np.matmul(self.grads.swapaxes(1, 2), x_el[d])          # (E, dim, M)
+        sig = np.matmul(shp, react)
+        sig += gp[:, :, None]                                        # y_i(q) + g_i at [e, i, q, c]
+        mom = np.matmul(sig.reshape(n_el, d, n_qp * m), self.s_w).reshape(n_el, d, nen, m)
+        mom -= self.n_int * gp[:, :, None]
+        mom += np.matmul(self.grads[:, None], h.transpose(3, 0, 1, 2))     # [e, i, A, r]
+        cont = np.matmul(np.concatenate([x_r, react.reshape(n_el, d, -1)], axis=2), self.qt)
+        res = np.empty((n_el, nen, d + 1, m))
+        res[:, :, :d] = mom.swapaxes(1, 2)
+        res[:, :, d] = np.matmul(self.grads, cont)
         out = np.zeros((self.n_nodes, d + 1, m))
-        for c in self.chunks:
-            n_el = c.elements.shape[0]
-            x_t = np.take(xo_t, c.elements.T, axis=2)                # (dim, P, nen, E)
-            y_t = np.einsum("ikte,ktbe->itbe", c.du_t, x_t)
-            h_t = np.einsum("itbe,jtbe->ijte", c.z_t, x_t)
-            react = (back @ y_t.reshape(d, -1, nen * n_el)).reshape(d, m, nen, n_el)
-            react = np.ascontiguousarray(react.transpose(3, 0, 2, 1))  # y_B,i at [e, i, B, r]
-            h = (back @ h_t.reshape(d * d, -1, n_el)).reshape(d, d, m, n_el)
-            x_el = xo[:, c.elements]                                 # (dim+1, E, nen, M)
-            x_r = x_el[:d].swapaxes(0, 1).reshape(n_el, d, nen * m)
-            gp = np.matmul(c.grads.swapaxes(1, 2), x_el[d])         # (E, dim, M)
-            sig = np.matmul(shp, react)
-            sig += gp[:, :, None]                                    # y_i(q) + g_i at [e, i, q, c]
-            mom = np.matmul(sig.reshape(n_el, d, n_qp * m), c.s_w).reshape(n_el, d, nen, m)
-            mom -= c.n_int * gp[:, :, None]
-            mom += np.matmul(c.grads[:, None], h.transpose(3, 0, 1, 2))     # [e, i, A, r]
-            cont = np.matmul(np.concatenate([x_r, react.reshape(n_el, d, -1)], axis=2), c.qt)
-            res = np.empty((n_el, nen, d + 1, m))
-            res[:, :, :d] = mom.swapaxes(1, 2)
-            res[:, :, d] = np.matmul(c.grads, cont)
-            c.node_seg.add_to(out, res.reshape(n_el * nen, d + 1, m))
+        self.node_seg.add_to(out, res.reshape(n_el * nen, d + 1, m))
         y[..., 0] += out[..., 0]
         y[..., 1:] += out[..., 1:] / _SQRT2
 
 
 def _backflow_operators(case, mesh, vel_c) -> dict:
-    """|A_n|_- of the velocity vel_c at each facet quadrature point, per Neumann group.
+    """|A_n|_- of the velocity vel_c at each facet quadrature point, (F, Q, M, M) per group.
 
     Empty when the backflow term is off (backflow_beta 0 or no Neumann group).
     """
@@ -532,34 +503,23 @@ def _backflow_operators(case, mesh, vel_c) -> dict:
     ops = {}
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
-        ops[name] = [negative_part_batch(convolution_dense(
-            np.einsum("fim,fi->fm", _facet_values(vel_c, fq, q), fq.normals), case.n_modes))
-            for q in range(fq.shape.shape[0])]
+        un = np.einsum("fqim,fi->fqm", fq.interpolate(vel_c), fq.normals)
+        ops[name] = negative_part_batch(convolution_dense(un, case.n_modes))
     return ops
 
 
 def _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, k_c):
     """Backflow term of the _backflow_operators, added to the real-basis resid/k_c."""
-    m = n_coeffs(case.n_modes)
-    dim = mesh.dim
-    factor = 0.5 * case.rho * case.backflow_beta
-    for name, an_negs in backflow.items():
+    scale = -0.5 * case.rho * case.backflow_beta
+    for name, an_neg in backflow.items():
         fq = facet_quadrature(mesh, name)
-        k = fq.nodes.shape[1]
-        r_el = np.zeros(fq.nodes.shape + (dim, m))
-        k_el = np.zeros(fq.nodes.shape + (k, m, m))
-        for q, an_neg in enumerate(an_negs):
-            if resid is not None:
-                u_q = _facet_values(vel, fq, q)
-                term = np.einsum("frc,fic->fir", an_neg, u_q)
-                r_el += np.einsum("f,a,fir->fair", fq.weights[:, q], fq.shape[q], term)
-            if k_c is not None:
-                k_el += np.einsum("f,a,b,frc->fabrc", fq.weights[:, q],
-                                  fq.shape[q], fq.shape[q], an_neg)
         if resid is not None:
-            np.add.at(resid[:, :dim], fq.nodes.ravel(), -factor * r_el.reshape(-1, dim, m))
+            mom = resid[:, :mesh.dim]
+            r_el = np.einsum("fq,qa,fqrc,fqic->fair", scale * fq.weights, fq.shape, an_neg,
+                             fq.interpolate(vel))
+            np.add.at(mom, fq.nodes.ravel(), r_el.reshape((-1,) + mom.shape[1:]))
         if k_c is not None:
-            np.add.at(k_c, ctx.edge_ids(fq.nodes), -factor * k_el.reshape(-1, m, m))
+            add_backflow(k_c, ctx, fq, scale, an_neg)
 
 
 def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,

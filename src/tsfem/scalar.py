@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from . import spectral
-from .boundary import boundary_values, check_groups, resolve_dirichlet
+from .boundary import add_backflow, boundary_values, check_groups, resolve_dirichlet
 from .linsolve import (
     BlockMatrix,
     LinearSolveError,
@@ -136,11 +136,11 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     in the orthonormal real mode coordinates: each block is the real form
     R(K) = Q K Q^H of the complex mode block K, and the rhs is
     modes_to_real of the complex one.  Dirichlet rows are left untouched;
-    they are pinned at the solver level.  Per element chunk, the
-    integrands are summed over the quadrature points and scattered once
-    through the mesh's cached sorted plan; the geometry-only Galerkin
-    terms N_A N_B Omega and kappa gab are formed from the element mass
-    matrices of mesh.element_data() and the element volume.
+    they are pinned at the solver level.  The integrands are summed over
+    the quadrature points and scattered once through the mesh's cached
+    plans; the geometry-only Galerkin terms N_A N_B Omega and kappa gab
+    are formed from the element mass matrices of mesh.element_data() and
+    the element volume.
     """
     check_groups(mesh, dirichlet=case.dirichlet, neumann=case.neumann)
     _womersley_warning(case, mesh)
@@ -155,41 +155,37 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     omega_mat = build_omega(n, case.omega)
     eye = np.eye(m)
 
-    for sl, node_seg, edge_seg in ctx.chunks:
-        elems = mesh.elements[sl]
-        grads = ed.grads[sl]
-        detj = ed.detj[sl]
-        metric = ed.metric[sl]
-        xe = mesh.coords[elems]
-        gab = np.einsum("eai,ebi->eab", grads, grads)
-        vol = detj * rule.weights.sum()
-        k_el = (ed.mass[sl][..., None, None] * omega_mat
-                + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
-        r_el = np.zeros(elems.shape + (m,))
-        for q in range(rule.n_points):
-            w = rule.weights[q] * detj                       # (E,)
-            points = np.einsum("a,eai->ei", shp[q], xe)
-            uq = modes_to_real(_velocity_at(case, elems, shp[q], points))
-            conv = convolution_dense(uq, n)                  # (E, dim, M, M)
-            a_dir = np.einsum("ead,edrc->earc", grads, conv)  # (E, nen, M, M)
-            k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
-            if not case.galerkin_only:
-                tau = tau_from_modes(uq, metric, case.kappa, c_i, n)
-                weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-                p_a = np.matmul(weight, tau[:, None])        # (E, nen, M, M)
-                trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-                k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
-            k_el += w[:, None, None, None, None] * k_q
-            if case.source is not None:
-                s = modes_to_real(require_conjugate_symmetry(case.source(points),
-                                                             "source callable output"))
-                r_q = np.einsum("a,em->eam", shp[q], s)
-                if not case.galerkin_only:
-                    r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
-                r_el += w[:, None, None] * r_q
-        edge_seg.add_to(blocks, k_el.reshape(-1, m, m))
+    elems, grads, detj = mesh.elements, ed.grads, ed.detj
+    xe = mesh.coords[elems]
+    gab = np.einsum("eai,ebi->eab", grads, grads)
+    vol = detj * rule.weights.sum()
+    k_el = (ed.mass[..., None, None] * omega_mat
+            + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
+    r_el = np.zeros(elems.shape + (m,))
+    for q in range(rule.n_points):
+        w = rule.weights[q] * detj                           # (E,)
+        points = np.einsum("a,eai->ei", shp[q], xe)
+        uq = modes_to_real(_velocity_at(case, elems, shp[q], points))
+        conv = convolution_dense(uq, n)                      # (E, dim, M, M)
+        a_dir = np.einsum("ead,edrc->earc", grads, conv)     # (E, nen, M, M)
+        k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
+        if not case.galerkin_only:
+            tau = tau_from_modes(uq, ed.metric, case.kappa, c_i, n)
+            weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
+            p_a = np.matmul(weight, tau[:, None])            # (E, nen, M, M)
+            trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
+            k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
+        k_el += w[:, None, None, None, None] * k_q
         if case.source is not None:
-            node_seg.add_to(rhs, r_el.reshape(-1, m))
+            s = modes_to_real(require_conjugate_symmetry(case.source(points),
+                                                         "source callable output"))
+            r_q = np.einsum("a,em->eam", shp[q], s)
+            if not case.galerkin_only:
+                r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
+            r_el += w[:, None, None] * r_q
+    ctx.edges.add_to(blocks, k_el.reshape(-1, m, m))
+    if case.source is not None:
+        ctx.nodes.add_to(rhs, r_el.reshape(-1, m))
 
     # Neumann flux data
     for name, data in case.neumann.items():
@@ -207,9 +203,7 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
             fq = facet_quadrature(mesh, name)
             un = np.einsum("fqdm,fd->fqm", _facet_velocity(case, fq), fq.normals)
             an_neg = negative_part_batch(convolution_dense(modes_to_real(un), n))
-            k_el = np.einsum("fq,qa,qb,fqrc->fabrc", -0.5 * case.backflow_beta * fq.weights,
-                             fq.shape, fq.shape, an_neg)
-            np.add.at(blocks, ctx.edge_ids(fq.nodes), k_el.reshape(-1, m, m))
+            add_backflow(blocks, ctx, fq, -0.5 * case.backflow_beta, an_neg)
 
     return BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes), rhs
 

@@ -33,9 +33,7 @@ from .boundary import add_traction, check_groups, resolve_dirichlet
 from .linsolve import (
     BlockMatrix,
     GmresConfig,
-    Segments,
     SolverConfig,
-    SortedSegments,
     assembly_context,
     block_jacobi_preconditioner,
     build_graph,
@@ -161,12 +159,9 @@ def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
     return float(np.sqrt(norm2(accel) / nrm_u))
 
 
-class _ChunkFields(NamedTuple):
-    """Point fields of one element chunk, kept from the residual for the tangent."""
+class _PointFields(NamedTuple):
+    """Point fields of every element, kept from the residual for the tangent."""
 
-    sl: slice
-    node_seg: SortedSegments
-    edge_seg: Segments
     uq: np.ndarray        # (E, Q, dim) velocity u_af
     w: np.ndarray         # (E, Q) quadrature weight times detj
     tau: np.ndarray       # (E, Q)
@@ -197,13 +192,12 @@ class TimeTangent:
 
 def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
                    what: float):
-    """SUPG/PSPG residual at the alpha state, and the point fields of each chunk.
+    """SUPG/PSPG residual at the alpha state, and its _PointFields.
 
-    The point fields of a chunk are evaluated for all its quadrature points
-    at once; the integrands are summed over the points and scattered once
-    per chunk through the mesh's cached sorted plan, shared with the
-    spectral solvers.  The viscous, pressure and continuity terms use
-    sum_q w_q N_A, since the gradients are constant per element.
+    All point fields are evaluated at once; the integrands are summed over
+    the points and scattered once through the mesh's cached node plan,
+    shared with the spectral solvers.  The viscous, pressure and continuity
+    terms use sum_q w_q N_A, since the gradients are constant per element.
     """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
@@ -212,38 +206,32 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
     ctx = assembly_context(mesh, build_graph)
     rule = quadrature_rule(mesh.elem_type)
     shp = shape_values(mesh.elem_type, rule.points)
+    elems, grads, detj = mesh.elements, ed.grads, ed.detj
+    u_el = u_af[elems]
+    p_el = pres[elems]
+    grad_u = np.einsum("eaj,eai->eji", grads, u_el)       # d u_i / d x_j
+    grad_p = np.einsum("eaj,ea->ej", grads, p_el)
+    uq = shp @ u_el
+    tau = time_tau(uq, what, ed.metric[:, None], nu, c_i)
+    w = np.outer(detj, rule.weights)
+    adv = uq @ grads.transpose(0, 2, 1)
+    inertia = rho * (shp @ udot_am[elems] + uq @ grad_u)
+    strong = inertia + grad_p[:, None, :]
+    wt = (w * tau)[..., None]
+    test = w[..., None] * shp + wt * adv
+    n_int = np.outer(detj, rule.weights @ shp)            # sum_q w_q N_A
+
+    p_int = np.einsum("ea,ea->e", n_int, p_el)            # sum_q w_q p
+    vol = detj * rule.weights.sum()
+    r_m = (test.transpose(0, 2, 1) @ inertia
+           + np.einsum("ea,ej->eaj", np.sum(wt * adv, axis=1), grad_p)
+           + mu * vol[:, None, None] * grads @ grad_u
+           - grads * p_int[:, None, None])
+    r_c = ((n_int * np.einsum("eii->e", grad_u)[:, None])[..., None]
+           + grads @ np.sum(wt * strong, axis=1)[:, :, None] / rho)
     resid = np.zeros((mesh.n_nodes, dim + 1))
-    fields = []
-
-    for sl, node_seg, edge_seg in ctx.chunks:
-        elems = mesh.elements[sl]
-        grads = ed.grads[sl]
-        detj = ed.detj[sl]
-        u_el = u_af[elems]
-        p_el = pres[elems]
-        grad_u = np.einsum("eaj,eai->eji", grads, u_el)   # d u_i / d x_j
-        grad_p = np.einsum("eaj,ea->ej", grads, p_el)
-        uq = shp @ u_el
-        tau = time_tau(uq, what, ed.metric[sl, None], nu, c_i)
-        w = np.outer(detj, rule.weights)
-        adv = uq @ grads.transpose(0, 2, 1)
-        inertia = rho * (shp @ udot_am[elems] + uq @ grad_u)
-        strong = inertia + grad_p[:, None, :]
-        wt = (w * tau)[..., None]
-        test = w[..., None] * shp + wt * adv
-        n_int = np.outer(detj, rule.weights @ shp)        # sum_q w_q N_A
-
-        p_int = np.einsum("ea,ea->e", n_int, p_el)        # sum_q w_q p
-        vol = detj * rule.weights.sum()
-        r_m = (test.transpose(0, 2, 1) @ inertia
-               + np.einsum("ea,ej->eaj", np.sum(wt * adv, axis=1), grad_p)
-               + mu * vol[:, None, None] * grads @ grad_u
-               - grads * p_int[:, None, None])
-        r_c = ((n_int * np.einsum("eii->e", grad_u)[:, None])[..., None]
-               + grads @ np.sum(wt * strong, axis=1)[:, :, None] / rho)
-        node_seg.add_to(resid, np.concatenate([r_m, r_c], axis=2).reshape(-1, dim + 1))
-        fields.append(_ChunkFields(sl, node_seg, edge_seg, uq, w, tau, adv, strong,
-                                   test, grad_u, n_int))
+    ctx.nodes.add_to(resid, np.concatenate([r_m, r_c], axis=2).reshape(-1, dim + 1))
+    fields = _PointFields(uq, w, tau, adv, strong, test, grad_u, n_int)
 
     for name, data in case.neumann.items():
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
@@ -251,7 +239,7 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
     return resid, fields
 
 
-def _time_tangent(case: TimeCase, mesh: Mesh, fields, u_af, udot_am, what: float,
+def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, what: float,
                   *, alpha_m: float, fac: float) -> TimeTangent:
     """Exact Jacobian of _time_residual with respect to (acceleration, pressure).
 
@@ -289,57 +277,56 @@ def _time_tangent(case: TimeCase, mesh: Mesh, fields, u_af, udot_am, what: float
         g_el = (2.0 / nrm_u) * (alpha_m * (m_el @ udot_am[mesh.elements])
                                 - what**2 * fac * mu_el)
 
-    for f in fields:
-        grads = ed.grads[f.sl]
-        n_el, nen = grads.shape[:2]
-        n_q = f.w.shape[1]
-        grads_t = grads.transpose(0, 2, 1)
-        test_t = f.test.transpose(0, 2, 1)
-        grad_u_t = f.grad_u.transpose(0, 2, 1)            # d u_i / d x_k at [e, i, k]
-        wt = f.w * f.tau
-        trial = alpha_m * shp + fac * f.adv
-        gab = grads @ grads_t
-        vol = ed.detj[f.sl] * rule.weights.sum()
-        gu = f.uq @ ed.metric[f.sl]                       # (G u)_k
-        # w tau^3 times the SUPG and PSPG weights: d(w tau)/d(u.G.u) = -w tau^3 / 2
-        w3 = (f.w * f.tau**3)[..., None]
-        w3_adv = w3 * f.adv
-        w3_gs = w3 * (f.strong @ grads_t) / rho
-        tau_s = (wt[..., None] * f.strong).transpose(0, 2, 1) @ shp   # sum_q w tau S_i N_B
+    grads = ed.grads
+    n_el, nen = grads.shape[:2]
+    n_q = f.w.shape[1]
+    grads_t = grads.transpose(0, 2, 1)
+    test_t = f.test.transpose(0, 2, 1)
+    grad_u_t = f.grad_u.transpose(0, 2, 1)        # d u_i / d x_k at [e, i, k]
+    wt = f.w * f.tau
+    trial = alpha_m * shp + fac * f.adv
+    gab = grads @ grads_t
+    vol = ed.detj * rule.weights.sum()
+    gu = f.uq @ ed.metric                         # (G u)_k
+    # w tau^3 times the SUPG and PSPG weights: d(w tau)/d(u.G.u) = -w tau^3 / 2
+    w3 = (f.w * f.tau**3)[..., None]
+    w3_adv = w3 * f.adv
+    w3_gs = w3 * (f.strong @ grads_t) / rho
+    tau_s = (wt[..., None] * f.strong).transpose(0, 2, 1) @ shp   # sum_q w tau S_i N_B
 
-        # velocity rows (A, i) and columns (B, k): the convective reaction
-        # sum_q test_A N_B rho du_i/dx_k and the tau variation
-        # -sum_q w tau^3 u.grad N_A N_B S_i (G u)_k, as one product of
-        # (A, B) and (i, k) factors; then the SUPG test-function variation
-        ab = np.concatenate([(test_t @ shp)[:, None], w3_adv[..., None] * shp[:, None, :]],
-                            axis=1).reshape(n_el, n_q + 1, -1)
-        ik = np.concatenate([rho * grad_u_t[:, None], -f.strong[..., None] * gu[:, :, None, :]],
-                            axis=1).reshape(n_el, n_q + 1, -1)
-        vv = (ab.transpose(0, 2, 1) @ ik).reshape(n_el, nen, nen, dim, dim)
-        vv += grads[:, :, None, None, :] * tau_s.transpose(0, 2, 1)[:, None, :, :, None]
+    # velocity rows (A, i) and columns (B, k): the convective reaction
+    # sum_q test_A N_B rho du_i/dx_k and the tau variation
+    # -sum_q w tau^3 u.grad N_A N_B S_i (G u)_k, as one product of
+    # (A, B) and (i, k) factors; then the SUPG test-function variation
+    ab = np.concatenate([(test_t @ shp)[:, None], w3_adv[..., None] * shp[:, None, :]],
+                        axis=1).reshape(n_el, n_q + 1, -1)
+    ik = np.concatenate([rho * grad_u_t[:, None], -f.strong[..., None] * gu[:, :, None, :]],
+                        axis=1).reshape(n_el, n_q + 1, -1)
+    vv = (ab.transpose(0, 2, 1) @ ik).reshape(n_el, nen, nen, dim, dim)
+    vv += grads[:, :, None, None, :] * tau_s.transpose(0, 2, 1)[:, None, :, :, None]
 
-        blk = np.empty((n_el, nen, nen, dim + 1, dim + 1))
-        blk[..., :dim, :dim] = fac * vv
-        blk[..., diag, diag] += (rho * (test_t @ trial)
-                                 + fac * mu * vol[:, None, None] * gab)[..., None]
-        blk[..., :dim, dim] = ((wt[:, None] @ f.adv)[:, 0, :, None, None] * grads[:, None]
-                               - grads[:, :, None] * f.n_int[:, None, :, None])
-        # continuity rows: Galerkin divergence, PSPG, the PSPG reaction and
-        # the tau variation
-        n_gu = (shp[:, :, None] * gu[:, :, None, :]).reshape(n_el, n_q, -1)
-        blk[..., dim, :dim] = (
-            fac * f.n_int[:, :, None, None] * grads[:, None]
-            + grads[:, :, None] * (wt[:, None] @ trial)[:, 0, None, :, None]
-            + fac * (grads @ grad_u_t)[:, :, None] * (wt @ shp)[:, None, :, None]
-            - fac * (w3_gs.transpose(0, 2, 1) @ n_gu).reshape(n_el, nen, nen, dim))
-        blk[..., dim, dim] = gab * (np.sum(wt, axis=1) / rho)[:, None, None]
-        f.edge_seg.add_to(blocks, blk.reshape(-1, dim + 1, dim + 1))
+    blk = np.empty((n_el, nen, nen, dim + 1, dim + 1))
+    blk[..., :dim, :dim] = fac * vv
+    blk[..., diag, diag] += (rho * (test_t @ trial)
+                             + fac * mu * vol[:, None, None] * gab)[..., None]
+    blk[..., :dim, dim] = ((wt[:, None] @ f.adv)[:, 0, :, None, None] * grads[:, None]
+                           - grads[:, :, None] * f.n_int[:, None, :, None])
+    # continuity rows: Galerkin divergence, PSPG, the PSPG reaction and
+    # the tau variation
+    n_gu = (shp[:, :, None] * gu[:, :, None, :]).reshape(n_el, n_q, -1)
+    blk[..., dim, :dim] = (
+        fac * f.n_int[:, :, None, None] * grads[:, None]
+        + grads[:, :, None] * (wt[:, None] @ trial)[:, 0, None, :, None]
+        + fac * (grads @ grad_u_t)[:, :, None] * (wt @ shp)[:, None, :, None]
+        - fac * (w3_gs.transpose(0, 2, 1) @ n_gu).reshape(n_el, nen, nen, dim))
+    blk[..., dim, dim] = gab * (np.sum(wt, axis=1) / rho)[:, None, None]
+    ctx.edges.add_to(blocks, blk.reshape(-1, dim + 1, dim + 1))
 
-        dr = np.concatenate([w3_adv.transpose(0, 2, 1) @ f.strong,
-                             np.sum(w3_gs, axis=1)[..., None]], axis=2)
-        f.node_seg.add_to(dr_dw2, -0.5 * dr.reshape(-1, dim + 1))
-        if g_el is not None:
-            f.node_seg.add_to(dw2_dx[:, :dim], g_el[f.sl].reshape(-1, dim))
+    dr = np.concatenate([w3_adv.transpose(0, 2, 1) @ f.strong,
+                         np.sum(w3_gs, axis=1)[..., None]], axis=2)
+    ctx.nodes.add_to(dr_dw2, -0.5 * dr.reshape(-1, dim + 1))
+    if g_el is not None:
+        ctx.nodes.add_to(dw2_dx[:, :dim], g_el.reshape(-1, dim))
 
     return TimeTangent(BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes),
                        dr_dw2, dw2_dx)

@@ -342,6 +342,34 @@ class TestSweep:
         assert main(["validate-config", str(path)]) == 2
         assert "unknown key solver.eps_lss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("mode_sweep_bent.yaml", "modes", None),
+        ("mode_sweep_bent.yaml", "modes", [3]),
+        ("mode_sweep_bent.yaml", "reference.group", None),
+        ("h_sweep_1d.yaml", "resolutions", None),
+        ("h_sweep_1d.yaml", "kind", "p_sweep"),
+    ])
+    def test_study_required_keys_checked_by_both_verbs(self, tmp_path, capsys, name, key,
+                                                       value):
+        # value None deletes the key
+        raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+        *parents, last = key.split(".")
+        block = raw["study"]
+        for part in parents:
+            block = block[part]
+        if value is None:
+            del block[last]
+        else:
+            block[last] = value
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        for argv in (["validate-config", str(path)],
+                     ["sweep", str(path), "--output-dir", str(out)]):
+            assert main(argv) == 2, argv[0]
+            assert f"study.{key}" in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
 
 class TestMainEntry:
     def test_validate_verb(self, capsys):
@@ -378,6 +406,17 @@ class TestMainEntry:
         bad.write_text(yaml.safe_dump(raw))
         assert main(["validate-config", str(bad)]) == 2
         assert f"solver.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("physics", "n_modes", "three"), ("physics", "n_modes", 2.5), ("physics", "rho", 0),
+        ("physics", "omega", -1), ("solver", "krylov_dim", "big")])
+    def test_validate_verb_reports_bad_case_values(self, tmp_path, capsys, section, key, value):
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        raw[section][key] = value
+        bad = tmp_path / "bad_value.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        assert main(["validate-config", str(bad)]) == 2
+        assert f"{section}.{key} must be" in capsys.readouterr().err
 
     def test_run_verbose_prints_step_table(self, tmp_path, capsys):
         config = tmp_path / "steady.yaml"

@@ -161,7 +161,7 @@ class TestSegments:
            seed=st.integers(0, 2**32 - 1))
     def test_property_matches_add_at(self, counts, trailing, seed):
         # key k repeats counts[k] times (segments of up to 30 entries), in a
-        # random order; out starts nonzero, as it does across element chunks
+        # random order; out starts nonzero, as it does when several terms add to it
         rng = np.random.default_rng(seed)
         keys = rng.permutation(np.repeat(np.arange(len(counts)), counts))
         values = rng.standard_normal((keys.size, *trailing))
@@ -192,8 +192,7 @@ class TestSegments:
     def test_assembly_context_picks_the_plan_by_key(self):
         mesh = generate_box_tet((1.0, 1.0, 1.0), (2, 1, 1))
         ctx = assembly_context(mesh, build_graph)
-        for _, node_seg, edge_seg in ctx.chunks:
-            assert isinstance(node_seg, SortedSegments) and isinstance(edge_seg, Segments)
+        assert isinstance(ctx.nodes, SortedSegments) and isinstance(ctx.edges, Segments)
 
 
 class TestBlockTangent:

@@ -5,7 +5,6 @@ from tsfem.mesh import (
     Mesh,
     FacetGroup,
     facet_geometry,
-    facet_normal_area,
     facet_quadrature,
     generate_bent_channel_tet,
     generate_box_tet,
@@ -15,7 +14,6 @@ from tsfem.mesh import (
     MeshFormatError,
     quadrature_rule,
     save_mesh,
-    shape_eval,
     shape_values,
     validate_mesh,
 )
@@ -84,18 +82,21 @@ class TestBentChannel:
 
 
 class TestShapeEval:
+    """Shape values, and the per-element geometry of mesh.element_data()."""
+
     def test_1d_metric(self):
         mesh = generate_interval(1.0, 4)  # h = 0.25
-        se = shape_eval(mesh, 2)
-        np.testing.assert_allclose(se.metric, [[(2 / 0.25) ** 2]], rtol=1e-14)
+        np.testing.assert_allclose(mesh.element_data().metric[2], [[(2 / 0.25) ** 2]],
+                                   rtol=1e-14)
 
     def test_right_tet_constant_gradients(self):
         coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         mesh = Mesh(3, coords, np.array([[0, 1, 2, 3]]), "tet4", {})
-        se = shape_eval(mesh, 0)
-        np.testing.assert_allclose(se.values.sum(axis=1), 1.0, atol=1e-14)
-        np.testing.assert_allclose(se.grads.sum(axis=0), 0.0, atol=1e-14)
-        np.testing.assert_allclose(se.grads[1], [1, 0, 0], atol=1e-14)
+        values = shape_values("tet4", quadrature_rule("tet4").points)
+        grads = mesh.element_data().grads[0]
+        np.testing.assert_allclose(values.sum(axis=1), 1.0, atol=1e-14)
+        np.testing.assert_allclose(grads.sum(axis=0), 0.0, atol=1e-14)
+        np.testing.assert_allclose(grads[1], [1, 0, 0], atol=1e-14)
 
     def test_metric_matches_jacobian_oracle(self):
         # random affine image of the reference tet: G = (J J^T)^{-1}
@@ -107,15 +108,15 @@ class TestShapeEval:
             shift = RNG.standard_normal(3)
             coords = ref @ amat.T + shift
             mesh = Mesh(3, coords, np.array([[0, 1, 2, 3]]), "tet4", {})
-            se = shape_eval(mesh, 0)
+            metric = mesh.element_data().metric[0]
             oracle = np.linalg.inv(amat @ amat.T)
-            np.testing.assert_allclose(se.metric, oracle, atol=1e-12 * np.abs(oracle).max())
+            np.testing.assert_allclose(metric, oracle, atol=1e-12 * np.abs(oracle).max())
 
     def test_degenerate_element_rejected(self):
         coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         mesh = Mesh(3, coords, np.array([[0, 1, 2, 3]]), "tet4", {})
         with pytest.raises(ValueError, match="elements \\[0\\]"):
-            shape_eval(mesh, 0)
+            mesh.element_data()
 
     def test_partition_of_unity_everywhere(self):
         mesh = generate_box_tet((1.0, 2.0, 1.0), (2, 2, 2))
@@ -166,8 +167,8 @@ class TestFacets:
 
     def test_interval_left(self):
         mesh = generate_interval(1.0, 4)
-        normal, area = facet_normal_area(mesh, ("left", 0))
-        assert normal[0] == -1.0 and area == 1.0
+        normals, areas, _ = facet_geometry(mesh, "left")
+        assert normals[0, 0] == -1.0 and areas[0] == 1.0
 
     def test_closed_surface_integral_vanishes(self):
         mesh = generate_box_tet((1.0, 2.0, 0.5), (2, 2, 2))

@@ -262,10 +262,10 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
     coeff_state supplies the velocity entering A_i, tau and the backflow
     operator (frozen coefficients); it defaults to state.
 
-    Per element chunk, the integrands are summed over the quadrature
-    points and scattered once through the mesh's cached sorted plan.  The
-    Galerkin weight N_A rides with the least-squares weight P_A, so both
-    act through one product (N_A I + P_A) per point.  The blocks that
+    The integrands are summed over the quadrature points and scattered
+    once through the mesh's cached plans.  The Galerkin weight N_A rides
+    with the least-squares weight P_A, so both act through one product
+    (N_A I + P_A) per point.  The blocks that
     depend on geometry only are formed after the point loop from
     sum_q w_q N_A N_B and sum_q w_q N_A: the pseudo-time mass, the viscous
     gab I, the pressure block gab/rho (sum_q w_q tau), and the scalar
@@ -299,81 +299,80 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
         d_c = np.zeros((n_edges, dim, m, m), dtype=complex) if exact_gd else None
     mass_coeff = 0.0 if not np.isfinite(pseudo_dt) else 1.5 * rho / pseudo_dt
 
-    for sl, node_seg, edge_seg in ctx.chunks:
-        elems = mesh.elements[sl]
-        grads = ed.grads[sl]
-        detj = ed.detj[sl]
-        metric = ed.metric[sl]
-        n_el, nen = elems.shape
-        u_el = state.velocity[elems]                      # (E, nen, dim, M)
-        p_el = state.pressure[elems]                      # (E, nen, M)
-        uc_el = coeff_state.velocity[elems]
-        grad_u = np.einsum("eaj,eaim->ejim", grads, u_el)  # d u_i / d x_j
-        grad_p = np.einsum("eaj,eam->ejm", grads, p_el)
-        div_u = np.einsum("eiim->em", grad_u)
-        gab = np.einsum("eai,ebi->eab", grads, grads)
-        vol = detj * rule.weights.sum()
-        n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
-        if need_residual:
-            r_m = np.zeros((n_el, nen, dim, m), dtype=complex)
-            tau_strong = np.zeros((n_el, dim, m), dtype=complex)
-        if need_tangent:
-            k_el = np.zeros((n_el, nen, nen, m, m), dtype=complex)
-            tau_sum = np.zeros((n_el, m, m), dtype=complex)
-            if exact_gd:
-                p_sum = np.zeros((n_el, nen, m, m), dtype=complex)
-                q_sum = np.zeros((n_el, nen, m, m), dtype=complex)
+    elems = mesh.elements
+    grads = ed.grads
+    detj = ed.detj
+    metric = ed.metric
+    n_el, nen = elems.shape
+    u_el = state.velocity[elems]                      # (E, nen, dim, M)
+    p_el = state.pressure[elems]                      # (E, nen, M)
+    uc_el = coeff_state.velocity[elems]
+    grad_u = np.einsum("eaj,eaim->ejim", grads, u_el)  # d u_i / d x_j
+    grad_p = np.einsum("eaj,eam->ejm", grads, p_el)
+    div_u = np.einsum("eiim->em", grad_u)
+    gab = np.einsum("eai,ebi->eab", grads, grads)
+    vol = detj * rule.weights.sum()
+    n_int = np.outer(detj, n_ref)                      # sum_q w_q N_A
+    if need_residual:
+        r_m = np.zeros((n_el, nen, dim, m), dtype=complex)
+        tau_strong = np.zeros((n_el, dim, m), dtype=complex)
+    if need_tangent:
+        k_el = np.zeros((n_el, nen, nen, m, m), dtype=complex)
+        tau_sum = np.zeros((n_el, m, m), dtype=complex)
+        if exact_gd:
+            p_sum = np.zeros((n_el, nen, m, m), dtype=complex)
+            q_sum = np.zeros((n_el, nen, m, m), dtype=complex)
 
-        for q in range(rule.n_points):
-            w = rule.weights[q] * detj
-            n_q = shp[q][None, :, None, None]
-            uc_q = np.einsum("a,eaim->eim", shp[q], uc_el)
-            conv = convolution_dense(uc_q, n)              # (E, dim, M, M)
-            tau = tau_from_modes(uc_q, metric, case.nu, c_i, n)
-            a_dir = np.einsum("ead,edrc->earc", grads, conv)
-            p_a = np.matmul(a_dir - n_q * omega_mat, tau[:, None])   # (E, nen, M, M)
-            s_a = w[:, None, None, None] * (p_a + n_q * eye)
-
-            if need_residual:
-                u_q = np.einsum("a,eaim->eim", shp[q], u_el)
-                conv_term = np.einsum("ejrc,ejic->eir", conv, grad_u)
-                accel = np.einsum("rc,eic->eir", omega_mat, u_q)
-                strong = rho * (accel + conv_term) + grad_p
-                r_m += np.einsum("earc,eic->eair", s_a, strong)
-                tau_strong += w[:, None, None] * np.einsum("erc,eic->eir", tau, strong)
-
-            if need_tangent:
-                t_b = n_q * omega_mat + a_dir
-                k_el += np.matmul(s_a[:, :, None], rho * t_b[:, None, :])
-                tau_sum += w[:, None, None] * tau
-                if exact_gd:
-                    p_sum += w[:, None, None, None] * p_a
-                    q_sum += w[:, None, None, None] * np.matmul(tau[:, None], t_b)
+    for q in range(rule.n_points):
+        w = rule.weights[q] * detj
+        n_q = shp[q][None, :, None, None]
+        uc_q = np.einsum("a,eaim->eim", shp[q], uc_el)
+        conv = convolution_dense(uc_q, n)              # (E, dim, M, M)
+        tau = tau_from_modes(uc_q, metric, case.nu, c_i, n)
+        a_dir = np.einsum("ead,edrc->earc", grads, conv)
+        p_a = np.matmul(a_dir - n_q * omega_mat, tau[:, None])   # (E, nen, M, M)
+        s_a = w[:, None, None, None] * (p_a + n_q * eye)
 
         if need_residual:
-            p_int = np.einsum("eb,ebm->em", n_int, p_el)
-            r_m -= (n_int[:, :, None, None] * grad_p[:, None]
-                    + np.einsum("eai,em->eaim", grads, p_int))
-            r_m += mu * vol[:, None, None, None] * np.einsum("eaj,ejim->eaim", grads, grad_u)
-            r_c = (n_int[:, :, None] * div_u[:, None]
-                   + np.einsum("eai,eir->ear", grads, tau_strong) / rho)
-            contrib = np.concatenate([r_m, r_c[:, :, None, :]], axis=2)
-            node_seg.add_to(resid, contrib.reshape(-1, dim + 1, m))
+            u_q = np.einsum("a,eaim->eim", shp[q], u_el)
+            conv_term = np.einsum("ejrc,ejic->eir", conv, grad_u)
+            accel = np.einsum("rc,eic->eir", omega_mat, u_q)
+            strong = rho * (accel + conv_term) + grad_p
+            r_m += np.einsum("earc,eic->eair", s_a, strong)
+            tau_strong += w[:, None, None] * np.einsum("erc,eic->eir", tau, strong)
 
         if need_tangent:
-            mass = detj[:, None, None] * nn_ref
-            k_el[..., diag, diag] += (mu * vol[:, None, None] * gab
-                                      + mass_coeff * mass)[..., None]
-            edge_seg.add_to(k_c, k_el.reshape(-1, m, m))
-            l_el = np.einsum("eab,erc->eabrc", gab / rho, tau_sum)
-            edge_seg.add_to(l_c, l_el.reshape(-1, m, m))
-            edge_seg.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
-            edge_seg.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
+            t_b = n_q * omega_mat + a_dir
+            k_el += np.matmul(s_a[:, :, None], rho * t_b[:, None, :])
+            tau_sum += w[:, None, None] * tau
             if exact_gd:
-                edge_seg.add_to(g_c, np.einsum("earc,ebi->eabirc", p_sum, grads)
-                                .reshape(-1, dim, m, m))
-                edge_seg.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, q_sum)
-                                .reshape(-1, dim, m, m))
+                p_sum += w[:, None, None, None] * p_a
+                q_sum += w[:, None, None, None] * np.matmul(tau[:, None], t_b)
+
+    if need_residual:
+        p_int = np.einsum("eb,ebm->em", n_int, p_el)
+        r_m -= (n_int[:, :, None, None] * grad_p[:, None]
+                + np.einsum("eai,em->eaim", grads, p_int))
+        r_m += mu * vol[:, None, None, None] * np.einsum("eaj,ejim->eaim", grads, grad_u)
+        r_c = (n_int[:, :, None] * div_u[:, None]
+               + np.einsum("eai,eir->ear", grads, tau_strong) / rho)
+        contrib = np.concatenate([r_m, r_c[:, :, None, :]], axis=2)
+        ctx.nodes.add_to(resid, contrib.reshape(-1, dim + 1, m))
+
+    if need_tangent:
+        mass = detj[:, None, None] * nn_ref
+        k_el[..., diag, diag] += (mu * vol[:, None, None] * gab
+                                  + mass_coeff * mass)[..., None]
+        ctx.edges.add_to(k_c, k_el.reshape(-1, m, m))
+        l_el = np.einsum("eab,erc->eabrc", gab / rho, tau_sum)
+        ctx.edges.add_to(l_c, l_el.reshape(-1, m, m))
+        ctx.edges.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
+        ctx.edges.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
+        if exact_gd:
+            ctx.edges.add_to(g_c, np.einsum("earc,ebi->eabirc", p_sum, grads)
+                             .reshape(-1, dim, m, m))
+            ctx.edges.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, q_sum)
+                             .reshape(-1, dim, m, m))
 
     if need_residual:
         for name, data in case.neumann.items():
@@ -463,11 +462,8 @@ def assert_close(got, ref, name):
 class TestRealBasisAssembly:
     """The real-basis assembly against the complex-mode oracle above."""
 
-    @pytest.mark.parametrize("chunk", [None, 5])
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 7])
-    def test_matches_complex_oracle(self, n_modes, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(linsolve, "_CHUNK", chunk)   # 18 tets in 4 chunks
+    def test_matches_complex_oracle(self, n_modes):
         mesh, case, state, frozen = bent_oracle_setup(n_modes)
 
         for coeff in (None, frozen):
@@ -675,40 +671,6 @@ class TestNewtonOperator:
         assert counts["residual"] == result.steps + 1
         assert len(result.assembly_s) == len(result.linear_s) == result.steps
         assert all(t > 0.0 for t in result.assembly_s + result.linear_s)
-
-
-class TestChunkInvariance:
-    @staticmethod
-    def _assemble_all(n_modes):
-        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 1, 1), bend_angle=1.0)
-        m = n_coeffs(n_modes)
-        inflow = np.zeros((3, m), dtype=complex)
-        inflow[0, n_modes - 1] = 1.0
-        case = NSCase(rho=1.0, mu=0.1, omega=2.0, n_modes=n_modes,
-                      dirichlet={"xmin": inflow}, walls=["ymin", "ymax", "zmin", "zmax"],
-                      neumann={"xmax": np.zeros(m, dtype=complex)}, backflow_beta=0.2)
-        rng = np.random.default_rng(11)
-        state = random_state(mesh, n_modes, rng)
-        frozen = random_state(mesh, n_modes, rng)
-        prod = assemble_ns_tangent(case, mesh, state, pseudo_dt=0.2)
-        exact = assemble_ns_tangent(case, mesh, state, exact_gd=True)
-        newton = navier_stokes.assemble_ns_newton(case, mesh, state)
-        x = rng.standard_normal(newton.n_dof)
-        return {
-            "residual": assemble_ns_residual(case, mesh, state),
-            "residual_frozen": assemble_ns_residual(case, mesh, state, coeff_state=frozen),
-            "k": prod.k_real, "l": prod.l_real, "g": prod.g_diag, "d": prod.d_diag,
-            "g_full": exact.g_full, "d_full": exact.d_full, "k_exact": exact.k_real,
-            "newton_matvec": newton.matvec(x),
-        }
-
-    def test_assembly_independent_of_chunk_size(self, monkeypatch):
-        one_chunk = self._assemble_all(3)
-        monkeypatch.setattr(linsolve, "_CHUNK", 5)   # 18 tets in 4 chunks
-        chunked = self._assemble_all(3)
-        for name, ref in one_chunk.items():
-            diff = np.max(np.abs(chunked[name] - ref))
-            assert diff <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestSolve:

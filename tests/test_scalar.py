@@ -336,8 +336,8 @@ def complex_assemble_scalar_oracle(case, mesh):
     """A literal copy of the scalar assembly in the complex +-n mode layout.
 
     Returns (BlockMatrix with (2N-1)^2 complex blocks, rhs (n_nodes, 2N-1)).
-    Per element chunk, the integrands are summed over the quadrature
-    points and scattered once through the mesh's cached sorted plan; the
+    The integrands are summed over the quadrature points and scattered
+    once through the mesh's cached plans; the
     geometry-only Galerkin terms N_A N_B Omega and kappa gab are formed
     from sum_q w_q N_A N_B and the element volume.
     """
@@ -354,40 +354,39 @@ def complex_assemble_scalar_oracle(case, mesh):
     omega_mat = build_omega(n, case.omega)
     eye = np.eye(m)
 
-    for sl, node_seg, edge_seg in ctx.chunks:
-        elems = mesh.elements[sl]
-        grads = ed.grads[sl]
-        detj = ed.detj[sl]
-        metric = ed.metric[sl]
-        xe = mesh.coords[elems]
-        gab = np.einsum("eai,ebi->eab", grads, grads)
-        vol = detj * rule.weights.sum()
-        k_el = ((detj[:, None, None] * nn_ref)[..., None, None] * omega_mat
-                + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
-        r_el = np.zeros(elems.shape + (m,), dtype=complex)
-        for q in range(rule.n_points):
-            w = rule.weights[q] * detj                       # (E,)
-            points = np.einsum("a,eai->ei", shp[q], xe)
-            uq = _oracle_velocity_at(case, mesh, elems, shp[q], points)
-            conv = convolution_dense(uq, n)                  # (E, dim, M, M)
-            a_dir = np.einsum("ead,edrc->earc", grads, conv)  # (E, nen, M, M)
-            k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
-            if not case.galerkin_only:
-                tau = tau_from_modes(uq, metric, case.kappa, c_i, n)
-                weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-                p_a = np.matmul(weight, tau[:, None])        # (E, nen, M, M)
-                trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-                k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
-            k_el += w[:, None, None, None, None] * k_q
-            if case.source is not None:
-                s = np.asarray(case.source(points), dtype=complex)  # (E, M)
-                r_q = np.einsum("a,em->eam", shp[q], s)
-                if not case.galerkin_only:
-                    r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
-                r_el += w[:, None, None] * r_q
-        edge_seg.add_to(blocks, k_el.reshape(-1, m, m))
+    elems = mesh.elements
+    grads = ed.grads
+    detj = ed.detj
+    metric = ed.metric
+    xe = mesh.coords[elems]
+    gab = np.einsum("eai,ebi->eab", grads, grads)
+    vol = detj * rule.weights.sum()
+    k_el = ((detj[:, None, None] * nn_ref)[..., None, None] * omega_mat
+            + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
+    r_el = np.zeros(elems.shape + (m,), dtype=complex)
+    for q in range(rule.n_points):
+        w = rule.weights[q] * detj                       # (E,)
+        points = np.einsum("a,eai->ei", shp[q], xe)
+        uq = _oracle_velocity_at(case, mesh, elems, shp[q], points)
+        conv = convolution_dense(uq, n)                  # (E, dim, M, M)
+        a_dir = np.einsum("ead,edrc->earc", grads, conv)  # (E, nen, M, M)
+        k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
+        if not case.galerkin_only:
+            tau = tau_from_modes(uq, metric, case.kappa, c_i, n)
+            weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
+            p_a = np.matmul(weight, tau[:, None])        # (E, nen, M, M)
+            trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
+            k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
+        k_el += w[:, None, None, None, None] * k_q
         if case.source is not None:
-            node_seg.add_to(rhs, r_el.reshape(-1, m))
+            s = np.asarray(case.source(points), dtype=complex)  # (E, M)
+            r_q = np.einsum("a,em->eam", shp[q], s)
+            if not case.galerkin_only:
+                r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
+            r_el += w[:, None, None] * r_q
+    ctx.edges.add_to(blocks, k_el.reshape(-1, m, m))
+    if case.source is not None:
+        ctx.nodes.add_to(rhs, r_el.reshape(-1, m))
 
     # Neumann flux data
     for name, data in case.neumann.items():

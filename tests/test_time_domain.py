@@ -391,13 +391,6 @@ class TestAssembly:
     def test_matches_per_point_reference(self, kind):
         self._compare(MESHES[kind]())
 
-    @pytest.mark.parametrize("kind", sorted(MESHES))
-    def test_matches_per_point_reference_in_chunks(self, kind, monkeypatch):
-        monkeypatch.setattr(linsolve, "_CHUNK", 7)
-        mesh = MESHES[kind]()
-        self._compare(mesh)
-        assert len(mesh._assembly.chunks) > 2
-
 
 class TestNewtonOperator:
     """The step's Newton operator against central differences of its residual.

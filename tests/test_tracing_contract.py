@@ -5,7 +5,8 @@ benchmarks/tracing.py wraps entry points where the solvers look them up
 BlockTangent.matvec, ...) and sizes every matvec from the operator's
 arrays.  A refactor that moves one of these names would crash every
 benchmark run or silently zero its per-layer counts; this test runs a
-small spectral solve and one time step under the traced recorder.
+small spectral solve, with the backflow term on, and one time step under
+the traced recorder.
 """
 
 import importlib.util
@@ -62,6 +63,7 @@ def test_traced_recorder_counts_every_layer():
     for name in ("linsolve.gmres.calls", "linsolve.matvec.calls",
                  "linsolve.matvec.bytes_computed", "linsolve.precond_setup.calls",
                  "linsolve.precond_apply.calls", "spectral.tau_from_modes.calls",
+                 "spectral.convolution_dense.calls", "spectral.negative_part_batch.calls",
                  "time_domain.time_tau.calls", "mesh.facet_quadrature.calls"):
         assert c[name] > 0, name
     assert c["linsolve.build_graph.calls"] == 1          # one scatter plan per mesh
