@@ -33,6 +33,12 @@ from .mesh import (
     load_mesh,
     save_mesh,
 )
-from .linsolve import GmresConfig, SolverConfig, gmres, block_jacobi_preconditioner
+from .linsolve import (
+    GmresConfig,
+    SolverConfig,
+    gmres,
+    block_jacobi_preconditioner,
+    level_lu_preconditioner,
+)
 
 __version__ = "0.1.0"

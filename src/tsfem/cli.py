@@ -260,22 +260,28 @@ def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
         errors.append("study.reference.group is required")
     if errors:
         raise ConfigError(errors)
-    return config_from_mapping(study["case"])
+    config = config_from_mapping(study["case"])
+    if kind == "mode_sweep" and _sampled_inflow(config) is None:
+        raise ConfigError(["mode_sweep needs a parabolic_inflow bc with flow_samples"])
+    return config
+
+
+def _sampled_inflow(config: CaseConfig) -> str | None:
+    """Name of the last parabolic_inflow bc given by flow_samples, None if there is none."""
+    names = [name for name, bc in config.bcs.items()
+             if bc.get("kind") == "parabolic_inflow" and "flow_samples" in bc]
+    return names[-1] if names else None
 
 
 def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     """The time-domain counterpart of a mode-sweep case; returns (case, mesh, inflow bc name).
 
-    The inflow's flow_samples drive the same unit-flux parabolic profile
-    through their trigonometric interpolant; walls and traction-free
-    outlets carry over; dt_per_cycle and n_cycles come from ref_block.
+    The inflow's flow_samples (base must have such a bc, as _study_case
+    checks) drive the same unit-flux parabolic profile through their
+    trigonometric interpolant; walls and traction-free outlets carry over;
+    dt_per_cycle and n_cycles come from ref_block.
     """
-    inflow_name = None
-    for name, bc in base.bcs.items():
-        if bc.get("kind") == "parabolic_inflow" and "flow_samples" in bc:
-            inflow_name = name
-    if inflow_name is None:
-        raise ConfigError(["mode_sweep needs a parabolic_inflow bc with flow_samples"])
+    inflow_name = _sampled_inflow(base)
     samples = np.asarray(base.bcs[inflow_name]["flow_samples"], dtype=float)
 
     mesh = build_mesh(base.mesh)
@@ -322,7 +328,8 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     The table also records the time reference's Newton work: newton_failures,
     its steps whose Newton loop did not converge (a nonzero count is warned
     about), the total and per-step maximum of its Newton iterations, and the
-    totals of its GMRES solves, matvecs and updates applied above tolerance.
+    totals of its GMRES solves, matvecs, level LU factorizations and updates
+    applied above tolerance.
     Each row's cost_ratio, the paper's cost measure, is its run's wall_time
     (seconds) over that of the time reference run (reference_seconds).
     """
@@ -373,6 +380,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
              "newton_iters_max": int(max(tres.newton_iters)),
              "linear_solves_total": int(sum(tres.linear_solves)),
              "matvecs_total": int(sum(tres.matvecs)),
+             "factorizations_total": int(sum(tres.factorizations)),
              "linear_unconverged": int(tres.linear_unconverged),
              "reference_seconds": reference_seconds}
     with open(out_dir / "sweep.yaml", "w") as fh:

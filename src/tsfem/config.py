@@ -55,7 +55,11 @@ class CaseConfig:
                 "solver": dict(self.solver), "output": dict(self.output)}
 
 
-_GENERATORS = {"interval", "rect_tri", "box_tet", "bent_channel"}
+# the keys each mesh generator reads
+_GENERATOR_KEYS = {"interval": ("length", "resolution"),
+                   "rect_tri": ("extents", "resolution"),
+                   "box_tet": ("extents", "resolution"),
+                   "bent_channel": ("extents", "resolution")}
 _BC_KINDS = {"dirichlet", "noslip", "neumann", "parabolic_inflow"}
 # the keys the case builders and the runner read; any other key is a typo
 _KNOWN_KEYS = {
@@ -115,9 +119,9 @@ def config_from_mapping(raw: Any) -> CaseConfig:
     has_path = "path" in mesh_block
     if has_gen == has_path:
         errors.append("mesh needs exactly one of 'generator' or 'path'")
-    if has_gen and mesh_block["generator"] not in _GENERATORS:
+    if has_gen and mesh_block["generator"] not in _GENERATOR_KEYS:
         errors.append(f"unknown mesh generator {mesh_block['generator']!r}; "
-                      f"choose from {sorted(_GENERATORS)}")
+                      f"choose from {sorted(_GENERATOR_KEYS)}")
 
     bcs = {name: dict(v) for name, v in raw["bcs"].items()}
     if kind == "scalar" and not any(bc.get("kind") in ("dirichlet", "noslip")
@@ -159,32 +163,55 @@ def serialize_config(config: CaseConfig) -> str:
 
 
 def build_mesh(mesh_block: Dict[str, Any], base_dir: Path | None = None) -> Mesh:
+    """The mesh a mesh block loads or generates.
+
+    A key its generator reads that is missing gives a ConfigError naming
+    mesh.<key>.
+    """
     if "path" in mesh_block:
         path = Path(mesh_block["path"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         return load_mesh(path)
-    gen = mesh_block["generator"]
+    gen = mesh_block.get("generator")
+    if gen not in _GENERATOR_KEYS:
+        raise ConfigError([f"unknown mesh generator {gen!r}; "
+                           f"choose from {sorted(_GENERATOR_KEYS)}"])
+    missing = [f"mesh.{key} is required for generator {gen!r}"
+               for key in _GENERATOR_KEYS[gen] if key not in mesh_block]
+    if missing:
+        raise ConfigError(missing)
     if gen == "interval":
         return generate_interval(float(mesh_block["length"]),
                                  int(mesh_block["resolution"]))
+    ext = [float(v) for v in mesh_block["extents"]]
+    res = [int(v) for v in mesh_block["resolution"]]
     if gen == "rect_tri":
-        return generate_rect_tri([float(v) for v in mesh_block["extents"]],
-                                 [int(v) for v in mesh_block["resolution"]])
+        return generate_rect_tri(ext, res)
     if gen == "box_tet":
-        return generate_box_tet([float(v) for v in mesh_block["extents"]],
-                                [int(v) for v in mesh_block["resolution"]])
-    if gen == "bent_channel":
-        ext = [float(v) for v in mesh_block["extents"]]
-        return generate_bent_channel_tet(
-            ext[0], ext[1], ext[2], [int(v) for v in mesh_block["resolution"]],
-            bend_angle=float(mesh_block.get("bend_angle", np.pi / 2)))
-    raise ConfigError([f"unknown generator {gen!r}"])
+        return generate_box_tet(ext, res)
+    return generate_bent_channel_tet(ext[0], ext[1], ext[2], res,
+                                     bend_angle=float(mesh_block.get("bend_angle", np.pi / 2)))
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float array; a ConfigError naming what unless they are finite numbers."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):     # None reads as nan
+        raise ConfigError([f"{what} must be finite numbers (got {values!r})"])
+    return arr
 
 
 def mode_table(entries, n_modes: int, what: str) -> np.ndarray:
-    """(2N-1,) complex vector from a list of [re, im] rows for modes 0..N-1."""
-    arr = np.asarray(entries, dtype=float)
+    """(2N-1,) complex vector from a list of [re, im] rows for modes 0..N-1.
+
+    what names the table in the ConfigError of a table that is not numeric
+    or has too many rows or columns.
+    """
+    arr = _floats(entries, what)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.shape[0] > n_modes or arr.shape[1] > 2:
@@ -197,8 +224,8 @@ def mode_table(entries, n_modes: int, what: str) -> np.ndarray:
 def _bc_coeffs(bc: Dict[str, Any], key: str, n_modes: int, name: str):
     """Modes from a table or from time samples; returns (values, truncation)."""
     if f"{key}_modes" in bc:
-        return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}"), None
-    samples = np.asarray(bc[f"{key}_samples"], dtype=float)
+        return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}.{key}_modes"), None
+    samples = _floats(bc[f"{key}_samples"], f"bcs.{name}.{key}_samples")
     coeffs = fourier_coefficients(samples, n_modes)
     t = np.arange(samples.size) / samples.size
     n = np.arange(-n_modes + 1, n_modes)

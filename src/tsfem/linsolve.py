@@ -21,16 +21,24 @@ gradient/divergence blocks are one real scalar per node pair and direction,
 the Galerkin coefficient that multiplies every mode slot.  Its block-Jacobi
 preconditioner eliminates the velocity of each nodal block through the
 pressure Schur complement.
+
+The dense-block BlockMatrix systems of the scalar and time-domain solvers
+are preconditioned by level_lu_preconditioner: an exact block LU over the
+breadth-first levels of the mesh graph (LevelPlan, kept per mesh by
+AssemblyContext.level_plan), over which the matrix is block tridiagonal.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "GmresConfig",
@@ -53,6 +61,8 @@ __all__ = [
     "LinearSolveError",
     "gmres",
     "block_jacobi_preconditioner",
+    "LevelPlan",
+    "level_lu_preconditioner",
     "layout_pins",
     "pinned_operator",
 ]
@@ -196,6 +206,72 @@ class SortedSegments:
             out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
 
 
+def _neighbours(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Every entry of the CSR rows of the given nodes, in one gather."""
+    starts, counts = indptr[nodes], indptr[nodes + 1] - indptr[nodes]
+    first = np.cumsum(counts) - counts
+    return indices[np.repeat(starts - first, counts) + np.arange(counts.sum())]
+
+
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray, root: int) -> list:
+    """Breadth-first level sets of the component of root, each sorted."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[root] = True
+    levels = [np.array([root])]
+    while True:
+        reached = np.unique(_neighbours(indptr, indices, levels[-1]))
+        reached = reached[~seen[reached]]
+        if not reached.size:
+            return levels
+        seen[reached] = True
+        levels.append(reached)
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """Breadth-first level sets of a nodal graph, the block rows of level_lu_preconditioner.
+
+    Node i lies in level level[i], at position slot[i] of it.  Every edge
+    of the symmetrised graph joins nodes of the same or of adjacent levels,
+    so a BlockMatrix on the graph is block tridiagonal over the levels.
+    Each connected component is rooted at a pseudo-peripheral node
+    (George & Liu, ACM TOMS 5(3), 1979): the root of a longest level
+    structure found by re-rooting at a least-degree node of the last level,
+    which keeps the levels narrow (Cuthill & McKee, 1969).  The levels of
+    the components follow one another.
+    """
+
+    level: np.ndarray     # (n_nodes,)
+    slot: np.ndarray      # (n_nodes,)
+    n_levels: int
+    width: int            # nodes in the widest level
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> "LevelPlan":
+        keys = np.r_[rows, cols]
+        order = np.argsort(keys, kind="stable")
+        indices = np.r_[cols, rows][order]
+        indptr = np.searchsorted(keys[order], np.arange(n_nodes + 1))
+        degree = np.diff(indptr)
+        level = np.full(n_nodes, -1)
+        slot = np.zeros(n_nodes, dtype=int)
+        n_levels = 0
+        while np.any(level < 0):
+            left = np.flatnonzero(level < 0)
+            levels = _bfs_levels(indptr, indices, left[np.argmin(degree[left])])
+            while True:
+                last = levels[-1]
+                rerooted = _bfs_levels(indptr, indices, last[np.argmin(degree[last])])
+                if len(rerooted) <= len(levels):
+                    break
+                levels = rerooted
+            for k, nodes in enumerate(levels):
+                level[nodes] = n_levels + k
+                slot[nodes] = np.arange(nodes.size)
+            n_levels += len(levels)
+        return cls(level, slot, n_levels, int(np.bincount(level).max(initial=0)))
+
+
 @dataclass(frozen=True)
 class AssemblyContext:
     """Per-mesh scatter plan: the nodal graph and its sorted reductions.
@@ -205,7 +281,8 @@ class AssemblyContext:
     of the build_graph edge_of keys (tangent scatter: many keys, short
     runs).  edge_mass, when the plan is built with the element mass
     matrices, is their sum onto the edges: sum_e detj sum_q w_q N_A N_B
-    per node pair.
+    per node pair.  The graph's LevelPlan is built by the first
+    level_plan call and kept here.
     """
 
     rows: np.ndarray
@@ -214,6 +291,7 @@ class AssemblyContext:
     nodes: SortedSegments
     edges: Segments
     edge_mass: Optional[np.ndarray] = None
+    _levels: Optional[LevelPlan] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, elements: np.ndarray, n_nodes: int, graph,
@@ -237,6 +315,19 @@ class AssemblyContext:
         r = np.repeat(nodes, k, axis=1).ravel().astype(np.int64)
         c = np.tile(nodes, (1, k)).ravel()
         return np.searchsorted(keys, r * self.n_nodes + c)
+
+    def level_plan(self, block_size: int) -> LevelPlan:
+        """The graph's LevelPlan, built at the first call and kept.
+
+        The first call logs the level count and the unknowns of the widest
+        level at block_size unknowns per node.
+        """
+        if self._levels is None:
+            plan = LevelPlan.of(self.rows, self.cols, self.n_nodes)
+            object.__setattr__(self, "_levels", plan)
+            logger.debug("level plan of %d nodes: %d levels, at most %d unknowns per level",
+                         self.n_nodes, plan.n_levels, plan.width * block_size)
+        return self._levels
 
 
 def assembly_context(mesh, graph_builder: Callable) -> AssemblyContext:
@@ -296,13 +387,6 @@ class BlockMatrix:
         y = np.zeros(self.n_nodes * b, dtype=prod.dtype)
         y[self._y_slots] = np.add.reduceat(prod.ravel(), self._starts)
         return y
-
-    def diag_blocks(self) -> np.ndarray:
-        b = self.block_size
-        diag = np.zeros((self.n_nodes, b, b), dtype=self.blocks.dtype)
-        sel = self.rows == self.cols
-        np.add.at(diag, self.rows[sel], self.blocks[sel])
-        return diag
 
     def to_dense(self) -> np.ndarray:
         b = self.block_size
@@ -723,36 +807,84 @@ def _pin_block(blocks: np.ndarray, free_rows: np.ndarray, free_cols: np.ndarray,
     return out
 
 
-def block_jacobi_preconditioner(op, pins: np.ndarray | None = None) -> Callable:
-    """Inverse of the per-node diagonal blocks (all components and modes).
+def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None) -> Callable:
+    """Inverse of the per-node diagonal blocks of a BlockTangent (all components and modes).
 
     Pinned slots are forced to identity rows/columns before inversion.
-    Singular nodal blocks fall back to a scaled identity with a warning.
-
-    A BlockTangent's nodal block [[I_d (x) K, G], [D, L]], with G the column
-    of the gradient blocks G_i and D the row of the divergence blocks D_i,
-    is inverted through its pressure Schur complement
-    S = L - sum_i D_i K^-1 G_i (Elman, Silvester & Wathen, ch. 9): K is
-    inverted once per node for all d velocity directions, and the apply is
-    p = S^-1 (r_p - sum_i D_i K^-1 r_i), v_i = K^-1 (r_i - G_i p).  The pins
-    must then pin every velocity direction of a node alike (ValueError
-    otherwise), and a node whose K or S is singular falls back.
+    The nodal block [[I_d (x) K, G], [D, L]], with G the column of the
+    gradient blocks G_i and D the row of the divergence blocks D_i, is
+    inverted through its pressure Schur complement S = L - sum_i D_i K^-1 G_i
+    (Elman, Silvester & Wathen, ch. 9): K is inverted once per node for all
+    d velocity directions, and the apply is p = S^-1 (r_p - sum_i D_i K^-1 r_i),
+    v_i = K^-1 (r_i - G_i p).  The pins must then pin every velocity
+    direction of a node alike (ValueError otherwise), and a node whose K or
+    S is singular falls back to a scaled identity with a warning.  A
+    BlockMatrix is preconditioned by level_lu_preconditioner instead.
     """
-    if isinstance(op, BlockTangent):
-        return _schur_jacobi(op, pins)
-    blocks = np.asarray(op.diag_blocks(), dtype=float)
-    n, b = blocks.shape[0], blocks.shape[-1]
-    if pins is not None:
-        free = ~pins.reshape(n, b)
-        blocks = _pin_block(blocks, free, free, diagonal=True)
-    inv, singular = _invert_blocks(blocks)
-    for i in np.flatnonzero(singular):
-        inv[i] = np.eye(b) / _identity_scale(np.diag(blocks[i]))
-        warnings.warn(f"singular nodal block at node {i}; using scaled identity")
+    if not isinstance(op, BlockTangent):
+        raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
+                        "precondition a BlockMatrix with level_lu_preconditioner")
+    return _schur_jacobi(op, pins)
+
+
+def level_lu_preconditioner(op: BlockMatrix, pins: np.ndarray | None = None,
+                            plan: LevelPlan | None = None) -> Callable:
+    """Exact inverse of a real pinned BlockMatrix by block LU over BFS levels.
+
+    plan is the LevelPlan of the matrix's graph (AssemblyContext.level_plan
+    keeps one per mesh), built here when None.  Over its levels the matrix
+    is block tridiagonal, with lower blocks L_l, diagonal blocks D_l and
+    upper blocks U_l of (width * b) unknowns each, padded with identity
+    slots.  The pinned edge blocks are scattered into them by one fancy-index
+    assignment (the edges must be distinct, as build_graph returns them),
+    and pinned slots get identity rows/columns.  The factorization is
+    D'_0 = D_0, D'_l = D_l - L_l D'_{l-1}^-1 U_{l-1}; it keeps D'_l^-1,
+    D'_l^-1 L_l and D'_l^-1 U_l, so the apply is one batched product, one
+    forward and one backward sweep over the levels.  A singular D'_l falls
+    back to a scaled identity with a warning that names the level.
+    """
+    n, b = op.n_nodes, op.block_size
+    if plan is None:
+        plan = LevelPlan.of(op.rows, op.cols, n)
+    n_lev, s = plan.n_levels, plan.width
+    w = s * b
+    free = np.ones((n, b), dtype=bool) if pins is None else ~np.asarray(pins).reshape(n, b)
+    lev_r, lev_c = plan.level[op.rows], plan.level[op.cols]
+    if np.any(np.abs(lev_c - lev_r) > 1):
+        raise ValueError("level_lu_preconditioner: an edge skips a level of the plan")
+    tri = np.zeros((3, n_lev, s, b, s, b))       # lower, diagonal and upper blocks
+    tri[lev_c - lev_r + 1, lev_r, plan.slot[op.rows], :, plan.slot[op.cols], :] = \
+        _pin_block(np.asarray(op.blocks, dtype=float), free[op.rows], free[op.cols])
+    lower, diag, upper = tri.reshape(3, n_lev, w, w)
+    slot_free = np.zeros((n_lev, s, b), dtype=bool)
+    slot_free[plan.level, plan.slot] = free
+    idle_lev, idle = np.nonzero(~slot_free.reshape(n_lev, w))    # pinned and padding slots
+    diag[idle_lev, idle, idle] = 1.0
+
+    d_inv = np.empty_like(diag)
+    up = np.empty_like(upper)                            # D'_l^-1 U_l
+    for lev in range(n_lev):
+        d_lev = diag[lev] - lower[lev] @ up[lev - 1] if lev else diag[lev]
+        try:
+            d_inv[lev] = np.linalg.inv(d_lev)
+        except np.linalg.LinAlgError:
+            d_inv[lev] = np.eye(w) / _identity_scale(np.diag(d_lev))
+            warnings.warn(f"singular level block at level {lev} of {n_lev}; "
+                          "using scaled identity")
+        up[lev] = d_inv[lev] @ upper[lev]
+    low, up = list(d_inv @ lower), list(up)              # D'_l^-1 L_l, D'_l^-1 U_l
+    slots = ((plan.level * s + plan.slot)[:, None] * b + np.arange(b)).ravel()
 
     def apply(x):
-        xr = np.asarray(x).reshape(n, b)
-        return np.einsum("nij,nj->ni", inv, xr).ravel()
+        z = np.zeros(n_lev * w)
+        z[slots] = np.asarray(x).ravel()
+        z = np.matmul(d_inv, z.reshape(n_lev, w, 1))[..., 0]
+        by_level = list(z)                               # views of z's rows
+        for lev in range(1, n_lev):
+            by_level[lev] -= low[lev] @ by_level[lev - 1]
+        for lev in range(n_lev - 2, -1, -1):
+            by_level[lev] -= up[lev] @ by_level[lev + 1]
+        return z.ravel()[slots]
 
     return apply
 

@@ -34,11 +34,11 @@ from .linsolve import (
     SolverConfig,
     assembly_context,
     block_from_orthonormal,
-    block_jacobi_preconditioner,
     build_graph,
     from_real,
     gmres,
     layout_pins,
+    level_lu_preconditioner,
     pinned_operator,
     rhs_from_orthonormal,
 )
@@ -220,7 +220,10 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
 
     The real-basis system is mapped to the solve layout (Re phi_0,
     Re phi_1, Im phi_1, ...), the Dirichlet nodes are pinned, and the
-    system is solved with block-Jacobi preconditioned GMRES.  The returned
+    system is solved by GMRES preconditioned with its level LU factor
+    (linsolve.level_lu_preconditioner), factored once.  Every term of the
+    system lives in its nodal blocks, so the factor is an exact solve and
+    GMRES only checks it.  The returned
     field carries the Dirichlet data exactly and is conjugate-symmetric at
     every node.
     """
@@ -238,7 +241,8 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes)
     layout_rhs[pins] = 0.0
     op = pinned_operator(layout.matvec, pins)
-    precond = block_jacobi_preconditioner(layout, pins)
+    plan = assembly_context(mesh, build_graph).level_plan(layout.block_size)
+    precond = level_lu_preconditioner(layout, pins, plan)
     res = gmres(op, layout_rhs, solver_config.gmres_config(), precond=precond)
     if not res.converged:
         raise LinearSolveError("scalar linear solve did not converge",

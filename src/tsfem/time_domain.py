@@ -14,11 +14,14 @@ Newton iterate of a time step, and the Newton operator is their exact
 linearization: the local element blocks carry the convective reaction,
 the variation of the SUPG/PSPG test functions and of tau through u, and
 the dependence of tau on the global w_hat is a rank-one term applied in
-the matvec (the block-Jacobi preconditioner uses the local blocks only).
-Each iteration assembles the residual first and builds the tangent from
-the same point fields only when a linear solve follows.  Each linear solve
-aims at the step's stopping test (forcing_tolerance).  A linear solve that
-stagnates ends the step's Newton loop unconverged, with a warning.
+the matvec.  Each iteration assembles the residual first and builds the
+tangent from the same point fields only when a linear solve follows.  Each
+linear solve aims at the step's stopping test (forcing_tolerance), by GMRES
+preconditioned with the level LU factor of the local blocks
+(linsolve.level_lu_preconditioner).  A run keeps one factor across Newton
+iterations and steps (LaggedFactor) and refactors after a solve that took
+more than REFACTOR_MATVECS matvecs.  A linear solve that stagnates ends the
+step's Newton loop unconverged, with a warning.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from .linsolve import (
     GmresConfig,
     SolverConfig,
     assembly_context,
-    block_jacobi_preconditioner,
     build_graph,
     gmres,
     layout_pins,
+    level_lu_preconditioner,
     pinned_operator,
 )
+# not called here: benchmarks/tracing.py wraps this module's name of it
+from .linsolve import block_jacobi_preconditioner  # noqa: F401
 from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
 
 __all__ = [
@@ -51,6 +56,8 @@ __all__ = [
     "StepResult",
     "FORCING_FACTOR",
     "forcing_tolerance",
+    "REFACTOR_MATVECS",
+    "LaggedFactor",
     "time_tau",
     "omega_hat",
     "generalized_alpha_step",
@@ -178,7 +185,8 @@ class TimeTangent:
 
     omega_hat is a global functional of the state, so its part of the
     Jacobian is the rank-one dR/d(omega_hat^2) (x) d(omega_hat^2)/dx, applied
-    in the matvec and left out of the block-Jacobi preconditioner.
+    in the matvec and left out of the level LU preconditioner, which
+    factors the local blocks only.
     """
 
     local: BlockMatrix
@@ -348,6 +356,39 @@ def forcing_tolerance(config: SolverConfig, r0: float, rnorm: float) -> float:
     return min(config.eps_ls, FORCING_FACTOR * config.eps_nr * r0 / rnorm)
 
 
+# A run refactors its lagged level LU factor after a solve that took more than
+# this many GMRES matvecs.  On sweep_bent seed 0 the time reference takes
+# 2,253 matvecs and 2 factorizations at 8, and 1,364 matvecs and 20
+# factorizations, in about the same time, at 4; block-Jacobi took 11,015.
+REFACTOR_MATVECS = 8
+
+
+class LaggedFactor:
+    """The level LU preconditioner of a sequence of time-step Newton systems.
+
+    precond(tangent, pins, plan) returns the factor of the current one, and
+    factors tangent.local only when there is none or the last one went
+    stale; solved(matvecs) marks it stale when a solve took more than
+    refactor_above matvecs (REFACTOR_MATVECS), or always when refactor_above
+    is None.  factorizations counts the factors made.
+    """
+
+    def __init__(self, refactor_above: Optional[int] = REFACTOR_MATVECS):
+        self.refactor_above = refactor_above
+        self.factorizations = 0
+        self._precond: Optional[Callable] = None
+
+    def precond(self, tangent: TimeTangent, pins: np.ndarray, plan) -> Callable:
+        if self._precond is None:
+            self._precond = level_lu_preconditioner(tangent.local, pins, plan)
+            self.factorizations += 1
+        return self._precond
+
+    def solved(self, matvecs: int) -> None:
+        if self.refactor_above is None or matvecs > self.refactor_above:
+            self._precond = None
+
+
 class StepResult(NamedTuple):
     """One generalized-alpha step: the new state and its Newton and linear work."""
 
@@ -357,13 +398,15 @@ class StepResult(NamedTuple):
     linear_solves: int
     matvecs: int
     linear_unconverged: int   # updates applied while GMRES was above its tolerance
+    factorizations: int       # level LU factors made
 
 
 def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                            config: SolverConfig | None = None,
                            gen_alpha: GenAlphaConfig | None = None,
                            max_newton: int = 10,
-                           dirichlet_scale: float = 1.0) -> StepResult:
+                           dirichlet_scale: float = 1.0,
+                           factor: LaggedFactor | None = None) -> StepResult:
     """Advance one implicit step.
 
     Newton iterations (at most max_newton residual evaluations) reduce the
@@ -371,7 +414,9 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     Each iteration assembles the residual first and builds the exact
     tangent from the same point fields only when a linear solve follows,
     so the converged last iteration costs a residual only.  GMRES solves
-    each system to forcing_tolerance.  A linear solve that stagnates
+    each system to forcing_tolerance, preconditioned by factor, which a
+    run keeps across its steps; without one, each solve is factored anew.
+    A linear solve that stagnates
     (unconverged, with no residual reduction) is not applied: it ends the
     Newton loop unconverged and warns.  One that stops above its tolerance
     without stagnating (at the matvec cap) is applied, counted in
@@ -383,6 +428,9 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         config = SolverConfig(eps_ls=0.05)
     if gen_alpha is None:
         gen_alpha = GenAlphaConfig()
+    if factor is None:
+        factor = LaggedFactor(refactor_above=None)
+    factored = factor.factorizations
     am, af, gamma = gen_alpha.alpha_m, gen_alpha.alpha_f, gen_alpha.gamma
     dt = case.dt
     t_new = state.t + dt
@@ -426,10 +474,11 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         rhs = -rr.ravel()
         rhs[pins] = 0.0
         op = pinned_operator(tangent.matvec, pins)
-        precond = block_jacobi_preconditioner(tangent.local, pins)
         tol = forcing_tolerance(config, r0, rnorm)
+        plan = assembly_context(mesh, build_graph).level_plan(dim + 1)
         res = gmres(op, rhs, GmresConfig(config.krylov_dim, tol, config.max_linear_iters),
-                    precond=precond)
+                    precond=factor.precond(tangent, pins, plan))
+        factor.solved(res.matvecs)
         solves, matvecs = solves + 1, matvecs + res.matvecs
         if not res.converged and res.residuals[-1] >= res.residuals[0]:
             warnings.warn(f"time step to t={t_new:.6g}: linear solver stagnated at "
@@ -449,7 +498,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
             vel_new[dir_nodes] = dir_vals
 
     return StepResult(TimeState(vel_new, accel, pres, t_new), converged, iters,
-                      solves, matvecs, unconverged)
+                      solves, matvecs, unconverged, factor.factorizations - factored)
 
 
 @dataclass
@@ -465,6 +514,7 @@ class TimeResult:
     linear_solves: List[int]          # GMRES solves of each step
     matvecs: List[int]                # GMRES matvecs of each step
     linear_unconverged: int           # updates applied above their GMRES tolerance
+    factorizations: List[int]         # level LU factors made in each step
 
 
 def _flow_trace(state: TimeState, mesh: Mesh, groups):
@@ -488,7 +538,8 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     The state starts from rest with the Dirichlet data ramped over the
     first ramp_steps steps to avoid an impulsive start; the transient is
     discarded through cycle-to-cycle convergence, reported as the relative
-    L2 change of the flow traces between consecutive cycles.
+    L2 change of the flow traces between consecutive cycles.  The run's
+    Newton systems share one LaggedFactor.
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")
@@ -505,14 +556,17 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     times = []
     traces_q = {g: [] for g in report_groups}
     traces_p = {g: [] for g in report_groups}
-    records = []  # per step: converged, newton_iters, linear_solves, matvecs, linear_unconverged
+    # per step: converged, newton_iters, linear_solves, matvecs,
+    # linear_unconverged, factorizations
+    records = []
+    factor = LaggedFactor()
     last_states: List[TimeState] = []
     last_times: List[float] = []
     total = case.n_cycles * steps_per_cycle
     for step in range(total):
         scale = min(1.0, (step + 1) / ramp_steps) if ramp_steps else 1.0
         state, *record = generalized_alpha_step(case, mesh, state, config, gen_alpha,
-                                                dirichlet_scale=scale)
+                                                dirichlet_scale=scale, factor=factor)
         records.append(record)
         qs, ps = _flow_trace(state, mesh, report_groups)
         times.append(state.t)
@@ -535,10 +589,11 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
             den += np.sum(curr**2)
         cycle_change.append(float(np.sqrt(num / den)) if den > 0 else 0.0)
 
-    converged, newton_iters, linear_solves, matvecs, unconverged = map(list, zip(*records))
+    converged, newton_iters, linear_solves, matvecs, unconverged, factorizations = \
+        map(list, zip(*records))
     return TimeResult(np.asarray(times),
                       {g: np.asarray(v) for g, v in traces_q.items()},
                       {g: np.asarray(v) for g, v in traces_p.items()},
                       cycle_change, np.asarray(last_times), last_states,
                       converged.count(False), newton_iters, linear_solves, matvecs,
-                      sum(unconverged))
+                      sum(unconverged), factorizations)

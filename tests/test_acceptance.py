@@ -454,10 +454,10 @@ def test_criterion_10_optimization_equivalences():
         small_block_system,
     )
     from tsfem.linsolve import (
-        block_jacobi_preconditioner,
         gmres,
         GmresConfig,
         layout_pins,
+        level_lu_preconditioner,
         pinned_operator,
         to_real,
     )
@@ -478,7 +478,7 @@ def test_criterion_10_optimization_equivalences():
     real_rhs[pins] = 0.0
     res = gmres(pinned_operator(real_sys.matvec, pins), real_rhs,
                 GmresConfig(restart=60, tol=1e-13, max_matvecs=2000),
-                precond=block_jacobi_preconditioner(real_sys, pins))
+                precond=level_lu_preconditioner(real_sys, pins))
     assert res.converged
     x_back = from_real(res.x.reshape(4, -1))
     assert np.max(np.abs(x_back - x_complex)) <= 1e-10

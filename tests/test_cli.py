@@ -310,6 +310,7 @@ class TestSweep:
         assert table["linear_solves_total"] == sum(results[0].linear_solves) > 0
         assert table["matvecs_total"] == sum(results[0].matvecs) >= table["linear_solves_total"]
         assert table["linear_unconverged"] == results[0].linear_unconverged == 0
+        assert table["factorizations_total"] == sum(results[0].factorizations) >= 1
         assert table["reference_seconds"] > 0.0
         for row in table["rows"]:
             assert row["seconds"] > 0.0
@@ -371,6 +372,21 @@ class TestSweep:
         assert not out.exists()
 
 
+    def test_mode_sweep_without_sampled_inflow_rejected(self, tmp_path, capsys):
+        raw = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        inlet = raw["study"]["case"]["bcs"]["inlet"]
+        inlet["flow_modes"] = [[1.0, 0.0]]
+        del inlet["flow_samples"]
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        for argv in (["validate-config", str(path)],
+                     ["sweep", str(path), "--output-dir", str(out)]):
+            assert main(argv) == 2, argv[0]
+            assert "parabolic_inflow bc with flow_samples" in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
+
 class TestMainEntry:
     def test_validate_verb(self, capsys):
         code = main(["validate-config", str(CONFIG_DIR / "tracer_1d.yaml")])
@@ -417,6 +433,31 @@ class TestMainEntry:
         bad.write_text(yaml.safe_dump(raw))
         assert main(["validate-config", str(bad)]) == 2
         assert f"{section}.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key", [("steady_channel.yaml", "extents"),
+                                           ("steady_channel.yaml", "resolution"),
+                                           ("tracer_1d.yaml", "length")])
+    def test_validate_verb_names_missing_mesh_key(self, tmp_path, capsys, name, key):
+        raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+        del raw["mesh"][key]
+        bad = tmp_path / "bad_mesh.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        assert main(["validate-config", str(bad)]) == 2
+        assert f"mesh.{key} is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bc, key, value", [
+        ("inlet", "flow_modes", [["abc", 0.0]]), ("outlet", "h_modes", [[0.0, None]]),
+        ("inlet", "flow_samples", [1.0, "x", 2.0])])
+    def test_validate_verb_names_non_numeric_table(self, tmp_path, capsys, bc, key, value):
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        block = raw["bcs"][bc]
+        for data_key in [k for k in block if k.endswith(("_modes", "_samples"))]:
+            del block[data_key]
+        block[key] = value
+        bad = tmp_path / "bad_table.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        assert main(["validate-config", str(bad)]) == 2
+        assert f"bcs.{bc}.{key} must be finite numbers" in capsys.readouterr().err
 
     def test_run_verbose_prints_step_table(self, tmp_path, capsys):
         config = tmp_path / "steady.yaml"

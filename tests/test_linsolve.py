@@ -8,6 +8,7 @@ from tsfem.linsolve import (
     BlockMatrix,
     BlockTangent,
     GmresConfig,
+    LevelPlan,
     Segments,
     SortedSegments,
     assembly_context,
@@ -18,12 +19,18 @@ from tsfem.linsolve import (
     from_real,
     gmres,
     layout_pins,
+    level_lu_preconditioner,
     pinned_operator,
     rhs_from_orthonormal,
     rhs_to_real,
     to_real,
 )
-from tsfem.mesh import generate_box_tet
+from tsfem.mesh import (
+    generate_bent_channel_tet,
+    generate_box_tet,
+    generate_interval,
+    generate_rect_tri,
+)
 from tsfem.spectral import modes_from_real, modes_to_real
 
 RNG = np.random.default_rng(321)
@@ -72,7 +79,7 @@ class TestRealMapping:
 
         real_sys, real_rhs = to_real(sys_c, rhs)
         res = gmres(real_sys.matvec, real_rhs, GmresConfig(restart=60, tol=1e-13, max_matvecs=500),
-                    precond=block_jacobi_preconditioner(real_sys))
+                    precond=level_lu_preconditioner(real_sys))
         assert res.converged
         x_back = from_real(res.x.reshape(n_nodes, -1))
         np.testing.assert_allclose(x_back, x_complex, atol=1e-10)
@@ -400,17 +407,104 @@ class TestGmres:
                                        rtol=1e-8)
 
 
-class TestBlockJacobi:
+MESH_GENERATORS = {
+    "interval": lambda r: generate_interval(1.0, 1 + r[0] * 5),
+    "rect_tri": lambda r: generate_rect_tri((1.0, 1.0), (r[0], r[1])),
+    "bent_channel": lambda r: generate_bent_channel_tet(3.0, 1.0, 1.0, r, bend_angle=1.0),
+}
+
+
+class TestLevelLU:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(MESH_GENERATORS)),
+           res=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3)))
+    def test_edges_join_same_or_adjacent_levels(self, kind, res):
+        mesh = MESH_GENERATORS[kind](res)
+        rows, cols, _ = build_graph(mesh.elements, mesh.n_nodes)
+        plan = LevelPlan.of(rows, cols, mesh.n_nodes)
+        assert np.all(np.abs(plan.level[rows] - plan.level[cols]) <= 1)
+        # every node has one place: the (level, slot) pairs are distinct and dense
+        places = plan.level * plan.width + plan.slot
+        assert np.unique(places).size == mesh.n_nodes
+        counts = np.bincount(plan.level, minlength=plan.n_levels)
+        assert counts.max() == plan.width and np.all(counts >= 1)
+        assert np.all(plan.slot < counts[plan.level])
+
+    def test_interval_is_rooted_at_an_end(self):
+        # a path graph: a pseudo-peripheral root gives one node per level
+        mesh = generate_interval(1.0, 17)
+        rows, cols, _ = build_graph(mesh.elements, mesh.n_nodes)
+        plan = LevelPlan.of(rows, cols, mesh.n_nodes)
+        assert plan.n_levels == mesh.n_nodes and plan.width == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_nodes=st.integers(1, 9), idle=st.integers(0, 2), nen=st.integers(1, 4),
+           b=st.integers(1, 4), pin_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_apply_solves_pinned_system(self, n_nodes, idle, nen, b, pin_share, seed):
+        # random graphs, idle nodes and several components included
+        rng = np.random.default_rng(seed)
+        elements = np.array([rng.choice(n_nodes, size=min(nen, n_nodes), replace=False)
+                             for _ in range(rng.integers(1, 6))])
+        total = n_nodes + idle
+        rows, cols, _ = build_graph(elements, total)
+        # every node, idle ones too, gets a self-edge, which keeps the system regular
+        keys = np.unique(np.r_[rows * total + cols, np.arange(total) * (total + 1)])
+        rows, cols = keys // total, keys % total
+        blocks = rng.standard_normal((rows.size, b, b))
+        blocks[rows == cols] += 4 * b * np.eye(b)
+        sys_r = BlockMatrix(rows, cols, blocks, total)
+        pins = rng.random(total * b) < pin_share
+        dense = sys_r.to_dense()
+        dense[pins, :] = 0.0
+        dense[:, pins] = 0.0
+        dense[pins, pins] = 1.0
+        r = rng.standard_normal(total * b)
+        ref = np.linalg.solve(dense, r)
+        got = level_lu_preconditioner(sys_r, pins)(r)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_diagonal_system_converges_in_one_iteration(self):
         n_nodes, m = 4, 3
         rows = cols = np.arange(n_nodes)
         blocks = np.stack([np.diag(RNG.uniform(1, 3, m)) for _ in range(n_nodes)])
         sys_r = BlockMatrix(rows, cols, blocks, n_nodes)
         b = RNG.standard_normal(n_nodes * m)
-        pre = block_jacobi_preconditioner(sys_r)
+        pre = level_lu_preconditioner(sys_r)
         res = gmres(sys_r.matvec, b, GmresConfig(restart=20, tol=1e-12, max_matvecs=50), precond=pre)
         assert res.converged and res.matvecs <= 3
 
+    def test_singular_level_falls_back_with_warning(self):
+        # a path 0-1-2 rooted at node 0: node 1's zero block is level 1's
+        n_nodes, m = 3, 2
+        rows, cols, _ = build_graph(np.array([[0, 1], [1, 2]]), n_nodes)
+        blocks = np.zeros((rows.size, m, m))
+        blocks[rows == cols] = np.eye(m)
+        blocks[(rows == 1) & (cols == 1)] = 0.0
+        sys_r = BlockMatrix(rows, cols, blocks, n_nodes)
+        plan = LevelPlan.of(rows, cols, n_nodes)
+        assert plan.level[1] == 1
+        with pytest.warns(UserWarning, match="singular level block at level 1 "):
+            pre = level_lu_preconditioner(sys_r, plan=plan)
+        out = pre(np.ones(n_nodes * m))
+        assert np.all(np.isfinite(out))
+
+    def test_plan_not_fitting_the_graph_rejected(self):
+        rows, cols, _ = build_graph(np.array([[0, 1], [1, 2]]), 3)
+        sys_r = BlockMatrix(rows, cols, np.where(rows == cols, 3.0, 1.0)[:, None, None], 3)
+        plan = LevelPlan(np.array([0, 1, 2]), np.zeros(3, dtype=int), 3, 1)
+        skipping = LevelPlan(np.array([0, 2, 1]), np.zeros(3, dtype=int), 3, 1)
+        level_lu_preconditioner(sys_r, plan=plan)
+        with pytest.raises(ValueError, match="skips a level"):
+            level_lu_preconditioner(sys_r, plan=skipping)
+
+    def test_block_matrix_rejected_by_block_jacobi(self):
+        sys_r, _ = small_block_system(3, 1)
+        with pytest.raises(TypeError, match="level_lu_preconditioner"):
+            block_jacobi_preconditioner(sys_r)
+
+
+class TestBlockJacobi:
     def test_linearity(self):
         tg = random_tangent(3, 2, 2)
         tg.k_real += 5 * np.eye(2 * tg.n_modes - 1)
@@ -423,15 +517,6 @@ class TestBlockJacobi:
         rhs = a * pre(x) + bcoef * pre(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-13 * np.max(np.abs(rhs)))
 
-    def test_singular_block_falls_back_with_warning(self):
-        n_nodes, m = 2, 2
-        rows = cols = np.arange(n_nodes)
-        blocks = np.stack([np.eye(m), np.zeros((m, m))])
-        sys_r = BlockMatrix(rows, cols, blocks, n_nodes)
-        with pytest.warns(UserWarning, match="singular"):
-            pre = block_jacobi_preconditioner(sys_r)
-        out = pre(np.ones(n_nodes * m))
-        assert np.all(np.isfinite(out))
 
 
 def pinned_diag_blocks(tg, pins):

@@ -206,6 +206,31 @@ class TestSolveScalar:
         for row in sol:
             assert check_conjugate_symmetry(row) == 0.0
 
+    @pytest.mark.parametrize("kind", ["interval", "rect_tri"])
+    def test_level_lu_factor_solves_in_a_few_matvecs(self, monkeypatch, kind):
+        # every term lives in the nodal blocks: the factor is an exact solve
+        if kind == "interval":
+            case, mesh = steady_1d_case(0.5, 0.1, n_modes=3, omega=1.5, n_elems=40)
+        else:
+            mesh = generate_rect_tri((1.0, 1.0), (4, 4))
+            m = n_coeffs(2)
+            vel = np.zeros((1, 2, m), dtype=complex)
+            vel[0, 0, 1], vel[0, 1, [0, 2]] = 1.0, 0.3     # steady x, oscillating y flow
+            g = np.zeros(m, dtype=complex)
+            g[1] = 1.0
+            case = ScalarCase(kappa=0.5, omega=1.0, n_modes=2,
+                              velocity=np.tile(vel, (mesh.n_nodes, 1, 1)),
+                              dirichlet={"xmin": np.zeros(m, complex), "xmax": g},
+                              neumann={"ymin": np.zeros(m, complex),
+                                       "ymax": np.zeros(m, complex)},
+                              backflow_beta=0.5)
+        results = []
+        real = scalar.gmres
+        monkeypatch.setattr(scalar, "gmres",
+                            lambda *a, **k: results.append(real(*a, **k)) or results[-1])
+        solve_scalar(case, mesh)
+        assert len(results) == 1 and results[0].converged and results[0].matvecs <= 3
+
     def test_2d_plain_galerkin_flag(self):
         mesh = generate_rect_tri((1.0, 1.0), (4, 4))
         m = n_coeffs(2)

@@ -27,6 +27,7 @@ from tsfem.time_domain import (
     _time_tangent,
     FORCING_FACTOR,
     GenAlphaConfig,
+    LaggedFactor,
     TimeCase,
     TimeState,
     forcing_tolerance,
@@ -469,13 +470,17 @@ class TestForcing:
 class TestLinearRecords:
     @pytest.fixture
     def capped_gmres(self, monkeypatch):
-        """Install a GMRES that stops at a two-matvec cap, above its tolerance
-        but not stagnated; returns the list of its results."""
+        """Install an unpreconditioned GMRES that stops at a two-matvec cap,
+        above its tolerance but not stagnated; returns the list of its results.
+
+        The level LU factor solves the first step's system exactly (at u = 0
+        the rank-one omega_hat term vanishes), inside the cap: without it
+        the cap is reached."""
         results = []
 
         def capped(op, rhs, config, precond=None):
             cap = linsolve.GmresConfig(config.restart, config.tol, 2)
-            results.append(linsolve.gmres(op, rhs, cap, precond=precond))
+            results.append(linsolve.gmres(op, rhs, cap, precond=None))
             return results[-1]
 
         monkeypatch.setattr(time_domain, "gmres", capped)
@@ -503,6 +508,44 @@ class TestLinearRecords:
         assert res.linear_unconverged == 0
         assert len(res.linear_solves) == len(res.matvecs) == 4
         assert all(m >= s >= 1 for s, m in zip(res.linear_solves, res.matvecs))
+
+    def test_simulation_records_factorizations(self):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = channel_time_case(mesh, mu=0.3, u_max=1.0, period=1.0, n_cycles=2, dt=0.1,
+                                 modulation=lambda t: 1.0 + 0.4 * np.sin(2 * np.pi * t))
+        runs = [run_time_simulation(case, mesh, report_groups=["xmax"]) for _ in range(2)]
+        res = runs[0]
+        assert len(res.factorizations) == len(res.matvecs) == 20
+        # the run factors at its first solve and reuses the factor after that
+        assert res.factorizations[0] == 1
+        assert 1 <= sum(res.factorizations) <= sum(res.linear_solves)
+        # the lagged factor lives in the run: a second run repeats every count
+        for key in ("newton_iters", "linear_solves", "matvecs", "factorizations"):
+            assert getattr(runs[1], key) == getattr(res, key)
+
+    def test_lone_step_factors_every_solve(self):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = channel_time_case(mesh)
+        step = generalized_alpha_step(case, mesh, TimeState.zeros(mesh.n_nodes, 2))
+        assert step.converged and step.linear_solves >= 1
+        assert step.factorizations == step.linear_solves
+
+    def test_lagged_factor_refactors_after_slow_solves(self):
+        rows, cols, _ = build_graph(np.array([[0, 1]]), 2)
+        blocks = np.where(rows == cols, 2.0, 1.0)[:, None, None]
+        local = linsolve.BlockMatrix(rows, cols, blocks, 2)
+        tangent = type("Tangent", (), {"local": local})()
+        pins = np.zeros(2, dtype=bool)
+        factor = LaggedFactor(refactor_above=4)
+        first = factor.precond(tangent, pins, None)
+        factor.solved(4)
+        assert factor.precond(tangent, pins, None) is first and factor.factorizations == 1
+        factor.solved(5)
+        assert factor.precond(tangent, pins, None) is not first and factor.factorizations == 2
+        every = LaggedFactor(refactor_above=None)
+        first = every.precond(tangent, pins, None)
+        every.solved(0)
+        assert every.precond(tangent, pins, None) is not first and every.factorizations == 2
 
     def test_simulation_counts_capped_updates(self, capped_gmres):
         mesh = generate_rect_tri((1.0, 1.0), (2, 2))
