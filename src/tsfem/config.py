@@ -65,8 +65,7 @@ _BC_KINDS = {"dirichlet", "noslip", "neumann", "parabolic_inflow"}
 _KNOWN_KEYS = {
     "physics": {"kind", "rho", "mu", "kappa", "omega", "n_modes", "backflow_beta",
                 "c_i", "velocity_modes", "galerkin_only"},
-    "solver": {"eps_nr", "eps_ls", "krylov_dim", "max_linear_iters", "pseudo_dt",
-               "max_steps", "time_max_linear_iters"},
+    "solver": {"eps_nr", "eps_ls", "krylov_dim", "max_linear_iters", "pseudo_dt", "max_steps"},
     "output": {"directory", "trace_samples", "fields_t_samples"},
 }
 # the physics values that must be numbers when given

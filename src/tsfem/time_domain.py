@@ -13,19 +13,21 @@ The convective velocity u_af, w_hat and tau are re-evaluated at every
 Newton iterate of a time step, and the Newton operator is their exact
 linearization: the local element blocks carry the convective reaction,
 the variation of the SUPG/PSPG test functions and of tau through u, and
-the dependence of tau on the global w_hat is a rank-one term applied in
-the matvec.  Each iteration assembles the residual first and builds the
-tangent from the same point fields only when a linear solve follows.  Each
-linear solve aims at the step's stopping test (forcing_tolerance), by GMRES
-preconditioned with the level LU factor of the local blocks
-(linsolve.level_lu_preconditioner).  A run keeps one factor across Newton
-iterations and steps (LaggedFactor) and refactors after a solve that took
-more than REFACTOR_MATVECS matvecs.  A linear solve that stagnates ends the
-step's Newton loop unconverged, with a warning.
+the dependence of tau on the global w_hat is a rank-one term.  The Newton
+updates are chord (modified-Newton) steps (Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, sec. 5.4): a run keeps one
+direct solve of a lagged Newton operator (LaggedFactor), the level LU
+factor of its local blocks (linsolve.level_lu_preconditioner) with the
+rank-one term added by the Sherman-Morrison formula, across Newton
+iterations and steps.  The tangent is built and factored only when there
+is no factor yet or the last update left the residual above
+REFACTOR_CONTRACTION times its value before it.  A step whose Newton loop
+ends unconverged warns.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -35,17 +37,14 @@ import numpy as np
 from .boundary import add_traction, check_groups, resolve_dirichlet
 from .linsolve import (
     BlockMatrix,
-    GmresConfig,
     SolverConfig,
     assembly_context,
     build_graph,
-    gmres,
     layout_pins,
     level_lu_preconditioner,
-    pinned_operator,
 )
-# not called here: benchmarks/tracing.py wraps this module's name of it
-from .linsolve import block_jacobi_preconditioner  # noqa: F401
+# not called here: benchmarks/tracing.py wraps this module's names of them
+from .linsolve import block_jacobi_preconditioner, gmres  # noqa: F401
 from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
 
 __all__ = [
@@ -54,9 +53,7 @@ __all__ = [
     "GenAlphaConfig",
     "TimeResult",
     "StepResult",
-    "FORCING_FACTOR",
-    "forcing_tolerance",
-    "REFACTOR_MATVECS",
+    "REFACTOR_CONTRACTION",
     "LaggedFactor",
     "time_tau",
     "omega_hat",
@@ -184,9 +181,9 @@ class TimeTangent:
     """Newton operator of a time step: the local blocks and the omega_hat term.
 
     omega_hat is a global functional of the state, so its part of the
-    Jacobian is the rank-one dR/d(omega_hat^2) (x) d(omega_hat^2)/dx, applied
-    in the matvec and left out of the level LU preconditioner, which
-    factors the local blocks only.
+    Jacobian is the rank-one dR/d(omega_hat^2) (x) d(omega_hat^2)/dx, which
+    matvec applies and LaggedFactor adds to the level LU factor of the
+    local blocks.
     """
 
     local: BlockMatrix
@@ -340,65 +337,72 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, wh
                        dr_dw2, dw2_dx)
 
 
-# The fraction of a time step's stopping threshold eps_nr * r0 that its Newton
-# systems are solved to.  sweep_bent's reference takes 583 Newton iterations on
-# seed 0 at 0.5, 587 at 0.9, 760 at eps_ls alone; 0.5 is faster at criterion 07.
-FORCING_FACTOR = 0.5
-
-
-def forcing_tolerance(config: SolverConfig, r0: float, rnorm: float) -> float:
-    """GMRES relative tolerance of a time-step Newton system with residual rnorm.
-
-    min(eps_ls, FORCING_FACTOR eps_nr r0 / rnorm), an inexact-Newton forcing
-    term (Eisenstat & Walker 1996) aimed at the step's stopping test; eps_ls
-    is the loosest tolerance allowed.
-    """
-    return min(config.eps_ls, FORCING_FACTOR * config.eps_nr * r0 / rnorm)
-
-
-# A run refactors its lagged level LU factor after a solve that took more than
-# this many GMRES matvecs.  On sweep_bent seed 0 the time reference takes
-# 2,253 matvecs and 2 factorizations at 8, and 1,364 matvecs and 20
-# factorizations, in about the same time, at 4; block-Jacobi took 11,015.
-REFACTOR_MATVECS = 8
+# A run keeps its lagged factor while each Newton update cuts the residual to
+# at most this fraction of its value before the update, and refactors after one
+# that does not.  On sweep_bent seed 0 the time reference makes 22 factors in
+# 830 Newton iterations at 0.25, 74 in 712 at 0.1, and 7 in 1,066 at 0.5, where
+# one step needs 9 of its 10 iterations; 0.25 is the fastest of the three.
+REFACTOR_CONTRACTION = 0.25
 
 
 class LaggedFactor:
-    """The level LU preconditioner of a sequence of time-step Newton systems.
+    """Direct solve of a lagged time-step Newton operator, kept across updates.
 
-    precond(tangent, pins, plan) returns the factor of the current one, and
-    factors tangent.local only when there is none or the last one went
-    stale; solved(matvecs) marks it stale when a solve took more than
-    refactor_above matvecs (REFACTOR_MATVECS), or always when refactor_above
-    is None.  factorizations counts the factors made.
+    factor(tangent, pins, plan, where) factors the pinned tangent.local by
+    level LU (plan is its LevelPlan) and caches, for the rank-one term
+    u v^T with u = dr_dw2 and v = dw2_dx, pinned slots of both zeroed,
+    z = L^-1 u and 1 + v.z; solve(rhs) then applies the exact inverse of
+    the pinned tangent by the Sherman-Morrison formula.  If that
+    denominator vanishes the rank-one term is dropped, with a warning that
+    names where.  contracted(ratio) takes ||r_k+1|| / ||r_k|| after an
+    update and marks the factor stale above contraction, or always when
+    contraction is None (exact Newton steps).  factorizations counts the
+    factors made.
     """
 
-    def __init__(self, refactor_above: Optional[int] = REFACTOR_MATVECS):
-        self.refactor_above = refactor_above
+    def __init__(self, contraction: Optional[float]):
+        self.contraction = contraction
         self.factorizations = 0
-        self._precond: Optional[Callable] = None
+        self._lu: Optional[Callable] = None
+        self._v = self._z_scaled = None
 
-    def precond(self, tangent: TimeTangent, pins: np.ndarray, plan) -> Callable:
-        if self._precond is None:
-            self._precond = level_lu_preconditioner(tangent.local, pins, plan)
-            self.factorizations += 1
-        return self._precond
+    @property
+    def stale(self) -> bool:
+        return self._lu is None
 
-    def solved(self, matvecs: int) -> None:
-        if self.refactor_above is None or matvecs > self.refactor_above:
-            self._precond = None
+    def factor(self, tangent: TimeTangent, pins: np.ndarray, plan, where: str) -> None:
+        self._lu = level_lu_preconditioner(tangent.local, pins, plan)
+        self.factorizations += 1
+        u, v = tangent.dr_dw2.ravel().copy(), tangent.dw2_dx.ravel().copy()
+        u[pins] = v[pins] = 0.0
+        z = self._lu(u)
+        vz = float(v @ z)
+        if abs(1.0 + vz) > np.finfo(float).eps * (1.0 + abs(vz)):
+            self._v, self._z_scaled = v, z / (1.0 + vz)
+        else:
+            self._v = self._z_scaled = None
+            warnings.warn(f"{where}: Sherman-Morrison denominator 1 + v.z = {1.0 + vz:.3e} "
+                          "vanished; omega_hat term left out of the factor")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = self._lu(rhs)
+        if self._v is not None:
+            x -= self._z_scaled * (self._v @ x)
+        return x
+
+    def contracted(self, ratio: float) -> None:
+        if self.contraction is None or ratio > self.contraction:
+            self._lu = None
 
 
 class StepResult(NamedTuple):
-    """One generalized-alpha step: the new state and its Newton and linear work."""
+    """One generalized-alpha step: the new state and its Newton work."""
 
     state: TimeState
     converged: bool
     newton_iters: int         # residual evaluations
-    linear_solves: int
-    matvecs: int
-    linear_unconverged: int   # updates applied while GMRES was above its tolerance
-    factorizations: int       # level LU factors made
+    linear_solves: int        # Newton updates, each a LaggedFactor solve
+    factorizations: int       # tangents built and factored
 
 
 def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
@@ -411,25 +415,23 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
 
     Newton iterations (at most max_newton residual evaluations) reduce the
     residual to eps_nr relative to its value r0 at the start of the step.
-    Each iteration assembles the residual first and builds the exact
-    tangent from the same point fields only when a linear solve follows,
-    so the converged last iteration costs a residual only.  GMRES solves
-    each system to forcing_tolerance, preconditioned by factor, which a
-    run keeps across its steps; without one, each solve is factored anew.
-    A linear solve that stagnates
-    (unconverged, with no residual reduction) is not applied: it ends the
-    Newton loop unconverged and warns.  One that stops above its tolerance
-    without stagnating (at the matvec cap) is applied, counted in
-    linear_unconverged and warned about.  The Dirichlet velocity is imposed
-    strongly at t_{n+1} with a rate-consistent boundary acceleration;
-    dirichlet_scale ramps the data during start-up.
+    Each update solves with factor, which a run keeps across its steps:
+    the exact tangent is built, from the residual's point fields, and
+    factored only when factor has none: at the first update, or after an
+    update that left the residual above its contraction times its value
+    before the update.
+    Without a factor, each update factors anew (LaggedFactor(None)), an
+    exact Newton step.  A step that ends unconverged warns with its
+    residual ratio.  The Dirichlet velocity is imposed strongly at t_{n+1}
+    with a rate-consistent boundary acceleration; dirichlet_scale ramps the
+    data during start-up.
     """
     if config is None:
-        config = SolverConfig(eps_ls=0.05)
+        config = SolverConfig()
     if gen_alpha is None:
         gen_alpha = GenAlphaConfig()
     if factor is None:
-        factor = LaggedFactor(refactor_above=None)
+        factor = LaggedFactor(None)
     factored = factor.factorizations
     am, af, gamma = gen_alpha.alpha_m, gen_alpha.alpha_f, gen_alpha.gamma
     dt = case.dt
@@ -452,9 +454,9 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                                - dt * state.accel[dir_nodes]) / (gamma * dt))
         vel_new[dir_nodes] = dir_vals
 
-    r0 = None
+    r0 = rprev = None
     converged = False
-    iters = solves = matvecs = unconverged = 0
+    iters = solves = 0
     for it in range(max_newton):
         iters = it + 1
         u_af = state.velocity + af * (vel_new - state.velocity)
@@ -466,39 +468,30 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         rnorm = float(np.linalg.norm(rr))
         if r0 is None:
             r0 = rnorm
+        else:
+            factor.contracted(rnorm / rprev)
         if rnorm <= config.eps_nr * r0 or r0 == 0.0:
             converged = True
             break
-        tangent = _time_tangent(case, mesh, fields, u_af, udot_am, what,
-                                alpha_m=am, fac=af * gamma * dt)
-        rhs = -rr.ravel()
-        rhs[pins] = 0.0
-        op = pinned_operator(tangent.matvec, pins)
-        tol = forcing_tolerance(config, r0, rnorm)
-        plan = assembly_context(mesh, build_graph).level_plan(dim + 1)
-        res = gmres(op, rhs, GmresConfig(config.krylov_dim, tol, config.max_linear_iters),
-                    precond=factor.precond(tangent, pins, plan))
-        factor.solved(res.matvecs)
-        solves, matvecs = solves + 1, matvecs + res.matvecs
-        if not res.converged and res.residuals[-1] >= res.residuals[0]:
-            warnings.warn(f"time step to t={t_new:.6g}: linear solver stagnated at "
-                          f"Newton iteration {iters} (matvecs {res.matvecs}, residual "
-                          f"{res.residuals[-1]:.3e}); update rejected, step unconverged")
-            break
-        if not res.converged:
-            unconverged += 1
-            warnings.warn(f"time step to t={t_new:.6g}: linear solver stopped above tolerance "
-                          f"{tol:.3e} at Newton iteration {iters} (matvecs {res.matvecs}, "
-                          f"residual {res.residuals[-1]:.3e}); update applied")
-        delta = res.x.reshape(mesh.n_nodes, dim + 1)
+        if factor.stale:
+            tangent = _time_tangent(case, mesh, fields, u_af, udot_am, what,
+                                    alpha_m=am, fac=af * gamma * dt)
+            factor.factor(tangent, pins, assembly_context(mesh, build_graph).level_plan(dim + 1),
+                          f"time step to t={t_new:.6g}")
+        delta = factor.solve(-rr.ravel()).reshape(mesh.n_nodes, dim + 1)
+        solves += 1
+        rprev = rnorm
         accel = accel + delta[:, :dim]
         pres = pres + delta[:, dim]
         vel_new = state.velocity + dt * ((1 - gamma) * state.accel + gamma * accel)
         if dir_nodes.size:
             vel_new[dir_nodes] = dir_vals
+    if not converged:
+        warnings.warn(f"time step to t={t_new:.6g}: Newton loop unconverged after {iters} "
+                      f"iterations, ||r||/r0 = {rnorm / r0:.3e}")
 
     return StepResult(TimeState(vel_new, accel, pres, t_new), converged, iters,
-                      solves, matvecs, unconverged, factor.factorizations - factored)
+                      solves, factor.factorizations - factored)
 
 
 @dataclass
@@ -511,10 +504,9 @@ class TimeResult:
     last_cycle_states: List[TimeState]
     newton_failures: int
     newton_iters: List[int]           # Newton iterations of each step
-    linear_solves: List[int]          # GMRES solves of each step
-    matvecs: List[int]                # GMRES matvecs of each step
-    linear_unconverged: int           # updates applied above their GMRES tolerance
-    factorizations: List[int]         # level LU factors made in each step
+    linear_solves: List[int]          # Newton updates of each step
+    factorizations: List[int]         # tangents built and factored in each step
+    step_seconds: List[float]         # wall time of each step
 
 
 def _flow_trace(state: TimeState, mesh: Mesh, groups):
@@ -539,13 +531,14 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     first ramp_steps steps to avoid an impulsive start; the transient is
     discarded through cycle-to-cycle convergence, reported as the relative
     L2 change of the flow traces between consecutive cycles.  The run's
-    Newton systems share one LaggedFactor.
+    Newton updates share one LaggedFactor, with the REFACTOR_CONTRACTION
+    of the call's time.
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")
     check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     if config is None:
-        config = SolverConfig(eps_ls=0.05)
+        config = SolverConfig()
     steps_per_cycle = int(round(case.period / case.dt))
     if abs(steps_per_cycle * case.dt - case.period) > 1e-10 * case.period:
         raise ValueError("dt must divide the period")
@@ -556,18 +549,18 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     times = []
     traces_q = {g: [] for g in report_groups}
     traces_p = {g: [] for g in report_groups}
-    # per step: converged, newton_iters, linear_solves, matvecs,
-    # linear_unconverged, factorizations
+    # per step: converged, newton_iters, linear_solves, factorizations, seconds
     records = []
-    factor = LaggedFactor()
+    factor = LaggedFactor(REFACTOR_CONTRACTION)
     last_states: List[TimeState] = []
     last_times: List[float] = []
     total = case.n_cycles * steps_per_cycle
     for step in range(total):
         scale = min(1.0, (step + 1) / ramp_steps) if ramp_steps else 1.0
+        start = time.perf_counter()
         state, *record = generalized_alpha_step(case, mesh, state, config, gen_alpha,
                                                 dirichlet_scale=scale, factor=factor)
-        records.append(record)
+        records.append(record + [time.perf_counter() - start])
         qs, ps = _flow_trace(state, mesh, report_groups)
         times.append(state.t)
         for g in report_groups:
@@ -589,11 +582,10 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
             den += np.sum(curr**2)
         cycle_change.append(float(np.sqrt(num / den)) if den > 0 else 0.0)
 
-    converged, newton_iters, linear_solves, matvecs, unconverged, factorizations = \
-        map(list, zip(*records))
+    converged, newton_iters, linear_solves, factorizations, seconds = map(list, zip(*records))
     return TimeResult(np.asarray(times),
                       {g: np.asarray(v) for g, v in traces_q.items()},
                       {g: np.asarray(v) for g, v in traces_p.items()},
                       cycle_change, np.asarray(last_times), last_states,
-                      converged.count(False), newton_iters, linear_solves, matvecs,
-                      sum(unconverged), factorizations)
+                      converged.count(False), newton_iters, linear_solves, factorizations,
+                      seconds)

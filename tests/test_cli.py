@@ -308,8 +308,6 @@ class TestSweep:
         sweep(path, tmp_path / "out")
         table = yaml.safe_load((tmp_path / "out" / "sweep.yaml").read_text())
         assert table["linear_solves_total"] == sum(results[0].linear_solves) > 0
-        assert table["matvecs_total"] == sum(results[0].matvecs) >= table["linear_solves_total"]
-        assert table["linear_unconverged"] == results[0].linear_unconverged == 0
         assert table["factorizations_total"] == sum(results[0].factorizations) >= 1
         assert table["reference_seconds"] > 0.0
         for row in table["rows"]:

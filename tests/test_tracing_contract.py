@@ -6,7 +6,8 @@ BlockTangent.matvec, ...) and sizes every matvec from the operator's
 arrays.  A refactor that moves one of these names would crash every
 benchmark run or silently zero its per-layer counts; this test runs a
 small spectral solve, with the backflow term on, and one time step under
-the traced recorder.
+the traced recorder.  The time step solves its Newton updates directly,
+so every GMRES call and matvec counted is the spectral solve's.
 """
 
 import importlib.util
@@ -69,8 +70,8 @@ def test_traced_recorder_counts_every_layer():
     assert c["linsolve.build_graph.calls"] == 1          # one scatter plan per mesh
     assert c["time_domain.step.calls"] == 1
     assert c["navier_stokes.linear_solves"] == len(result.linear_iters)
-    assert c["time_domain.linear_solves"] == step.linear_solves
-    assert c["linsolve.gmres.calls"] == len(result.linear_iters) + step.linear_solves
-    assert c["linsolve.gmres.matvecs"] == sum(result.linear_iters) + step.matvecs
+    assert c["time_domain.linear_solves"] == 0
+    assert c["linsolve.gmres.calls"] == len(result.linear_iters)
+    assert c["linsolve.gmres.matvecs"] == sum(result.linear_iters)
     # the wrappers are gone again
     assert "wrapper" not in tracing.navier_stokes.gmres.__name__
