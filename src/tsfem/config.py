@@ -220,18 +220,22 @@ def mode_table(entries, n_modes: int, what: str) -> np.ndarray:
     return SpectralCoeffs.from_positive_modes(pos).values
 
 
-def _bc_coeffs(bc: Dict[str, Any], key: str, n_modes: int, name: str):
-    """Modes from a table or from time samples; returns (values, truncation)."""
+def _bc_coeffs(bc: Dict[str, Any], key: str, n_modes: int, name: str,
+               truncation: Dict[str, float]) -> np.ndarray:
+    """Modes from a table or from time samples.
+
+    Sampled data records its relative truncation error in truncation[name].
+    """
     if f"{key}_modes" in bc:
-        return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}.{key}_modes"), None
+        return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}.{key}_modes")
     samples = _floats(bc[f"{key}_samples"], f"bcs.{name}.{key}_samples")
     coeffs = fourier_coefficients(samples, n_modes)
     t = np.arange(samples.size) / samples.size
     n = np.arange(-n_modes + 1, n_modes)
     recon = (np.exp(2j * np.pi * np.outer(t, n)) @ coeffs.values).real
     scale = np.linalg.norm(samples)
-    trunc = float(np.linalg.norm(samples - recon) / scale) if scale > 0 else 0.0
-    return coeffs.values, trunc
+    truncation[name] = float(np.linalg.norm(samples - recon) / scale) if scale > 0 else 0.0
+    return coeffs.values
 
 
 def _groups_of(bc: Dict[str, Any]) -> List[str]:
@@ -258,6 +262,7 @@ def build_case(config: CaseConfig, mesh: Mesh):
         raise ConfigError(errors)
 
     info: Dict[str, Any] = {"truncation": {}}
+    trunc = info["truncation"]
     if phys["kind"] == "scalar":
         dirichlet = {}
         neumann = {}
@@ -268,15 +273,9 @@ def build_case(config: CaseConfig, mesh: Mesh):
                     if kind == "noslip":
                         dirichlet[g] = np.zeros(m, dtype=complex)
                     else:
-                        vals, trunc = _bc_coeffs(bc, "phi", n_modes, name)
-                        dirichlet[g] = vals
-                        if trunc is not None:
-                            info["truncation"][name] = trunc
+                        dirichlet[g] = _bc_coeffs(bc, "phi", n_modes, name, trunc)
                 elif kind == "neumann":
-                    vals, trunc = _bc_coeffs(bc, "flux", n_modes, name)
-                    neumann[g] = vals
-                    if trunc is not None:
-                        info["truncation"][name] = trunc
+                    neumann[g] = _bc_coeffs(bc, "flux", n_modes, name, trunc)
                 else:
                     raise ConfigError([f"bcs.{name}: kind {kind!r} not valid "
                                        "for scalar physics"])
@@ -299,23 +298,14 @@ def build_case(config: CaseConfig, mesh: Mesh):
             if kind == "noslip":
                 walls.append(g)
             elif kind == "neumann":
-                vals, trunc = _bc_coeffs(bc, "h", n_modes, name)
-                neumann[g] = vals
-                if trunc is not None:
-                    info["truncation"][name] = trunc
+                neumann[g] = _bc_coeffs(bc, "h", n_modes, name, trunc)
             elif kind == "parabolic_inflow":
-                vals, trunc = _bc_coeffs(bc, "flow", n_modes, name)
+                vals = _bc_coeffs(bc, "flow", n_modes, name, trunc)
                 dirichlet[g] = parabolic_inflow(mesh, g, SpectralCoeffs(n_modes, vals))
-                if trunc is not None:
-                    info["truncation"][name] = trunc
             elif kind == "dirichlet":
-                vals, trunc = _bc_coeffs(bc, "velocity", n_modes, name)
                 arr = np.zeros((mesh.dim, m), dtype=complex)
-                axis = int(bc.get("axis", 0))
-                arr[axis] = vals
+                arr[int(bc.get("axis", 0))] = _bc_coeffs(bc, "velocity", n_modes, name, trunc)
                 dirichlet[g] = arr
-                if trunc is not None:
-                    info["truncation"][name] = trunc
     return _constructed(NSCase, rho=float(phys["rho"]), mu=float(phys["mu"]),
                         omega=float(phys["omega"]), n_modes=n_modes,
                         dirichlet=dirichlet, walls=walls, neumann=neumann,

@@ -5,7 +5,9 @@ functions.  The line parent is xi in [-1, 1]; triangles and tets use
 barycentric coordinates on the unit simplex.  Element geometry is affine,
 so physical shape gradients, the Jacobian determinant and the metric
 tensor G_ij = (dxi_k/dx_i)(dxi_k/dx_j) are constant per element and are
-precomputed once per mesh.
+precomputed once per mesh, with the volume quadrature tables that every
+element loop of the solvers reads (ElementData); no other module evaluates
+the volume rule or the shape functions itself.
 
 Boundary facets are grouped by name; each facet stores its node ids and
 the parent element, and the named groups partition the mesh boundary.
@@ -159,11 +161,15 @@ class Mesh:
 
 @dataclass(frozen=True)
 class ElementData:
-    """Per-element affine geometry: gradients, Jacobians, metric, size, mass.
+    """Per-element affine geometry and the volume quadrature tables.
 
     grads[e, A, i] = dN_A/dx_i, detj[e] > 0, metric[e] = J^{-T} J^{-1},
     h[e] = circumscribed-sphere diameter, mass[e, A, B] =
-    detj sum_q w_q N_A N_B (the element mass matrix).
+    detj sum_q w_q N_A N_B (the element mass matrix).  The tables every
+    element loop reads: basis[q, A] = N_A at quadrature point q (the same
+    for every element), wdetj[e, q] = detj w_q, n_int[e, A] =
+    detj sum_q w_q N_A, vol[e] = detj sum_q w_q (the element measure) and
+    gab[e, A, B] = grad N_A . grad N_B.
     """
 
     grads: np.ndarray
@@ -171,6 +177,11 @@ class ElementData:
     metric: np.ndarray
     h: np.ndarray
     mass: np.ndarray
+    basis: np.ndarray
+    wdetj: np.ndarray
+    n_int: np.ndarray
+    vol: np.ndarray
+    gab: np.ndarray
 
     @classmethod
     def build(cls, mesh: Mesh) -> "ElementData":
@@ -185,9 +196,11 @@ class ElementData:
         grads = np.einsum("ak,eki->eai", ref, jinv)
         metric = np.einsum("eki,ekj->eij", jinv, jinv)
         rule = quadrature_rule(mesh.elem_type)
-        shp = shape_values(mesh.elem_type, rule.points)
-        mass = detj[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights, shp, shp)
-        return cls(grads, detj, metric, _circumsphere_diameter(mesh, xe), mass)
+        basis = shape_values(mesh.elem_type, rule.points)
+        mass = detj[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights, basis, basis)
+        return cls(grads, detj, metric, _circumsphere_diameter(mesh, xe), mass, basis,
+                   np.outer(detj, rule.weights), np.outer(detj, rule.weights @ basis),
+                   detj * rule.weights.sum(), np.matmul(grads, grads.swapaxes(1, 2)))
 
 
 def _circumsphere_diameter(mesh: Mesh, xe: np.ndarray) -> np.ndarray:

@@ -31,13 +31,15 @@ independent of the pseudo steps taken.
 
 Assembly runs in the real orthonormal mode basis of spectral: the states
 are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
-sqrt2 Im z_n), and the kernels come from spectral_real, so every
-per-point product is a real matmul (real symmetric convolution matrices
-and tau, real skew Omega).  The assembled blocks and residual enter
-linsolve's layout of 2N-1 real slots per node and component by the
-diagonal scaling K_L[i, j] = K_O[i, j] s_i / s_j, with s = 1 for the
-steady mode and 1/sqrt2 otherwise.  The linear solve pins the Dirichlet
-velocity slots only.  States and assemble_ns_residual stay complex.
+sqrt2 Im z_n), and the kernels come from spectral_real: the velocity
+block K and its test weight from gls_operator, the element operator the
+scalar solver assembles too.  So every per-point product is a real
+matmul (real symmetric convolution matrices and tau, real skew Omega).
+The assembled blocks and residual enter linsolve's layout of 2N-1 real
+slots per node and component by the diagonal scaling
+K_L[i, j] = K_O[i, j] s_i / s_j, with s = 1 for the steady mode and
+1/sqrt2 otherwise.  The linear solve pins the Dirichlet velocity slots
+only.  States and assemble_ns_residual stay complex.
 
 Assembly runs over all elements of the mesh at once: it sums each
 element integrand over the quadrature points before scattering it once,
@@ -81,7 +83,7 @@ from .linsolve import (
     pinned_operator,
     rhs_from_orthonormal,
 )
-from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
+from .mesh import Mesh, c_i_for, facet_quadrature
 from .spectral import (
     SpectralCoeffs,
     modes_to_real,
@@ -93,6 +95,7 @@ from .spectral import (
 from .spectral_real import (
     build_omega,
     convolution_dense,
+    gls_operator,
     negative_part_batch,
     tau_from_modes,
 )
@@ -216,7 +219,7 @@ class _Linearization(NamedTuple):
     """What the residual pass keeps for the tangent pass of the same state."""
 
     vel: np.ndarray      # (n_nodes, dim, M) real coordinates of the velocity
-    vel_c: np.ndarray    # the velocity entering A_i, tau and the backflow operator
+    u_q: np.ndarray      # (n_qp, E, dim, M) the velocity entering A_i and tau, at each point
     taus: np.ndarray     # (n_qp, E, M, M) tau at each quadrature point
     z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
     backflow: dict       # per Neumann group, |A_n|_- at each facet quadrature point
@@ -239,15 +242,14 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)             # (n_qp, nen)
-    n_ref = rule.weights @ shp
+    shp = ed.basis                                               # (n_qp, nen)
+    n_qp = shp.shape[0]
     omega_t = build_omega(n, case.omega).T                      # row vectors: x Omega^T
     vel = modes_to_real(state.velocity)                          # (n_nodes, dim, M)
     pres = modes_to_real(state.pressure)                         # (n_nodes, M)
     vel_c = vel if coeff_state is None else modes_to_real(coeff_state.velocity)
 
-    elems, grads, detj = mesh.elements, ed.grads, ed.detj
+    elems, grads, n_int = mesh.elements, ed.grads, ed.n_int
     n_el, nen = elems.shape
     u_el = vel[elems].reshape(n_el, nen, dim * m)
     uc_el = vel_c[elems].reshape(n_el, nen, dim * m)
@@ -255,15 +257,16 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     # d u_i / d x_j at [e, j, i]
     grad_u = np.matmul(grads.swapaxes(1, 2), u_el).reshape(n_el, dim, dim, m)
     grad_p = np.matmul(grads.swapaxes(1, 2), p_el)         # (E, dim, M)
-    tau_q = np.empty((rule.n_points, n_el, m, m))
-    gal = np.empty((rule.n_points, n_el, dim, m))          # w (strong - Omega v)
-    wv = np.empty((rule.n_points, n_el, dim, m))           # w v
+    uc_q = np.empty((n_qp, n_el, dim, m))
+    tau_q = np.empty((n_qp, n_el, m, m))
+    gal = np.empty((n_qp, n_el, dim, m))                   # w (strong - Omega v)
+    wv = np.empty((n_qp, n_el, dim, m))                    # w v
     cv = np.zeros((n_el, dim, dim, m))                     # sum_q w C_j v_i at [e, j, i]
-    for q in range(rule.n_points):
-        w = (rule.weights[q] * detj)[:, None, None]
-        uc_q = (shp[q] @ uc_el).reshape(n_el, dim, m)
-        conv = convolution_dense(uc_q, n)                  # (E, dim, M, M), symmetric
-        tau_q[q] = tau_from_modes(uc_q, ed.metric, case.nu, c_i, n)
+    for q in range(n_qp):
+        w = ed.wdetj[:, q, None, None]
+        uc_q[q] = (shp[q] @ uc_el).reshape(n_el, dim, m)
+        conv = convolution_dense(uc_q[q], n)               # (E, dim, M, M), symmetric
+        tau_q[q] = tau_from_modes(uc_q[q], ed.metric, case.nu, c_i, n)
         strong = rho * ((shp[q] @ u_el).reshape(n_el, dim, m) @ omega_t
                         + np.matmul(grad_u, conv).sum(axis=1)) + grad_p
         v = np.matmul(strong, tau_q[q])
@@ -272,11 +275,9 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         cv += np.matmul(wv[q][:, None], conv)
     r_m = np.tensordot(shp, gal, axes=(0, 0)).transpose(1, 0, 2, 3)   # (E, nen, dim, M)
     r_m += np.matmul(grads, cv.reshape(n_el, dim, dim * m)).reshape(n_el, nen, dim, m)
-    n_int = np.outer(detj, n_ref)                          # sum_q w_q N_A
-    vol = detj * rule.weights.sum()
     p_int = np.einsum("eb,ebm->em", n_int, p_el)
     r_m -= n_int[:, :, None, None] * grad_p[:, None] + grads[..., None] * p_int[:, None, None]
-    r_m += (mu * vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
+    r_m += (mu * ed.vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
             ).reshape(n_el, nen, dim, m)
     div_u = np.einsum("eiim->em", grad_u)
     r_c = n_int[:, :, None] * div_u[:, None] + np.matmul(grads, wv.sum(axis=0)) / rho
@@ -292,7 +293,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _backflow_operators(case, mesh, vel_c)
     _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, None)
-    return rhs_from_orthonormal(resid), _Linearization(vel, vel_c, tau_q, z, backflow)
+    return rhs_from_orthonormal(resid), _Linearization(vel, uc_q, tau_q, z, backflow)
 
 
 def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
@@ -300,30 +301,20 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     """BlockTangent at the state of lin, without pseudo-time mass; tau from lin.
 
     The edge blocks hold the frozen-coefficient tangent: K, L and the
-    Galerkin gradient/divergence scalars.  With t_B(q) = N_B Omega +
-    A_j dN_B/dx_j the linearized strong residual of node B at point q,
-    and tau and the A_j symmetric and Omega skew, the least-squares weight
-    P_A(q) = (A_j dN_A/dx_j - N_A Omega) tau is the transpose of tau t_A(q).
-    So one array per point, the transposed test weight
-    S_A(q) = w (N_A I + P_A(q))^T = w (N_A I + tau t_A(q)), gives
-    K = rho sum_q S_A^T t_B plus the viscous term, and the least-squares
-    coupling: P_A = sum_q w P_A(q) in the momentum rows and
-    Q_B = sum_q w tau t_B(q) = P_B^T in the continuity rows.  exact_gd
-    scatters these edge-wise as g_full/d_full; newton (which needs
-    coeff_state None in the residual pass) keeps them per element in a
-    _NewtonElements operator, the rest of the derivative with tau held
+    Galerkin gradient/divergence scalars.  K and the transposed test weight
+    S_A(q) = w (N_A I + P_A(q))^T come from spectral_real.gls_operator,
+    and S gives the least-squares coupling: P_A = sum_q w P_A(q) in the
+    momentum rows and Q_B = sum_q w tau t_B(q) = P_B^T in the continuity
+    rows.  exact_gd scatters these edge-wise as g_full/d_full; newton (which
+    needs coeff_state None in the residual pass) keeps them per element in
+    a _NewtonElements operator, the rest of the derivative with tau held
     fixed.
     """
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
-    rho, mu = case.rho, case.mu
+    rho = case.rho
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)             # (n_qp, nen)
-    n_qp = rule.n_points
-    n_ref = rule.weights @ shp
-    omega_mat = build_omega(n, case.omega)
     diag = np.arange(m)
 
     n_edges = ctx.rows.shape[0]
@@ -334,39 +325,18 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
     d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
 
-    elems, grads, detj, tau_q = mesh.elements, ed.grads, ed.detj, lin.taus
+    elems, grads, tau_q, n_int = mesh.elements, ed.grads, lin.taus, ed.n_int
     n_el, nen = elems.shape
-    uc_el = lin.vel_c[elems].reshape(n_el, nen, dim * m)
-    w_q = np.outer(rule.weights, detj)                      # (n_qp, E)
-    t_st = np.empty((n_el, n_qp, m, nen, m))                # t_B(q)[s, c] at [e, q, s, B, c]
-    for q in range(n_qp):
-        conv = convolution_dense((shp[q] @ uc_el).reshape(n_el, dim, m), n)
-        a_dir = np.matmul(grads, conv.reshape(n_el, dim, m * m)).reshape(n_el, nen, m, m)
-        t_st[:, q] = a_dir.swapaxes(1, 2)
-        t_st[:, q] += shp[q][:, None] * omega_mat[:, None, :]
-    del conv, a_dir
-    w_tau = (w_q[:, :, None, None] * tau_q).swapaxes(0, 1)    # (E, n_qp, M, M)
-    # S_A(q)[r, c] at [e, (q, r), (A, c)]
-    s_w = np.matmul(w_tau, t_st.reshape(n_el, n_qp, m, nen * m)).reshape(n_el, -1, nen * m)
-    wn = w_q[:, :, None] * shp[:, None, :]                 # w N_A(q) at [q, e, A]
-    s_w.reshape(n_el, n_qp, m, nen, m)[:, :, diag, :, diag] += wn.transpose(1, 0, 2)[None]
-    k_el = np.matmul(s_w.swapaxes(1, 2), t_st.reshape(n_el, n_qp * m, nen * m))
-    del t_st
-    k_el *= rho
-    gab = np.matmul(grads, grads.swapaxes(1, 2))
-    vol = detj * rule.weights.sum()
-    k_el = k_el.reshape(n_el, nen, m, nen, m)
-    k_el[:, :, diag, :, diag] += (mu * vol[:, None, None] * gab)[None]
+    k_el, s_w = gls_operator(lin.u_q, tau_q, ed, case.omega, rho, case.mu)
     ctx.edges.add_to(k_c, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
     del k_el
-    tau_sum = np.einsum("qe,qerc->erc", w_q, tau_q)
-    ctx.edges.add_to(l_c, ((gab / rho)[..., None, None] * tau_sum[:, None, None])
+    tau_sum = np.einsum("eq,qerc->erc", ed.wdetj, tau_q)
+    ctx.edges.add_to(l_c, ((ed.gab / rho)[..., None, None] * tau_sum[:, None, None])
                      .reshape(-1, m, m))
-    n_int = np.outer(detj, n_ref)                          # sum_q w_q N_A
     ctx.edges.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
     ctx.edges.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
     # Q_B[r, c] = P_B[c, r] at [e, r, B, c]
-    u_sum = s_w.reshape(n_el, n_qp, m, nen, m).sum(axis=1)
+    u_sum = s_w.reshape(n_el, -1, m, nen, m).sum(axis=1)
     u_sum[:, diag, :, diag] -= n_int[None]
     if exact_gd:
         ctx.edges.add_to(g_c, np.einsum("ecar,ebi->eabirc", u_sum, grads)
@@ -376,14 +346,14 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     elements = None
     if newton:
         # T_B / rho = sum_q w N_B tau / rho, symmetric
-        t_rho = np.matmul(wn.transpose(1, 2, 0) / rho,
-                          tau_q.swapaxes(0, 1).reshape(n_el, n_qp, m * m))
+        wn = ed.wdetj[:, None, :] * ed.basis.T                # w N_B(q) at [e, B, q]
+        t_rho = np.matmul(wn / rho, tau_q.swapaxes(0, 1).reshape(n_el, -1, m * m))
         qt = np.concatenate([u_sum.transpose(0, 2, 3, 1), t_rho.reshape(n_el, nen, m, m)],
                             axis=1).reshape(n_el, 2 * nen * m, m)
         samples = real_basis(n).samples
         grad_u = np.einsum("eak,eaim->ikme", grads, lin.vel[elems])      # d u_i / d x_k
         z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
-        elements = _NewtonElements(mesh.n_nodes, n, shp, elems, ctx.nodes, grads,
+        elements = _NewtonElements(mesh.n_nodes, n, ed.basis, elems, ctx.nodes, grads,
                                    n_int[:, None, :, None], s_w, qt, samples @ (rho * grad_u),
                                    z_t.reshape(dim, -1, nen, n_el))
 

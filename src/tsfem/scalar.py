@@ -11,11 +11,13 @@ linear-solver level.
 
 Assembly runs in the real orthonormal mode basis, as for Navier-Stokes:
 velocity, source and Neumann modes are checked for conjugate symmetry
-where they enter and converted by modes_to_real, and the kernels come
-from spectral_real.  The solver maps the system to linsolve's layout of
-2N-1 real slots per node, (Re phi_0, Re phi_1, Im phi_1, ...), through
-block_from_orthonormal and rhs_from_orthonormal, and pins the Dirichlet
-nodes only.
+where they enter and converted by modes_to_real.  The element operator is
+the one the Navier-Stokes momentum block is built from,
+spectral_real.gls_operator with rho = 1 and mu = kappa, evaluated on the
+quadrature tables of the mesh's ElementData.  The solver maps the system
+to linsolve's layout of 2N-1 real slots per node, (Re phi_0, Re phi_1,
+Im phi_1, ...), through block_from_orthonormal and rhs_from_orthonormal,
+and pins the Dirichlet nodes only.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .linsolve import (
     pinned_operator,
     rhs_from_orthonormal,
 )
-from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
+from .mesh import Mesh, c_i_for, facet_quadrature
 from .spectral import (
     SpectralCoeffs,
     modes_to_real,
@@ -50,7 +52,7 @@ from .spectral import (
     require_conjugate_symmetry,
     symmetrize_modes,
 )
-from .spectral_real import build_omega, convolution_dense, negative_part_batch, tau_from_modes
+from .spectral_real import convolution_dense, gls_operator, negative_part_batch, tau_from_modes
 
 __all__ = [
     "ScalarCase",
@@ -101,21 +103,26 @@ class ScalarCase:
             require_conjugate_symmetry(self.velocity, "nodal velocity")
 
 
-def _velocity_at(case: ScalarCase, elems: np.ndarray, shape_q: np.ndarray,
-                 points: np.ndarray) -> np.ndarray:
-    """Complex velocity modes at one quadrature point of the given elements, (E, dim, M)."""
-    if callable(case.velocity):
-        return require_conjugate_symmetry(case.velocity(points), "velocity callable output")
-    return np.einsum("a,eadm->edm", shape_q, np.asarray(case.velocity, dtype=complex)[elems])
+def _at_points(fn: Callable, points: np.ndarray, what: str) -> np.ndarray:
+    """fn, which maps (P, dim) to (P, ..., M), at points (C, Q, dim) in one call: (C, Q, ..., M).
+
+    The output is checked for conjugate symmetry (ValueError names what).
+    """
+    out = require_conjugate_symmetry(fn(points.reshape(-1, points.shape[-1])), what)
+    return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
-def _facet_velocity(case: ScalarCase, fq) -> np.ndarray:
-    """Complex velocity modes at every facet quadrature point, (F, Q, dim, M)."""
+def _velocity(case: ScalarCase, points: np.ndarray, basis: np.ndarray,
+              nodes: np.ndarray) -> np.ndarray:
+    """Complex velocity modes at every quadrature point of some cells, (C, Q, dim, M).
+
+    points (C, Q, dim) are the physical points, basis (Q, k) the shape
+    values there and nodes (C, k) the node ids of the cells (elements or
+    facets).
+    """
     if callable(case.velocity):
-        u = case.velocity(fq.points.reshape(-1, fq.points.shape[-1]))
-        u = require_conjugate_symmetry(u, "velocity callable output")
-        return u.reshape(fq.points.shape[:2] + u.shape[1:])
-    return fq.interpolate(np.asarray(case.velocity, dtype=complex))
+        return _at_points(case.velocity, points, "velocity callable output")
+    return np.einsum("qa,ea...->eq...", basis, np.asarray(case.velocity, dtype=complex)[nodes])
 
 
 def _womersley_warning(case: ScalarCase, mesh: Mesh) -> None:
@@ -136,56 +143,32 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     in the orthonormal real mode coordinates: each block is the real form
     R(K) = Q K Q^H of the complex mode block K, and the rhs is
     modes_to_real of the complex one.  Dirichlet rows are left untouched;
-    they are pinned at the solver level.  The integrands are summed over
-    the quadrature points and scattered once through the mesh's cached
-    plans; the geometry-only Galerkin terms N_A N_B Omega and kappa gab
-    are formed from the element mass matrices of mesh.element_data() and
-    the element volume.
+    they are pinned at the solver level.  The element operator is the
+    Navier-Stokes momentum block's, spectral_real.gls_operator with rho = 1
+    and mu = kappa (zero tau for galerkin_only), from the velocity, source
+    and tau at all quadrature points at once; the source enters as s S
+    with the operator's test weight S.  The element arrays are scattered
+    once through the mesh's cached plans.
     """
     check_groups(mesh, dirichlet=case.dirichlet, neumann=case.neumann)
     _womersley_warning(case, mesh)
     n, m = case.n_modes, n_coeffs(case.n_modes)
-    c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
     blocks = np.zeros((ctx.rows.shape[0], m, m))
     rhs = np.zeros((mesh.n_nodes, m))
-    omega_mat = build_omega(n, case.omega)
-    eye = np.eye(m)
 
-    elems, grads, detj = mesh.elements, ed.grads, ed.detj
-    xe = mesh.coords[elems]
-    gab = np.einsum("eai,ebi->eab", grads, grads)
-    vol = detj * rule.weights.sum()
-    k_el = (ed.mass[..., None, None] * omega_mat
-            + (case.kappa * vol[:, None, None] * gab)[..., None, None] * eye)
-    r_el = np.zeros(elems.shape + (m,))
-    for q in range(rule.n_points):
-        w = rule.weights[q] * detj                           # (E,)
-        points = np.einsum("a,eai->ei", shp[q], xe)
-        uq = modes_to_real(_velocity_at(case, elems, shp[q], points))
-        conv = convolution_dense(uq, n)                      # (E, dim, M, M)
-        a_dir = np.einsum("ead,edrc->earc", grads, conv)     # (E, nen, M, M)
-        k_q = np.einsum("a,ebrc->eabrc", shp[q], a_dir)
-        if not case.galerkin_only:
-            tau = tau_from_modes(uq, ed.metric, case.kappa, c_i, n)
-            weight = -shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-            p_a = np.matmul(weight, tau[:, None])            # (E, nen, M, M)
-            trial = shp[q][None, :, None, None] * omega_mat[None, None] + a_dir
-            k_q = k_q + np.matmul(p_a[:, :, None], trial[:, None, :])
-        k_el += w[:, None, None, None, None] * k_q
-        if case.source is not None:
-            s = modes_to_real(require_conjugate_symmetry(case.source(points),
-                                                         "source callable output"))
-            r_q = np.einsum("a,em->eam", shp[q], s)
-            if not case.galerkin_only:
-                r_q = r_q + np.einsum("earc,ec->ear", p_a, s)
-            r_el += w[:, None, None] * r_q
-    ctx.edges.add_to(blocks, k_el.reshape(-1, m, m))
+    points = ed.basis @ mesh.coords[mesh.elements]                  # (E, Q, dim)
+    u_q = modes_to_real(_velocity(case, points, ed.basis, mesh.elements)).swapaxes(0, 1)
+    if case.galerkin_only:
+        taus = np.zeros(u_q.shape[:2] + (m, m))
+    else:
+        taus = tau_from_modes(u_q, ed.metric, case.kappa, c_i_for(mesh.elem_type, case.c_i), n)
+    k_el, s_w = gls_operator(u_q, taus, ed, case.omega, 1.0, case.kappa)
+    ctx.edges.add_to(blocks, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
     if case.source is not None:
-        ctx.nodes.add_to(rhs, r_el.reshape(-1, m))
+        s = modes_to_real(_at_points(case.source, points, "source callable output"))
+        ctx.nodes.add_to(rhs, np.matmul(s.reshape(mesh.n_elements, 1, -1), s_w).reshape(-1, m))
 
     # Neumann flux data
     for name, data in case.neumann.items():
@@ -201,7 +184,8 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     if case.backflow_beta > 0.0:
         for name in case.neumann:
             fq = facet_quadrature(mesh, name)
-            un = np.einsum("fqdm,fd->fqm", _facet_velocity(case, fq), fq.normals)
+            un = np.einsum("fqdm,fd->fqm", _velocity(case, fq.points, fq.shape, fq.nodes),
+                           fq.normals)
             an_neg = negative_part_batch(convolution_dense(modes_to_real(un), n))
             add_backflow(blocks, ctx, fq, -0.5 * case.backflow_beta, an_neg)
 
@@ -285,7 +269,8 @@ def coercivity_probe(case: ScalarCase, mesh: Mesh, w: np.ndarray) -> CoercivityR
     boundary = 0.0
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
-        un = np.einsum("fqdm,fd->fqm", _facet_velocity(case, fq), fq.normals)
+        un = np.einsum("fqdm,fd->fqm", _velocity(case, fq.points, fq.shape, fq.nodes),
+                       fq.normals)
         an = spectral.convolution_dense(un, n)
         eigs = np.linalg.eigvalsh(an)
         scale = max(np.max(np.abs(eigs)), 1.0)
@@ -298,26 +283,19 @@ def coercivity_probe(case: ScalarCase, mesh: Mesh, w: np.ndarray) -> CoercivityR
                                     np.conj(wq), an, wq).real
 
     ed = mesh.element_data()
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
-    omega_mat = spectral.build_omega(n, case.omega)
-    c_i = c_i_for(mesh.elem_type, case.c_i)
-    diffusion = 0.0
-    least_squares = 0.0
     we = w[mesh.elements]                                      # (E, nen, M)
     grad_w = np.einsum("ead,eam->edm", ed.grads, we)           # (E, dim, M)
-    for q in range(rule.n_points):
-        wq = rule.weights[q] * ed.detj
-        points = np.einsum("a,eai->ei", shp[q], mesh.coords[mesh.elements])
-        uq = _velocity_at(case, mesh.elements, shp[q], points)
-        conv = spectral.convolution_dense(uq, n)
-        w_at = np.einsum("a,eam->em", shp[q], we)
-        diffusion += case.kappa * np.einsum("e,edm,edm->", wq, np.conj(grad_w), grad_w).real
-        resid = np.einsum("rc,ec->er", omega_mat, w_at) \
-            + np.einsum("edrc,edc->er", conv, grad_w)
-        if not case.galerkin_only:
-            tau = spectral.tau_from_modes(uq, ed.metric, case.kappa, c_i, n)
-            least_squares += np.einsum("e,er,erc,ec->", wq, np.conj(resid), tau, resid).real
+    diffusion = case.kappa * np.einsum("e,edm,edm->", ed.vol, np.conj(grad_w), grad_w).real
+    least_squares = 0.0
+    if not case.galerkin_only:
+        points = ed.basis @ mesh.coords[mesh.elements]         # (E, Q, dim)
+        uq = _velocity(case, points, ed.basis, mesh.elements)
+        resid = np.einsum("rc,eqc->eqr", spectral.build_omega(n, case.omega), ed.basis @ we) \
+            + np.einsum("eqdrc,edc->eqr", spectral.convolution_dense(uq, n), grad_w)
+        tau = spectral.tau_from_modes(uq, ed.metric[:, None], case.kappa,
+                                      c_i_for(mesh.elem_type, case.c_i), n)
+        least_squares = np.einsum("eq,eqr,eqrc,eqc->", ed.wdetj, np.conj(resid), tau,
+                                  resid).real
 
     system, _ = assemble_scalar(case, mesh)
     r = modes_to_real(w).ravel()

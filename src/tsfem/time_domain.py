@@ -45,7 +45,7 @@ from .linsolve import (
 )
 # not called here: benchmarks/tracing.py wraps this module's names of them
 from .linsolve import block_jacobi_preconditioner, gmres  # noqa: F401
-from .mesh import Mesh, c_i_for, facet_quadrature, quadrature_rule, shape_values
+from .mesh import Mesh, c_i_for, facet_quadrature
 
 __all__ = [
     "TimeCase",
@@ -54,6 +54,7 @@ __all__ = [
     "TimeResult",
     "StepResult",
     "REFACTOR_CONTRACTION",
+    "ROUNDING_FLOOR",
     "LaggedFactor",
     "time_tau",
     "omega_hat",
@@ -167,13 +168,11 @@ class _PointFields(NamedTuple):
     """Point fields of every element, kept from the residual for the tangent."""
 
     uq: np.ndarray        # (E, Q, dim) velocity u_af
-    w: np.ndarray         # (E, Q) quadrature weight times detj
     tau: np.ndarray       # (E, Q)
     adv: np.ndarray       # (E, Q, nen) u . grad N_A
     strong: np.ndarray    # (E, Q, dim) strong momentum residual S_i
     test: np.ndarray      # (E, Q, nen) momentum test weight w (N_A + tau u . grad N_A)
     grad_u: np.ndarray    # (E, dim, dim) d u_i / d x_j at [e, j, i]
-    n_int: np.ndarray     # (E, nen) sum_q w_q N_A
 
 
 @dataclass
@@ -209,34 +208,29 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
     c_i = c_i_for(mesh.elem_type, case.c_i)
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
-    elems, grads, detj = mesh.elements, ed.grads, ed.detj
+    elems, grads, shp, w, n_int = mesh.elements, ed.grads, ed.basis, ed.wdetj, ed.n_int
     u_el = u_af[elems]
     p_el = pres[elems]
     grad_u = np.einsum("eaj,eai->eji", grads, u_el)       # d u_i / d x_j
     grad_p = np.einsum("eaj,ea->ej", grads, p_el)
     uq = shp @ u_el
     tau = time_tau(uq, what, ed.metric[:, None], nu, c_i)
-    w = np.outer(detj, rule.weights)
     adv = uq @ grads.transpose(0, 2, 1)
     inertia = rho * (shp @ udot_am[elems] + uq @ grad_u)
     strong = inertia + grad_p[:, None, :]
     wt = (w * tau)[..., None]
     test = w[..., None] * shp + wt * adv
-    n_int = np.outer(detj, rule.weights @ shp)            # sum_q w_q N_A
 
     p_int = np.einsum("ea,ea->e", n_int, p_el)            # sum_q w_q p
-    vol = detj * rule.weights.sum()
     r_m = (test.transpose(0, 2, 1) @ inertia
            + np.einsum("ea,ej->eaj", np.sum(wt * adv, axis=1), grad_p)
-           + mu * vol[:, None, None] * grads @ grad_u
+           + mu * ed.vol[:, None, None] * grads @ grad_u
            - grads * p_int[:, None, None])
     r_c = ((n_int * np.einsum("eii->e", grad_u)[:, None])[..., None]
            + grads @ np.sum(wt * strong, axis=1)[:, :, None] / rho)
     resid = np.zeros((mesh.n_nodes, dim + 1))
     ctx.nodes.add_to(resid, np.concatenate([r_m, r_c], axis=2).reshape(-1, dim + 1))
-    fields = _PointFields(uq, w, tau, adv, strong, test, grad_u, n_int)
+    fields = _PointFields(uq, tau, adv, strong, test, grad_u)
 
     for name, data in case.neumann.items():
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
@@ -266,8 +260,7 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, wh
     rho, mu = case.rho, case.mu
     ed = mesh.element_data()
     ctx = assembly_context(mesh, build_graph)
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
+    shp = ed.basis
     diag = np.arange(dim)
     blocks = np.zeros((ctx.rows.shape[0], dim + 1, dim + 1))
     dr_dw2 = np.zeros((mesh.n_nodes, dim + 1))
@@ -284,17 +277,15 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, wh
 
     grads = ed.grads
     n_el, nen = grads.shape[:2]
-    n_q = f.w.shape[1]
+    w, n_q = ed.wdetj, shp.shape[0]
     grads_t = grads.transpose(0, 2, 1)
     test_t = f.test.transpose(0, 2, 1)
     grad_u_t = f.grad_u.transpose(0, 2, 1)        # d u_i / d x_k at [e, i, k]
-    wt = f.w * f.tau
+    wt = w * f.tau
     trial = alpha_m * shp + fac * f.adv
-    gab = grads @ grads_t
-    vol = ed.detj * rule.weights.sum()
     gu = f.uq @ ed.metric                         # (G u)_k
     # w tau^3 times the SUPG and PSPG weights: d(w tau)/d(u.G.u) = -w tau^3 / 2
-    w3 = (f.w * f.tau**3)[..., None]
+    w3 = (w * f.tau**3)[..., None]
     w3_adv = w3 * f.adv
     w3_gs = w3 * (f.strong @ grads_t) / rho
     tau_s = (wt[..., None] * f.strong).transpose(0, 2, 1) @ shp   # sum_q w tau S_i N_B
@@ -313,18 +304,18 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, wh
     blk = np.empty((n_el, nen, nen, dim + 1, dim + 1))
     blk[..., :dim, :dim] = fac * vv
     blk[..., diag, diag] += (rho * (test_t @ trial)
-                             + fac * mu * vol[:, None, None] * gab)[..., None]
+                             + fac * mu * ed.vol[:, None, None] * ed.gab)[..., None]
     blk[..., :dim, dim] = ((wt[:, None] @ f.adv)[:, 0, :, None, None] * grads[:, None]
-                           - grads[:, :, None] * f.n_int[:, None, :, None])
+                           - grads[:, :, None] * ed.n_int[:, None, :, None])
     # continuity rows: Galerkin divergence, PSPG, the PSPG reaction and
     # the tau variation
     n_gu = (shp[:, :, None] * gu[:, :, None, :]).reshape(n_el, n_q, -1)
     blk[..., dim, :dim] = (
-        fac * f.n_int[:, :, None, None] * grads[:, None]
+        fac * ed.n_int[:, :, None, None] * grads[:, None]
         + grads[:, :, None] * (wt[:, None] @ trial)[:, 0, None, :, None]
         + fac * (grads @ grad_u_t)[:, :, None] * (wt @ shp)[:, None, :, None]
         - fac * (w3_gs.transpose(0, 2, 1) @ n_gu).reshape(n_el, nen, nen, dim))
-    blk[..., dim, dim] = gab * (np.sum(wt, axis=1) / rho)[:, None, None]
+    blk[..., dim, dim] = ed.gab * (np.sum(wt, axis=1) / rho)[:, None, None]
     ctx.edges.add_to(blocks, blk.reshape(-1, dim + 1, dim + 1))
 
     dr = np.concatenate([w3_adv.transpose(0, 2, 1) @ f.strong,
@@ -336,6 +327,12 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, wh
     return TimeTangent(BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes),
                        dr_dw2, dw2_dx)
 
+
+# A step converges once its free residual is at most this many rounding errors of the
+# full residual (with its Dirichlet rows), however small eps_nr r0: a steady state
+# starts each step at rounding level, where the free residual bottoms out at 1-2 eps
+# times the full one.
+ROUNDING_FLOOR = 16.0
 
 # A run keeps its lagged factor while each Newton update cuts the residual to
 # at most this fraction of its value before the update, and refactors after one
@@ -414,7 +411,9 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     """Advance one implicit step.
 
     Newton iterations (at most max_newton residual evaluations) reduce the
-    residual to eps_nr relative to its value r0 at the start of the step.
+    free residual to eps_nr relative to its value r0 at the start of the
+    step, or to ROUNDING_FLOOR rounding errors of the full residual,
+    whichever is larger.
     Each update solves with factor, which a run keeps across its steps:
     the exact tangent is built, from the residual's point fields, and
     factored only when factor has none: at the first update, or after an
@@ -470,7 +469,8 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
             r0 = rnorm
         else:
             factor.contracted(rnorm / rprev)
-        if rnorm <= config.eps_nr * r0 or r0 == 0.0:
+        floor = ROUNDING_FLOOR * np.finfo(float).eps * float(np.linalg.norm(resid))
+        if rnorm <= max(config.eps_nr * r0, floor):
             converged = True
             break
         if factor.stale:

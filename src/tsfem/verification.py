@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mesh import Mesh, c_i_for, quadrature_rule, shape_values
+from .mesh import Mesh, c_i_for
 from .spectral import convolution_dense, n_coeffs
 
 __all__ = [
@@ -97,22 +97,14 @@ def l2_error(field: np.ndarray, exact: Callable, mesh: Mesh) -> float:
     points (P, dim) to the same mode layout.
     """
     field = np.asarray(field, dtype=complex)
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
     ed = mesh.element_data()
-    fe = field[mesh.elements]
-    xe = mesh.coords[mesh.elements]
-    total = 0.0
-    for q in range(rule.n_points):
-        w = rule.weights[q] * ed.detj
-        points = np.einsum("a,eai->ei", shp[q], xe)
-        fh = np.einsum("a,eam->em", shp[q], fe)
-        fx = np.asarray(exact(points), dtype=complex)
-        if fx.shape != fh.shape:
-            raise ValueError(f"exact field has shape {fx.shape}, expected {fh.shape}")
-        diff = fh - fx
-        total += np.einsum("e,em,em->", w, np.conj(diff), diff).real
-    return float(np.sqrt(total))
+    points = (ed.basis @ mesh.coords[mesh.elements]).reshape(-1, mesh.dim)   # (E Q, dim)
+    fh = (ed.basis @ field[mesh.elements]).reshape(points.shape[0], -1)     # (E Q, M)
+    fx = np.asarray(exact(points), dtype=complex)
+    if fx.shape != fh.shape:
+        raise ValueError(f"exact field has shape {fx.shape}, expected {fh.shape}")
+    diff = fh - fx
+    return float(np.sqrt(np.einsum("p,pm,pm->", ed.wdetj.ravel(), np.conj(diff), diff).real))
 
 
 def observed_order(errors: Sequence[float], hs: Sequence[float]) -> float:
@@ -181,17 +173,14 @@ def diagnostics(case, mesh: Mesh, velocity=None) -> DiagnosticNumbers:
     if velocity is None:
         velocity = case.velocity
     ed = mesh.element_data()
-    rule = quadrature_rule(mesh.elem_type)
-    shp = shape_values(mesh.elem_type, rule.points)
-    xe = mesh.coords[mesh.elements]
+    points = ed.basis @ mesh.coords[mesh.elements]        # (E, Q, dim)
     gg = np.einsum("eij,eij->e", ed.metric, ed.metric)
     alpha_e = np.zeros(mesh.n_elements)
-    for q in range(rule.n_points):
-        points = np.einsum("a,eai->ei", shp[q], xe)
+    for q, shp_q in enumerate(ed.basis):
         if callable(velocity):
-            uq = np.asarray(velocity(points), dtype=complex)
+            uq = np.asarray(velocity(points[:, q]), dtype=complex)
         else:
-            uq = np.einsum("a,eadm->edm", shp[q],
+            uq = np.einsum("a,eadm->edm", shp_q,
                            np.asarray(velocity, dtype=complex)[mesh.elements])
         conv = convolution_dense(uq, n)
         arg = np.einsum("eij,eirs,ejst->ert", ed.metric, conv, conv)

@@ -159,6 +159,26 @@ class TestQuadrature:
                 assert abs(approx - exact) < 1e-15
 
 
+class TestElementTables:
+    """The quadrature tables of ElementData that every element loop reads."""
+
+    @pytest.mark.parametrize("mesh, measure", [
+        (generate_interval(2.0, 5), 2.0),
+        (generate_rect_tri((1.0, 0.7), (3, 2)), 0.7),
+        (generate_box_tet((1.0, 0.8, 0.6), (2, 2, 1)), 0.48),
+    ], ids=["line2", "tri3", "tet4"])
+    def test_invariants(self, mesh, measure):
+        ed = mesh.element_data()
+        rule = quadrature_rule(mesh.elem_type)
+        np.testing.assert_array_equal(ed.basis, shape_values(mesh.elem_type, rule.points))
+        np.testing.assert_allclose(ed.n_int.sum(axis=1), ed.vol, rtol=1e-14)
+        np.testing.assert_allclose(ed.wdetj.sum(axis=1), ed.vol, rtol=1e-14)
+        assert abs(ed.vol.sum() - measure) < 1e-14 * measure
+        scale = np.max(np.abs(ed.gab))
+        np.testing.assert_allclose(ed.gab, ed.gab.swapaxes(1, 2), rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(ed.gab.sum(axis=2), 0.0, rtol=0, atol=1e-14 * scale)
+
+
 class TestFacets:
     def test_cube_xmax_normal(self):
         mesh = generate_box_tet((1.0, 1.0, 1.0), (2, 2, 2))

@@ -17,11 +17,13 @@ from tsfem.linsolve import (
 from tsfem.mesh import (
     c_i_for,
     facet_quadrature,
+    generate_box_tet,
     generate_interval,
     generate_rect_tri,
     quadrature_rule,
     shape_values,
 )
+from tsfem.navier_stokes import NSCase, NSState, assemble_ns_tangent
 from tsfem.scalar import (
     CoercivityReport,
     ScalarCase,
@@ -513,6 +515,28 @@ class TestRealBasisAssembly:
         with_bf, _ = complex_assemble_scalar_oracle(case, mesh)
         without, _ = complex_assemble_scalar_oracle(no_backflow, mesh)
         assert np.max(np.abs(with_bf.blocks - without.blocks)) > 1e-3
+
+
+class TestSharedOperator:
+    """The scalar operator is the NS momentum block with rho = 1 and mu = kappa."""
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scalar_blocks_equal_ns_velocity_block(self, dim, n_modes):
+        rng = np.random.default_rng(10 * dim + n_modes)
+        m = n_coeffs(n_modes)
+        if dim == 2:
+            mesh = generate_rect_tri((1.0, 0.8), (3, 2))
+        else:
+            mesh = generate_box_tet((1.0, 0.8, 0.6), (2, 2, 1))
+        velocity = modes_from_real(rng.standard_normal((mesh.n_nodes, dim, m)))
+        case = ScalarCase(kappa=0.5, omega=0.2, n_modes=n_modes, velocity=velocity,
+                          dirichlet={"xmin": np.zeros(m, dtype=complex)})
+        ns_case = NSCase(rho=1.0, mu=0.5, omega=0.2, n_modes=n_modes)
+        state = NSState(velocity, np.zeros((mesh.n_nodes, m), dtype=complex))
+        got = block_from_orthonormal(assemble_scalar(case, mesh)[0].blocks)
+        ref = assemble_ns_tangent(ns_case, mesh, state).k_real
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSymmetryAtInput:
