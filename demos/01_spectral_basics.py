@@ -10,12 +10,10 @@ solvers is an inverse square root built on its eigenvalues.
 import numpy as np
 
 from tsfem.spectral import (
-    SpectralCoeffs,
-    build_convolution,
-    compute_tau,
-    evaluate_in_time,
+    convolution_dense,
+    evaluate_field_in_time,
     fourier_coefficients,
-    hermitian_eig,
+    tau_from_modes,
 )
 
 period = 0.8
@@ -28,22 +26,23 @@ print("modes 0..4:")
 for n in range(5):
     print(f"  n={n}: {coeffs.mode(n):+.4f}")
 
-recon = evaluate_in_time(coeffs, t, omega)
+recon = evaluate_field_in_time(coeffs.values, t, omega)
 print(f"round-trip max error: {np.max(np.abs(recon - signal)):.2e}")
 
 # convolution matrix of an unsteady velocity u(t) = 1 + 0.8 cos(w t)
 u = fourier_coefficients(1.0 + 0.8 * np.cos(omega * t), n_modes=3)
-conv = build_convolution(u)
+conv = convolution_dense(u.values, 3)
 print("\nconvolution matrix (N=3):")
-print(np.array2string(conv.dense(), precision=3, suppress_small=True))
+print(np.array2string(conv, precision=3, suppress_small=True))
 
-eigs, _ = hermitian_eig(conv.dense())
+eigs = np.linalg.eigvalsh(conv)
 print("eigenvalues (real, may be negative when the flow reverses):", np.round(eigs, 3))
 
-# stabilization matrix on a 1D element of size h
+# stabilization matrix on a 1D element of size h: tau_from_modes works on
+# stacks of points, here one point with one velocity direction
 h, kappa = 0.1, 0.05
 metric = np.array([[(2.0 / h) ** 2]])
-tau = compute_tau([conv], metric, kappa, c_i=9.0)
+tau = tau_from_modes(u.values[None, None], metric[None], kappa, c_i=9.0, n_modes=3)[0]
 tau_eigs = np.linalg.eigvalsh(tau)
 print(f"\ntau eigenvalues on h={h}: {np.round(tau_eigs, 5)} (all positive)")
 steady = ((2 * 1.0 / h) ** 2 + (12 * kappa / h**2) ** 2) ** -0.5

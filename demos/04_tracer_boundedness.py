@@ -34,7 +34,7 @@ for label, galerkin_only in (("GLS", False), ("Galerkin", True)):
 times = 2 * np.pi / omega * np.arange(64) / 64
 print("time-reconstructed concentration range over one period:")
 for label, sol in solutions.items():
-    recon = np.stack([evaluate_field_in_time(sol, t, omega) for t in times])
+    recon = evaluate_field_in_time(sol, times, omega)
     print(f"  {label:9s}: [{recon.min():+.3f}, {recon.max():+.3f}]"
           + ("   <- overshoot/undershoot" if recon.min() < -0.05
              or recon.max() > 1.05 else "   (bounded)"))

@@ -14,15 +14,12 @@ Subpackages:
 
 from .spectral import (
     SpectralCoeffs,
-    ConvolutionMatrix,
     fourier_coefficients,
-    evaluate_in_time,
-    build_convolution,
+    evaluate_field_in_time,
     build_omega,
     hermitian_eig,
     matrix_inv_sqrt,
     matrix_negative_part,
-    compute_tau,
 )
 from .mesh import (
     Mesh,

@@ -27,6 +27,7 @@ import yaml
 from .config import (
     CaseConfig,
     ConfigError,
+    _floats,
     build_case,
     build_mesh,
     build_solver_config,
@@ -45,7 +46,7 @@ from .spectral import (
     fourier_coefficients,
     n_coeffs,
 )
-from .time_domain import TimeCase, run_time_simulation
+from .time_domain import DivergedStepError, TimeCase, run_time_simulation
 from .verification import diagnostics, refinement_report
 
 __all__ = ["RunSummary", "run_case", "run", "sweep", "main"]
@@ -163,10 +164,8 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
         times = _trace_times(omega, trace_samples)
         columns: Dict[str, np.ndarray] = {}
         for g, d in report.items():
-            columns[f"Q_{g}"] = np.array(
-                [evaluate_field_in_time(d.flow.values, t, omega) for t in times])
-            columns[f"P_{g}"] = np.array(
-                [evaluate_field_in_time(d.pressure.values, t, omega) for t in times])
+            columns[f"Q_{g}"] = evaluate_field_in_time(d.flow.values, times, omega)
+            columns[f"P_{g}"] = evaluate_field_in_time(d.pressure.values, times, omega)
         trace_path = export_traces(times, columns, out_dir / "traces.csv")
         outputs.append(str(trace_path))
         t_samples = config.output.get("fields_t_samples")
@@ -186,7 +185,7 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
         sol = solve_scalar(case, mesh, solver_config)
         diag = diagnostics(case, mesh)
         times = _trace_times(omega, trace_samples)
-        recon = np.stack([evaluate_field_in_time(sol, t, omega) for t in times])
+        recon = evaluate_field_in_time(sol, times, omega)
         t_samples = config.output.get("fields_t_samples")
         if t_samples:
             paths = export_fields(mesh, t_samples, omega, out_dir, scalar=sol)
@@ -212,17 +211,6 @@ def run(config_path, out_dir=None) -> RunSummary:
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------
-
-def _waveform_from_samples(samples: np.ndarray, period: float, n_fit: int):
-    """Trigonometric interpolant of uniform periodic samples."""
-    coeffs = fourier_coefficients(samples, n_fit)
-    omega = 2 * np.pi / period
-
-    def waveform(t):
-        return evaluate_field_in_time(coeffs.values, float(t), omega)
-
-    return waveform
-
 
 # the keys the studies read; any other key is a typo
 _STUDY_KEYS = {"kind", "modes", "resolutions", "case", "reference", "directory"}
@@ -261,8 +249,20 @@ def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
     if errors:
         raise ConfigError(errors)
     config = config_from_mapping(study["case"])
-    if kind == "mode_sweep" and _sampled_inflow(config) is None:
-        raise ConfigError(["mode_sweep needs a parabolic_inflow bc with flow_samples"])
+    if kind == "mode_sweep":
+        inflow = _sampled_inflow(config)
+        if inflow is None:
+            raise ConfigError(["mode_sweep needs a parabolic_inflow bc with flow_samples"])
+        # the bcs _time_reference_case would drop: all but the inflow, noslip and zero neumann
+        dropped = [name for name, bc in config.bcs.items()
+                   if name != inflow and bc["kind"] != "noslip"
+                   and (bc["kind"] != "neumann"
+                        or any(np.any(_floats(value, f"bcs.{name}.{key}"))
+                               for key, value in bc.items()
+                               if key.endswith(("_modes", "_samples"))))]
+        if dropped:
+            raise ConfigError([f"bcs.{name}: the mode_sweep time reference takes only noslip, "
+                               f"zero neumann and the inflow {inflow!r}" for name in dropped])
     return config
 
 
@@ -278,8 +278,9 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
 
     The inflow's flow_samples (base must have such a bc, as _study_case
     checks) drive the same unit-flux parabolic profile through their
-    trigonometric interpolant; walls and traction-free outlets carry over;
-    dt_per_cycle and n_cycles come from ref_block.
+    trigonometric interpolant; walls and traction-free outlets carry over,
+    and _study_case rejects every other bc; dt_per_cycle and n_cycles come
+    from ref_block.
     """
     inflow_name = _sampled_inflow(base)
     samples = np.asarray(base.bcs[inflow_name]["flow_samples"], dtype=float)
@@ -288,7 +289,7 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     phys = base.physics
     period = 2 * np.pi / float(phys["omega"])
     n_fit = int(ref_block.get("n_fit", min(16, (samples.size + 2) // 4)))
-    waveform = _waveform_from_samples(samples, period, n_fit)
+    inflow_modes = fourier_coefficients(samples, n_fit).values
 
     # unit-flux inflow profile shared by both formulations
     unit = parabolic_inflow(mesh, base.bcs[inflow_name]["group"],
@@ -297,7 +298,7 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
 
     def time_inflow(coords, t):
         del coords
-        return profile * waveform(t)
+        return profile * evaluate_field_in_time(inflow_modes, t, 2 * np.pi / period)
 
     walls = []
     neumann_time = {}
@@ -331,7 +332,8 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     totals of its Newton updates (linear_solves_total, each a direct solve
     with a lagged factor) and of the tangents it built and factored.
     Each row's cost_ratio, the paper's cost measure, is its run's wall_time
-    (seconds) over that of the time reference run (reference_seconds).
+    (seconds) over that of the time reference run (reference_seconds); a
+    diverged time-reference step raises DivergedStepError before any output.
     """
     base = _study_case(study, "mode_sweep")
     out_dir = Path(out_dir)
@@ -362,8 +364,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
         summary = run_case(cfg, out_dir / f"n{n}")
         flow_modes = np.asarray(summary.flows[group]["flow_modes"], dtype=float)
         coeffs = SpectralCoeffs.from_positive_modes(flow_modes[:, 0] + 1j * flow_modes[:, 1])
-        q_spec = np.array([evaluate_field_in_time(coeffs.values, t, omega)
-                           for t in t_ref])
+        q_spec = evaluate_field_in_time(coeffs.values, t_ref, omega)
         scale = np.linalg.norm(q_ref_cycle)
         err = float(np.linalg.norm(q_spec - q_ref_cycle) / scale) if scale > 0 else 0.0
         rows.append({"n_modes": n, "truncation": summary.truncation[inflow_name],
@@ -510,6 +511,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
+    except DivergedStepError as err:
+        print(f"time reference diverged: {err}", file=sys.stderr)
+        return 1
     return 2
 
 

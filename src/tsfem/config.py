@@ -27,7 +27,7 @@ from .mesh import (
 )
 from .navier_stokes import NSCase, parabolic_inflow
 from .scalar import ScalarCase
-from .spectral import SpectralCoeffs, fourier_coefficients, n_coeffs
+from .spectral import SpectralCoeffs, evaluate_field_in_time, fourier_coefficients, n_coeffs
 
 __all__ = ["ConfigError", "CaseConfig", "parse_config", "config_from_mapping", "load_config",
            "serialize_config", "build_mesh", "build_case", "mode_table"]
@@ -230,9 +230,8 @@ def _bc_coeffs(bc: Dict[str, Any], key: str, n_modes: int, name: str,
         return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}.{key}_modes")
     samples = _floats(bc[f"{key}_samples"], f"bcs.{name}.{key}_samples")
     coeffs = fourier_coefficients(samples, n_modes)
-    t = np.arange(samples.size) / samples.size
-    n = np.arange(-n_modes + 1, n_modes)
-    recon = (np.exp(2j * np.pi * np.outer(t, n)) @ coeffs.values).real
+    recon = evaluate_field_in_time(coeffs.values, np.arange(samples.size) / samples.size,
+                                   2 * np.pi)
     scale = np.linalg.norm(samples)
     truncation[name] = float(np.linalg.norm(samples - recon) / scale) if scale > 0 else 0.0
     return coeffs.values

@@ -824,7 +824,46 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
     if not isinstance(op, BlockTangent):
         raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
                         "precondition a BlockMatrix with level_lu_preconditioner")
-    return _schur_jacobi(op, pins)
+    n, d, m = op.n_nodes, op.dim, op.n_slots
+    nv = d * m                                              # velocity slots per node
+    free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
+        else ~pins.reshape(n, d + 1, m)
+    if np.any(free[:, :d] != free[:, :1]):
+        raise ValueError("block_jacobi_preconditioner: the pins must pin every "
+                         "velocity direction of a node alike")
+    fv, fp = free[:, 0], free[:, d]
+    # build_graph pairs are unique: one self-edge per node
+    sel = np.flatnonzero(op.rows == op.cols)
+
+    def at_nodes(edge_blocks):
+        out = np.zeros((n,) + edge_blocks.shape[1:])
+        out[op.rows[sel]] = edge_blocks
+        return out
+
+    k = _pin_block(at_nodes(op.k_real[sel]), fv, fv, diagonal=True)
+    l_p = _pin_block(at_nodes(op.l_real[sel]), fp, fp, diagonal=True)
+    g = _pin_block(at_nodes(op._coupling(op.g_full, op.g_diag, sel)), fv[:, None], fp[:, None])
+    dv = _pin_block(at_nodes(op._coupling(op.d_full, op.d_diag, sel)), fp[:, None], fv[:, None])
+    d_row = dv.transpose(0, 2, 1, 3).reshape(n, m, nv)      # [D_1 ... D_d]
+    k_inv, k_singular = _invert_blocks(k)
+    kg = np.matmul(k_inv[:, None], g).reshape(n, nv, m)     # K^-1 G_i, stacked
+    s_inv, s_singular = _invert_blocks(l_p - np.matmul(d_row, kg))
+    for i in np.flatnonzero(k_singular | s_singular):
+        eye = np.eye(m) / _identity_scale(np.r_[np.diag(k[i]), np.diag(l_p[i])])
+        k_inv[i], s_inv[i], kg[i], d_row[i] = eye, eye, 0.0, 0.0
+        warnings.warn(f"singular nodal block at node {i}; using scaled identity")
+    k_inv_t = k_inv.swapaxes(1, 2)
+
+    def apply(x):
+        xr = np.asarray(x).reshape(n, d + 1, m)
+        w = np.matmul(xr[:, :d], k_inv_t).reshape(n, nv)   # K^-1 r_i
+        p = np.einsum("nij,nj->ni", s_inv, xr[:, d] - np.einsum("nij,nj->ni", d_row, w))
+        out = np.empty((n, d + 1, m))
+        out[:, :d] = (w - np.einsum("nij,nj->ni", kg, p)).reshape(n, d, m)
+        out[:, d] = p
+        return out.ravel()
+
+    return apply
 
 
 def level_lu_preconditioner(op: BlockMatrix, pins: np.ndarray | None = None,
@@ -885,49 +924,5 @@ def level_lu_preconditioner(op: BlockMatrix, pins: np.ndarray | None = None,
         for lev in range(n_lev - 2, -1, -1):
             by_level[lev] -= up[lev] @ by_level[lev + 1]
         return z.ravel()[slots]
-
-    return apply
-
-
-def _schur_jacobi(op: BlockTangent, pins: np.ndarray | None) -> Callable:
-    """Block-Jacobi apply of a BlockTangent by the pressure Schur complement."""
-    n, d, m = op.n_nodes, op.dim, op.n_slots
-    nv = d * m                                              # velocity slots per node
-    free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
-        else ~pins.reshape(n, d + 1, m)
-    if np.any(free[:, :d] != free[:, :1]):
-        raise ValueError("block_jacobi_preconditioner: the pins must pin every "
-                         "velocity direction of a node alike")
-    fv, fp = free[:, 0], free[:, d]
-    # build_graph pairs are unique: one self-edge per node
-    sel = np.flatnonzero(op.rows == op.cols)
-
-    def at_nodes(edge_blocks):
-        out = np.zeros((n,) + edge_blocks.shape[1:])
-        out[op.rows[sel]] = edge_blocks
-        return out
-
-    k = _pin_block(at_nodes(op.k_real[sel]), fv, fv, diagonal=True)
-    l_p = _pin_block(at_nodes(op.l_real[sel]), fp, fp, diagonal=True)
-    g = _pin_block(at_nodes(op._coupling(op.g_full, op.g_diag, sel)), fv[:, None], fp[:, None])
-    dv = _pin_block(at_nodes(op._coupling(op.d_full, op.d_diag, sel)), fp[:, None], fv[:, None])
-    d_row = dv.transpose(0, 2, 1, 3).reshape(n, m, nv)      # [D_1 ... D_d]
-    k_inv, k_singular = _invert_blocks(k)
-    kg = np.matmul(k_inv[:, None], g).reshape(n, nv, m)     # K^-1 G_i, stacked
-    s_inv, s_singular = _invert_blocks(l_p - np.matmul(d_row, kg))
-    for i in np.flatnonzero(k_singular | s_singular):
-        eye = np.eye(m) / _identity_scale(np.r_[np.diag(k[i]), np.diag(l_p[i])])
-        k_inv[i], s_inv[i], kg[i], d_row[i] = eye, eye, 0.0, 0.0
-        warnings.warn(f"singular nodal block at node {i}; using scaled identity")
-    k_inv_t = k_inv.swapaxes(1, 2)
-
-    def apply(x):
-        xr = np.asarray(x).reshape(n, d + 1, m)
-        w = np.matmul(xr[:, :d], k_inv_t).reshape(n, nv)   # K^-1 r_i
-        p = np.einsum("nij,nj->ni", s_inv, xr[:, d] - np.einsum("nij,nj->ni", d_row, w))
-        out = np.empty((n, d + 1, m))
-        out[:, :d] = (w - np.einsum("nij,nj->ni", kg, p)).reshape(n, d, m)
-        out[:, d] = p
-        return out.ravel()
 
     return apply

@@ -42,16 +42,13 @@ import numpy as np
 
 __all__ = [
     "SpectralCoeffs",
-    "ConvolutionMatrix",
     "EigenDecomposition",
     "fourier_coefficients",
-    "evaluate_in_time",
-    "build_convolution",
+    "evaluate_field_in_time",
     "build_omega",
     "hermitian_eig",
     "matrix_inv_sqrt",
     "matrix_negative_part",
-    "compute_tau",
     "convolution_dense",
     "tau_from_modes",
     "tau_from_conv",
@@ -188,25 +185,21 @@ def fourier_coefficients(samples: np.ndarray, n_modes: int) -> SpectralCoeffs:
     return SpectralCoeffs.from_positive_modes(pos)
 
 
-def evaluate_in_time(coeffs: SpectralCoeffs, t, omega: float):
-    """Reconstruct the real signal sum_n values[n] exp(i n w t) at time(s) t.
+def evaluate_field_in_time(values: np.ndarray, t, omega: float) -> np.ndarray:
+    """Real signal sum_n values[..., n] exp(i n w t) of modes with trailing axis 2N-1.
 
-    The imaginary residue of the complex sum vanishes by conjugate
-    symmetry; only the real part is returned.
+    t is a time or an array of times; the result has shape
+    t.shape + values.shape[:-1] (a numpy scalar for a scalar t and a
+    single mode vector).  The imaginary residue of the complex sum
+    vanishes by conjugate symmetry; only the real part is returned.
     """
-    t = np.asarray(t, dtype=float)
-    n = np.arange(-coeffs.n_modes + 1, coeffs.n_modes)
-    phase = np.exp(1j * omega * np.multiply.outer(t, n))
-    out = (phase @ coeffs.values).real
-    return float(out) if out.ndim == 0 else out
-
-
-def evaluate_field_in_time(values: np.ndarray, t: float, omega: float) -> np.ndarray:
-    """Real time reconstruction of a mode array with trailing axis 2N-1."""
     values = np.asarray(values, dtype=complex)
-    n_modes = (values.shape[-1] + 1) // 2
-    n = np.arange(-n_modes + 1, n_modes)
-    return (values @ np.exp(1j * omega * n * t)).real
+    t = np.asarray(t, dtype=float)
+    m = values.shape[-1]
+    n = np.arange(-(m // 2), m // 2 + 1)
+    phase = np.exp(np.multiply.outer(t, 1j * omega * n)).reshape(-1, m)   # (T, M)
+    out = np.moveaxis((values @ phase.T).real, -1, 0)                     # (T, ...)
+    return out.reshape(t.shape + values.shape[:-1])[()]
 
 
 def _band_indices(n_modes: int):
@@ -228,27 +221,6 @@ def convolution_dense(values: np.ndarray, n_modes: int) -> np.ndarray:
     dense = values[..., idx]
     dense[..., ~mask] = 0.0
     return dense
-
-
-@dataclass(frozen=True)
-class ConvolutionMatrix:
-    """Hermitian Toeplitz multiplication operator built from velocity modes.
-
-    Only the 2N-1 generating entries u_{-N+1}..u_{N-1} are stored; the
-    dense form is A_mn = u_{m-n} inside the band |m-n| < N and zero
-    outside, which makes the operator alias-free and Hermitian.
-    """
-
-    n_modes: int
-    entries: np.ndarray = field(repr=False)
-
-    def dense(self) -> np.ndarray:
-        return convolution_dense(self.entries, self.n_modes)
-
-
-def build_convolution(u_modes: SpectralCoeffs) -> ConvolutionMatrix:
-    """Convolution matrix of a spectral velocity component."""
-    return ConvolutionMatrix(u_modes.n_modes, u_modes.values.copy())
 
 
 def build_omega(n_modes: int, omega: float) -> np.ndarray:
@@ -366,33 +338,6 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
     """
     conv = convolution_dense(np.asarray(u_modes, dtype=complex), n_modes)
     return tau_from_conv(conv, metric, kappa, c_i)
-
-
-def compute_tau(conv, metric: np.ndarray, kappa: float, c_i: float) -> np.ndarray:
-    """Stabilization matrix at a single quadrature point.
-
-    Parameters
-    ----------
-    conv : sequence of ConvolutionMatrix (or dense generating vectors),
-        one per spatial direction
-    metric : (dim, dim) symmetric positive-definite metric tensor
-    kappa : diffusivity, >= 0
-    c_i : element-type constant weighting the diffusive limit
-    """
-    mats = list(conv)
-    n_modes = mats[0].n_modes if isinstance(mats[0], ConvolutionMatrix) else None
-    if n_modes is None:
-        raise TypeError("conv must contain ConvolutionMatrix instances")
-    metric = np.asarray(metric, dtype=float)
-    dim = len(mats)
-    if metric.shape != (dim, dim):
-        raise ValueError(f"metric shape {metric.shape} does not match {dim} directions")
-    if np.linalg.norm(metric - metric.T) > 1e-12 * np.linalg.norm(metric):
-        raise ValueError("metric tensor must be symmetric")
-    if np.linalg.eigvalsh(metric)[0] <= 0.0:
-        raise ValueError("metric tensor must be positive definite")
-    u = np.stack([m.entries for m in mats])
-    return tau_from_modes(u[None], metric[None], kappa, c_i, n_modes)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ rank-one term added by the Sherman-Morrison formula, across Newton
 iterations and steps.  The tangent is built and factored only when there
 is no factor yet or the last update left the residual above
 REFACTOR_CONTRACTION times its value before it.  A step whose Newton loop
-ends unconverged warns.
+ends unconverged warns, and one that diverges raises DivergedStepError.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "GenAlphaConfig",
     "TimeResult",
     "StepResult",
+    "DivergedStepError",
     "REFACTOR_CONTRACTION",
     "ROUNDING_FLOOR",
     "LaggedFactor",
@@ -392,6 +393,10 @@ class LaggedFactor:
             self._lu = None
 
 
+class DivergedStepError(RuntimeError):
+    """A time step diverged: its message names the step's end time t."""
+
+
 class StepResult(NamedTuple):
     """One generalized-alpha step: the new state and its Newton work."""
 
@@ -421,9 +426,10 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     before the update.
     Without a factor, each update factors anew (LaggedFactor(None)), an
     exact Newton step.  A step that ends unconverged warns with its
-    residual ratio.  The Dirichlet velocity is imposed strongly at t_{n+1}
-    with a rate-consistent boundary acceleration; dirichlet_scale ramps the
-    data during start-up.
+    residual ratio ||r||/r0; a ratio above 1 or not finite, or a new state
+    that is not finite, raises DivergedStepError.  The Dirichlet velocity
+    is imposed strongly at t_{n+1} with a rate-consistent boundary
+    acceleration; dirichlet_scale ramps the data during start-up.
     """
     if config is None:
         config = SolverConfig()
@@ -486,9 +492,15 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         vel_new = state.velocity + dt * ((1 - gamma) * state.accel + gamma * accel)
         if dir_nodes.size:
             vel_new[dir_nodes] = dir_vals
+    if not all(np.all(np.isfinite(a)) for a in (vel_new, accel, pres)):
+        raise DivergedStepError(f"time step to t={t_new:.6g}: the new state is not finite")
     if not converged:
-        warnings.warn(f"time step to t={t_new:.6g}: Newton loop unconverged after {iters} "
-                      f"iterations, ||r||/r0 = {rnorm / r0:.3e}")
+        outcome = "unconverged" if rnorm <= r0 else "diverged"    # NaN fails <=
+        message = (f"time step to t={t_new:.6g}: Newton loop {outcome} after {iters} "
+                   f"iterations, ||r||/r0 = {rnorm / r0:.3e}")
+        if outcome == "diverged":
+            raise DivergedStepError(message)
+        warnings.warn(message)
 
     return StepResult(TimeState(vel_new, accel, pres, t_new), converged, iters,
                       solves, factor.factorizations - factored)
@@ -532,7 +544,7 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     discarded through cycle-to-cycle convergence, reported as the relative
     L2 change of the flow traces between consecutive cycles.  The run's
     Newton updates share one LaggedFactor, with the REFACTOR_CONTRACTION
-    of the call's time.
+    of the call's time.  A step's DivergedStepError stops the run.
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")

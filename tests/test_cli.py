@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import tsfem.cli as cli
+import tsfem.time_domain as time_domain
 from tsfem.cli import main, run_case, sweep
 from tsfem.config import (
     CaseConfig,
@@ -17,7 +18,7 @@ from tsfem.config import (
     parse_config,
     serialize_config,
 )
-from tsfem.spectral import SpectralCoeffs, evaluate_in_time
+from tsfem.spectral import SpectralCoeffs, evaluate_field_in_time
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
@@ -148,7 +149,7 @@ class TestRun:
         omega = float(config.physics["omega"])
         for row in rows[:8]:
             assert row[col] == pytest.approx(
-                evaluate_in_time(coeffs, row[0], omega), abs=1e-12)
+                evaluate_field_in_time(coeffs.values, row[0], omega), abs=1e-12)
 
     def test_unwritable_output_dir_fails_before_solve(self, tmp_path):
         config = load_config(CONFIG_DIR / "tracer_1d.yaml")
@@ -383,6 +384,43 @@ class TestSweep:
             assert main(argv) == 2, argv[0]
             assert "parabolic_inflow bc with flow_samples" in capsys.readouterr().err, argv[0]
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("name, bc", [
+        ("lid", {"group": "zmax", "kind": "dirichlet", "velocity_modes": [[0.0, 0.0]]}),
+        ("jet", {"group": "zmax", "kind": "parabolic_inflow", "flow_modes": [[0.1, 0.0]]}),
+        ("outlet", {"group": "xmax", "kind": "neumann", "h_modes": [[2.0, 0.0]]}),
+        ("outlet", {"group": "xmax", "kind": "neumann", "h_samples": [0.5] + [0.0] * 11})])
+    def test_mode_sweep_rejects_bcs_the_reference_drops(self, tmp_path, capsys, name, bc):
+        raw = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        bcs = raw["study"]["case"]["bcs"]
+        bcs["walls"]["groups"] = ["ymin", "ymax", "zmin"]
+        bcs[name] = bc
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        for argv in (["validate-config", str(path)],
+                     ["sweep", str(path), "--output-dir", str(out)]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"bcs.{name}: the mode_sweep time reference takes only" in err
+        assert not out.exists()
+
+    def test_sweep_exits_1_on_a_diverged_reference(self, tmp_path, capsys, monkeypatch):
+        # Newton updates of -3 times the Newton step grow the residual of the first step
+        solve = time_domain.LaggedFactor.solve
+        monkeypatch.setattr(time_domain.LaggedFactor, "solve",
+                            lambda self, rhs: -3.0 * solve(self, rhs))
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "time step to t=" in err and "diverged" in err
+        assert not (out / "sweep.yaml").exists()
 
 
 class TestMainEntry:

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from tsfem.spectral import (
     SpectralCoeffs,
-    build_convolution,
     build_omega,
     check_conjugate_symmetry,
-    compute_tau,
     convolution_dense,
-    evaluate_in_time,
+    evaluate_field_in_time,
     fourier_coefficients,
     hermitian_eig,
     matrix_inv_sqrt,
@@ -116,20 +114,21 @@ class TestEvaluateInTime:
     def test_steady_mode(self):
         c = SpectralCoeffs(3, np.array([0, 0, 1, 0, 0], dtype=complex))
         for t in (0.0, 0.3, 1.7):
-            assert evaluate_in_time(c, t, 2 * np.pi) == pytest.approx(1.0)
+            assert evaluate_field_in_time(c.values, t, 2 * np.pi) == pytest.approx(1.0)
 
     def test_cosine_values(self):
         c = SpectralCoeffs(2, np.array([0.5, 0, 0.5], dtype=complex))
         omega = 2 * np.pi  # T = 1
-        assert evaluate_in_time(c, 0.0, omega) == pytest.approx(1.0)
-        assert evaluate_in_time(c, 0.5, omega) == pytest.approx(-1.0)
+        assert evaluate_field_in_time(c.values, 0.0, omega) == pytest.approx(1.0)
+        assert evaluate_field_in_time(c.values, 0.5, omega) == pytest.approx(-1.0)
 
     def test_round_trip(self):
         omega = 2 * np.pi / 0.8
         t = 0.8 * np.arange(40) / 40
         signal = 0.7 + np.cos(omega * t) - 0.4 * np.sin(3 * omega * t)
         c = fourier_coefficients(signal, 5)
-        np.testing.assert_allclose(evaluate_in_time(c, t, omega), signal, atol=1e-10)
+        np.testing.assert_allclose(evaluate_field_in_time(c.values, t, omega), signal,
+                                   atol=1e-10)
 
     def test_imaginary_residue_property(self):
         # complex-sum residue stays at rounding level for 100 random times
@@ -139,13 +138,49 @@ class TestEvaluateInTime:
             n = np.arange(-3, 4)
             vals = np.exp(1j * 1.3 * np.outer(t, n)) @ c.values
             assert np.max(np.abs(vals.imag)) <= 1e-13 * np.linalg.norm(c.values)
-            np.testing.assert_allclose(evaluate_in_time(c, t, 1.3), vals.real, atol=1e-13)
+            np.testing.assert_allclose(evaluate_field_in_time(c.values, t, 1.3), vals.real,
+                                       atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_modes=st.integers(1, 6), batch=st.lists(st.integers(1, 3), max_size=2),
+           t_shape=st.lists(st.integers(1, 4), max_size=2), seed=st.integers(0, 2**32 - 1))
+    def test_array_times_stack_scalar_calls(self, n_modes, batch, t_shape, seed):
+        rng = np.random.default_rng(seed)
+        values, _ = random_point_states(rng, 1, 1, n_modes)
+        values = values[0, 0] * rng.standard_normal(tuple(batch) + (1,))
+        t = rng.uniform(-5.0, 5.0, size=tuple(t_shape))
+        got = evaluate_field_in_time(values, t, 1.7)
+        assert got.shape == t.shape + values.shape[:-1]
+        stack = np.array([evaluate_field_in_time(values, ti, 1.7) for ti in t.ravel()])
+        np.testing.assert_allclose(got, stack.reshape(got.shape), rtol=0,
+                                   atol=1e-13 * np.abs(values).sum(axis=-1).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_modes=st.integers(1, 6), extra=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+    def test_samples_round_trip_band_limited_signals(self, n_modes, extra, seed):
+        # f(t) = a_0 + sum_{0<n<N} a_n cos(n w t) + b_n sin(n w t), sampled over one period
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, n_modes))
+        omega = rng.uniform(0.1, 10.0)
+        n = np.arange(1, n_modes)
+
+        def signal(t):
+            wt = omega * np.multiply.outer(t, n)
+            return a[0] + np.cos(wt) @ a[1:] + np.sin(wt) @ b[1:]
+
+        n_samp = 2 * (2 * n_modes - 1) + extra
+        coeffs = fourier_coefficients(signal(2 * np.pi / omega * np.arange(n_samp) / n_samp),
+                                      n_modes)
+        t = rng.uniform(-10.0, 10.0, size=20)
+        scale = np.abs(a).sum() + np.abs(b).sum()
+        np.testing.assert_allclose(evaluate_field_in_time(coeffs.values, t, omega), signal(t),
+                                   rtol=0, atol=1e-12 * scale)
 
 
 class TestConvolution:
     def test_steady_flow_is_scaled_identity(self):
         c = SpectralCoeffs(3, np.array([0, 0, 2.5, 0, 0], dtype=complex))
-        np.testing.assert_array_equal(build_convolution(c).dense(), 2.5 * np.eye(5))
+        np.testing.assert_array_equal(convolution_dense(c.values, 3), 2.5 * np.eye(5))
 
     def test_n2_band_layout(self):
         u0, u1 = 1.2, 0.3 - 0.7j
@@ -155,12 +190,12 @@ class TestConvolution:
             [u1, u0, np.conj(u1)],
             [0, u1, u0],
         ])
-        np.testing.assert_array_equal(build_convolution(c).dense(), expected)
+        np.testing.assert_array_equal(convolution_dense(c.values, 2), expected)
 
     def test_matches_index_fill_oracle(self):
         n = 3
         c = random_modes(n)
-        dense = build_convolution(c).dense()
+        dense = convolution_dense(c.values, n)
         m = 2 * n - 1
         for r in range(m):
             for col in range(m):
@@ -171,7 +206,7 @@ class TestConvolution:
 
     def test_hermitian_and_banded_property(self):
         for n in (1, 2, 4, 6):
-            dense = build_convolution(random_modes(n)).dense()
+            dense = convolution_dense(random_modes(n).values, n)
             np.testing.assert_allclose(dense, dense.conj().T, atol=0)
             m = 2 * n - 1
             for r in range(m):
@@ -220,7 +255,7 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=float))
 
     def test_toeplitz_vs_charpoly_roots(self):
-        h = build_convolution(random_modes(3)).dense()
+        h = convolution_dense(random_modes(3).values, 3)
         w, _ = hermitian_eig(h)
         roots = np.roots(charpoly_coefficients(h))
         np.testing.assert_allclose(np.sort(roots.real), w, atol=1e-9)
@@ -229,7 +264,7 @@ class TestHermitianEig:
     def test_ordering_and_unitarity_property(self):
         for n in (2, 3, 5):
             for _ in range(20):
-                h = build_convolution(random_modes(n)).dense()
+                h = convolution_dense(random_modes(n).values, n)
                 w, v = hermitian_eig(h)
                 assert np.all(np.diff(w) >= -1e-14)
                 m = 2 * n - 1
@@ -272,7 +307,7 @@ class TestMatrixNegativePart:
         np.testing.assert_allclose(out, np.diag([0.0, -3.0, 0.0]), atol=1e-14)
 
     def test_random_clipping(self):
-        h = build_convolution(random_modes(3)).dense()
+        h = convolution_dense(random_modes(3).values, 3)
         w, v = np.linalg.eigh(h)
         expected = (v * np.minimum(w, 0.0)) @ v.conj().T
         np.testing.assert_allclose(matrix_negative_part(h), expected, atol=1e-12)
@@ -283,21 +318,21 @@ def centrosymmetry_defect(tau):
 
 
 class TestComputeTau:
+    """tau at single points, through the batched tau_from_modes."""
+
     def test_1d_steady_nodally_exact_form(self):
         # linear element of size h: G = (2/h)^2, C_I = 9
         h, u, kappa = 0.35, 1.4, 0.02
-        conv = build_convolution(SpectralCoeffs(2, np.array([0, u, 0], dtype=complex)))
         g = np.array([[(2.0 / h) ** 2]])
-        tau = compute_tau([conv], g, kappa, 9.0)
+        tau = tau_from_modes(np.array([[[0, u, 0]]]), g[None], kappa, 9.0, 2)[0]
         expected = ((2 * u / h) ** 2 + (12 * kappa / h**2) ** 2) ** -0.5
         np.testing.assert_allclose(tau, expected * np.eye(3), atol=1e-14)
 
     def test_zero_velocity(self):
         n = 3
-        conv = build_convolution(SpectralCoeffs.zeros(n))
         g = np.array([[2.0, 0.3], [0.3, 1.0]])
         kappa, c_i = 0.7, 3.0
-        tau = compute_tau([conv, conv], g, kappa, c_i)
+        tau = tau_from_modes(np.zeros((1, 2, 2 * n - 1)), g[None], kappa, c_i, n)[0]
         expected = 1.0 / (np.sqrt(c_i) * kappa * np.sqrt(np.sum(g * g)))
         np.testing.assert_allclose(tau, expected * np.eye(2 * n - 1), atol=1e-13)
 
@@ -305,17 +340,15 @@ class TestComputeTau:
         # tau = V diag([(2*lam/h)^2 + (12 kappa/h^2)^2]^(-1/2)) V^H
         n, h, kappa = 3, 0.25, 0.05
         u = random_modes(n, scale=0.8)
-        conv = build_convolution(u)
         g = np.array([[(2.0 / h) ** 2]])
-        tau = compute_tau([conv], g, kappa, 9.0)
-        lam, vec = scipy.linalg.eigh(conv.dense())
+        tau = tau_from_modes(u.values[None, None], g[None], kappa, 9.0, n)[0]
+        lam, vec = scipy.linalg.eigh(convolution_dense(u.values, n))
         tilde = ((2 * lam / h) ** 2 + (12 * kappa / h**2) ** 2) ** -0.5
         np.testing.assert_allclose(tau, (vec * tilde) @ vec.conj().T, atol=1e-12)
 
     def test_singular_argument_rejected(self):
-        conv = build_convolution(SpectralCoeffs.zeros(2))
         with pytest.raises(ValueError, match="singular"):
-            compute_tau([conv], np.array([[4.0]]), 0.0, 9.0)
+            tau_from_modes(np.zeros((1, 1, 3)), np.array([[[4.0]]]), 0.0, 9.0, 2)
 
     def test_property_suite(self):
         rng = np.random.default_rng(7)

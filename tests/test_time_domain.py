@@ -18,10 +18,11 @@ from tsfem.mesh import (
     shape_values,
 )
 from tsfem.navier_stokes import NSCase, solve_ns
-from tsfem.spectral import SpectralCoeffs, build_convolution, compute_tau
+from tsfem.spectral import tau_from_modes
 from tsfem.time_domain import (
     _time_residual,
     _time_tangent,
+    DivergedStepError,
     GenAlphaConfig,
     LaggedFactor,
     TimeCase,
@@ -56,9 +57,7 @@ class TestTimeTau:
         g = np.array([[3.0, 0.4], [0.4, 2.0]])
         nu, c_i = 0.05, 3.0
         got = time_tau(u, 0.0, g, nu, c_i)
-        conv = [build_convolution(SpectralCoeffs(1, np.array([ui], dtype=complex)))
-                for ui in u]
-        ref = compute_tau(conv, g, nu, c_i)[0, 0].real
+        ref = tau_from_modes(u[None, :, None], g[None], nu, c_i, 1)[0, 0, 0].real
         assert got == pytest.approx(ref, rel=1e-13)
 
     def test_zero_velocity_zero_frequency(self):
@@ -579,6 +578,23 @@ class TestNewtonUnconverged:
             new, ok, iters, solves, _ = generalized_alpha_step(case, mesh, state, max_newton=2)
         assert not ok and iters == solves == 2
         assert np.max(np.abs(new.pressure)) > 0.0   # the updates were applied
+
+    @pytest.mark.parametrize("scale, max_newton, message", [
+        (-3.0, 10, r"Newton loop diverged after 10 iterations, \|\|r\|\|/r0 = \S+e\+\d\d$"),
+        (np.nan, 1, "the new state is not finite$")])
+    def test_diverged_step_raises_naming_t(self, monkeypatch, scale, max_newton, message):
+        # updates that grow the residual (-3 Newton steps), or poison the state after
+        # the last residual evaluation (nan with max_newton 1)
+        solve = time_domain.LaggedFactor.solve
+        monkeypatch.setattr(time_domain.LaggedFactor, "solve",
+                            lambda self, rhs: scale * solve(self, rhs))
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = channel_time_case(mesh)
+        with pytest.raises(DivergedStepError, match=r"t=0\.1: " + message):
+            generalized_alpha_step(case, mesh, TimeState.zeros(mesh.n_nodes, 2),
+                                   max_newton=max_newton)
+        with pytest.raises(DivergedStepError, match=r"t=0\.1: "):
+            run_time_simulation(case, mesh, report_groups=["xmax"])
 
     def test_simulation_counts_unconverged_steps(self, monkeypatch):
         # every update takes 5% of the Newton step, so no step converges in 10 iterations
