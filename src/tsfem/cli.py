@@ -28,6 +28,7 @@ from .config import (
     CaseConfig,
     ConfigError,
     _floats,
+    _groups_of,
     build_case,
     build_mesh,
     build_solver_config,
@@ -38,7 +39,7 @@ from .config import (
 from .io import export_fields, export_mesh_vtk, export_traces
 from .linsolve import SolverConfig
 from .mesh import save_mesh
-from .navier_stokes import NSCase, flow_report, parabolic_inflow, solve_ns
+from .navier_stokes import NSCase, UpdateRecord, flow_report, parabolic_inflow, solve_ns
 from .scalar import solve_scalar
 from .spectral import (
     SpectralCoeffs,
@@ -52,15 +53,25 @@ from .verification import diagnostics, refinement_report
 __all__ = ["RunSummary", "run_case", "run", "sweep", "main"]
 
 
+# One row per UpdateRecord field written out: its summary.yaml key, the field,
+# and the title, width and format of its run -v column.
+_UPDATE_COLUMNS = (
+    ("pseudo_dts", "pseudo_dt", "pseudo_dt", 10, ".3e"),
+    ("linear_iters", "matvecs", "matvecs", 7, "d"),
+    ("linear_residuals", "linear_residual", "linear_res", 10, ".3e"),
+    ("assembly_s", "assembly_s", "assembly_s", 10, ".4f"),
+    ("linear_s", "linear_s", "linear_s", 9, ".4f"),
+)
+
+
 @dataclass
 class RunSummary:
     """What summary.yaml records of one run.
 
     For flow cases, residuals holds the residual norm before each Newton
-    step, and pseudo_dts, linear_iters and linear_residuals the pseudo step,
-    GMRES matvecs and relative linear residual reached of each update, and
-    assembly_s and linear_s its seconds in assembly and in the linear solve;
-    linear_unconverged counts the updates GMRES left above eps_ls.
+    step and updates the UpdateRecord of each update; summary.yaml lists
+    the _UPDATE_COLUMNS of the updates, and as linear_unconverged the count
+    of updates GMRES left above eps_ls.
     """
 
     kind: str
@@ -74,24 +85,17 @@ class RunSummary:
     truncation: Dict[str, float] = field(default_factory=dict)
     field_range: Optional[List[float]] = None
     outputs: List[str] = field(default_factory=list)
-    pseudo_dts: List[float] = field(default_factory=list)
-    linear_iters: List[int] = field(default_factory=list)
-    linear_unconverged: int = 0
-    linear_residuals: List[float] = field(default_factory=list)
-    assembly_s: List[float] = field(default_factory=list)
-    linear_s: List[float] = field(default_factory=list)
+    updates: List[UpdateRecord] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
+        columns = {key: [(int if fmt == "d" else float)(getattr(u, name)) for u in self.updates]
+                   for key, name, _, _, fmt in _UPDATE_COLUMNS}
         return {
             "kind": self.kind, "converged": bool(self.converged),
             "steps": int(self.steps),
             "residuals": [float(r) for r in self.residuals],
-            "pseudo_dts": [float(dt) for dt in self.pseudo_dts],
-            "linear_iters": [int(n) for n in self.linear_iters],
-            "linear_residuals": [float(r) for r in self.linear_residuals],
-            "linear_unconverged": int(self.linear_unconverged),
-            "assembly_s": [float(t) for t in self.assembly_s],
-            "linear_s": [float(t) for t in self.linear_s],
+            **columns,
+            "linear_unconverged": sum(not u.linear_converged for u in self.updates),
             "wall_time": float(self.wall_time),
             "alpha": float(self.alpha), "beta": float(self.beta),
             "flows": self.flows, "truncation": self.truncation,
@@ -99,22 +103,18 @@ class RunSummary:
         }
 
     def step_table(self) -> str:
-        """One line per Newton step: residual, pseudo_dt, GMRES matvecs, the
-        relative linear residual GMRES reached, and the seconds in assembly
-        and in the linear solve.
+        """One line per Newton step: its residual and the _UPDATE_COLUMNS of its update.
 
         The last step of a converged run made no update and shows "-".
         """
-        lines = [f"{'step':>4}  {'residual':>10}  {'pseudo_dt':>10}  {'matvecs':>7}  "
-                 f"{'linear_res':>10}  {'assembly_s':>10}  {'linear_s':>9}"]
+        lines = ["  ".join([f"{'step':>4}", f"{'residual':>10}"]
+                           + [f"{title:>{width}}" for _, _, title, width, _ in _UPDATE_COLUMNS])]
         for k, r in enumerate(self.residuals):
-            if k < len(self.pseudo_dts):
-                lines.append(f"{k:>4}  {r:>10.3e}  {self.pseudo_dts[k]:>10.3e}  "
-                             f"{self.linear_iters[k]:>7d}  {self.linear_residuals[k]:>10.3e}  "
-                             f"{self.assembly_s[k]:>10.4f}  {self.linear_s[k]:>9.4f}")
-            else:
-                lines.append(f"{k:>4}  {r:>10.3e}  {'-':>10}  {'-':>7}  {'-':>10}  "
-                             f"{'-':>10}  {'-':>9}")
+            cells = [f"{k:>4}", f"{r:>10.3e}"]
+            for _, name, _, width, fmt in _UPDATE_COLUMNS:
+                cells.append(f"{getattr(self.updates[k], name):>{width}{fmt}}"
+                             if k < len(self.updates) else f"{'-':>{width}}")
+            lines.append("  ".join(cells))
         return "\n".join(lines)
 
 
@@ -174,13 +174,9 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
                                   velocity=result.state.velocity,
                                   pressure=result.state.pressure)
             outputs.extend(str(p) for p in paths)
-        summary = RunSummary("ns", result.converged, result.steps,
-                             result.residuals, time.perf_counter() - t0,
-                             diag.alpha, diag.beta, flows,
-                             info.get("truncation", {}), None, outputs,
-                             result.pseudo_dts, result.linear_iters,
-                             result.linear_unconverged, result.linear_residuals,
-                             result.assembly_s, result.linear_s)
+        summary = RunSummary("ns", result.converged, result.steps, result.residuals,
+                             time.perf_counter() - t0, diag.alpha, diag.beta, flows,
+                             info.get("truncation", {}), outputs=outputs, updates=result.updates)
     else:
         sol = solve_scalar(case, mesh, solver_config)
         diag = diagnostics(case, mesh)
@@ -190,9 +186,8 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
         if t_samples:
             paths = export_fields(mesh, t_samples, omega, out_dir, scalar=sol)
             outputs.extend(str(p) for p in paths)
-        summary = RunSummary("scalar", True, 1, [], time.perf_counter() - t0,
-                             diag.alpha, diag.beta, {},
-                             info.get("truncation", {}),
+        summary = RunSummary("scalar", True, 1, [], time.perf_counter() - t0, diag.alpha,
+                             diag.beta, {}, info.get("truncation", {}),
                              [float(recon.min()), float(recon.max())], outputs)
 
     with open(out_dir / "summary.yaml", "w") as fh:
@@ -250,39 +245,47 @@ def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
         raise ConfigError(errors)
     config = config_from_mapping(study["case"])
     if kind == "mode_sweep":
-        inflow = _sampled_inflow(config)
-        if inflow is None:
-            raise ConfigError(["mode_sweep needs a parabolic_inflow bc with flow_samples"])
-        # the bcs _time_reference_case would drop: all but the inflow, noslip and zero neumann
-        dropped = [name for name, bc in config.bcs.items()
-                   if name != inflow and bc["kind"] != "noslip"
-                   and (bc["kind"] != "neumann"
-                        or any(np.any(_floats(value, f"bcs.{name}.{key}"))
-                               for key, value in bc.items()
-                               if key.endswith(("_modes", "_samples"))))]
-        if dropped:
-            raise ConfigError([f"bcs.{name}: the mode_sweep time reference takes only noslip, "
-                               f"zero neumann and the inflow {inflow!r}" for name in dropped])
+        _reference_bcs(config)
     return config
 
 
-def _sampled_inflow(config: CaseConfig) -> str | None:
-    """Name of the last parabolic_inflow bc given by flow_samples, None if there is none."""
-    names = [name for name, bc in config.bcs.items()
-             if bc.get("kind") == "parabolic_inflow" and "flow_samples" in bc]
-    return names[-1] if names else None
+def _reference_bcs(config: CaseConfig):
+    """(inflow bc name, wall groups, zero-traction groups) of the mode-sweep time reference.
+
+    The inflow is the last parabolic_inflow bc given by flow_samples, the walls are the
+    noslip bcs' groups and the zero-traction groups those of all-zero neumann bcs.  No
+    such inflow, or any other bc, is a ConfigError.
+    """
+    inflows = [name for name, bc in config.bcs.items()
+               if bc["kind"] == "parabolic_inflow" and "flow_samples" in bc]
+    if not inflows:
+        raise ConfigError(["mode_sweep needs a parabolic_inflow bc with flow_samples"])
+    inflow = inflows[-1]
+    walls, zero_traction, dropped = [], [], []
+    for name, bc in config.bcs.items():
+        if bc["kind"] == "noslip":
+            walls += _groups_of(bc)
+        elif bc["kind"] == "neumann" and not any(
+                np.any(_floats(value, f"bcs.{name}.{key}"))
+                for key, value in bc.items() if key.endswith(("_modes", "_samples"))):
+            zero_traction += _groups_of(bc)
+        elif name != inflow:
+            dropped.append(name)
+    if dropped:
+        raise ConfigError([f"bcs.{name}: the mode_sweep time reference takes only noslip, "
+                           f"zero neumann and the inflow {inflow!r}" for name in dropped])
+    return inflow, walls, zero_traction
 
 
 def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     """The time-domain counterpart of a mode-sweep case; returns (case, mesh, inflow bc name).
 
-    The inflow's flow_samples (base must have such a bc, as _study_case
-    checks) drive the same unit-flux parabolic profile through their
-    trigonometric interpolant; walls and traction-free outlets carry over,
-    and _study_case rejects every other bc; dt_per_cycle and n_cycles come
-    from ref_block.
+    The bcs carried over are those of _reference_bcs: the inflow's
+    flow_samples drive the same unit-flux parabolic profile through their
+    trigonometric interpolant, and walls and traction-free outlets carry
+    over.  dt_per_cycle and n_cycles come from ref_block.
     """
-    inflow_name = _sampled_inflow(base)
+    inflow_name, walls, zero_traction = _reference_bcs(base)
     samples = np.asarray(base.bcs[inflow_name]["flow_samples"], dtype=float)
 
     mesh = build_mesh(base.mesh)
@@ -300,20 +303,12 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
         del coords
         return profile * evaluate_field_in_time(inflow_modes, t, 2 * np.pi / period)
 
-    walls = []
-    neumann_time = {}
-    for name, bc in base.bcs.items():
-        if bc.get("kind") == "noslip":
-            walls.extend(bc.get("groups", [bc.get("group")]))
-        if bc.get("kind") == "neumann":
-            for g in ([bc["group"]] if "group" in bc else bc["groups"]):
-                neumann_time[g] = lambda t: 0.0
-
     steps = int(ref_block.get("dt_per_cycle", 160))
     tcase = TimeCase(rho=float(phys["rho"]), mu=float(phys["mu"]), period=period,
                      n_cycles=int(ref_block.get("n_cycles", 4)), dt=period / steps,
                      dirichlet={base.bcs[inflow_name]["group"]: time_inflow},
-                     walls=walls, neumann=neumann_time, c_i=phys.get("c_i"))
+                     walls=walls, neumann={g: lambda t: 0.0 for g in zero_traction},
+                     c_i=phys.get("c_i"))
     return tcase, mesh, inflow_name
 
 

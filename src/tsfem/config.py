@@ -60,7 +60,12 @@ _GENERATOR_KEYS = {"interval": ("length", "resolution"),
                    "rect_tri": ("extents", "resolution"),
                    "box_tet": ("extents", "resolution"),
                    "bent_channel": ("extents", "resolution")}
-_BC_KINDS = {"dirichlet", "noslip", "neumann", "parabolic_inflow"}
+# The boundary data each (physics kind, bc kind) reads, given as <prefix>_modes
+# or <prefix>_samples; noslip reads none.  A flow dirichlet bc also reads axis.
+_BC_DATA = {("scalar", "dirichlet"): "phi", ("scalar", "neumann"): "flux",
+            ("scalar", "noslip"): None, ("ns", "dirichlet"): "velocity",
+            ("ns", "neumann"): "h", ("ns", "parabolic_inflow"): "flow", ("ns", "noslip"): None}
+_BC_KINDS = {bc_kind for _, bc_kind in _BC_DATA}
 # the keys the case builders and the runner read; any other key is a typo
 _KNOWN_KEYS = {
     "physics": {"kind", "rho", "mu", "kappa", "omega", "n_modes", "backflow_beta",
@@ -133,13 +138,19 @@ def config_from_mapping(raw: Any) -> CaseConfig:
             continue
         if "group" not in bc and "groups" not in bc:
             errors.append(f"bcs.{name} needs 'group' or 'groups'")
-        data_keys = [k for k in bc if k.endswith("_modes") or k.endswith("_samples")]
-        if kind_bc == "noslip":
-            if data_keys:
-                errors.append(f"bcs.{name}: noslip takes no data")
-        elif len(data_keys) != 1:
-            errors.append(f"bcs.{name}: give exactly one of a *_modes table "
-                          f"or *_samples list (got {data_keys})")
+        if (kind, kind_bc) not in _BC_DATA:     # an invalid physics kind is reported above
+            if kind in ("ns", "scalar"):
+                errors.append(f"bcs.{name}: kind {kind_bc!r} not valid for {kind} physics")
+            continue
+        prefix = _BC_DATA[kind, kind_bc]
+        data = [f"{prefix}_modes", f"{prefix}_samples"] if prefix else []
+        known = {"kind", "group", "groups", *data}
+        if (kind, kind_bc) == ("ns", "dirichlet"):
+            known.add("axis")
+        errors += [f"unknown key bcs.{name}.{key}; known keys: {sorted(known)}"
+                   for key in sorted(set(bc) - known, key=str)]
+        if data and sum(key in bc for key in data) != 1:
+            errors.append(f"bcs.{name}: give exactly one of {data[0]} or {data[1]}")
 
     solver = dict(raw.get("solver", {}))
     output = dict(raw.get("output", {}))
@@ -161,17 +172,15 @@ def serialize_config(config: CaseConfig) -> str:
     return yaml.safe_dump(config.normalized(), sort_keys=True)
 
 
-def build_mesh(mesh_block: Dict[str, Any], base_dir: Path | None = None) -> Mesh:
+def build_mesh(mesh_block: Dict[str, Any]) -> Mesh:
     """The mesh a mesh block loads or generates.
 
-    A key its generator reads that is missing gives a ConfigError naming
+    A relative mesh.path resolves against the working directory.  A key
+    its generator reads that is missing gives a ConfigError naming
     mesh.<key>.
     """
     if "path" in mesh_block:
-        path = Path(mesh_block["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_mesh(path)
+        return load_mesh(Path(mesh_block["path"]))
     gen = mesh_block.get("generator")
     if gen not in _GENERATOR_KEYS:
         raise ConfigError([f"unknown mesh generator {gen!r}; "
@@ -220,16 +229,20 @@ def mode_table(entries, n_modes: int, what: str) -> np.ndarray:
     return SpectralCoeffs.from_positive_modes(pos).values
 
 
-def _bc_coeffs(bc: Dict[str, Any], key: str, n_modes: int, name: str,
+def _bc_coeffs(bc: Dict[str, Any], physics_kind: str, n_modes: int, name: str,
                truncation: Dict[str, float]) -> np.ndarray:
-    """Modes from a table or from time samples.
+    """Modes of a bc from the table or the time samples _BC_DATA names for it.
 
     Sampled data records its relative truncation error in truncation[name].
     """
+    key = _BC_DATA[physics_kind, bc["kind"]]
     if f"{key}_modes" in bc:
         return mode_table(bc[f"{key}_modes"], n_modes, f"bcs.{name}.{key}_modes")
     samples = _floats(bc[f"{key}_samples"], f"bcs.{name}.{key}_samples")
-    coeffs = fourier_coefficients(samples, n_modes)
+    try:
+        coeffs = fourier_coefficients(samples, n_modes)
+    except ValueError as err:
+        raise ConfigError([f"bcs.{name}.{key}_samples: {err}"]) from None
     recon = evaluate_field_in_time(coeffs.values, np.arange(samples.size) / samples.size,
                                    2 * np.pi)
     scale = np.linalg.norm(samples)
@@ -266,18 +279,13 @@ def build_case(config: CaseConfig, mesh: Mesh):
         dirichlet = {}
         neumann = {}
         for name, bc in config.bcs.items():
-            kind = bc["kind"]
             for g in _groups_of(bc):
-                if kind in ("dirichlet", "noslip"):
-                    if kind == "noslip":
-                        dirichlet[g] = np.zeros(m, dtype=complex)
-                    else:
-                        dirichlet[g] = _bc_coeffs(bc, "phi", n_modes, name, trunc)
-                elif kind == "neumann":
-                    neumann[g] = _bc_coeffs(bc, "flux", n_modes, name, trunc)
+                if bc["kind"] == "noslip":
+                    dirichlet[g] = np.zeros(m, dtype=complex)
+                elif bc["kind"] == "dirichlet":
+                    dirichlet[g] = _bc_coeffs(bc, "scalar", n_modes, name, trunc)
                 else:
-                    raise ConfigError([f"bcs.{name}: kind {kind!r} not valid "
-                                       "for scalar physics"])
+                    neumann[g] = _bc_coeffs(bc, "scalar", n_modes, name, trunc)
         vel = mode_table(phys.get("velocity_modes", [[0.0, 0.0]]), n_modes,
                          "physics.velocity_modes")
         velocity = np.zeros((mesh.n_nodes, mesh.dim, m), dtype=complex)
@@ -293,17 +301,21 @@ def build_case(config: CaseConfig, mesh: Mesh):
     neumann = {}
     for name, bc in config.bcs.items():
         kind = bc["kind"]
+        axis = bc.get("axis", 0)
+        if kind == "dirichlet" and not (type(axis) is int and 0 <= axis < mesh.dim):
+            raise ConfigError([f"bcs.{name}.axis must be an integer in [0, {mesh.dim}) "
+                               f"(got {axis!r})"])
         for g in _groups_of(bc):
             if kind == "noslip":
                 walls.append(g)
             elif kind == "neumann":
-                neumann[g] = _bc_coeffs(bc, "h", n_modes, name, trunc)
+                neumann[g] = _bc_coeffs(bc, "ns", n_modes, name, trunc)
             elif kind == "parabolic_inflow":
-                vals = _bc_coeffs(bc, "flow", n_modes, name, trunc)
+                vals = _bc_coeffs(bc, "ns", n_modes, name, trunc)
                 dirichlet[g] = parabolic_inflow(mesh, g, SpectralCoeffs(n_modes, vals))
             elif kind == "dirichlet":
                 arr = np.zeros((mesh.dim, m), dtype=complex)
-                arr[int(bc.get("axis", 0))] = _bc_coeffs(bc, "velocity", n_modes, name, trunc)
+                arr[axis] = _bc_coeffs(bc, "ns", n_modes, name, trunc)
                 dirichlet[g] = arr
     return _constructed(NSCase, rho=float(phys["rho"]), mu=float(phys["mu"]),
                         omega=float(phys["omega"]), n_modes=n_modes,

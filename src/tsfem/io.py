@@ -56,11 +56,11 @@ def export_mesh_vtk(mesh: Mesh, path) -> Path:
 
 
 def export_fields(mesh: Mesh, t_samples: Sequence[float], omega: float,
-                  directory, basename: str = "fields", *,
+                  directory, *,
                   velocity: Optional[np.ndarray] = None,
                   pressure: Optional[np.ndarray] = None,
                   scalar: Optional[np.ndarray] = None) -> list[Path]:
-    """One VTK file per time sample with the reconstructed point data.
+    """One VTK file per time sample, fields_<k>.vtk, with the reconstructed point data.
 
     velocity is a nodal mode array (n, dim, 2N-1), pressure and scalar
     (n, 2N-1); each is evaluated at the sample times before writing.
@@ -76,7 +76,7 @@ def export_fields(mesh: Mesh, t_samples: Sequence[float], omega: float,
             data["pressure"] = evaluate_field_in_time(pressure, float(t), omega)
         if scalar is not None:
             data["scalar"] = evaluate_field_in_time(scalar, float(t), omega)
-        path = directory / f"{basename}_{k:04d}.vtk"
+        path = directory / f"fields_{k:04d}.vtk"
         _write_vtk(path, mesh, data)
         paths.append(path)
     return paths

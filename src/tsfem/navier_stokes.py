@@ -105,6 +105,7 @@ __all__ = [
     "NSState",
     "NSResult",
     "NewtonUpdate",
+    "UpdateRecord",
     "NodalValues",
     "FlowReport",
     "FlowData",
@@ -183,29 +184,42 @@ class NSState:
         self.pressure[:] = symmetrize_modes(self.pressure)
 
 
+class UpdateRecord(NamedTuple):
+    """What one newton_step recorded of its update."""
+
+    residual: float          # residual norm before the update
+    matvecs: int
+    pseudo_dt: float         # nan when no solve was run
+    linear_converged: bool   # GMRES reached eps_ls
+    linear_residual: float   # GMRES's final ||A x - b|| / ||b||; nan when no solve was run
+    assembly_s: float        # seconds in the residual and operator assembly
+    linear_s: float          # seconds in preconditioner set-up and GMRES; 0 when no solve was run
+
+
+class NewtonUpdate(NamedTuple):
+    """The state after one newton_step and the record of that step."""
+
+    state: NSState
+    record: UpdateRecord
+
+
 @dataclass
 class NSResult:
-    """Outcome of solve_ns, with one record per step that updated the state.
+    """Outcome of solve_ns.
 
     residuals holds the residual norm before every step, including the
-    final converged one; linear_iters, linear_residuals and pseudo_dts hold
-    the GMRES matvecs, the relative linear residual GMRES reached and the
-    pseudo step of each update, and assembly_s and linear_s its seconds in
-    the residual and operator assembly and in the linear solve
-    (preconditioner set-up and GMRES).  linear_unconverged counts the
-    updates applied while GMRES was still above eps_ls without stagnating.
+    final converged one; updates holds the UpdateRecord of each step that
+    updated the state, and steps is their number.
     """
 
     state: NSState
     converged: bool
     residuals: List[float]
-    steps: int
-    linear_iters: List[int]
-    pseudo_dts: List[float]
-    linear_unconverged: int
-    linear_residuals: List[float]
-    assembly_s: List[float]
-    linear_s: List[float]
+    updates: List[UpdateRecord]
+
+    @property
+    def steps(self) -> int:
+        return len(self.updates)
 
 
 def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
@@ -598,19 +612,6 @@ def ser_pseudo_dt(initial: float, previous: float | None,
     return previous * (r_previous / r) ** SER_EXPONENT
 
 
-class NewtonUpdate(NamedTuple):
-    """The state after one newton_step and the record of that step."""
-
-    state: NSState
-    residual: float          # residual norm before the update
-    matvecs: int
-    pseudo_dt: float         # nan when no solve was run
-    linear_converged: bool   # GMRES reached eps_ls
-    linear_residual: float   # GMRES's final ||A x - b|| / ||b||; nan when no solve was run
-    assembly_s: float        # seconds in the residual and operator assembly
-    linear_s: float          # seconds in preconditioner set-up and GMRES; 0 when no solve was run
-
-
 def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
                 pseudo_dt: float | Callable[[float], float] | None = None,
                 skip_below: float = 0.0,
@@ -645,8 +646,8 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     resid, lin = _residual_pass(case, mesh, state)
     rnorm = residual_norm(resid, dir_nodes, mesh.dim)
     if rnorm <= skip_below:
-        return NewtonUpdate(state.copy(), rnorm, 0, np.nan, True, np.nan,
-                            time.perf_counter() - start, 0.0)
+        return NewtonUpdate(state.copy(), UpdateRecord(rnorm, 0, np.nan, True, np.nan,
+                                                       time.perf_counter() - start, 0.0))
     if callable(pseudo_dt):
         pseudo_dt = pseudo_dt(rnorm)
     tangent = _tangent_pass(case, mesh, lin, newton=True)
@@ -671,8 +672,9 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     new.velocity[dir_nodes] = state.velocity[dir_nodes]
     new.symmetrize()
     linear_residual = res.residuals[-1] / res.residuals[0] if res.residuals[0] > 0 else 0.0
-    return NewtonUpdate(new, rnorm, res.matvecs, pseudo_dt, res.converged, linear_residual,
-                        assembled - start, solved - assembled)
+    return NewtonUpdate(new, UpdateRecord(rnorm, res.matvecs, pseudo_dt, res.converged,
+                                          linear_residual, assembled - start,
+                                          solved - assembled))
 
 
 def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NSResult:
@@ -698,38 +700,23 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
         else default_pseudo_dt(case, mesh, dir_vals)
 
     residuals: List[float] = []
-    lin_iters: List[int] = []
-    pseudo_dts: List[float] = []
-    linear_residuals: List[float] = []
-    assembly_s: List[float] = []
-    linear_s: List[float] = []
-    unconverged = 0
-
-    def result(converged: bool, steps: int) -> NSResult:
-        return NSResult(state, converged, residuals, steps, lin_iters, pseudo_dts,
-                        unconverged, linear_residuals, assembly_s, linear_s)
-
-    for step in range(config.max_steps):
+    updates: List[UpdateRecord] = []
+    for _ in range(config.max_steps):
         skip = config.eps_nr * residuals[0] if residuals else 0.0
-        rule = partial(ser_pseudo_dt, initial_dt, pseudo_dts[-1] if pseudo_dts else None,
+        rule = partial(ser_pseudo_dt, initial_dt, updates[-1].pseudo_dt if updates else None,
                        residuals[-1] if residuals else None)
         try:
-            update = newton_step(case, mesh, state, config, rule,
-                                 skip_below=skip, dir_nodes=dir_nodes)
+            state_new, record = newton_step(case, mesh, state, config, rule,
+                                            skip_below=skip, dir_nodes=dir_nodes)
         except LinearSolveError as err:
             warnings.warn(str(err))
-            return result(False, step)
-        residuals.append(update.residual)
-        if update.residual <= config.eps_nr * residuals[0]:
-            return result(True, step)
-        state = update.state
-        lin_iters.append(update.matvecs)
-        pseudo_dts.append(update.pseudo_dt)
-        linear_residuals.append(update.linear_residual)
-        assembly_s.append(update.assembly_s)
-        linear_s.append(update.linear_s)
-        unconverged += not update.linear_converged
-    return result(False, config.max_steps)
+            return NSResult(state, False, residuals, updates)
+        residuals.append(record.residual)
+        if record.residual <= config.eps_nr * residuals[0]:
+            return NSResult(state, True, residuals, updates)
+        state = state_new
+        updates.append(record)
+    return NSResult(state, False, residuals, updates)
 
 
 def backflow_surface_matrix(case: NSCase, mesh: Mesh, state: NSState,
@@ -775,19 +762,18 @@ def flow_report(state: NSState, mesh: Mesh, groups) -> FlowReport:
     return out
 
 
-def parabolic_inflow(mesh: Mesh, group: str, flow: SpectralCoeffs,
-                     planar_tol: float = 1e-6) -> NodalValues:
+def parabolic_inflow(mesh: Mesh, group: str, flow: SpectralCoeffs) -> NodalValues:
     """Dirichlet data with a parabolic profile carrying the given flow.
 
     The profile vanishes on the rim of the facet group and is scaled per
     mode so the integrated flux into the domain equals the flow modes.
-    Works for convex planar inlets; a warning is issued if the group
-    deviates from planarity.
+    Works for convex planar inlets; a warning is issued if a facet normal
+    of the group deviates from their mean by more than 1e-6.
     """
     fq = facet_quadrature(mesh, group)
     n_mean = fq.normals.mean(axis=0)
     n_mean /= np.linalg.norm(n_mean)
-    if np.max(np.linalg.norm(fq.normals - n_mean, axis=1)) > planar_tol:
+    if np.max(np.linalg.norm(fq.normals - n_mean, axis=1)) > 1e-6:
         warnings.warn(f"facet group {group!r} is not planar; "
                       "parabolic profile is approximate")
     nodes = np.unique(fq.nodes)

@@ -1,8 +1,9 @@
 """Conventional time-domain SUPG/PSPG Navier-Stokes reference solver.
 
 Marches the incompressible equations with the second-order implicit
-generalized-alpha method and serves as the cross-validation reference for
-the spectral solver.  The stabilization parameter is the scalar
+generalized-alpha method (spectral radius RHO_INF) and serves as the
+cross-validation reference for the spectral solver.  The stabilization
+parameter is the scalar
 
     tau = [w_hat^2 + u_i G_ij u_j + C_I nu^2 G_ij G_ij]^(-1/2)
 
@@ -50,7 +51,7 @@ from .mesh import Mesh, c_i_for, facet_quadrature
 __all__ = [
     "TimeCase",
     "TimeState",
-    "GenAlphaConfig",
+    "RHO_INF", "ALPHA_M", "ALPHA_F", "GAMMA",
     "TimeResult",
     "StepResult",
     "DivergedStepError",
@@ -64,27 +65,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenAlphaConfig:
-    """Generalized-alpha parameters from the spectral radius rho_inf."""
-
-    rho_inf: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho_inf <= 1.0:
-            raise ValueError("rho_inf must lie in [0, 1]")
-
-    @property
-    def alpha_m(self) -> float:
-        return 0.5 * (3.0 - self.rho_inf) / (1.0 + self.rho_inf)
-
-    @property
-    def alpha_f(self) -> float:
-        return 1.0 / (1.0 + self.rho_inf)
-
-    @property
-    def gamma(self) -> float:
-        return 0.5 + self.alpha_m - self.alpha_f
+# Generalized-alpha parameters of the spectral radius RHO_INF at infinite
+# step, in the parameterization of Jansen, Whiting & Hulbert, CMAME 190 (2000).
+RHO_INF = 0.2
+ALPHA_M = 0.5 * (3.0 - RHO_INF) / (1.0 + RHO_INF)
+ALPHA_F = 1.0 / (1.0 + RHO_INF)
+GAMMA = 0.5 + ALPHA_M - ALPHA_F
 
 
 @dataclass
@@ -409,7 +395,6 @@ class StepResult(NamedTuple):
 
 def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                            config: SolverConfig | None = None,
-                           gen_alpha: GenAlphaConfig | None = None,
                            max_newton: int = 10,
                            dirichlet_scale: float = 1.0,
                            factor: LaggedFactor | None = None) -> StepResult:
@@ -433,15 +418,12 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     """
     if config is None:
         config = SolverConfig()
-    if gen_alpha is None:
-        gen_alpha = GenAlphaConfig()
     if factor is None:
         factor = LaggedFactor(None)
     factored = factor.factorizations
-    am, af, gamma = gen_alpha.alpha_m, gen_alpha.alpha_f, gen_alpha.gamma
     dt = case.dt
     t_new = state.t + dt
-    t_af = state.t + af * dt
+    t_af = state.t + ALPHA_F * dt
     dim = mesh.dim
 
     dir_nodes, dir_vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (dim,), t_new,
@@ -450,13 +432,13 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     pins = layout_pins(mesh.n_nodes, 1, dir_nodes, dim + 1, dim)
 
     # predictor: constant velocity, consistent boundary acceleration
-    accel = (gamma - 1.0) / gamma * state.accel
-    vel_new = state.velocity + dt * ((1 - gamma) * state.accel + gamma * accel)
+    accel = (GAMMA - 1.0) / GAMMA * state.accel
+    vel_new = state.velocity + dt * ((1 - GAMMA) * state.accel + GAMMA * accel)
     pres = state.pressure.copy()
     if dir_nodes.size:
         accel[dir_nodes] = (state.accel[dir_nodes]
                             + (dir_vals - state.velocity[dir_nodes]
-                               - dt * state.accel[dir_nodes]) / (gamma * dt))
+                               - dt * state.accel[dir_nodes]) / (GAMMA * dt))
         vel_new[dir_nodes] = dir_vals
 
     r0 = rprev = None
@@ -464,8 +446,8 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     iters = solves = 0
     for it in range(max_newton):
         iters = it + 1
-        u_af = state.velocity + af * (vel_new - state.velocity)
-        udot_am = state.accel + am * (accel - state.accel)
+        u_af = state.velocity + ALPHA_F * (vel_new - state.velocity)
+        udot_am = state.accel + ALPHA_M * (accel - state.accel)
         what = omega_hat(u_af, udot_am, mesh)
         resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af, what)
         rr = resid.copy()
@@ -481,7 +463,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
             break
         if factor.stale:
             tangent = _time_tangent(case, mesh, fields, u_af, udot_am, what,
-                                    alpha_m=am, fac=af * gamma * dt)
+                                    alpha_m=ALPHA_M, fac=ALPHA_F * GAMMA * dt)
             factor.factor(tangent, pins, assembly_context(mesh, build_graph).level_plan(dim + 1),
                           f"time step to t={t_new:.6g}")
         delta = factor.solve(-rr.ravel()).reshape(mesh.n_nodes, dim + 1)
@@ -489,7 +471,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         rprev = rnorm
         accel = accel + delta[:, :dim]
         pres = pres + delta[:, dim]
-        vel_new = state.velocity + dt * ((1 - gamma) * state.accel + gamma * accel)
+        vel_new = state.velocity + dt * ((1 - GAMMA) * state.accel + GAMMA * accel)
         if dir_nodes.size:
             vel_new[dir_nodes] = dir_vals
     if not all(np.all(np.isfinite(a)) for a in (vel_new, accel, pres)):
@@ -534,15 +516,15 @@ def _flow_trace(state: TimeState, mesh: Mesh, groups):
 
 def run_time_simulation(case: TimeCase, mesh: Mesh,
                         config: SolverConfig | None = None,
-                        gen_alpha: GenAlphaConfig | None = None,
-                        report_groups=None, ramp_steps: int = 10,
-                        keep_last_cycle: bool = True) -> TimeResult:
+                        report_groups=None, ramp_steps: int = 10) -> TimeResult:
     """March n_cycles periods and report cycle-resolved outlet traces.
 
     The state starts from rest with the Dirichlet data ramped over the
     first ramp_steps steps to avoid an impulsive start; the transient is
     discarded through cycle-to-cycle convergence, reported as the relative
-    L2 change of the flow traces between consecutive cycles.  The run's
+    L2 change of the flow traces between consecutive cycles, and the
+    states and times of the last cycle are kept.  Each step uses the
+    generalized-alpha constants ALPHA_M, ALPHA_F and GAMMA.  The run's
     Newton updates share one LaggedFactor, with the REFACTOR_CONTRACTION
     of the call's time.  A step's DivergedStepError stops the run.
     """
@@ -565,12 +547,11 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     records = []
     factor = LaggedFactor(REFACTOR_CONTRACTION)
     last_states: List[TimeState] = []
-    last_times: List[float] = []
     total = case.n_cycles * steps_per_cycle
     for step in range(total):
         scale = min(1.0, (step + 1) / ramp_steps) if ramp_steps else 1.0
         start = time.perf_counter()
-        state, *record = generalized_alpha_step(case, mesh, state, config, gen_alpha,
+        state, *record = generalized_alpha_step(case, mesh, state, config,
                                                 dirichlet_scale=scale, factor=factor)
         records.append(record + [time.perf_counter() - start])
         qs, ps = _flow_trace(state, mesh, report_groups)
@@ -578,9 +559,8 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
         for g in report_groups:
             traces_q[g].append(qs[g])
             traces_p[g].append(ps[g])
-        if keep_last_cycle and step >= total - steps_per_cycle:
+        if step >= total - steps_per_cycle:
             last_states.append(state.copy())
-            last_times.append(state.t)
 
     cycle_change = []
     for c in range(1, case.n_cycles):
@@ -598,6 +578,6 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     return TimeResult(np.asarray(times),
                       {g: np.asarray(v) for g, v in traces_q.items()},
                       {g: np.asarray(v) for g, v in traces_p.items()},
-                      cycle_change, np.asarray(last_times), last_states,
+                      cycle_change, np.asarray(times[-steps_per_cycle:]), last_states,
                       converged.count(False), newton_iters, linear_solves, factorizations,
                       seconds)

@@ -52,14 +52,17 @@ bcs:
         bad = """
 physics: {kind: ns, rho: 1.0, mu: 0.1, omega: 1.0, n_modes: 2, backflow_bta: 0.2}
 mesh: {generator: interval, length: 1.0, resolution: 4}
-bcs: {}
+bcs:
+  inlet: {group: left, kind: parabolic_inflow, flow_modes: [[1, 0]], typo_key: 1}
+  wall: {group: right, kind: noslip, axs: 1}
 solver: {eps_nr: 1.0e-3, eps_lss: 0.01}
 output: {trace_sample: 8}
 """
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         joined = "\n".join(err.value.errors)
-        for name in ("physics.backflow_bta", "solver.eps_lss", "output.trace_sample"):
+        for name in ("physics.backflow_bta", "solver.eps_lss", "output.trace_sample",
+                     "bcs.inlet.typo_key", "bcs.wall.axs"):
             assert f"unknown key {name}" in joined
         assert "unknown key solver.eps_nr" not in joined
 
@@ -495,6 +498,24 @@ class TestMainEntry:
         assert main(["validate-config", str(bad)]) == 2
         assert f"bcs.{bc}.{key} must be finite numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bc, entries, key", [
+        ("outlet", {"h_samples": [0.0]}, "h_samples"),
+        ("outlet", {"h_samples": [[0.0, 0.0], [0.0, 0.0]]}, "h_samples"),
+        ("inlet", {"kind": "dirichlet", "velocity_modes": [[1.0, 0.0]], "axis": 2}, "axis"),
+        ("inlet", {"kind": "dirichlet", "velocity_modes": [[1.0, 0.0]], "axis": 0.5}, "axis"),
+        ("outlet", {"flux_modes": [[0.0, 0.0]]}, "flux_modes"),
+        ("inlet", {"flow_modes": [[0.5, 0.0]], "typo_key": 1}, "typo_key")])
+    def test_validate_verb_names_bad_bc_key(self, tmp_path, capsys, bc, entries, key):
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        block = raw["bcs"][bc]
+        for data_key in [k for k in block if k.endswith(("_modes", "_samples"))]:
+            del block[data_key]
+        block.update(entries)
+        bad = tmp_path / "bad_bc.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        assert main(["validate-config", str(bad)]) == 2
+        assert f"bcs.{bc}.{key}" in capsys.readouterr().err
+
     def test_run_verbose_prints_step_table(self, tmp_path, capsys):
         config = tmp_path / "steady.yaml"
         raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
@@ -504,6 +525,10 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out
         summary = yaml.safe_load((tmp_path / "out" / "summary.yaml").read_text())
+        assert set(summary) == {"kind", "converged", "steps", "residuals", "pseudo_dts",
+                                "linear_iters", "linear_residuals", "linear_unconverged",
+                                "assembly_s", "linear_s", "wall_time", "alpha", "beta",
+                                "flows", "truncation", "field_range", "outputs"}
         n_updates = len(summary["residuals"]) - 1
         assert n_updates >= 1
         assert len(summary["pseudo_dts"]) == len(summary["linear_iters"]) == n_updates

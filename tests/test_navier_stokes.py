@@ -669,8 +669,8 @@ class TestNewtonOperator:
         assert result.converged
         assert counts["operator"] == counts["gmres"] == result.steps
         assert counts["residual"] == result.steps + 1
-        assert len(result.assembly_s) == len(result.linear_s) == result.steps
-        assert all(t > 0.0 for t in result.assembly_s + result.linear_s)
+        assert len(result.updates) == result.steps
+        assert all(u.assembly_s > 0.0 and u.linear_s > 0.0 for u in result.updates)
 
 
 class TestSolve:
@@ -727,8 +727,8 @@ class TestSolve:
         config = SolverConfig(eps_nr=1e-9, eps_ls=1e-8, pseudo_dt=np.inf, max_steps=40)
         result = solve_ns(case, mesh, config)
         assert result.converged
-        new_state, rnorm = newton_step(case, mesh, result.state, config)[:2]
-        assert rnorm <= 1e-9 * result.residuals[0]
+        new_state, record = newton_step(case, mesh, result.state, config)
+        assert record.residual <= 1e-9 * result.residuals[0]
         delta = np.max(np.abs(new_state.velocity - result.state.velocity))
         assert delta <= 1e-8 * np.max(np.abs(result.state.velocity))
 
@@ -835,23 +835,23 @@ class TestPseudoStep:
         mesh, case = self._bent_case()
         config = SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60)
         grown = solve_ns(case, mesh, config)
-        assert grown.converged and grown.linear_unconverged == 0
-        r, dts = grown.residuals, grown.pseudo_dts
-        assert len(dts) == len(grown.linear_iters) == grown.steps == len(r) - 1
+        assert grown.converged and all(u.linear_converged for u in grown.updates)
+        r, dts = grown.residuals, [u.pseudo_dt for u in grown.updates]
+        assert len(dts) == grown.steps == len(r) - 1
         assert dts[0] == default_pseudo_dt(case, mesh)
         for k in range(1, len(dts)):
             assert dts[k] == ser_pseudo_dt(dts[0], dts[k - 1], r[k - 1], r[k])
         assert max(dts) > 100 * dts[0]
         monkeypatch.setattr(navier_stokes, "SER_EXPONENT", 0.0)   # the step held fixed
         fixed = solve_ns(case, mesh, config)
-        assert fixed.converged and set(fixed.pseudo_dts) == {dts[0]}
+        assert fixed.converged and {u.pseudo_dt for u in fixed.updates} == {dts[0]}
         assert grown.steps < fixed.steps
 
     def test_newton_operator_converges_the_bent_case_in_few_updates(self):
         # 13 updates with the frozen-coefficient (Picard) operator
         mesh, case = self._bent_case()
         result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
-        assert result.converged and result.linear_unconverged == 0
+        assert result.converged and all(u.linear_converged for u in result.updates)
         assert result.steps <= 8
 
     def test_linear_residuals_record_what_gmres_reached(self, monkeypatch):
@@ -866,10 +866,11 @@ class TestPseudoStep:
 
         monkeypatch.setattr(navier_stokes, "gmres", spy)
         result = solve_ns(case, mesh, SolverConfig(eps_ls=0.05))
-        assert result.converged and result.linear_unconverged == 0
-        assert len(result.linear_residuals) == result.steps == len(reached) >= 1
-        np.testing.assert_allclose(result.linear_residuals, reached, rtol=1e-6)
-        assert all(0.0 < r <= 0.05 for r in result.linear_residuals)
+        assert result.converged and all(u.linear_converged for u in result.updates)
+        linear_residuals = [u.linear_residual for u in result.updates]
+        assert len(linear_residuals) == result.steps == len(reached) >= 1
+        np.testing.assert_allclose(linear_residuals, reached, rtol=1e-6)
+        assert all(0.0 < r <= 0.05 for r in linear_residuals)
 
     def test_solver_config_rejects_bad_step_values(self):
         for kwargs in ({"pseudo_dt": 0.0}, {"pseudo_dt": -1.0}, {"pseudo_dt": np.nan}):

@@ -23,7 +23,6 @@ from tsfem.time_domain import (
     _time_residual,
     _time_tangent,
     DivergedStepError,
-    GenAlphaConfig,
     LaggedFactor,
     TimeCase,
     TimeState,
@@ -40,15 +39,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 class TestGenAlphaConfig:
     def test_parameters(self):
-        ga = GenAlphaConfig(0.2)
-        assert ga.alpha_m == pytest.approx(0.5 * 2.8 / 1.2)
-        assert ga.alpha_f == pytest.approx(1 / 1.2)
-        assert ga.gamma == pytest.approx(0.5 + ga.alpha_m - ga.alpha_f)
-
-    def test_rho_inf_zero_gives_c1(self):
-        # the pseudo-time mass coefficient: alpha_m / (alpha_f gamma) = 1.5
-        ga = GenAlphaConfig(0.0)
-        assert ga.alpha_m / (ga.alpha_f * ga.gamma) == pytest.approx(1.5)
+        assert time_domain.RHO_INF == 0.2
+        assert time_domain.ALPHA_M == pytest.approx(0.5 * 2.8 / 1.2)
+        assert time_domain.ALPHA_F == pytest.approx(1 / 1.2)
+        assert time_domain.GAMMA == pytest.approx(0.5 + time_domain.ALPHA_M - time_domain.ALPHA_F)
 
 
 class TestTimeTau:

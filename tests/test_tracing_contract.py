@@ -7,22 +7,29 @@ arrays.  A refactor that moves one of these names would crash every
 benchmark run or silently zero its per-layer counts; this test runs a
 small spectral solve, with the backflow term on, and one time step under
 the traced recorder.  The time step solves its Newton updates directly,
-so every GMRES call and matvec counted is the spectral solve's.
+so every GMRES call and matvec counted is the spectral solve's.  A second
+test runs cli.run_case under the recorder, whose captured solve result
+the sweep workload reads.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import yaml
 
+import tsfem.cli as cli
 import tsfem.time_domain as time_domain
+from tsfem.config import build_mesh, config_from_mapping
 from tsfem.linsolve import SolverConfig
 from tsfem.mesh import generate_rect_tri
 from tsfem.navier_stokes import NSCase, solve_ns
 from tsfem.spectral import n_coeffs
 from tsfem.time_domain import TimeCase, TimeState
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmarks" / "tracing.py"
+CONFIG_DIR = ROOT / "configs"
 
 
 def load_tracing():
@@ -69,9 +76,29 @@ def test_traced_recorder_counts_every_layer():
         assert c[name] > 0, name
     assert c["linsolve.build_graph.calls"] == 1          # one scatter plan per mesh
     assert c["time_domain.step.calls"] == 1
-    assert c["navier_stokes.linear_solves"] == len(result.linear_iters)
+    assert c["navier_stokes.linear_solves"] == len(result.updates)
     assert c["time_domain.linear_solves"] == 0
-    assert c["linsolve.gmres.calls"] == len(result.linear_iters)
-    assert c["linsolve.gmres.matvecs"] == sum(result.linear_iters)
+    assert c["linsolve.gmres.calls"] == len(result.updates)
+    assert c["linsolve.gmres.matvecs"] == sum(u.matvecs for u in result.updates)
     # the wrappers are gone again
     assert "wrapper" not in tracing.navier_stokes.gmres.__name__
+
+
+def test_traced_recorder_captures_the_cli_run(tmp_path):
+    # the sweep_bent workload reads captured["ns"][n].state of cli.run_case's solve
+    tracing = load_tracing()
+    raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+    raw["mesh"]["resolution"] = [4, 12]
+    config = config_from_mapping(raw)
+    rec = tracing.Recorder()
+    rec.reset()
+    rec.install(tracing=True)
+    try:
+        summary = cli.run_case(config, tmp_path / "out")
+    finally:
+        rec.restore()
+    n = config.physics["n_modes"]
+    mesh = build_mesh(config.mesh)
+    assert summary.converged
+    assert rec.captured["ns"][n].state.velocity.shape == (mesh.n_nodes, mesh.dim, 2 * n - 1)
+    assert rec.counts["cli.run_case.calls"] == rec.counts["io.export_traces.calls"] == 1
