@@ -61,6 +61,7 @@ _UPDATE_COLUMNS = (
     ("linear_residuals", "linear_residual", "linear_res", 10, ".3e"),
     ("assembly_s", "assembly_s", "assembly_s", 10, ".4f"),
     ("linear_s", "linear_s", "linear_s", 9, ".4f"),
+    ("precond_s", "precond_s", "precond_s", 9, ".4f"),
 )
 
 
@@ -281,12 +282,14 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     """The time-domain counterpart of a mode-sweep case; returns (case, mesh, inflow bc name).
 
     The bcs carried over are those of _reference_bcs: the inflow's
-    flow_samples drive the same unit-flux parabolic profile through their
-    trigonometric interpolant, and walls and traction-free outlets carry
-    over.  dt_per_cycle and n_cycles come from ref_block.
+    flow_samples drive, on each of its groups, the same unit-flux parabolic
+    profile as build_case through their trigonometric interpolant, and
+    walls and traction-free outlets carry over.  dt_per_cycle and n_cycles
+    come from ref_block.
     """
     inflow_name, walls, zero_traction = _reference_bcs(base)
-    samples = np.asarray(base.bcs[inflow_name]["flow_samples"], dtype=float)
+    inflow = base.bcs[inflow_name]
+    samples = np.asarray(inflow["flow_samples"], dtype=float)
 
     mesh = build_mesh(base.mesh)
     phys = base.physics
@@ -294,19 +297,21 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     n_fit = int(ref_block.get("n_fit", min(16, (samples.size + 2) // 4)))
     inflow_modes = fourier_coefficients(samples, n_fit).values
 
-    # unit-flux inflow profile shared by both formulations
-    unit = parabolic_inflow(mesh, base.bcs[inflow_name]["group"],
-                            SpectralCoeffs(1, np.array([1.0], dtype=complex)))
-    profile = unit.values[:, :, 0].real
+    def time_inflow(group):
+        # unit-flux inflow profile shared by both formulations
+        unit = parabolic_inflow(mesh, group, SpectralCoeffs(1, np.array([1.0], dtype=complex)))
+        profile = unit.values[:, :, 0].real
 
-    def time_inflow(coords, t):
-        del coords
-        return profile * evaluate_field_in_time(inflow_modes, t, 2 * np.pi / period)
+        def values(coords, t):
+            del coords
+            return profile * evaluate_field_in_time(inflow_modes, t, 2 * np.pi / period)
+
+        return values
 
     steps = int(ref_block.get("dt_per_cycle", 160))
     tcase = TimeCase(rho=float(phys["rho"]), mu=float(phys["mu"]), period=period,
                      n_cycles=int(ref_block.get("n_cycles", 4)), dt=period / steps,
-                     dirichlet={base.bcs[inflow_name]["group"]: time_inflow},
+                     dirichlet={g: time_inflow(g) for g in _groups_of(inflow)},
                      walls=walls, neumann={g: lambda t: 0.0 for g in zero_traction},
                      c_i=phys.get("c_i"))
     return tcase, mesh, inflow_name

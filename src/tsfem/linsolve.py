@@ -18,14 +18,19 @@ The Navier-Stokes tangent is stored block-structured: the 6 identically
 zero component blocks are never stored, the velocity diagonal block K is
 stored once per node pair and reused for every direction, and the
 gradient/divergence blocks are one real scalar per node pair and direction,
-the Galerkin coefficient that multiplies every mode slot.  Its block-Jacobi
-preconditioner eliminates the velocity of each nodal block through the
-pressure Schur complement.
+the Galerkin coefficient that multiplies every mode slot.
 
+Every preconditioner here is built on one kernel, _level_lu: the exact
+block LU of a stack of independent pinned systems on the mesh graph, over
+its breadth-first levels (LevelPlan, kept per mesh by
+AssemblyContext.level_plan), over which each system is block tridiagonal.
 The dense-block BlockMatrix systems of the scalar and time-domain solvers
-are preconditioned by level_lu_preconditioner: an exact block LU over the
-breadth-first levels of the mesh graph (LevelPlan, kept per mesh by
-AssemblyContext.level_plan), over which the matrix is block tridiagonal.
+are one system (level_lu_preconditioner).  The Navier-Stokes tangent is
+block-Jacobi over harmonics (block_jacobi_preconditioner): one system per
+mode, its cos/sin pair over all nodes and components, with the coupling
+between harmonics dropped.  On meshes whose levels are too wide for that
+factor, its nodal blocks are inverted through their pressure Schur
+complement instead.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ __all__ = [
     "LinearSolveError",
     "gmres",
     "block_jacobi_preconditioner",
+    "HARMONIC_LU_MAX_UNKNOWNS",
     "LevelPlan",
     "level_lu_preconditioner",
     "layout_pins",
@@ -682,10 +688,12 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
 
     Classical Gram-Schmidt with one reorthogonalization pass builds the
     Arnoldi basis; the Hessenberg least-squares problem is solved with
-    Givens rotations, so the recorded residuals are true residual norms of
-    the unpreconditioned system.  The first residual is b itself; every
+    Givens rotations, which give the residual norm of the unpreconditioned
+    system after each Arnoldi step.  The first residual is b itself; every
     restart, and the end, takes the true residual b - Ax, so a cycle of k
-    Arnoldi steps costs k + 1 matvecs.  Terminates when ||Ax - b|| <=
+    Arnoldi steps costs k + 1 matvecs, and its norm replaces the last
+    rotation estimate of the cycle: the last recorded residual is the
+    ||b - Ax|| the solve reached.  Terminates when ||Ax - b|| <=
     tol*||b||, on stagnation, or when the matvec budget cannot pay for
     another cycle (flagged in the result); matvec is never called more
     than max_matvecs times.
@@ -767,6 +775,7 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
         beta = np.linalg.norm(r)
         if not np.isfinite(beta):
             raise RuntimeError(f"gmres: non-finite residual after {matvecs} matvecs")
+        history[-1] = float(beta)
 
 
 def _invert_blocks(blocks: np.ndarray):
@@ -807,7 +816,105 @@ def _pin_block(blocks: np.ndarray, free_rows: np.ndarray, free_cols: np.ndarray,
     return out
 
 
-def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None) -> Callable:
+
+
+# The harmonic-block level LU preconditions a BlockTangent while the widest level of its
+# graph holds at most this many pair-block unknowns, 2 (dim+1) per node; wider meshes get
+# the nodal Schur block-Jacobi, since the factor grows as the nodes times the level width.
+# The meshes in use need 88 (the benchmark's bent channel), 160 (the bundled configs)
+# and 248 (the criterion-07 bent channel).
+HARMONIC_LU_MAX_UNKNOWNS = 256
+
+
+def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None,
+                                plan: LevelPlan | None = None) -> Callable:
+    """Block-Jacobi preconditioner of a BlockTangent's edge blocks, over harmonics or nodes.
+
+    A harmonic block is mode 0, or the (Re, Im) pair of mode n, taken over
+    all nodes and components: the edge blocks with the coupling between
+    harmonics dropped (Sicot, Puigt & Montagnac, AIAA J. 46, 2008).  The
+    skew frequency coupling n omega rho M between the cos and sin of a mode
+    stays inside its block.  Each block is inverted exactly by the level LU
+    of _level_lu over plan, the LevelPlan of the tangent's graph
+    (AssemblyContext.level_plan keeps one per mesh; built here when None).
+    The pins must pin every slot of a component alike (ValueError
+    otherwise), as layout_pins does; pinned slots act as identity rows and
+    columns.
+
+    When the widest level of plan holds more than HARMONIC_LU_MAX_UNKNOWNS
+    pair-block unknowns, the per-node diagonal blocks are inverted instead
+    (_schur_block_jacobi).  A BlockMatrix is preconditioned by
+    level_lu_preconditioner.
+    """
+    if not isinstance(op, BlockTangent):
+        raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
+                        "precondition a BlockMatrix with level_lu_preconditioner")
+    if plan is None:
+        plan = LevelPlan.of(op.rows, op.cols, op.n_nodes)
+    if plan.width * 2 * (op.dim + 1) > HARMONIC_LU_MAX_UNKNOWNS:
+        return _schur_block_jacobi(op, pins)
+    return _harmonic_level_lu(op, pins, plan)
+
+
+def _harmonic_level_lu(op: BlockTangent, pins: np.ndarray | None, plan: LevelPlan) -> Callable:
+    """Level LU of the harmonic blocks of a BlockTangent; see block_jacobi_preconditioner.
+
+    System h of _level_lu holds harmonic h in 2 slots per component: the
+    (Re z_h, Im z_h) pair, or for mode 0 Re z_0 and a padding slot, an
+    identity slot of its own.  Its edge blocks are the pair-diagonal parts
+    of K (on every velocity direction), of L, and of the gradient and
+    divergence blocks (g_full/d_full where set, else g_diag/d_diag times I).
+    """
+    n, d, n_h, m = op.n_nodes, op.dim, op.n_modes, op.n_slots
+    b = 2 * (d + 1)
+    free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
+        else ~np.asarray(pins).reshape(n, d + 1, m)
+    if np.any(free != free[..., :1]):
+        raise ValueError("block_jacobi_preconditioner: the pins must pin every mode slot "
+                         "of a component alike")
+    pair = np.r_[0, 0, np.arange(1, m)].reshape(n_h, 2)    # layout slot of each member
+    real = np.ones((n_h, 2), dtype=bool)
+    real[0, 1] = False                                      # mode 0's padding slot
+    within = real[:, :, None] & real[:, None, :]            # (N, 2, 2) entries of the layout
+    eye = np.eye(2) * within
+
+    def pairs(blocks):
+        """Pair-diagonal parts of (E, ..., m, m) blocks, (N, E, ..., 2, 2)."""
+        return np.moveaxis(blocks[..., pair[:, :, None], pair[:, None, :]] * within, -3, 0)
+
+    def coupling(full, scalar):
+        return pairs(full) if full is not None \
+            else scalar[None, :, :, None, None] * eye[:, None, None]
+
+    blocks = np.zeros((n_h, op.rows.shape[0], d + 1, 2, d + 1, 2))
+    k = pairs(op.k_real)
+    for i in range(d):
+        blocks[:, :, i, :, i, :] = k
+    blocks[:, :, :d, :, d, :] = coupling(op.g_full, op.g_diag)
+    blocks[:, :, d, :, :d, :] = coupling(op.d_full, op.d_diag).transpose(0, 1, 3, 2, 4)
+    blocks[:, :, d, :, d, :] = pairs(op.l_real)
+    blocks[0, op.rows == op.cols, :, 1, :, 1] = np.eye(d + 1)
+    lu = _level_lu(blocks.reshape(n_h, -1, b, b), op.rows, op.cols,
+                   np.repeat(free[..., :1], 2, axis=2).reshape(n, b), plan)
+
+    # solve-layout index of each (harmonic, node, component, member); the padding reads a zero
+    src = (((np.arange(n)[:, None] * (d + 1) + np.arange(d + 1)) * m)[None, :, :, None]
+           + pair[:, None, None, :])
+    src[0, ..., 1] = n * (d + 1) * m
+    src = src.reshape(n_h, n * b)
+    keep = np.broadcast_to(real[:, None, None, :], (n_h, n, d + 1, 2)).reshape(n_h, n * b)
+    dst = src[keep]
+
+    def apply(x):
+        yh = lu(np.append(np.asarray(x, dtype=float).ravel(), 0.0)[src])
+        y = np.empty(n * (d + 1) * m)
+        y[dst] = yh[keep]
+        return y
+
+    return apply
+
+
+def _schur_block_jacobi(op: BlockTangent, pins: np.ndarray | None) -> Callable:
     """Inverse of the per-node diagonal blocks of a BlockTangent (all components and modes).
 
     Pinned slots are forced to identity rows/columns before inversion.
@@ -818,12 +925,8 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
     d velocity directions, and the apply is p = S^-1 (r_p - sum_i D_i K^-1 r_i),
     v_i = K^-1 (r_i - G_i p).  The pins must then pin every velocity
     direction of a node alike (ValueError otherwise), and a node whose K or
-    S is singular falls back to a scaled identity with a warning.  A
-    BlockMatrix is preconditioned by level_lu_preconditioner instead.
+    S is singular falls back to a scaled identity with a warning.
     """
-    if not isinstance(op, BlockTangent):
-        raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
-                        "precondition a BlockMatrix with level_lu_preconditioner")
     n, d, m = op.n_nodes, op.dim, op.n_slots
     nv = d * m                                              # velocity slots per node
     free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
@@ -868,61 +971,97 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
 
 def level_lu_preconditioner(op: BlockMatrix, pins: np.ndarray | None = None,
                             plan: LevelPlan | None = None) -> Callable:
-    """Exact inverse of a real pinned BlockMatrix by block LU over BFS levels.
+    """Exact inverse of a real pinned BlockMatrix by the block LU of _level_lu.
 
     plan is the LevelPlan of the matrix's graph (AssemblyContext.level_plan
-    keeps one per mesh), built here when None.  Over its levels the matrix
-    is block tridiagonal, with lower blocks L_l, diagonal blocks D_l and
-    upper blocks U_l of (width * b) unknowns each, padded with identity
-    slots.  The pinned edge blocks are scattered into them by one fancy-index
-    assignment (the edges must be distinct, as build_graph returns them),
-    and pinned slots get identity rows/columns.  The factorization is
-    D'_0 = D_0, D'_l = D_l - L_l D'_{l-1}^-1 U_{l-1}; it keeps D'_l^-1,
-    D'_l^-1 L_l and D'_l^-1 U_l, so the apply is one batched product, one
-    forward and one backward sweep over the levels.  A singular D'_l falls
-    back to a scaled identity with a warning that names the level.
+    keeps one per mesh), built here when None.  Pinned slots act as
+    identity rows and columns.
     """
     n, b = op.n_nodes, op.block_size
     if plan is None:
         plan = LevelPlan.of(op.rows, op.cols, n)
-    n_lev, s = plan.n_levels, plan.width
-    w = s * b
     free = np.ones((n, b), dtype=bool) if pins is None else ~np.asarray(pins).reshape(n, b)
-    lev_r, lev_c = plan.level[op.rows], plan.level[op.cols]
+    return _level_lu(np.asarray(op.blocks, dtype=float)[None], op.rows, op.cols, free, plan)
+
+
+def _level_lu(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, free: np.ndarray,
+              plan: LevelPlan) -> Callable:
+    """Exact inverses of independent pinned systems on one graph, by block LU over BFS levels.
+
+    blocks (n_sys, n_edges, b, b) holds the edge blocks of n_sys systems
+    that share the graph (rows, cols), whose edges must be distinct as
+    build_graph returns them, and the mask free (n_nodes, b) of the slots
+    that are not pinned.  Over the levels of plan each system is block
+    tridiagonal, with lower blocks L_l, diagonal blocks D_l and upper blocks
+    U_l.  A level block holds the free slots of the level's nodes only, by
+    the nodes' LevelPlan slots and then by component, padded with identity
+    slots to the most free slots of any level; the free entries of the edge
+    blocks are scattered into them by one fancy-index assignment.  The
+    factorization is D'_0 = D_0, D'_l = D_l - L_l D'_{l-1}^-1 U_{l-1}; it
+    keeps D'_l^-1, D'_l^-1 L_l and D'_l^-1 U_l in place of D_l, L_l and U_l,
+    so the apply is one batched product, one forward and one backward sweep
+    over the levels, each step batched over the systems.  A singular D'_l
+    falls back to a scaled identity with a warning that names the level.
+    Each factorization is logged at DEBUG with its level count, the unknowns
+    of its level blocks and the MB it holds.
+
+    apply(x) takes the n_sys systems' right-hand sides, n_sys * n_nodes * b
+    values in system-major order, and returns the solutions in the shape
+    of x; pinned slots are returned unchanged, as identity rows and columns
+    would.
+    """
+    n_sys, _, b, _ = blocks.shape
+    n_lev = plan.n_levels
+    lev_r, lev_c = plan.level[rows], plan.level[cols]
     if np.any(np.abs(lev_c - lev_r) > 1):
         raise ValueError("level_lu_preconditioner: an edge skips a level of the plan")
-    tri = np.zeros((3, n_lev, s, b, s, b))       # lower, diagonal and upper blocks
-    tri[lev_c - lev_r + 1, lev_r, plan.slot[op.rows], :, plan.slot[op.cols], :] = \
-        _pin_block(np.asarray(op.blocks, dtype=float), free[op.rows], free[op.cols])
-    lower, diag, upper = tri.reshape(3, n_lev, w, w)
-    slot_free = np.zeros((n_lev, s, b), dtype=bool)
-    slot_free[plan.level, plan.slot] = free
-    idle_lev, idle = np.nonzero(~slot_free.reshape(n_lev, w))    # pinned and padding slots
-    diag[idle_lev, idle, idle] = 1.0
+    # the free slots in (level, slot, component) order, and the place of each in its level
+    node, comp = np.nonzero(free)
+    order = np.lexsort((comp, plan.slot[node], plan.level[node]))
+    node, comp = node[order], comp[order]
+    lev = plan.level[node]
+    counts = np.bincount(lev, minlength=n_lev)
+    w = int(counts.max(initial=0))
+    place = np.arange(node.size) - (np.cumsum(counts) - counts)[lev]
+    place_of = np.full(free.shape, -1)
+    place_of[node, comp] = place
 
-    d_inv = np.empty_like(diag)
-    up = np.empty_like(upper)                            # D'_l^-1 U_l
-    for lev in range(n_lev):
-        d_lev = diag[lev] - lower[lev] @ up[lev - 1] if lev else diag[lev]
-        try:
-            d_inv[lev] = np.linalg.inv(d_lev)
-        except np.linalg.LinAlgError:
-            d_inv[lev] = np.eye(w) / _identity_scale(np.diag(d_lev))
-            warnings.warn(f"singular level block at level {lev} of {n_lev}; "
-                          "using scaled identity")
-        up[lev] = d_inv[lev] @ upper[lev]
-    low, up = list(d_inv @ lower), list(up)              # D'_l^-1 L_l, D'_l^-1 U_l
-    slots = ((plan.level * s + plan.slot)[:, None] * b + np.arange(b)).ravel()
+    e, i, j = np.nonzero(free[rows][:, :, None] & free[cols][:, None, :])
+    tri = np.zeros((3, n_lev, n_sys, w, w))          # lower, diagonal and upper blocks
+    tri[lev_c[e] - lev_r[e] + 1, lev_r[e], :, place_of[rows[e], i], place_of[cols[e], j]] = \
+        blocks[:, e, i, j].T
+    low, d_inv, up = tri                              # factored in place
+    pad_lev, pad = np.nonzero(np.arange(w) >= counts[:, None])
+    d_inv[pad_lev, :, pad, pad] = 1.0
+    for k in range(n_lev):
+        if k:
+            d_inv[k] -= low[k] @ up[k - 1]
+        inv, singular = _invert_blocks(d_inv[k])
+        for s in np.flatnonzero(singular):
+            inv[s] = np.eye(w) / _identity_scale(np.diagonal(d_inv[k, s]))
+            warnings.warn(f"singular level block at level {k} of {n_lev}"
+                          + (f", system {s}" if n_sys > 1 else "") + "; using scaled identity")
+        d_inv[k] = inv
+        np.matmul(inv, up[k], out=up[k])
+    np.matmul(d_inv, low, out=low)
+    logger.debug("level LU of %d system(s): %d levels of %d unknowns, %.2f MB",
+                 n_sys, n_lev, w, tri.nbytes / 1e6)
+
+    gather = node * b + comp                          # x column of each free slot
+    at = ((lev * n_sys)[None, :] + np.arange(n_sys)[:, None]) * w + place   # its z entry
 
     def apply(x):
-        z = np.zeros(n_lev * w)
-        z[slots] = np.asarray(x).ravel()
-        z = np.matmul(d_inv, z.reshape(n_lev, w, 1))[..., 0]
-        by_level = list(z)                               # views of z's rows
-        for lev in range(1, n_lev):
-            by_level[lev] -= low[lev] @ by_level[lev - 1]
-        for lev in range(n_lev - 2, -1, -1):
-            by_level[lev] -= up[lev] @ by_level[lev + 1]
-        return z.ravel()[slots]
+        x = np.asarray(x, dtype=float)
+        xs = x.reshape(n_sys, -1)
+        z = np.zeros(n_lev * n_sys * w)
+        z[at] = xs[:, gather]
+        z = np.matmul(d_inv, z.reshape(n_lev, n_sys, w, 1))
+        for k in range(1, n_lev):
+            z[k] -= low[k] @ z[k - 1]
+        for k in range(n_lev - 2, -1, -1):
+            z[k] -= up[k] @ z[k + 1]
+        out = xs.copy()
+        out[:, gather] = z.ravel()[at]
+        return out.reshape(x.shape)
 
     return apply

@@ -10,8 +10,10 @@ Each update solves with the Newton operator: the derivative of the
 residual with only tau held fixed (and the backflow operator, whose
 variation is left out).  Its edge blocks are the frozen-coefficient
 tangent of assemble_ns_tangent: the velocity block K, the pressure block
-L and the Galerkin gradient/divergence scalars, which the block-Jacobi
-preconditioner inverts.  The rest is kept per element (_NewtonElements):
+L and the Galerkin gradient/divergence scalars, which the preconditioner
+inverts without the coupling between harmonics (linsolve's
+block_jacobi_preconditioner: a level LU per harmonic).  The rest is kept
+per element (_NewtonElements):
 the least-squares gradient/divergence coupling, the Galerkin and
 least-squares convective reaction, and the variation of the least-squares
 test function through the convection matrices.  assemble_ns_tangent stays
@@ -27,7 +29,11 @@ assembled first and the operator only when a linear solve follows, from
 the residual pass's tau at every point.  solve_ns grows the step by
 switched-evolution relaxation (SER) as the residual falls, from the
 configured initial step towards plain Newton; the converged solution is
-independent of the pseudo steps taken.
+independent of the pseudo steps taken.  A solve lags its preconditioner
+(LaggedPreconditioner): it is factored at the first update, with that
+step's pseudo mass, and again only after a GMRES solve that took more
+than REFACTOR_MATVECS matvecs, since the harmonic factor of one state
+keeps the solves of the next states short.
 
 Assembly runs in the real orthonormal mode basis of spectral: the states
 are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
@@ -106,6 +112,8 @@ __all__ = [
     "NSResult",
     "NewtonUpdate",
     "UpdateRecord",
+    "LaggedPreconditioner",
+    "REFACTOR_MATVECS",
     "NodalValues",
     "FlowReport",
     "FlowData",
@@ -194,6 +202,29 @@ class UpdateRecord(NamedTuple):
     linear_residual: float   # GMRES's final ||A x - b|| / ||b||; nan when no solve was run
     assembly_s: float        # seconds in the residual and operator assembly
     linear_s: float          # seconds in preconditioner set-up and GMRES; 0 when no solve was run
+    precond_s: float         # seconds of linear_s building the preconditioner; 0 when reused
+
+
+# A solve keeps its preconditioner while each GMRES solve takes at most this many matvecs,
+# and builds a new one at the update after one that takes more.  The harmonic factor of the
+# first update keeps every solve at 3-6 matvecs on bent_n7 (seeds 0, 5, 21 and 33) and at
+# criterion-07 scale (N=7), and a factorization costs about 3 matvecs there (3.9 against
+# 1.4 ms) and 8 at criterion-07 scale (0.18 s): a solve of more than 12 has lost more to
+# the lag than a new factor would cost.
+REFACTOR_MATVECS = 12
+
+
+@dataclass
+class LaggedPreconditioner:
+    """The preconditioner of a solve's Newton updates, kept across them.
+
+    apply is the block_jacobi_preconditioner that newton_step built at an
+    earlier update, or None when the next update must build one: at the
+    first, and after a GMRES solve that took more than REFACTOR_MATVECS
+    matvecs.
+    """
+
+    apply: Optional[Callable] = None
 
 
 class NewtonUpdate(NamedTuple):
@@ -615,7 +646,8 @@ def ser_pseudo_dt(initial: float, previous: float | None,
 def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
                 pseudo_dt: float | Callable[[float], float] | None = None,
                 skip_below: float = 0.0,
-                dir_nodes: np.ndarray | None = None) -> NewtonUpdate:
+                dir_nodes: np.ndarray | None = None,
+                lagged: LaggedPreconditioner | None = None) -> NewtonUpdate:
     """One linearized update y <- y - H^{-1} r at the current state.
 
     H is the Newton operator with tau held fixed (assemble_ns_newton) plus
@@ -625,29 +657,36 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     this step's residual norm to it (solve_ns passes its SER rule); None
     takes config.pseudo_dt, or default_pseudo_dt when that is None.  The
     mass is added once the residual has chosen the step.  The linear solve
-    runs to eps_ls relative tolerance with GMRES, preconditioned by
-    block-Jacobi on the nodal edge blocks, which it inverts through their
-    pressure Schur complement; Dirichlet increments are pinned to zero.
+    runs to eps_ls relative tolerance with GMRES, right-preconditioned by
+    block_jacobi_preconditioner of the edge blocks: the level LU of their
+    harmonic blocks, over the mesh's level plan (the nodal Schur
+    block-Jacobi on meshes with wide levels).  Dirichlet increments are
+    pinned to zero.  lagged carries the preconditioner across the updates
+    of a solve: it is built, with this step's pseudo mass, when lagged has
+    none, and dropped after a GMRES solve that takes more than
+    REFACTOR_MATVECS matvecs.  A lone call (lagged None) builds its own.
     The update records the relative linear residual GMRES reached and the
-    seconds spent in assembly and in the linear solve.  An update that
-    GMRES left above eps_ls without stagnating is applied and flagged
-    (linear_converged False); stagnation raises LinearSolveError and leaves
-    the state untouched.  If the residual norm is already at or below
-    skip_below, no solve (and no operator assembly) is run.  dir_nodes, the
-    Dirichlet node ids of resolve_ns_dirichlet, is resolved here when not
-    given.
+    seconds spent in assembly, in the linear solve and, of those, in
+    building the preconditioner.  An update that GMRES left above eps_ls
+    without stagnating is applied and flagged (linear_converged False);
+    stagnation raises LinearSolveError and leaves the state untouched.  If
+    the residual norm is already at or below skip_below, no solve (and no
+    operator assembly) is run.  dir_nodes, the Dirichlet node ids of
+    resolve_ns_dirichlet, is resolved here when not given.
     """
     if pseudo_dt is None:
         pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
             else default_pseudo_dt(case, mesh)
     if dir_nodes is None:
         dir_nodes, _ = resolve_ns_dirichlet(case, mesh)
+    if lagged is None:
+        lagged = LaggedPreconditioner()
     start = time.perf_counter()
     resid, lin = _residual_pass(case, mesh, state)
     rnorm = residual_norm(resid, dir_nodes, mesh.dim)
     if rnorm <= skip_below:
         return NewtonUpdate(state.copy(), UpdateRecord(rnorm, 0, np.nan, True, np.nan,
-                                                       time.perf_counter() - start, 0.0))
+                                                       time.perf_counter() - start, 0.0, 0.0))
     if callable(pseudo_dt):
         pseudo_dt = pseudo_dt(rnorm)
     tangent = _tangent_pass(case, mesh, lin, newton=True)
@@ -659,9 +698,15 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     rhs[pins] = 0.0
     op = pinned_operator(tangent.matvec, pins)
     assembled = time.perf_counter()
-    precond = block_jacobi_preconditioner(tangent, pins)
-    res = gmres(op, rhs, config.gmres_config(), precond=precond)
+    precond_s = 0.0
+    if lagged.apply is None:
+        plan = assembly_context(mesh, build_graph).level_plan(2 * (mesh.dim + 1))
+        lagged.apply = block_jacobi_preconditioner(tangent, pins, plan)
+        precond_s = time.perf_counter() - assembled
+    res = gmres(op, rhs, config.gmres_config(), precond=lagged.apply)
     solved = time.perf_counter()
+    if res.matvecs > REFACTOR_MATVECS:
+        lagged.apply = None
     if not res.converged and res.residuals[-1] >= res.residuals[0]:
         raise LinearSolveError("linear solver stagnated; step rejected",
                                res.matvecs, res.residuals[-1])
@@ -674,7 +719,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     linear_residual = res.residuals[-1] / res.residuals[0] if res.residuals[0] > 0 else 0.0
     return NewtonUpdate(new, UpdateRecord(rnorm, res.matvecs, pseudo_dt, res.converged,
                                           linear_residual, assembled - start,
-                                          solved - assembled))
+                                          solved - assembled, precond_s))
 
 
 def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NSResult:
@@ -686,7 +731,10 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     is None); each later step follows ser_pseudo_dt from the previous step
     and the residual norms before it and before this step, so the steps
     grow towards plain Newton as the residual falls.  pseudo_dt=inf is
-    plain Newton-Raphson throughout.  If max_steps is exhausted, or a
+    plain Newton-Raphson throughout.  The updates share one
+    LaggedPreconditioner: the preconditioner is built at the first update,
+    with its pseudo mass, and again only after a GMRES solve that takes
+    more than REFACTOR_MATVECS matvecs.  If max_steps is exhausted, or a
     linear solve stagnates (warned about), the partial state is returned
     flagged as non-converged.
     """
@@ -701,13 +749,14 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
 
     residuals: List[float] = []
     updates: List[UpdateRecord] = []
+    lagged = LaggedPreconditioner()
     for _ in range(config.max_steps):
         skip = config.eps_nr * residuals[0] if residuals else 0.0
         rule = partial(ser_pseudo_dt, initial_dt, updates[-1].pseudo_dt if updates else None,
                        residuals[-1] if residuals else None)
         try:
             state_new, record = newton_step(case, mesh, state, config, rule,
-                                            skip_below=skip, dir_nodes=dir_nodes)
+                                            skip_below=skip, dir_nodes=dir_nodes, lagged=lagged)
         except LinearSolveError as err:
             warnings.warn(str(err))
             return NSResult(state, False, residuals, updates)

@@ -139,16 +139,17 @@ def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
 
     Both squared norms are quadratic forms of the element mass matrices.
     """
-    m_el = mesh.element_data().mass
+    elems = mesh.elements
+    return _omega_hat(np.asarray(velocity)[elems], np.asarray(accel)[elems],
+                      mesh.element_data().mass)
 
-    def norm2(values):
-        v_el = np.asarray(values)[mesh.elements]           # (E, nen, dim)
-        return np.einsum("eai,eai->", v_el, m_el @ v_el)
 
-    nrm_u = norm2(velocity)
+def _omega_hat(u_el: np.ndarray, a_el: np.ndarray, m_el: np.ndarray) -> float:
+    """omega_hat of the element values (E, nen, dim) of u and du/dt, with the element mass."""
+    nrm_u = np.einsum("eai,eai->", u_el, m_el @ u_el)
     if nrm_u == 0.0:
         return 0.0
-    return float(np.sqrt(norm2(accel) / nrm_u))
+    return float(np.sqrt(np.einsum("eai,eai->", a_el, m_el @ a_el) / nrm_u))
 
 
 class _PointFields(NamedTuple):
@@ -160,6 +161,7 @@ class _PointFields(NamedTuple):
     strong: np.ndarray    # (E, Q, dim) strong momentum residual S_i
     test: np.ndarray      # (E, Q, nen) momentum test weight w (N_A + tau u . grad N_A)
     grad_u: np.ndarray    # (E, dim, dim) d u_i / d x_j at [e, j, i]
+    what: float           # omega_hat of the state, which tau holds
 
 
 @dataclass
@@ -181,14 +183,14 @@ class TimeTangent:
                 + self.dr_dw2.ravel() * float(self.dw2_dx.ravel() @ x))
 
 
-def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
-                   what: float):
+def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
     """SUPG/PSPG residual at the alpha state, and its _PointFields.
 
-    All point fields are evaluated at once; the integrands are summed over
-    the points and scattered once through the mesh's cached node plan,
-    shared with the spectral solvers.  The viscous, pressure and continuity
-    terms use sum_q w_q N_A, since the gradients are constant per element.
+    All point fields are evaluated at once, omega_hat from the same element
+    gathers; the integrands are summed over the points and scattered once
+    through the mesh's cached node plan, shared with the spectral solvers.
+    The viscous, pressure and continuity terms use sum_q w_q N_A, since the
+    gradients are constant per element.
     """
     dim = mesh.dim
     rho, mu, nu = case.rho, case.mu, case.nu
@@ -197,13 +199,15 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
     ctx = assembly_context(mesh, build_graph)
     elems, grads, shp, w, n_int = mesh.elements, ed.grads, ed.basis, ed.wdetj, ed.n_int
     u_el = u_af[elems]
+    a_el = udot_am[elems]
     p_el = pres[elems]
+    what = _omega_hat(u_el, a_el, ed.mass)
     grad_u = np.einsum("eaj,eai->eji", grads, u_el)       # d u_i / d x_j
     grad_p = np.einsum("eaj,ea->ej", grads, p_el)
     uq = shp @ u_el
     tau = time_tau(uq, what, ed.metric[:, None], nu, c_i)
     adv = uq @ grads.transpose(0, 2, 1)
-    inertia = rho * (shp @ udot_am[elems] + uq @ grad_u)
+    inertia = rho * (shp @ a_el + uq @ grad_u)
     strong = inertia + grad_p[:, None, :]
     wt = (w * tau)[..., None]
     test = w[..., None] * shp + wt * adv
@@ -217,7 +221,7 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
            + grads @ np.sum(wt * strong, axis=1)[:, :, None] / rho)
     resid = np.zeros((mesh.n_nodes, dim + 1))
     ctx.nodes.add_to(resid, np.concatenate([r_m, r_c], axis=2).reshape(-1, dim + 1))
-    fields = _PointFields(uq, tau, adv, strong, test, grad_u)
+    fields = _PointFields(uq, tau, adv, strong, test, grad_u, what)
 
     for name, data in case.neumann.items():
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
@@ -225,7 +229,7 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
     return resid, fields
 
 
-def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, what: float,
+def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am,
                   *, alpha_m: float, fac: float) -> TimeTangent:
     """Exact Jacobian of _time_residual with respect to (acceleration, pressure).
 
@@ -260,7 +264,7 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am, wh
     g_el = None
     if nrm_u > 0.0:
         g_el = (2.0 / nrm_u) * (alpha_m * (m_el @ udot_am[mesh.elements])
-                                - what**2 * fac * mu_el)
+                                - f.what**2 * fac * mu_el)
 
     grads = ed.grads
     n_el, nen = grads.shape[:2]
@@ -448,8 +452,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         iters = it + 1
         u_af = state.velocity + ALPHA_F * (vel_new - state.velocity)
         udot_am = state.accel + ALPHA_M * (accel - state.accel)
-        what = omega_hat(u_af, udot_am, mesh)
-        resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af, what)
+        resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af)
         rr = resid.copy()
         rr[dir_nodes, :dim] = 0.0
         rnorm = float(np.linalg.norm(rr))
@@ -462,7 +465,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
             converged = True
             break
         if factor.stale:
-            tangent = _time_tangent(case, mesh, fields, u_af, udot_am, what,
+            tangent = _time_tangent(case, mesh, fields, u_af, udot_am,
                                     alpha_m=ALPHA_M, fac=ALPHA_F * GAMMA * dt)
             factor.factor(tangent, pins, assembly_context(mesh, build_graph).level_plan(dim + 1),
                           f"time step to t={t_new:.6g}")

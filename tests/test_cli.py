@@ -374,6 +374,25 @@ class TestSweep:
         assert not out.exists()
 
 
+    def test_mode_sweep_inflow_by_groups_runs_as_by_group(self, tmp_path):
+        # an inflow bc may name its facet groups as a list, as build_case reads it
+        raw = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        raw["study"]["reference"].update(dt_per_cycle=20, n_cycles=2)
+        tables = []
+        for form in ("group", "groups"):
+            if form == "groups":
+                inlet = raw["study"]["case"]["bcs"]["inlet"]
+                inlet["groups"] = [inlet.pop("group")]
+            path = tmp_path / f"{form}.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            out = tmp_path / form
+            assert main(["validate-config", str(path)]) == 0
+            assert main(["sweep", str(path), "--output-dir", str(out)]) == 0
+            tables.append(yaml.safe_load((out / "sweep.yaml").read_text()))
+        for by_group, by_groups in zip(tables[0]["rows"], tables[1]["rows"]):
+            for key in ("truncation", "flow_error", "converged"):
+                assert by_groups[key] == by_group[key], key
+
     def test_mode_sweep_without_sampled_inflow_rejected(self, tmp_path, capsys):
         raw = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
         inlet = raw["study"]["case"]["bcs"]["inlet"]
@@ -527,24 +546,27 @@ class TestMainEntry:
         summary = yaml.safe_load((tmp_path / "out" / "summary.yaml").read_text())
         assert set(summary) == {"kind", "converged", "steps", "residuals", "pseudo_dts",
                                 "linear_iters", "linear_residuals", "linear_unconverged",
-                                "assembly_s", "linear_s", "wall_time", "alpha", "beta",
+                                "assembly_s", "linear_s", "precond_s", "wall_time", "alpha",
+                                "beta",
                                 "flows", "truncation", "field_range", "outputs"}
         n_updates = len(summary["residuals"]) - 1
         assert n_updates >= 1
         assert len(summary["pseudo_dts"]) == len(summary["linear_iters"]) == n_updates
         assert len(summary["linear_residuals"]) == n_updates
         assert len(summary["assembly_s"]) == len(summary["linear_s"]) == n_updates
+        assert len(summary["precond_s"]) == n_updates and summary["precond_s"][0] > 0.0
         assert summary["linear_unconverged"] == 0
         table = out[out.index("step  "):].splitlines()
         assert table[0].split() == ["step", "residual", "pseudo_dt", "matvecs", "linear_res",
-                                    "assembly_s", "linear_s"]
+                                    "assembly_s", "linear_s", "precond_s"]
         assert len(table) == n_updates + 2
         assert table[1].split()[3] == str(summary["linear_iters"][0])
         assert float(table[1].split()[4]) == pytest.approx(summary["linear_residuals"][0],
                                                            rel=1e-3)
         assert float(table[1].split()[5]) == pytest.approx(summary["assembly_s"][0], abs=1e-4)
         assert float(table[1].split()[6]) == pytest.approx(summary["linear_s"][0], abs=1e-4)
-        assert table[-1].split()[2:] == ["-", "-", "-", "-", "-"]
+        assert float(table[1].split()[7]) == pytest.approx(summary["precond_s"][0], abs=1e-4)
+        assert table[-1].split()[2:] == ["-"] * 6
 
     def test_mesh_gen_verb(self, tmp_path, capsys):
         cfg = tmp_path / "mesh.yaml"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsfem.linsolve as linsolve
 from tsfem.linsolve import (
     AssemblyContext,
     BlockMatrix,
@@ -386,6 +387,17 @@ class TestGmres:
         res = gmres(lambda x: x, np.zeros(5))
         assert res.converged and np.all(res.x == 0.0)
 
+    def test_last_residual_is_the_true_one_reached(self):
+        # ill-conditioned: a full Krylov cycle drives the rotation estimate to rounding
+        # level while the true residual of the iterate stays near eps * cond ||b||
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        a = (q * np.logspace(0, 12, 30)) @ q.T
+        b = rng.standard_normal(30)
+        res = gmres(lambda x: a @ x, b, GmresConfig(restart=30, tol=1e-15, max_matvecs=31))
+        assert not res.converged and res.matvecs == 31
+        np.testing.assert_allclose(res.residuals[-1], np.linalg.norm(b - a @ res.x), rtol=1e-12)
+
     def test_matvecs_counted_and_capped(self):
         # the start residual is b: one Arnoldi step and the final b - Ax
         calls = []
@@ -403,8 +415,9 @@ class TestGmres:
             res = gmres(lambda x: calls.append(1) or a @ x, b,
                         GmresConfig(restart=5, tol=1e-14, max_matvecs=cap))
             assert not res.converged and res.matvecs == len(calls) <= cap
+            # the last residual is the true one of the returned x, not a rotation estimate
             np.testing.assert_allclose(np.linalg.norm(a @ res.x - b), res.residuals[-1],
-                                       rtol=1e-8)
+                                       rtol=1e-12)
 
 
 MESH_GENERATORS = {
@@ -504,7 +517,77 @@ class TestLevelLU:
             block_jacobi_preconditioner(sys_r)
 
 
+def mesh_tangent(mesh, n_modes, full, rng):
+    """Random BlockTangent on a mesh graph whose harmonic blocks are diagonally dominant."""
+    rows, cols, _ = build_graph(mesh.elements, mesh.n_nodes)
+    e, m, dim = rows.shape[0], 2 * n_modes - 1, mesh.dim
+    tg = BlockTangent(rows, cols, mesh.n_nodes, dim, n_modes,
+                      k_real=rng.standard_normal((e, m, m)),
+                      l_real=rng.standard_normal((e, m, m)),
+                      g_diag=rng.standard_normal((e, dim)),
+                      d_diag=rng.standard_normal((e, dim)),
+                      g_full=rng.standard_normal((e, dim, m, m)) if full else None,
+                      d_full=rng.standard_normal((e, dim, m, m)) if full else None)
+    boost = 4 * (dim + 1) * np.bincount(rows).max() * np.eye(m)
+    tg.k_real[rows == cols] += boost
+    tg.l_real[rows == cols] += boost
+    return tg
+
+
+def pinned_harmonic_dense(tg, pins):
+    """Dense oracle: the edge operator without the coupling between harmonics, pinned."""
+    harmonic = np.tile((np.arange(tg.n_slots) + 1) // 2, tg.n_nodes * (tg.dim + 1))
+    dense = tg.to_dense() * (harmonic[:, None] == harmonic[None, :])
+    dense[pins, :] = 0.0
+    dense[:, pins] = 0.0
+    dense[pins, pins] = 1.0
+    return dense
+
+
 class TestBlockJacobi:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(MESH_GENERATORS)),
+           res=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)),
+           n_modes=st.integers(1, 4), full=st.booleans(), pin_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_harmonic_blocks_solve_pinned_edge_operator(self, kind, res, n_modes, full,
+                                                       pin_share, seed):
+        # dim 1-3 meshes, the production (g_diag) and verification (g_full) forms
+        rng = np.random.default_rng(seed)
+        mesh = MESH_GENERATORS[kind](res)
+        tg = mesh_tangent(mesh, n_modes, full, rng)
+        dir_nodes = np.flatnonzero(rng.random(mesh.n_nodes) < pin_share)  # whole-velocity pins
+        pins = layout_pins(mesh.n_nodes, n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
+        r = rng.standard_normal(tg.n_dof)
+        ref = np.linalg.solve(pinned_harmonic_dense(tg, pins), r)
+        got = block_jacobi_preconditioner(tg, pins)(r)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_cap_on_level_width_selects_the_schur_path(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        mesh = generate_rect_tri((1.0, 1.0), (3, 2))
+        tg = mesh_tangent(mesh, 3, False, rng)
+        pins = layout_pins(mesh.n_nodes, 3, np.array([0, 5]), 3, 2)
+        plan = LevelPlan.of(tg.rows, tg.cols, tg.n_nodes)
+        r = rng.standard_normal(tg.n_dof)
+        harmonic = np.linalg.solve(pinned_harmonic_dense(tg, pins), r)
+        nodal = np.linalg.solve(pinned_diag_blocks(tg, pins),
+                                r.reshape(tg.n_nodes, -1, 1)).ravel()
+        widest = plan.width * 2 * (tg.dim + 1)
+        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", widest)
+        np.testing.assert_allclose(block_jacobi_preconditioner(tg, pins, plan)(r), harmonic,
+                                   rtol=1e-10, atol=1e-12)
+        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", widest - 1)
+        np.testing.assert_allclose(block_jacobi_preconditioner(tg, pins, plan)(r), nodal,
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_pins_must_cover_every_mode_slot(self):
+        tg = random_tangent(3, 2, 2)
+        pins = np.zeros((3, tg.dim + 1, 2 * tg.n_modes - 1), dtype=bool)
+        pins[0, 0, 1] = True            # one slot of node 0's first velocity direction
+        with pytest.raises(ValueError, match="every mode slot"):
+            block_jacobi_preconditioner(tg, pins.ravel())
+
     def test_linearity(self):
         tg = random_tangent(3, 2, 2)
         tg.k_real += 5 * np.eye(2 * tg.n_modes - 1)
@@ -531,10 +614,18 @@ def pinned_diag_blocks(tg, pins):
 
 
 class TestSchurBlockJacobi:
+    """The nodal path, taken above HARMONIC_LU_MAX_UNKNOWNS; each test sets the cap to 0."""
+
     @settings(max_examples=60, deadline=None)
     @given(n_nodes=st.integers(2, 6), dim=st.integers(1, 3), n_modes=st.integers(1, 4),
            full=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_matches_pinned_block_solve(self, n_nodes, dim, n_modes, full, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", 0)
+            self._matches_pinned_block_solve(n_nodes, dim, n_modes, full, seed)
+
+    @staticmethod
+    def _matches_pinned_block_solve(n_nodes, dim, n_modes, full, seed):
         rng = np.random.default_rng(seed)
         tg = random_tangent(n_nodes, dim, n_modes, rng=rng)
         e, m = tg.rows.shape[0], 2 * n_modes - 1
@@ -552,7 +643,8 @@ class TestSchurBlockJacobi:
         got = block_jacobi_preconditioner(tg, pins)(r)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_singular_k_falls_back_with_warning(self):
+    def test_singular_k_falls_back_with_warning(self, monkeypatch):
+        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", 0)
         tg = random_tangent(3, 2, 2)
         m = 2 * tg.n_modes - 1
         tg.k_real += 3 * m * np.eye(m)
@@ -572,7 +664,8 @@ class TestSchurBlockJacobi:
         scale = np.max(np.abs(np.diag(blocks[1])))
         np.testing.assert_allclose(out.reshape(3, -1)[1], r.reshape(3, -1)[1] / scale)
 
-    def test_unlike_velocity_pins_rejected(self):
+    def test_unlike_velocity_pins_rejected(self, monkeypatch):
+        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", 0)
         tg = random_tangent(3, 2, 2)
         pins = np.zeros((3, tg.dim + 1, 2 * tg.n_modes - 1), dtype=bool)
         pins[0, 0, :] = True            # one velocity direction of node 0 only

@@ -869,7 +869,7 @@ class TestPseudoStep:
         assert result.converged and all(u.linear_converged for u in result.updates)
         linear_residuals = [u.linear_residual for u in result.updates]
         assert len(linear_residuals) == result.steps == len(reached) >= 1
-        np.testing.assert_allclose(linear_residuals, reached, rtol=1e-6)
+        np.testing.assert_allclose(linear_residuals, reached, rtol=1e-12)
         assert all(0.0 < r <= 0.05 for r in linear_residuals)
 
     def test_solver_config_rejects_bad_step_values(self):
@@ -879,6 +879,58 @@ class TestPseudoStep:
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             SolverConfig(max_steps=0)
         assert SolverConfig(pseudo_dt=np.inf).pseudo_dt == np.inf
+
+
+class TestLaggedPreconditioner:
+    """solve_ns builds its preconditioner once and again only after a long GMRES solve."""
+
+    @staticmethod
+    def _counted_solve(monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return linsolve.block_jacobi_preconditioner(*args, **kwargs)
+
+        monkeypatch.setattr(navier_stokes, "block_jacobi_preconditioner", counting)
+        mesh, case = TestPseudoStep._bent_case()
+        result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
+        assert result.converged and all(u.linear_converged for u in result.updates)
+        return result, len(built)
+
+    @staticmethod
+    def _rebuilt(updates):
+        """Which updates should build: the first, and each after a solve over the threshold."""
+        return [k == 0 or updates[k - 1].matvecs > navier_stokes.REFACTOR_MATVECS
+                for k in range(len(updates))]
+
+    def test_short_solves_keep_the_first_factor(self, monkeypatch):
+        result, built = self._counted_solve(monkeypatch)
+        assert max(u.matvecs for u in result.updates) <= navier_stokes.REFACTOR_MATVECS
+        assert built == 1 and result.steps > 1
+        assert [u.precond_s > 0.0 for u in result.updates] == self._rebuilt(result.updates)
+        assert all(u.linear_s >= u.precond_s for u in result.updates)
+
+    def test_a_solve_over_the_threshold_refactors(self, monkeypatch):
+        monkeypatch.setattr(navier_stokes, "REFACTOR_MATVECS", 3)
+        result, built = self._counted_solve(monkeypatch)
+        rebuilt = self._rebuilt(result.updates)
+        assert built == sum(rebuilt) > 1
+        assert [u.precond_s > 0.0 for u in result.updates] == rebuilt
+
+    def test_lone_newton_step_builds_its_own(self, monkeypatch):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 4))
+        case = poiseuille_case(n_modes=2, omega=1.0)
+        built = []
+        monkeypatch.setattr(navier_stokes, "block_jacobi_preconditioner",
+                            lambda *a: built.append(1) or linsolve.block_jacobi_preconditioner(*a))
+        state = NSState.zeros(mesh.n_nodes, 2, 2)
+        dir_nodes, dir_vals = resolve_ns_dirichlet(case, mesh)
+        state.velocity[dir_nodes] = dir_vals
+        for _ in range(2):
+            state, record = newton_step(case, mesh, state, SolverConfig())
+            assert record.precond_s > 0.0
+        assert len(built) == 2
 
 
 class TestBackflowMatrix:

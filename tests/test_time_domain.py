@@ -364,12 +364,11 @@ class TestAssembly:
                  rng.standard_normal(n))
         case = TimeCase(rho=1.3, mu=0.07, period=1.0, n_cycles=2, dt=0.05,
                         neumann={"xmax": lambda t: 0.3 + t, "xmin": lambda t: -0.8})
-        args = state + (0.2, 1.7)
-        resid, fields = _time_residual(case, mesh, *args)
-        tangent = _time_tangent(case, mesh, fields, state[0], state[1], 1.7,
-                                alpha_m=0.9, fac=0.03)
+        resid, fields = _time_residual(case, mesh, *state, 0.2)
+        assert fields.what == omega_hat(state[0], state[1], mesh)
+        tangent = _time_tangent(case, mesh, fields, state[0], state[1], alpha_m=0.9, fac=0.03)
         ref_resid, rows, cols, ref_blocks, ref_dr = per_point_assemble_time(
-            case, mesh, *args, alpha_m=0.9, fac=0.03)
+            case, mesh, *state, 0.2, fields.what, alpha_m=0.9, fac=0.03)
         local = tangent.local
         np.testing.assert_array_equal(local.rows, rows)
         np.testing.assert_array_equal(local.cols, cols)
@@ -403,9 +402,8 @@ class TestNewtonOperator:
         def assemble(x):
             a = x[:, :dim]
             u_af, udot_am = u0 + fac * a, a0 + alpha_m * a
-            what = omega_hat(u_af, udot_am, mesh)
-            resid, fields = _time_residual(case, mesh, u_af, udot_am, x[:, dim], 0.1, what)
-            return resid, _time_tangent(case, mesh, fields, u_af, udot_am, what,
+            resid, fields = _time_residual(case, mesh, u_af, udot_am, x[:, dim], 0.1)
+            return resid, _time_tangent(case, mesh, fields, u_af, udot_am,
                                         alpha_m=alpha_m, fac=fac)
 
         x = rng.standard_normal((n, dim + 1))
@@ -463,9 +461,8 @@ def random_tangent(mesh, seed=5):
     n, dim = mesh.n_nodes, mesh.dim
     u_af, udot_am = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
     case = TimeCase(rho=1.3, mu=0.07, period=1.0, n_cycles=2, dt=0.05)
-    what = omega_hat(u_af, udot_am, mesh)
-    _, fields = _time_residual(case, mesh, u_af, udot_am, rng.standard_normal(n), 0.1, what)
-    tangent = _time_tangent(case, mesh, fields, u_af, udot_am, what, alpha_m=0.9, fac=0.03)
+    _, fields = _time_residual(case, mesh, u_af, udot_am, rng.standard_normal(n), 0.1)
+    tangent = _time_tangent(case, mesh, fields, u_af, udot_am, alpha_m=0.9, fac=0.03)
     dir_nodes = rng.choice(n, n // 4, replace=False)
     return tangent, linsolve.layout_pins(n, 1, dir_nodes, dim + 1, dim)
 
