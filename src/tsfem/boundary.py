@@ -5,6 +5,9 @@ Boundary data of a facet group is uniform (an array of the per-node
 shape, or SpectralCoeffs), a callable of the node coordinates, or, for
 Dirichlet data, NodalValues.  resolve_dirichlet merges the groups in
 order, walls last, and where groups share nodes the later one wins.
+The data of a group that no step changes, its node set (Mesh.group_nodes)
+and the facet integrals of its shape functions (its FacetQuadData), is
+built at the first use and kept on the mesh.
 """
 
 from __future__ import annotations
@@ -74,12 +77,12 @@ def resolve_dirichlet(mesh: Mesh, dirichlet: Dict[str, object], walls: Iterable[
         if isinstance(data, NodalValues):
             parts.append((np.asarray(data.nodes), np.asarray(data.values, dtype=dtype)))
             continue
-        nodes = np.unique(mesh.facet_groups[name].nodes)
+        nodes = mesh.group_nodes(name)
         vals = boundary_values(data, shape, f"dirichlet data of group {name!r}",
                                mesh.coords[nodes], *args, dtype=dtype)
         parts.append((nodes, np.broadcast_to(vals, (nodes.size,) + shape)))
     for name in walls:
-        nodes = np.unique(mesh.facet_groups[name].nodes)
+        nodes = mesh.group_nodes(name)
         parts.append((nodes, np.zeros((nodes.size,) + shape, dtype=dtype)))
     if not parts:
         return np.zeros(0, dtype=int), np.zeros((0,) + shape, dtype=dtype)
@@ -94,10 +97,10 @@ def add_traction(out: np.ndarray, fq, h) -> None:
 
     fq is the group's FacetQuadData and out the momentum rows of a residual,
     (n_nodes, dim) for a scalar h or (n_nodes, dim, M) for a vector h (M,),
-    such as the real mode coordinates of the spectral solver.
+    such as the real mode coordinates of the spectral solver.  The facet
+    sums are fq.node_normals, so the term is one product.
     """
-    r_el = np.multiply.outer(-np.einsum("fq,qa,fi->fai", fq.weights, fq.shape, fq.normals), h)
-    np.add.at(out, fq.nodes.ravel(), r_el.reshape((-1,) + out.shape[1:]))
+    out[fq.node_ids] -= np.multiply.outer(fq.node_normals, h)
 
 
 def add_backflow(blocks: np.ndarray, ctx, fq, scale: float, an_neg: np.ndarray) -> None:

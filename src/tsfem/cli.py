@@ -332,8 +332,10 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     totals of its Newton updates (linear_solves_total, each a direct solve
     with a lagged factor) and of the tangents it built and factored.
     Each row's cost_ratio, the paper's cost measure, is its run's wall_time
-    (seconds) over that of the time reference run (reference_seconds); a
-    diverged time-reference step raises DivergedStepError before any output.
+    (seconds) over that of the time reference run (reference_seconds), of
+    which reference_assembly_s went to its residuals and tangents and
+    reference_linear_s to its factorizations and solves; a diverged
+    time-reference step raises DivergedStepError before any output.
     """
     base = _study_case(study, "mode_sweep")
     out_dir = Path(out_dir)
@@ -379,7 +381,9 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
              "newton_iters_max": int(max(tres.newton_iters)),
              "linear_solves_total": int(sum(tres.linear_solves)),
              "factorizations_total": int(sum(tres.factorizations)),
-             "reference_seconds": reference_seconds}
+             "reference_seconds": reference_seconds,
+             "reference_assembly_s": float(sum(tres.assembly_seconds)),
+             "reference_linear_s": float(sum(tres.linear_seconds))}
     with open(out_dir / "sweep.yaml", "w") as fh:
         yaml.safe_dump(table, fh, sort_keys=True)
     export_traces(t_ref, {"Q_time": q_ref_cycle}, out_dir / "reference_trace.csv")

@@ -209,7 +209,8 @@ class SortedSegments:
 
     def add_to(self, out: np.ndarray, values: np.ndarray) -> None:
         if self.starts.size:
-            out[self.ids] += np.add.reduceat(values[self.order], self.starts, axis=0)
+            out[self.ids] += np.add.reduceat(np.take(values, self.order, axis=0), self.starts,
+                                             axis=0)
 
 
 def _neighbours(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -559,7 +560,7 @@ class BlockTangent:
     than per edge (the Newton terms of the NS operator): an object whose
     add_to(x, y) adds its product with the (n_nodes, dim+1, 2N-1) array x
     to y, and whose reals_per_element and n_elements give its storage.  The
-    preconditioner, diag_blocks and to_dense see the edge blocks only.
+    preconditioner and to_dense see the edge blocks only.
     """
 
     rows: np.ndarray
@@ -619,21 +620,6 @@ class BlockTangent:
         if full is not None:
             return full[edges]
         return scalar[edges, :, None, None] * np.eye(self.n_slots)
-
-    def diag_blocks(self) -> np.ndarray:
-        d, m = self.dim, self.n_slots
-        diag = np.zeros((self.n_nodes, d + 1, m, d + 1, m))
-        # build_graph pairs are unique: one self-edge per node
-        sel = np.flatnonzero(self.rows == self.cols)
-        nodes = self.rows[sel]
-        g_real = self._coupling(self.g_full, self.g_diag, sel)
-        d_real = self._coupling(self.d_full, self.d_diag, sel)
-        for i in range(d):
-            diag[nodes, i, :, i, :] = self.k_real[sel]
-            diag[nodes, i, :, d, :] = g_real[:, i]
-            diag[nodes, d, :, i, :] = d_real[:, i]
-        diag[nodes, d, :, d, :] = self.l_real[sel]
-        return diag.reshape(self.n_nodes, (d + 1) * m, (d + 1) * m)
 
     def to_dense(self) -> np.ndarray:
         d, m = self.dim, self.n_slots

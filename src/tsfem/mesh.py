@@ -16,6 +16,7 @@ the parent element, and the named groups partition the mesh boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict
 
 import numpy as np
@@ -144,6 +145,11 @@ class Mesh:
     # read-only FacetQuadData per group, built by the first facet_quadrature
     _facet_quad: Dict[str, "FacetQuadData"] = field(default_factory=dict, repr=False,
                                                     compare=False)
+    # read-only node ids per group, built by the first group_nodes
+    _group_nodes: Dict[str, np.ndarray] = field(default_factory=dict, repr=False,
+                                                compare=False)
+    # time-step element tables (time_domain._StepTables), built by the first time step
+    _step_tables: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -157,6 +163,13 @@ class Mesh:
         if self._edata is None:
             self._edata = ElementData.build(self)
         return self._edata
+
+    def group_nodes(self, name: str) -> np.ndarray:
+        """The nodes of a facet group, ascending; built at the first call and kept."""
+        nodes = self._group_nodes.get(name)
+        if nodes is None:
+            nodes = self._group_nodes[name] = _read_only(np.unique(self.facet_groups[name].nodes))
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -244,7 +257,15 @@ def facet_geometry(mesh: Mesh, group: str):
 
 @dataclass(frozen=True)
 class FacetQuadData:
-    """Facet-group quadrature: shape values, weighted points, outward normals."""
+    """Facet-group quadrature: shape values, weighted points, outward normals.
+
+    node_ids are the group's nodes, ascending, and node_weights and
+    node_normals the facet integrals of their shape functions: the
+    integral of a P1 field f over the group is node_weights . f[node_ids],
+    and the outward flux of a P1 vector field u is
+    sum(node_normals * u[node_ids]).  The two sums are built at their
+    first use and kept, read-only like the fields.
+    """
 
     nodes: np.ndarray      # (F, k) facet node ids
     parents: np.ndarray    # (F,)
@@ -253,6 +274,28 @@ class FacetQuadData:
     normals: np.ndarray    # (F, dim) unit outward
     points: np.ndarray     # (F, qf, dim) physical quadrature points
     areas: np.ndarray      # (F,)
+    node_ids: np.ndarray   # (K,) the distinct entries of nodes, ascending
+
+    @cached_property
+    def _node_integrals(self) -> np.ndarray:
+        """(K, 1 + dim): sum_f sum_q w_q N_A, then times n_i."""
+        slot = np.searchsorted(self.node_ids, self.nodes).ravel()
+        # sum_q w_q N_A of each facet node, times [1 | n_i] of its facet
+        one_normal = np.c_[np.ones(len(self.normals)), self.normals]
+        per_node = (self.weights @ self.shape)[..., None] * one_normal[:, None]
+        sums = np.zeros((self.node_ids.size, one_normal.shape[1]))
+        np.add.at(sums, slot, per_node.reshape(slot.size, -1))
+        return sums
+
+    @cached_property
+    def node_weights(self) -> np.ndarray:
+        """(K,) sum_f sum_q w_q N_A."""
+        return _read_only(self._node_integrals[:, 0])
+
+    @cached_property
+    def node_normals(self) -> np.ndarray:
+        """(K, dim) sum_f sum_q w_q N_A n_i."""
+        return _read_only(self._node_integrals[:, 1:])
 
     def interpolate(self, nodal: np.ndarray) -> np.ndarray:
         """Nodal values (n_nodes, ...) at every facet quadrature point, (F, qf, ...)."""
@@ -276,13 +319,17 @@ def facet_quadrature(mesh: Mesh, group: str) -> FacetQuadData:
     scale = areas / rule.weights.sum()
     weights = rule.weights[None, :] * scale[:, None]
     points = np.einsum("qk,fki->fqi", vals, mesh.coords[fg.nodes])
-    arrays = []
-    for arr in (fg.nodes, fg.parents, vals, weights, normals, points, areas):
-        view = arr.view()
-        view.setflags(write=False)
-        arrays.append(view)
-    mesh._facet_quad[group] = FacetQuadData(*arrays)
+    arrays = [_read_only(arr) for arr in (fg.nodes, fg.parents, vals, weights, normals,
+                                          points, areas)]
+    mesh._facet_quad[group] = FacetQuadData(*arrays, mesh.group_nodes(group))
     return mesh._facet_quad[group]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 # ---------------------------------------------------------------------------

@@ -825,7 +825,7 @@ def parabolic_inflow(mesh: Mesh, group: str, flow: SpectralCoeffs) -> NodalValue
     if np.max(np.linalg.norm(fq.normals - n_mean, axis=1)) > 1e-6:
         warnings.warn(f"facet group {group!r} is not planar; "
                       "parabolic profile is approximate")
-    nodes = np.unique(fq.nodes)
+    nodes = fq.node_ids
     coords = mesh.coords[nodes]
     centroid = np.average(fq.points.reshape(-1, mesh.dim), axis=0,
                           weights=fq.weights.ravel())

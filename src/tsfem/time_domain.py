@@ -11,10 +11,17 @@ per quadrature point, where w_hat = ||du/dt|| / ||u|| is a global
 acceleration frequency; this keeps the method consistent in dt while
 controlling the pressure-stabilization term at small time steps.
 The convective velocity u_af, w_hat and tau are re-evaluated at every
-Newton iterate of a time step, and the Newton operator is their exact
-linearization: the local element blocks carry the convective reaction,
-the variation of the SUPG/PSPG test functions and of tau through u, and
-the dependence of tau on the global w_hat is a rank-one term.  The Newton
+Newton iterate of a time step, in one point-value pass: one product of
+the mesh's [N(q); grad N] table with the gathered [u_af | du/dt | p]
+gives their values at the quadrature points and their element gradients,
+w_hat and tau come from those, and one product of its [w N | grad N]
+table gives both residual rows.  These tables, G:G per element, each
+group's Dirichlet node set and each Neumann group's nodal facet sums do
+not change between steps; they are built at the first use and kept on
+the mesh.  The Newton operator is the exact linearization: the local
+element blocks carry the convective reaction, the variation of the
+SUPG/PSPG test functions and of tau through u, and the dependence of tau
+on the global w_hat is a rank-one term.  The Newton
 updates are chord (modified-Newton) steps (Kelley, Iterative Methods for
 Linear and Nonlinear Equations, SIAM 1995, sec. 5.4): a run keeps one
 direct solve of a lagged Newton operator (LaggedFactor), the level LU
@@ -24,6 +31,8 @@ iterations and steps.  The tangent is built and factored only when there
 is no factor yet or the last update left the residual above
 REFACTOR_CONTRACTION times its value before it.  A step whose Newton loop
 ends unconverged warns, and one that diverges raises DivergedStepError.
+Each step records its seconds in assembly (residuals and tangents) and
+in linear work (factorizations and solves).
 """
 
 from __future__ import annotations
@@ -121,35 +130,95 @@ class TimeState:
 
 
 def time_tau(u_gauss: np.ndarray, omega_hat_val: float, metric: np.ndarray,
-             nu: float, c_i: float) -> np.ndarray:
-    """Scalar stabilization parameter per quadrature point (batched)."""
+             nu: float, c_i: float, gg: np.ndarray | None = None) -> np.ndarray:
+    """Scalar stabilization parameter per quadrature point (batched).
+
+    u_gauss (..., dim) and metric (..., dim, dim) broadcast together; a
+    metric with as many axes as u_gauss, (E, dim, dim) for u_gauss
+    (E, Q, dim), is one metric per element for all its points.  gg is
+    G:G of the metric, broadcastable against the points, if the caller
+    keeps it; it is worked out from metric otherwise.
+    """
     u_gauss = np.asarray(u_gauss, dtype=float)
     metric = np.asarray(metric, dtype=float)
-    ugu = np.einsum("...i,...ij,...j->...", u_gauss, metric, u_gauss)
-    gg = np.einsum("...ij,...ij->...", metric, metric)
-    arg = omega_hat_val**2 + ugu + c_i * nu**2 * gg
-    if np.any(arg <= 0.0):
+    per_element = metric.ndim == u_gauss.ndim
+    if per_element:
+        arg = np.einsum("...i,...i->...", u_gauss @ metric, u_gauss)
+    else:
+        arg = np.einsum("...i,...ij,...j->...", u_gauss, metric, u_gauss)
+    if gg is None:
+        gg = np.einsum("...ij,...ij->...", metric, metric)
+        if per_element:
+            gg = gg[..., None]
+    arg += omega_hat_val**2 + c_i * nu**2 * gg
+    if arg.min() <= 0.0:
         raise ValueError("stabilization argument vanished (zero velocity, "
                          "frequency and diffusivity)")
     return arg**-0.5
 
 
+class _StepTables(NamedTuple):
+    """Element tables of the time step, built from a mesh's ElementData.
+
+    point_grad[e] = [N_A(q); dN_A/dx_j] (Q + dim, nen) takes the element
+    values of nodal fields to their values at the quadrature points and
+    their gradients, in one product; weight_grad[e] = [w_q detj N_A(q) |
+    dN_A/dx_j] (nen, Q + dim) takes per-point integrands and gradient
+    fluxes to the residual rows, in one product; gg[e] = G:G.
+    """
+
+    point_grad: np.ndarray   # (E, Q + dim, nen)
+    weight_grad: np.ndarray  # (E, nen, Q + dim)
+    gg: np.ndarray           # (E,)
+
+
+def _step_tables(mesh: Mesh) -> _StepTables:
+    """The mesh's _StepTables, built at its first time step and cached on it."""
+    if mesh._step_tables is None:
+        ed = mesh.element_data()
+        n_el = mesh.n_elements
+        grads_t = ed.grads.transpose(0, 2, 1)
+        point_grad = np.concatenate([np.broadcast_to(ed.basis, (n_el,) + ed.basis.shape),
+                                     grads_t], axis=1)
+        weight_grad = np.concatenate([ed.wdetj[:, None, :] * ed.basis.T, ed.grads], axis=2)
+        mesh._step_tables = _StepTables(point_grad, weight_grad,
+                                        np.einsum("eij,eij->e", ed.metric, ed.metric))
+    return mesh._step_tables
+
+
+def _point_values(mesh: Mesh, velocity, accel, pressure) -> np.ndarray:
+    """[u | du/dt | p] at the quadrature points, then their gradients.
+
+    Returns (E, Q + dim, 2 dim + 1): rows q < Q hold the point values and
+    rows Q + j the derivatives d/dx_j, constant per element.
+    """
+    x = np.concatenate([velocity, accel, pressure[:, None]], axis=1)
+    return _step_tables(mesh).point_grad @ np.take(x, mesh.elements, axis=0)
+
+
+def _omega_hat(ua_q: np.ndarray, wdetj: np.ndarray) -> float:
+    """omega_hat of [u | du/dt] at the quadrature points, (E, Q, 2 dim).
+
+    For P1 fields the volume rule integrates |u|^2 exactly, so the sums
+    are the mass-matrix quadratic forms u^T M u and a^T M a.
+    """
+    dim = ua_q.shape[-1] // 2
+    sums = wdetj.reshape(-1) @ (ua_q**2).reshape(-1, 2 * dim)
+    nrm_u, nrm_a = sums.reshape(2, dim).sum(axis=1)
+    if nrm_u == 0.0:
+        return 0.0
+    return float(np.sqrt(nrm_a / nrm_u))
+
+
 def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
     """Global frequency estimate ||du/dt||_Omega / ||u||_Omega (0 if u = 0).
 
-    Both squared norms are quadratic forms of the element mass matrices.
+    Computed as the time step computes it, from the point values.
     """
-    elems = mesh.elements
-    return _omega_hat(np.asarray(velocity)[elems], np.asarray(accel)[elems],
-                      mesh.element_data().mass)
-
-
-def _omega_hat(u_el: np.ndarray, a_el: np.ndarray, m_el: np.ndarray) -> float:
-    """omega_hat of the element values (E, nen, dim) of u and du/dt, with the element mass."""
-    nrm_u = np.einsum("eai,eai->", u_el, m_el @ u_el)
-    if nrm_u == 0.0:
-        return 0.0
-    return float(np.sqrt(np.einsum("eai,eai->", a_el, m_el @ a_el) / nrm_u))
+    ed = mesh.element_data()
+    vals = _point_values(mesh, np.asarray(velocity, dtype=float),
+                         np.asarray(accel, dtype=float), np.zeros(mesh.n_nodes))
+    return _omega_hat(vals[:, :ed.basis.shape[0], :2 * mesh.dim], ed.wdetj)
 
 
 class _PointFields(NamedTuple):
@@ -157,9 +226,7 @@ class _PointFields(NamedTuple):
 
     uq: np.ndarray        # (E, Q, dim) velocity u_af
     tau: np.ndarray       # (E, Q)
-    adv: np.ndarray       # (E, Q, nen) u . grad N_A
     strong: np.ndarray    # (E, Q, dim) strong momentum residual S_i
-    test: np.ndarray      # (E, Q, nen) momentum test weight w (N_A + tau u . grad N_A)
     grad_u: np.ndarray    # (E, dim, dim) d u_i / d x_j at [e, j, i]
     what: float           # omega_hat of the state, which tau holds
 
@@ -186,47 +253,55 @@ class TimeTangent:
 def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
     """SUPG/PSPG residual at the alpha state, and its _PointFields.
 
-    All point fields are evaluated at once, omega_hat from the same element
-    gathers; the integrands are summed over the points and scattered once
-    through the mesh's cached node plan, shared with the spectral solvers.
-    The viscous, pressure and continuity terms use sum_q w_q N_A, since the
-    gradients are constant per element.
+    One point-value pass: the point values and gradients of [u_af | udot_am
+    | p] come from one product with the mesh's _StepTables, omega_hat and
+    tau from those, and both residual rows from one product of the
+    weight_grad table with the per-point integrands and the element fluxes
+    (the gradients are constant per element):
+
+        r_A = sum_q w N_A rho (a + u.grad u)
+              + dN_A/dx_j (sum_q w tau u_j S_i + mu vol du_i/dx_j - p_int delta_ij)
+        r_c = sum_q w N_A div u + dN_A/dx_j sum_q w tau S_j / rho
+
+    with S the strong momentum residual and p_int = sum_q w p.  The rows
+    are scattered once through the mesh's cached node plan, and each
+    Neumann group adds its traction as one product.
     """
-    dim = mesh.dim
-    rho, mu, nu = case.rho, case.mu, case.nu
-    c_i = c_i_for(mesh.elem_type, case.c_i)
+    dim, n_el = mesh.dim, mesh.n_elements
+    rho = case.rho
     ed = mesh.element_data()
-    ctx = assembly_context(mesh, build_graph)
-    elems, grads, shp, w, n_int = mesh.elements, ed.grads, ed.basis, ed.wdetj, ed.n_int
-    u_el = u_af[elems]
-    a_el = udot_am[elems]
-    p_el = pres[elems]
-    what = _omega_hat(u_el, a_el, ed.mass)
-    grad_u = np.einsum("eaj,eai->eji", grads, u_el)       # d u_i / d x_j
-    grad_p = np.einsum("eaj,ea->ej", grads, p_el)
-    uq = shp @ u_el
-    tau = time_tau(uq, what, ed.metric[:, None], nu, c_i)
-    adv = uq @ grads.transpose(0, 2, 1)
-    inertia = rho * (shp @ a_el + uq @ grad_u)
+    n_q = ed.basis.shape[0]
+    tables = _step_tables(mesh)
+    vals = _point_values(mesh, u_af, udot_am, pres)
+    uq, aq, pq = vals[:, :n_q, :dim], vals[:, :n_q, dim:2 * dim], vals[:, :n_q, 2 * dim]
+    grad_u, grad_p = vals[:, n_q:, :dim], vals[:, n_q:, 2 * dim]
+    what = _omega_hat(vals[:, :n_q, :2 * dim], ed.wdetj)
+    tau = time_tau(uq, what, ed.metric, case.nu, c_i_for(mesh.elem_type, case.c_i),
+                   tables.gg[:, None])
+
+    # the point values are strided views of vals: each product below
+    # writes a contiguous array, which the elementwise steps then update
+    inertia = uq @ grad_u
+    inertia += aq
+    inertia *= rho
     strong = inertia + grad_p[:, None, :]
-    wt = (w * tau)[..., None]
-    test = w[..., None] * shp + wt * adv
+    wts = (ed.wdetj * tau)[..., None] * strong
+    grad_flux = uq.transpose(0, 2, 1) @ wts
+    grad_flux += (case.mu * ed.vol)[:, None, None] * grad_u
+    diag = np.arange(dim)
+    grad_flux[:, diag, diag] -= np.einsum("eq,eq->e", ed.wdetj, pq)[:, None]
+    flux = np.empty((n_el, n_q + dim, dim + 1))
+    flux[:, :n_q, :dim] = inertia
+    flux[:, :n_q, dim] = np.einsum("eii->e", grad_u)[:, None]
+    flux[:, n_q:, :dim] = grad_flux
+    flux[:, n_q:, dim] = np.einsum("eqi->ei", wts) / rho
 
-    p_int = np.einsum("ea,ea->e", n_int, p_el)            # sum_q w_q p
-    r_m = (test.transpose(0, 2, 1) @ inertia
-           + np.einsum("ea,ej->eaj", np.sum(wt * adv, axis=1), grad_p)
-           + mu * ed.vol[:, None, None] * grads @ grad_u
-           - grads * p_int[:, None, None])
-    r_c = ((n_int * np.einsum("eii->e", grad_u)[:, None])[..., None]
-           + grads @ np.sum(wt * strong, axis=1)[:, :, None] / rho)
     resid = np.zeros((mesh.n_nodes, dim + 1))
-    ctx.nodes.add_to(resid, np.concatenate([r_m, r_c], axis=2).reshape(-1, dim + 1))
-    fields = _PointFields(uq, tau, adv, strong, test, grad_u, what)
-
+    ctx = assembly_context(mesh, build_graph)
+    ctx.nodes.add_to(resid, (tables.weight_grad @ flux).reshape(-1, dim + 1))
     for name, data in case.neumann.items():
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
-
-    return resid, fields
+    return resid, _PointFields(uq, tau, strong, grad_u, what)
 
 
 def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am,
@@ -270,14 +345,16 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am,
     n_el, nen = grads.shape[:2]
     w, n_q = ed.wdetj, shp.shape[0]
     grads_t = grads.transpose(0, 2, 1)
-    test_t = f.test.transpose(0, 2, 1)
     grad_u_t = f.grad_u.transpose(0, 2, 1)        # d u_i / d x_k at [e, i, k]
     wt = w * f.tau
-    trial = alpha_m * shp + fac * f.adv
+    adv = f.uq @ grads_t                          # u . grad N_A
+    # the momentum test weight w (N_A + tau u . grad N_A)
+    test_t = (w[..., None] * shp + wt[..., None] * adv).transpose(0, 2, 1)
+    trial = alpha_m * shp + fac * adv
     gu = f.uq @ ed.metric                         # (G u)_k
     # w tau^3 times the SUPG and PSPG weights: d(w tau)/d(u.G.u) = -w tau^3 / 2
     w3 = (w * f.tau**3)[..., None]
-    w3_adv = w3 * f.adv
+    w3_adv = w3 * adv
     w3_gs = w3 * (f.strong @ grads_t) / rho
     tau_s = (wt[..., None] * f.strong).transpose(0, 2, 1) @ shp   # sum_q w tau S_i N_B
 
@@ -296,7 +373,7 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am,
     blk[..., :dim, :dim] = fac * vv
     blk[..., diag, diag] += (rho * (test_t @ trial)
                              + fac * mu * ed.vol[:, None, None] * ed.gab)[..., None]
-    blk[..., :dim, dim] = ((wt[:, None] @ f.adv)[:, 0, :, None, None] * grads[:, None]
+    blk[..., :dim, dim] = ((wt[:, None] @ adv)[:, 0, :, None, None] * grads[:, None]
                            - grads[:, :, None] * ed.n_int[:, None, :, None])
     # continuity rows: Galerkin divergence, PSPG, the PSPG reaction and
     # the tau variation
@@ -388,13 +465,15 @@ class DivergedStepError(RuntimeError):
 
 
 class StepResult(NamedTuple):
-    """One generalized-alpha step: the new state and its Newton work."""
+    """One generalized-alpha step: the new state, its Newton work and its seconds."""
 
     state: TimeState
     converged: bool
     newton_iters: int         # residual evaluations
     linear_solves: int        # Newton updates, each a LaggedFactor solve
     factorizations: int       # tangents built and factored
+    assembly_s: float         # in the residuals and tangents
+    linear_s: float           # in the factorizations and solves
 
 
 def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
@@ -420,6 +499,8 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     is imposed strongly at t_{n+1} with a rate-consistent boundary
     acceleration; dirichlet_scale ramps the data during start-up.
     """
+    if max_newton < 1:
+        raise ValueError(f"max_newton must be at least 1, got {max_newton}")
     if config is None:
         config = SolverConfig()
     if factor is None:
@@ -433,7 +514,6 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     dir_nodes, dir_vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (dim,), t_new,
                                             dtype=float)
     dir_vals = dirichlet_scale * dir_vals
-    pins = layout_pins(mesh.n_nodes, 1, dir_nodes, dim + 1, dim)
 
     # predictor: constant velocity, consistent boundary acceleration
     accel = (GAMMA - 1.0) / GAMMA * state.accel
@@ -448,11 +528,14 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     r0 = rprev = None
     converged = False
     iters = solves = 0
+    assembly_s = linear_s = 0.0
     for it in range(max_newton):
         iters = it + 1
         u_af = state.velocity + ALPHA_F * (vel_new - state.velocity)
         udot_am = state.accel + ALPHA_M * (accel - state.accel)
+        start = time.perf_counter()
         resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af)
+        assembly_s += time.perf_counter() - start
         rr = resid.copy()
         rr[dir_nodes, :dim] = 0.0
         rnorm = float(np.linalg.norm(rr))
@@ -465,11 +548,18 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
             converged = True
             break
         if factor.stale:
+            start = time.perf_counter()
             tangent = _time_tangent(case, mesh, fields, u_af, udot_am,
                                     alpha_m=ALPHA_M, fac=ALPHA_F * GAMMA * dt)
-            factor.factor(tangent, pins, assembly_context(mesh, build_graph).level_plan(dim + 1),
+            mid = time.perf_counter()
+            assembly_s += mid - start
+            factor.factor(tangent, layout_pins(mesh.n_nodes, 1, dir_nodes, dim + 1, dim),
+                          assembly_context(mesh, build_graph).level_plan(dim + 1),
                           f"time step to t={t_new:.6g}")
+            linear_s += time.perf_counter() - mid
+        start = time.perf_counter()
         delta = factor.solve(-rr.ravel()).reshape(mesh.n_nodes, dim + 1)
+        linear_s += time.perf_counter() - start
         solves += 1
         rprev = rnorm
         accel = accel + delta[:, :dim]
@@ -488,7 +578,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         warnings.warn(message)
 
     return StepResult(TimeState(vel_new, accel, pres, t_new), converged, iters,
-                      solves, factor.factorizations - factored)
+                      solves, factor.factorizations - factored, assembly_s, linear_s)
 
 
 @dataclass
@@ -503,17 +593,19 @@ class TimeResult:
     newton_iters: List[int]           # Newton iterations of each step
     linear_solves: List[int]          # Newton updates of each step
     factorizations: List[int]         # tangents built and factored in each step
+    assembly_seconds: List[float]     # residual and tangent time of each step
+    linear_seconds: List[float]       # factor and solve time of each step
     step_seconds: List[float]         # wall time of each step
 
 
 def _flow_trace(state: TimeState, mesh: Mesh, groups):
+    """Outward flow and area-averaged pressure of each group, from its node sums."""
     out_q = {}
     out_p = {}
     for name in groups:
         fq = facet_quadrature(mesh, name)
-        out_q[name] = np.einsum("fq,fqi,fi->", fq.weights, fq.interpolate(state.velocity),
-                                fq.normals)
-        out_p[name] = np.sum(fq.weights * fq.interpolate(state.pressure)) / fq.areas.sum()
+        out_q[name] = float(np.vdot(fq.node_normals, state.velocity[fq.node_ids]))
+        out_p[name] = float(fq.node_weights @ state.pressure[fq.node_ids]) / fq.areas.sum()
     return out_q, out_p
 
 
@@ -546,7 +638,7 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     times = []
     traces_q = {g: [] for g in report_groups}
     traces_p = {g: [] for g in report_groups}
-    # per step: converged, newton_iters, linear_solves, factorizations, seconds
+    # per step: the StepResult fields after the state, then the step's seconds
     records = []
     factor = LaggedFactor(REFACTOR_CONTRACTION)
     last_states: List[TimeState] = []
@@ -577,10 +669,11 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
             den += np.sum(curr**2)
         cycle_change.append(float(np.sqrt(num / den)) if den > 0 else 0.0)
 
-    converged, newton_iters, linear_solves, factorizations, seconds = map(list, zip(*records))
+    (converged, newton_iters, linear_solves, factorizations, assembly_s, linear_s,
+     seconds) = map(list, zip(*records))
     return TimeResult(np.asarray(times),
                       {g: np.asarray(v) for g, v in traces_q.items()},
                       {g: np.asarray(v) for g, v in traces_p.items()},
                       cycle_change, np.asarray(times[-steps_per_cycle:]), last_states,
                       converged.count(False), newton_iters, linear_solves, factorizations,
-                      seconds)
+                      assembly_s, linear_s, seconds)

@@ -314,6 +314,12 @@ class TestSweep:
         assert table["linear_solves_total"] == sum(results[0].linear_solves) > 0
         assert table["factorizations_total"] == sum(results[0].factorizations) >= 1
         assert table["reference_seconds"] > 0.0
+        # the reference's layers, from its step records, fit in its wall time
+        assert table["reference_assembly_s"] == pytest.approx(sum(results[0].assembly_seconds))
+        assert table["reference_linear_s"] == pytest.approx(sum(results[0].linear_seconds))
+        assert table["reference_assembly_s"] > 0.0 and table["reference_linear_s"] > 0.0
+        assert (table["reference_assembly_s"] + table["reference_linear_s"]
+                < table["reference_seconds"])
         for row in table["rows"]:
             assert row["seconds"] > 0.0
             assert row["cost_ratio"] == pytest.approx(row["seconds"] / table["reference_seconds"])

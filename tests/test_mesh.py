@@ -203,12 +203,32 @@ class TestFacets:
         fq = facet_quadrature(mesh, "xmax")
         assert facet_quadrature(mesh, "xmax") is fq
         assert facet_quadrature(mesh, "xmin") is not fq
-        for arr in (fq.nodes, fq.weights, fq.normals, fq.shape, fq.points, fq.areas):
+        for arr in (fq.nodes, fq.weights, fq.normals, fq.shape, fq.points, fq.areas,
+                    fq.node_ids, fq.node_weights, fq.node_normals):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
         # the facet group itself stays writable
         assert mesh.facet_groups["xmax"].nodes.flags.writeable
         np.testing.assert_allclose(fq.weights.sum(), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("mesh", [generate_interval(2.0, 3),
+                                      generate_rect_tri((1.0, 0.8), (3, 4)),
+                                      generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 2, 2),
+                                                                bend_angle=1.0)],
+                             ids=["line", "tri", "bent"])
+    def test_node_sums_match_the_facet_rule(self, mesh):
+        # the per-node sums integrate a P1 field, and its normal flux, as the rule does
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal((mesh.n_nodes, mesh.dim))
+        p = rng.standard_normal(mesh.n_nodes)
+        for name in mesh.facet_groups:
+            fq = facet_quadrature(mesh, name)
+            np.testing.assert_array_equal(fq.node_ids, np.unique(fq.nodes))
+            flux = np.einsum("fq,fqi,fi->", fq.weights, fq.interpolate(u), fq.normals)
+            assert np.vdot(fq.node_normals, u[fq.node_ids]) == pytest.approx(flux, rel=1e-12)
+            total = np.sum(fq.weights * fq.interpolate(p))
+            assert fq.node_weights @ p[fq.node_ids] == pytest.approx(total, rel=1e-12)
+            assert fq.node_weights.sum() == pytest.approx(fq.areas.sum(), rel=1e-13)
 
 
 class TestMetricScaleBound:

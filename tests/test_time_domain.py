@@ -1,11 +1,16 @@
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsfem.linsolve as linsolve
 import tsfem.time_domain as time_domain
+from tsfem.boundary import resolve_dirichlet
 from tsfem.cli import _time_reference_case
 from tsfem.config import config_from_mapping
 from tsfem.linsolve import SolverConfig, build_graph
@@ -13,6 +18,7 @@ from tsfem.mesh import (
     c_i_for,
     facet_quadrature,
     generate_bent_channel_tet,
+    generate_box_tet,
     generate_rect_tri,
     quadrature_rule,
     shape_values,
@@ -73,6 +79,17 @@ class TestTimeTau:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="vanished"):
             time_tau(np.zeros(2), 0.0, np.eye(2), 0.0, 3.0)
+
+    def test_per_element_metric_matches_broadcast(self):
+        # a metric (E, dim, dim) with points (E, Q, dim), with or without its G:G
+        u = RNG.standard_normal((5, 4, 3))
+        a = RNG.standard_normal((5, 3, 3))
+        g = a @ a.transpose(0, 2, 1) + np.eye(3)
+        ref = time_tau(u, 0.4, g[:, None], 0.2, 3.0)
+        assert ref.shape == (5, 4)
+        np.testing.assert_allclose(time_tau(u, 0.4, g, 0.2, 3.0), ref, rtol=1e-13)
+        gg = np.einsum("eij,eij->e", g, g)[:, None]
+        np.testing.assert_allclose(time_tau(u, 0.4, g, 0.2, 3.0, gg), ref, rtol=1e-13)
 
 
 class TestOmegaHat:
@@ -381,6 +398,85 @@ class TestAssembly:
         self._compare(MESHES[kind]())
 
 
+PROPERTY_MESHES = {
+    "tri": generate_rect_tri((1.3, 0.7), (3, 2)),
+    "tet": generate_box_tet((1.0, 0.8, 0.6), (2, 1, 1)),
+}
+
+
+class TestAssemblyProperty:
+    """TestAssembly over random states, material and step constants and Neumann data."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROPERTY_MESHES)), seed=st.integers(0, 2**32 - 1),
+           rho=st.floats(0.2, 5.0), mu=st.floats(1e-3, 2.0), u_scale=st.floats(0.05, 5.0),
+           alpha_m=st.floats(0.5, 1.5), fac=st.floats(1e-3, 0.5),
+           h_in=st.floats(-2.0, 2.0), h_out=st.floats(-2.0, 2.0), t_af=st.floats(0.0, 1.0))
+    def test_matches_per_point_reference(self, kind, seed, rho, mu, u_scale, alpha_m, fac,
+                                         h_in, h_out, t_af):
+        mesh = PROPERTY_MESHES[kind]
+        rng = np.random.default_rng(seed)
+        n, dim = mesh.n_nodes, mesh.dim
+        state = (u_scale * rng.standard_normal((n, dim)), rng.standard_normal((n, dim)),
+                 rng.standard_normal(n))
+        case = TimeCase(rho=rho, mu=mu, period=1.0, n_cycles=2, dt=0.05,
+                        neumann={"xmax": lambda t: h_out * (1.0 + t), "xmin": lambda t: h_in})
+        resid, fields = _time_residual(case, mesh, *state, t_af)
+        tangent = _time_tangent(case, mesh, fields, state[0], state[1], alpha_m=alpha_m,
+                                fac=fac)
+        ref_resid, _, _, ref_blocks, ref_dr = per_point_assemble_time(
+            case, mesh, *state, t_af, fields.what, alpha_m=alpha_m, fac=fac)
+        for got, ref in ((resid, ref_resid), (tangent.local.blocks, ref_blocks),
+                         (tangent.dr_dw2, ref_dr)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestMeshCaches:
+    """Step-invariant data is kept on each mesh, so meshes built in turn with the same
+    group names each get their own, also where a new mesh reuses a freed one's id."""
+
+    @staticmethod
+    def _check(resolution, rng):
+        case = TimeCase(rho=1.0, mu=0.1, period=1.0, n_cycles=2, dt=0.1,
+                        dirichlet={"xmin": lambda x, t: x + t}, walls=["ymin", "ymax"],
+                        neumann={"xmax": lambda t: 0.7})
+        mesh = generate_rect_tri((1.0, 1.0), resolution)
+        groups = [mesh.facet_groups[g].nodes for g in ("xmin", "ymin", "ymax")]
+        nodes, vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (2,), 0.2,
+                                        dtype=float)
+        np.testing.assert_array_equal(nodes,
+                                      np.unique(np.concatenate([g.ravel() for g in groups])))
+        assert vals.shape == (nodes.size, 2)
+
+        tables = time_domain._step_tables(mesh)
+        assert mesh._step_tables is tables
+        ed = mesh.element_data()
+        n_q = ed.basis.shape[0]
+        assert tables.point_grad.shape == (mesh.n_elements, n_q + 2, 3)
+        np.testing.assert_array_equal(tables.point_grad[:, n_q:], ed.grads.transpose(0, 2, 1))
+        np.testing.assert_array_equal(tables.weight_grad[:, :, :n_q],
+                                      ed.wdetj[:, None, :] * ed.basis.T)
+
+        # the residual, with its Neumann traction, is this mesh's
+        n = mesh.n_nodes
+        state = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)), rng.standard_normal(n))
+        resid, fields = _time_residual(case, mesh, *state, 0.3)
+        ref = per_point_assemble_time(case, mesh, *state, 0.3, fields.what,
+                                      alpha_m=0.9, fac=0.03)[0]
+        assert np.max(np.abs(resid - ref)) <= 1e-12 * np.max(np.abs(ref))
+        return [weakref.ref(tables.point_grad),
+                weakref.ref(facet_quadrature(mesh, "xmin").node_ids)]
+
+    def test_meshes_in_turn_get_their_own_data(self):
+        # each mesh is freed before the next is built, so CPython may hand out its id again
+        rng = np.random.default_rng(3)
+        for resolution in [(2, 2), (3, 5), (5, 3), (4, 1)] * 3:
+            cached = self._check(resolution, rng)
+            # nothing outside the freed mesh holds its data: no id-keyed cache survives it
+            gc.collect()
+            assert all(ref() is None for ref in cached)
+
+
 class TestNewtonOperator:
     """The step's Newton operator against central differences of its residual.
 
@@ -536,6 +632,9 @@ class TestLinearRecords:
         assert len(res.linear_solves) == len(res.step_seconds) == 4
         assert all(s >= 1 for s in res.linear_solves)
         assert all(s > 0.0 for s in res.step_seconds)
+        # every step assembles and solves, within its wall time
+        for asm, lin, wall in zip(res.assembly_seconds, res.linear_seconds, res.step_seconds):
+            assert asm > 0.0 and lin > 0.0 and asm + lin < wall
 
     def test_simulation_records_factorizations(self):
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
@@ -560,13 +659,20 @@ class TestLinearRecords:
 
 
 class TestNewtonUnconverged:
+    @pytest.mark.parametrize("max_newton", [0, -2])
+    def test_no_newton_iteration_rejected(self, max_newton):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        with pytest.raises(ValueError, match=f"max_newton must be at least 1, got {max_newton}"):
+            generalized_alpha_step(channel_time_case(mesh), mesh,
+                                   TimeState.zeros(mesh.n_nodes, 2), max_newton=max_newton)
+
     def test_step_warns_with_residual_ratio(self):
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
         case = channel_time_case(mesh)
         state = TimeState.zeros(mesh.n_nodes, 2)
         with pytest.warns(UserWarning, match=r"t=0\.1: Newton loop unconverged after 2 "
                                              r"iterations, \|\|r\|\|/r0 = \S+e-\d\d$"):
-            new, ok, iters, solves, _ = generalized_alpha_step(case, mesh, state, max_newton=2)
+            new, ok, iters, solves, *_ = generalized_alpha_step(case, mesh, state, max_newton=2)
         assert not ok and iters == solves == 2
         assert np.max(np.abs(new.pressure)) > 0.0   # the updates were applied
 
