@@ -60,6 +60,7 @@ _UPDATE_COLUMNS = (
     ("linear_iters", "matvecs", "matvecs", 7, "d"),
     ("linear_residuals", "linear_residual", "linear_res", 10, ".3e"),
     ("assembly_s", "assembly_s", "assembly_s", 10, ".4f"),
+    ("tau_s", "tau_s", "tau_s", 8, ".4f"),
     ("linear_s", "linear_s", "linear_s", 9, ".4f"),
     ("precond_s", "precond_s", "precond_s", 9, ".4f"),
 )

@@ -201,6 +201,7 @@ class UpdateRecord(NamedTuple):
     linear_converged: bool   # GMRES reached eps_ls
     linear_residual: float   # GMRES's final ||A x - b|| / ||b||; nan when no solve was run
     assembly_s: float        # seconds in the residual and operator assembly
+    tau_s: float             # seconds of assembly_s in tau_from_modes
     linear_s: float          # seconds in preconditioner set-up and GMRES; 0 when no solve was run
     precond_s: float         # seconds of linear_s building the preconditioner; 0 when reused
 
@@ -268,6 +269,7 @@ class _Linearization(NamedTuple):
     taus: np.ndarray     # (n_qp, E, M, M) tau at each quadrature point
     z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
     backflow: dict       # per Neumann group, |A_n|_- at each facet quadrature point
+    tau_s: float         # seconds of the pass spent in tau_from_modes
 
 
 def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
@@ -307,11 +309,14 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     gal = np.empty((n_qp, n_el, dim, m))                   # w (strong - Omega v)
     wv = np.empty((n_qp, n_el, dim, m))                    # w v
     cv = np.zeros((n_el, dim, dim, m))                     # sum_q w C_j v_i at [e, j, i]
+    tau_s = 0.0
     for q in range(n_qp):
         w = ed.wdetj[:, q, None, None]
         uc_q[q] = (shp[q] @ uc_el).reshape(n_el, dim, m)
         conv = convolution_dense(uc_q[q], n)               # (E, dim, M, M), symmetric
+        start = time.perf_counter()
         tau_q[q] = tau_from_modes(uc_q[q], ed.metric, case.nu, c_i, n)
+        tau_s += time.perf_counter() - start
         strong = rho * ((shp[q] @ u_el).reshape(n_el, dim, m) @ omega_t
                         + np.matmul(grad_u, conv).sum(axis=1)) + grad_p
         v = np.matmul(strong, tau_q[q])
@@ -338,7 +343,8 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _backflow_operators(case, mesh, vel_c)
     _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, None)
-    return rhs_from_orthonormal(resid), _Linearization(vel, uc_q, tau_q, z, backflow)
+    lin = _Linearization(vel, uc_q, tau_q, z, backflow, tau_s)
+    return rhs_from_orthonormal(resid), lin
 
 
 def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
@@ -666,13 +672,14 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     none, and dropped after a GMRES solve that takes more than
     REFACTOR_MATVECS matvecs.  A lone call (lagged None) builds its own.
     The update records the relative linear residual GMRES reached and the
-    seconds spent in assembly, in the linear solve and, of those, in
-    building the preconditioner.  An update that GMRES left above eps_ls
-    without stagnating is applied and flagged (linear_converged False);
-    stagnation raises LinearSolveError and leaves the state untouched.  If
-    the residual norm is already at or below skip_below, no solve (and no
-    operator assembly) is run.  dir_nodes, the Dirichlet node ids of
-    resolve_ns_dirichlet, is resolved here when not given.
+    seconds spent in assembly and, of those, in tau, in the linear solve
+    and, of those, in building the preconditioner.  An update that GMRES
+    left above eps_ls without stagnating is applied and flagged
+    (linear_converged False); stagnation raises LinearSolveError and
+    leaves the state untouched.  If the residual norm is already at or
+    below skip_below, no solve (and no operator assembly) is run.
+    dir_nodes, the Dirichlet node ids of resolve_ns_dirichlet, is resolved
+    here when not given.
     """
     if pseudo_dt is None:
         pseudo_dt = config.pseudo_dt if config.pseudo_dt is not None \
@@ -686,10 +693,12 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     rnorm = residual_norm(resid, dir_nodes, mesh.dim)
     if rnorm <= skip_below:
         return NewtonUpdate(state.copy(), UpdateRecord(rnorm, 0, np.nan, True, np.nan,
-                                                       time.perf_counter() - start, 0.0, 0.0))
+                                                       time.perf_counter() - start, lin.tau_s,
+                                                       0.0, 0.0))
     if callable(pseudo_dt):
         pseudo_dt = pseudo_dt(rnorm)
     tangent = _tangent_pass(case, mesh, lin, newton=True)
+    tau_s = lin.tau_s
     del lin
     _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
 
@@ -718,7 +727,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     new.symmetrize()
     linear_residual = res.residuals[-1] / res.residuals[0] if res.residuals[0] > 0 else 0.0
     return NewtonUpdate(new, UpdateRecord(rnorm, res.matvecs, pseudo_dt, res.converged,
-                                          linear_residual, assembled - start,
+                                          linear_residual, assembled - start, tau_s,
                                           solved - assembled, precond_s))
 
 

@@ -13,7 +13,13 @@ convolution matrix that is band-restricted to |m - n| < N, which keeps
 products inside the resolved spectrum (no aliasing).  The stabilization
 matrix for the solvers is an inverse matrix square root of a Hermitian
 positive-definite combination of convolution matrices and the element
-metric tensor; it is evaluated through a dense Hermitian eigensolve.
+metric tensor; it is evaluated by a coupled Newton-Schulz iteration of
+batched matrix products, which stops once err = ||ZY - I||_F has
+err^2 <= 4 eps at every point or no longer falls, and where the argument
+may be ill-conditioned an exact Newton step whose correction comes from a
+sign iteration of the same products (tau_from_conv, _newton_correction).
+The eigensolver functions here (hermitian_eig, matrix_inv_sqrt,
+matrix_negative_part) are the references the tests compare against.
 
 Real basis.  A conjugate-symmetric vector z has the orthonormal real
 coordinates
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,46 +292,161 @@ def negative_part_batch(matrices: np.ndarray) -> np.ndarray:
     return 0.5 * (out + _adjoint(out))
 
 
-def tau_from_conv(conv: np.ndarray, metric: np.ndarray, kappa: float,
-                  c_i: float) -> np.ndarray:
-    """tau = [A_i G_ij A_j + C_I k^2 G_ij G_ij I]^{-1/2} from the A_i themselves.
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a stack of square matrices (B, M, M)."""
+    return a.reshape(a.shape[0], -1)[:, ::a.shape[-1] + 1]
 
-    conv holds the convolution matrices, shape (..., dim, M, M), either
-    complex Hermitian (complex modes) or real symmetric (real basis);
-    metric is (..., dim, dim), symmetric positive definite.  With G = L L^T,
-    A_i G_ij A_j = F^H F for the stacked factor F = [C_1; ...; C_dim],
-    C_k = sum_i L_ik A_i, and s = C_I k^2 G_ij G_ij.  tau comes from the
-    eigenpairs (w, V) of arg = F^H F + sI, followed by one Newton step on
-    X arg X = I whose residual is formed from F V w^{-1/2}.  Forming F^H F
-    rounds tau in its small-eigenvalue directions by about eps * cond(arg)
-    relative; the step brings that down to about eps * sqrt(cond(arg)).
-    The result has the dtype of conv.
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack of matrices (B, M, M), shape (B,)."""
+    flat = a.reshape(a.shape[0], -1)
+    return np.sqrt(np.einsum("bi,bi->b", flat.conj(), flat).real)
+
+
+def _row_sum_norm(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Row-sum norms ||a||_inf of a stack of matrices (B, M, M), shape (B,).
+
+    work is a scratch array of a's shape and dtype.
+    """
+    m = a.shape[-1]
+    sums = (np.abs(a, out=work).reshape(-1, m) @ np.ones(m)).real
+    return sums.reshape(-1, m).max(axis=-1, initial=0.0)
+
+
+def _newton_correction(fac: np.ndarray, shift: np.ndarray, root_c: np.ndarray,
+                       x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Correction D of one Newton step on X arg X = I, for tau_from_conv.
+
+    fac holds the C_k, (B, dim, M, M), of arg = sum_k C_k C_k + sI, shift
+    is s and root_c sqrt(c), (B, 1, 1); y and z are the converged pair
+    Y = (arg/c)^{1/2}, Z = Y^{-1}, and x = Z/sqrt(c).  The residual
+    E = X (F^H (F X) + sX) - I is formed with the factor F = [C_1; ...],
+    not with arg, and D solves S D + D S = -E for S = arg^{1/2} = sqrt(c) Y,
+    so D = D'/sqrt(c) with Y D' + D' Y = -E.  D' comes from the sign
+    iteration of M = [[P, W], [0, -P]], which from P = Y, W = E tends to
+    [[I, -2D'], [0, -I]].  Its first step is the Newton step
+    M <- (M + M^{-1})/2, with Z for Y^{-1}; it leaves P >= I, and P^2 below
+    (1 + r) I for r = ||P^2 - I||_F, so P is scaled into (0, sqrt2] for the
+    Newton-Schulz steps M <- M (3I - M^2)/2 that follow.  W is within
+    r ||W||_F / sqrt(1 - r) of its limit once r < 1, so they stop when that
+    is at most 2 eps ||Z||_F at every point (D within eps ||X||_F), or when
+    r no longer falls.
+    """
+    u = x * shift[:, None, None]                             # F^H (F X) + sX
+    for k in range(fac.shape[1]):
+        u += fac[:, k] @ (fac[:, k] @ x)
+    e = x @ u
+    _diagonal(e)[:] -= 1.0
+    p = 0.5 * (y + z)
+    w = 0.5 * (e + z @ e @ z)
+    r = p @ p
+    _diagonal(r)[:] -= 1.0
+    nu = np.sqrt(np.maximum(0.5 * (1.0 + _frobenius(r)), 1.0))[:, None, None]
+    p /= nu
+    w /= nu
+    target = 2.0 * np.finfo(float).eps * _frobenius(z)
+    previous = np.inf
+    while True:
+        r = p @ p
+        _diagonal(r)[:] -= 1.0
+        r_norm = _frobenius(r)
+        worst = float(np.max(r_norm, initial=0.0))
+        if (np.all(r_norm * _frobenius(w) <= target * np.sqrt(np.maximum(1.0 - r_norm, 0.0)))
+                or not worst < previous):
+            return w / (-2.0 * root_c)
+        previous = worst
+        wr = w @ r
+        w = 0.5 * (w - wr - _adjoint(wr) + p @ w @ p)
+        p -= 0.5 * (p @ r)
+
+
+def tau_from_conv(conv: Callable, u_modes: np.ndarray, metric: np.ndarray, kappa: float,
+                  c_i: float, n_modes: int) -> np.ndarray:
+    """tau = [A_i G_ij A_j + C_I k^2 G_ij G_ij I]^{-1/2}, A_i = conv(u_i, n_modes).
+
+    conv is the convolution_dense of a mode basis: complex Hermitian
+    matrices of complex modes, or real symmetric ones of real coordinates;
+    u_modes is (..., dim, M) in that basis and metric (..., dim, dim),
+    symmetric positive definite.  With G = L L^T, A_i G_ij A_j = F^H F for
+    the stacked factor F = [C_1; ...; C_dim] of the Hermitian
+    C_k = sum_i L_ik A_i, which is conv(sum_i L_ik u_i) as conv is linear,
+    and s = C_I k^2 G_ij G_ij, so the argument is
+    arg = sum_k C_k C_k + sI.  Its inverse square root comes
+    from matrix products alone, by the coupled Newton-Schulz iteration
+    (Higham, Functions of Matrices, 2008, ch. 6): each point is scaled by
+    c = (||arg||_inf + s)/2, which puts the spectrum of Y = arg/c in
+    (0, 2), and from Z = I the steps T = (3I - ZY)/2, Y <- YT, Z <- TZ
+    take Y to (arg/c)^{1/2} and Z to (arg/c)^{-1/2}.  The iteration stops
+    once the largest err = ||ZY - I||_F of the batch has err^2 <= 4 eps, or
+    when err no longer falls; one more step on Z alone then leaves
+    X = Z/sqrt(c) with the rounding of the formed arg only, about
+    eps * cond(arg) relative.  As cond(arg) <= 2 ||Z||_inf^2, where that
+    bound is at most 16 the rounding is within 4 eps sqrt(cond(arg)) and
+    tau = X, symmetrized; at the other points one Newton step on
+    X arg X = I, with its residual formed from F (_newton_correction),
+    brings tau to about eps * sqrt(cond(arg))
+    relative plus the step's quadratic term in eps * cond(arg), the
+    accuracy of an eigendecomposition followed by the same Newton step.
+    The result has the dtype of conv's matrices.  A non-finite argument
+    raises a ValueError, and so does a singular one (the iteration stalls
+    with ||ZY - I||_F >= 1/2).
     """
     metric = np.asarray(metric, dtype=float)
-    m = conv.shape[-1]
-    fac = np.einsum("...ik,...ist->...kst", np.linalg.cholesky(metric), conv)
-    fac = fac.reshape(fac.shape[:-3] + (-1, m))
-    shift = c_i * kappa**2 * np.einsum("...ij,...ij->...", metric, metric)
-    diag = np.arange(m)
-    arg = _adjoint(fac) @ fac
-    arg[..., diag, diag] += shift[..., None]
-    w, v = np.linalg.eigh(arg)
-    if np.any(w[..., 0] <= 0.0):
+    lower_t = np.swapaxes(np.linalg.cholesky(metric), -1, -2)
+    fac = conv(np.matmul(lower_t, u_modes), n_modes)
+    batch, dim, m = fac.shape[:-3], fac.shape[-3], fac.shape[-1]
+    fac = fac.reshape((-1, dim, m, m))                       # C_k at [b, k]
+    shift = np.broadcast_to(c_i * kappa**2 * np.einsum("...ij,...ij->...", metric, metric),
+                            batch).ravel()
+    y, p, z, work = (np.empty(fac.shape[:1] + (m, m), dtype=fac.dtype) for _ in range(4))
+    np.matmul(fac[:, 0], fac[:, 0], out=y)
+    for k in range(1, dim):
+        y += np.matmul(fac[:, k], fac[:, k], out=p)
+    _diagonal(y)[:] += shift[:, None]
+    # ||arg||_inf >= lambda_max and s <= lambda_min; a zero argument keeps Y = 0
+    scale = 0.5 * (_row_sum_norm(y, p) + shift)
+    if not np.isfinite(scale).all():
+        raise ValueError("non-finite stabilization argument (velocity or metric not finite)")
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    y /= scale[:, None, None]
+    # the first step, from Z = I: Z = T = (3I - Y)/2
+    np.multiply(y, -0.5, out=z)
+    _diagonal(z)[:] += 1.5
+    np.matmul(y, z, out=work)
+    y, work = work, y
+    p_diag = _diagonal(p)
+    previous = np.inf
+    while True:
+        np.matmul(z, y, out=p)
+        p_diag -= 1.0
+        err = float(np.max(_frobenius(p), initial=0.0))
+        if err**2 <= 4.0 * np.finfo(float).eps or not err < previous:
+            break
+        previous = err
+        p *= -0.5                                            # T = I - (ZY - I)/2
+        p_diag += 1.0
+        np.matmul(y, p, out=work)
+        y, work = work, y
+        np.matmul(p, z, out=work)
+        z, work = work, z
+    if err >= 0.5:
         raise ValueError(
             "singular stabilization argument (zero velocity with kappa = 0?); "
-            f"min eigenvalue {np.min(w):.6e}"
+            f"||ZY - I||_F = {err:.3e} where the iteration stalled"
         )
-    inv_sqrt = w**-0.5
-    v_scaled = v * inv_sqrt[..., None, :]
-    # residual V^H (X0 arg X0 - I) V of X0 = V w^{-1/2} V^H, then the
-    # correction D is D_ab (w_a^{1/2} + w_b^{1/2}) = -residual_ab
-    fv = fac @ v_scaled
-    resid = _adjoint(fv) @ fv
-    resid[..., diag, diag] += shift[..., None] * inv_sqrt**2 - 1.0
-    sqrt_w = w**0.5
-    resid /= sqrt_w[..., :, None] + sqrt_w[..., None, :]
-    tau = (v_scaled - v @ resid) @ _adjoint(v)
-    return 0.5 * (tau + _adjoint(tau))
+    p *= -0.5                                                # one more step, on Z alone
+    p_diag += 1.0
+    np.matmul(p, z, out=work)
+    z, work = work, z
+    root_c = np.sqrt(scale)[:, None, None]
+    x = np.divide(z, root_c, out=work)
+    # cond(arg) <= 2 ||Z||_inf^2; the Newton step where it may exceed 16
+    ill = np.flatnonzero(2.0 * _row_sum_norm(z, p) ** 2 > 16.0)
+    if ill.size:
+        x[ill] += _newton_correction(fac[ill], shift[ill], root_c[ill], x[ill], y[ill], z[ill])
+    tau = np.add(x, _adjoint(x), out=p)
+    tau *= 0.5
+    return tau.reshape(batch + (m, m))
 
 
 def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
@@ -336,8 +457,8 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
     metric (..., dim, dim); the result is (..., 2N-1, 2N-1) Hermitian
     positive definite (see tau_from_conv).
     """
-    conv = convolution_dense(np.asarray(u_modes, dtype=complex), n_modes)
-    return tau_from_conv(conv, metric, kappa, c_i)
+    return tau_from_conv(convolution_dense, np.asarray(u_modes, dtype=complex), metric,
+                         kappa, c_i, n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
     u_modes has shape (..., dim, 2N-1) and metric (..., dim, dim); the
     result (..., 2N-1, 2N-1) is R(spectral.tau_from_modes(z, ...)).
     """
-    conv = convolution_dense(u_modes, n_modes)
-    return tau_from_conv(conv, metric, kappa, c_i)
+    return tau_from_conv(convolution_dense, np.asarray(u_modes, dtype=float), metric, kappa,
+                         c_i, n_modes)
 
 
 def gls_operator(u_q: np.ndarray, taus: np.ndarray, ed, omega: float, rho: float,

@@ -536,14 +536,15 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         start = time.perf_counter()
         resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af)
         assembly_s += time.perf_counter() - start
-        rr = resid.copy()
-        rr[dir_nodes, :dim] = 0.0
-        rnorm = float(np.linalg.norm(rr))
+        dir_rows = resid[dir_nodes, :dim]
+        dir_norm2 = float(np.vdot(dir_rows, dir_rows))
+        resid[dir_nodes, :dim] = 0.0                             # the free residual
+        rnorm = float(np.linalg.norm(resid))
         if r0 is None:
             r0 = rnorm
         else:
             factor.contracted(rnorm / rprev)
-        floor = ROUNDING_FLOOR * np.finfo(float).eps * float(np.linalg.norm(resid))
+        floor = ROUNDING_FLOOR * np.finfo(float).eps * np.sqrt(rnorm**2 + dir_norm2)
         if rnorm <= max(config.eps_nr * r0, floor):
             converged = True
             break
@@ -558,7 +559,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                           f"time step to t={t_new:.6g}")
             linear_s += time.perf_counter() - mid
         start = time.perf_counter()
-        delta = factor.solve(-rr.ravel()).reshape(mesh.n_nodes, dim + 1)
+        delta = factor.solve(-resid.ravel()).reshape(mesh.n_nodes, dim + 1)
         linear_s += time.perf_counter() - start
         solves += 1
         rprev = rnorm

@@ -552,7 +552,8 @@ class TestMainEntry:
         summary = yaml.safe_load((tmp_path / "out" / "summary.yaml").read_text())
         assert set(summary) == {"kind", "converged", "steps", "residuals", "pseudo_dts",
                                 "linear_iters", "linear_residuals", "linear_unconverged",
-                                "assembly_s", "linear_s", "precond_s", "wall_time", "alpha",
+                                "assembly_s", "tau_s", "linear_s", "precond_s", "wall_time",
+                                "alpha",
                                 "beta",
                                 "flows", "truncation", "field_range", "outputs"}
         n_updates = len(summary["residuals"]) - 1
@@ -560,19 +561,22 @@ class TestMainEntry:
         assert len(summary["pseudo_dts"]) == len(summary["linear_iters"]) == n_updates
         assert len(summary["linear_residuals"]) == n_updates
         assert len(summary["assembly_s"]) == len(summary["linear_s"]) == n_updates
+        assert len(summary["tau_s"]) == n_updates
+        assert all(0.0 < t <= a for t, a in zip(summary["tau_s"], summary["assembly_s"]))
         assert len(summary["precond_s"]) == n_updates and summary["precond_s"][0] > 0.0
         assert summary["linear_unconverged"] == 0
         table = out[out.index("step  "):].splitlines()
         assert table[0].split() == ["step", "residual", "pseudo_dt", "matvecs", "linear_res",
-                                    "assembly_s", "linear_s", "precond_s"]
+                                    "assembly_s", "tau_s", "linear_s", "precond_s"]
         assert len(table) == n_updates + 2
         assert table[1].split()[3] == str(summary["linear_iters"][0])
         assert float(table[1].split()[4]) == pytest.approx(summary["linear_residuals"][0],
                                                            rel=1e-3)
         assert float(table[1].split()[5]) == pytest.approx(summary["assembly_s"][0], abs=1e-4)
-        assert float(table[1].split()[6]) == pytest.approx(summary["linear_s"][0], abs=1e-4)
-        assert float(table[1].split()[7]) == pytest.approx(summary["precond_s"][0], abs=1e-4)
-        assert table[-1].split()[2:] == ["-"] * 6
+        assert float(table[1].split()[6]) == pytest.approx(summary["tau_s"][0], abs=1e-4)
+        assert float(table[1].split()[7]) == pytest.approx(summary["linear_s"][0], abs=1e-4)
+        assert float(table[1].split()[8]) == pytest.approx(summary["precond_s"][0], abs=1e-4)
+        assert table[-1].split()[2:] == ["-"] * 7
 
     def test_mesh_gen_verb(self, tmp_path, capsys):
         cfg = tmp_path / "mesh.yaml"

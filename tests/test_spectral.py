@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +23,7 @@ from tsfem.spectral import (
     symmetrize_modes,
     tau_from_modes,
 )
+import tsfem.spectral as spectral
 import tsfem.spectral_real as spectral_real
 
 RNG = np.random.default_rng(20240811)
@@ -350,6 +352,27 @@ class TestComputeTau:
         with pytest.raises(ValueError, match="singular"):
             tau_from_modes(np.zeros((1, 1, 3)), np.array([[[4.0]]]), 0.0, 9.0, 2)
 
+    @pytest.mark.parametrize("basis", ["complex", "real"])
+    def test_stalled_iteration_rejected(self, basis):
+        # u(t) = cos(w t) at N=2: A has the null vector (1, 0, -1), so with
+        # kappa = 0 the argument 4 A^2 is singular but not zero
+        u = np.array([[[0.5, 0.0, 0.5]]])
+        with pytest.raises(ValueError, match="singular"):
+            if basis == "complex":
+                tau_from_modes(u, np.array([[[4.0]]]), 0.0, 9.0, 2)
+            else:
+                spectral_real.tau_from_modes(modes_to_real(u), np.array([[[4.0]]]), 0.0, 9.0, 2)
+
+    @pytest.mark.parametrize("basis", ["complex", "real"])
+    def test_non_finite_velocity_rejected(self, basis):
+        u, metric = random_point_states(np.random.default_rng(3), 4, 2, 3)
+        u[2, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite stabilization argument"):
+            if basis == "complex":
+                tau_from_modes(u, metric, 0.1, 4.0, 3)
+            else:
+                spectral_real.tau_from_modes(modes_to_real(u), metric, 0.1, 4.0, 3)
+
     def test_property_suite(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -426,6 +449,125 @@ class TestTauProperties:
         for mat, neg in zip(mats, batch):
             ref = matrix_negative_part(mat)
             assert np.linalg.norm(neg - ref) <= 1e-12 * max(np.linalg.norm(mat), 1.0)
+
+
+def mp_tau_reference(conv, metric, kappa, c_i):
+    """tau of one point from its A_i, (dim, M, M), formed and factored at 32 digits.
+
+    Forming A_i G_ij A_j in double rounds its small eigenvalues by about
+    eps ||arg||, so matrix_inv_sqrt of a double argument is itself off by
+    about eps * cond(arg) relative (2.6e-5 at cond 2e12); the reference
+    forms the argument from the same double A_i and G in mpmath and takes
+    its eigenpairs there.  Returns tau and cond(arg).
+    """
+    dim, m = conv.shape[0], conv.shape[-1]
+    with mpmath.workdps(32):
+        a = [mpmath.matrix(conv[i].tolist()) for i in range(dim)]
+        shift = c_i * mpmath.mpf(kappa) ** 2 * mpmath.fsum(mpmath.mpf(g) ** 2
+                                                           for g in metric.ravel())
+        arg = shift * mpmath.eye(m)
+        for i in range(dim):
+            for j in range(dim):
+                arg += mpmath.mpf(metric[i, j]) * (a[i] * a[j])
+        w, v = mpmath.eighe(arg) if np.iscomplexobj(conv) else mpmath.eigsy(arg)
+        tau = v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.transpose_conj()
+        return np.array(tau.tolist(), dtype=conv.dtype), float(max(w) / min(w))
+
+
+def near_stagnation_points(rng, n_pts, dim, n_modes):
+    """Velocities u_i(t) = d_i phi(t) whose convolution matrix has an eigenvalue near 0.
+
+    The eigenvalues of A(phi) follow the time samples of phi, so shifting
+    its mean by one of them makes the flow nearly stop at some phase; with
+    a small kappa the argument is then ill-conditioned.  The argument is
+    (d^T G d) A(phi)^2 + sI, and the shift leaves A(phi) an eigenvalue of
+    at least 10^-6.5 times the width of its spectrum, so cond(arg) stays
+    below about 1e13.
+    """
+    m = 2 * n_modes - 1
+    u = np.empty((n_pts, dim, m), dtype=complex)
+    for k in range(n_pts):
+        pos = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        pos[0] = pos[0].real
+        phi = np.concatenate([np.conj(pos[:0:-1]), pos])
+        lam = np.linalg.eigvalsh(convolution_dense(phi, n_modes))
+        width = np.ptp(lam) + np.abs(lam).max()
+        offset = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6.5, -3) * width
+        phi[n_modes - 1] -= rng.choice(lam) + offset
+        u[k] = rng.standard_normal(dim)[:, None] * phi
+    a = rng.standard_normal((n_pts, dim, dim))
+    return u, a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(dim)
+
+
+class TestTauKernel:
+    """tau_from_conv's Newton-Schulz iteration, in both bases."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_modes=st.integers(1, 5), dim=st.integers(1, 3), n_ill=st.integers(0, 3),
+           n_well=st.integers(1, 2), kappa_exp=st.floats(-6.0, -1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ill_conditioned_batches_match_reference(self, n_modes, dim, n_ill, n_well,
+                                                     kappa_exp, seed):
+        # tau is accurate to a few eps sqrt(cond) plus the Newton step's
+        # quadratic term: on such points, against the 32-digit reference, an
+        # eigendecomposition with the same Newton step reached 1.5 eps
+        # sqrt(cond) and 0.6 (eps cond)^2, this kernel 3.2 eps sqrt(cond)
+        # (at cond 1, where it skips the Newton step) and 0.07 (eps cond)^2.
+        rng = np.random.default_rng(seed)
+        u_ill, g_ill = near_stagnation_points(rng, n_ill, dim, n_modes)
+        u_well, g_well = random_point_states(rng, n_well, dim, n_modes)
+        order = rng.permutation(n_ill + n_well)
+        u = np.concatenate([u_ill, u_well])[order]
+        metric = np.concatenate([g_ill, g_well])[order]
+        kappa = 10.0 ** kappa_exp
+        for tau, conv in [
+            (tau_from_modes(u, metric, kappa, 4.0, n_modes), convolution_dense(u, n_modes)),
+            (spectral_real.tau_from_modes(modes_to_real(u), metric, kappa, 4.0, n_modes),
+             spectral_real.convolution_dense(modes_to_real(u), n_modes)),
+        ]:
+            for k in range(u.shape[0]):
+                ref, cond = mp_tau_reference(conv[k], metric[k], kappa, 4.0)
+                eps_cond = np.finfo(float).eps * cond
+                tol = 8.0 * eps_cond / np.sqrt(cond) + 0.1 * eps_cond**2
+                assert np.max(np.abs(tau[k] - ref)) <= tol * np.linalg.norm(ref)
+
+    def test_newton_step_only_where_rounding_needs_it(self, monkeypatch):
+        # cond(arg) <= 2 ||Z||_inf^2, and where that bound is at most 16 the
+        # rounding of the formed argument is within 4 eps sqrt(cond), so
+        # the kernel skips the Newton step there; an ill-conditioned point
+        # takes it alone
+        batches = []
+        newton = spectral._newton_correction
+
+        def record(*args):
+            batches.append(args[3].shape[0])
+            return newton(*args)
+
+        monkeypatch.setattr(spectral, "_newton_correction", record)
+        rng = np.random.default_rng(11)
+        u, metric = random_point_states(rng, 4, 2, 3)
+        tau_from_modes(u, metric, 3.0, 4.0, 3)
+        assert batches == []
+        u_ill, g_ill = near_stagnation_points(rng, 1, 2, 3)
+        tau_from_modes(np.concatenate([u, 1e3 * u_ill]), np.concatenate([metric, g_ill]), 3.0,
+                       4.0, 3)
+        assert batches == [1]
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        u, metric = random_point_states(np.random.default_rng(5), 6, 3, 7)
+        expected = tau_einsum_oracle(u, metric, 0.3, 4.0, 7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tau called an eigensolver")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        tau_c = tau_from_modes(u, metric, 0.3, 4.0, 7)
+        tau_r = spectral_real.tau_from_modes(modes_to_real(u), metric, 0.3, 4.0, 7)
+        q = real_basis(7).unitary
+        scale = np.linalg.norm(expected, axis=(-2, -1))[..., None, None]
+        assert np.all(np.abs(tau_c - expected) <= 1e-10 * scale)
+        assert np.all(np.abs(q.conj().T @ tau_r @ q - expected) <= 1e-10 * scale)
 
 
 def random_symmetric_operators(rng, n_ops, n_modes):
