@@ -519,6 +519,9 @@ def main(argv=None) -> int:
     except DivergedStepError as err:
         print(f"time reference diverged: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(str(err), file=sys.stderr)
+        return 1
     return 2
 
 

@@ -28,9 +28,8 @@ The dense-block BlockMatrix systems of the scalar and time-domain solvers
 are one system (level_lu_preconditioner).  The Navier-Stokes tangent is
 block-Jacobi over harmonics (block_jacobi_preconditioner): one system per
 mode, its cos/sin pair over all nodes and components, with the coupling
-between harmonics dropped.  On meshes whose levels are too wide for that
-factor, its nodal blocks are inverted through their pressure Schur
-complement instead.
+between harmonics dropped.  A factor larger than LEVEL_LU_MAX_BYTES is
+refused with a MemoryError that names its size.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ __all__ = [
     "LinearSolveError",
     "gmres",
     "block_jacobi_preconditioner",
-    "HARMONIC_LU_MAX_UNKNOWNS",
+    "LEVEL_LU_MAX_BYTES",
     "LevelPlan",
     "level_lu_preconditioner",
     "layout_pins",
@@ -251,7 +250,6 @@ class LevelPlan:
     level: np.ndarray     # (n_nodes,)
     slot: np.ndarray      # (n_nodes,)
     n_levels: int
-    width: int            # nodes in the widest level
 
     @classmethod
     def of(cls, rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> "LevelPlan":
@@ -276,7 +274,7 @@ class LevelPlan:
                 level[nodes] = n_levels + k
                 slot[nodes] = np.arange(nodes.size)
             n_levels += len(levels)
-        return cls(level, slot, n_levels, int(np.bincount(level).max(initial=0)))
+        return cls(level, slot, n_levels)
 
 
 @dataclass(frozen=True)
@@ -323,17 +321,10 @@ class AssemblyContext:
         c = np.tile(nodes, (1, k)).ravel()
         return np.searchsorted(keys, r * self.n_nodes + c)
 
-    def level_plan(self, block_size: int) -> LevelPlan:
-        """The graph's LevelPlan, built at the first call and kept.
-
-        The first call logs the level count and the unknowns of the widest
-        level at block_size unknowns per node.
-        """
+    def level_plan(self) -> LevelPlan:
+        """The graph's LevelPlan, built at the first call and kept."""
         if self._levels is None:
-            plan = LevelPlan.of(self.rows, self.cols, self.n_nodes)
-            object.__setattr__(self, "_levels", plan)
-            logger.debug("level plan of %d nodes: %d levels, at most %d unknowns per level",
-                         self.n_nodes, plan.n_levels, plan.width * block_size)
+            object.__setattr__(self, "_levels", LevelPlan.of(self.rows, self.cols, self.n_nodes))
         return self._levels
 
 
@@ -615,18 +606,18 @@ class BlockTangent:
             self.elements.add_to(xn, y)
         return y.ravel()
 
-    def _coupling(self, full, scalar, edges) -> np.ndarray:
-        """Gradient or divergence blocks of the given edges, (E', dim, 2N-1, 2N-1)."""
+    def _coupling(self, full, scalar) -> np.ndarray:
+        """Gradient or divergence blocks of every edge, (E, dim, 2N-1, 2N-1)."""
         if full is not None:
-            return full[edges]
-        return scalar[edges, :, None, None] * np.eye(self.n_slots)
+            return full
+        return scalar[:, :, None, None] * np.eye(self.n_slots)
 
     def to_dense(self) -> np.ndarray:
         d, m = self.dim, self.n_slots
         b = (d + 1) * m
         dense = np.zeros((self.n_nodes * b, self.n_nodes * b))
-        g_real = self._coupling(self.g_full, self.g_diag, slice(None))
-        d_real = self._coupling(self.d_full, self.d_diag, slice(None))
+        g_real = self._coupling(self.g_full, self.g_diag)
+        d_real = self._coupling(self.d_full, self.d_diag)
         for e in range(self.rows.shape[0]):
             r0, c0 = self.rows[e] * b, self.cols[e] * b
             for i in range(d):
@@ -782,39 +773,17 @@ def _invert_blocks(blocks: np.ndarray):
         return inv, singular
 
 
-def _identity_scale(diagonal: np.ndarray) -> float:
-    """Scale of the identity that stands in for a singular nodal block."""
-    scale = np.max(np.abs(diagonal))
-    return scale if scale > 0 else 1.0
-
-
-def _pin_block(blocks: np.ndarray, free_rows: np.ndarray, free_cols: np.ndarray,
-               diagonal: bool = False) -> np.ndarray:
-    """Copy of blocks (..., r, c) with the rows and columns of pinned slots zeroed.
-
-    free_rows (..., r) and free_cols (..., c) mark the unpinned slots; a
-    diagonal block also gets 1 on the diagonal of each pinned slot.
-    """
-    out = blocks * (free_rows[..., :, None] & free_cols[..., None, :])
-    if diagonal:
-        idx = np.nonzero(~free_rows)
-        out[idx + (idx[-1],)] = 1.0
-    return out
-
-
-
-
-# The harmonic-block level LU preconditions a BlockTangent while the widest level of its
-# graph holds at most this many pair-block unknowns, 2 (dim+1) per node; wider meshes get
-# the nodal Schur block-Jacobi, since the factor grows as the nodes times the level width.
-# The meshes in use need 88 (the benchmark's bent channel), 160 (the bundled configs)
-# and 248 (the criterion-07 bent channel).
-HARMONIC_LU_MAX_UNKNOWNS = 256
+# _level_lu raises MemoryError rather than allocate a factor larger than this, in bytes.
+# It covers every mesh solved so far.  On the bent channel of benchmarks/cases at N=7
+# the Navier-Stokes factor holds 153 MB at 15x5x5 (576 nodes) and 398 MB at 18x6x6
+# (931 nodes; that solve took 11.0 s on a 2-vCPU host and peaked at 803 MB RSS); at
+# 24x8x8 (2,025 nodes) it would hold 1.79 GB, a size never solved with this factor.
+LEVEL_LU_MAX_BYTES = 2_000_000_000
 
 
 def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None,
                                 plan: LevelPlan | None = None) -> Callable:
-    """Block-Jacobi preconditioner of a BlockTangent's edge blocks, over harmonics or nodes.
+    """Block-Jacobi preconditioner of a BlockTangent's edge blocks over harmonics.
 
     A harmonic block is mode 0, or the (Re, Im) pair of mode n, taken over
     all nodes and components: the edge blocks with the coupling between
@@ -822,28 +791,12 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
     skew frequency coupling n omega rho M between the cos and sin of a mode
     stays inside its block.  Each block is inverted exactly by the level LU
     of _level_lu over plan, the LevelPlan of the tangent's graph
-    (AssemblyContext.level_plan keeps one per mesh; built here when None).
-    The pins must pin every slot of a component alike (ValueError
-    otherwise), as layout_pins does; pinned slots act as identity rows and
-    columns.
-
-    When the widest level of plan holds more than HARMONIC_LU_MAX_UNKNOWNS
-    pair-block unknowns, the per-node diagonal blocks are inverted instead
-    (_schur_block_jacobi).  A BlockMatrix is preconditioned by
+    (AssemblyContext.level_plan keeps one per mesh; built here when None),
+    which raises MemoryError when the factor would exceed
+    LEVEL_LU_MAX_BYTES.  The pins must pin every slot of a component alike
+    (ValueError otherwise), as layout_pins does; pinned slots act as
+    identity rows and columns.  A BlockMatrix is preconditioned by
     level_lu_preconditioner.
-    """
-    if not isinstance(op, BlockTangent):
-        raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
-                        "precondition a BlockMatrix with level_lu_preconditioner")
-    if plan is None:
-        plan = LevelPlan.of(op.rows, op.cols, op.n_nodes)
-    if plan.width * 2 * (op.dim + 1) > HARMONIC_LU_MAX_UNKNOWNS:
-        return _schur_block_jacobi(op, pins)
-    return _harmonic_level_lu(op, pins, plan)
-
-
-def _harmonic_level_lu(op: BlockTangent, pins: np.ndarray | None, plan: LevelPlan) -> Callable:
-    """Level LU of the harmonic blocks of a BlockTangent; see block_jacobi_preconditioner.
 
     System h of _level_lu holds harmonic h in 2 slots per component: the
     (Re z_h, Im z_h) pair, or for mode 0 Re z_0 and a padding slot, an
@@ -851,6 +804,11 @@ def _harmonic_level_lu(op: BlockTangent, pins: np.ndarray | None, plan: LevelPla
     of K (on every velocity direction), of L, and of the gradient and
     divergence blocks (g_full/d_full where set, else g_diag/d_diag times I).
     """
+    if not isinstance(op, BlockTangent):
+        raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
+                        "precondition a BlockMatrix with level_lu_preconditioner")
+    if plan is None:
+        plan = LevelPlan.of(op.rows, op.cols, op.n_nodes)
     n, d, n_h, m = op.n_nodes, op.dim, op.n_modes, op.n_slots
     b = 2 * (d + 1)
     free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
@@ -900,61 +858,6 @@ def _harmonic_level_lu(op: BlockTangent, pins: np.ndarray | None, plan: LevelPla
     return apply
 
 
-def _schur_block_jacobi(op: BlockTangent, pins: np.ndarray | None) -> Callable:
-    """Inverse of the per-node diagonal blocks of a BlockTangent (all components and modes).
-
-    Pinned slots are forced to identity rows/columns before inversion.
-    The nodal block [[I_d (x) K, G], [D, L]], with G the column of the
-    gradient blocks G_i and D the row of the divergence blocks D_i, is
-    inverted through its pressure Schur complement S = L - sum_i D_i K^-1 G_i
-    (Elman, Silvester & Wathen, ch. 9): K is inverted once per node for all
-    d velocity directions, and the apply is p = S^-1 (r_p - sum_i D_i K^-1 r_i),
-    v_i = K^-1 (r_i - G_i p).  The pins must then pin every velocity
-    direction of a node alike (ValueError otherwise), and a node whose K or
-    S is singular falls back to a scaled identity with a warning.
-    """
-    n, d, m = op.n_nodes, op.dim, op.n_slots
-    nv = d * m                                              # velocity slots per node
-    free = np.ones((n, d + 1, m), dtype=bool) if pins is None \
-        else ~pins.reshape(n, d + 1, m)
-    if np.any(free[:, :d] != free[:, :1]):
-        raise ValueError("block_jacobi_preconditioner: the pins must pin every "
-                         "velocity direction of a node alike")
-    fv, fp = free[:, 0], free[:, d]
-    # build_graph pairs are unique: one self-edge per node
-    sel = np.flatnonzero(op.rows == op.cols)
-
-    def at_nodes(edge_blocks):
-        out = np.zeros((n,) + edge_blocks.shape[1:])
-        out[op.rows[sel]] = edge_blocks
-        return out
-
-    k = _pin_block(at_nodes(op.k_real[sel]), fv, fv, diagonal=True)
-    l_p = _pin_block(at_nodes(op.l_real[sel]), fp, fp, diagonal=True)
-    g = _pin_block(at_nodes(op._coupling(op.g_full, op.g_diag, sel)), fv[:, None], fp[:, None])
-    dv = _pin_block(at_nodes(op._coupling(op.d_full, op.d_diag, sel)), fp[:, None], fv[:, None])
-    d_row = dv.transpose(0, 2, 1, 3).reshape(n, m, nv)      # [D_1 ... D_d]
-    k_inv, k_singular = _invert_blocks(k)
-    kg = np.matmul(k_inv[:, None], g).reshape(n, nv, m)     # K^-1 G_i, stacked
-    s_inv, s_singular = _invert_blocks(l_p - np.matmul(d_row, kg))
-    for i in np.flatnonzero(k_singular | s_singular):
-        eye = np.eye(m) / _identity_scale(np.r_[np.diag(k[i]), np.diag(l_p[i])])
-        k_inv[i], s_inv[i], kg[i], d_row[i] = eye, eye, 0.0, 0.0
-        warnings.warn(f"singular nodal block at node {i}; using scaled identity")
-    k_inv_t = k_inv.swapaxes(1, 2)
-
-    def apply(x):
-        xr = np.asarray(x).reshape(n, d + 1, m)
-        w = np.matmul(xr[:, :d], k_inv_t).reshape(n, nv)   # K^-1 r_i
-        p = np.einsum("nij,nj->ni", s_inv, xr[:, d] - np.einsum("nij,nj->ni", d_row, w))
-        out = np.empty((n, d + 1, m))
-        out[:, :d] = (w - np.einsum("nij,nj->ni", kg, p)).reshape(n, d, m)
-        out[:, d] = p
-        return out.ravel()
-
-    return apply
-
-
 def level_lu_preconditioner(op: BlockMatrix, pins: np.ndarray | None = None,
                             plan: LevelPlan | None = None) -> Callable:
     """Exact inverse of a real pinned BlockMatrix by the block LU of _level_lu.
@@ -989,7 +892,10 @@ def _level_lu(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, free: np.n
     over the levels, each step batched over the systems.  A singular D'_l
     falls back to a scaled identity with a warning that names the level.
     Each factorization is logged at DEBUG with its level count, the unknowns
-    of its level blocks and the MB it holds.
+    of its level blocks and the MB it holds.  The factor holds
+    3 * n_levels * n_sys * w * w doubles, w the unknowns of the widest
+    level block; above LEVEL_LU_MAX_BYTES it raises MemoryError, naming
+    them, before it allocates anything of that size.
 
     apply(x) takes the n_sys systems' right-hand sides, n_sys * n_nodes * b
     values in system-major order, and returns the solutions in the shape
@@ -1008,6 +914,11 @@ def _level_lu(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, free: np.n
     lev = plan.level[node]
     counts = np.bincount(lev, minlength=n_lev)
     w = int(counts.max(initial=0))
+    size = 3 * n_lev * n_sys * w * w * 8
+    if size > LEVEL_LU_MAX_BYTES:
+        raise MemoryError(f"level LU of {n_sys} system(s) over {n_lev} levels, the widest "
+                          f"of {w} unknowns, needs an estimated {size / 1e6:.4g} MB, over "
+                          f"the LEVEL_LU_MAX_BYTES limit of {LEVEL_LU_MAX_BYTES / 1e6:.4g} MB")
     place = np.arange(node.size) - (np.cumsum(counts) - counts)[lev]
     place_of = np.full(free.shape, -1)
     place_of[node, comp] = place
@@ -1024,7 +935,8 @@ def _level_lu(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, free: np.n
             d_inv[k] -= low[k] @ up[k - 1]
         inv, singular = _invert_blocks(d_inv[k])
         for s in np.flatnonzero(singular):
-            inv[s] = np.eye(w) / _identity_scale(np.diagonal(d_inv[k, s]))
+            scale = np.max(np.abs(np.diagonal(d_inv[k, s])))
+            inv[s] = np.eye(w) / (scale if scale > 0 else 1.0)
             warnings.warn(f"singular level block at level {k} of {n_lev}"
                           + (f", system {s}" if n_sys > 1 else "") + "; using scaled identity")
         d_inv[k] = inv

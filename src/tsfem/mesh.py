@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 ELEM_NODES = {"line2": 2, "tri3": 3, "tet4": 4}
-ELEM_DIM = {"line2": 1, "tri3": 2, "tet4": 3}
 FACET_TYPE = {"tet4": "tri3", "tri3": "line2", "line2": "point"}
 FACET_NODES = {"tri3": 3, "line2": 2, "point": 1}
 

@@ -665,8 +665,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     mass is added once the residual has chosen the step.  The linear solve
     runs to eps_ls relative tolerance with GMRES, right-preconditioned by
     block_jacobi_preconditioner of the edge blocks: the level LU of their
-    harmonic blocks, over the mesh's level plan (the nodal Schur
-    block-Jacobi on meshes with wide levels).  Dirichlet increments are
+    harmonic blocks, over the mesh's level plan.  Dirichlet increments are
     pinned to zero.  lagged carries the preconditioner across the updates
     of a solve: it is built, with this step's pseudo mass, when lagged has
     none, and dropped after a GMRES solve that takes more than
@@ -709,7 +708,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     assembled = time.perf_counter()
     precond_s = 0.0
     if lagged.apply is None:
-        plan = assembly_context(mesh, build_graph).level_plan(2 * (mesh.dim + 1))
+        plan = assembly_context(mesh, build_graph).level_plan()
         lagged.apply = block_jacobi_preconditioner(tangent, pins, plan)
         precond_s = time.perf_counter() - assembled
     res = gmres(op, rhs, config.gmres_config(), precond=lagged.apply)

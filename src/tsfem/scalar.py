@@ -225,7 +225,7 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes)
     layout_rhs[pins] = 0.0
     op = pinned_operator(layout.matvec, pins)
-    plan = assembly_context(mesh, build_graph).level_plan(layout.block_size)
+    plan = assembly_context(mesh, build_graph).level_plan()
     precond = level_lu_preconditioner(layout, pins, plan)
     res = gmres(op, layout_rhs, solver_config.gmres_config(), precond=precond)
     if not res.converged:

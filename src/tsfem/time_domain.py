@@ -555,7 +555,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
             mid = time.perf_counter()
             assembly_s += mid - start
             factor.factor(tangent, layout_pins(mesh.n_nodes, 1, dir_nodes, dim + 1, dim),
-                          assembly_context(mesh, build_graph).level_plan(dim + 1),
+                          assembly_context(mesh, build_graph).level_plan(),
                           f"time step to t={t_new:.6g}")
             linear_s += time.perf_counter() - mid
         start = time.perf_counter()

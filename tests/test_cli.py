@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import tsfem.cli as cli
+import tsfem.linsolve as linsolve
 import tsfem.time_domain as time_domain
 from tsfem.cli import main, run_case, sweep
 from tsfem.config import (
@@ -452,6 +453,15 @@ class TestSweep:
 
 
 class TestMainEntry:
+    def test_run_exits_1_on_a_preconditioner_over_the_size_limit(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(linsolve, "LEVEL_LU_MAX_BYTES", 1)
+        code = main(["run", str(CONFIG_DIR / "steady_channel.yaml"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "needs an estimated" in err and " MB, over" in err
+
     def test_validate_verb(self, capsys):
         code = main(["validate-config", str(CONFIG_DIR / "tracer_1d.yaml")])
         assert code == 0

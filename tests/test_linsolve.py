@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsfem.linsolve as linsolve
@@ -417,10 +417,10 @@ class TestLevelLU:
         plan = LevelPlan.of(rows, cols, mesh.n_nodes)
         assert np.all(np.abs(plan.level[rows] - plan.level[cols]) <= 1)
         # every node has one place: the (level, slot) pairs are distinct and dense
-        places = plan.level * plan.width + plan.slot
-        assert np.unique(places).size == mesh.n_nodes
         counts = np.bincount(plan.level, minlength=plan.n_levels)
-        assert counts.max() == plan.width and np.all(counts >= 1)
+        places = plan.level * counts.max() + plan.slot
+        assert np.unique(places).size == mesh.n_nodes
+        assert counts.size == plan.n_levels and np.all(counts >= 1)
         assert np.all(plan.slot < counts[plan.level])
 
     def test_interval_is_rooted_at_an_end(self):
@@ -428,7 +428,7 @@ class TestLevelLU:
         mesh = generate_interval(1.0, 17)
         rows, cols, _ = build_graph(mesh.elements, mesh.n_nodes)
         plan = LevelPlan.of(rows, cols, mesh.n_nodes)
-        assert plan.n_levels == mesh.n_nodes and plan.width == 1
+        assert plan.n_levels == mesh.n_nodes and np.bincount(plan.level).max() == 1
 
     @settings(max_examples=60, deadline=None)
     @given(n_nodes=st.integers(1, 9), idle=st.integers(0, 2), nen=st.integers(1, 4),
@@ -485,8 +485,8 @@ class TestLevelLU:
     def test_plan_not_fitting_the_graph_rejected(self):
         rows, cols, _ = build_graph(np.array([[0, 1], [1, 2]]), 3)
         sys_r = BlockMatrix(rows, cols, np.where(rows == cols, 3.0, 1.0)[:, None, None], 3)
-        plan = LevelPlan(np.array([0, 1, 2]), np.zeros(3, dtype=int), 3, 1)
-        skipping = LevelPlan(np.array([0, 2, 1]), np.zeros(3, dtype=int), 3, 1)
+        plan = LevelPlan(np.array([0, 1, 2]), np.zeros(3, dtype=int), 3)
+        skipping = LevelPlan(np.array([0, 2, 1]), np.zeros(3, dtype=int), 3)
         level_lu_preconditioner(sys_r, plan=plan)
         with pytest.raises(ValueError, match="skips a level"):
             level_lu_preconditioner(sys_r, plan=skipping)
@@ -524,42 +524,34 @@ def pinned_harmonic_dense(tg, pins):
     return dense
 
 
+# a bent channel whose widest level holds 41 nodes, 328 pair-block unknowns: wider than
+# those of the bundled and acceptance meshes (at most 248)
+WIDE_CHANNEL = (6, 5, 5)
+
+
 class TestBlockJacobi:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(sorted(MESH_GENERATORS)),
            res=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)),
            n_modes=st.integers(1, 4), full=st.booleans(), pin_share=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32 - 1))
+    @example(kind="bent_channel", res=WIDE_CHANNEL, n_modes=1, full=False, pin_share=0.3,
+             seed=11)
     def test_harmonic_blocks_solve_pinned_edge_operator(self, kind, res, n_modes, full,
                                                        pin_share, seed):
         # dim 1-3 meshes, the production (g_diag) and verification (g_full) forms
         rng = np.random.default_rng(seed)
         mesh = MESH_GENERATORS[kind](res)
         tg = mesh_tangent(mesh, n_modes, full, rng)
+        if res == WIDE_CHANNEL:
+            plan = LevelPlan.of(tg.rows, tg.cols, tg.n_nodes)
+            assert np.bincount(plan.level).max() * 2 * (mesh.dim + 1) > 256
         dir_nodes = np.flatnonzero(rng.random(mesh.n_nodes) < pin_share)  # whole-velocity pins
         pins = layout_pins(mesh.n_nodes, n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
         r = rng.standard_normal(tg.n_dof)
         ref = np.linalg.solve(pinned_harmonic_dense(tg, pins), r)
         got = block_jacobi_preconditioner(tg, pins)(r)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_cap_on_level_width_selects_the_schur_path(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        mesh = generate_rect_tri((1.0, 1.0), (3, 2))
-        tg = mesh_tangent(mesh, 3, False, rng)
-        pins = layout_pins(mesh.n_nodes, 3, np.array([0, 5]), 3, 2)
-        plan = LevelPlan.of(tg.rows, tg.cols, tg.n_nodes)
-        r = rng.standard_normal(tg.n_dof)
-        harmonic = np.linalg.solve(pinned_harmonic_dense(tg, pins), r)
-        nodal = np.linalg.solve(pinned_diag_blocks(tg, pins),
-                                r.reshape(tg.n_nodes, -1, 1)).ravel()
-        widest = plan.width * 2 * (tg.dim + 1)
-        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", widest)
-        np.testing.assert_allclose(block_jacobi_preconditioner(tg, pins, plan)(r), harmonic,
-                                   rtol=1e-10, atol=1e-12)
-        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", widest - 1)
-        np.testing.assert_allclose(block_jacobi_preconditioner(tg, pins, plan)(r), nodal,
-                                   rtol=1e-10, atol=1e-12)
 
     def test_pins_must_cover_every_mode_slot(self):
         tg = random_tangent(3, 2, 2)
@@ -581,78 +573,46 @@ class TestBlockJacobi:
         np.testing.assert_allclose(lhs, rhs, atol=1e-13 * np.max(np.abs(rhs)))
 
 
-
-def pinned_diag_blocks(tg, pins):
-    """Dense oracle: the nodal diagonal blocks of to_dense(), pinned slot by slot."""
-    dense = tg.to_dense()
-    n = tg.n_nodes
-    b = dense.shape[0] // n
-    blocks = np.stack([dense[k * b:(k + 1) * b, k * b:(k + 1) * b] for k in range(n)])
-    for node, slot in zip(*np.nonzero(pins.reshape(n, b))):
-        blocks[node, slot, :] = 0.0
-        blocks[node, :, slot] = 0.0
-        blocks[node, slot, slot] = 1.0
-    return blocks
+def factor_bytes(plan, n_sys, per_node):
+    """Bytes of the unpinned level LU factor: 3 level blocks per level and system."""
+    w = np.bincount(plan.level).max() * per_node
+    return 3 * plan.n_levels * n_sys * w * w * 8
 
 
-class TestSchurBlockJacobi:
-    """The nodal path, taken above HARMONIC_LU_MAX_UNKNOWNS; each test sets the cap to 0."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(n_nodes=st.integers(2, 6), dim=st.integers(1, 3), n_modes=st.integers(1, 4),
-           full=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_pinned_block_solve(self, n_nodes, dim, n_modes, full, seed):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", 0)
-            self._matches_pinned_block_solve(n_nodes, dim, n_modes, full, seed)
-
+class TestLevelLUSizeGuard:
     @staticmethod
-    def _matches_pinned_block_solve(n_nodes, dim, n_modes, full, seed):
-        rng = np.random.default_rng(seed)
-        tg = random_tangent(n_nodes, dim, n_modes, rng=rng)
-        e, m = tg.rows.shape[0], 2 * n_modes - 1
-        # diagonally dominant K and L keep K and the Schur complement regular
-        tg.k_real += 3 * m * np.eye(m)
-        tg.l_real += 3 * (dim + 1) * m * np.eye(m)
-        if full:
-            tg.g_full = rng.standard_normal((e, dim, m, m))
-            tg.d_full = rng.standard_normal((e, dim, m, m))
-        dir_nodes = np.flatnonzero(rng.random(n_nodes) < 0.4)   # whole-velocity pins
-        pins = layout_pins(n_nodes, n_modes, dir_nodes, dim + 1, dim)
-        r = rng.standard_normal(tg.n_dof)
-        blocks = pinned_diag_blocks(tg, pins)
-        ref = np.linalg.solve(blocks, r.reshape(n_nodes, -1, 1)).ravel()
-        got = block_jacobi_preconditioner(tg, pins)(r)
-        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    def _guarded(monkeypatch, build, size):
+        """build() is refused at a limit just below size, naming both, and passes at size."""
+        monkeypatch.setattr(linsolve, "LEVEL_LU_MAX_BYTES", size - 1)
+        with pytest.raises(MemoryError) as err:
+            build()
+        assert f"estimated {size / 1e6:.4g} MB" in str(err.value)
+        assert f"limit of {(size - 1) / 1e6:.4g} MB" in str(err.value)
+        monkeypatch.setattr(linsolve, "LEVEL_LU_MAX_BYTES", size)
+        return build()
 
-    def test_singular_k_falls_back_with_warning(self, monkeypatch):
-        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", 0)
-        tg = random_tangent(3, 2, 2)
-        m = 2 * tg.n_modes - 1
-        tg.k_real += 3 * m * np.eye(m)
-        tg.l_real += 9 * m * np.eye(m)
-        tg.k_real[(tg.rows == 1) & (tg.cols == 1)] = 0.0
-        pins = layout_pins(3, tg.n_modes, np.array([], dtype=int), tg.dim + 1, tg.dim)
-        with pytest.warns(UserWarning, match="singular"):
-            pre = block_jacobi_preconditioner(tg, pins)
+    def test_block_matrix_factor(self, monkeypatch):
+        mesh = generate_rect_tri((1.0, 1.0), (3, 4))
+        rows, cols, _ = build_graph(mesh.elements, mesh.n_nodes)
+        b = 3
+        blocks = RNG.standard_normal((rows.size, b, b))
+        blocks[rows == cols] += 4 * b * np.eye(b)
+        sys_r = BlockMatrix(rows, cols, blocks, mesh.n_nodes)
+        plan = LevelPlan.of(rows, cols, mesh.n_nodes)
+        pre = self._guarded(monkeypatch, lambda: level_lu_preconditioner(sys_r, plan=plan),
+                            factor_bytes(plan, 1, b))
+        x = RNG.standard_normal(mesh.n_nodes * b)
+        np.testing.assert_allclose(sys_r.matvec(pre(x)), x, rtol=1e-10, atol=1e-12)
+
+    def test_tangent_factor(self, monkeypatch):
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 2, 2), bend_angle=1.0)
+        tg = mesh_tangent(mesh, 3, False, np.random.default_rng(5))
+        plan = LevelPlan.of(tg.rows, tg.cols, tg.n_nodes)
+        pre = self._guarded(monkeypatch, lambda: block_jacobi_preconditioner(tg, plan=plan),
+                            factor_bytes(plan, tg.n_modes, 2 * (mesh.dim + 1)))
         r = RNG.standard_normal(tg.n_dof)
-        out = pre(r)
-        assert np.all(np.isfinite(out))
-        blocks = pinned_diag_blocks(tg, pins)
-        regular = [0, 2]
-        ref = np.linalg.solve(blocks[regular], r.reshape(3, -1, 1)[regular])[..., 0]
-        assert np.linalg.norm(out.reshape(3, -1)[regular] - ref) <= 1e-10 * np.linalg.norm(ref)
-        # the singular node gets the identity scaled by its largest diagonal entry
-        scale = np.max(np.abs(np.diag(blocks[1])))
-        np.testing.assert_allclose(out.reshape(3, -1)[1], r.reshape(3, -1)[1] / scale)
-
-    def test_unlike_velocity_pins_rejected(self, monkeypatch):
-        monkeypatch.setattr(linsolve, "HARMONIC_LU_MAX_UNKNOWNS", 0)
-        tg = random_tangent(3, 2, 2)
-        pins = np.zeros((3, tg.dim + 1, 2 * tg.n_modes - 1), dtype=bool)
-        pins[0, 0, :] = True            # one velocity direction of node 0 only
-        with pytest.raises(ValueError, match="velocity direction"):
-            block_jacobi_preconditioner(tg, pins.ravel())
+        ref = np.linalg.solve(pinned_harmonic_dense(tg, np.zeros(tg.n_dof, dtype=bool)), r)
+        np.testing.assert_allclose(pre(r), ref, rtol=1e-10, atol=1e-12)
 
 
 class TestPinnedOperator:

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from tsfem.linsolve import (
     rhs_to_real,
 )
 from tsfem.boundary import check_groups
+from tsfem.config import build_case, build_mesh, build_solver_config, config_from_mapping
 from tsfem.mesh import (
     Mesh,
     c_i_for,
@@ -55,6 +58,7 @@ from tsfem.spectral import (
 )
 
 RNG = np.random.default_rng(2718)
+BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
 
 
 def random_state(mesh, n_modes, rng=RNG, scale=1.0):
@@ -853,6 +857,19 @@ class TestPseudoStep:
         result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
         assert result.converged and all(u.linear_converged for u in result.updates)
         assert result.steps <= 8
+
+    def test_mesh_with_wide_levels_converges_in_few_matvecs(self):
+        # the benchmark's bent channel at 15x5x5 (576 nodes), whose widest level holds 360
+        # pair-block unknowns; the harmonic level LU takes 5 updates and 21 matvecs
+        raw = yaml.safe_load((BENCH_CASES / "bent_channel.yaml").read_text())
+        raw["mesh"]["resolution"] = [15, 5, 5]
+        raw["physics"]["n_modes"] = 2
+        config = config_from_mapping(raw)
+        mesh = build_mesh(config.mesh)
+        case, _ = build_case(config, mesh)
+        result = solve_ns(case, mesh, build_solver_config(config.solver))
+        assert result.converged and all(u.linear_converged for u in result.updates)
+        assert result.steps <= 6 and sum(u.matvecs for u in result.updates) <= 40
 
     def test_linear_residuals_record_what_gmres_reached(self, monkeypatch):
         mesh = generate_rect_tri((1.0, 1.0), (3, 6))
