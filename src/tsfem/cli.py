@@ -34,10 +34,8 @@ from .config import (
     build_solver_config,
     config_from_mapping,
     load_config,
-    mode_table,
 )
 from .io import export_fields, export_mesh_vtk, export_traces
-from .linsolve import SolverConfig
 from .mesh import save_mesh
 from .navier_stokes import NSCase, UpdateRecord, flow_report, parabolic_inflow, solve_ns
 from .scalar import solve_scalar
@@ -126,13 +124,6 @@ def _modes_as_rows(values: np.ndarray) -> List[List[float]]:
     return [[float(v.real), float(v.imag)] for v in pos]
 
 
-def _trace_times(omega: float, samples: int) -> np.ndarray:
-    if omega <= 0.0:
-        return np.array([0.0])
-    period = 2 * np.pi / omega
-    return period * np.arange(samples) / samples
-
-
 def run_case(config: CaseConfig, out_dir) -> RunSummary:
     """Solve one configured case and write its artifacts.
 
@@ -151,11 +142,14 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
     case, info = build_case(config, mesh)
     solver_config = build_solver_config(config.solver)
     omega = float(config.physics["omega"])
-    trace_samples = int(config.output.get("trace_samples", 128))
+    samples = int(config.output.get("trace_samples", 128))
+    # one period of trace times; a steady case (omega 0) has one
+    times = 2 * np.pi / omega * np.arange(samples) / samples if omega > 0.0 else np.zeros(1)
     outputs: List[str] = []
 
     if isinstance(case, NSCase):
         result = solve_ns(case, mesh, solver_config)
+        fields = {"velocity": result.state.velocity, "pressure": result.state.pressure}
         diag = diagnostics(case, mesh, velocity=result.state.velocity)
         groups = (list(case.neumann) + list(case.dirichlet))
         report = flow_report(result.state, mesh, groups)
@@ -163,34 +157,27 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
                      "flow_modes": _modes_as_rows(d.flow.values),
                      "pressure_modes": _modes_as_rows(d.pressure.values)}
                  for g, d in report.items()}
-        times = _trace_times(omega, trace_samples)
         columns: Dict[str, np.ndarray] = {}
         for g, d in report.items():
             columns[f"Q_{g}"] = evaluate_field_in_time(d.flow.values, times, omega)
             columns[f"P_{g}"] = evaluate_field_in_time(d.pressure.values, times, omega)
         trace_path = export_traces(times, columns, out_dir / "traces.csv")
         outputs.append(str(trace_path))
-        t_samples = config.output.get("fields_t_samples")
-        if t_samples:
-            paths = export_fields(mesh, t_samples, omega, out_dir,
-                                  velocity=result.state.velocity,
-                                  pressure=result.state.pressure)
-            outputs.extend(str(p) for p in paths)
-        summary = RunSummary("ns", result.converged, result.steps, result.residuals,
-                             time.perf_counter() - t0, diag.alpha, diag.beta, flows,
-                             info.get("truncation", {}), outputs=outputs, updates=result.updates)
+        solved = dict(kind="ns", converged=result.converged, steps=result.steps,
+                      residuals=result.residuals, flows=flows, updates=result.updates)
     else:
         sol = solve_scalar(case, mesh, solver_config)
+        fields = {"scalar": sol}
         diag = diagnostics(case, mesh)
-        times = _trace_times(omega, trace_samples)
         recon = evaluate_field_in_time(sol, times, omega)
-        t_samples = config.output.get("fields_t_samples")
-        if t_samples:
-            paths = export_fields(mesh, t_samples, omega, out_dir, scalar=sol)
-            outputs.extend(str(p) for p in paths)
-        summary = RunSummary("scalar", True, 1, [], time.perf_counter() - t0, diag.alpha,
-                             diag.beta, {}, info.get("truncation", {}),
-                             [float(recon.min()), float(recon.max())], outputs)
+        solved = dict(kind="scalar", converged=True, steps=1, residuals=[],
+                      field_range=[float(recon.min()), float(recon.max())])
+    t_samples = config.output.get("fields_t_samples")
+    if t_samples:
+        paths = export_fields(mesh, t_samples, omega, out_dir, **fields)
+        outputs.extend(str(p) for p in paths)
+    summary = RunSummary(wall_time=time.perf_counter() - t0, alpha=diag.alpha, beta=diag.beta,
+                         truncation=info.get("truncation", {}), outputs=outputs, **solved)
 
     with open(out_dir / "summary.yaml", "w") as fh:
         yaml.safe_dump(summary.to_dict(), fh, sort_keys=True)
@@ -349,9 +336,9 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     tcase, mesh, inflow_name = _time_reference_case(base, ref_block)
     phys = base.physics
     omega = float(phys["omega"])
-    tconf = SolverConfig(eps_nr=float(base.solver.get("eps_nr", 1e-3)))
-    tres = run_time_simulation(tcase, mesh, tconf, report_groups=[group],
-                               ramp_steps=int(ref_block.get("ramp_steps", 10)))
+    ramp = {"ramp_steps": int(ref_block["ramp_steps"])} if "ramp_steps" in ref_block else {}
+    tres = run_time_simulation(tcase, mesh, build_solver_config(base.solver),
+                               report_groups=[group], **ramp)
     reference_seconds = time.perf_counter() - t0
     if tres.newton_failures:
         warnings.warn(f"mode sweep on group {group!r}: {tres.newton_failures} time-reference "
@@ -391,8 +378,20 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     return table
 
 
+def _steady_value(modes: np.ndarray, what: str) -> float:
+    """Mode 0 of a mode vector (2N-1,) whose other modes vanish (to 1e-12), else a ConfigError."""
+    n = (modes.size + 1) // 2
+    if np.max(np.abs(np.delete(modes, n - 1)), initial=0.0) > 1e-12 * np.max(np.abs(modes)):
+        raise ConfigError([f"h_sweep needs a steady {what} (got modes {modes.tolist()})"])
+    return float(modes[n - 1].real)
+
+
 def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
-    """Refinement study of the 1D steady transport case against its oracle."""
+    """Refinement study of the 1D steady transport case against its oracle.
+
+    The oracle's velocity and Dirichlet values, phi = 0 on left and g != 0
+    on right, are the built case's and must be steady, else a ConfigError.
+    """
     from .verification import exact_steady_advection_diffusion_1d, l2_error
 
     base = _study_case(study, "h_sweep")
@@ -402,18 +401,17 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     phys = base.physics
     if phys["kind"] != "scalar" or base.mesh.get("generator") != "interval":
         raise ConfigError(["h_sweep expects a scalar case on an interval mesh"])
-    n_modes = int(phys["n_modes"])
+    case, _ = build_case(base, build_mesh(base.mesh))
+    u = _steady_value(case.velocity[0, 0], "velocity")
+    # a side without Dirichlet data reads as nan, which fails the check below
+    left, g_bc = (_steady_value(case.dirichlet.get(side, np.full(1, np.nan)), f"phi on {side}")
+                  for side in ("left", "right"))
+    if not (left == 0.0 and abs(g_bc) > 0.0):
+        raise ConfigError([f"h_sweep needs Dirichlet phi = 0 on left and phi != 0 on right "
+                           f"(got {left} and {g_bc})"])
+    n_modes = case.n_modes
     m = n_coeffs(n_modes)
     length = float(base.mesh["length"])
-    u = float(np.asarray(phys.get("velocity_modes", [[0.0]]))[0][0])
-    g_bc = None
-    for bc in base.bcs.values():
-        if bc.get("kind") == "dirichlet" and "phi_modes" in bc:
-            vals = mode_table(bc["phi_modes"], n_modes, "h_sweep")
-            if np.max(np.abs(vals)) > 0:
-                g_bc = float(vals[n_modes - 1].real)
-    if g_bc is None:
-        raise ConfigError(["h_sweep needs a nonzero Dirichlet phi_modes entry"])
     exact = exact_steady_advection_diffusion_1d(u, float(phys["kappa"]), length, g_bc)
 
     def exact_modes(points):

@@ -333,30 +333,22 @@ def _constructed(case_type, **values):
 
 
 def build_solver_config(solver_block: Dict[str, Any]) -> SolverConfig:
-    block = dict(solver_block)
-
-    def value(key, kind, default):
+    """The SolverConfig of a solver block: its given keys, SolverConfig's defaults for the rest."""
+    kinds = {"eps_nr": float, "eps_ls": float, "krylov_dim": int, "max_linear_iters": int,
+             "max_steps": int, "pseudo_dt": float}
+    values = {}
+    for key, kind in kinds.items():
+        if key not in solver_block:
+            continue
+        raw = solver_block[key]
+        if key == "pseudo_dt" and raw in ("auto", None, "inf", ".inf", "newton"):
+            values[key] = None if raw in ("auto", None) else np.inf
+            continue
         try:
-            return kind(block.get(key, default))
+            values[key] = kind(raw)
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a number"
-            raise ConfigError([f"solver.{key} must be {what} (got {block[key]!r})"]) from None
-
-    pseudo = block.get("pseudo_dt", "auto")
-    if pseudo in ("auto", None):
-        pseudo = None
-    elif pseudo in ("inf", ".inf", "newton"):
-        pseudo = np.inf
-    else:
-        pseudo = value("pseudo_dt", float, None)
-    values = dict(
-        eps_nr=value("eps_nr", float, 1e-3),
-        eps_ls=value("eps_ls", float, 0.05),
-        krylov_dim=value("krylov_dim", int, 100),
-        max_linear_iters=value("max_linear_iters", int, 10_000),
-        pseudo_dt=pseudo,
-        max_steps=value("max_steps", int, 200),
-    )
+            raise ConfigError([f"solver.{key} must be {what} (got {raw!r})"]) from None
     try:
         return SolverConfig(**values)
     except ValueError as err:   # the message starts with the field name

@@ -5,12 +5,16 @@ functions.  The line parent is xi in [-1, 1]; triangles and tets use
 barycentric coordinates on the unit simplex.  Element geometry is affine,
 so physical shape gradients, the Jacobian determinant and the metric
 tensor G_ij = (dxi_k/dx_i)(dxi_k/dx_j) are constant per element and are
-precomputed once per mesh, with the volume quadrature tables that every
-element loop of the solvers reads (ElementData); no other module evaluates
-the volume rule or the shape functions itself.
+precomputed once per mesh, with the volume quadrature tables, the physical
+quadrature points and, at first use, G:G and the point-value tables of the
+time step (ElementData); no other module evaluates the volume rule or the
+shape functions itself.
 
 Boundary facets are grouped by name; each facet stores its node ids and
 the parent element, and the named groups partition the mesh boundary.
+Each group's facet quadrature and its nodal facet sums (FacetQuadData),
+which give the outward flow and the area average of a P1 field that both
+flow solvers report, are built once per mesh.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "facet_rule",
     "shape_values",
     "facet_geometry",
+    "boundary_faces",
     "generate_interval",
     "generate_rect_tri",
     "generate_box_tet",
@@ -147,8 +152,6 @@ class Mesh:
     # read-only node ids per group, built by the first group_nodes
     _group_nodes: Dict[str, np.ndarray] = field(default_factory=dict, repr=False,
                                                 compare=False)
-    # time-step element tables (time_domain._StepTables), built by the first time step
-    _step_tables: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -179,9 +182,14 @@ class ElementData:
     h[e] = circumscribed-sphere diameter, mass[e, A, B] =
     detj sum_q w_q N_A N_B (the element mass matrix).  The tables every
     element loop reads: basis[q, A] = N_A at quadrature point q (the same
-    for every element), wdetj[e, q] = detj w_q, n_int[e, A] =
-    detj sum_q w_q N_A, vol[e] = detj sum_q w_q (the element measure) and
-    gab[e, A, B] = grad N_A . grad N_B.
+    for every element), points[e, q] = its physical point, wdetj[e, q] =
+    detj w_q, n_int[e, A] = detj sum_q w_q N_A, vol[e] = detj sum_q w_q
+    (the element measure) and gab[e, A, B] = grad N_A . grad N_B.  Built at
+    their first use and kept: gg[e] = G:G, and the time step's point_grad[e]
+    = [N_A(q); dN_A/dx_j], which takes element nodal values to their point
+    values and gradients in one product, and weight_grad[e] = [w_q detj
+    N_A(q) | dN_A/dx_j], which takes per-point integrands and gradient
+    fluxes to the element residual rows in one product.
     """
 
     grads: np.ndarray
@@ -190,6 +198,7 @@ class ElementData:
     h: np.ndarray
     mass: np.ndarray
     basis: np.ndarray
+    points: np.ndarray
     wdetj: np.ndarray
     n_int: np.ndarray
     vol: np.ndarray
@@ -211,8 +220,26 @@ class ElementData:
         basis = shape_values(mesh.elem_type, rule.points)
         mass = detj[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights, basis, basis)
         return cls(grads, detj, metric, _circumsphere_diameter(mesh, xe), mass, basis,
-                   np.outer(detj, rule.weights), np.outer(detj, rule.weights @ basis),
-                   detj * rule.weights.sum(), np.matmul(grads, grads.swapaxes(1, 2)))
+                   basis @ xe, np.outer(detj, rule.weights),
+                   np.outer(detj, rule.weights @ basis), detj * rule.weights.sum(),
+                   np.matmul(grads, grads.swapaxes(1, 2)))
+
+    @cached_property
+    def gg(self) -> np.ndarray:
+        """(E,) G_ij G_ij."""
+        return np.einsum("eij,eij->e", self.metric, self.metric)
+
+    @cached_property
+    def point_grad(self) -> np.ndarray:
+        """(E, Q + dim, nen)."""
+        n_el = self.grads.shape[0]
+        return np.concatenate([np.broadcast_to(self.basis, (n_el,) + self.basis.shape),
+                               self.grads.transpose(0, 2, 1)], axis=1)
+
+    @cached_property
+    def weight_grad(self) -> np.ndarray:
+        """(E, nen, Q + dim)."""
+        return np.concatenate([self.wdetj[:, None, :] * self.basis.T, self.grads], axis=2)
 
 
 def _circumsphere_diameter(mesh: Mesh, xe: np.ndarray) -> np.ndarray:
@@ -260,10 +287,11 @@ class FacetQuadData:
 
     node_ids are the group's nodes, ascending, and node_weights and
     node_normals the facet integrals of their shape functions: the
-    integral of a P1 field f over the group is node_weights . f[node_ids],
-    and the outward flux of a P1 vector field u is
-    sum(node_normals * u[node_ids]).  The two sums are built at their
-    first use and kept, read-only like the fields.
+    integral of a P1 field f over the group is node_weights . f[node_ids]
+    (mean divides it by the group's area), and the outward flux of a P1
+    vector field u is sum(node_normals * u[node_ids]) (outward_flow).  The
+    two sums are built at their first use and kept, read-only like the
+    fields.
     """
 
     nodes: np.ndarray      # (F, k) facet node ids
@@ -295,6 +323,14 @@ class FacetQuadData:
     def node_normals(self) -> np.ndarray:
         """(K, dim) sum_f sum_q w_q N_A n_i."""
         return _read_only(self._node_integrals[:, 1:])
+
+    def outward_flow(self, velocity: np.ndarray) -> np.ndarray:
+        """Outward flux of a P1 vector field (n_nodes, dim, ...) through the group, (...)."""
+        return np.tensordot(self.node_normals, velocity[self.node_ids], axes=2)
+
+    def mean(self, nodal: np.ndarray) -> np.ndarray:
+        """Area average of a P1 field (n_nodes, ...) over the group, (...)."""
+        return np.tensordot(self.node_weights, nodal[self.node_ids], axes=1) / self.areas.sum()
 
     def interpolate(self, nodal: np.ndarray) -> np.ndarray:
         """Nodal values (n_nodes, ...) at every facet quadrature point, (F, qf, ...)."""
@@ -348,8 +384,11 @@ def generate_interval(length: float, n_elems: int) -> Mesh:
     return Mesh(1, coords, elements, "line2", groups)
 
 
-def _boundary_faces(elements: np.ndarray, elem_type: str):
-    """Faces appearing in exactly one element, with their parents."""
+def boundary_faces(elements: np.ndarray, elem_type: str):
+    """Faces appearing in exactly one element, with their parents.
+
+    Of a tri3 facet patch, boundary_faces(patch, "tri3") gives its rim edges.
+    """
     local = np.array(_ELEM_FACES[elem_type])
     faces = elements[:, local]                                # (E, n_faces, k)
     n_el, n_f, k = faces.shape
@@ -392,7 +431,7 @@ def generate_rect_tri(extents, resolution) -> Mesh:
     tri1 = np.column_stack([c00, c10, c11])
     tri2 = np.column_stack([c00, c11, c01])
     elements = np.vstack([tri1, tri2])
-    faces, parents = _boundary_faces(elements, "tri3")
+    faces, parents = boundary_faces(elements, "tri3")
     tol = 1e-12 * max(lx, ly)
     planes = {"xmin": (0, 0.0), "xmax": (0, lx), "ymin": (1, 0.0), "ymax": (1, ly)}
     groups = _group_by_plane(coords, faces, parents, planes, tol)
@@ -420,7 +459,7 @@ def generate_box_tet(extents, resolution) -> Mesh:
                for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
     corners = np.stack(corners, axis=1)                       # (cells, 8)
     elements = np.vstack([corners[:, list(t)] for t in _KUHN_TETS])
-    faces, parents = _boundary_faces(elements, "tet4")
+    faces, parents = boundary_faces(elements, "tet4")
     tol = 1e-12 * max(lx, ly, lz)
     planes = {"xmin": (0, 0.0), "xmax": (0, lx), "ymin": (1, 0.0),
               "ymax": (1, ly), "zmin": (2, 0.0), "zmax": (2, lz)}
@@ -461,7 +500,7 @@ def generate_bent_channel_tet(length, height, width, resolution,
 def validate_mesh(mesh: Mesh) -> None:
     """Check facet/element consistency and the boundary partition."""
     mesh.element_data()
-    all_faces, all_parents = _boundary_faces(mesh.elements, mesh.elem_type)
+    all_faces, all_parents = boundary_faces(mesh.elements, mesh.elem_type)
     boundary = {tuple(sorted(f)) for f in all_faces}
     seen = {}
     for name, fg in mesh.facet_groups.items():

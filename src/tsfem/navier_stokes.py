@@ -89,7 +89,7 @@ from .linsolve import (
     pinned_operator,
     rhs_from_orthonormal,
 )
-from .mesh import Mesh, c_i_for, facet_quadrature
+from .mesh import Mesh, boundary_faces, c_i_for, facet_quadrature
 from .spectral import (
     SpectralCoeffs,
     modes_to_real,
@@ -809,13 +809,9 @@ def flow_report(state: NSState, mesh: Mesh, groups) -> FlowReport:
     out: FlowReport = {}
     for name in groups:
         fq = facet_quadrature(mesh, name)
-        q_modes = np.einsum("fq,fqim,fi->m", fq.weights, fq.interpolate(state.velocity),
-                            fq.normals)
-        p_modes = np.einsum("fq,fqm->m", fq.weights, fq.interpolate(state.pressure))
-        area = float(fq.areas.sum())
-        out[name] = FlowData(SpectralCoeffs(n, symmetrize_modes(q_modes)),
-                             SpectralCoeffs(n, symmetrize_modes(p_modes / area)),
-                             area)
+        out[name] = FlowData(SpectralCoeffs(n, symmetrize_modes(fq.outward_flow(state.velocity))),
+                             SpectralCoeffs(n, symmetrize_modes(fq.mean(state.pressure))),
+                             float(fq.areas.sum()))
     return out
 
 
@@ -833,31 +829,23 @@ def parabolic_inflow(mesh: Mesh, group: str, flow: SpectralCoeffs) -> NodalValue
     if np.max(np.linalg.norm(fq.normals - n_mean, axis=1)) > 1e-6:
         warnings.warn(f"facet group {group!r} is not planar; "
                       "parabolic profile is approximate")
-    nodes = fq.node_ids
-    coords = mesh.coords[nodes]
-    centroid = np.average(fq.points.reshape(-1, mesh.dim), axis=0,
-                          weights=fq.weights.ravel())
-    k = fq.nodes.shape[1]
-    if k == 1:
+    if mesh.dim == 1:
         raise ValueError("parabolic profile needs a 2D or 3D inlet")
+    nodes = fq.node_ids
+    centroid = fq.mean(mesh.coords)
 
     def in_plane(x):
         rel = x - centroid
         rel = rel - np.outer(rel @ n_mean, n_mean)
         return rel
 
-    rel_nodes = in_plane(coords)
+    rel_nodes = in_plane(mesh.coords[nodes])
     if mesh.dim == 2:
         # line-segment inlet: parabola over the half-length
         rmax = np.max(np.linalg.norm(rel_nodes, axis=1))
         profile = np.maximum(0.0, 1.0 - (np.linalg.norm(rel_nodes, axis=1) / rmax) ** 2)
     else:
-        # rim = edges of the facet patch that appear exactly once
-        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        edges = np.concatenate([fq.nodes[:, list(p)] for p in pairs])
-        key = np.sort(edges, axis=1)
-        _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-        rim_nodes = np.unique(edges[counts[inv] == 1])
+        rim_nodes = np.unique(boundary_faces(fq.nodes, "tri3")[0])
         # rim radius as a function of angle around the centroid
         e1 = rel_nodes[np.argmax(np.linalg.norm(rel_nodes, axis=1))]
         e1 = e1 / np.linalg.norm(e1)
@@ -879,9 +867,7 @@ def parabolic_inflow(mesh: Mesh, group: str, flow: SpectralCoeffs) -> NodalValue
         profile = np.maximum(0.0, 1.0 - ratio**2)
 
     # flux of the raw profile through the group (inward direction -n)
-    nodal = np.zeros(mesh.n_nodes)
-    nodal[nodes] = profile
-    raw_flux = float(np.sum(fq.weights * fq.interpolate(nodal)))
+    raw_flux = float(fq.node_weights @ profile)
     if raw_flux <= 0.0:
         raise ValueError(f"degenerate inflow profile on group {group!r}")
 

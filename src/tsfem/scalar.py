@@ -158,8 +158,7 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     blocks = np.zeros((ctx.rows.shape[0], m, m))
     rhs = np.zeros((mesh.n_nodes, m))
 
-    points = ed.basis @ mesh.coords[mesh.elements]                  # (E, Q, dim)
-    u_q = modes_to_real(_velocity(case, points, ed.basis, mesh.elements)).swapaxes(0, 1)
+    u_q = modes_to_real(_velocity(case, ed.points, ed.basis, mesh.elements)).swapaxes(0, 1)
     if case.galerkin_only:
         taus = np.zeros(u_q.shape[:2] + (m, m))
     else:
@@ -167,7 +166,7 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     k_el, s_w = gls_operator(u_q, taus, ed, case.omega, 1.0, case.kappa)
     ctx.edges.add_to(blocks, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
     if case.source is not None:
-        s = modes_to_real(_at_points(case.source, points, "source callable output"))
+        s = modes_to_real(_at_points(case.source, ed.points, "source callable output"))
         ctx.nodes.add_to(rhs, np.matmul(s.reshape(mesh.n_elements, 1, -1), s_w).reshape(-1, m))
 
     # Neumann flux data
@@ -288,8 +287,7 @@ def coercivity_probe(case: ScalarCase, mesh: Mesh, w: np.ndarray) -> CoercivityR
     diffusion = case.kappa * np.einsum("e,edm,edm->", ed.vol, np.conj(grad_w), grad_w).real
     least_squares = 0.0
     if not case.galerkin_only:
-        points = ed.basis @ mesh.coords[mesh.elements]         # (E, Q, dim)
-        uq = _velocity(case, points, ed.basis, mesh.elements)
+        uq = _velocity(case, ed.points, ed.basis, mesh.elements)
         resid = np.einsum("rc,eqc->eqr", spectral.build_omega(n, case.omega), ed.basis @ we) \
             + np.einsum("eqdrc,edc->eqr", spectral.convolution_dense(uq, n), grad_w)
         tau = spectral.tau_from_modes(uq, ed.metric[:, None], case.kappa,

@@ -12,13 +12,14 @@ acceleration frequency; this keeps the method consistent in dt while
 controlling the pressure-stabilization term at small time steps.
 The convective velocity u_af, w_hat and tau are re-evaluated at every
 Newton iterate of a time step, in one point-value pass: one product of
-the mesh's [N(q); grad N] table with the gathered [u_af | du/dt | p]
-gives their values at the quadrature points and their element gradients,
-w_hat and tau come from those, and one product of its [w N | grad N]
-table gives both residual rows.  These tables, G:G per element, each
-group's Dirichlet node set and each Neumann group's nodal facet sums do
-not change between steps; they are built at the first use and kept on
-the mesh.  The Newton operator is the exact linearization: the local
+the [N(q); grad N] table of the mesh's ElementData (point_grad) with the
+gathered [u_af | du/dt | p] gives their values at the quadrature points
+and their element gradients, w_hat and tau come from those, and one
+product of its [w N | grad N] table (weight_grad) gives both residual
+rows.  These tables and G:G belong to the mesh's ElementData, and each
+group's Dirichlet node set and its nodal facet sums, which give the
+Neumann traction and the reported flow, to the mesh; none is built by
+this module.  The Newton operator is the exact linearization: the local
 element blocks carry the convective reaction, the variation of the
 SUPG/PSPG test functions and of tau through u, and the dependence of tau
 on the global w_hat is a rank-one term.  The Newton
@@ -55,7 +56,7 @@ from .linsolve import (
 )
 # not called here: benchmarks/tracing.py wraps this module's names of them
 from .linsolve import block_jacobi_preconditioner, gmres  # noqa: F401
-from .mesh import Mesh, c_i_for, facet_quadrature
+from .mesh import ElementData, Mesh, c_i_for, facet_quadrature
 
 __all__ = [
     "TimeCase",
@@ -157,43 +158,14 @@ def time_tau(u_gauss: np.ndarray, omega_hat_val: float, metric: np.ndarray,
     return arg**-0.5
 
 
-class _StepTables(NamedTuple):
-    """Element tables of the time step, built from a mesh's ElementData.
-
-    point_grad[e] = [N_A(q); dN_A/dx_j] (Q + dim, nen) takes the element
-    values of nodal fields to their values at the quadrature points and
-    their gradients, in one product; weight_grad[e] = [w_q detj N_A(q) |
-    dN_A/dx_j] (nen, Q + dim) takes per-point integrands and gradient
-    fluxes to the residual rows, in one product; gg[e] = G:G.
-    """
-
-    point_grad: np.ndarray   # (E, Q + dim, nen)
-    weight_grad: np.ndarray  # (E, nen, Q + dim)
-    gg: np.ndarray           # (E,)
-
-
-def _step_tables(mesh: Mesh) -> _StepTables:
-    """The mesh's _StepTables, built at its first time step and cached on it."""
-    if mesh._step_tables is None:
-        ed = mesh.element_data()
-        n_el = mesh.n_elements
-        grads_t = ed.grads.transpose(0, 2, 1)
-        point_grad = np.concatenate([np.broadcast_to(ed.basis, (n_el,) + ed.basis.shape),
-                                     grads_t], axis=1)
-        weight_grad = np.concatenate([ed.wdetj[:, None, :] * ed.basis.T, ed.grads], axis=2)
-        mesh._step_tables = _StepTables(point_grad, weight_grad,
-                                        np.einsum("eij,eij->e", ed.metric, ed.metric))
-    return mesh._step_tables
-
-
-def _point_values(mesh: Mesh, velocity, accel, pressure) -> np.ndarray:
+def _point_values(ed: ElementData, elements, velocity, accel, pressure) -> np.ndarray:
     """[u | du/dt | p] at the quadrature points, then their gradients.
 
     Returns (E, Q + dim, 2 dim + 1): rows q < Q hold the point values and
     rows Q + j the derivatives d/dx_j, constant per element.
     """
     x = np.concatenate([velocity, accel, pressure[:, None]], axis=1)
-    return _step_tables(mesh).point_grad @ np.take(x, mesh.elements, axis=0)
+    return ed.point_grad @ np.take(x, elements, axis=0)
 
 
 def _omega_hat(ua_q: np.ndarray, wdetj: np.ndarray) -> float:
@@ -216,7 +188,7 @@ def omega_hat(velocity: np.ndarray, accel: np.ndarray, mesh: Mesh) -> float:
     Computed as the time step computes it, from the point values.
     """
     ed = mesh.element_data()
-    vals = _point_values(mesh, np.asarray(velocity, dtype=float),
+    vals = _point_values(ed, mesh.elements, np.asarray(velocity, dtype=float),
                          np.asarray(accel, dtype=float), np.zeros(mesh.n_nodes))
     return _omega_hat(vals[:, :ed.basis.shape[0], :2 * mesh.dim], ed.wdetj)
 
@@ -254,8 +226,8 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
     """SUPG/PSPG residual at the alpha state, and its _PointFields.
 
     One point-value pass: the point values and gradients of [u_af | udot_am
-    | p] come from one product with the mesh's _StepTables, omega_hat and
-    tau from those, and both residual rows from one product of the
+    | p] come from one product with the ElementData's point_grad, omega_hat
+    and tau from those, and both residual rows from one product of its
     weight_grad table with the per-point integrands and the element fluxes
     (the gradients are constant per element):
 
@@ -271,13 +243,12 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
     rho = case.rho
     ed = mesh.element_data()
     n_q = ed.basis.shape[0]
-    tables = _step_tables(mesh)
-    vals = _point_values(mesh, u_af, udot_am, pres)
+    vals = _point_values(ed, mesh.elements, u_af, udot_am, pres)
     uq, aq, pq = vals[:, :n_q, :dim], vals[:, :n_q, dim:2 * dim], vals[:, :n_q, 2 * dim]
     grad_u, grad_p = vals[:, n_q:, :dim], vals[:, n_q:, 2 * dim]
     what = _omega_hat(vals[:, :n_q, :2 * dim], ed.wdetj)
     tau = time_tau(uq, what, ed.metric, case.nu, c_i_for(mesh.elem_type, case.c_i),
-                   tables.gg[:, None])
+                   ed.gg[:, None])
 
     # the point values are strided views of vals: each product below
     # writes a contiguous array, which the elementwise steps then update
@@ -298,7 +269,7 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
 
     resid = np.zeros((mesh.n_nodes, dim + 1))
     ctx = assembly_context(mesh, build_graph)
-    ctx.nodes.add_to(resid, (tables.weight_grad @ flux).reshape(-1, dim + 1))
+    ctx.nodes.add_to(resid, (ed.weight_grad @ flux).reshape(-1, dim + 1))
     for name, data in case.neumann.items():
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
     return resid, _PointFields(uq, tau, strong, grad_u, what)
@@ -605,8 +576,8 @@ def _flow_trace(state: TimeState, mesh: Mesh, groups):
     out_p = {}
     for name in groups:
         fq = facet_quadrature(mesh, name)
-        out_q[name] = float(np.vdot(fq.node_normals, state.velocity[fq.node_ids]))
-        out_p[name] = float(fq.node_weights @ state.pressure[fq.node_ids]) / fq.areas.sum()
+        out_q[name] = float(fq.outward_flow(state.velocity))
+        out_p[name] = float(fq.mean(state.pressure))
     return out_q, out_p
 
 

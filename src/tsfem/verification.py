@@ -98,7 +98,7 @@ def l2_error(field: np.ndarray, exact: Callable, mesh: Mesh) -> float:
     """
     field = np.asarray(field, dtype=complex)
     ed = mesh.element_data()
-    points = (ed.basis @ mesh.coords[mesh.elements]).reshape(-1, mesh.dim)   # (E Q, dim)
+    points = ed.points.reshape(-1, mesh.dim)                                # (E Q, dim)
     fh = (ed.basis @ field[mesh.elements]).reshape(points.shape[0], -1)     # (E Q, M)
     fx = np.asarray(exact(points), dtype=complex)
     if fx.shape != fh.shape:
@@ -173,19 +173,17 @@ def diagnostics(case, mesh: Mesh, velocity=None) -> DiagnosticNumbers:
     if velocity is None:
         velocity = case.velocity
     ed = mesh.element_data()
-    points = ed.basis @ mesh.coords[mesh.elements]        # (E, Q, dim)
-    gg = np.einsum("eij,eij->e", ed.metric, ed.metric)
     alpha_e = np.zeros(mesh.n_elements)
     for q, shp_q in enumerate(ed.basis):
         if callable(velocity):
-            uq = np.asarray(velocity(points[:, q]), dtype=complex)
+            uq = np.asarray(velocity(ed.points[:, q]), dtype=complex)
         else:
             uq = np.einsum("a,eadm->edm", shp_q,
                            np.asarray(velocity, dtype=complex)[mesh.elements])
         conv = convolution_dense(uq, n)
         arg = np.einsum("eij,eirs,ejst->ert", ed.metric, conv, conv)
         lam_max = np.linalg.eigvalsh(arg)[:, -1]
-        alpha_q = np.sqrt(np.maximum(lam_max, 0.0) / (c_i * kappa**2 * gg))
+        alpha_q = np.sqrt(np.maximum(lam_max, 0.0) / (c_i * kappa**2 * ed.gg))
         alpha_e = np.maximum(alpha_e, alpha_q)
     beta = 0.0
     if case.omega > 0.0 and n > 1:

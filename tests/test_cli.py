@@ -15,6 +15,7 @@ from tsfem.config import (
     ConfigError,
     build_case,
     build_mesh,
+    build_solver_config,
     load_config,
     parse_config,
     serialize_config,
@@ -26,6 +27,11 @@ BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
 
 
 class TestConfigParsing:
+    def test_solver_defaults_are_solver_config_defaults(self):
+        assert build_solver_config({}) == linsolve.SolverConfig()
+        assert build_solver_config({"pseudo_dt": "auto"}) == linsolve.SolverConfig()
+        assert build_solver_config({"eps_nr": "1e-4"}) == linsolve.SolverConfig(eps_nr=1e-4)
+
     def test_round_trip_semantically_identical(self):
         text = (CONFIG_DIR / "steady_channel.yaml").read_text()
         config = parse_config(text)
@@ -215,6 +221,34 @@ class TestSweep:
         table = sweep(CONFIG_DIR / "h_sweep_1d.yaml", tmp_path / "out")
         assert table["order"] == pytest.approx(2.0, abs=0.1)
         assert (tmp_path / "out" / "sweep.yaml").exists()
+
+    @staticmethod
+    def _h_sweep(tmp_path, edit):
+        raw = yaml.safe_load((CONFIG_DIR / "h_sweep_1d.yaml").read_text())
+        edit(raw["study"]["case"])
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        return sweep(path, tmp_path / "out")
+
+    def test_h_sweep_takes_right_phi_samples(self, tmp_path):
+        def edit(case):
+            case["bcs"]["outlet"] = {"group": "right", "kind": "dirichlet",
+                                     "phi_samples": [1.0, 1.0, 1.0, 1.0]}
+
+        table = self._h_sweep(tmp_path, edit)
+        modes = sweep(CONFIG_DIR / "h_sweep_1d.yaml", tmp_path / "modes")
+        assert table["order"] == pytest.approx(2.0, abs=0.1)
+        assert [r["error"] for r in table["rows"]] == pytest.approx(
+            [r["error"] for r in modes["rows"]], rel=1e-12)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda case: case["bcs"]["inlet"].update(phi_modes=[[0.5, 0.0]]), "phi = 0 on left"),
+        (lambda case: case["physics"].update(n_modes=2, velocity_modes=[[0.8, 0], [0.6, 0]]),
+         "steady velocity"),
+    ], ids=["nonzero_left", "unsteady_velocity"])
+    def test_h_sweep_rejects_data_its_oracle_cannot_take(self, tmp_path, edit, match):
+        with pytest.raises(ConfigError, match=match):
+            self._h_sweep(tmp_path, edit)
 
     def test_mode_sweep_monotone_error(self, tmp_path):
         table = sweep(CONFIG_DIR / "mode_sweep_bent.yaml", tmp_path / "out")

@@ -4,6 +4,7 @@ import pytest
 from tsfem.mesh import (
     Mesh,
     FacetGroup,
+    boundary_faces,
     facet_geometry,
     facet_quadrature,
     generate_bent_channel_tet,
@@ -178,6 +179,27 @@ class TestElementTables:
         np.testing.assert_allclose(ed.gab, ed.gab.swapaxes(1, 2), rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(ed.gab.sum(axis=2), 0.0, rtol=0, atol=1e-14 * scale)
 
+    @pytest.mark.parametrize("mesh", [generate_interval(2.0, 5),
+                                      generate_rect_tri((1.0, 0.7), (3, 2)),
+                                      generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 2, 2),
+                                                                bend_angle=1.0)],
+                             ids=["line2", "tri3", "tet4"])
+    def test_point_tables_equal_their_formulas(self, mesh):
+        ed = mesh.element_data()
+        n_el, n_q = mesh.n_elements, ed.basis.shape[0]
+        np.testing.assert_array_equal(ed.points, ed.basis @ mesh.coords[mesh.elements])
+        np.testing.assert_array_equal(ed.gg, np.einsum("eij,eij->e", ed.metric, ed.metric))
+        np.testing.assert_array_equal(ed.point_grad[:, :n_q],
+                                      np.broadcast_to(ed.basis, (n_el,) + ed.basis.shape))
+        np.testing.assert_array_equal(ed.point_grad[:, n_q:], ed.grads.transpose(0, 2, 1))
+        np.testing.assert_array_equal(ed.weight_grad[:, :, :n_q],
+                                      ed.wdetj[:, None, :] * ed.basis.T)
+        np.testing.assert_array_equal(ed.weight_grad[:, :, n_q:], ed.grads)
+        # built at the first access and kept
+        for name in ("gg", "point_grad", "weight_grad"):
+            assert getattr(ed, name) is getattr(ed, name)
+        assert mesh.element_data() is ed
+
 
 class TestFacets:
     def test_cube_xmax_normal(self):
@@ -229,6 +251,44 @@ class TestFacets:
             total = np.sum(fq.weights * fq.interpolate(p))
             assert fq.node_weights @ p[fq.node_ids] == pytest.approx(total, rel=1e-12)
             assert fq.node_weights.sum() == pytest.approx(fq.areas.sum(), rel=1e-13)
+
+    def test_outward_flow_and_mean_match_the_facet_rule(self):
+        # real time fields (n, dim) and complex mode arrays (n, dim, M) alike
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 2, 2), bend_angle=1.0)
+        rng = np.random.default_rng(9)
+        n, m = mesh.n_nodes, 5
+        fields = [(rng.standard_normal((n, 3)), rng.standard_normal(n)),
+                  (rng.standard_normal((n, 3, m)) + 1j * rng.standard_normal((n, 3, m)),
+                   rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))]
+        for name in mesh.facet_groups:
+            fq = facet_quadrature(mesh, name)
+            area = fq.areas.sum()
+            for u, p in fields:
+                flux = np.einsum("fq,fqi...,fi->...", fq.weights, fq.interpolate(u), fq.normals)
+                mean = np.einsum("fq,fq...->...", fq.weights, fq.interpolate(p)) / area
+                assert fq.outward_flow(u).shape == flux.shape == p.shape[1:]
+                np.testing.assert_allclose(fq.outward_flow(u), flux, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(flux)))
+                np.testing.assert_allclose(fq.mean(p), mean, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(mean)))
+            # the mean of the coordinates is the group's centroid
+            centroid = np.average(fq.points.reshape(-1, 3), axis=0, weights=fq.weights.ravel())
+            np.testing.assert_allclose(fq.mean(mesh.coords), centroid, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("resolution", [(3, 2, 2), (2, 3, 4)])
+    def test_boundary_faces_of_a_facet_patch_are_its_rim(self, resolution):
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, resolution, bend_angle=1.0)
+        for name, fg in mesh.facet_groups.items():
+            # edges of the patch that appear exactly once
+            edges = np.concatenate([fg.nodes[:, [a, b]] for a, b in ((0, 1), (0, 2), (1, 2))])
+            key = np.sort(edges, axis=1)
+            _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+            rim = np.unique(edges[counts[inv] == 1])
+            faces, parents = boundary_faces(fg.nodes, "tri3")
+            np.testing.assert_array_equal(np.unique(faces), rim)
+            # a closed loop of rim edges, each on a facet that holds it
+            assert faces.shape == (rim.size, 2)
+            assert all(set(f) <= set(fg.nodes[p]) for f, p in zip(faces, parents))
 
 
 class TestMetricScaleBound:

@@ -1041,6 +1041,26 @@ class TestFlowReport:
         assert q_out > 0 > q_in
         assert abs(q_in + q_out) <= 0.01 * abs(q_out)
 
+    def test_steady_state_reports_as_the_time_trace(self):
+        # both solvers' flows come from one facet sum: a steady spectral state
+        # reports what the time-marching trace of its mean field does
+        from tsfem.time_domain import TimeState, _flow_trace
+
+        mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 2, 2), bend_angle=1.0)
+        n = 3
+        state = NSState.zeros(mesh.n_nodes, 3, n)
+        state.velocity[:, :, n - 1] = RNG.standard_normal((mesh.n_nodes, 3))
+        state.pressure[:, n - 1] = RNG.standard_normal(mesh.n_nodes)
+        groups = list(mesh.facet_groups)
+        rep = flow_report(state, mesh, groups)
+        flows, pressures = _flow_trace(
+            TimeState(state.velocity[:, :, n - 1].real, np.zeros((mesh.n_nodes, 3)),
+                      state.pressure[:, n - 1].real, 0.0), mesh, groups)
+        for g in groups:
+            assert rep[g].flow.mode(0) == pytest.approx(flows[g], rel=1e-14, abs=1e-15)
+            assert rep[g].pressure.mode(0) == pytest.approx(pressures[g], rel=1e-14, abs=1e-15)
+            assert np.max(np.abs(np.delete(rep[g].flow.values, n - 1))) == 0.0
+
 
 def fan_disk_mesh(n_seg=64, radius=1.0, n_rings=6):
     """Disk inlet fixture: each surface triangle extruded to its own tet."""

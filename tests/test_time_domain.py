@@ -448,13 +448,11 @@ class TestMeshCaches:
                                       np.unique(np.concatenate([g.ravel() for g in groups])))
         assert vals.shape == (nodes.size, 2)
 
-        tables = time_domain._step_tables(mesh)
-        assert mesh._step_tables is tables
         ed = mesh.element_data()
         n_q = ed.basis.shape[0]
-        assert tables.point_grad.shape == (mesh.n_elements, n_q + 2, 3)
-        np.testing.assert_array_equal(tables.point_grad[:, n_q:], ed.grads.transpose(0, 2, 1))
-        np.testing.assert_array_equal(tables.weight_grad[:, :, :n_q],
+        assert ed.point_grad.shape == (mesh.n_elements, n_q + 2, 3)
+        np.testing.assert_array_equal(ed.point_grad[:, n_q:], ed.grads.transpose(0, 2, 1))
+        np.testing.assert_array_equal(ed.weight_grad[:, :, :n_q],
                                       ed.wdetj[:, None, :] * ed.basis.T)
 
         # the residual, with its Neumann traction, is this mesh's
@@ -464,7 +462,8 @@ class TestMeshCaches:
         ref = per_point_assemble_time(case, mesh, *state, 0.3, fields.what,
                                       alpha_m=0.9, fac=0.03)[0]
         assert np.max(np.abs(resid - ref)) <= 1e-12 * np.max(np.abs(ref))
-        return [weakref.ref(tables.point_grad),
+        assert mesh.element_data() is ed
+        return [weakref.ref(ed.point_grad),
                 weakref.ref(facet_quadrature(mesh, "xmin").node_ids)]
 
     def test_meshes_in_turn_get_their_own_data(self):
