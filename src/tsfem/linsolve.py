@@ -550,8 +550,7 @@ class BlockTangent:
     elements optionally adds an operator that is kept per element rather
     than per edge (the Newton terms of the NS operator): an object whose
     add_to(x, y) adds its product with the (n_nodes, dim+1, 2N-1) array x
-    to y, and whose reals_per_element and n_elements give its storage.  The
-    preconditioner and to_dense see the edge blocks only.
+    to y.  The preconditioner and to_dense see the edge blocks only.
     """
 
     rows: np.ndarray
@@ -626,19 +625,6 @@ class BlockTangent:
                 dense[r0 + d * m:r0 + b, c0 + i * m:c0 + (i + 1) * m] += d_real[e, i]
             dense[r0 + d * m:r0 + b, c0 + d * m:c0 + b] += self.l_real[e]
         return dense
-
-    def size_report(self) -> dict:
-        """Stored real scalars per edge versus the naive dense-block layout,
-        and per element for the element-level operator (0 without one)."""
-        n, m = self.n_modes, 2 * self.n_modes - 1
-        stored = self.k_real.shape[-1] ** 2 + self.l_real.shape[-1] ** 2 + 2 * self.dim
-        budget = 2 * m * m + 12 * 2 * n + 2 * m * m
-        naive = 16 * m * m * 2
-        el = self.elements
-        return {"stored_per_edge": stored, "budget_per_edge": budget,
-                "naive_per_edge": naive, "n_edges": int(self.rows.shape[0]),
-                "stored_per_element": el.reals_per_element if el is not None else 0,
-                "n_elements": el.n_elements if el is not None else 0}
 
 
 # ---------------------------------------------------------------------------

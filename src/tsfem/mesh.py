@@ -253,18 +253,16 @@ def _circumsphere_diameter(mesh: Mesh, xe: np.ndarray) -> np.ndarray:
 
 
 def facet_geometry(mesh: Mesh, group: str):
-    """Outward unit normals, measures and centroids of a facet group.
+    """Outward unit normals and measures of a facet group.
 
-    Returns (normals (F, dim), areas (F,), centroids (F, dim)).
+    Returns (normals (F, dim), areas (F,)).
     """
     fg = mesh.facet_groups[group]
     xf = mesh.coords[fg.nodes]                                # (F, k, dim)
+    # from the parent element's centroid to the facet's
+    outward = xf.mean(axis=1) - mesh.coords[mesh.elements[fg.parents]].mean(axis=1)
     if mesh.dim == 1:
-        centroid = xf[:, 0, :]
-        elem_centroid = mesh.coords[mesh.elements[fg.parents]].mean(axis=1)
-        normals = np.sign(centroid - elem_centroid)
-        areas = np.ones(fg.nodes.shape[0])
-        return normals, areas, centroid
+        return np.sign(outward), np.ones(fg.nodes.shape[0])
     if mesh.dim == 2:
         tang = xf[:, 1, :] - xf[:, 0, :]
         normals = np.column_stack([tang[:, 1], -tang[:, 0]])
@@ -274,11 +272,9 @@ def facet_geometry(mesh: Mesh, group: str):
         areas = 0.5 * np.linalg.norm(cr, axis=1)
         normals = cr
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    centroid = xf.mean(axis=1)
-    elem_centroid = mesh.coords[mesh.elements[fg.parents]].mean(axis=1)
-    flip = np.einsum("fi,fi->f", normals, centroid - elem_centroid) < 0.0
+    flip = np.einsum("fi,fi->f", normals, outward) < 0.0
     normals[flip] *= -1.0
-    return normals, areas, centroid
+    return normals, areas
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,6 @@ class FacetQuadData:
     """
 
     nodes: np.ndarray      # (F, k) facet node ids
-    parents: np.ndarray    # (F,)
     shape: np.ndarray      # (qf, k) facet shape values
     weights: np.ndarray    # (F, qf), sums to the facet measure per facet
     normals: np.ndarray    # (F, dim) unit outward
@@ -350,12 +345,11 @@ def facet_quadrature(mesh: Mesh, group: str) -> FacetQuadData:
     rule = facet_rule(mesh.elem_type)
     ft = FACET_TYPE[mesh.elem_type]
     vals = shape_values(ft, rule.points)
-    normals, areas, _ = facet_geometry(mesh, group)
+    normals, areas = facet_geometry(mesh, group)
     scale = areas / rule.weights.sum()
     weights = rule.weights[None, :] * scale[:, None]
     points = np.einsum("qk,fki->fqi", vals, mesh.coords[fg.nodes])
-    arrays = [_read_only(arr) for arr in (fg.nodes, fg.parents, vals, weights, normals,
-                                          points, areas)]
+    arrays = [_read_only(arr) for arr in (fg.nodes, vals, weights, normals, points, areas)]
     mesh._facet_quad[group] = FacetQuadData(*arrays, mesh.group_nodes(group))
     return mesh._facet_quad[group]
 

@@ -26,7 +26,7 @@ geometry only: it is scattered once per mesh (AssemblyContext.edge_mass)
 and added after the assembly, so each step's pseudo_dt is chosen once
 the same assembly has given the step's residual.  The residual is
 assembled first and the operator only when a linear solve follows, from
-the residual pass's tau at every point.  solve_ns grows the step by
+the residual pass's tau and point tables.  solve_ns grows the step by
 switched-evolution relaxation (SER) as the residual falls, from the
 configured initial step towards plain Newton; the converged solution is
 independent of the pseudo steps taken.  A solve lags its preconditioner
@@ -37,10 +37,14 @@ keeps the solves of the next states short.
 
 Assembly runs in the real orthonormal mode basis of spectral: the states
 are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
-sqrt2 Im z_n), and the kernels come from spectral_real: the velocity
-block K and its test weight from gls_operator, the element operator the
-scalar solver assembles too.  So every per-point product is a real
-matmul (real symmetric convolution matrices and tau, real skew Omega).
+sqrt2 Im z_n), and the kernels come from spectral_real.  Its gls_tables
+give, once per state, the linearized strong residual t and the stabilized
+test function S = w (N_A I + tau t_A) at every point: the residual pass
+weights the strong momentum residual rho t u + grad p with S, and the
+operator forms the velocity block K from t and S (gls_operator, the
+element operator the scalar solver assembles too) and the least-squares
+coupling from S.  So every per-point product is a real matmul (real
+symmetric convolution matrices and tau, real skew Omega).
 The assembled blocks and residual enter linsolve's layout of 2N-1 real
 slots per node and component by the diagonal scaling
 K_L[i, j] = K_O[i, j] s_i / s_j, with s = 1 for the steady mode and
@@ -99,9 +103,9 @@ from .spectral import (
     symmetrize_modes,
 )
 from .spectral_real import (
-    build_omega,
     convolution_dense,
     gls_operator,
+    gls_tables,
     negative_part_batch,
     tau_from_modes,
 )
@@ -261,11 +265,17 @@ def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
     return nodes, symmetrize_modes(vals)
 
 
-class _Linearization(NamedTuple):
-    """What the residual pass keeps for the tangent pass of the same state."""
+@dataclass
+class _Linearization:
+    """What the residual pass keeps for the tangent pass of the same state.
 
-    vel: np.ndarray      # (n_nodes, dim, M) real coordinates of the velocity
-    u_q: np.ndarray      # (n_qp, E, dim, M) the velocity entering A_i and tau, at each point
+    t is needed for K only: the tangent pass sets it to None once K is
+    formed, so it is not kept alive through the rest of the pass.
+    """
+
+    grad_u: np.ndarray   # (E, dim, dim, M) d u_i / d x_j at [e, j, i]
+    t: Optional[np.ndarray]   # (E, n_qp M, nen M) the gls_tables t
+    s_w: np.ndarray      # (E, n_qp M, nen M) the gls_tables test function S
     taus: np.ndarray     # (n_qp, E, M, M) tau at each quadrature point
     z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
     backflow: dict       # per Neumann group, |A_n|_- at each facet quadrature point
@@ -276,11 +286,15 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
                    coeff_state: NSState | None = None):
     """Residual in the solve layout, (n_nodes, dim+1, 2N-1), and its _Linearization.
 
-    Per point, with v_i = tau strong_i, the momentum row of node A is
-    w [N_A (strong_i - Omega v_i) + sum_j dN_A/dx_j C_j v_i], which is
-    (N_A I + P_A) strong_i with P_A = (A_j dN_A/dx_j - N_A Omega) tau; the
-    N_A part is summed over the points first and the C_j v_i part is summed
-    over the points before the gradients act on it.
+    tau is taken one quadrature point at a time, and the point tables t
+    and S of spectral_real.gls_tables from it, with A_j and tau at the
+    velocity of coeff_state when given.  With strong_i = rho t u_i + dp/dx_i
+    at each point, the momentum row of node A is sum_q S_A(q)^T strong_i,
+    the Galerkin and least-squares weights in one product, plus the
+    viscous and pressure terms; the continuity row adds
+    dN_A/dx_i sum_q w tau strong_i / rho to the Galerkin divergence.  The
+    states must be conjugate-symmetric (ValueError naming the field if
+    not).
     """
     check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     n, m = case.n_modes, n_coeffs(case.n_modes)
@@ -291,10 +305,10 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     ctx = assembly_context(mesh, build_graph)
     shp = ed.basis                                               # (n_qp, nen)
     n_qp = shp.shape[0]
-    omega_t = build_omega(n, case.omega).T                      # row vectors: x Omega^T
-    vel = modes_to_real(state.velocity)                          # (n_nodes, dim, M)
-    pres = modes_to_real(state.pressure)                         # (n_nodes, M)
-    vel_c = vel if coeff_state is None else modes_to_real(coeff_state.velocity)
+    vel = _checked_real(state.velocity, "state velocity")        # (n_nodes, dim, M)
+    pres = _checked_real(state.pressure, "state pressure")       # (n_nodes, M)
+    vel_c = vel if coeff_state is None else _checked_real(coeff_state.velocity,
+                                                          "coeff_state velocity")
 
     elems, grads, n_int = mesh.elements, ed.grads, ed.n_int
     n_el, nen = elems.shape
@@ -306,45 +320,45 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     grad_p = np.matmul(grads.swapaxes(1, 2), p_el)         # (E, dim, M)
     uc_q = np.empty((n_qp, n_el, dim, m))
     tau_q = np.empty((n_qp, n_el, m, m))
-    gal = np.empty((n_qp, n_el, dim, m))                   # w (strong - Omega v)
-    wv = np.empty((n_qp, n_el, dim, m))                    # w v
-    cv = np.zeros((n_el, dim, dim, m))                     # sum_q w C_j v_i at [e, j, i]
     tau_s = 0.0
     for q in range(n_qp):
-        w = ed.wdetj[:, q, None, None]
         uc_q[q] = (shp[q] @ uc_el).reshape(n_el, dim, m)
-        conv = convolution_dense(uc_q[q], n)               # (E, dim, M, M), symmetric
         start = time.perf_counter()
         tau_q[q] = tau_from_modes(uc_q[q], ed.metric, case.nu, c_i, n)
         tau_s += time.perf_counter() - start
-        strong = rho * ((shp[q] @ u_el).reshape(n_el, dim, m) @ omega_t
-                        + np.matmul(grad_u, conv).sum(axis=1)) + grad_p
-        v = np.matmul(strong, tau_q[q])
-        gal[q] = w * (strong - v @ omega_t)
-        wv[q] = w * v
-        cv += np.matmul(wv[q][:, None], conv)
-    r_m = np.tensordot(shp, gal, axes=(0, 0)).transpose(1, 0, 2, 3)   # (E, nen, dim, M)
-    r_m += np.matmul(grads, cv.reshape(n_el, dim, dim * m)).reshape(n_el, nen, dim, m)
+    t, s_w = gls_tables(uc_q, tau_q, ed, case.omega)
+    del uc_q
+    u_rows = u_el.reshape(n_el, nen, dim, m).transpose(0, 2, 1, 3).reshape(n_el, dim, -1)
+    strong = np.matmul(u_rows, t.swapaxes(1, 2))          # strong_i(q)[r] at [e, i, (q, r)]
+    strong *= rho
+    strong.reshape(n_el, dim, n_qp, m)[...] += grad_p[:, :, None]
+    r_m = np.matmul(strong, s_w).reshape(n_el, dim, nen, m).swapaxes(1, 2)   # (E, nen, dim, M)
     p_int = np.einsum("eb,ebm->em", n_int, p_el)
     r_m -= n_int[:, :, None, None] * grad_p[:, None] + grads[..., None] * p_int[:, None, None]
     r_m += (mu * ed.vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
             ).reshape(n_el, nen, dim, m)
+    # w tau strong_i(q) at [e, q, i]
+    wv = np.matmul(strong.reshape(n_el, dim, n_qp, m).swapaxes(1, 2),
+                   ed.wdetj[:, :, None, None] * tau_q.swapaxes(0, 1))
     div_u = np.einsum("eiim->em", grad_u)
-    r_c = n_int[:, :, None] * div_u[:, None] + np.matmul(grads, wv.sum(axis=0)) / rho
+    r_c = n_int[:, :, None] * div_u[:, None] + np.matmul(grads, wv.sum(axis=1)) / rho
     resid = np.zeros((mesh.n_nodes, dim + 1, m))
     ctx.nodes.add_to(resid, np.concatenate([r_m, r_c[:, :, None]], axis=2)
                      .reshape(-1, dim + 1, m))
-    z = np.tensordot(shp, wv, axes=(0, 0)).swapaxes(0, 1)   # (E, nen, dim, M)
+    z = np.matmul(shp.T, wv.reshape(n_el, n_qp, dim * m)).reshape(n_el, nen, dim, m)
 
     for name, data in case.neumann.items():
         what = f"Neumann data of group {name!r}"
-        h_modes = modes_to_real(require_conjugate_symmetry(
-            boundary_values(data, (m,), what), what))
+        h_modes = _checked_real(boundary_values(data, (m,), what), what)
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
-    backflow = _backflow_operators(case, mesh, vel_c)
-    _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, None)
-    lin = _Linearization(vel, uc_q, tau_q, z, backflow, tau_s)
+    backflow = _add_backflow_residual(case, mesh, vel, vel_c, resid)
+    lin = _Linearization(grad_u, t, s_w, tau_q, z, backflow, tau_s)
     return rhs_from_orthonormal(resid), lin
+
+
+def _checked_real(modes: np.ndarray, what: str) -> np.ndarray:
+    """modes_to_real of complex modes checked for conjugate symmetry (ValueError names what)."""
+    return modes_to_real(require_conjugate_symmetry(modes, what))
 
 
 def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
@@ -352,14 +366,15 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     """BlockTangent at the state of lin, without pseudo-time mass; tau from lin.
 
     The edge blocks hold the frozen-coefficient tangent: K, L and the
-    Galerkin gradient/divergence scalars.  K and the transposed test weight
-    S_A(q) = w (N_A I + P_A(q))^T come from spectral_real.gls_operator,
-    and S gives the least-squares coupling: P_A = sum_q w P_A(q) in the
-    momentum rows and Q_B = sum_q w tau t_B(q) = P_B^T in the continuity
-    rows.  exact_gd scatters these edge-wise as g_full/d_full; newton (which
-    needs coeff_state None in the residual pass) keeps them per element in
-    a _NewtonElements operator, the rest of the derivative with tau held
-    fixed.
+    Galerkin gradient/divergence scalars.  K is spectral_real.gls_operator
+    of the residual pass's point tables t and S, S_A(q) = w (N_A I +
+    P_A(q))^T; t is released once K is formed.  S gives the least-squares
+    coupling: P_A = sum_q w P_A(q) in the momentum rows and
+    Q_B = sum_q w tau t_B(q) = P_B^T in the continuity rows.  exact_gd
+    scatters these edge-wise as g_full/d_full; newton (which needs
+    coeff_state None in the residual pass) keeps them per element in a
+    _NewtonElements operator, the rest of the derivative with tau held
+    fixed.  No tau is computed here.
     """
     n, m = case.n_modes, n_coeffs(case.n_modes)
     dim = mesh.dim
@@ -376,9 +391,10 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
     d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
 
-    elems, grads, tau_q, n_int = mesh.elements, ed.grads, lin.taus, ed.n_int
+    elems, grads, tau_q, n_int, s_w = mesh.elements, ed.grads, lin.taus, ed.n_int, lin.s_w
     n_el, nen = elems.shape
-    k_el, s_w = gls_operator(lin.u_q, tau_q, ed, case.omega, rho, case.mu)
+    k_el = gls_operator(lin.t, s_w, ed, rho, case.mu)
+    lin.t = None
     ctx.edges.add_to(k_c, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
     del k_el
     tau_sum = np.einsum("eq,qerc->erc", ed.wdetj, tau_q)
@@ -402,13 +418,15 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
         qt = np.concatenate([u_sum.transpose(0, 2, 3, 1), t_rho.reshape(n_el, nen, m, m)],
                             axis=1).reshape(n_el, 2 * nen * m, m)
         samples = real_basis(n).samples
-        grad_u = np.einsum("eak,eaim->ikme", grads, lin.vel[elems])      # d u_i / d x_k
+        du_t = samples @ (rho * lin.grad_u.transpose(2, 1, 3, 0))    # rho d u_i / d x_k at [i, k]
         z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
         elements = _NewtonElements(mesh.n_nodes, n, ed.basis, elems, ctx.nodes, grads,
-                                   n_int[:, None, :, None], s_w, qt, samples @ (rho * grad_u),
+                                   n_int[:, None, :, None], s_w, qt, du_t,
                                    z_t.reshape(dim, -1, nen, n_el))
 
-    _add_ns_backflow(case, mesh, lin.vel, lin.backflow, ctx, None, k_c)
+    for name, an_neg in lin.backflow.items():
+        add_backflow(k_c, ctx, facet_quadrature(mesh, name), -0.5 * rho * case.backflow_beta,
+                     an_neg)
     if exact_gd:
         g_c[..., diag, diag] += g_scal[..., None]
         d_c[..., diag, diag] += d_scal[..., None]
@@ -467,17 +485,6 @@ class _NewtonElements(NamedTuple):
     du_t: np.ndarray       # (dim, dim, P, E): rho d u_i / d x_k at [i, k]
     z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
 
-    @property
-    def n_elements(self) -> int:
-        return self.elements.shape[0]
-
-    @property
-    def reals_per_element(self) -> int:
-        """Reals stored per element beyond the mesh's element data."""
-        if not self.n_elements:
-            return 0
-        return sum(a.size for a in (self.s_w, self.qt, self.du_t, self.z_t)) // self.n_elements
-
     def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
         """y += this operator times x, both (n_nodes, dim+1, 2N-1) in the solve layout."""
         n_el, nen, d = self.grads.shape
@@ -514,33 +521,27 @@ class _NewtonElements(NamedTuple):
         y[..., 1:] += out[..., 1:] / _SQRT2
 
 
-def _backflow_operators(case, mesh, vel_c) -> dict:
-    """|A_n|_- of the velocity vel_c at each facet quadrature point, (F, Q, M, M) per group.
+def _add_backflow_residual(case, mesh, vel, vel_c, resid) -> dict:
+    """Add the backflow term to the real-basis resid in place; return its operators.
 
-    Empty when the backflow term is off (backflow_beta 0 or no Neumann group).
+    The term is -(rho beta / 2) sum_q w N_A |A_n|_- u, with |A_n|_- of the
+    velocity vel_c and u of vel at each facet quadrature point; the
+    operators |A_n|_- are (F, Q, M, M) per Neumann group, and none when the
+    term is off (backflow_beta 0 or no Neumann group).
     """
     if not (case.backflow_beta > 0.0 and case.neumann):
         return {}
+    scale = -0.5 * case.rho * case.backflow_beta
+    mom = resid[:, :mesh.dim]
     ops = {}
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
         un = np.einsum("fqim,fi->fqm", fq.interpolate(vel_c), fq.normals)
-        ops[name] = negative_part_batch(convolution_dense(un, case.n_modes))
+        ops[name] = an_neg = negative_part_batch(convolution_dense(un, case.n_modes))
+        r_el = np.einsum("fq,qa,fqrc,fqic->fair", scale * fq.weights, fq.shape, an_neg,
+                         fq.interpolate(vel))
+        np.add.at(mom, fq.nodes.ravel(), r_el.reshape((-1,) + mom.shape[1:]))
     return ops
-
-
-def _add_ns_backflow(case, mesh, vel, backflow, ctx, resid, k_c):
-    """Backflow term of the _backflow_operators, added to the real-basis resid/k_c."""
-    scale = -0.5 * case.rho * case.backflow_beta
-    for name, an_neg in backflow.items():
-        fq = facet_quadrature(mesh, name)
-        if resid is not None:
-            mom = resid[:, :mesh.dim]
-            r_el = np.einsum("fq,qa,fqrc,fqic->fair", scale * fq.weights, fq.shape, an_neg,
-                             fq.interpolate(vel))
-            np.add.at(mom, fq.nodes.ravel(), r_el.reshape((-1,) + mom.shape[1:]))
-        if k_c is not None:
-            add_backflow(k_c, ctx, fq, scale, an_neg)
 
 
 def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,

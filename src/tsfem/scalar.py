@@ -12,12 +12,12 @@ linear-solver level.
 Assembly runs in the real orthonormal mode basis, as for Navier-Stokes:
 velocity, source and Neumann modes are checked for conjugate symmetry
 where they enter and converted by modes_to_real.  The element operator is
-the one the Navier-Stokes momentum block is built from,
-spectral_real.gls_operator with rho = 1 and mu = kappa, evaluated on the
-quadrature tables of the mesh's ElementData.  The solver maps the system
-to linsolve's layout of 2N-1 real slots per node, (Re phi_0, Re phi_1,
-Im phi_1, ...), through block_from_orthonormal and rhs_from_orthonormal,
-and pins the Dirichlet nodes only.
+the one the Navier-Stokes momentum block is built from: spectral_real's
+gls_tables, evaluated on the quadrature tables of the mesh's ElementData,
+and gls_operator of them with rho = 1 and mu = kappa.  The solver maps
+the system to linsolve's layout of 2N-1 real slots per node, (Re phi_0,
+Re phi_1, Im phi_1, ...), through block_from_orthonormal and
+rhs_from_orthonormal, and pins the Dirichlet nodes only.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from .spectral import (
     require_conjugate_symmetry,
     symmetrize_modes,
 )
-from .spectral_real import convolution_dense, gls_operator, negative_part_batch, tau_from_modes
+from .spectral_real import (convolution_dense, gls_operator, gls_tables, negative_part_batch,
+                            tau_from_modes)
 
 __all__ = [
     "ScalarCase",
@@ -144,10 +145,11 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     R(K) = Q K Q^H of the complex mode block K, and the rhs is
     modes_to_real of the complex one.  Dirichlet rows are left untouched;
     they are pinned at the solver level.  The element operator is the
-    Navier-Stokes momentum block's, spectral_real.gls_operator with rho = 1
-    and mu = kappa (zero tau for galerkin_only), from the velocity, source
-    and tau at all quadrature points at once; the source enters as s S
-    with the operator's test weight S.  The element arrays are scattered
+    Navier-Stokes momentum block's: the point tables of
+    spectral_real.gls_tables (zero tau for galerkin_only), from the
+    velocity, source and tau at all quadrature points at once, and
+    gls_operator of them with rho = 1 and mu = kappa; the source enters as
+    s S with the tables' test function S.  The element arrays are scattered
     once through the mesh's cached plans.
     """
     check_groups(mesh, dirichlet=case.dirichlet, neumann=case.neumann)
@@ -163,7 +165,9 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
         taus = np.zeros(u_q.shape[:2] + (m, m))
     else:
         taus = tau_from_modes(u_q, ed.metric, case.kappa, c_i_for(mesh.elem_type, case.c_i), n)
-    k_el, s_w = gls_operator(u_q, taus, ed, case.omega, 1.0, case.kappa)
+    t, s_w = gls_tables(u_q, taus, ed, case.omega)
+    k_el = gls_operator(t, s_w, ed, 1.0, case.kappa)
+    del t
     ctx.edges.add_to(blocks, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
     if case.source is not None:
         s = modes_to_real(_at_points(case.source, ed.points, "source callable output"))

@@ -47,7 +47,7 @@ class TestGenerateBox:
     def test_face_areas(self):
         mesh = generate_box_tet((1.0, 1.0, 1.0), (2, 3, 2))
         for name in ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax"):
-            _, areas, _ = facet_geometry(mesh, name)
+            _, areas = facet_geometry(mesh, name)
             assert abs(areas.sum() - 1.0) < 1e-13
 
     def test_volume_general_box(self):
@@ -60,7 +60,7 @@ class TestGenerateRect:
     def test_area_and_groups(self):
         mesh = generate_rect_tri((2.0, 1.0), (4, 3))
         assert abs(mesh.element_data().detj.sum() / 2.0 - 2.0) < 1e-13
-        _, areas, _ = facet_geometry(mesh, "ymin")
+        _, areas = facet_geometry(mesh, "ymin")
         assert abs(areas.sum() - 2.0) < 1e-13
         validate_mesh(mesh)
 
@@ -204,19 +204,19 @@ class TestElementTables:
 class TestFacets:
     def test_cube_xmax_normal(self):
         mesh = generate_box_tet((1.0, 1.0, 1.0), (2, 2, 2))
-        normals, areas, _ = facet_geometry(mesh, "xmax")
+        normals, areas = facet_geometry(mesh, "xmax")
         np.testing.assert_allclose(normals, np.tile([1.0, 0, 0], (len(areas), 1)), atol=1e-14)
 
     def test_interval_left(self):
         mesh = generate_interval(1.0, 4)
-        normals, areas, _ = facet_geometry(mesh, "left")
+        normals, areas = facet_geometry(mesh, "left")
         assert normals[0, 0] == -1.0 and areas[0] == 1.0
 
     def test_closed_surface_integral_vanishes(self):
         mesh = generate_box_tet((1.0, 2.0, 0.5), (2, 2, 2))
         total = np.zeros(3)
         for name in mesh.facet_groups:
-            normals, areas, _ = facet_geometry(mesh, name)
+            normals, areas = facet_geometry(mesh, name)
             total += (normals * areas[:, None]).sum(axis=0)
         assert np.linalg.norm(total) < 1e-12
 

@@ -45,6 +45,7 @@ from tsfem.navier_stokes import (
     solve_ns,
 )
 from tsfem import spectral_real
+from tsfem.time_domain import TimeCase, _time_residual
 from tsfem.spectral import (
     SpectralCoeffs,
     modes_to_real,
@@ -191,6 +192,44 @@ class TestResidual:
         state = NSState.zeros(mesh.n_nodes, 2, 2)
         with pytest.raises(ValueError, match="Neumann data of group 'xmax' violates"):
             assemble_ns_residual(case, mesh, state)
+
+    @pytest.mark.parametrize("field", ["velocity", "pressure"])
+    def test_non_symmetric_state_rejected(self, field):
+        # modes_to_real reads the modes n >= 0 only, and newton_step would
+        # symmetrize its output: the state is checked where it enters
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        case = poiseuille_case(n_modes=2, omega=1.0)
+        state = random_state(mesh, 2)
+        getattr(state, field)[..., 0] += 0.5j             # mode n = -1 only
+        with pytest.raises(ValueError, match=f"state {field} violates conjugate symmetry"):
+            assemble_ns_residual(case, mesh, state)
+        with pytest.raises(ValueError, match=f"state {field} violates conjugate symmetry"):
+            newton_step(case, mesh, state, SolverConfig())
+        if field == "velocity":
+            with pytest.raises(ValueError, match="coeff_state velocity violates"):
+                assemble_ns_residual(case, mesh, random_state(mesh, 2), coeff_state=state)
+
+    @pytest.mark.parametrize("elem_type", ["tri3", "tet4"])
+    def test_steady_mode_matches_time_residual_at_rest(self, elem_type):
+        # at N=1 and omega=0 the spectral residual is the time solver's
+        # SUPG/PSPG residual at zero acceleration; the two solvers build it
+        # from separate point tables
+        if elem_type == "tri3":
+            mesh = generate_rect_tri((1.0, 0.8), (3, 2))
+        else:
+            mesh = generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 1, 1), bend_angle=1.0)
+        rho, mu, h_out = 1.2, 0.3, 0.7
+        rng = np.random.default_rng(mesh.dim)
+        vel = rng.standard_normal((mesh.n_nodes, mesh.dim))
+        pres = rng.standard_normal(mesh.n_nodes)
+        case = NSCase(rho=rho, mu=mu, omega=0.0, n_modes=1,
+                      neumann={"xmax": np.array([h_out], dtype=complex)})
+        time_case = TimeCase(rho=rho, mu=mu, period=1.0, n_cycles=1, dt=0.1,
+                             neumann={"xmax": lambda t: h_out})
+        state = NSState(vel[:, :, None].astype(complex), pres[:, None].astype(complex))
+        got = assemble_ns_residual(case, mesh, state)[..., 0]
+        ref, _ = _time_residual(time_case, mesh, vel, np.zeros_like(vel), pres, 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTangent:
@@ -647,12 +686,32 @@ class TestNewtonOperator:
             op.elements.add_to(x, got)
             assert_close(got, ref, f"element terms N={n_modes} dim={dim}")
 
-    def test_size_report_counts_the_element_storage(self):
-        mesh, case, state, _ = bent_oracle_setup(3)
-        rep = navier_stokes.assemble_ns_newton(case, mesh, state).size_report()
-        assert rep["n_elements"] == mesh.n_elements
-        assert 0 < rep["stored_per_element"] < 64 * n_coeffs(3) ** 2
-        assert assemble_ns_tangent(case, mesh, state).size_report()["stored_per_element"] == 0
+    def test_tau_is_computed_once_per_state(self, monkeypatch):
+        # the residual pass takes tau point by point; the operator reuses it
+        mesh, case = TestPseudoStep._bent_case()
+        dir_nodes, dir_vals = resolve_ns_dirichlet(case, mesh)
+        state = NSState.zeros(mesh.n_nodes, mesh.dim, case.n_modes)
+        state.velocity[dir_nodes] = dir_vals                # solve_ns's first state
+        calls, in_operator = [], []
+        tau, tangent_pass = navier_stokes.tau_from_modes, navier_stokes._tangent_pass
+
+        def counted_tau(u, *args):
+            calls.append((u.shape[:-2], bool(in_operator)))
+            return tau(u, *args)
+
+        def flagged_tangent_pass(*args, **kwargs):
+            in_operator.append(True)
+            try:
+                return tangent_pass(*args, **kwargs)
+            finally:
+                in_operator.pop()
+
+        monkeypatch.setattr(navier_stokes, "tau_from_modes", counted_tau)
+        monkeypatch.setattr(navier_stokes, "_tangent_pass", flagged_tangent_pass)
+        record = newton_step(case, mesh, state, SolverConfig()).record
+        assert record.matvecs > 0
+        n_qp = mesh.element_data().basis.shape[0]
+        assert calls == [((mesh.n_elements,), False)] * n_qp
 
     def test_solve_builds_one_operator_per_linear_solve(self, monkeypatch):
         mesh, case = TestPseudoStep._bent_case()
@@ -1099,7 +1158,7 @@ class TestParabolicInflow:
         flow = SpectralCoeffs(1, np.array([2.5], dtype=complex))
         data = parabolic_inflow(mesh, "inlet", flow)
         from tsfem.mesh import facet_geometry
-        _, areas, _ = facet_geometry(mesh, "inlet")
+        _, areas = facet_geometry(mesh, "inlet")
         area = areas.sum()
         speeds = np.linalg.norm(np.abs(data.values[:, :, 0]), axis=1)
         assert speeds.max() == pytest.approx(2 * 2.5 / area, rel=0.02)
