@@ -4,7 +4,7 @@ Subpackages:
   spectral      Fourier-mode arithmetic, convolution and stabilization matrices
   mesh          simplex meshes, generators, shape functions, quadrature
   boundary      facet-group checks, Dirichlet data and facet terms shared by the solvers
-  linsolve      real-mapped block systems, GMRES, preconditioning
+  linsolve      real block systems, GMRES, preconditioning
   scalar        spectral convection-diffusion solver
   navier_stokes spectral incompressible Navier-Stokes solver
   time_domain   conventional time-domain reference solver

@@ -2,7 +2,8 @@
 
 Verbs:
   run CONFIG              solve one case, write summary/traces/fields
-  sweep STUDY             mode sweeps against the time reference, h sweeps
+  sweep STUDY             mode sweeps against the time reference, h sweeps; exit 1
+                          when a mode-sweep row did not converge
   mesh-gen CONFIG         generate a mesh file (and optional VTK preview)
   validate-config CONFIG  report every validation problem of a case file or of a
                           study's case block, exit nonzero on any
@@ -69,9 +70,10 @@ class RunSummary:
     """What summary.yaml records of one run.
 
     For flow cases, residuals holds the residual norm before each Newton
-    step and updates the UpdateRecord of each update; summary.yaml lists
-    the _UPDATE_COLUMNS of the updates, and as linear_unconverged the count
-    of updates GMRES left above eps_ls.
+    step (UpdateRecord.residual: the norm of the complex residual modes
+    off the Dirichlet momentum rows) and updates the UpdateRecord of each
+    update; summary.yaml lists the _UPDATE_COLUMNS of the updates, and as
+    linear_unconverged the count of updates GMRES left above eps_ls.
     """
 
     kind: str
@@ -488,6 +490,12 @@ def main(argv=None) -> int:
         if args.verb == "sweep":
             table = sweep(args.study, args.output_dir)
             print(yaml.safe_dump(table, sort_keys=True))
+            unconverged = [row["n_modes"] for row in table["rows"]
+                           if not row.get("converged", True)]
+            if unconverged:
+                print(f"mode sweep: the spectral solve did not converge at N = "
+                      f"{', '.join(map(str, unconverged))}", file=sys.stderr)
+                return 1
             return 0
         if args.verb == "mesh-gen":
             raw = yaml.safe_load(Path(args.config).read_text())

@@ -1,18 +1,14 @@
-"""Real-mapped nodal-block sparse systems and a restarted GMRES solver.
+"""Real nodal-block sparse systems and a restarted GMRES solver.
 
 The spectral solvers solve in real unknowns: per node and component, the
-layout holds the 2N-1 real coordinates (Re z_0, Re z_1, Im z_1, ...,
-Re z_N-1, Im z_N-1) of the conjugate-symmetric modes.  Both spectral
-solvers assemble in the orthonormal real coordinates of spectral
-(z_0, sqrt2 Re z_n, sqrt2 Im z_n), which enter this layout by the diagonal
-scaling s = (1, 1/sqrt2, ...) (block_from_orthonormal,
-rhs_from_orthonormal).  The only pinned slots are the Dirichlet ones
-(layout_pins).
-
-The maps from complex mode-coupled systems (to_real, block_to_real,
-rhs_to_real, check_block_symmetry) are not called by the solvers: they
-stay as the reference that the real-basis assemblies and the
-criterion-10 real-map check are tested against.
+layout holds the 2N-1 orthonormal real coordinates of spectral's real
+basis (spectral.modes_to_real), the steady mode and then the cos/sin pair
+of each harmonic.  Both spectral solvers assemble in these coordinates, so
+their blocks and residuals are solved as assembled, and the Euclidean
+norm of a layout vector is the Parseval norm of its complex modes.  A
+complex mode-coupled operator A has the blocks Q A Q^H here, which
+spectral.real_basis(N).matrix gives.  The only pinned slots are the
+Dirichlet ones (layout_pins).
 
 The Navier-Stokes tangent is stored block-structured: the 6 identically
 zero component blocks are never stored, the velocity diagonal block K is
@@ -55,13 +51,6 @@ __all__ = [
     "SortedSegments",
     "assembly_context",
     "build_graph",
-    "block_to_real",
-    "rhs_to_real",
-    "from_real",
-    "to_real",
-    "block_from_orthonormal",
-    "rhs_from_orthonormal",
-    "check_block_symmetry",
     "LinearSolveError",
     "gmres",
     "block_jacobi_preconditioner",
@@ -394,113 +383,6 @@ class BlockMatrix:
         return dense
 
 
-# ---------------------------------------------------------------------------
-# complex <-> real mapping
-# ---------------------------------------------------------------------------
-
-def check_block_symmetry(blocks: np.ndarray) -> float:
-    """Relative defect of the mode-plane symmetry K[-m,-n] = conj(K[m,n])."""
-    blocks = np.asarray(blocks)
-    scale = np.max(np.abs(blocks)) if blocks.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    defect = np.max(np.abs(blocks - np.conj(blocks[..., ::-1, ::-1])))
-    return float(defect / scale)
-
-
-def block_to_real(blocks: np.ndarray) -> np.ndarray:
-    """Map complex (2N-1)x(2N-1) mode blocks to real blocks in the layout.
-
-    Rows and columns run over (Re z_0, Re z_1, Im z_1, ...): the real
-    (real, imag) pairs of the modes 0..N-1, without the imaginary part of
-    the steady mode, which a conjugate-symmetric vector does not have.
-    """
-    blocks = np.asarray(blocks, dtype=complex)
-    m = blocks.shape[-1]
-    n = (m + 1) // 2
-    kp = blocks[..., n - 1:, n - 1:]
-    km = blocks[..., n - 1:, n - 1::-1].copy()
-    km[..., :, 0] = 0.0
-    out = np.zeros(blocks.shape[:-2] + (2 * n, 2 * n))
-    out[..., 0::2, 0::2] = kp.real + km.real
-    out[..., 0::2, 1::2] = -kp.imag + km.imag
-    out[..., 1::2, 0::2] = kp.imag + km.imag
-    out[..., 1::2, 1::2] = kp.real - km.real
-    return np.delete(np.delete(out, 1, axis=-1), 1, axis=-2)
-
-
-def rhs_to_real(rhs: np.ndarray) -> np.ndarray:
-    """Layout (Re z_0, Re z_1, Im z_1, ...) of complex modes (..., 2N-1)."""
-    rhs = np.asarray(rhs, dtype=complex)
-    n = (rhs.shape[-1] + 1) // 2
-    pos = rhs[..., n - 1:]
-    out = np.empty(rhs.shape, dtype=float)
-    out[..., 0] = pos[..., 0].real
-    out[..., 1::2] = pos[..., 1:].real
-    out[..., 2::2] = pos[..., 1:].imag
-    return out
-
-
-def from_real(x: np.ndarray) -> np.ndarray:
-    """Conjugate-symmetric complex modes (..., 2N-1) of the layout (..., 2N-1)."""
-    x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] + 1) // 2
-    pos = np.empty(x.shape[:-1] + (n,), dtype=complex)
-    pos[..., 0] = x[..., 0]
-    pos[..., 1:] = x[..., 1::2] + 1j * x[..., 2::2]
-    return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
-
-
-_SQRT2 = np.sqrt(2.0)
-
-
-def rhs_from_orthonormal(r: np.ndarray) -> np.ndarray:
-    """Layout of orthonormal real mode coordinates (..., 2N-1): r_i s_i.
-
-    s is 1 for the steady mode and 1/sqrt2 otherwise, so the result
-    equals rhs_to_real of the complex modes.
-    """
-    r = np.asarray(r, dtype=float)
-    out = np.empty(r.shape)
-    out[..., 0] = r[..., 0]
-    out[..., 1:] = r[..., 1:] / _SQRT2
-    return out
-
-
-def block_from_orthonormal(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Layout of real-basis operators (..., 2N-1, 2N-1): K_L[i, j] = K_O[i, j] s_i / s_j.
-
-    With s as in rhs_from_orthonormal this is block_to_real of the complex
-    operator.  out receives the result in its own memory layout when
-    given.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    if out is None:
-        out = np.empty(blocks.shape)
-    out[..., 0, 0] = blocks[..., 0, 0]
-    out[..., 0, 1:] = blocks[..., 0, 1:] * _SQRT2
-    out[..., 1:, 0] = blocks[..., 1:, 0] / _SQRT2
-    out[..., 1:, 1:] = blocks[..., 1:, 1:]
-    return out
-
-
-def to_real(system: BlockMatrix, rhs: np.ndarray, tol: float = 1e-10):
-    """Real-mapped copy of a complex conjugate-symmetric block system.
-
-    rhs has shape (n_nodes, 2N-1), and so has each real block row.
-    Systems violating the mode-plane symmetry beyond tol are rejected.
-    """
-    defect = check_block_symmetry(system.blocks)
-    if defect > tol:
-        raise ValueError(f"block system violates conjugate symmetry (defect {defect:.3e})")
-    rdef = check_block_symmetry(np.asarray(rhs)[:, None, :])  # same flip rule
-    if rdef > tol:
-        raise ValueError(f"rhs violates conjugate symmetry (defect {rdef:.3e})")
-    real_blocks = block_to_real(system.blocks)
-    real_rhs = rhs_to_real(rhs)
-    return BlockMatrix(system.rows, system.cols, real_blocks, system.n_nodes), real_rhs.ravel()
-
-
 def layout_pins(n_nodes: int, n_modes: int, dir_nodes: np.ndarray,
                 n_comp: int = 1, n_dir_comp: int = 1) -> np.ndarray:
     """Pinned slots of a flattened layout with n_comp components per node.
@@ -533,7 +415,7 @@ def pinned_operator(matvec: Callable, pins: np.ndarray) -> Callable:
 
 @dataclass
 class BlockTangent:
-    """Real-mapped tangent with the zero component blocks never stored.
+    """Real tangent with the zero component blocks never stored.
 
     Per directed node pair: k_real is the shared velocity diagonal block,
     l_real the pressure block, and g_diag/d_diag the real gradient and
@@ -771,7 +653,7 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
                                 plan: LevelPlan | None = None) -> Callable:
     """Block-Jacobi preconditioner of a BlockTangent's edge blocks over harmonics.
 
-    A harmonic block is mode 0, or the (Re, Im) pair of mode n, taken over
+    A harmonic block is mode 0, or the cos/sin pair of mode n, taken over
     all nodes and components: the edge blocks with the coupling between
     harmonics dropped (Sicot, Puigt & Montagnac, AIAA J. 46, 2008).  The
     skew frequency coupling n omega rho M between the cos and sin of a mode
@@ -784,8 +666,8 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
     identity rows and columns.  A BlockMatrix is preconditioned by
     level_lu_preconditioner.
 
-    System h of _level_lu holds harmonic h in 2 slots per component: the
-    (Re z_h, Im z_h) pair, or for mode 0 Re z_0 and a padding slot, an
+    System h of _level_lu holds harmonic h in 2 slots per component: its
+    cos/sin pair, or for mode 0 its one slot and a padding slot, an
     identity slot of its own.  Its edge blocks are the pair-diagonal parts
     of K (on every velocity direction), of L, and of the gradient and
     divergence blocks (g_full/d_full where set, else g_diag/d_diag times I).

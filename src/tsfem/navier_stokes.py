@@ -35,9 +35,9 @@ step's pseudo mass, and again only after a GMRES solve that took more
 than REFACTOR_MATVECS matvecs, since the harmonic factor of one state
 keeps the solves of the next states short.
 
-Assembly runs in the real orthonormal mode basis of spectral: the states
-are converted once per call to their coordinates (z_0, sqrt2 Re z_n,
-sqrt2 Im z_n), and the kernels come from spectral_real.  Its gls_tables
+Assembly and the linear solve run in the real orthonormal mode basis of
+spectral: the states are converted once per call to their coordinates
+(modes_to_real), and the kernels come from spectral_real.  Its gls_tables
 give, once per state, the linearized strong residual t and the stabilized
 test function S = w (N_A I + tau t_A) at every point: the residual pass
 weights the strong momentum residual rho t u + grad p with S, and the
@@ -45,11 +45,11 @@ operator forms the velocity block K from t and S (gls_operator, the
 element operator the scalar solver assembles too) and the least-squares
 coupling from S.  So every per-point product is a real matmul (real
 symmetric convolution matrices and tau, real skew Omega).
-The assembled blocks and residual enter linsolve's layout of 2N-1 real
-slots per node and component by the diagonal scaling
-K_L[i, j] = K_O[i, j] s_i / s_j, with s = 1 for the steady mode and
-1/sqrt2 otherwise.  The linear solve pins the Dirichlet velocity slots
-only.  States and assemble_ns_residual stay complex.
+The assembled blocks and residual are linsolve's layout as they stand, so
+the residual norm is the Parseval norm of the complex modes, and the
+update is mapped back by modes_from_real.  The linear solve pins the
+Dirichlet velocity slots only.  States and assemble_ns_residual stay
+complex.
 
 Assembly runs over all elements of the mesh at once: it sums each
 element integrand over the quadrature points before scattering it once,
@@ -84,18 +84,16 @@ from .linsolve import (
     LinearSolveError,
     SolverConfig,
     assembly_context,
-    block_from_orthonormal,
     block_jacobi_preconditioner,
     build_graph,
-    from_real,
     gmres,
     layout_pins,
     pinned_operator,
-    rhs_from_orthonormal,
 )
 from .mesh import Mesh, boundary_faces, c_i_for, facet_quadrature
 from .spectral import (
     SpectralCoeffs,
+    modes_from_real,
     modes_to_real,
     n_coeffs,
     real_basis,
@@ -139,7 +137,6 @@ __all__ = [
 
 
 DirichletSpec = Union[np.ndarray, Callable, NodalValues]
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass
@@ -199,7 +196,8 @@ class NSState:
 class UpdateRecord(NamedTuple):
     """What one newton_step recorded of its update."""
 
-    residual: float          # residual norm before the update
+    residual: float          # residual norm before the update: residual_norm, the Parseval
+                             # norm of the complex residual modes off the Dirichlet rows
     matvecs: int
     pseudo_dt: float         # nan when no solve was run
     linear_converged: bool   # GMRES reached eps_ls
@@ -284,7 +282,7 @@ class _Linearization:
 
 def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
                    coeff_state: NSState | None = None):
-    """Residual in the solve layout, (n_nodes, dim+1, 2N-1), and its _Linearization.
+    """Real-basis residual, (n_nodes, dim+1, 2N-1), and its _Linearization.
 
     tau is taken one quadrature point at a time, and the point tables t
     and S of spectral_real.gls_tables from it, with A_j and tau at the
@@ -353,7 +351,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _add_backflow_residual(case, mesh, vel, vel_c, resid)
     lin = _Linearization(grad_u, t, s_w, tau_q, z, backflow, tau_s)
-    return rhs_from_orthonormal(resid), lin
+    return resid, lin
 
 
 def _checked_real(modes: np.ndarray, what: str) -> np.ndarray:
@@ -384,7 +382,7 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     diag = np.arange(m)
 
     n_edges = ctx.rows.shape[0]
-    k_c = np.zeros((n_edges, m, m))
+    k_c = np.zeros((n_edges, m, m)).swapaxes(1, 2)   # column-major blocks, see BlockTangent
     l_c = np.zeros((n_edges, m, m))
     g_scal = np.zeros((n_edges, dim))
     d_scal = np.zeros((n_edges, dim))
@@ -432,12 +430,7 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
         d_c[..., diag, diag] += d_scal[..., None]
     return BlockTangent(
         ctx.rows, ctx.cols, mesh.n_nodes, dim, n,
-        k_real=block_from_orthonormal(     # column-major blocks, see BlockTangent
-            k_c, out=np.empty((n_edges, m, m)).swapaxes(1, 2)),
-        l_real=block_from_orthonormal(l_c),
-        g_diag=g_scal, d_diag=d_scal,
-        g_full=block_from_orthonormal(g_c) if exact_gd else None,
-        d_full=block_from_orthonormal(d_c) if exact_gd else None,
+        k_real=k_c, l_real=l_c, g_diag=g_scal, d_diag=d_scal, g_full=g_c, d_full=d_c,
         elements=elements,
     )
 
@@ -486,15 +479,13 @@ class _NewtonElements(NamedTuple):
     z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
 
     def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
-        """y += this operator times x, both (n_nodes, dim+1, 2N-1) in the solve layout."""
+        """y += this operator times x, both (n_nodes, dim+1, 2N-1) real coordinates."""
         n_el, nen, d = self.grads.shape
         m, shp = 2 * self.n_modes - 1, self.shp
         n_qp = shp.shape[0]
         samples = real_basis(self.n_modes).samples
         back = samples.T / samples.shape[0]                # time samples to modes
-        xo = np.empty((d + 1, self.n_nodes, m))            # orthonormal coordinates
-        xo[..., 0] = x[..., 0].T
-        xo[..., 1:] = x[..., 1:].transpose(1, 0, 2) * _SQRT2
+        xo = np.ascontiguousarray(x.transpose(1, 0, 2))   # (dim+1, n_nodes, M)
         xo_t = (xo[:d].reshape(-1, m) @ samples.T).reshape(d, self.n_nodes, -1)
         xo_t = np.ascontiguousarray(xo_t.transpose(0, 2, 1))          # (dim, P, n_nodes)
         x_t = np.take(xo_t, self.elements.T, axis=2)                 # (dim, P, nen, E)
@@ -515,10 +506,7 @@ class _NewtonElements(NamedTuple):
         res = np.empty((n_el, nen, d + 1, m))
         res[:, :, :d] = mom.swapaxes(1, 2)
         res[:, :, d] = np.matmul(self.grads, cont)
-        out = np.zeros((self.n_nodes, d + 1, m))
-        self.node_seg.add_to(out, res.reshape(n_el * nen, d + 1, m))
-        y[..., 0] += out[..., 0]
-        y[..., 1:] += out[..., 1:] / _SQRT2
+        self.node_seg.add_to(y, res.reshape(n_el * nen, d + 1, m))
 
 
 def _add_backflow_residual(case, mesh, vel, vel_c, resid) -> dict:
@@ -551,7 +539,7 @@ def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,
     coeff_state optionally freezes A_i and tau at a different state (used
     to verify the frozen-coefficient tangent against finite differences).
     """
-    return from_real(_residual_pass(case, mesh, state, coeff_state)[0])
+    return modes_from_real(_residual_pass(case, mesh, state, coeff_state)[0])
 
 
 def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
@@ -599,7 +587,11 @@ def _add_pseudo_mass(tangent: BlockTangent, mesh: Mesh, rho: float,
 
 
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
-    """Norm of the free residual, given in the solve layout (Dirichlet momentum rows off)."""
+    """Norm of the free real-basis residual (Dirichlet momentum rows off).
+
+    The real basis is orthonormal, so this is the Euclidean norm of the
+    complex residual modes with those rows off.
+    """
     rr = residual.copy()
     rr[dir_nodes, :dim, :] = 0.0
     return float(np.linalg.norm(rr))
@@ -719,7 +711,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     if not res.converged and res.residuals[-1] >= res.residuals[0]:
         raise LinearSolveError("linear solver stagnated; step rejected",
                                res.matvecs, res.residuals[-1])
-    delta = from_real(res.x.reshape(mesh.n_nodes, mesh.dim + 1, -1))
+    delta = modes_from_real(res.x.reshape(mesh.n_nodes, mesh.dim + 1, -1))
     new = state.copy()
     new.velocity += delta[:, :mesh.dim, :]
     new.pressure += delta[:, mesh.dim, :]

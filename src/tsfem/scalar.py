@@ -14,10 +14,10 @@ velocity, source and Neumann modes are checked for conjugate symmetry
 where they enter and converted by modes_to_real.  The element operator is
 the one the Navier-Stokes momentum block is built from: spectral_real's
 gls_tables, evaluated on the quadrature tables of the mesh's ElementData,
-and gls_operator of them with rho = 1 and mu = kappa.  The solver maps
-the system to linsolve's layout of 2N-1 real slots per node, (Re phi_0,
-Re phi_1, Im phi_1, ...), through block_from_orthonormal and
-rhs_from_orthonormal, and pins the Dirichlet nodes only.
+and gls_operator of them with rho = 1 and mu = kappa.  The assembled
+system is linsolve's layout of 2N-1 real slots per node as it stands:
+the solver solves it directly, pins the Dirichlet nodes only, and maps
+the solution back by modes_from_real.
 """
 
 from __future__ import annotations
@@ -35,18 +35,16 @@ from .linsolve import (
     LinearSolveError,
     SolverConfig,
     assembly_context,
-    block_from_orthonormal,
     build_graph,
-    from_real,
     gmres,
     layout_pins,
     level_lu_preconditioner,
     pinned_operator,
-    rhs_from_orthonormal,
 )
 from .mesh import Mesh, c_i_for, facet_quadrature
 from .spectral import (
     SpectralCoeffs,
+    modes_from_real,
     modes_to_real,
     n_coeffs,
     require_conjugate_symmetry,
@@ -205,8 +203,7 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
                  solver_config: SolverConfig | None = None) -> np.ndarray:
     """Solve for the nodal spectral field, shape (n_nodes, 2N-1) complex.
 
-    The real-basis system is mapped to the solve layout (Re phi_0,
-    Re phi_1, Im phi_1, ...), the Dirichlet nodes are pinned, and the
+    The Dirichlet nodes of the real-basis system are pinned, and the
     system is solved by GMRES preconditioned with its level LU factor
     (linsolve.level_lu_preconditioner), factored once.  Every term of the
     system lives in its nodal blocks, so the factor is an exact solve and
@@ -220,21 +217,17 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
     dir_nodes, dir_vals = resolve_scalar_dirichlet(case, mesh)
     y0 = np.zeros((mesh.n_nodes, n_coeffs(case.n_modes)), dtype=complex)
     y0[dir_nodes] = dir_vals
-    resid = rhs - system.matvec(modes_to_real(y0).ravel()).reshape(rhs.shape)
-
-    layout = BlockMatrix(system.rows, system.cols, block_from_orthonormal(system.blocks),
-                         mesh.n_nodes)
-    layout_rhs = rhs_from_orthonormal(resid).ravel()
+    resid = rhs.ravel() - system.matvec(modes_to_real(y0).ravel())
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes)
-    layout_rhs[pins] = 0.0
-    op = pinned_operator(layout.matvec, pins)
+    resid[pins] = 0.0
+    op = pinned_operator(system.matvec, pins)
     plan = assembly_context(mesh, build_graph).level_plan()
-    precond = level_lu_preconditioner(layout, pins, plan)
-    res = gmres(op, layout_rhs, solver_config.gmres_config(), precond=precond)
+    precond = level_lu_preconditioner(system, pins, plan)
+    res = gmres(op, resid, solver_config.gmres_config(), precond=precond)
     if not res.converged:
         raise LinearSolveError("scalar linear solve did not converge",
                                res.matvecs, res.residuals[-1])
-    out = y0 + from_real(res.x.reshape(mesh.n_nodes, -1))
+    out = y0 + modes_from_real(res.x.reshape(mesh.n_nodes, -1))
     out[dir_nodes] = dir_vals
     return out
 

@@ -514,7 +514,12 @@ class RealBasis:
     samples: np.ndarray = field(repr=False)   # (3N-2, M) real
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
-        """R(A) = Q A Q^H of mode operators (..., M, M); see _real_form."""
+        """R(A) = Q A Q^H of mode operators (..., M, M); see _real_form.
+
+        This is the real block that linsolve's solve layout, these
+        coordinates, holds for a complex mode-coupled operator: the
+        reference the real-basis assemblies are tested against.
+        """
         return _real_form(self.unitary, a)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import record_acceptance
 
-from tsfem.linsolve import SolverConfig, from_real, rhs_to_real
+from tsfem.linsolve import SolverConfig
 from tsfem.mesh import generate_bent_channel_tet, generate_interval, generate_rect_tri
 from tsfem.navier_stokes import (
     NSCase,
@@ -20,7 +20,14 @@ from tsfem.navier_stokes import (
     solve_ns,
 )
 from tsfem.scalar import ScalarCase, coercivity_probe, resolve_scalar_dirichlet, solve_scalar
-from tsfem.spectral import SpectralCoeffs, build_omega, convolution_dense, n_coeffs
+from tsfem.spectral import (
+    SpectralCoeffs,
+    build_omega,
+    convolution_dense,
+    modes_from_real,
+    modes_to_real,
+    n_coeffs,
+)
 from tsfem.verification import (
     diagnostics,
     exact_steady_advection_diffusion_1d,
@@ -451,6 +458,7 @@ def test_criterion_10_optimization_equivalences():
     from test_linsolve import (
         dense_tangent_oracle,
         random_tangent,
+        real_system,
         small_block_system,
     )
     from tsfem.linsolve import (
@@ -459,7 +467,6 @@ def test_criterion_10_optimization_equivalences():
         layout_pins,
         level_lu_preconditioner,
         pinned_operator,
-        to_real,
     )
 
     # (a) structured matvec == dense matvec on randomized fixtures
@@ -473,14 +480,14 @@ def test_criterion_10_optimization_equivalences():
     # (b) real-mapped solve == complex dense solve
     sys_c, rhs = small_block_system(4, 3, rng=RNG, diag_boost=8.0)
     x_complex = np.linalg.solve(sys_c.to_dense(), rhs.ravel()).reshape(4, -1)
-    real_sys, real_rhs = to_real(sys_c, rhs)
+    real_sys, real_rhs = real_system(sys_c, rhs)
     pins = layout_pins(4, 3, np.array([], dtype=int))   # no Dirichlet node: nothing pinned
     real_rhs[pins] = 0.0
     res = gmres(pinned_operator(real_sys.matvec, pins), real_rhs,
                 GmresConfig(restart=60, tol=1e-13, max_matvecs=2000),
                 precond=level_lu_preconditioner(real_sys, pins))
     assert res.converged
-    x_back = from_real(res.x.reshape(4, -1))
+    x_back = modes_from_real(res.x.reshape(4, -1))
     assert np.max(np.abs(x_back - x_complex)) <= 1e-10
 
     # (c) pseudo-time path independence of the converged state
@@ -516,20 +523,20 @@ def test_criterion_10_optimization_equivalences():
                    neumann={"xmax": np.zeros(n_coeffs(2), complex)},
                    backflow_beta=0.4)
     z0 = RNG.standard_normal((mesh2.n_nodes, 3, 3))
-    base_full = from_real(z0)
+    base_full = modes_from_real(z0)
     base = NSState(0.4 * base_full[:, :2, :].copy(), 0.4 * base_full[:, 2, :].copy())
     tg = assemble_ns_tangent(case2, mesh2, base, exact_gd=True)
     worst = 0.0
     for _ in range(3):
         z = RNG.standard_normal(tg.n_dof)
-        d = from_real(z.reshape(mesh2.n_nodes, 3, -1))
+        d = modes_from_real(z.reshape(mesh2.n_nodes, 3, -1))
         pert = base.copy()
         eps = 1e-5
         pert.velocity += eps * d[:, :2, :]
         pert.pressure += eps * d[:, 2, :]
         r0 = assemble_ns_residual(case2, mesh2, base, coeff_state=base)
         r1 = assemble_ns_residual(case2, mesh2, pert, coeff_state=base)
-        fd = rhs_to_real((r1 - r0) / eps).ravel()
+        fd = modes_to_real((r1 - r0) / eps).ravel()
         hv = tg.matvec(z)
         rel = np.linalg.norm(fd - hv) / np.linalg.norm(fd)
         worst = max(worst, rel)

@@ -485,6 +485,22 @@ class TestSweep:
         assert err.count("\n") == 1 and "time step to t=" in err and "diverged" in err
         assert not (out / "sweep.yaml").exists()
 
+    def test_sweep_exits_1_on_an_unconverged_row(self, tmp_path, capsys):
+        # one pseudo-time step converges no spectral solve: the table is
+        # still written, and the unconverged mode counts are named
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+        study["study"]["case"]["solver"]["max_steps"] = 1
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        out = tmp_path / "out"
+        assert main(["sweep", str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "did not converge at N = 2, 3" in err
+        table = yaml.safe_load((out / "sweep.yaml").read_text())
+        assert [row["converged"] for row in table["rows"]] == [False, False]
+
 
 class TestMainEntry:
     def test_run_exits_1_on_a_preconditioner_over_the_size_limit(self, tmp_path, capsys,

@@ -13,18 +13,12 @@ from tsfem.linsolve import (
     Segments,
     SortedSegments,
     assembly_context,
-    block_from_orthonormal,
     block_jacobi_preconditioner,
-    block_to_real,
     build_graph,
-    from_real,
     gmres,
     layout_pins,
     level_lu_preconditioner,
     pinned_operator,
-    rhs_from_orthonormal,
-    rhs_to_real,
-    to_real,
 )
 from tsfem.mesh import (
     generate_bent_channel_tet,
@@ -32,7 +26,7 @@ from tsfem.mesh import (
     generate_interval,
     generate_rect_tri,
 )
-from tsfem.spectral import modes_from_real, modes_to_real
+from tsfem.spectral import modes_from_real, modes_to_real, real_basis
 
 RNG = np.random.default_rng(321)
 
@@ -59,16 +53,26 @@ def small_block_system(n_nodes, n_modes, rng=RNG, diag_boost=0.0):
     return BlockMatrix(rows, cols, blocks, n_nodes), rhs
 
 
+def real_system(system: BlockMatrix, rhs: np.ndarray):
+    """The solve layout of a complex conjugate-symmetric block system and its rhs.
+
+    The blocks are real_basis(N).matrix of the complex ones, which rejects
+    blocks without the mode-plane symmetry, and the rhs is modes_to_real of
+    the complex modes, flattened.
+    """
+    n_modes = (system.block_size + 1) // 2
+    return (BlockMatrix(system.rows, system.cols, real_basis(n_modes).matrix(system.blocks),
+                        system.n_nodes),
+            modes_to_real(rhs).ravel())
+
+
 class TestRealMapping:
-    def test_round_trip_is_identity(self):
-        x = np.stack([random_symmetric_vector(7) for _ in range(5)])
-        z = rhs_to_real(x)
-        np.testing.assert_allclose(from_real(z), x, atol=1e-15)
+    """Complex mode-coupled systems solved in the real layout (real_basis(N).matrix)."""
 
     def test_n1_steady_problem(self):
         # a steady system is real: one slot per node, the real part of the complex one
         sys_c, rhs = small_block_system(3, 1, diag_boost=4.0)
-        real_sys, real_rhs = to_real(sys_c, rhs)
+        real_sys, real_rhs = real_system(sys_c, rhs)
         assert real_sys.block_size == 1
         np.testing.assert_array_equal(real_sys.to_dense(), sys_c.to_dense().real)
         np.testing.assert_array_equal(real_rhs, rhs.real.ravel())
@@ -78,44 +82,36 @@ class TestRealMapping:
         sys_c, rhs = small_block_system(n_nodes, n_modes, diag_boost=8.0)
         x_complex = np.linalg.solve(sys_c.to_dense(), rhs.ravel()).reshape(n_nodes, -1)
 
-        real_sys, real_rhs = to_real(sys_c, rhs)
+        real_sys, real_rhs = real_system(sys_c, rhs)
         res = gmres(real_sys.matvec, real_rhs, GmresConfig(restart=60, tol=1e-13, max_matvecs=500),
                     precond=level_lu_preconditioner(real_sys))
         assert res.converged
-        x_back = from_real(res.x.reshape(n_nodes, -1))
+        x_back = modes_from_real(res.x.reshape(n_nodes, -1))
         np.testing.assert_allclose(x_back, x_complex, atol=1e-10)
 
-    def test_symmetry_violation_rejected(self):
-        sys_c, rhs = small_block_system(3, 2)
-        sys_c.blocks[0, 0, 1] += 1.0  # break the mode-plane symmetry
-        with pytest.raises(ValueError, match="symmetry"):
-            to_real(sys_c, rhs)
-
-    def test_block_to_real_matches_complex_action(self):
+    def test_real_basis_matches_complex_action(self):
         # acting on a conjugate-symmetric vector commutes with the mapping
         for n_modes in (1, 2, 4):
             m = 2 * n_modes - 1
             k = random_symmetric_block(m)
             x = random_symmetric_vector(m)
             y = k @ x
-            t = block_to_real(k)
-            z = t @ rhs_to_real(x)
-            np.testing.assert_allclose(z, rhs_to_real(y), atol=1e-12)
+            t = real_basis(n_modes).matrix(k)
+            z = t @ modes_to_real(x)
+            np.testing.assert_allclose(z, modes_to_real(y), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n_modes=st.integers(1, 7), n_nodes=st.integers(1, 4), dim=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
     def test_layout_maps_property(self, n_modes, n_nodes, dim, seed):
-        # the layout holds 2N-1 reals per component, and the orthonormal maps
-        # land in it: from_real inverts them, and blocks act as the coordinates do
+        # the layout holds 2N-1 reals per component, and the real forms of
+        # batched complex blocks act on it as the blocks act on the modes
         rng = np.random.default_rng(seed)
         m = 2 * n_modes - 1
+        big = np.stack([random_symmetric_block(m, rng) for _ in range(n_nodes)])
         z = modes_from_real(rng.standard_normal((n_nodes, m)))
-        np.testing.assert_allclose(from_real(rhs_from_orthonormal(modes_to_real(z))), z,
-                                   rtol=0, atol=1e-14 * np.abs(z).max())
-        big, r = rng.standard_normal((n_nodes, m, m)), rng.standard_normal((n_nodes, m))
-        lhs = np.einsum("nij,nj->ni", block_from_orthonormal(big), rhs_from_orthonormal(r))
-        ref = rhs_from_orthonormal(np.einsum("nij,nj->ni", big, r))
+        lhs = np.einsum("nij,nj->ni", real_basis(n_modes).matrix(big), modes_to_real(z))
+        ref = modes_to_real(np.einsum("nij,nj->ni", big, z))
         np.testing.assert_allclose(lhs, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
         tg = random_tangent(n_nodes + 1, dim, n_modes, rng=rng)
         assert tg.n_dof == (n_nodes + 1) * (dim + 1) * m

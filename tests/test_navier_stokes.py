@@ -13,10 +13,7 @@ from tsfem.linsolve import (
     BlockTangent,
     SolverConfig,
     assembly_context,
-    block_to_real,
     build_graph,
-    from_real,
-    rhs_to_real,
 )
 from tsfem.boundary import check_groups
 from tsfem.config import build_case, build_mesh, build_solver_config, config_from_mapping
@@ -48,6 +45,7 @@ from tsfem import spectral_real
 from tsfem.time_domain import TimeCase, _time_residual
 from tsfem.spectral import (
     SpectralCoeffs,
+    modes_from_real,
     modes_to_real,
     build_omega,
     check_conjugate_symmetry,
@@ -55,6 +53,7 @@ from tsfem.spectral import (
     convolution_dense,
     n_coeffs,
     negative_part_batch,
+    real_basis,
     tau_from_modes,
 )
 
@@ -64,7 +63,7 @@ BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
 
 def random_state(mesh, n_modes, rng=RNG, scale=1.0):
     m = n_coeffs(n_modes)
-    full = from_real(rng.standard_normal((mesh.n_nodes, mesh.dim + 1, m)) * scale)
+    full = modes_from_real(rng.standard_normal((mesh.n_nodes, mesh.dim + 1, m)) * scale)
     return NSState(full[:, :mesh.dim, :].copy(), full[:, mesh.dim, :].copy())
 
 
@@ -242,13 +241,12 @@ class TestTangent:
         tg = assemble_ns_tangent(case, mesh, state)
         nodes, _ = resolve_ns_dirichlet(case, mesh)
         m = tg.n_slots
-        weights = np.array([1.0] + [2.0] * (m - 1))  # mode 0 once, others paired
         for _ in range(20):
             z = RNG.standard_normal((mesh.n_nodes, 3, m))
             z[:, 2, :] = 0.0   # velocity-only probe, K block acts alone
             z[nodes, :2, :] = 0.0
             y = tg.matvec(z.ravel()).reshape(mesh.n_nodes, 3, m)
-            form = np.einsum("nci,nci,i->", z[:, :2], y[:, :2], weights)
+            form = np.einsum("nci,nci->", z[:, :2], y[:, :2])   # Re(x^H K x), x the modes of z
             assert form > 0.0
 
     def test_frozen_coefficient_finite_difference(self):
@@ -259,14 +257,14 @@ class TestTangent:
         tg = assemble_ns_tangent(case, mesh, base, exact_gd=True)
         for _ in range(3):
             z = RNG.standard_normal(tg.n_dof)
-            d = from_real(z.reshape(mesh.n_nodes, 3, -1))
+            d = modes_from_real(z.reshape(mesh.n_nodes, 3, -1))
             pert = base.copy()
             eps = 1e-4
             pert.velocity += eps * d[:, :2, :]
             pert.pressure += eps * d[:, 2, :]
             r0 = assemble_ns_residual(case, mesh, base, coeff_state=base)
             r1 = assemble_ns_residual(case, mesh, pert, coeff_state=base)
-            fd = rhs_to_real((r1 - r0) / eps).ravel()
+            fd = modes_to_real((r1 - r0) / eps).ravel()
             hv = tg.matvec(z)
             assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(fd)
 
@@ -300,7 +298,8 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
     """The complex-mode NS assembly, kept as the oracle for the real-basis one.
 
     A literal copy of the residual/tangent assembly that worked in the
-    complex +-n mode layout and mapped its blocks with block_to_real.
+    complex +-n mode layout; its blocks are mapped to the real basis by
+    real_basis(N).matrix, Q A Q^H.
 
     coeff_state supplies the velocity entering A_i, tau and the backflow
     operator (frozen coefficients); it defaults to state.
@@ -431,12 +430,13 @@ def complex_assemble_oracle(case: NSCase, mesh: Mesh, state: NSState, *,
     tangent = None
     if need_tangent:
         n_half = case.n_modes
+        to_real = real_basis(n_half).matrix
         tangent = BlockTangent(
             ctx.rows, ctx.cols, mesh.n_nodes, dim, n_half,
-            k_real=block_to_real(k_c), l_real=block_to_real(l_c),
+            k_real=to_real(k_c), l_real=to_real(l_c),
             g_diag=g_scal, d_diag=d_scal,
-            g_full=block_to_real(g_c) + _oracle_diag_expand(g_scal, n_half) if exact_gd else None,
-            d_full=block_to_real(d_c) + _oracle_diag_expand(d_scal, n_half) if exact_gd else None,
+            g_full=to_real(g_c) + _oracle_diag_expand(g_scal, n_half) if exact_gd else None,
+            d_full=to_real(d_c) + _oracle_diag_expand(d_scal, n_half) if exact_gd else None,
         )
     return resid, tangent
 
@@ -522,7 +522,7 @@ class TestRealBasisAssembly:
             # the pseudo-time mass is added after the assembly, from the
             # mesh's cached edge mass; the oracle adds it inside the loop
             got_t = assemble_ns_tangent(case, mesh, state, **kwargs)
-            assert_close(got_r, rhs_to_real(ref_r), "residual in the solve layout")
+            assert_close(got_r, modes_to_real(ref_r), "residual in the solve layout")
             pairs = [("k", got_t.k_real, ref_t.k_real), ("l", got_t.l_real, ref_t.l_real)]
             if kwargs.get("exact_gd"):
                 pairs += [("g_full", got_t.g_full, ref_t.g_full),
@@ -650,7 +650,7 @@ class TestNewtonOperator:
             taus = recorded_taus(case, mesh, base, monkeypatch)
             for _ in range(2):
                 z = rng.standard_normal(op.n_dof)
-                dz = from_real(z.reshape(mesh.n_nodes, mesh.dim + 1, -1))
+                dz = modes_from_real(z.reshape(mesh.n_nodes, mesh.dim + 1, -1))
                 eps = 1e-5
                 sides = []
                 for sign in (1.0, -1.0):
@@ -658,7 +658,7 @@ class TestNewtonOperator:
                     pert.velocity += sign * eps * dz[:, :mesh.dim]
                     pert.pressure += sign * eps * dz[:, mesh.dim]
                     sides.append(frozen_tau_residual(case, mesh, pert, taus, monkeypatch))
-                fd = rhs_to_real((sides[0] - sides[1]) / (2 * eps)).ravel()
+                fd = modes_to_real((sides[0] - sides[1]) / (2 * eps)).ravel()
                 hv = op.matvec(z)
                 assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(fd)
                 # and the element terms matter: the edge blocks alone miss them
@@ -679,9 +679,7 @@ class TestNewtonOperator:
         rng = np.random.default_rng(5 + n_modes)
         for _ in range(3):
             x = rng.standard_normal((mesh.n_nodes, dim + 1, 2 * n_modes - 1))
-            x_o = np.concatenate([x[..., :1], np.sqrt(2.0) * x[..., 1:]], axis=-1)
-            ref = linsolve.rhs_from_orthonormal(
-                (jac @ x_o.ravel()).reshape(mesh.n_nodes, dim + 1, -1))
+            ref = (jac @ x.ravel()).reshape(x.shape)
             got = np.zeros_like(x)
             op.elements.add_to(x, got)
             assert_close(got, ref, f"element terms N={n_modes} dim={dim}")
@@ -783,6 +781,20 @@ class TestSolve:
         r = np.array(result.residuals)
         assert np.all(np.diff(r) < 0)
         assert r[-1] <= 1e-8 * r[0]
+
+    def test_step_residual_is_norm_of_complex_residual(self):
+        # the solve layout is orthonormal: the recorded residual is the norm of
+        # the complex residual modes, every mode n weighed alike, off the
+        # Dirichlet momentum rows
+        mesh = generate_rect_tri((1.0, 1.0), (3, 3))
+        case = poiseuille_case(n_modes=3, omega=1.5, u_max=0.4, mu=0.2)
+        state = random_state(mesh, 3, np.random.default_rng(8), scale=0.5)
+        ref = assemble_ns_residual(case, mesh, state)
+        nodes, _ = resolve_ns_dirichlet(case, mesh)
+        assert nodes.size
+        ref[nodes, :mesh.dim] = 0.0
+        record = newton_step(case, mesh, state, SolverConfig()).record
+        assert abs(record.residual - np.linalg.norm(ref)) <= 1e-12 * np.linalg.norm(ref)
 
     def test_converged_state_extra_step_is_noop(self):
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
