@@ -1,10 +1,12 @@
 """Boundary data shared by the solvers: facet-group roles, Dirichlet values,
-the Neumann traction term and the backflow edge blocks.
+the Neumann traction term and the backflow facet and edge blocks.
 
 Boundary data of a facet group is uniform (an array of the per-node
 shape, or SpectralCoeffs), a callable of the node coordinates, or, for
 Dirichlet data, NodalValues.  resolve_dirichlet merges the groups in
-order, walls last, and where groups share nodes the later one wins.
+order, walls last, and where groups share nodes the later one wins; the
+merge (DirichletNodes) depends on the groups only, so a time run resolves
+it once and evaluates the values at each step.
 The data of a group that no step changes, its node set (Mesh.group_nodes)
 and the facet integrals of its shape functions (its FacetQuadData), is
 built at the first use and kept on the mesh.
@@ -20,8 +22,8 @@ import numpy as np
 from .mesh import Mesh
 from .spectral import SpectralCoeffs
 
-__all__ = ["NodalValues", "add_backflow", "add_traction", "check_groups",
-           "boundary_values", "resolve_dirichlet"]
+__all__ = ["DirichletNodes", "NodalValues", "add_backflow", "add_traction", "backflow_facets",
+           "check_groups", "boundary_values", "resolve_dirichlet"]
 
 
 @dataclass(frozen=True)
@@ -64,32 +66,63 @@ def boundary_values(data, shape: tuple, what: str, coords: np.ndarray | None = N
     return vals
 
 
+@dataclass(frozen=True)
+class DirichletNodes:
+    """The node set of some Dirichlet groups and the group whose value each node takes.
+
+    ids are the nodes, ascending.  Stacking the values of the groups in
+    order, then n_wall zero rows of the walls, ids[k] takes row rows[k]:
+    that of the last group that holds it.  These depend on the groups only,
+    so a run resolves them once and evaluates the values at each step.
+    """
+
+    ids: np.ndarray    # (K,)
+    rows: np.ndarray   # (K,)
+    n_wall: int
+
+    @classmethod
+    def of(cls, mesh: Mesh, dirichlet: Dict[str, object],
+           walls: Iterable[str]) -> "DirichletNodes":
+        parts = [np.asarray(data.nodes) if isinstance(data, NodalValues)
+                 else mesh.group_nodes(name) for name, data in dirichlet.items()]
+        walls = [mesh.group_nodes(name) for name in walls]
+        # the first occurrence in the reversed concatenation is the last group's
+        nodes = np.concatenate(parts + walls + [np.zeros(0, dtype=int)])[::-1]
+        ids, last = np.unique(nodes, return_index=True)
+        return cls(ids, nodes.size - 1 - last, sum(w.size for w in walls))
+
+    def values(self, mesh: Mesh, dirichlet: Dict[str, object], shape: tuple, *args,
+               dtype=complex) -> np.ndarray:
+        """The values (K,) + shape at ids of the groups this set was resolved from.
+
+        dirichlet maps facet groups to NodalValues or to boundary_values
+        data (callables take the node coordinates and *args); the walls get
+        zeros.
+        """
+        parts = []
+        for name, data in dirichlet.items():
+            if isinstance(data, NodalValues):
+                parts.append(np.asarray(data.values, dtype=dtype))
+                continue
+            nodes = mesh.group_nodes(name)
+            vals = boundary_values(data, shape, f"dirichlet data of group {name!r}",
+                                   mesh.coords[nodes], *args, dtype=dtype)
+            parts.append(np.broadcast_to(vals, (nodes.size,) + shape))
+        parts.append(np.zeros((self.n_wall,) + shape, dtype=dtype))
+        return np.concatenate(parts)[self.rows]
+
+
 def resolve_dirichlet(mesh: Mesh, dirichlet: Dict[str, object], walls: Iterable[str],
                       shape: tuple, *args, dtype=complex):
     """Dirichlet node ids (ascending) and their values (K,) + shape.
 
     dirichlet maps facet groups to NodalValues or to boundary_values data
     (callables take the node coordinates and *args); the walls get zeros.
-    A node in several groups takes the value of the last one, walls last.
+    A node in several groups takes the value of the last one, walls last
+    (DirichletNodes).
     """
-    parts = []
-    for name, data in dirichlet.items():
-        if isinstance(data, NodalValues):
-            parts.append((np.asarray(data.nodes), np.asarray(data.values, dtype=dtype)))
-            continue
-        nodes = mesh.group_nodes(name)
-        vals = boundary_values(data, shape, f"dirichlet data of group {name!r}",
-                               mesh.coords[nodes], *args, dtype=dtype)
-        parts.append((nodes, np.broadcast_to(vals, (nodes.size,) + shape)))
-    for name in walls:
-        nodes = mesh.group_nodes(name)
-        parts.append((nodes, np.zeros((nodes.size,) + shape, dtype=dtype)))
-    if not parts:
-        return np.zeros(0, dtype=int), np.zeros((0,) + shape, dtype=dtype)
-    # the first occurrence in the reversed concatenation is the last group's
-    nodes = np.concatenate([p[0] for p in parts])[::-1]
-    ids, last = np.unique(nodes, return_index=True)
-    return ids, np.concatenate([p[1] for p in parts])[::-1][last]
+    nodes = DirichletNodes.of(mesh, dirichlet, walls)
+    return nodes.ids, nodes.values(mesh, dirichlet, shape, *args, dtype=dtype)
 
 
 def add_traction(out: np.ndarray, fq, h) -> None:
@@ -103,12 +136,20 @@ def add_traction(out: np.ndarray, fq, h) -> None:
     out[fq.node_ids] -= np.multiply.outer(fq.node_normals, h)
 
 
-def add_backflow(blocks: np.ndarray, ctx, fq, scale: float, an_neg: np.ndarray) -> None:
-    """Add scale sum_q w_q N_A N_B |A_n|_- of a facet group to the edge blocks in place.
+def backflow_facets(fq, scale: float, an_neg: np.ndarray) -> np.ndarray:
+    """scale sum_q w_q N_A N_B |A_n|_- on each facet of a group, (F, k, k, M, M).
 
-    an_neg is |A_n|_- at every facet quadrature point of fq, (F, Q, M, M),
-    and blocks the (n_edges, M, M) blocks on the edges of ctx, the mesh's
+    an_neg is |A_n|_- at every facet quadrature point of fq, (F, Q, M, M);
+    the result holds facet f's block of nodes (a, b) at [f, a, b].
+    """
+    return np.einsum("fq,qa,qb,fqrc->fabrc", scale * fq.weights, fq.shape, fq.shape, an_neg)
+
+
+def add_backflow(blocks: np.ndarray, ctx, fq, scale: float, an_neg: np.ndarray) -> None:
+    """Add the backflow_facets blocks of a facet group to the edge blocks in place.
+
+    blocks are the (n_edges, M, M) blocks on the edges of ctx, the mesh's
     AssemblyContext, whose edge_ids locate each facet node pair.
     """
-    k_el = np.einsum("fq,qa,qb,fqrc->fabrc", scale * fq.weights, fq.shape, fq.shape, an_neg)
+    k_el = backflow_facets(fq, scale, an_neg)
     np.add.at(blocks, ctx.edge_ids(fq.nodes), k_el.reshape((-1,) + blocks.shape[1:]))

@@ -14,7 +14,9 @@ The Navier-Stokes tangent is stored block-structured: the 6 identically
 zero component blocks are never stored, the velocity diagonal block K is
 stored once per node pair and reused for every direction, and the
 gradient/divergence blocks are one real scalar per node pair and direction,
-the Galerkin coefficient that multiplies every mode slot.
+the Galerkin coefficient that multiplies every mode slot.  Its Newton
+operator is a BlockTangent without these edge blocks, applied per element;
+the edge blocks are formed for the preconditioner.
 
 Every preconditioner here is built on one kernel, _level_lu: the exact
 block LU of a stack of independent pinned systems on the mesh graph, over
@@ -430,9 +432,12 @@ class BlockTangent:
     products over them.
 
     elements optionally adds an operator that is kept per element rather
-    than per edge (the Newton terms of the NS operator): an object whose
-    add_to(x, y) adds its product with the (n_nodes, dim+1, 2N-1) array x
-    to y.  The preconditioner and to_dense see the edge blocks only.
+    than per edge: an object whose add_to(x, y) adds its product with the
+    (n_nodes, dim+1, 2N-1) array x to y.  The edge blocks are optional too:
+    the NS Newton operator is applied by its elements alone, with k_real,
+    l_real, g_diag and d_diag None, and its edge blocks are assembled only
+    for the preconditioner.  The preconditioner and to_dense read the edge
+    blocks only, and need them.
     """
 
     rows: np.ndarray
@@ -440,21 +445,27 @@ class BlockTangent:
     n_nodes: int
     dim: int
     n_modes: int
-    k_real: np.ndarray                    # (E, 2N-1, 2N-1)
-    l_real: np.ndarray                    # (E, 2N-1, 2N-1)
-    g_diag: np.ndarray                    # (E, dim)
-    d_diag: np.ndarray                    # (E, dim)
+    k_real: Optional[np.ndarray] = None   # (E, 2N-1, 2N-1)
+    l_real: Optional[np.ndarray] = None   # (E, 2N-1, 2N-1)
+    g_diag: Optional[np.ndarray] = None   # (E, dim)
+    d_diag: Optional[np.ndarray] = None   # (E, dim)
     g_full: Optional[np.ndarray] = field(default=None, repr=False)
     d_full: Optional[np.ndarray] = field(default=None, repr=False)
     elements: Optional[object] = field(default=None, repr=False)
     row_starts: np.ndarray = field(init=False, repr=False)
-    _edge_out: np.ndarray = field(init=False, repr=False)
+    _edge_out: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.rows[1:] < self.rows[:-1]):
             raise ValueError("BlockTangent rows must be sorted")
         self.row_starts = segment_starts(self.rows)
-        self._edge_out = np.empty((self.rows.shape[0], self.dim + 1, self.n_slots))
+        self._edge_out = np.empty((self.rows.shape[0], self.dim + 1, self.n_slots)) \
+            if self.has_edges else None
+
+    @property
+    def has_edges(self) -> bool:
+        """Whether the edge blocks are stored (the element operator alone otherwise)."""
+        return self.k_real is not None
 
     @property
     def n_slots(self) -> int:
@@ -468,21 +479,22 @@ class BlockTangent:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         d, m = self.dim, self.n_slots
         xn = np.asarray(x).reshape(self.n_nodes, d + 1, m)
-        xc = xn[self.cols]
-        xv, xp = xc[:, :d], xc[:, d]
-        out = self._edge_out                 # (E, d+1, 2N-1) edge products
-        np.matmul(xv, self.k_real.swapaxes(1, 2), out=out[:, :d])
-        np.matmul(self.l_real, xp[..., None], out=out[:, d, :, None])
-        if self.g_full is not None:
-            out[:, :d] += np.matmul(self.g_full, xp[:, None, :, None])[..., 0]
-        else:
-            out[:, :d] += self.g_diag[:, :, None] * xp[:, None, :]
-        if self.d_full is not None:
-            out[:, d] += np.einsum("edij,edj->ei", self.d_full, xv)
-        else:
-            out[:, d] += np.einsum("ed,edj->ej", self.d_diag, xv)
         y = np.zeros((self.n_nodes, d + 1, m))
-        y[self.rows[self.row_starts]] = np.add.reduceat(out, self.row_starts, axis=0)
+        if self.has_edges:
+            xc = xn[self.cols]
+            xv, xp = xc[:, :d], xc[:, d]
+            out = self._edge_out                 # (E, d+1, 2N-1) edge products
+            np.matmul(xv, self.k_real.swapaxes(1, 2), out=out[:, :d])
+            np.matmul(self.l_real, xp[..., None], out=out[:, d, :, None])
+            if self.g_full is not None:
+                out[:, :d] += np.matmul(self.g_full, xp[:, None, :, None])[..., 0]
+            else:
+                out[:, :d] += self.g_diag[:, :, None] * xp[:, None, :]
+            if self.d_full is not None:
+                out[:, d] += np.einsum("edij,edj->ei", self.d_full, xv)
+            else:
+                out[:, d] += np.einsum("ed,edj->ej", self.d_diag, xv)
+            y[self.rows[self.row_starts]] = np.add.reduceat(out, self.row_starts, axis=0)
         if self.elements is not None:
             self.elements.add_to(xn, y)
         return y.ravel()
@@ -494,6 +506,9 @@ class BlockTangent:
         return scalar[:, :, None, None] * np.eye(self.n_slots)
 
     def to_dense(self) -> np.ndarray:
+        """The edge blocks as a dense matrix; the element operator is left out."""
+        if not self.has_edges:
+            raise ValueError("BlockTangent.to_dense needs the edge blocks")
         d, m = self.dim, self.n_slots
         b = (d + 1) * m
         dense = np.zeros((self.n_nodes * b, self.n_nodes * b))
@@ -675,6 +690,8 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
     if not isinstance(op, BlockTangent):
         raise TypeError("block_jacobi_preconditioner takes a BlockTangent; "
                         "precondition a BlockMatrix with level_lu_preconditioner")
+    if not op.has_edges:
+        raise ValueError("block_jacobi_preconditioner needs the tangent's edge blocks")
     if plan is None:
         plan = LevelPlan.of(op.rows, op.cols, op.n_nodes)
     n, d, n_h, m = op.n_nodes, op.dim, op.n_modes, op.n_slots

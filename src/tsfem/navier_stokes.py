@@ -8,22 +8,27 @@ weight (1/rho) dN_A/dx_i tau, and the backflow boundary correction.
 
 Each update solves with the Newton operator: the derivative of the
 residual with only tau held fixed (and the backflow operator, whose
-variation is left out).  Its edge blocks are the frozen-coefficient
-tangent of assemble_ns_tangent: the velocity block K, the pressure block
-L and the Galerkin gradient/divergence scalars, which the preconditioner
-inverts without the coupling between harmonics (linsolve's
-block_jacobi_preconditioner: a level LU per harmonic).  The rest is kept
-per element (_NewtonElements):
-the least-squares gradient/divergence coupling, the Galerkin and
-least-squares convective reaction, and the variation of the least-squares
-test function through the convection matrices.  assemble_ns_tangent stays
-the frozen-coefficient tangent, with the exact mode-coupled
-least-squares gradient/divergence blocks on request (exact_gd), taken from
-the same element arrays.  Pseudo-time stepping adds the mass term
+variation is left out).  GMRES applies it per element (_NewtonElements),
+on the element tables that the residual pass keeps: the derivative of the
+strong momentum residual at the points, weighted by the test function S
+in the momentum rows and by w tau / rho in the continuity rows, as the
+residual weights the strong residual itself, plus the viscous, Galerkin
+pressure/divergence, pseudo-mass and backflow terms and the variation of
+S through the convection matrices.  Nothing of it is scattered onto the
+mesh edges.  Its preconditioner (linsolve's block_jacobi_preconditioner:
+a level LU per harmonic, without the coupling between harmonics) factors
+edge blocks instead: the frozen-coefficient tangent of
+assemble_ns_tangent, the velocity block K, the pressure block L and the
+Galerkin gradient/divergence scalars, with the step's pseudo mass.  These
+are assembled only at an update that builds the preconditioner.
+assemble_ns_tangent stays the frozen-coefficient tangent, with the exact
+mode-coupled least-squares gradient/divergence blocks on request
+(exact_gd).  Pseudo-time stepping adds the mass term
 (1.5 rho / pseudo_dt) sum_e detj sum_q w_q N_A N_B to the velocity
 diagonal block and performs one Newton update per step.  The mass is
-geometry only: it is scattered once per mesh (AssemblyContext.edge_mass)
-and added after the assembly, so each step's pseudo_dt is chosen once
+geometry only: the operator takes the element mass matrices, the edge
+blocks the mass scattered once per mesh (AssemblyContext.edge_mass), and
+both add it after the assembly, so each step's pseudo_dt is chosen once
 the same assembly has given the step's residual.  The residual is
 assembled first and the operator only when a linear solve follows, from
 the residual pass's tau and point tables.  solve_ns grows the step by
@@ -40,11 +45,11 @@ spectral: the states are converted once per call to their coordinates
 (modes_to_real), and the kernels come from spectral_real.  Its gls_tables
 give, once per state, the linearized strong residual t and the stabilized
 test function S = w (N_A I + tau t_A) at every point: the residual pass
-weights the strong momentum residual rho t u + grad p with S, and the
-operator forms the velocity block K from t and S (gls_operator, the
-element operator the scalar solver assembles too) and the least-squares
-coupling from S.  So every per-point product is a real matmul (real
-symmetric convolution matrices and tau, real skew Omega).
+weights the strong momentum residual rho t u + grad p with S, the Newton
+operator applies rho S^T t to the increment through the same two tables,
+and the edge blocks form K from them (gls_operator, the element operator
+the scalar solver assembles too).  So every per-point product is a real
+matmul (real symmetric convolution matrices and tau, real skew Omega).
 The assembled blocks and residual are linsolve's layout as they stand, so
 the residual norm is the Parseval norm of the complex modes, and the
 update is mapped back by modes_from_real.  The linear solve pins the
@@ -75,6 +80,7 @@ from .boundary import (
     NodalValues,
     add_backflow,
     add_traction,
+    backflow_facets,
     boundary_values,
     check_groups,
     resolve_dirichlet,
@@ -265,14 +271,10 @@ def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
 
 @dataclass
 class _Linearization:
-    """What the residual pass keeps for the tangent pass of the same state.
-
-    t is needed for K only: the tangent pass sets it to None once K is
-    formed, so it is not kept alive through the rest of the pass.
-    """
+    """What the residual pass keeps for the operator and edge blocks of the same state."""
 
     grad_u: np.ndarray   # (E, dim, dim, M) d u_i / d x_j at [e, j, i]
-    t: Optional[np.ndarray]   # (E, n_qp M, nen M) the gls_tables t
+    t: np.ndarray        # (E, n_qp M, nen M) the gls_tables t
     s_w: np.ndarray      # (E, n_qp M, nen M) the gls_tables test function S
     taus: np.ndarray     # (n_qp, E, M, M) tau at each quadrature point
     z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
@@ -359,22 +361,21 @@ def _checked_real(modes: np.ndarray, what: str) -> np.ndarray:
     return modes_to_real(require_conjugate_symmetry(modes, what))
 
 
-def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
-                  exact_gd: bool = False, newton: bool = False) -> BlockTangent:
-    """BlockTangent at the state of lin, without pseudo-time mass; tau from lin.
+def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, *,
+                  exact_gd: bool = False) -> BlockTangent:
+    """Edge blocks of the frozen-coefficient tangent at the state of lin, without pseudo mass.
 
-    The edge blocks hold the frozen-coefficient tangent: K, L and the
-    Galerkin gradient/divergence scalars.  K is spectral_real.gls_operator
-    of the residual pass's point tables t and S, S_A(q) = w (N_A I +
-    P_A(q))^T; t is released once K is formed.  S gives the least-squares
-    coupling: P_A = sum_q w P_A(q) in the momentum rows and
-    Q_B = sum_q w tau t_B(q) = P_B^T in the continuity rows.  exact_gd
-    scatters these edge-wise as g_full/d_full; newton (which needs
-    coeff_state None in the residual pass) keeps them per element in a
-    _NewtonElements operator, the rest of the derivative with tau held
-    fixed.  No tau is computed here.
+    K is spectral_real.gls_operator of the residual pass's point tables t
+    and S, plus the backflow blocks of each Neumann group; L =
+    grad N_A . grad N_B sum_q w tau / rho, and the Galerkin gradient and
+    divergence are the scalars -dN_A/dx_i n_B and n_A dN_B/dx_j (n_A =
+    sum_q w N_A).  exact_gd adds the least-squares coupling, P_A in the
+    momentum rows and Q_B = sum_q w tau t_B(q) = P_B^T in the continuity
+    rows, edge-wise as g_full/d_full.  newton_step assembles these blocks
+    only to factor its preconditioner; assemble_ns_tangent returns them.
+    No tau is computed here.
     """
-    n, m = case.n_modes, n_coeffs(case.n_modes)
+    m = n_coeffs(case.n_modes)
     dim = mesh.dim
     rho = case.rho
     ed = mesh.element_data()
@@ -392,36 +393,21 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     elems, grads, tau_q, n_int, s_w = mesh.elements, ed.grads, lin.taus, ed.n_int, lin.s_w
     n_el, nen = elems.shape
     k_el = gls_operator(lin.t, s_w, ed, rho, case.mu)
-    lin.t = None
-    ctx.edges.add_to(k_c, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
+    ctx.edges.add_to(k_c, k_el.reshape(-1, m, m))
     del k_el
     tau_sum = np.einsum("eq,qerc->erc", ed.wdetj, tau_q)
     ctx.edges.add_to(l_c, ((ed.gab / rho)[..., None, None] * tau_sum[:, None, None])
                      .reshape(-1, m, m))
     ctx.edges.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
     ctx.edges.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
-    # Q_B[r, c] = P_B[c, r] at [e, r, B, c]
-    u_sum = s_w.reshape(n_el, -1, m, nen, m).sum(axis=1)
-    u_sum[:, diag, :, diag] -= n_int[None]
     if exact_gd:
+        # Q_B[r, c] = P_B[c, r] at [e, r, B, c]
+        u_sum = s_w.reshape(n_el, -1, m, nen, m).sum(axis=1)
+        u_sum[:, diag, :, diag] -= n_int[None]
         ctx.edges.add_to(g_c, np.einsum("ecar,ebi->eabirc", u_sum, grads)
                          .reshape(-1, dim, m, m))
         ctx.edges.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, u_sum.swapaxes(1, 2))
                          .reshape(-1, dim, m, m))
-    elements = None
-    if newton:
-        # T_B / rho = sum_q w N_B tau / rho, symmetric
-        wn = ed.wdetj[:, None, :] * ed.basis.T                # w N_B(q) at [e, B, q]
-        t_rho = np.matmul(wn / rho, tau_q.swapaxes(0, 1).reshape(n_el, -1, m * m))
-        qt = np.concatenate([u_sum.transpose(0, 2, 3, 1), t_rho.reshape(n_el, nen, m, m)],
-                            axis=1).reshape(n_el, 2 * nen * m, m)
-        samples = real_basis(n).samples
-        du_t = samples @ (rho * lin.grad_u.transpose(2, 1, 3, 0))    # rho d u_i / d x_k at [i, k]
-        z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
-        elements = _NewtonElements(mesh.n_nodes, n, ed.basis, elems, ctx.nodes, grads,
-                                   n_int[:, None, :, None], s_w, qt, du_t,
-                                   z_t.reshape(dim, -1, nen, n_el))
-
     for name, an_neg in lin.backflow.items():
         add_backflow(k_c, ctx, facet_quadrature(mesh, name), -0.5 * rho * case.backflow_beta,
                      an_neg)
@@ -429,54 +415,108 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization, *,
         g_c[..., diag, diag] += g_scal[..., None]
         d_c[..., diag, diag] += d_scal[..., None]
     return BlockTangent(
-        ctx.rows, ctx.cols, mesh.n_nodes, dim, n,
+        ctx.rows, ctx.cols, mesh.n_nodes, dim, case.n_modes,
         k_real=k_c, l_real=l_c, g_diag=g_scal, d_diag=d_scal, g_full=g_c, d_full=d_c,
-        elements=elements,
     )
 
 
+def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization,
+                  pseudo_dt: float) -> BlockTangent:
+    """The Newton operator at the state of lin, applied per element; tau from lin.
+
+    A BlockTangent without edge blocks, whose elements (_NewtonElements)
+    apply the whole derivative of the residual with tau held fixed, plus
+    the pseudo-time mass of a finite pseudo_dt: the frozen-coefficient
+    tangent of _edge_tangent and the Newton terms that it leaves out.  It
+    keeps the residual pass's point tables t and S and adds only element
+    matrices of geometry and tau; the residual pass needs coeff_state None.
+    No tau is computed and nothing is scattered onto the edges here.
+    """
+    n, m = case.n_modes, n_coeffs(case.n_modes)
+    dim = mesh.dim
+    rho = case.rho
+    ed = mesh.element_data()
+    ctx = assembly_context(mesh, build_graph)
+    elems, grads, n_int = mesh.elements, ed.grads, ed.n_int
+    n_el, nen = elems.shape
+
+    w_tau = (ed.wdetj.T[:, :, None, None] / rho * lin.taus).swapaxes(0, 1)
+    vg = case.mu * ed.vol[:, None, None] * ed.gab
+    if np.isfinite(pseudo_dt):
+        vg = vg + (1.5 * rho / pseudo_dt) * ed.mass
+    g_n = np.einsum("eai,eb->eiab", grads, n_int)
+    c_p = -(g_n + g_n.swapaxes(2, 3))                 # C_i,AB at [e, i, A, B]
+    samples = real_basis(n).samples
+    du_t = samples @ (rho * lin.grad_u.transpose(2, 1, 3, 0))    # rho d u_i / d x_k at [i, k]
+    z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
+    backflow = []
+    for name, an_neg in lin.backflow.items():
+        fq = facet_quadrature(mesh, name)
+        blocks = backflow_facets(fq, -0.5 * rho * case.backflow_beta, an_neg)
+        backflow.append((fq.nodes, np.ascontiguousarray(blocks.transpose(0, 2, 4, 1, 3))
+                         .reshape(len(fq.nodes), fq.nodes.shape[1] * m, -1)))
+    elements = _NewtonElements(mesh.n_nodes, n, rho, ed.basis, elems, ctx.nodes, grads,
+                               np.concatenate([grads, n_int[..., None]], axis=2), lin.t,
+                               lin.s_w, w_tau.reshape(n_el, -1, m), vg, c_p, du_t,
+                               z_t.reshape(dim, -1, nen, n_el), backflow)
+    return BlockTangent(ctx.rows, ctx.cols, mesh.n_nodes, dim, n, elements=elements)
+
+
 class _NewtonElements(NamedTuple):
-    """The Newton terms of the NS operator that the edge blocks leave out.
+    """The NS Newton operator, applied per element.
 
-    With tau held fixed, the derivative of the residual adds to the
-    frozen-coefficient edge blocks, per element and in the real
-    orthonormal basis (x the increment, g_i = sum_B dN_B/dx_i x_B,p its
-    pressure gradient, y_B,i = rho sum_k (d u_i/d x_k) * x_B,k its
-    convective reaction, * the band-restricted product, and
-    y_i(q) = sum_B N_B(q) y_B,i):
-      momentum (A, i): sum_q w (N_A I + P_A(q)) y_i(q) + P_A g_i
+    With tau held fixed, the derivative of the residual is, per element
+    and in the real orthonormal basis (x the increment, x_B,i its velocity
+    and x_B,p its pressure, g_i = sum_B dN_B/dx_i x_B,p its pressure
+    gradient, y_B,i = rho sum_k (d u_i/d x_k) * x_B,k its convective
+    reaction, * the band-restricted product, and y_i(q) = sum_B N_B(q)
+    y_B,i):
+      momentum (A, i): sum_q S_A(q)^T s_i(q) + sum_B (V_AB x_B,i + C_i,AB x_B,p)
                        + sum_j dN_A/dx_j sum_B Z_B,i * x_B,j,
-      continuity A:    sum_j dN_A/dx_j sum_B (Q_B x_B,j + T_B y_B,j / rho),
-    with T_B = sum_q w N_B tau, Z_B,i = sum_q w N_B tau strong_i, and P
-    and Q as in _tangent_pass.  The first two momentum terms are one
-    product with the test weight S: sum_q S_A(q)^T (y_i(q) + g_i) less
-    the Galerkin sum_q w N_A g_i.  These are the
-    least-squares gradient/divergence coupling, the Galerkin and
-    least-squares convective reaction, and the variation of the test
-    function P_A through the convection matrices.  The backflow variation
-    is left out.
+      continuity A:    sum_j dN_A/dx_j sum_q w tau s_j(q) / rho
+                       + n_A sum_B sum_j dN_B/dx_j x_B,j,
+    with s_i(q) = rho sum_B t_B(q) x_B,i + y_i(q) + g_i the derivative of
+    the strong momentum residual, t and S the gls_tables of the state, n_A
+    = sum_q w N_A, V_AB = mu vol grad N_A . grad N_B + (1.5 rho /
+    pseudo_dt) M_AB (M the element mass), C_i,AB = -(dN_A/dx_i n_B + n_A
+    dN_B/dx_i) and Z_B,i = sum_q w N_B tau strong_i.  This is the
+    residual pass's form: S^T s_i holds the Galerkin n_A g_i, which C
+    replaces by the Galerkin gradient -dN_A/dx_i sum_B n_B x_B,p, and Z is
+    the variation of S through the convection matrices.  The facets of
+    each Neumann group add their backflow blocks (boundary.backflow_facets)
+    to the momentum rows of their nodes; the backflow variation is left
+    out.  The edge blocks of _edge_tangent are these terms less y, Z, the
+    least-squares gradient coupling (S^T g beyond its Galerkin n_A g_i)
+    and the least-squares divergence coupling sum_q w tau t x / rho.
 
-    The terms with S, Q and T are batched row-vector matmuls with stored
-    element matrices.  The products * run pointwise on the P = 3N-2
-    time samples of real_basis(N), on arrays with the elements last, which
+    The terms with t, S and tau are batched row-vector matmuls with stored
+    element matrices.  The products * run pointwise on the P = 3N-2 time
+    samples of real_basis(N), on arrays with the elements last, which
     stores a vector where C(d u_i/d x_k) and C(Z_B,i) would take a matrix.
     The element results go onto the nodes through the mesh's node plan.
     Every matrix is stored as the right factor of a row-vector product, in
-    the layout matmul reads contiguously; the factors of the products *
-    are stored time-sampled, with the elements last.
+    the layout matmul reads contiguously, except t, which is the residual
+    pass's table and is read transposed; the factors of the products * are
+    stored time-sampled, with the elements last.
     """
 
     n_nodes: int
     n_modes: int
+    rho: float
     shp: np.ndarray        # (n_qp, nen)
     elements: np.ndarray   # (E, nen)
     node_seg: object       # the mesh's node scatter plan
     grads: np.ndarray      # (E, nen, dim) dN_A / dx_j
-    n_int: np.ndarray      # (E, 1, nen, 1) sum_q w N_A
+    grads_n: np.ndarray    # (E, nen, dim+1): dN_A / dx_j, then n_A
+    t: np.ndarray          # (E, n_qp M, nen M): t_B(q)[s, c] at [(q, s), (B, c)]
     s_w: np.ndarray        # (E, n_qp M, nen M): S_A(q) = w (N_A I + P_A(q))^T at [(q, r), (A, c)]
-    qt: np.ndarray         # (E, 2 nen M, M): Q_B[c, s] and T_B[c, s] / rho at [(0|1, B, s), c]
+    w_tau: np.ndarray      # (E, n_qp M, M): w tau(q)[c, s] / rho at [(q, s), c]
+    vg: np.ndarray         # (E, nen, nen) V_AB
+    c_p: np.ndarray        # (E, dim, nen, nen) C_i,AB
     du_t: np.ndarray       # (dim, dim, P, E): rho d u_i / d x_k at [i, k]
     z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
+    backflow: list         # per Neumann group: facet nodes (F, k), and the backflow
+                           # blocks at [f, (b, c), (a, r)], (F, k M, k M)
 
     def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
         """y += this operator times x, both (n_nodes, dim+1, 2N-1) real coordinates."""
@@ -496,17 +536,27 @@ class _NewtonElements(NamedTuple):
         h = (back @ h_t.reshape(d * d, -1, n_el)).reshape(d, d, m, n_el)
         x_el = xo[:, self.elements]                                  # (dim+1, E, nen, M)
         x_r = x_el[:d].swapaxes(0, 1).reshape(n_el, d, nen * m)
-        gp = np.matmul(self.grads.swapaxes(1, 2), x_el[d])          # (E, dim, M)
-        sig = np.matmul(shp, react)
-        sig += gp[:, :, None]                                        # y_i(q) + g_i at [e, i, q, c]
-        mom = np.matmul(sig.reshape(n_el, d, n_qp * m), self.s_w).reshape(n_el, d, nen, m)
-        mom -= self.n_int * gp[:, :, None]
+        sig = np.matmul(self.rho * x_r, self.t.swapaxes(1, 2)).reshape(n_el, d, n_qp, m)
+        sig += np.matmul(shp, react)
+        sig += np.matmul(self.grads.swapaxes(1, 2), x_el[d])[:, :, None]
+        sig = sig.reshape(n_el, d, n_qp * m)                         # s_i(q) at [e, i, (q, c)]
+        mom = np.matmul(sig, self.s_w).reshape(n_el, d, nen, m)
+        mom += np.matmul(self.vg[:, None], x_r.reshape(n_el, d, nen, m))
+        mom += np.matmul(self.c_p, x_el[d][:, None])
         mom += np.matmul(self.grads[:, None], h.transpose(3, 0, 1, 2))     # [e, i, A, r]
-        cont = np.matmul(np.concatenate([x_r, react.reshape(n_el, d, -1)], axis=2), self.qt)
+        cont = np.empty((n_el, d + 1, m))       # [sum_q w tau s_j / rho | div x] per element
+        np.matmul(sig, self.w_tau, out=cont[:, :d])
+        np.matmul(self.grads.swapaxes(1, 2).reshape(n_el, 1, -1), x_r.reshape(n_el, -1, m),
+                  out=cont[:, d:])
         res = np.empty((n_el, nen, d + 1, m))
         res[:, :, :d] = mom.swapaxes(1, 2)
-        res[:, :, d] = np.matmul(self.grads, cont)
+        np.matmul(self.grads_n, cont, out=res[:, :, d])
         self.node_seg.add_to(y, res.reshape(n_el * nen, d + 1, m))
+        for nodes, blocks in self.backflow:
+            n_f, k = nodes.shape
+            x_f = x[nodes, :d].transpose(0, 2, 1, 3).reshape(n_f, d, k * m)
+            y_f = np.matmul(x_f, blocks).reshape(n_f, d, k, m).transpose(0, 2, 1, 3)
+            np.add.at(y[:, :d], nodes.ravel(), y_f.reshape(-1, d, m))
 
 
 def _add_backflow_residual(case, mesh, vel, vel_c, resid) -> dict:
@@ -545,16 +595,16 @@ def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,
 def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
                         pseudo_dt: float = np.inf,
                         exact_gd: bool = False) -> BlockTangent:
-    """Frozen-coefficient tangent of the residual (A_i and tau held fixed).
+    """Frozen-coefficient tangent of the residual (A_i and tau held fixed), as edge blocks.
 
-    With exact_gd=False only the edge blocks of the Newton operator are
-    kept: the least-squares contributions to the gradient/divergence
-    blocks are dropped, leaving them diagonal in the mode index;
-    exact_gd=True keeps them, making the tangent the exact derivative of
-    the frozen-coefficient residual.  A finite pseudo_dt adds the mass term
-    (N_A, 1.5 rho / pseudo_dt N_B) to the K block.
+    With exact_gd=False these are the edge blocks that newton_step factors
+    its preconditioner from: the least-squares contributions to the
+    gradient/divergence blocks are dropped, leaving them diagonal in the
+    mode index; exact_gd=True keeps them, making the tangent the exact
+    derivative of the frozen-coefficient residual.  A finite pseudo_dt adds
+    the mass term (N_A, 1.5 rho / pseudo_dt N_B) to the K block.
     """
-    tangent = _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1],
+    tangent = _edge_tangent(case, mesh, _residual_pass(case, mesh, state)[1],
                             exact_gd=exact_gd)
     _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
     return tangent
@@ -564,13 +614,12 @@ def assemble_ns_newton(case: NSCase, mesh: Mesh, state: NSState,
                        pseudo_dt: float = np.inf) -> BlockTangent:
     """The operator newton_step solves with: the derivative with tau held fixed.
 
-    The frozen-coefficient edge blocks of assemble_ns_tangent plus the
-    element-level Newton terms (_NewtonElements); the backflow operator
-    stays frozen.  A finite pseudo_dt adds the pseudo-time mass.
+    The frozen-coefficient tangent of assemble_ns_tangent plus the Newton
+    terms it leaves out, and the pseudo-time mass of a finite pseudo_dt,
+    all applied per element (_NewtonElements): the BlockTangent holds no
+    edge blocks.  The backflow operator stays frozen.
     """
-    tangent = _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1], newton=True)
-    _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
-    return tangent
+    return _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1], pseudo_dt)
 
 
 def _add_pseudo_mass(tangent: BlockTangent, mesh: Mesh, rho: float,
@@ -649,20 +698,23 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
                 lagged: LaggedPreconditioner | None = None) -> NewtonUpdate:
     """One linearized update y <- y - H^{-1} r at the current state.
 
-    H is the Newton operator with tau held fixed (assemble_ns_newton) plus
-    the pseudo-time mass of the step.  The residual is assembled first; the
-    operator is built only when a linear solve follows, from the residual
-    pass's per-point tau.  pseudo_dt is the step, or a callable that maps
-    this step's residual norm to it (solve_ns passes its SER rule); None
-    takes config.pseudo_dt, or default_pseudo_dt when that is None.  The
-    mass is added once the residual has chosen the step.  The linear solve
-    runs to eps_ls relative tolerance with GMRES, right-preconditioned by
-    block_jacobi_preconditioner of the edge blocks: the level LU of their
-    harmonic blocks, over the mesh's level plan.  Dirichlet increments are
-    pinned to zero.  lagged carries the preconditioner across the updates
-    of a solve: it is built, with this step's pseudo mass, when lagged has
-    none, and dropped after a GMRES solve that takes more than
-    REFACTOR_MATVECS matvecs.  A lone call (lagged None) builds its own.
+    H is the Newton operator with tau held fixed plus the pseudo-time mass
+    of the step (assemble_ns_newton), applied per element.  The residual
+    is assembled first; the operator is built only when a linear solve
+    follows, from the residual pass's per-point tau and point tables.
+    pseudo_dt is the step, or a callable that maps this step's residual
+    norm to it (solve_ns passes its SER rule); None takes config.pseudo_dt,
+    or default_pseudo_dt when that is None.  The mass enters once the
+    residual has chosen the step.  The linear solve runs to eps_ls relative
+    tolerance with GMRES, right-preconditioned by block_jacobi_preconditioner
+    of the frozen-coefficient edge blocks with this step's pseudo mass (as
+    assemble_ns_tangent): the level LU of their harmonic blocks, over the
+    mesh's level plan.  Dirichlet increments are pinned to zero.  lagged
+    carries the preconditioner across the updates of a solve: it is built
+    when lagged has none, and dropped after a GMRES solve that takes more
+    than REFACTOR_MATVECS matvecs.  The edge blocks are assembled only at
+    an update that builds the preconditioner, and dropped once it is
+    factored.  A lone call (lagged None) builds its own.
     The update records the relative linear residual GMRES reached and the
     seconds spent in assembly and, of those, in tau, in the linear solve
     and, of those, in building the preconditioner.  An update that GMRES
@@ -689,21 +741,25 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
                                                        0.0, 0.0))
     if callable(pseudo_dt):
         pseudo_dt = pseudo_dt(rnorm)
-    tangent = _tangent_pass(case, mesh, lin, newton=True)
+    pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
+    precond_s = 0.0
+    if lagged.apply is None:
+        # factored before the operator is built, so the two never hold memory at once
+        edges = _edge_tangent(case, mesh, lin)
+        _add_pseudo_mass(edges, mesh, case.rho, pseudo_dt)
+        factoring = time.perf_counter()
+        lagged.apply = block_jacobi_preconditioner(
+            edges, pins, assembly_context(mesh, build_graph).level_plan())
+        precond_s = time.perf_counter() - factoring
+        del edges
+    tangent = _tangent_pass(case, mesh, lin, pseudo_dt)
     tau_s = lin.tau_s
     del lin
-    _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
 
-    pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
     rhs = -resid.ravel()
     rhs[pins] = 0.0
     op = pinned_operator(tangent.matvec, pins)
     assembled = time.perf_counter()
-    precond_s = 0.0
-    if lagged.apply is None:
-        plan = assembly_context(mesh, build_graph).level_plan()
-        lagged.apply = block_jacobi_preconditioner(tangent, pins, plan)
-        precond_s = time.perf_counter() - assembled
     res = gmres(op, rhs, config.gmres_config(), precond=lagged.apply)
     solved = time.perf_counter()
     if res.matvecs > REFACTOR_MATVECS:
@@ -719,8 +775,8 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     new.symmetrize()
     linear_residual = res.residuals[-1] / res.residuals[0] if res.residuals[0] > 0 else 0.0
     return NewtonUpdate(new, UpdateRecord(rnorm, res.matvecs, pseudo_dt, res.converged,
-                                          linear_residual, assembled - start, tau_s,
-                                          solved - assembled, precond_s))
+                                          linear_residual, assembled - start - precond_s, tau_s,
+                                          solved - assembled + precond_s, precond_s))
 
 
 def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NSResult:

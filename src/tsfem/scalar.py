@@ -166,7 +166,7 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
     t, s_w = gls_tables(u_q, taus, ed, case.omega)
     k_el = gls_operator(t, s_w, ed, 1.0, case.kappa)
     del t
-    ctx.edges.add_to(blocks, k_el.transpose(0, 1, 3, 2, 4).reshape(-1, m, m))
+    ctx.edges.add_to(blocks, k_el.reshape(-1, m, m))
     if case.source is not None:
         s = modes_to_real(_at_points(case.source, ed.points, "source callable output"))
         ctx.nodes.add_to(rhs, np.matmul(s.reshape(mesh.n_elements, 1, -1), s_w).reshape(-1, m))

@@ -90,13 +90,18 @@ def gls_tables(u_q: np.ndarray, taus: np.ndarray, ed, omega: float):
 def gls_operator(t: np.ndarray, s_w: np.ndarray, ed, rho: float, mu: float) -> np.ndarray:
     """Element stiffness K = rho sum_q S_A^T t_B + mu vol gab I of the gls_tables t and S.
 
-    Returns K at [e, A, r, B, c], (E, nen, M, nen, M).
+    Returns the block of each node pair, K_AB[r, c] at [e, A, B, r, c],
+    (E, nen, nen, M, M), as the edge scatter reads it; it is formed one row
+    node A at a time, so no second element-sized copy is made.
     """
     n_el, nen = ed.grads.shape[:2]
     m = t.shape[-1] // nen
-    k_el = np.matmul(s_w.swapaxes(1, 2), t)
+    s_nodes = s_w.reshape(n_el, -1, nen, m)
+    k_el = np.empty((n_el, nen, nen, m, m))
+    for a in range(nen):
+        k_a = np.matmul(s_nodes[:, :, a].swapaxes(1, 2), t)       # K_AB[r, c] at [e, r, (B, c)]
+        k_el[:, a] = k_a.reshape(n_el, m, nen, m).swapaxes(1, 2)
     k_el *= rho
-    k_el = k_el.reshape(n_el, nen, m, nen, m)
     diag = np.arange(m)
-    k_el[:, :, diag, :, diag] += (mu * ed.vol[:, None, None] * ed.gab)[None]
+    k_el[..., diag, diag] += (mu * ed.vol[:, None, None] * ed.gab)[..., None]
     return k_el

@@ -19,10 +19,12 @@ product of its [w N | grad N] table (weight_grad) gives both residual
 rows.  These tables and G:G belong to the mesh's ElementData, and each
 group's Dirichlet node set and its nodal facet sums, which give the
 Neumann traction and the reported flow, to the mesh; none is built by
-this module.  The Newton operator is the exact linearization: the local
-element blocks carry the convective reaction, the variation of the
-SUPG/PSPG test functions and of tau through u, and the dependence of tau
-on the global w_hat is a rank-one term.  The Newton
+this module.  A run merges its Dirichlet groups once (DirichletNodes),
+and a step evaluates its Neumann tractions h(t_af) once for its Newton
+loop, leaving out groups whose h is 0.  The Newton operator is the exact
+linearization: the local element blocks carry the convective reaction,
+the variation of the SUPG/PSPG test functions and of tau through u, and
+the dependence of tau on the global w_hat is a rank-one term.  The Newton
 updates are chord (modified-Newton) steps (Kelley, Iterative Methods for
 Linear and Nonlinear Equations, SIAM 1995, sec. 5.4): a run keeps one
 direct solve of a lagged Newton operator (LaggedFactor), the level LU
@@ -45,7 +47,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from .boundary import add_traction, check_groups, resolve_dirichlet
+from .boundary import DirichletNodes, add_traction, check_groups
 from .linsolve import (
     BlockMatrix,
     SolverConfig,
@@ -222,7 +224,18 @@ class TimeTangent:
                 + self.dr_dw2.ravel() * float(self.dw2_dx.ravel() @ x))
 
 
-def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
+def _tractions(case: TimeCase, mesh: Mesh, t: float) -> list:
+    """(FacetQuadData, h(t)) of each Neumann group whose traction h is nonzero at t."""
+    tractions = []
+    for name, data in case.neumann.items():
+        h = float(data(t))
+        if h != 0.0:
+            tractions.append((facet_quadrature(mesh, name), h))
+    return tractions
+
+
+def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af,
+                   tractions: list | None = None):
     """SUPG/PSPG residual at the alpha state, and its _PointFields.
 
     One point-value pass: the point values and gradients of [u_af | udot_am
@@ -237,7 +250,9 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
 
     with S the strong momentum residual and p_int = sum_q w p.  The rows
     are scattered once through the mesh's cached node plan, and each
-    Neumann group adds its traction as one product.
+    Neumann group adds its traction h(t_af) as one product.  tractions, the
+    _tractions of t_af, which a time step forms once for its Newton loop,
+    are formed here when not given.
     """
     dim, n_el = mesh.dim, mesh.n_elements
     rho = case.rho
@@ -270,8 +285,10 @@ def _time_residual(case: TimeCase, mesh: Mesh, u_af, udot_am, pres, t_af):
     resid = np.zeros((mesh.n_nodes, dim + 1))
     ctx = assembly_context(mesh, build_graph)
     ctx.nodes.add_to(resid, (ed.weight_grad @ flux).reshape(-1, dim + 1))
-    for name, data in case.neumann.items():
-        add_traction(resid[:, :dim], facet_quadrature(mesh, name), float(data(t_af)))
+    if tractions is None:
+        tractions = _tractions(case, mesh, t_af)
+    for fq, h in tractions:
+        add_traction(resid[:, :dim], fq, h)
     return resid, _PointFields(uq, tau, strong, grad_u, what)
 
 
@@ -451,7 +468,8 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                            config: SolverConfig | None = None,
                            max_newton: int = 10,
                            dirichlet_scale: float = 1.0,
-                           factor: LaggedFactor | None = None) -> StepResult:
+                           factor: LaggedFactor | None = None,
+                           dirichlet: DirichletNodes | None = None) -> StepResult:
     """Advance one implicit step.
 
     Newton iterations (at most max_newton residual evaluations) reduce the
@@ -469,6 +487,9 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     that is not finite, raises DivergedStepError.  The Dirichlet velocity
     is imposed strongly at t_{n+1} with a rate-consistent boundary
     acceleration; dirichlet_scale ramps the data during start-up.
+    dirichlet, the DirichletNodes of the case's groups, is resolved here
+    when not given; only the values are evaluated at each step.  The
+    Neumann tractions h(t_af) are evaluated once per step.
     """
     if max_newton < 1:
         raise ValueError(f"max_newton must be at least 1, got {max_newton}")
@@ -482,9 +503,12 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     t_af = state.t + ALPHA_F * dt
     dim = mesh.dim
 
-    dir_nodes, dir_vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (dim,), t_new,
-                                            dtype=float)
-    dir_vals = dirichlet_scale * dir_vals
+    if dirichlet is None:
+        dirichlet = DirichletNodes.of(mesh, case.dirichlet, case.walls)
+    dir_nodes = dirichlet.ids
+    dir_vals = dirichlet_scale * dirichlet.values(mesh, case.dirichlet, (dim,), t_new,
+                                                  dtype=float)
+    tractions = _tractions(case, mesh, t_af)
 
     # predictor: constant velocity, consistent boundary acceleration
     accel = (GAMMA - 1.0) / GAMMA * state.accel
@@ -505,7 +529,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
         u_af = state.velocity + ALPHA_F * (vel_new - state.velocity)
         udot_am = state.accel + ALPHA_M * (accel - state.accel)
         start = time.perf_counter()
-        resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af)
+        resid, fields = _time_residual(case, mesh, u_af, udot_am, pres, t_af, tractions)
         assembly_s += time.perf_counter() - start
         dir_rows = resid[dir_nodes, :dim]
         dir_norm2 = float(np.vdot(dir_rows, dir_rows))
@@ -593,7 +617,8 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     states and times of the last cycle are kept.  Each step uses the
     generalized-alpha constants ALPHA_M, ALPHA_F and GAMMA.  The run's
     Newton updates share one LaggedFactor, with the REFACTOR_CONTRACTION
-    of the call's time.  A step's DivergedStepError stops the run.
+    of the call's time, and its steps one DirichletNodes.  A step's
+    DivergedStepError stops the run.
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")
@@ -613,13 +638,15 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     # per step: the StepResult fields after the state, then the step's seconds
     records = []
     factor = LaggedFactor(REFACTOR_CONTRACTION)
+    dirichlet = DirichletNodes.of(mesh, case.dirichlet, case.walls)
     last_states: List[TimeState] = []
     total = case.n_cycles * steps_per_cycle
     for step in range(total):
         scale = min(1.0, (step + 1) / ramp_steps) if ramp_steps else 1.0
         start = time.perf_counter()
         state, *record = generalized_alpha_step(case, mesh, state, config,
-                                                dirichlet_scale=scale, factor=factor)
+                                                dirichlet_scale=scale, factor=factor,
+                                                dirichlet=dirichlet)
         records.append(record + [time.perf_counter() - start])
         qs, ps = _flow_trace(state, mesh, report_groups)
         times.append(state.t)

@@ -242,6 +242,24 @@ class TestBlockTangent:
             BlockTangent(tg.rows[::-1], tg.cols[::-1], 3, 2, 2, tg.k_real, tg.l_real,
                          tg.g_diag, tg.d_diag)
 
+    def test_element_operator_without_edge_blocks(self):
+        # the NS Newton operator: no edge blocks, the elements give the whole product
+        tg = random_tangent(4, 2, 3)
+        dense = dense_tangent_oracle(tg)
+
+        class Elements:
+            def add_to(self, x, y):
+                y += (dense @ x.ravel()).reshape(y.shape)
+
+        op = BlockTangent(tg.rows, tg.cols, 4, 2, 3, elements=Elements())
+        assert not op.has_edges and tg.has_edges
+        x = RNG.standard_normal(op.n_dof)
+        np.testing.assert_allclose(op.matvec(x), tg.matvec(x), rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="edge blocks"):
+            op.to_dense()
+        with pytest.raises(ValueError, match="edge blocks"):
+            block_jacobi_preconditioner(op)
+
     def test_identity_momentum_pass_through(self):
         tg = random_tangent(3, 3, 2)
         m = 2 * tg.n_modes - 1

@@ -661,9 +661,9 @@ class TestNewtonOperator:
                 fd = modes_to_real((sides[0] - sides[1]) / (2 * eps)).ravel()
                 hv = op.matvec(z)
                 assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(fd)
-                # and the element terms matter: the edge blocks alone miss them
-                edges = replace(op, elements=None)
-                assert np.linalg.norm(fd - edges.matvec(z)) > 1e-2 * np.linalg.norm(fd)
+                # and the Newton terms matter: the frozen-coefficient tangent misses them
+                frozen = assemble_ns_tangent(case, mesh, base)
+                assert np.linalg.norm(fd - frozen.matvec(z)) > 1e-2 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -675,14 +675,34 @@ class TestNewtonOperator:
         else:
             mesh, case, state, _ = bent_oracle_setup(n_modes)
         op = navier_stokes.assemble_ns_newton(case, mesh, state)
+        frozen = assemble_ns_tangent(case, mesh, state)
+        assert not op.has_edges
         jac = dense_newton_oracle(case, mesh, state)
         rng = np.random.default_rng(5 + n_modes)
         for _ in range(3):
             x = rng.standard_normal((mesh.n_nodes, dim + 1, 2 * n_modes - 1))
-            ref = (jac @ x.ravel()).reshape(x.shape)
-            got = np.zeros_like(x)
-            op.elements.add_to(x, got)
-            assert_close(got, ref, f"element terms N={n_modes} dim={dim}")
+            ref = jac @ x.ravel()
+            got = op.matvec(x) - frozen.matvec(x)
+            assert_close(got, ref, f"Newton terms N={n_modes} dim={dim}")
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_operator_is_the_edge_tangent_plus_the_newton_terms(self, n_modes):
+        # with backflow, inflow through the Neumann group and the pseudo mass
+        mesh, case, state, _ = bent_oracle_setup(n_modes, beta=0.2)
+        dt = 0.3
+        op = navier_stokes.assemble_ns_newton(case, mesh, state, pseudo_dt=dt)
+        frozen = assemble_ns_tangent(case, mesh, state, pseudo_dt=dt)
+        no_backflow = navier_stokes.assemble_ns_newton(replace(case, backflow_beta=0.0), mesh,
+                                                       state, pseudo_dt=dt)
+        jac = dense_newton_oracle(case, mesh, state)
+        rng = np.random.default_rng(29 + n_modes)
+        for _ in range(3):
+            x = rng.standard_normal(op.n_dof)
+            ref = frozen.matvec(x) + jac @ x
+            got = op.matvec(x)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            diff = np.linalg.norm(got - no_backflow.matvec(x))
+            assert diff > 1e-3 * np.linalg.norm(ref)        # the backflow term is on
 
     def test_tau_is_computed_once_per_state(self, monkeypatch):
         # the residual pass takes tau point by point; the operator reuses it
@@ -974,16 +994,24 @@ class TestLaggedPreconditioner:
 
     @staticmethod
     def _counted_solve(monkeypatch):
-        built = []
+        built, edges = [], []
+        edge_tangent = navier_stokes._edge_tangent
 
         def counting(*args, **kwargs):
             built.append(1)
             return linsolve.block_jacobi_preconditioner(*args, **kwargs)
 
+        def counted_edges(*args, **kwargs):
+            edges.append(1)
+            return edge_tangent(*args, **kwargs)
+
         monkeypatch.setattr(navier_stokes, "block_jacobi_preconditioner", counting)
+        monkeypatch.setattr(navier_stokes, "_edge_tangent", counted_edges)
         mesh, case = TestPseudoStep._bent_case()
         result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
         assert result.converged and all(u.linear_converged for u in result.updates)
+        # the edge blocks are assembled for the preconditioner only
+        assert len(edges) == len(built)
         return result, len(built)
 
     @staticmethod

@@ -247,6 +247,43 @@ class TestRunTimeSimulation:
         last = res.flow["xmax"][-10:]
         assert np.max(np.abs(last - last[-1])) <= 1e-3 * abs(last[-1])
 
+    def test_step_boundary_data_matches_data_formed_in_every_residual(self, monkeypatch):
+        # a step forms its Neumann traction once for its Newton loop, and a run resolves
+        # its Dirichlet node set once: the states match a run that adds a nonzero,
+        # time-varying traction inside every residual and resolves the nodes at every step
+        mesh = generate_rect_tri((1.0, 1.0), (4, 6))
+        case = channel_time_case(mesh, mu=0.3, n_cycles=2, dt=0.05,
+                                 modulation=lambda t: 1.0 + 0.4 * np.sin(2 * np.pi * t))
+        case.neumann = {"xmax": lambda t: 0.2 + 0.3 * np.cos(2 * np.pi * t)}
+        formed_once = run_time_simulation(case, mesh, report_groups=["xmax"])
+
+        residual, resolve = time_domain._time_residual, time_domain.DirichletNodes.of
+        times, resolved = [], []
+
+        def traction_in_every_residual(case, mesh, u_af, udot_am, pres, t_af, tractions=None):
+            resid, fields = residual(case, mesh, u_af, udot_am, pres, t_af, [])
+            for name, data in case.neumann.items():
+                fq = facet_quadrature(mesh, name)
+                resid[fq.node_ids, :mesh.dim] -= np.multiply.outer(fq.node_normals,
+                                                                   float(data(t_af)))
+            times.append(t_af)
+            return resid, fields
+
+        def resolve_at_every_step(*args):
+            resolved.append(1)
+            return resolve(*args)
+
+        monkeypatch.setattr(time_domain, "_time_residual", traction_in_every_residual)
+        monkeypatch.setattr(time_domain.DirichletNodes, "of", resolve_at_every_step)
+        in_every = run_time_simulation(case, mesh, report_groups=["xmax"])
+        assert len(resolved) == 1 and len(times) > len(set(times)) > 1
+        steps = zip(formed_once.last_cycle_states, in_every.last_cycle_states)
+        for ours, ref in steps:
+            for name in ("velocity", "accel", "pressure"):
+                np.testing.assert_array_equal(getattr(ours, name), getattr(ref, name))
+        np.testing.assert_array_equal(formed_once.flow["xmax"], in_every.flow["xmax"])
+        assert formed_once.newton_iters == in_every.newton_iters
+
     def test_oscillatory_channel_matches_analytic(self):
         # pressure-driven pulsatile channel versus the closed-form modes
         rho, mu, b = 1.0, 0.05, 0.5
