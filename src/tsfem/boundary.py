@@ -1,5 +1,5 @@
 """Boundary data shared by the solvers: facet-group roles, Dirichlet values,
-the Neumann traction term and the backflow facet and edge blocks.
+the Neumann traction term and the backflow facet blocks (FacetBlocks).
 
 Boundary data of a facet group is uniform (an array of the per-node
 shape, or SpectralCoeffs), a callable of the node coordinates, or, for
@@ -22,8 +22,8 @@ import numpy as np
 from .mesh import Mesh
 from .spectral import SpectralCoeffs
 
-__all__ = ["DirichletNodes", "NodalValues", "add_backflow", "add_traction", "backflow_facets",
-           "check_groups", "boundary_values", "resolve_dirichlet"]
+__all__ = ["DirichletNodes", "FacetBlocks", "NodalValues", "add_traction", "check_groups",
+           "boundary_values", "resolve_dirichlet"]
 
 
 @dataclass(frozen=True)
@@ -136,20 +136,44 @@ def add_traction(out: np.ndarray, fq, h) -> None:
     out[fq.node_ids] -= np.multiply.outer(fq.node_normals, h)
 
 
-def backflow_facets(fq, scale: float, an_neg: np.ndarray) -> np.ndarray:
-    """scale sum_q w_q N_A N_B |A_n|_- on each facet of a group, (F, k, k, M, M).
+@dataclass(frozen=True)
+class FacetBlocks:
+    """The backflow term scale sum_q w_q N_A N_B |A_n|_- of a facet group, per facet.
 
-    an_neg is |A_n|_- at every facet quadrature point of fq, (F, Q, M, M);
-    the result holds facet f's block of nodes (a, b) at [f, a, b].
+    nodes are the group's facet nodes (F, k) and blocks the node-pair
+    blocks of each facet, B_AB[r, c] at [f, (B, c), (A, r)], (F, k M, k M):
+    the right factor of the row-vector product x_f B with the facet's nodal
+    values x_f at [(B, c)].  of builds them from |A_n|_- at every facet
+    quadrature point of the group's FacetQuadData, (F, Q, M, M); the
+    residual, the Newton operator (add_product) and the edge blocks
+    (add_to_edges) of a state all use the same blocks.
     """
-    return np.einsum("fq,qa,qb,fqrc->fabrc", scale * fq.weights, fq.shape, fq.shape, an_neg)
 
+    nodes: np.ndarray    # (F, k)
+    blocks: np.ndarray   # (F, k M, k M)
 
-def add_backflow(blocks: np.ndarray, ctx, fq, scale: float, an_neg: np.ndarray) -> None:
-    """Add the backflow_facets blocks of a facet group to the edge blocks in place.
+    @classmethod
+    def of(cls, fq, scale: float, an_neg: np.ndarray) -> "FacetBlocks":
+        n_f, k = fq.nodes.shape
+        blocks = np.einsum("fq,qa,qb,fqrc->fbcar", scale * fq.weights, fq.shape, fq.shape,
+                           an_neg)
+        return cls(fq.nodes, blocks.reshape(n_f, k * an_neg.shape[-1], -1))
 
-    blocks are the (n_edges, M, M) blocks on the edges of ctx, the mesh's
-    AssemblyContext, whose edge_ids locate each facet node pair.
-    """
-    k_el = backflow_facets(fq, scale, an_neg)
-    np.add.at(blocks, ctx.edge_ids(fq.nodes), k_el.reshape((-1,) + blocks.shape[1:]))
+    def add_product(self, x: np.ndarray, y: np.ndarray) -> None:
+        """y += the blocks times x in place, both (n_nodes, d, M), e.g. velocity rows."""
+        n_f, k = self.nodes.shape
+        d, m = x.shape[1:]
+        x_f = x[self.nodes].transpose(0, 2, 1, 3).reshape(n_f, d, k * m)
+        y_f = np.matmul(x_f, self.blocks).reshape(n_f, d, k, m).transpose(0, 2, 1, 3)
+        np.add.at(y, self.nodes.ravel(), y_f.reshape(-1, d, m))
+
+    def add_to_edges(self, blocks: np.ndarray, ctx) -> None:
+        """Add the blocks to the edge blocks (n_edges, M, M) of ctx in place.
+
+        ctx is the mesh's AssemblyContext, whose edge_ids locate each
+        facet node pair.
+        """
+        n_f, k = self.nodes.shape
+        m = blocks.shape[-1]
+        pairs = self.blocks.reshape(n_f, k, m, k, m).transpose(0, 3, 1, 4, 2)   # [f, A, B, r, c]
+        np.add.at(blocks, ctx.edge_ids(self.nodes), pairs.reshape(-1, m, m))

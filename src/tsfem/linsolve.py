@@ -275,10 +275,8 @@ class AssemblyContext:
     nodes is the SortedSegments of the element-node keys (residual and
     element-operator scatter: few keys, long runs) and edges the Segments
     of the build_graph edge_of keys (tangent scatter: many keys, short
-    runs).  edge_mass, when the plan is built with the element mass
-    matrices, is their sum onto the edges: sum_e detj sum_q w_q N_A N_B
-    per node pair.  The graph's LevelPlan is built by the first
-    level_plan call and kept here.
+    runs).  The graph's LevelPlan is built by the first level_plan call and
+    kept here.
     """
 
     rows: np.ndarray
@@ -286,20 +284,13 @@ class AssemblyContext:
     n_nodes: int
     nodes: SortedSegments
     edges: Segments
-    edge_mass: Optional[np.ndarray] = None
     _levels: Optional[LevelPlan] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, elements: np.ndarray, n_nodes: int, graph,
-              element_mass: np.ndarray | None = None) -> "AssemblyContext":
-        """Plan for a connectivity, its build_graph output and optionally its mass."""
+    def build(cls, elements: np.ndarray, n_nodes: int, graph) -> "AssemblyContext":
+        """Plan for a connectivity and its build_graph output."""
         rows, cols, edge_of = graph
-        edges = Segments.of(edge_of)
-        edge_mass = None
-        if element_mass is not None:
-            edge_mass = np.zeros(rows.shape[0])
-            edges.add_to(edge_mass, element_mass.ravel())
-        return cls(rows, cols, n_nodes, SortedSegments.of(elements), edges, edge_mass)
+        return cls(rows, cols, n_nodes, SortedSegments.of(elements), Segments.of(edge_of))
 
     def edge_ids(self, nodes: np.ndarray) -> np.ndarray:
         """Edge index of every (nodes[f, a], nodes[f, b]) pair, in (f, a, b) order.
@@ -328,8 +319,7 @@ def assembly_context(mesh, graph_builder: Callable) -> AssemblyContext:
     """
     if mesh._assembly is None:
         mesh._assembly = AssemblyContext.build(
-            mesh.elements, mesh.n_nodes, graph_builder(mesh.elements, mesh.n_nodes),
-            mesh.element_data().mass)
+            mesh.elements, mesh.n_nodes, graph_builder(mesh.elements, mesh.n_nodes))
     return mesh._assembly
 
 

@@ -26,10 +26,10 @@ mode-coupled least-squares gradient/divergence blocks on request
 (exact_gd).  Pseudo-time stepping adds the mass term
 (1.5 rho / pseudo_dt) sum_e detj sum_q w_q N_A N_B to the velocity
 diagonal block and performs one Newton update per step.  The mass is
-geometry only: the operator takes the element mass matrices, the edge
-blocks the mass scattered once per mesh (AssemblyContext.edge_mass), and
-both add it after the assembly, so each step's pseudo_dt is chosen once
-the same assembly has given the step's residual.  The residual is
+geometry only: the operator and the edge blocks both add the element
+mass matrices (ElementData.mass) to their element velocity blocks, and
+both are built after the residual, so each step's pseudo_dt is chosen
+once the same assembly has given the step's residual.  The residual is
 assembled first and the operator only when a linear solve follows, from
 the residual pass's tau and point tables.  solve_ns grows the step by
 switched-evolution relaxation (SER) as the residual falls, from the
@@ -61,8 +61,9 @@ element integrand over the quadrature points before scattering it once,
 through the plans cached on the mesh at its first assembly.  Blocks that
 depend on geometry only (viscous and pressure stiffness,
 gradient/divergence) are formed once per element instead of once per
-quadrature point.  The backflow term is formed on every facet
-quadrature point of a group at once.
+quadrature point.  The backflow term is formed once per state, as the
+boundary.FacetBlocks of each Neumann group, which the residual, the
+operator and the edge blocks all apply.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ import numpy as np
 
 from . import spectral
 from .boundary import (
+    FacetBlocks,
     NodalValues,
-    add_backflow,
     add_traction,
-    backflow_facets,
     boundary_values,
     check_groups,
     resolve_dirichlet,
@@ -276,9 +276,9 @@ class _Linearization:
     grad_u: np.ndarray   # (E, dim, dim, M) d u_i / d x_j at [e, j, i]
     t: np.ndarray        # (E, n_qp M, nen M) the gls_tables t
     s_w: np.ndarray      # (E, n_qp M, nen M) the gls_tables test function S
-    taus: np.ndarray     # (n_qp, E, M, M) tau at each quadrature point
+    w_tau: np.ndarray    # (E, n_qp, M, M) w detj tau at each quadrature point
     z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
-    backflow: dict       # per Neumann group, |A_n|_- at each facet quadrature point
+    backflow: list       # the backflow FacetBlocks of each Neumann group
     tau_s: float         # seconds of the pass spent in tau_from_modes
 
 
@@ -286,14 +286,14 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
                    coeff_state: NSState | None = None):
     """Real-basis residual, (n_nodes, dim+1, 2N-1), and its _Linearization.
 
-    tau is taken one quadrature point at a time, and the point tables t
-    and S of spectral_real.gls_tables from it, with A_j and tau at the
-    velocity of coeff_state when given.  With strong_i = rho t u_i + dp/dx_i
-    at each point, the momentum row of node A is sum_q S_A(q)^T strong_i,
-    the Galerkin and least-squares weights in one product, plus the
-    viscous and pressure terms; the continuity row adds
-    dN_A/dx_i sum_q w tau strong_i / rho to the Galerkin divergence.  The
-    states must be conjugate-symmetric (ValueError naming the field if
+    tau is taken one quadrature point at a time and weighted by w detj
+    once, and the point tables t and S of spectral_real.gls_tables from it,
+    with A_j and tau at the velocity of coeff_state when given.  With
+    strong_i = rho t u_i + dp/dx_i at each point, the momentum row of node
+    A is sum_q S_A(q)^T strong_i, the Galerkin and least-squares weights in
+    one product, plus the viscous and pressure terms; the continuity row
+    adds dN_A/dx_i sum_q w tau strong_i / rho to the Galerkin divergence.
+    The states must be conjugate-symmetric (ValueError naming the field if
     not).
     """
     check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
@@ -319,14 +319,15 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     grad_u = np.matmul(grads.swapaxes(1, 2), u_el).reshape(n_el, dim, dim, m)
     grad_p = np.matmul(grads.swapaxes(1, 2), p_el)         # (E, dim, M)
     uc_q = np.empty((n_qp, n_el, dim, m))
-    tau_q = np.empty((n_qp, n_el, m, m))
+    w_tau = np.empty((n_el, n_qp, m, m))                   # w tau(q) at [e, q]
     tau_s = 0.0
     for q in range(n_qp):
         uc_q[q] = (shp[q] @ uc_el).reshape(n_el, dim, m)
         start = time.perf_counter()
-        tau_q[q] = tau_from_modes(uc_q[q], ed.metric, case.nu, c_i, n)
+        w_tau[:, q] = tau_from_modes(uc_q[q], ed.metric, case.nu, c_i, n)
         tau_s += time.perf_counter() - start
-    t, s_w = gls_tables(uc_q, tau_q, ed, case.omega)
+    w_tau *= ed.wdetj[:, :, None, None]
+    t, s_w = gls_tables(uc_q, w_tau, ed, case.omega)
     del uc_q
     u_rows = u_el.reshape(n_el, nen, dim, m).transpose(0, 2, 1, 3).reshape(n_el, dim, -1)
     strong = np.matmul(u_rows, t.swapaxes(1, 2))          # strong_i(q)[r] at [e, i, (q, r)]
@@ -338,8 +339,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     r_m += (mu * ed.vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
             ).reshape(n_el, nen, dim, m)
     # w tau strong_i(q) at [e, q, i]
-    wv = np.matmul(strong.reshape(n_el, dim, n_qp, m).swapaxes(1, 2),
-                   ed.wdetj[:, :, None, None] * tau_q.swapaxes(0, 1))
+    wv = np.matmul(strong.reshape(n_el, dim, n_qp, m).swapaxes(1, 2), w_tau)
     div_u = np.einsum("eiim->em", grad_u)
     r_c = n_int[:, :, None] * div_u[:, None] + np.matmul(grads, wv.sum(axis=1)) / rho
     resid = np.zeros((mesh.n_nodes, dim + 1, m))
@@ -352,7 +352,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         h_modes = _checked_real(boundary_values(data, (m,), what), what)
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _add_backflow_residual(case, mesh, vel, vel_c, resid)
-    lin = _Linearization(grad_u, t, s_w, tau_q, z, backflow, tau_s)
+    lin = _Linearization(grad_u, t, s_w, w_tau, z, backflow, tau_s)
     return resid, lin
 
 
@@ -361,12 +361,14 @@ def _checked_real(modes: np.ndarray, what: str) -> np.ndarray:
     return modes_to_real(require_conjugate_symmetry(modes, what))
 
 
-def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, *,
+def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, pseudo_dt: float = np.inf, *,
                   exact_gd: bool = False) -> BlockTangent:
-    """Edge blocks of the frozen-coefficient tangent at the state of lin, without pseudo mass.
+    """Edge blocks of the frozen-coefficient tangent at the state of lin.
 
     K is spectral_real.gls_operator of the residual pass's point tables t
-    and S, plus the backflow blocks of each Neumann group; L =
+    and S, plus the pseudo-time mass (1.5 rho / pseudo_dt) M_AB of a finite
+    pseudo_dt on the mode diagonal (M the element mass, as the operator
+    adds it) and the residual pass's backflow FacetBlocks; L =
     grad N_A . grad N_B sum_q w tau / rho, and the Galerkin gradient and
     divergence are the scalars -dN_A/dx_i n_B and n_A dN_B/dx_j (n_A =
     sum_q w N_A).  exact_gd adds the least-squares coupling, P_A in the
@@ -390,12 +392,14 @@ def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, *,
     g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
     d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
 
-    elems, grads, tau_q, n_int, s_w = mesh.elements, ed.grads, lin.taus, ed.n_int, lin.s_w
+    elems, grads, n_int, s_w = mesh.elements, ed.grads, ed.n_int, lin.s_w
     n_el, nen = elems.shape
     k_el = gls_operator(lin.t, s_w, ed, rho, case.mu)
+    if np.isfinite(pseudo_dt):
+        k_el[..., diag, diag] += ((1.5 * rho / pseudo_dt) * ed.mass)[..., None]
     ctx.edges.add_to(k_c, k_el.reshape(-1, m, m))
     del k_el
-    tau_sum = np.einsum("eq,qerc->erc", ed.wdetj, tau_q)
+    tau_sum = lin.w_tau.sum(axis=1)
     ctx.edges.add_to(l_c, ((ed.gab / rho)[..., None, None] * tau_sum[:, None, None])
                      .reshape(-1, m, m))
     ctx.edges.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
@@ -408,9 +412,8 @@ def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, *,
                          .reshape(-1, dim, m, m))
         ctx.edges.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, u_sum.swapaxes(1, 2))
                          .reshape(-1, dim, m, m))
-    for name, an_neg in lin.backflow.items():
-        add_backflow(k_c, ctx, facet_quadrature(mesh, name), -0.5 * rho * case.backflow_beta,
-                     an_neg)
+    for blocks in lin.backflow:
+        blocks.add_to_edges(k_c, ctx)
     if exact_gd:
         g_c[..., diag, diag] += g_scal[..., None]
         d_c[..., diag, diag] += d_scal[..., None]
@@ -440,7 +443,6 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization,
     elems, grads, n_int = mesh.elements, ed.grads, ed.n_int
     n_el, nen = elems.shape
 
-    w_tau = (ed.wdetj.T[:, :, None, None] / rho * lin.taus).swapaxes(0, 1)
     vg = case.mu * ed.vol[:, None, None] * ed.gab
     if np.isfinite(pseudo_dt):
         vg = vg + (1.5 * rho / pseudo_dt) * ed.mass
@@ -449,16 +451,10 @@ def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization,
     samples = real_basis(n).samples
     du_t = samples @ (rho * lin.grad_u.transpose(2, 1, 3, 0))    # rho d u_i / d x_k at [i, k]
     z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
-    backflow = []
-    for name, an_neg in lin.backflow.items():
-        fq = facet_quadrature(mesh, name)
-        blocks = backflow_facets(fq, -0.5 * rho * case.backflow_beta, an_neg)
-        backflow.append((fq.nodes, np.ascontiguousarray(blocks.transpose(0, 2, 4, 1, 3))
-                         .reshape(len(fq.nodes), fq.nodes.shape[1] * m, -1)))
     elements = _NewtonElements(mesh.n_nodes, n, rho, ed.basis, elems, ctx.nodes, grads,
                                np.concatenate([grads, n_int[..., None]], axis=2), lin.t,
-                               lin.s_w, w_tau.reshape(n_el, -1, m), vg, c_p, du_t,
-                               z_t.reshape(dim, -1, nen, n_el), backflow)
+                               lin.s_w, lin.w_tau.reshape(n_el, -1, m) / rho, vg, c_p, du_t,
+                               z_t.reshape(dim, -1, nen, n_el), lin.backflow)
     return BlockTangent(ctx.rows, ctx.cols, mesh.n_nodes, dim, n, elements=elements)
 
 
@@ -483,11 +479,12 @@ class _NewtonElements(NamedTuple):
     residual pass's form: S^T s_i holds the Galerkin n_A g_i, which C
     replaces by the Galerkin gradient -dN_A/dx_i sum_B n_B x_B,p, and Z is
     the variation of S through the convection matrices.  The facets of
-    each Neumann group add their backflow blocks (boundary.backflow_facets)
-    to the momentum rows of their nodes; the backflow variation is left
-    out.  The edge blocks of _edge_tangent are these terms less y, Z, the
-    least-squares gradient coupling (S^T g beyond its Galerkin n_A g_i)
-    and the least-squares divergence coupling sum_q w tau t x / rho.
+    each Neumann group add the residual pass's backflow blocks
+    (boundary.FacetBlocks) to the momentum rows of their nodes; the
+    backflow variation is left out.  The edge blocks of _edge_tangent are
+    these terms less y, Z, the least-squares gradient coupling (S^T g
+    beyond its Galerkin n_A g_i) and the least-squares divergence coupling
+    sum_q w tau t x / rho.
 
     The terms with t, S and tau are batched row-vector matmuls with stored
     element matrices.  The products * run pointwise on the P = 3N-2 time
@@ -515,8 +512,7 @@ class _NewtonElements(NamedTuple):
     c_p: np.ndarray        # (E, dim, nen, nen) C_i,AB
     du_t: np.ndarray       # (dim, dim, P, E): rho d u_i / d x_k at [i, k]
     z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
-    backflow: list         # per Neumann group: facet nodes (F, k), and the backflow
-                           # blocks at [f, (b, c), (a, r)], (F, k M, k M)
+    backflow: list         # the backflow FacetBlocks of each Neumann group
 
     def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
         """y += this operator times x, both (n_nodes, dim+1, 2N-1) real coordinates."""
@@ -552,34 +548,31 @@ class _NewtonElements(NamedTuple):
         res[:, :, :d] = mom.swapaxes(1, 2)
         np.matmul(self.grads_n, cont, out=res[:, :, d])
         self.node_seg.add_to(y, res.reshape(n_el * nen, d + 1, m))
-        for nodes, blocks in self.backflow:
-            n_f, k = nodes.shape
-            x_f = x[nodes, :d].transpose(0, 2, 1, 3).reshape(n_f, d, k * m)
-            y_f = np.matmul(x_f, blocks).reshape(n_f, d, k, m).transpose(0, 2, 1, 3)
-            np.add.at(y[:, :d], nodes.ravel(), y_f.reshape(-1, d, m))
+        for blocks in self.backflow:
+            blocks.add_product(x[:, :d], y[:, :d])
 
 
-def _add_backflow_residual(case, mesh, vel, vel_c, resid) -> dict:
-    """Add the backflow term to the real-basis resid in place; return its operators.
+def _add_backflow_residual(case, mesh, vel, vel_c, resid) -> list:
+    """Add the backflow term to the real-basis resid in place; return its FacetBlocks.
 
     The term is -(rho beta / 2) sum_q w N_A |A_n|_- u, with |A_n|_- of the
-    velocity vel_c and u of vel at each facet quadrature point; the
-    operators |A_n|_- are (F, Q, M, M) per Neumann group, and none when the
-    term is off (backflow_beta 0 or no Neumann group).
+    velocity vel_c at each facet quadrature point and u of vel: the
+    boundary.FacetBlocks of each Neumann group times vel.  The list holds
+    those blocks, one per group, and is empty when the term is off
+    (backflow_beta 0 or no Neumann group).
     """
     if not (case.backflow_beta > 0.0 and case.neumann):
-        return {}
+        return []
     scale = -0.5 * case.rho * case.backflow_beta
-    mom = resid[:, :mesh.dim]
-    ops = {}
+    backflow = []
     for name in case.neumann:
         fq = facet_quadrature(mesh, name)
         un = np.einsum("fqim,fi->fqm", fq.interpolate(vel_c), fq.normals)
-        ops[name] = an_neg = negative_part_batch(convolution_dense(un, case.n_modes))
-        r_el = np.einsum("fq,qa,fqrc,fqic->fair", scale * fq.weights, fq.shape, an_neg,
-                         fq.interpolate(vel))
-        np.add.at(mom, fq.nodes.ravel(), r_el.reshape((-1,) + mom.shape[1:]))
-    return ops
+        an_neg = negative_part_batch(convolution_dense(un, case.n_modes))
+        blocks = FacetBlocks.of(fq, scale, an_neg)
+        blocks.add_product(vel, resid[:, :mesh.dim])
+        backflow.append(blocks)
+    return backflow
 
 
 def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,
@@ -604,10 +597,8 @@ def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
     derivative of the frozen-coefficient residual.  A finite pseudo_dt adds
     the mass term (N_A, 1.5 rho / pseudo_dt N_B) to the K block.
     """
-    tangent = _edge_tangent(case, mesh, _residual_pass(case, mesh, state)[1],
-                            exact_gd=exact_gd)
-    _add_pseudo_mass(tangent, mesh, case.rho, pseudo_dt)
-    return tangent
+    return _edge_tangent(case, mesh, _residual_pass(case, mesh, state)[1], pseudo_dt,
+                         exact_gd=exact_gd)
 
 
 def assemble_ns_newton(case: NSCase, mesh: Mesh, state: NSState,
@@ -620,19 +611,6 @@ def assemble_ns_newton(case: NSCase, mesh: Mesh, state: NSState,
     edge blocks.  The backflow operator stays frozen.
     """
     return _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1], pseudo_dt)
-
-
-def _add_pseudo_mass(tangent: BlockTangent, mesh: Mesh, rho: float,
-                     pseudo_dt: float) -> None:
-    """Add the pseudo-time mass (N_A, 1.5 rho / pseudo_dt N_B) to K in place.
-
-    The mass is the mesh's cached edge mass times the identity on the mode
-    slots; pseudo_dt = inf adds nothing.
-    """
-    if np.isfinite(pseudo_dt):
-        slots = np.arange(tangent.n_slots)
-        edge_mass = assembly_context(mesh, build_graph).edge_mass
-        tangent.k_real[:, slots, slots] += (1.5 * rho / pseudo_dt) * edge_mass[:, None]
 
 
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
@@ -745,8 +723,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     precond_s = 0.0
     if lagged.apply is None:
         # factored before the operator is built, so the two never hold memory at once
-        edges = _edge_tangent(case, mesh, lin)
-        _add_pseudo_mass(edges, mesh, case.rho, pseudo_dt)
+        edges = _edge_tangent(case, mesh, lin, pseudo_dt)
         factoring = time.perf_counter()
         lagged.apply = block_jacobi_preconditioner(
             edges, pins, assembly_context(mesh, build_graph).level_plan())

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from . import spectral
-from .boundary import add_backflow, boundary_values, check_groups, resolve_dirichlet
+from .boundary import FacetBlocks, boundary_values, check_groups, resolve_dirichlet
 from .linsolve import (
     BlockMatrix,
     LinearSolveError,
@@ -160,10 +160,11 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
 
     u_q = modes_to_real(_velocity(case, ed.points, ed.basis, mesh.elements)).swapaxes(0, 1)
     if case.galerkin_only:
-        taus = np.zeros(u_q.shape[:2] + (m, m))
+        w_tau = np.zeros((mesh.n_elements, u_q.shape[0], m, m))
     else:
         taus = tau_from_modes(u_q, ed.metric, case.kappa, c_i_for(mesh.elem_type, case.c_i), n)
-    t, s_w = gls_tables(u_q, taus, ed, case.omega)
+        w_tau = (ed.wdetj.T[:, :, None, None] * taus).swapaxes(0, 1)
+    t, s_w = gls_tables(u_q, w_tau, ed, case.omega)
     k_el = gls_operator(t, s_w, ed, 1.0, case.kappa)
     del t
     ctx.edges.add_to(blocks, k_el.reshape(-1, m, m))
@@ -188,7 +189,7 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
             un = np.einsum("fqdm,fd->fqm", _velocity(case, fq.points, fq.shape, fq.nodes),
                            fq.normals)
             an_neg = negative_part_batch(convolution_dense(modes_to_real(un), n))
-            add_backflow(blocks, ctx, fq, -0.5 * case.backflow_beta, an_neg)
+            FacetBlocks.of(fq, -0.5 * case.backflow_beta, an_neg).add_to_edges(blocks, ctx)
 
     return BlockMatrix(ctx.rows, ctx.cols, blocks, mesh.n_nodes), rhs
 

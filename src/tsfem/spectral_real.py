@@ -53,20 +53,21 @@ def tau_from_modes(u_modes: np.ndarray, metric: np.ndarray, kappa: float,
                          c_i, n_modes)
 
 
-def gls_tables(u_q: np.ndarray, taus: np.ndarray, ed, omega: float):
+def gls_tables(u_q: np.ndarray, w_tau: np.ndarray, ed, omega: float):
     """Point tables of the Galerkin/least-squares form of rho (Omega + A_j d/dx_j) - mu laplace.
 
     u_q holds the real velocity coordinates entering the A_j at the
-    quadrature points, (n_qp, E, dim, 2N-1), taus the tau there, (n_qp, E,
-    2N-1, 2N-1) (zero for plain Galerkin), and ed is the mesh's
-    ElementData.  t_B(q) = N_B Omega + A_j dN_B/dx_j is the linearized
-    strong residual of node B at point q.  With tau and the A_j symmetric
-    and Omega skew, the least-squares weight (A_j dN_A/dx_j - N_A Omega) tau
-    is (tau t_A(q))^T, so the transposed stabilized test function
-    S_A(q) = w (N_A I + tau t_A(q)) weights a strong residual f at the
-    points into the rows of node A as sum_q S_A(q)^T f(q).  Returns t with
-    t_B(q)[s, c] at [e, (q, s), (B, c)] and S with S_A(q)[r, c] at
-    [e, (q, r), (A, c)], both (E, n_qp M, nen M).
+    quadrature points, (n_qp, E, dim, 2N-1), w_tau the tau there weighted
+    by the point's w detj, (E, n_qp, 2N-1, 2N-1) (zero for plain
+    Galerkin), and ed is the mesh's ElementData.  t_B(q) = N_B Omega +
+    A_j dN_B/dx_j is the linearized strong residual of node B at point q.
+    With tau and the A_j symmetric and Omega skew, the least-squares weight
+    (A_j dN_A/dx_j - N_A Omega) tau is (tau t_A(q))^T, so the transposed
+    stabilized test function S_A(q) = w (N_A I + tau t_A(q)) weights a
+    strong residual f at the points into the rows of node A as
+    sum_q S_A(q)^T f(q).  Returns t with t_B(q)[s, c] at
+    [e, (q, s), (B, c)] and S with S_A(q)[r, c] at [e, (q, r), (A, c)],
+    both (E, n_qp M, nen M).
     """
     n_qp, n_el, dim, m = u_q.shape
     nen = ed.grads.shape[1]
@@ -80,7 +81,6 @@ def gls_tables(u_q: np.ndarray, taus: np.ndarray, ed, omega: float):
         t[:, q] = a_dir.swapaxes(1, 2)
         t[:, q] += ed.basis[q][:, None] * omega_mat[:, None, :]
     del conv, a_dir
-    w_tau = (ed.wdetj.T[:, :, None, None] * taus).swapaxes(0, 1)   # (E, n_qp, M, M)
     s_w = np.matmul(w_tau, t.reshape(n_el, n_qp, m, nen * m)).reshape(n_el, -1, nen * m)
     # w N_A(q) I, with w N_A(q) at [e, q, A]
     s_w.reshape(n_el, n_qp, m, nen, m)[:, :, diag, :, diag] += ed.wdetj[:, :, None] * ed.basis

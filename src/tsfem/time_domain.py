@@ -68,6 +68,7 @@ __all__ = [
     "StepResult",
     "DivergedStepError",
     "REFACTOR_CONTRACTION",
+    "MAX_NEWTON",
     "ROUNDING_FLOOR",
     "LaggedFactor",
     "time_tau",
@@ -397,6 +398,10 @@ ROUNDING_FLOOR = 16.0
 # one step needs 9 of its 10 iterations; 0.25 is the fastest of the three.
 REFACTOR_CONTRACTION = 0.25
 
+# A step runs at most this many Newton iterations: a residual evaluation, then an update
+# unless the residual has converged.
+MAX_NEWTON = 10
+
 
 class LaggedFactor:
     """Direct solve of a lagged time-step Newton operator, kept across updates.
@@ -466,13 +471,12 @@ class StepResult(NamedTuple):
 
 def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
                            config: SolverConfig | None = None,
-                           max_newton: int = 10,
                            dirichlet_scale: float = 1.0,
                            factor: LaggedFactor | None = None,
                            dirichlet: DirichletNodes | None = None) -> StepResult:
     """Advance one implicit step.
 
-    Newton iterations (at most max_newton residual evaluations) reduce the
+    Newton iterations (at most MAX_NEWTON residual evaluations) reduce the
     free residual to eps_nr relative to its value r0 at the start of the
     step, or to ROUNDING_FLOOR rounding errors of the full residual,
     whichever is larger.
@@ -491,8 +495,6 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     when not given; only the values are evaluated at each step.  The
     Neumann tractions h(t_af) are evaluated once per step.
     """
-    if max_newton < 1:
-        raise ValueError(f"max_newton must be at least 1, got {max_newton}")
     if config is None:
         config = SolverConfig()
     if factor is None:
@@ -524,7 +526,7 @@ def generalized_alpha_step(case: TimeCase, mesh: Mesh, state: TimeState,
     converged = False
     iters = solves = 0
     assembly_s = linear_s = 0.0
-    for it in range(max_newton):
+    for it in range(MAX_NEWTON):
         iters = it + 1
         u_af = state.velocity + ALPHA_F * (vel_new - state.velocity)
         udot_am = state.accel + ALPHA_M * (accel - state.accel)

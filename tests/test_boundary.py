@@ -2,9 +2,14 @@ from typing import Dict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsfem.boundary import NodalValues, add_traction, check_groups, resolve_dirichlet
-from tsfem.mesh import facet_quadrature, generate_bent_channel_tet, generate_rect_tri
+from tsfem.boundary import (FacetBlocks, NodalValues, add_traction, check_groups,
+                            resolve_dirichlet)
+from tsfem.linsolve import assembly_context, build_graph
+from tsfem.mesh import (facet_quadrature, generate_bent_channel_tet, generate_box_tet,
+                        generate_rect_tri)
 from tsfem.navier_stokes import NSCase, parabolic_inflow, resolve_ns_dirichlet
 from tsfem.scalar import ScalarCase, resolve_scalar_dirichlet
 from tsfem.spectral import SpectralCoeffs, modes_from_real, n_coeffs, symmetrize_modes
@@ -205,3 +210,76 @@ class TestTraction:
         modes = np.ones((mesh.n_nodes, 2, 3))
         add_traction(modes, fq, h)
         np.testing.assert_allclose(modes - 1.0, scalar[..., None] * h / 1.5, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the backflow facet blocks against a per-facet, per-point loop
+# ---------------------------------------------------------------------------
+
+# an outlet of line2 facets and one of tri3 facets
+FACET_MESHES = {"line2": generate_rect_tri((1.0, 0.8), (3, 4)),
+                "tri3": generate_box_tet((1.0, 0.7, 0.9), (2, 2, 1))}
+
+
+def facet_terms(fq, scale, an_neg):
+    """(facet nodes, node A, node B, the term's block) at every point of every facet pair."""
+    for f, nodes in enumerate(fq.nodes):
+        for q in range(fq.weights.shape[1]):
+            for a, node_a in enumerate(nodes):
+                for b, node_b in enumerate(nodes):
+                    w = scale * fq.weights[f, q] * fq.shape[q, a] * fq.shape[q, b]
+                    yield node_a, node_b, w * an_neg[f, q]
+
+
+def oracle_add_product(fq, scale, an_neg, x, y):
+    for node_a, node_b, block in facet_terms(fq, scale, an_neg):
+        for i in range(x.shape[1]):
+            y[node_a, i] += block @ x[node_b, i]
+
+
+def oracle_add_to_edges(fq, scale, an_neg, ctx, blocks):
+    edge = {(r, c): k for k, (r, c) in enumerate(zip(ctx.rows, ctx.cols))}
+    for node_a, node_b, block in facet_terms(fq, scale, an_neg):
+        blocks[edge[node_a, node_b]] += block
+
+
+class TestFacetBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(facets=st.sampled_from(sorted(FACET_MESHES)), m=st.sampled_from([1, 3, 5]),
+           d=st.integers(1, 3), scale=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_facet_loop(self, facets, m, d, scale, seed):
+        # out starts nonzero, as it does when the other terms are in it
+        rng = np.random.default_rng(seed)
+        mesh = FACET_MESHES[facets]
+        fq = facet_quadrature(mesh, "xmax")
+        ctx = assembly_context(mesh, build_graph)
+        an_neg = rng.standard_normal(fq.weights.shape + (m, m))
+        an_neg += an_neg.swapaxes(2, 3)
+        fb = FacetBlocks.of(fq, scale, an_neg)
+        x = rng.standard_normal((mesh.n_nodes, d, m))
+        y = rng.standard_normal((mesh.n_nodes, d, m))
+        ref = y.copy()
+        oracle_add_product(fq, scale, an_neg, x, ref)
+        fb.add_product(x, y)
+        np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-12)
+        edges = rng.standard_normal((ctx.rows.size, m, m))
+        ref = edges.copy()
+        oracle_add_to_edges(fq, scale, an_neg, ctx, ref)
+        fb.add_to_edges(edges, ctx)
+        np.testing.assert_allclose(edges, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("facets", sorted(FACET_MESHES))
+    def test_zero_operator_adds_exact_zeros(self, facets):
+        mesh = FACET_MESHES[facets]
+        fq = facet_quadrature(mesh, "xmax")
+        ctx = assembly_context(mesh, build_graph)
+        fb = FacetBlocks.of(fq, -0.5, np.zeros(fq.weights.shape + (3, 3)))
+        assert not np.any(fb.blocks)
+        y = RNG.standard_normal((mesh.n_nodes, 2, 3))
+        before = y.copy()
+        fb.add_product(RNG.standard_normal(y.shape), y)
+        np.testing.assert_array_equal(y, before)
+        edges = RNG.standard_normal((ctx.rows.size, 3, 3))
+        before = edges.copy()
+        fb.add_to_edges(edges, ctx)
+        np.testing.assert_array_equal(edges, before)

@@ -15,7 +15,7 @@ from tsfem.linsolve import (
     assembly_context,
     build_graph,
 )
-from tsfem.boundary import check_groups
+from tsfem.boundary import FacetBlocks, check_groups
 from tsfem.config import build_case, build_mesh, build_solver_config, config_from_mapping
 from tsfem.mesh import (
     Mesh,
@@ -269,12 +269,27 @@ class TestTangent:
             assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(fd)
 
     def test_infinite_pseudo_dt_is_mass_free(self):
+        # the pseudo_dt terms of K are (1.5 rho / dt) sum_e detj sum_q w_q N_A N_B on the
+        # mode diagonal, summed here one element and point at a time
         mesh = generate_rect_tri((1.0, 1.0), (2, 2))
         case = poiseuille_case(n_modes=2, omega=1.0)
         state = random_state(mesh, 2)
+        dt = 0.1
         tg_inf = assemble_ns_tangent(case, mesh, state, pseudo_dt=np.inf)
-        tg_fin = assemble_ns_tangent(case, mesh, state, pseudo_dt=0.1)
-        assert np.max(np.abs(tg_inf.k_real - tg_fin.k_real)) > 0.0
+        tg_fin = assemble_ns_tangent(case, mesh, state, pseudo_dt=dt)
+        rule = quadrature_rule(mesh.elem_type)
+        basis = shape_values(mesh.elem_type, rule.points)
+        edge = {(r, c): k for k, (r, c) in enumerate(zip(tg_inf.rows, tg_inf.cols))}
+        mass = np.zeros(len(tg_inf.rows))
+        for nodes, detj in zip(mesh.elements, mesh.element_data().detj):
+            for w, n_q in zip(rule.weights, basis):
+                for a, node_a in enumerate(nodes):
+                    for b, node_b in enumerate(nodes):
+                        mass[edge[node_a, node_b]] += detj * w * n_q[a] * n_q[b]
+        m = tg_inf.n_slots
+        ref = np.einsum("e,rc->erc", 1.5 * case.rho / dt * mass, np.eye(m))
+        np.testing.assert_allclose(tg_fin.k_real - tg_inf.k_real, ref, rtol=0.0, atol=1e-13)
+        assert np.min(mass) > 0.0
         tg_inf2 = assemble_ns_tangent(case, mesh, state, pseudo_dt=np.inf)
         np.testing.assert_array_equal(tg_inf.k_real, tg_inf2.k_real)
 
@@ -730,6 +745,30 @@ class TestNewtonOperator:
         assert record.matvecs > 0
         n_qp = mesh.element_data().basis.shape[0]
         assert calls == [((mesh.n_elements,), False)] * n_qp
+
+    def test_backflow_blocks_are_built_once_per_neumann_group(self, monkeypatch):
+        # an update that builds its preconditioner: the residual, the operator and the
+        # edge blocks share the residual pass's FacetBlocks
+        mesh, case = TestPseudoStep._bent_case()
+        m = n_coeffs(case.n_modes)
+        case = replace(case, walls=["ymin", "ymax", "zmin"],
+                       neumann={"xmax": np.zeros(m, dtype=complex),
+                                "zmax": np.zeros(m, dtype=complex)})
+        facets, of = [], FacetBlocks.of
+
+        def counted_of(cls, fq, *args):
+            facets.append(fq)
+            return of(fq, *args)
+
+        dir_nodes, dir_vals = resolve_ns_dirichlet(case, mesh)
+        state = NSState.zeros(mesh.n_nodes, mesh.dim, case.n_modes)
+        state.velocity[dir_nodes] = dir_vals                # solve_ns's first state
+        monkeypatch.setattr(FacetBlocks, "of", classmethod(counted_of))
+        record = newton_step(case, mesh, state, SolverConfig()).record
+        assert record.matvecs > 0 and record.precond_s > 0.0
+        assert len(facets) == 2
+        assert facets[0] is facet_quadrature(mesh, "xmax")
+        assert facets[1] is facet_quadrature(mesh, "zmax")
 
     def test_solve_builds_one_operator_per_linear_solve(self, monkeypatch):
         mesh, case = TestPseudoStep._bent_case()

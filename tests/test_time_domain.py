@@ -180,7 +180,8 @@ class TestGeneralizedAlphaStep:
         assert np.max(np.abs(new.velocity)) == 0.0
         assert np.max(np.abs(new.pressure)) == 0.0
 
-    def test_temporal_order_richardson(self):
+    def test_temporal_order_richardson(self, monkeypatch):
+        monkeypatch.setattr(time_domain, "MAX_NEWTON", 20)
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
         t_end = 0.4
         probes = []
@@ -190,14 +191,14 @@ class TestGeneralizedAlphaStep:
                                      modulation=lambda t: np.sin(np.pi * t / 0.8) ** 2)
             state = TimeState.zeros(mesh.n_nodes, 2)
             for _ in range(int(round(t_end / dt))):
-                state, ok, *_ = generalized_alpha_step(case, mesh, state, config,
-                                                      max_newton=20)
+                state, ok, *_ = generalized_alpha_step(case, mesh, state, config)
                 assert ok
             probes.append(np.linalg.norm(state.velocity))
         order = np.log2(abs(probes[0] - probes[1]) / abs(probes[1] - probes[2]))
         assert order >= 1.9
 
-    def test_steady_inflow_reaches_steady_supg_solution(self):
+    def test_steady_inflow_reaches_steady_supg_solution(self, monkeypatch):
+        monkeypatch.setattr(time_domain, "MAX_NEWTON", 20)
         mesh = generate_rect_tri((1.0, 1.0), (4, 6))
         mu = 0.3
         case = channel_time_case(mesh, mu=mu, u_max=1.0, period=10.0,
@@ -207,7 +208,6 @@ class TestGeneralizedAlphaStep:
         for step in range(40):
             scale = min(1.0, (step + 1) / 5)
             state, ok, *_ = generalized_alpha_step(case, mesh, state, config,
-                                                  max_newton=20,
                                                   dirichlet_scale=scale)
             assert ok, f"step {step} unconverged"
         # spectral steady solve of the same discrete problem
@@ -695,20 +695,14 @@ class TestLinearRecords:
 
 
 class TestNewtonUnconverged:
-    @pytest.mark.parametrize("max_newton", [0, -2])
-    def test_no_newton_iteration_rejected(self, max_newton):
-        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
-        with pytest.raises(ValueError, match=f"max_newton must be at least 1, got {max_newton}"):
-            generalized_alpha_step(channel_time_case(mesh), mesh,
-                                   TimeState.zeros(mesh.n_nodes, 2), max_newton=max_newton)
-
-    def test_step_warns_with_residual_ratio(self):
+    def test_step_warns_with_residual_ratio(self, monkeypatch):
+        monkeypatch.setattr(time_domain, "MAX_NEWTON", 2)
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
         case = channel_time_case(mesh)
         state = TimeState.zeros(mesh.n_nodes, 2)
         with pytest.warns(UserWarning, match=r"t=0\.1: Newton loop unconverged after 2 "
                                              r"iterations, \|\|r\|\|/r0 = \S+e-\d\d$"):
-            new, ok, iters, solves, *_ = generalized_alpha_step(case, mesh, state, max_newton=2)
+            new, ok, iters, solves, *_ = generalized_alpha_step(case, mesh, state)
         assert not ok and iters == solves == 2
         assert np.max(np.abs(new.pressure)) > 0.0   # the updates were applied
 
@@ -723,9 +717,10 @@ class TestNewtonUnconverged:
                             lambda self, rhs: scale * solve(self, rhs))
         mesh = generate_rect_tri((1.0, 1.0), (3, 3))
         case = channel_time_case(mesh)
-        with pytest.raises(DivergedStepError, match=r"t=0\.1: " + message):
-            generalized_alpha_step(case, mesh, TimeState.zeros(mesh.n_nodes, 2),
-                                   max_newton=max_newton)
+        with monkeypatch.context() as patch:
+            patch.setattr(time_domain, "MAX_NEWTON", max_newton)
+            with pytest.raises(DivergedStepError, match=r"t=0\.1: " + message):
+                generalized_alpha_step(case, mesh, TimeState.zeros(mesh.n_nodes, 2))
         with pytest.raises(DivergedStepError, match=r"t=0\.1: "):
             run_time_simulation(case, mesh, report_groups=["xmax"])
 
