@@ -37,6 +37,7 @@ from .config import (
     load_config,
 )
 from .io import export_fields, export_mesh_vtk, export_traces
+from .linsolve import LinearSolveError
 from .mesh import save_mesh
 from .navier_stokes import NSCase, UpdateRecord, flow_report, parabolic_inflow, solve_ns
 from .scalar import solve_scalar
@@ -201,6 +202,8 @@ def run(config_path, out_dir=None) -> RunSummary:
 # the keys the studies read; any other key is a typo
 _STUDY_KEYS = {"kind", "modes", "resolutions", "case", "reference", "directory"}
 _REFERENCE_KEYS = {"group", "dt_per_cycle", "n_cycles", "ramp_steps", "n_fit"}
+# the least value of each integer reference key
+_REFERENCE_MINIMA = {"dt_per_cycle": 1, "n_cycles": 2, "ramp_steps": 0, "n_fit": 1}
 # the list each study kind sweeps over
 _STUDY_LISTS = {"mode_sweep": "modes", "h_sweep": "resolutions"}
 
@@ -210,7 +213,8 @@ def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
 
     kind is the study kind to check against, study.kind when None: a
     mode_sweep needs modes and reference.group, an h_sweep resolutions,
-    each list with at least two integers >= 1.
+    each list with at least two integers >= 1.  The integer reference keys
+    must reach _REFERENCE_MINIMA, and n_fit fit the inflow's flow_samples.
     """
     reference = study.get("reference", {})
     if not isinstance(reference, dict):
@@ -219,6 +223,10 @@ def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
               for section, block, known in (("study", study, _STUDY_KEYS),
                                             ("study.reference", reference, _REFERENCE_KEYS))
               for key in sorted(set(block) - known, key=str)]
+    errors += [f"study.reference.{key} must be an integer >= {least} (got {reference[key]!r})"
+               for key, least in _REFERENCE_MINIMA.items()
+               if key in reference and not (type(reference[key]) is int
+                                            and reference[key] >= least)]
     errors += [] if "case" in study else ["study.case is required"]
     kind = study.get("kind") if kind is None else kind
     if kind not in _STUDY_LISTS:
@@ -236,7 +244,11 @@ def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
         raise ConfigError(errors)
     config = config_from_mapping(study["case"])
     if kind == "mode_sweep":
-        _reference_bcs(config)
+        n_samples = np.size(config.bcs[_reference_bcs(config)[0]]["flow_samples"])
+        if reference.get("n_fit", 0) > (n_samples + 2) // 4:
+            raise ConfigError([f"study.reference.n_fit must be at most {(n_samples + 2) // 4} "
+                               f"for {n_samples} inflow flow_samples "
+                               f"(got {reference['n_fit']!r})"])
     return config
 
 
@@ -525,7 +537,7 @@ def main(argv=None) -> int:
     except DivergedStepError as err:
         print(f"time reference diverged: {err}", file=sys.stderr)
         return 1
-    except MemoryError as err:
+    except (MemoryError, LinearSolveError) as err:
         print(str(err), file=sys.stderr)
         return 1
     return 2

@@ -101,6 +101,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
         if self.krylov_dim < 2:
             raise ValueError("krylov_dim must be >= 2")
+        if self.max_linear_iters < 2:   # a GMRES cycle of one Arnoldi step takes two matvecs
+            raise ValueError(f"max_linear_iters must be >= 2, got {self.max_linear_iters!r}")
         if self.pseudo_dt is not None and not self.pseudo_dt > 0.0:
             raise ValueError("pseudo_dt must be positive (inf for plain Newton), "
                              f"got {self.pseudo_dt!r}")
@@ -412,14 +414,14 @@ class BlockTangent:
     Per directed node pair: k_real is the shared velocity diagonal block,
     l_real the pressure block, and g_diag/d_diag the real gradient and
     divergence coefficients of each direction, each multiplying every mode
-    slot (the (2N-1)x(2N-1) block g I).  g_full/d_full optionally hold the
-    exact mode-coupled blocks for verification runs, and replace
-    g_diag/d_diag where set.  The matvec applies K to row vectors as
-    x K^T, which BLAS reads contiguously when the K blocks are stored
-    column-major, as the NS assembly stores them.  The rows must be sorted,
-    as build_graph returns them; row_starts, the starts of their runs, are
-    worked out here once per tangent and the matvec reduces the edge
-    products over them.
+    slot (the (2N-1)x(2N-1) block g I).  g_full/d_full optionally hold
+    mode-coupled blocks, which replace g_diag/d_diag where set; no solver
+    sets them (the exact NS tangent is applied per element).  The matvec
+    applies K to row vectors as x K^T, which BLAS reads contiguously when
+    the K blocks are stored column-major, as the NS assembly stores them.
+    The rows must be sorted, as build_graph returns them; row_starts, the
+    starts of their runs, are worked out here once per tangent and the
+    matvec reduces the edge products over them.
 
     elements optionally adds an operator that is kept per element rather
     than per edge: an object whose add_to(x, y) adds its product with the

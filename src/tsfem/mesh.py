@@ -185,7 +185,9 @@ class ElementData:
     for every element), points[e, q] = its physical point, wdetj[e, q] =
     detj w_q, n_int[e, A] = detj sum_q w_q N_A, vol[e] = detj sum_q w_q
     (the element measure) and gab[e, A, B] = grad N_A . grad N_B.  Built at
-    their first use and kept: gg[e] = G:G, and the time step's point_grad[e]
+    their first use and kept: gg[e] = G:G, the Galerkin divergence
+    n_grad[e, A, B, i] = n_A dN_B/dx_i (the Galerkin gradient is minus its
+    transpose in A, B), and the time step's point_grad[e]
     = [N_A(q); dN_A/dx_j], which takes element nodal values to their point
     values and gradients in one product, and weight_grad[e] = [w_q detj
     N_A(q) | dN_A/dx_j], which takes per-point integrands and gradient
@@ -228,6 +230,11 @@ class ElementData:
     def gg(self) -> np.ndarray:
         """(E,) G_ij G_ij."""
         return np.einsum("eij,eij->e", self.metric, self.metric)
+
+    @cached_property
+    def n_grad(self) -> np.ndarray:
+        """(E, nen, nen, dim)."""
+        return self.n_int[:, :, None, None] * self.grads[:, None]
 
     @cached_property
     def point_grad(self) -> np.ndarray:

@@ -8,8 +8,9 @@ weight (1/rho) dN_A/dx_i tau, and the backflow boundary correction.
 
 Each update solves with the Newton operator: the derivative of the
 residual with only tau held fixed (and the backflow operator, whose
-variation is left out).  GMRES applies it per element (_NewtonElements),
-on the element tables that the residual pass keeps: the derivative of the
+variation is left out).  The residual pass returns it (_Linearization):
+one object per state that keeps the pass's element tables and applies
+them per element, as GMRES multiplies with it: the derivative of the
 strong momentum residual at the points, weighted by the test function S
 in the momentum rows and by w tau / rho in the continuity rows, as the
 residual weights the strong residual itself, plus the viscous, Galerkin
@@ -17,28 +18,25 @@ pressure/divergence, pseudo-mass and backflow terms and the variation of
 S through the convection matrices.  Nothing of it is scattered onto the
 mesh edges.  Its preconditioner (linsolve's block_jacobi_preconditioner:
 a level LU per harmonic, without the coupling between harmonics) factors
-edge blocks instead: the frozen-coefficient tangent of
-assemble_ns_tangent, the velocity block K, the pressure block L and the
-Galerkin gradient/divergence scalars, with the step's pseudo mass.  These
-are assembled only at an update that builds the preconditioner.
-assemble_ns_tangent stays the frozen-coefficient tangent, with the exact
-mode-coupled least-squares gradient/divergence blocks on request
-(exact_gd).  Pseudo-time stepping adds the mass term
-(1.5 rho / pseudo_dt) sum_e detj sum_q w_q N_A N_B to the velocity
-diagonal block and performs one Newton update per step.  The mass is
-geometry only: the operator and the edge blocks both add the element
-mass matrices (ElementData.mass) to their element velocity blocks, and
-both are built after the residual, so each step's pseudo_dt is chosen
-once the same assembly has given the step's residual.  The residual is
-assembled first and the operator only when a linear solve follows, from
-the residual pass's tau and point tables.  solve_ns grows the step by
-switched-evolution relaxation (SER) as the residual falls, from the
-configured initial step towards plain Newton; the converged solution is
-independent of the pseudo steps taken.  A solve lags its preconditioner
-(LaggedPreconditioner): it is factored at the first update, with that
-step's pseudo mass, and again only after a GMRES solve that took more
-than REFACTOR_MATVECS matvecs, since the harmonic factor of one state
-keeps the solves of the next states short.
+edge blocks instead, assembled from the same object only at an update
+that builds the preconditioner: the frozen-coefficient tangent without
+its least-squares gradient/divergence coupling, the velocity block K,
+the pressure block L and the Galerkin gradient/divergence scalars, with
+the step's pseudo mass (assemble_ns_tangent).  The exact
+frozen-coefficient tangent (assemble_ns_tangent's exact_gd) is the
+Newton operator without its Newton terms.  Pseudo-time stepping adds the
+mass term (1.5 rho / pseudo_dt) sum_e detj sum_q w_q N_A N_B to the
+velocity diagonal block and performs one Newton update per step.
+newton_step sets the step's pseudo_dt on the operator once the residual
+has chosen it, and the operator and the edge blocks both read it there.
+The operator forms its factors only when a linear solve follows.
+solve_ns grows the step by switched-evolution relaxation (SER) as the
+residual falls, from the configured initial step towards plain Newton;
+the converged solution is independent of the pseudo steps taken.  A
+solve lags its preconditioner (LaggedPreconditioner): it is factored at
+the first update, with that step's pseudo mass, and again only after a
+GMRES solve that took more than REFACTOR_MATVECS matvecs, since the
+harmonic factor of one state keeps the solves of the next states short.
 
 Assembly and the linear solve run in the real orthonormal mode basis of
 spectral: the states are converted once per call to their coordinates
@@ -70,8 +68,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
@@ -271,20 +269,121 @@ def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
 
 @dataclass
 class _Linearization:
-    """What the residual pass keeps for the operator and edge blocks of the same state."""
+    """The Newton operator of one state, applied per element; the residual pass returns it.
 
+    With tau held fixed, the derivative of the residual is, per element
+    and in the real orthonormal basis (x the increment, x_B,i its velocity
+    and x_B,p its pressure, g_i = sum_B dN_B/dx_i x_B,p its pressure
+    gradient, y_B,i = rho sum_k (d u_i/d x_k) * x_B,k its convective
+    reaction, * the band-restricted product, and y_i(q) = sum_B N_B(q)
+    y_B,i):
+      momentum (A, i): sum_q S_A(q)^T s_i(q) + sum_B (V_AB x_B,i + C_i,AB x_B,p)
+                       + sum_j dN_A/dx_j sum_B Z_B,i * x_B,j,
+      continuity A:    sum_j dN_A/dx_j sum_q w tau s_j(q) / rho
+                       + n_A sum_B sum_j dN_B/dx_j x_B,j,
+    with s_i(q) = rho sum_B t_B(q) x_B,i + y_i(q) + g_i the derivative of
+    the strong momentum residual, t and S the gls_tables of the state, n_A
+    = sum_q w N_A, V_AB = mu vol grad N_A . grad N_B + (1.5 rho /
+    pseudo_dt) M_AB (M the element mass), C_i,AB = -(n_A dN_B/dx_i + n_B
+    dN_A/dx_i) (ElementData.n_grad and its transpose) and Z_B,i = sum_q w
+    N_B tau strong_i.  This is the residual pass's form: S^T s_i holds the
+    Galerkin n_A g_i, which C replaces by the Galerkin gradient -dN_A/dx_i
+    sum_B n_B x_B,p, and Z is the variation of S through the convection
+    matrices.  The facets of each Neumann group add the backflow blocks
+    (boundary.FacetBlocks) to the momentum rows of their nodes; the
+    backflow variation is left out.  With grad_u and z zero, y and Z
+    vanish and this is the exact derivative of the frozen-coefficient
+    residual.  The edge blocks of _edge_tangent are that tangent less its
+    least-squares gradient coupling (S^T g beyond its Galerkin n_A g_i)
+    and divergence coupling (sum_q w tau t x / rho).
+
+    The residual pass leaves pseudo_dt inf (no mass); newton_step replaces
+    it by the step's once the residual has chosen the step.  The terms with
+    t, S and tau are batched row-vector matmuls.  The products * run
+    pointwise on the P = 3N-2 time samples of real_basis(N), on arrays
+    with the elements last; these factors, V and C are formed at the first
+    product and kept.  The element results go onto the nodes through the
+    mesh's node plan.
+    """
+
+    case: NSCase
+    mesh: Mesh
+    pseudo_dt: float     # the step's pseudo_dt, inf for no pseudo mass
     grad_u: np.ndarray   # (E, dim, dim, M) d u_i / d x_j at [e, j, i]
-    t: np.ndarray        # (E, n_qp M, nen M) the gls_tables t
-    s_w: np.ndarray      # (E, n_qp M, nen M) the gls_tables test function S
+    t: np.ndarray        # (E, n_qp M, nen M): t_B(q)[s, c] at [(q, s), (B, c)]
+    s_w: np.ndarray      # (E, n_qp M, nen M): S_A(q) = w (N_A I + P_A(q))^T at [(q, r), (A, c)]
     w_tau: np.ndarray    # (E, n_qp, M, M) w detj tau at each quadrature point
-    z: np.ndarray        # (E, nen, dim, M) Z_B,i = sum_q w_q N_B tau strong_i
+    z: np.ndarray        # (E, nen, dim, M) Z_B,i
     backflow: list       # the backflow FacetBlocks of each Neumann group
-    tau_s: float         # seconds of the pass spent in tau_from_modes
+    tau_s: float         # seconds of the residual pass spent in tau_from_modes
+
+    def tangent(self) -> BlockTangent:
+        """This operator as GMRES multiplies with it: a BlockTangent without edge blocks."""
+        ctx = assembly_context(self.mesh, build_graph)
+        return BlockTangent(ctx.rows, ctx.cols, self.mesh.n_nodes, self.mesh.dim,
+                            self.case.n_modes, elements=self)
+
+    @cached_property
+    def _factors(self):
+        """V, C, rho d u_i / d x_k at [i, k, t, e], Z_B,i at [i, t, B, e] and [grads | n_int]."""
+        ed, dim, rho = self.mesh.element_data(), self.mesh.dim, self.case.rho
+        n_el, nen = self.mesh.elements.shape
+        vg = self.case.mu * ed.vol[:, None, None] * ed.gab
+        if np.isfinite(self.pseudo_dt):
+            vg = vg + (1.5 * rho / self.pseudo_dt) * ed.mass
+        ng = ed.n_grad
+        c_p = np.ascontiguousarray(-(ng + ng.swapaxes(1, 2)).transpose(0, 3, 1, 2))
+        samples = real_basis(self.case.n_modes).samples
+        du_t = samples @ (rho * self.grad_u.transpose(2, 1, 3, 0))
+        z_t = samples @ self.z.transpose(2, 3, 1, 0).reshape(dim, -1, nen * n_el)
+        return (vg, c_p, du_t, z_t.reshape(dim, -1, nen, n_el),
+                np.concatenate([ed.grads, ed.n_int[..., None]], axis=2))
+
+    def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
+        """y += this operator times x, both (n_nodes, dim+1, 2N-1) real coordinates."""
+        vg, c_p, du_t, z_t, grads_n = self._factors
+        ed, elements, n_nodes, rho = (self.mesh.element_data(), self.mesh.elements,
+                                      self.mesh.n_nodes, self.case.rho)
+        grads, shp = ed.grads, ed.basis
+        n_el, nen, d = grads.shape
+        m, n_qp = n_coeffs(self.case.n_modes), shp.shape[0]
+        samples = real_basis(self.case.n_modes).samples
+        back = samples.T / samples.shape[0]                # time samples to modes
+        xo = np.ascontiguousarray(x.transpose(1, 0, 2))   # (dim+1, n_nodes, M)
+        xo_t = (xo[:d].reshape(-1, m) @ samples.T).reshape(d, n_nodes, -1)
+        xo_t = np.ascontiguousarray(xo_t.transpose(0, 2, 1))          # (dim, P, n_nodes)
+        x_t = np.take(xo_t, elements.T, axis=2)                      # (dim, P, nen, E)
+        y_t = np.einsum("ikte,ktbe->itbe", du_t, x_t)
+        h_t = np.einsum("itbe,jtbe->ijte", z_t, x_t)
+        react = (back @ y_t.reshape(d, -1, nen * n_el)).reshape(d, m, nen, n_el)
+        react = np.ascontiguousarray(react.transpose(3, 0, 2, 1))  # y_B,i at [e, i, B, r]
+        h = (back @ h_t.reshape(d * d, -1, n_el)).reshape(d, d, m, n_el)
+        x_el = xo[:, elements]                                       # (dim+1, E, nen, M)
+        x_r = x_el[:d].swapaxes(0, 1).reshape(n_el, d, nen * m)
+        sig = np.matmul(rho * x_r, self.t.swapaxes(1, 2)).reshape(n_el, d, n_qp, m)
+        sig += np.matmul(shp, react)
+        sig += np.matmul(grads.swapaxes(1, 2), x_el[d])[:, :, None]
+        sig = sig.reshape(n_el, d, n_qp * m)                         # s_i(q) at [e, i, (q, c)]
+        mom = np.matmul(sig, self.s_w).reshape(n_el, d, nen, m)
+        mom += np.matmul(vg[:, None], x_r.reshape(n_el, d, nen, m))
+        mom += np.matmul(c_p, x_el[d][:, None])
+        mom += np.matmul(grads[:, None], h.transpose(3, 0, 1, 2))          # [e, i, A, r]
+        cont = np.empty((n_el, d + 1, m))       # [sum_q w tau s_j / rho | div x] per element
+        np.matmul(sig, self.w_tau.reshape(n_el, -1, m), out=cont[:, :d])
+        cont[:, :d] /= rho
+        np.matmul(grads.swapaxes(1, 2).reshape(n_el, 1, -1), x_r.reshape(n_el, -1, m),
+                  out=cont[:, d:])
+        res = np.empty((n_el, nen, d + 1, m))
+        res[:, :, :d] = mom.swapaxes(1, 2)
+        np.matmul(grads_n, cont, out=res[:, :, d])
+        assembly_context(self.mesh, build_graph).nodes.add_to(y, res.reshape(-1, d + 1, m))
+        for blocks in self.backflow:
+            blocks.add_product(x[:, :d], y[:, :d])
 
 
 def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
                    coeff_state: NSState | None = None):
-    """Real-basis residual, (n_nodes, dim+1, 2N-1), and its _Linearization.
+    """Real-basis residual, (n_nodes, dim+1, 2N-1), and its Newton operator (_Linearization).
 
     tau is taken one quadrature point at a time and weighted by w detj
     once, and the point tables t and S of spectral_real.gls_tables from it,
@@ -334,8 +433,8 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
     strong *= rho
     strong.reshape(n_el, dim, n_qp, m)[...] += grad_p[:, :, None]
     r_m = np.matmul(strong, s_w).reshape(n_el, dim, nen, m).swapaxes(1, 2)   # (E, nen, dim, M)
-    p_int = np.einsum("eb,ebm->em", n_int, p_el)
-    r_m -= n_int[:, :, None, None] * grad_p[:, None] + grads[..., None] * p_int[:, None, None]
+    ng = ed.n_grad        # S^T strong holds n_A dp/dx_i: the Galerkin gradient replaces it
+    r_m -= np.einsum("eabi,ebm->eaim", ng + ng.swapaxes(1, 2), p_el)
     r_m += (mu * ed.vol[:, None, None] * np.matmul(grads, grad_u.reshape(n_el, dim, dim * m))
             ).reshape(n_el, nen, dim, m)
     # w tau strong_i(q) at [e, q, i]
@@ -352,8 +451,7 @@ def _residual_pass(case: NSCase, mesh: Mesh, state: NSState,
         h_modes = _checked_real(boundary_values(data, (m,), what), what)
         add_traction(resid[:, :dim], facet_quadrature(mesh, name), h_modes)
     backflow = _add_backflow_residual(case, mesh, vel, vel_c, resid)
-    lin = _Linearization(grad_u, t, s_w, w_tau, z, backflow, tau_s)
-    return resid, lin
+    return resid, _Linearization(case, mesh, np.inf, grad_u, t, s_w, w_tau, z, backflow, tau_s)
 
 
 def _checked_real(modes: np.ndarray, what: str) -> np.ndarray:
@@ -361,22 +459,20 @@ def _checked_real(modes: np.ndarray, what: str) -> np.ndarray:
     return modes_to_real(require_conjugate_symmetry(modes, what))
 
 
-def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, pseudo_dt: float = np.inf, *,
-                  exact_gd: bool = False) -> BlockTangent:
-    """Edge blocks of the frozen-coefficient tangent at the state of lin.
+def _edge_tangent(lin: _Linearization) -> BlockTangent:
+    """Edge blocks of the frozen-coefficient tangent at the state of lin, to factor.
 
     K is spectral_real.gls_operator of the residual pass's point tables t
-    and S, plus the pseudo-time mass (1.5 rho / pseudo_dt) M_AB of a finite
-    pseudo_dt on the mode diagonal (M the element mass, as the operator
-    adds it) and the residual pass's backflow FacetBlocks; L =
-    grad N_A . grad N_B sum_q w tau / rho, and the Galerkin gradient and
-    divergence are the scalars -dN_A/dx_i n_B and n_A dN_B/dx_j (n_A =
-    sum_q w N_A).  exact_gd adds the least-squares coupling, P_A in the
-    momentum rows and Q_B = sum_q w tau t_B(q) = P_B^T in the continuity
-    rows, edge-wise as g_full/d_full.  newton_step assembles these blocks
-    only to factor its preconditioner; assemble_ns_tangent returns them.
-    No tau is computed here.
+    and S, plus the pseudo-time mass (1.5 rho / pseudo_dt) M_AB of lin's
+    finite pseudo_dt on the mode diagonal (M the element mass) and lin's
+    backflow FacetBlocks; L = grad N_A . grad N_B sum_q w tau / rho, and
+    the Galerkin gradient and divergence are the scalars -n_B dN_A/dx_i
+    and n_A dN_B/dx_j (ElementData.n_grad).  The least-squares
+    gradient/divergence coupling is left out, so these blocks are diagonal
+    in the mode index.  newton_step assembles them only to factor its
+    preconditioner.  No tau is computed here.
     """
+    case, mesh = lin.case, lin.mesh
     m = n_coeffs(case.n_modes)
     dim = mesh.dim
     rho = case.rho
@@ -389,167 +485,21 @@ def _edge_tangent(case: NSCase, mesh: Mesh, lin: _Linearization, pseudo_dt: floa
     l_c = np.zeros((n_edges, m, m))
     g_scal = np.zeros((n_edges, dim))
     d_scal = np.zeros((n_edges, dim))
-    g_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
-    d_c = np.zeros((n_edges, dim, m, m)) if exact_gd else None
 
-    elems, grads, n_int, s_w = mesh.elements, ed.grads, ed.n_int, lin.s_w
-    n_el, nen = elems.shape
-    k_el = gls_operator(lin.t, s_w, ed, rho, case.mu)
-    if np.isfinite(pseudo_dt):
-        k_el[..., diag, diag] += ((1.5 * rho / pseudo_dt) * ed.mass)[..., None]
+    k_el = gls_operator(lin.t, lin.s_w, ed, rho, case.mu)
+    if np.isfinite(lin.pseudo_dt):
+        k_el[..., diag, diag] += ((1.5 * rho / lin.pseudo_dt) * ed.mass)[..., None]
     ctx.edges.add_to(k_c, k_el.reshape(-1, m, m))
     del k_el
     tau_sum = lin.w_tau.sum(axis=1)
     ctx.edges.add_to(l_c, ((ed.gab / rho)[..., None, None] * tau_sum[:, None, None])
                      .reshape(-1, m, m))
-    ctx.edges.add_to(g_scal, -np.einsum("eai,eb->eabi", grads, n_int).reshape(-1, dim))
-    ctx.edges.add_to(d_scal, np.einsum("ea,ebj->eabj", n_int, grads).reshape(-1, dim))
-    if exact_gd:
-        # Q_B[r, c] = P_B[c, r] at [e, r, B, c]
-        u_sum = s_w.reshape(n_el, -1, m, nen, m).sum(axis=1)
-        u_sum[:, diag, :, diag] -= n_int[None]
-        ctx.edges.add_to(g_c, np.einsum("ecar,ebi->eabirc", u_sum, grads)
-                         .reshape(-1, dim, m, m))
-        ctx.edges.add_to(d_c, np.einsum("eaj,ebrc->eabjrc", grads, u_sum.swapaxes(1, 2))
-                         .reshape(-1, dim, m, m))
+    ctx.edges.add_to(g_scal, -ed.n_grad.swapaxes(1, 2).reshape(-1, dim))
+    ctx.edges.add_to(d_scal, ed.n_grad.reshape(-1, dim))
     for blocks in lin.backflow:
         blocks.add_to_edges(k_c, ctx)
-    if exact_gd:
-        g_c[..., diag, diag] += g_scal[..., None]
-        d_c[..., diag, diag] += d_scal[..., None]
-    return BlockTangent(
-        ctx.rows, ctx.cols, mesh.n_nodes, dim, case.n_modes,
-        k_real=k_c, l_real=l_c, g_diag=g_scal, d_diag=d_scal, g_full=g_c, d_full=d_c,
-    )
-
-
-def _tangent_pass(case: NSCase, mesh: Mesh, lin: _Linearization,
-                  pseudo_dt: float) -> BlockTangent:
-    """The Newton operator at the state of lin, applied per element; tau from lin.
-
-    A BlockTangent without edge blocks, whose elements (_NewtonElements)
-    apply the whole derivative of the residual with tau held fixed, plus
-    the pseudo-time mass of a finite pseudo_dt: the frozen-coefficient
-    tangent of _edge_tangent and the Newton terms that it leaves out.  It
-    keeps the residual pass's point tables t and S and adds only element
-    matrices of geometry and tau; the residual pass needs coeff_state None.
-    No tau is computed and nothing is scattered onto the edges here.
-    """
-    n, m = case.n_modes, n_coeffs(case.n_modes)
-    dim = mesh.dim
-    rho = case.rho
-    ed = mesh.element_data()
-    ctx = assembly_context(mesh, build_graph)
-    elems, grads, n_int = mesh.elements, ed.grads, ed.n_int
-    n_el, nen = elems.shape
-
-    vg = case.mu * ed.vol[:, None, None] * ed.gab
-    if np.isfinite(pseudo_dt):
-        vg = vg + (1.5 * rho / pseudo_dt) * ed.mass
-    g_n = np.einsum("eai,eb->eiab", grads, n_int)
-    c_p = -(g_n + g_n.swapaxes(2, 3))                 # C_i,AB at [e, i, A, B]
-    samples = real_basis(n).samples
-    du_t = samples @ (rho * lin.grad_u.transpose(2, 1, 3, 0))    # rho d u_i / d x_k at [i, k]
-    z_t = samples @ lin.z.transpose(2, 3, 1, 0).reshape(dim, m, nen * n_el)
-    elements = _NewtonElements(mesh.n_nodes, n, rho, ed.basis, elems, ctx.nodes, grads,
-                               np.concatenate([grads, n_int[..., None]], axis=2), lin.t,
-                               lin.s_w, lin.w_tau.reshape(n_el, -1, m) / rho, vg, c_p, du_t,
-                               z_t.reshape(dim, -1, nen, n_el), lin.backflow)
-    return BlockTangent(ctx.rows, ctx.cols, mesh.n_nodes, dim, n, elements=elements)
-
-
-class _NewtonElements(NamedTuple):
-    """The NS Newton operator, applied per element.
-
-    With tau held fixed, the derivative of the residual is, per element
-    and in the real orthonormal basis (x the increment, x_B,i its velocity
-    and x_B,p its pressure, g_i = sum_B dN_B/dx_i x_B,p its pressure
-    gradient, y_B,i = rho sum_k (d u_i/d x_k) * x_B,k its convective
-    reaction, * the band-restricted product, and y_i(q) = sum_B N_B(q)
-    y_B,i):
-      momentum (A, i): sum_q S_A(q)^T s_i(q) + sum_B (V_AB x_B,i + C_i,AB x_B,p)
-                       + sum_j dN_A/dx_j sum_B Z_B,i * x_B,j,
-      continuity A:    sum_j dN_A/dx_j sum_q w tau s_j(q) / rho
-                       + n_A sum_B sum_j dN_B/dx_j x_B,j,
-    with s_i(q) = rho sum_B t_B(q) x_B,i + y_i(q) + g_i the derivative of
-    the strong momentum residual, t and S the gls_tables of the state, n_A
-    = sum_q w N_A, V_AB = mu vol grad N_A . grad N_B + (1.5 rho /
-    pseudo_dt) M_AB (M the element mass), C_i,AB = -(dN_A/dx_i n_B + n_A
-    dN_B/dx_i) and Z_B,i = sum_q w N_B tau strong_i.  This is the
-    residual pass's form: S^T s_i holds the Galerkin n_A g_i, which C
-    replaces by the Galerkin gradient -dN_A/dx_i sum_B n_B x_B,p, and Z is
-    the variation of S through the convection matrices.  The facets of
-    each Neumann group add the residual pass's backflow blocks
-    (boundary.FacetBlocks) to the momentum rows of their nodes; the
-    backflow variation is left out.  The edge blocks of _edge_tangent are
-    these terms less y, Z, the least-squares gradient coupling (S^T g
-    beyond its Galerkin n_A g_i) and the least-squares divergence coupling
-    sum_q w tau t x / rho.
-
-    The terms with t, S and tau are batched row-vector matmuls with stored
-    element matrices.  The products * run pointwise on the P = 3N-2 time
-    samples of real_basis(N), on arrays with the elements last, which
-    stores a vector where C(d u_i/d x_k) and C(Z_B,i) would take a matrix.
-    The element results go onto the nodes through the mesh's node plan.
-    Every matrix is stored as the right factor of a row-vector product, in
-    the layout matmul reads contiguously, except t, which is the residual
-    pass's table and is read transposed; the factors of the products * are
-    stored time-sampled, with the elements last.
-    """
-
-    n_nodes: int
-    n_modes: int
-    rho: float
-    shp: np.ndarray        # (n_qp, nen)
-    elements: np.ndarray   # (E, nen)
-    node_seg: object       # the mesh's node scatter plan
-    grads: np.ndarray      # (E, nen, dim) dN_A / dx_j
-    grads_n: np.ndarray    # (E, nen, dim+1): dN_A / dx_j, then n_A
-    t: np.ndarray          # (E, n_qp M, nen M): t_B(q)[s, c] at [(q, s), (B, c)]
-    s_w: np.ndarray        # (E, n_qp M, nen M): S_A(q) = w (N_A I + P_A(q))^T at [(q, r), (A, c)]
-    w_tau: np.ndarray      # (E, n_qp M, M): w tau(q)[c, s] / rho at [(q, s), c]
-    vg: np.ndarray         # (E, nen, nen) V_AB
-    c_p: np.ndarray        # (E, dim, nen, nen) C_i,AB
-    du_t: np.ndarray       # (dim, dim, P, E): rho d u_i / d x_k at [i, k]
-    z_t: np.ndarray        # (dim, P, nen, E): Z_B,i at [i, t, B]
-    backflow: list         # the backflow FacetBlocks of each Neumann group
-
-    def add_to(self, x: np.ndarray, y: np.ndarray) -> None:
-        """y += this operator times x, both (n_nodes, dim+1, 2N-1) real coordinates."""
-        n_el, nen, d = self.grads.shape
-        m, shp = 2 * self.n_modes - 1, self.shp
-        n_qp = shp.shape[0]
-        samples = real_basis(self.n_modes).samples
-        back = samples.T / samples.shape[0]                # time samples to modes
-        xo = np.ascontiguousarray(x.transpose(1, 0, 2))   # (dim+1, n_nodes, M)
-        xo_t = (xo[:d].reshape(-1, m) @ samples.T).reshape(d, self.n_nodes, -1)
-        xo_t = np.ascontiguousarray(xo_t.transpose(0, 2, 1))          # (dim, P, n_nodes)
-        x_t = np.take(xo_t, self.elements.T, axis=2)                 # (dim, P, nen, E)
-        y_t = np.einsum("ikte,ktbe->itbe", self.du_t, x_t)
-        h_t = np.einsum("itbe,jtbe->ijte", self.z_t, x_t)
-        react = (back @ y_t.reshape(d, -1, nen * n_el)).reshape(d, m, nen, n_el)
-        react = np.ascontiguousarray(react.transpose(3, 0, 2, 1))  # y_B,i at [e, i, B, r]
-        h = (back @ h_t.reshape(d * d, -1, n_el)).reshape(d, d, m, n_el)
-        x_el = xo[:, self.elements]                                  # (dim+1, E, nen, M)
-        x_r = x_el[:d].swapaxes(0, 1).reshape(n_el, d, nen * m)
-        sig = np.matmul(self.rho * x_r, self.t.swapaxes(1, 2)).reshape(n_el, d, n_qp, m)
-        sig += np.matmul(shp, react)
-        sig += np.matmul(self.grads.swapaxes(1, 2), x_el[d])[:, :, None]
-        sig = sig.reshape(n_el, d, n_qp * m)                         # s_i(q) at [e, i, (q, c)]
-        mom = np.matmul(sig, self.s_w).reshape(n_el, d, nen, m)
-        mom += np.matmul(self.vg[:, None], x_r.reshape(n_el, d, nen, m))
-        mom += np.matmul(self.c_p, x_el[d][:, None])
-        mom += np.matmul(self.grads[:, None], h.transpose(3, 0, 1, 2))     # [e, i, A, r]
-        cont = np.empty((n_el, d + 1, m))       # [sum_q w tau s_j / rho | div x] per element
-        np.matmul(sig, self.w_tau, out=cont[:, :d])
-        np.matmul(self.grads.swapaxes(1, 2).reshape(n_el, 1, -1), x_r.reshape(n_el, -1, m),
-                  out=cont[:, d:])
-        res = np.empty((n_el, nen, d + 1, m))
-        res[:, :, :d] = mom.swapaxes(1, 2)
-        np.matmul(self.grads_n, cont, out=res[:, :, d])
-        self.node_seg.add_to(y, res.reshape(n_el * nen, d + 1, m))
-        for blocks in self.backflow:
-            blocks.add_product(x[:, :d], y[:, :d])
+    return BlockTangent(ctx.rows, ctx.cols, mesh.n_nodes, dim, case.n_modes,
+                        k_real=k_c, l_real=l_c, g_diag=g_scal, d_diag=d_scal)
 
 
 def _add_backflow_residual(case, mesh, vel, vel_c, resid) -> list:
@@ -588,29 +538,32 @@ def assemble_ns_residual(case: NSCase, mesh: Mesh, state: NSState,
 def assemble_ns_tangent(case: NSCase, mesh: Mesh, state: NSState,
                         pseudo_dt: float = np.inf,
                         exact_gd: bool = False) -> BlockTangent:
-    """Frozen-coefficient tangent of the residual (A_i and tau held fixed), as edge blocks.
+    """Frozen-coefficient tangent of the residual (A_i and tau held fixed).
 
-    With exact_gd=False these are the edge blocks that newton_step factors
-    its preconditioner from: the least-squares contributions to the
-    gradient/divergence blocks are dropped, leaving them diagonal in the
-    mode index; exact_gd=True keeps them, making the tangent the exact
-    derivative of the frozen-coefficient residual.  A finite pseudo_dt adds
-    the mass term (N_A, 1.5 rho / pseudo_dt N_B) to the K block.
+    With exact_gd=False, the edge blocks that newton_step factors its
+    preconditioner from (_edge_tangent): the least-squares contributions to
+    the gradient/divergence blocks are dropped, leaving them diagonal in
+    the mode index.  exact_gd=True gives the exact derivative of the
+    frozen-coefficient residual: the Newton operator of assemble_ns_newton
+    with grad_u and z zero, so without the convective reaction and the
+    variation of S, applied per element.  A finite pseudo_dt adds the mass
+    term (N_A, 1.5 rho / pseudo_dt N_B) to the velocity diagonal block.
     """
-    return _edge_tangent(case, mesh, _residual_pass(case, mesh, state)[1], pseudo_dt,
-                         exact_gd=exact_gd)
+    lin = replace(_residual_pass(case, mesh, state)[1], pseudo_dt=pseudo_dt)
+    if exact_gd:
+        return replace(lin, grad_u=np.zeros_like(lin.grad_u), z=np.zeros_like(lin.z)).tangent()
+    return _edge_tangent(lin)
 
 
 def assemble_ns_newton(case: NSCase, mesh: Mesh, state: NSState,
                        pseudo_dt: float = np.inf) -> BlockTangent:
     """The operator newton_step solves with: the derivative with tau held fixed.
 
-    The frozen-coefficient tangent of assemble_ns_tangent plus the Newton
-    terms it leaves out, and the pseudo-time mass of a finite pseudo_dt,
-    all applied per element (_NewtonElements): the BlockTangent holds no
-    edge blocks.  The backflow operator stays frozen.
+    The residual pass's Newton operator (_Linearization) with the
+    pseudo-time mass of a finite pseudo_dt, applied per element: the
+    BlockTangent holds no edge blocks.  The backflow operator stays frozen.
     """
-    return _tangent_pass(case, mesh, _residual_pass(case, mesh, state)[1], pseudo_dt)
+    return replace(_residual_pass(case, mesh, state)[1], pseudo_dt=pseudo_dt).tangent()
 
 
 def residual_norm(residual: np.ndarray, dir_nodes: np.ndarray, dim: int) -> float:
@@ -678,16 +631,16 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
 
     H is the Newton operator with tau held fixed plus the pseudo-time mass
     of the step (assemble_ns_newton), applied per element.  The residual
-    is assembled first; the operator is built only when a linear solve
-    follows, from the residual pass's per-point tau and point tables.
-    pseudo_dt is the step, or a callable that maps this step's residual
-    norm to it (solve_ns passes its SER rule); None takes config.pseudo_dt,
-    or default_pseudo_dt when that is None.  The mass enters once the
-    residual has chosen the step.  The linear solve runs to eps_ls relative
-    tolerance with GMRES, right-preconditioned by block_jacobi_preconditioner
-    of the frozen-coefficient edge blocks with this step's pseudo mass (as
-    assemble_ns_tangent): the level LU of their harmonic blocks, over the
-    mesh's level plan.  Dirichlet increments are pinned to zero.  lagged
+    pass returns it with the residual.  pseudo_dt is the step, or a
+    callable that maps this step's residual norm to it (solve_ns passes its
+    SER rule); None takes config.pseudo_dt, or default_pseudo_dt when that
+    is None.  Once the residual has chosen the step, it is set on the
+    operator (dataclasses.replace), which forms its element factors at its
+    first matvec, inside the linear solve.  That solve runs to eps_ls
+    relative tolerance with GMRES, right-preconditioned by
+    block_jacobi_preconditioner of the frozen-coefficient edge blocks with
+    this step's pseudo mass (as assemble_ns_tangent): the level LU of their
+    harmonic blocks, over the mesh's level plan.  Dirichlet increments are pinned to zero.  lagged
     carries the preconditioner across the updates of a solve: it is built
     when lagged has none, and dropped after a GMRES solve that takes more
     than REFACTOR_MATVECS matvecs.  The edge blocks are assembled only at
@@ -721,15 +674,16 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
         pseudo_dt = pseudo_dt(rnorm)
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes, mesh.dim + 1, mesh.dim)
     precond_s = 0.0
+    lin = replace(lin, pseudo_dt=pseudo_dt)
     if lagged.apply is None:
-        # factored before the operator is built, so the two never hold memory at once
-        edges = _edge_tangent(case, mesh, lin, pseudo_dt)
+        # factored before the operator forms its factors, so the two never hold memory at once
+        edges = _edge_tangent(lin)
         factoring = time.perf_counter()
         lagged.apply = block_jacobi_preconditioner(
             edges, pins, assembly_context(mesh, build_graph).level_plan())
         precond_s = time.perf_counter() - factoring
         del edges
-    tangent = _tangent_pass(case, mesh, lin, pseudo_dt)
+    tangent = lin.tangent()
     tau_s = lin.tau_s
     del lin
 

@@ -363,12 +363,12 @@ def _time_tangent(case: TimeCase, mesh: Mesh, f: _PointFields, u_af, udot_am,
     blk[..., diag, diag] += (rho * (test_t @ trial)
                              + fac * mu * ed.vol[:, None, None] * ed.gab)[..., None]
     blk[..., :dim, dim] = ((wt[:, None] @ adv)[:, 0, :, None, None] * grads[:, None]
-                           - grads[:, :, None] * ed.n_int[:, None, :, None])
+                           - ed.n_grad.swapaxes(1, 2))
     # continuity rows: Galerkin divergence, PSPG, the PSPG reaction and
     # the tau variation
     n_gu = (shp[:, :, None] * gu[:, :, None, :]).reshape(n_el, n_q, -1)
     blk[..., dim, :dim] = (
-        fac * ed.n_int[:, :, None, None] * grads[:, None]
+        fac * ed.n_grad
         + grads[:, :, None] * (wt[:, None] @ trial)[:, 0, None, :, None]
         + fac * (grads @ grad_u_t)[:, :, None] * (wt @ shp)[:, None, :, None]
         - fac * (w3_gs.transpose(0, 2, 1) @ n_gu).reshape(n_el, nen, nen, dim))
@@ -624,6 +624,8 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")
+    if ramp_steps < 0:
+        raise ValueError(f"ramp_steps must be >= 0, got {ramp_steps}")
     check_groups(mesh, dirichlet=case.dirichlet, wall=case.walls, neumann=case.neumann)
     if config is None:
         config = SolverConfig()

@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 from pathlib import Path
@@ -8,6 +9,7 @@ import yaml
 
 import tsfem.cli as cli
 import tsfem.linsolve as linsolve
+import tsfem.scalar as scalar
 import tsfem.time_domain as time_domain
 from tsfem.cli import main, run_case, sweep
 from tsfem.config import (
@@ -512,6 +514,37 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "needs an estimated" in err and " MB, over" in err
 
+    def test_run_exits_1_on_a_linear_solve_error(self, tmp_path, capsys, monkeypatch):
+        # a GMRES solve that ends unconverged: the scalar solver raises LinearSolveError
+        monkeypatch.setattr(scalar, "gmres", lambda op, b, config, precond=None:
+                            linsolve.GmresResult(np.zeros_like(b), 2, [1.0, 0.5], False))
+        code = main(["run", str(CONFIG_DIR / "tracer_1d.yaml"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "scalar linear solve did not converge (matvecs 2, residual 5.000e-01)" in err
+        assert not (tmp_path / "out" / "summary.yaml").exists()
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("n_cycles", 1, "an integer >= 2"), ("n_cycles", 2.5, "an integer >= 2"),
+        ("dt_per_cycle", 0, "an integer >= 1"), ("ramp_steps", -4, "an integer >= 0"),
+        ("n_fit", 0, "an integer >= 1"), ("n_fit", 9, "at most 8 for 32 inflow flow_samples")])
+    def test_bad_reference_values_are_config_errors(self, tmp_path, capsys, key, value, rule):
+        raw = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        raw["study"]["reference"][key] = value
+        message = f"study.reference.{key} must be {rule}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli._study_case(raw["study"])
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        for argv in (["validate-config", str(path)],
+                     ["sweep", str(path), "--output-dir", str(out)]):
+            assert main(argv) == 2, argv[0]
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_verb(self, capsys):
         code = main(["validate-config", str(CONFIG_DIR / "tracer_1d.yaml")])
         assert code == 0
@@ -538,7 +571,8 @@ class TestMainEntry:
         assert "unknown key solver.max_step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("pseudo_dt", 0), ("pseudo_dt", float("nan")),
-                                            ("pseudo_dt", -1.0), ("max_steps", 0)])
+                                            ("pseudo_dt", -1.0), ("max_steps", 0),
+                                            ("max_linear_iters", 0), ("max_linear_iters", 1)])
     def test_validate_verb_rejects_solver_values(self, tmp_path, capsys, key, value):
         raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
         raw["solver"][key] = value

@@ -196,9 +196,29 @@ class TestElementTables:
                                       ed.wdetj[:, None, :] * ed.basis.T)
         np.testing.assert_array_equal(ed.weight_grad[:, :, n_q:], ed.grads)
         # built at the first access and kept
-        for name in ("gg", "point_grad", "weight_grad"):
+        for name in ("gg", "n_grad", "point_grad", "weight_grad"):
             assert getattr(ed, name) is getattr(ed, name)
         assert mesh.element_data() is ed
+
+    @pytest.mark.parametrize("mesh", [generate_interval(2.0, 5),
+                                      generate_rect_tri((1.0, 0.7), (3, 2)),
+                                      generate_bent_channel_tet(3.0, 1.0, 1.0, (3, 2, 2),
+                                                                bend_angle=1.0)],
+                             ids=["line2", "tri3", "tet4"])
+    def test_galerkin_divergence_matches_a_plain_loop(self, mesh):
+        # n_grad[e, A, B, i] = n_A dN_B/dx_i, with n_A = detj sum_q w_q N_A(q)
+        ed = mesh.element_data()
+        rule = quadrature_rule(mesh.elem_type)
+        basis = shape_values(mesh.elem_type, rule.points)
+        n_el, nen, dim = ed.grads.shape
+        ref = np.zeros((n_el, nen, nen, dim))
+        for e in range(n_el):
+            for a in range(nen):
+                n_a = sum(ed.detj[e] * w * n_q[a] for w, n_q in zip(rule.weights, basis))
+                for b in range(nen):
+                    for i in range(dim):
+                        ref[e, a, b, i] = n_a * ed.grads[e, b, i]
+        np.testing.assert_allclose(ed.n_grad, ref, rtol=1e-14, atol=0.0)
 
 
 class TestFacets:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -530,22 +531,29 @@ class TestRealBasisAssembly:
             assert_close(assemble_ns_residual(case, mesh, state, coeff_state=coeff), ref,
                          "residual")
 
-        for kwargs in ({"pseudo_dt": 0.2}, {"exact_gd": True}):
+        rng = np.random.default_rng(41 + n_modes)
+        for kwargs in ({"pseudo_dt": 0.2}, {"exact_gd": True},
+                       {"pseudo_dt": 0.2, "exact_gd": True}):
             ref_r, ref_t = complex_assemble_oracle(case, mesh, state, need_residual=True,
                                                    need_tangent=True, **kwargs)
             got_r, _ = navier_stokes._residual_pass(case, mesh, state)
             # the pseudo-time mass is added after the assembly, from the
-            # mesh's cached edge mass; the oracle adds it inside the loop
+            # element mass matrices; the oracle adds it inside the loop
             got_t = assemble_ns_tangent(case, mesh, state, **kwargs)
             assert_close(got_r, modes_to_real(ref_r), "residual in the solve layout")
-            pairs = [("k", got_t.k_real, ref_t.k_real), ("l", got_t.l_real, ref_t.l_real)]
             if kwargs.get("exact_gd"):
-                pairs += [("g_full", got_t.g_full, ref_t.g_full),
-                          ("d_full", got_t.d_full, ref_t.d_full)]
+                # the exact tangent is the Newton operator without its Newton terms,
+                # applied per element; the oracle's has the mode-coupled g_full/d_full
+                assert not got_t.has_edges
+                for _ in range(3):
+                    x = rng.standard_normal(got_t.n_dof)
+                    assert_close(got_t.matvec(x), ref_t.matvec(x), f"exact tangent {kwargs}")
+                continue
+            pairs = [("k", got_t.k_real, ref_t.k_real), ("l", got_t.l_real, ref_t.l_real),
+                     ("g_diag", got_t.g_diag, ref_t.g_diag),
+                     ("d_diag", got_t.d_diag, ref_t.d_diag)]
             for name, got, ref in pairs:
                 assert_close(got, ref, name)
-            assert_close(got_t.g_diag, ref_t.g_diag, "g_diag")
-            assert_close(got_t.d_diag, ref_t.d_diag, "d_diag")
 
     @pytest.mark.parametrize("n_modes", [1, 3, 7])
     def test_post_hoc_mass_matches_in_assembly_mass(self, n_modes):
@@ -726,21 +734,22 @@ class TestNewtonOperator:
         state = NSState.zeros(mesh.n_nodes, mesh.dim, case.n_modes)
         state.velocity[dir_nodes] = dir_vals                # solve_ns's first state
         calls, in_operator = [], []
-        tau, tangent_pass = navier_stokes.tau_from_modes, navier_stokes._tangent_pass
+        tau, add_to = navier_stokes.tau_from_modes, navier_stokes._Linearization.add_to
 
         def counted_tau(u, *args):
             calls.append((u.shape[:-2], bool(in_operator)))
             return tau(u, *args)
 
-        def flagged_tangent_pass(*args, **kwargs):
+        def flagged_add_to(*args, **kwargs):
+            # the operator forms its factors at its first product and applies itself here
             in_operator.append(True)
             try:
-                return tangent_pass(*args, **kwargs)
+                return add_to(*args, **kwargs)
             finally:
                 in_operator.pop()
 
         monkeypatch.setattr(navier_stokes, "tau_from_modes", counted_tau)
-        monkeypatch.setattr(navier_stokes, "_tangent_pass", flagged_tangent_pass)
+        monkeypatch.setattr(navier_stokes._Linearization, "add_to", flagged_add_to)
         record = newton_step(case, mesh, state, SolverConfig()).record
         assert record.matvecs > 0
         n_qp = mesh.element_data().basis.shape[0]
@@ -772,7 +781,7 @@ class TestNewtonOperator:
 
     def test_solve_builds_one_operator_per_linear_solve(self, monkeypatch):
         mesh, case = TestPseudoStep._bent_case()
-        counts = {"residual": 0, "operator": 0, "gmres": 0}
+        counts = {"residual": 0, "operator": 0, "factors": 0, "gmres": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -782,12 +791,16 @@ class TestNewtonOperator:
 
         monkeypatch.setattr(navier_stokes, "_residual_pass",
                             counting("residual", navier_stokes._residual_pass))
-        monkeypatch.setattr(navier_stokes, "_tangent_pass",
-                            counting("operator", navier_stokes._tangent_pass))
+        lin = navier_stokes._Linearization
+        monkeypatch.setattr(lin, "tangent", counting("operator", lin.tangent))
+        factors = cached_property(counting("factors", lin._factors.func))
+        factors.__set_name__(lin, "_factors")
+        monkeypatch.setattr(lin, "_factors", factors)
         monkeypatch.setattr(navier_stokes, "gmres", counting("gmres", linsolve.gmres))
         result = solve_ns(case, mesh, SolverConfig(eps_nr=1e-3, eps_ls=0.05, max_steps=60))
         assert result.converged
-        assert counts["operator"] == counts["gmres"] == result.steps
+        # one operator per update, its factors formed once for all of its matvecs
+        assert counts["operator"] == counts["factors"] == counts["gmres"] == result.steps
         assert counts["residual"] == result.steps + 1
         assert len(result.updates) == result.steps
         assert all(u.assembly_s > 0.0 and u.linear_s > 0.0 for u in result.updates)
@@ -1025,6 +1038,10 @@ class TestPseudoStep:
                 SolverConfig(**kwargs)
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             SolverConfig(max_steps=0)
+        for budget in (0, 1):   # GMRES cannot run a cycle on fewer than two matvecs
+            with pytest.raises(ValueError, match="max_linear_iters must be >= 2"):
+                SolverConfig(max_linear_iters=budget)
+        assert SolverConfig(max_linear_iters=2).max_linear_iters == 2
         assert SolverConfig(pseudo_dt=np.inf).pseudo_dt == np.inf
 
 

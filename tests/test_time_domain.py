@@ -239,6 +239,12 @@ class TestRunTimeSimulation:
         assert len(res.cycle_change) == 2
         assert res.cycle_change[1] < res.cycle_change[0]
 
+    def test_negative_ramp_rejected(self):
+        mesh = generate_rect_tri((1.0, 1.0), (2, 2))
+        case = channel_time_case(mesh, mu=0.5, u_max=1.0, period=1.0, n_cycles=2, dt=0.5)
+        with pytest.raises(ValueError, match="ramp_steps must be >= 0"):
+            run_time_simulation(case, mesh, ramp_steps=-4)
+
     def test_steady_trace_constant_after_transient(self):
         mesh = generate_rect_tri((1.0, 1.0), (3, 4))
         case = channel_time_case(mesh, mu=0.5, u_max=1.0, period=1.0,
