@@ -22,7 +22,7 @@ velocity = np.tile(u_modes[None, None, :], (mesh.n_nodes, 1, 1))
 inlet = np.zeros(m, dtype=complex)
 inlet[n_modes - 1] = 1.0
 
-config = SolverConfig(eps_ls=1e-10, max_linear_iters=50_000)
+config = SolverConfig(eps_ls=1e-10)
 solutions = {}
 for label, galerkin_only in (("GLS", False), ("Galerkin", True)):
     case = ScalarCase(kappa=kappa, omega=omega, n_modes=n_modes,

@@ -49,8 +49,7 @@ def run_study(kappa, omega, u_pos, label):
                           dirichlet={"left": np.zeros(m, complex),
                                      "right": np.zeros(m, complex)},
                           source=source)
-        sol = solve_scalar(case, mesh,
-                           SolverConfig(eps_ls=1e-11, max_linear_iters=50_000))
+        sol = solve_scalar(case, mesh, SolverConfig(eps_ls=1e-11))
         errors.append(l2_error(sol, lambda p: modes(p[:, 0]), mesh))
         hs.append(1.0 / res)
         diag = diagnostics(case, mesh)

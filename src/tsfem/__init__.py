@@ -4,7 +4,7 @@ Subpackages:
   spectral      Fourier-mode arithmetic, convolution and stabilization matrices
   mesh          simplex meshes, generators, shape functions, quadrature
   boundary      facet-group checks, Dirichlet data and facet terms shared by the solvers
-  linsolve      real block systems, GMRES, preconditioning
+  linsolve      real block systems, their level LU factors, GMRES
   scalar        spectral convection-diffusion solver
   navier_stokes spectral incompressible Navier-Stokes solver
   time_domain   conventional time-domain reference solver
@@ -31,7 +31,6 @@ from .mesh import (
     save_mesh,
 )
 from .linsolve import (
-    GmresConfig,
     SolverConfig,
     gmres,
     block_jacobi_preconditioner,

@@ -3,10 +3,10 @@ the Neumann traction term and the backflow facet blocks (FacetBlocks).
 
 Boundary data of a facet group is uniform (an array of the per-node
 shape, or SpectralCoeffs), a callable of the node coordinates, or, for
-Dirichlet data, NodalValues.  resolve_dirichlet merges the groups in
-order, walls last, and where groups share nodes the later one wins; the
-merge (DirichletNodes) depends on the groups only, so a time run resolves
-it once and evaluates the values at each step.
+Dirichlet data, NodalValues.  DirichletNodes merges the groups in order,
+walls last, and where groups share nodes the later one wins; the merge
+depends on the groups only, so a time run resolves it once and evaluates
+the values at each step.
 The data of a group that no step changes, its node set (Mesh.group_nodes)
 and the facet integrals of its shape functions (its FacetQuadData), is
 built at the first use and kept on the mesh.
@@ -23,7 +23,7 @@ from .mesh import Mesh
 from .spectral import SpectralCoeffs
 
 __all__ = ["DirichletNodes", "FacetBlocks", "NodalValues", "add_traction", "check_groups",
-           "boundary_values", "resolve_dirichlet"]
+           "boundary_values"]
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,6 @@ class DirichletNodes:
             parts.append(np.broadcast_to(vals, (nodes.size,) + shape))
         parts.append(np.zeros((self.n_wall,) + shape, dtype=dtype))
         return np.concatenate(parts)[self.rows]
-
-
-def resolve_dirichlet(mesh: Mesh, dirichlet: Dict[str, object], walls: Iterable[str],
-                      shape: tuple, *args, dtype=complex):
-    """Dirichlet node ids (ascending) and their values (K,) + shape.
-
-    dirichlet maps facet groups to NodalValues or to boundary_values data
-    (callables take the node coordinates and *args); the walls get zeros.
-    A node in several groups takes the value of the last one, walls last
-    (DirichletNodes).
-    """
-    nodes = DirichletNodes.of(mesh, dirichlet, walls)
-    return nodes.ids, nodes.values(mesh, dirichlet, shape, *args, dtype=dtype)
 
 
 def add_traction(out: np.ndarray, fq, h) -> None:

@@ -24,6 +24,7 @@ from .mesh import (
     generate_interval,
     generate_rect_tri,
     load_mesh,
+    validate_mesh,
 )
 from .navier_stokes import NSCase, parabolic_inflow
 from .scalar import ScalarCase
@@ -55,11 +56,11 @@ class CaseConfig:
                 "solver": dict(self.solver), "output": dict(self.output)}
 
 
-# the keys each mesh generator reads
-_GENERATOR_KEYS = {"interval": ("length", "resolution"),
-                   "rect_tri": ("extents", "resolution"),
-                   "box_tet": ("extents", "resolution"),
-                   "bent_channel": ("extents", "resolution")}
+# the keys each generator reads, with their lengths (None: one value); bend_angle is optional
+_GENERATOR_KEYS = {"interval": {"length": None, "resolution": None},
+                   "rect_tri": {"extents": 2, "resolution": 2},
+                   "box_tet": {"extents": 3, "resolution": 3},
+                   "bent_channel": {"extents": 3, "resolution": 3, "bend_angle": None}}
 # The boundary data each (physics kind, bc kind) reads, given as <prefix>_modes
 # or <prefix>_samples; noslip reads none.  A flow dirichlet bc also reads axis.
 _BC_DATA = {("scalar", "dirichlet"): "phi", ("scalar", "neumann"): "flux",
@@ -172,34 +173,55 @@ def serialize_config(config: CaseConfig) -> str:
     return yaml.safe_dump(config.normalized(), sort_keys=True)
 
 
-def build_mesh(mesh_block: Dict[str, Any]) -> Mesh:
-    """The mesh a mesh block loads or generates.
+def _mesh_key_errors(key: str, raw, count) -> List[str]:
+    """Errors of mesh.<key>: count entries > 0 (one if None), integers for resolution."""
+    values = [raw] if count is None else raw
+    whole = key == "resolution"
+    if isinstance(values, list) and len(values) == (count or 1) and all(
+            (type(v) is int if whole else _is_number(v) and np.isfinite(v)) and v > 0
+            for v in values):
+        return []
+    one, many = ("an integer", "integers") if whole else ("a number", "numbers")
+    return [f"mesh.{key} must be {f'a list of {count} {many}' if count else one} > 0 "
+            f"(got {raw!r})"]
 
-    A relative mesh.path resolves against the working directory.  A key
-    its generator reads that is missing gives a ConfigError naming
-    mesh.<key>.
+
+def build_mesh(mesh_block: Dict[str, Any]) -> Mesh:
+    """The mesh a mesh block loads (relative to the working directory) or generates.
+
+    Its element data is built, and a loaded mesh passes validate_mesh.  A
+    bad file, a generator key missing or out of range, or a bend too tight
+    is a ConfigError naming mesh.path or mesh.<key>.
     """
     if "path" in mesh_block:
-        return load_mesh(Path(mesh_block["path"]))
+        try:
+            mesh = load_mesh(Path(mesh_block["path"]))
+            validate_mesh(mesh)
+        except (OSError, ValueError) as err:
+            raise ConfigError([f"mesh.path {str(mesh_block['path'])!r}: {err}"]) from None
+        return mesh
     gen = mesh_block.get("generator")
     if gen not in _GENERATOR_KEYS:
         raise ConfigError([f"unknown mesh generator {gen!r}; "
                            f"choose from {sorted(_GENERATOR_KEYS)}"])
-    missing = [f"mesh.{key} is required for generator {gen!r}"
-               for key in _GENERATOR_KEYS[gen] if key not in mesh_block]
-    if missing:
-        raise ConfigError(missing)
-    if gen == "interval":
-        return generate_interval(float(mesh_block["length"]),
-                                 int(mesh_block["resolution"]))
-    ext = [float(v) for v in mesh_block["extents"]]
-    res = [int(v) for v in mesh_block["resolution"]]
-    if gen == "rect_tri":
-        return generate_rect_tri(ext, res)
-    if gen == "box_tet":
-        return generate_box_tet(ext, res)
-    return generate_bent_channel_tet(ext[0], ext[1], ext[2], res,
-                                     bend_angle=float(mesh_block.get("bend_angle", np.pi / 2)))
+    block = {"bend_angle": np.pi / 2, **mesh_block}
+    errors = [e for key, count in _GENERATOR_KEYS[gen].items()
+              for e in ([f"mesh.{key} is required for generator {gen!r}"] if key not in block
+                        else _mesh_key_errors(key, block[key], count))]
+    if errors:
+        raise ConfigError(errors)
+    size = block["length" if gen == "interval" else "extents"]
+    try:
+        if gen == "bent_channel":
+            mesh = generate_bent_channel_tet(*size, block["resolution"],
+                                             bend_angle=block["bend_angle"])
+        else:
+            mesh = {"interval": generate_interval, "rect_tri": generate_rect_tri,
+                    "box_tet": generate_box_tet}[gen](size, block["resolution"])
+        mesh.element_data()
+    except ValueError as err:   # the checked keys leave a bend too tight for the height
+        raise ConfigError([f"mesh.extents: {err}"]) from None
+    return mesh
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -333,22 +355,23 @@ def _constructed(case_type, **values):
 
 
 def build_solver_config(solver_block: Dict[str, Any]) -> SolverConfig:
-    """The SolverConfig of a solver block: its given keys, SolverConfig's defaults for the rest."""
-    kinds = {"eps_nr": float, "eps_ls": float, "krylov_dim": int, "max_linear_iters": int,
-             "max_steps": int, "pseudo_dt": float}
+    """The SolverConfig of a solver block: its given keys, SolverConfig's defaults for the rest.
+
+    As in the physics block, a value of the wrong type is a ConfigError,
+    not coerced: the integer keys take integers, the others numbers (or
+    for pseudo_dt one of its named values).
+    """
     values = {}
-    for key, kind in kinds.items():
-        if key not in solver_block:
-            continue
+    for key in sorted(_KNOWN_KEYS["solver"] & set(solver_block)):
         raw = solver_block[key]
+        whole = key in ("krylov_dim", "max_linear_iters", "max_steps")
         if key == "pseudo_dt" and raw in ("auto", None, "inf", ".inf", "newton"):
             values[key] = None if raw in ("auto", None) else np.inf
-            continue
-        try:
-            values[key] = kind(raw)
-        except (TypeError, ValueError):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError([f"solver.{key} must be {what} (got {raw!r})"]) from None
+        elif (type(raw) is int) if whole else _is_number(raw):
+            values[key] = raw if whole else float(raw)
+        else:
+            raise ConfigError([f"solver.{key} must be {'an integer' if whole else 'a number'} "
+                               f"(got {raw!r})"])
     try:
         return SolverConfig(**values)
     except ValueError as err:   # the message starts with the field name

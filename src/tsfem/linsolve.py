@@ -1,4 +1,4 @@
-"""Real nodal-block sparse systems and a restarted GMRES solver.
+"""Real nodal-block systems, their exact level LU factors, and restarted GMRES.
 
 The spectral solvers solve in real unknowns: per node and component, the
 layout holds the 2N-1 orthonormal real coordinates of spectral's real
@@ -18,16 +18,16 @@ the Galerkin coefficient that multiplies every mode slot.  Its Newton
 operator is a BlockTangent without these edge blocks, applied per element;
 the edge blocks are formed for the preconditioner.
 
-Every preconditioner here is built on one kernel, _level_lu: the exact
-block LU of a stack of independent pinned systems on the mesh graph, over
-its breadth-first levels (LevelPlan, kept per mesh by
-AssemblyContext.level_plan), over which each system is block tridiagonal.
-The dense-block BlockMatrix systems of the scalar and time-domain solvers
-are one system (level_lu_preconditioner).  The Navier-Stokes tangent is
+Nodal-block systems are solved by their exact factor; GMRES iterates on
+the per-element Navier-Stokes Newton operator alone.  Every factor is
+built on one kernel, _level_lu: the exact block LU of a stack of
+independent pinned systems on the mesh graph, over its breadth-first
+levels (LevelPlan, kept per mesh by AssemblyContext.level_plan), over
+which each system is block tridiagonal.  A BlockMatrix is one system
+(level_lu_preconditioner).  The Navier-Stokes tangent is preconditioned
 block-Jacobi over harmonics (block_jacobi_preconditioner): one system per
 mode, its cos/sin pair over all nodes and components, with the coupling
-between harmonics dropped.  A factor larger than LEVEL_LU_MAX_BYTES is
-refused with a MemoryError that names its size.
+between harmonics dropped.  A factor above LEVEL_LU_MAX_BYTES is refused.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "GmresConfig",
     "GmresResult",
     "SolverConfig",
     "BlockMatrix",
@@ -65,22 +64,11 @@ __all__ = [
 
 
 @dataclass
-class GmresConfig:
-    """Restarted GMRES knobs: Krylov dimension, relative tolerance, matvec cap."""
-
-    restart: int = 100
-    tol: float = 1e-8
-    max_matvecs: int = 10_000
-
-    def __post_init__(self):
-        if self.restart < 2:
-            raise ValueError("restart dimension must be >= 2")
-
-
-@dataclass
 class SolverConfig:
-    """Nonlinear/linear solver parameters for the flow solvers.
+    """Nonlinear and linear solver parameters.
 
+    gmres reads krylov_dim (restart), max_linear_iters (matvec cap) and
+    eps_ls (relative tolerance, also the scalar factor solve's bound).
     pseudo_dt is the initial pseudo-time step of the spectral solver, which
     grows it as the residual falls; pseudo_dt = inf disables pseudo-time
     stepping (plain Newton), and pseudo_dt = None selects the initial step
@@ -108,9 +96,6 @@ class SolverConfig:
                              f"got {self.pseudo_dt!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
-
-    def gmres_config(self) -> GmresConfig:
-        return GmresConfig(self.krylov_dim, self.eps_ls, self.max_linear_iters)
 
 
 def build_graph(elements: np.ndarray, n_nodes: int):
@@ -330,10 +315,9 @@ class BlockMatrix:
     """Sparse matrix of dense nodal blocks on a directed edge list.
 
     The rows must be sorted, as build_graph returns them; row_starts, the
-    starts of their runs, are worked out here.  blocks becomes a view of one
-    (b, n_edges, b) array, so the entries of scalar row (node r, component
-    i), blocks[e, i, :] over r's run of edges, are contiguous: a matvec is
-    one gather of x, one multiply and one reduceat over the scalar rows.
+    starts of their runs, are worked out here.  A matvec is one batched
+    product of the blocks with the gathered column values and one reduceat
+    of the edge products over row_starts.
     """
 
     rows: np.ndarray
@@ -341,33 +325,21 @@ class BlockMatrix:
     blocks: np.ndarray  # (n_edges, b, b), real or complex
     n_nodes: int
     row_starts: np.ndarray = field(init=False, repr=False)
-    _entries: np.ndarray = field(init=False, repr=False)  # (b, n_edges, b)
-    _x_slots: np.ndarray = field(init=False, repr=False)  # (n_edges * b,) x slot of a column
-    _starts: np.ndarray = field(init=False, repr=False)   # first entry of each scalar row
-    _y_slots: np.ndarray = field(init=False, repr=False)  # y slot of each scalar row
 
     def __post_init__(self):
         if np.any(self.rows[1:] < self.rows[:-1]):
             raise ValueError("BlockMatrix rows must be sorted")
-        n_edges, b = self.blocks.shape[:2]
-        self.row_starts = segment_starts(self.rows)[:n_edges]   # no run for no edges
-        comp = np.arange(b)
-        self._entries = np.ascontiguousarray(np.asarray(self.blocks).transpose(1, 0, 2))
-        self.blocks = self._entries.transpose(1, 0, 2)
-        self._x_slots = (b * self.cols[:, None] + comp).ravel()
-        self._starts = (n_edges * b * comp[:, None] + b * self.row_starts).ravel()
-        self._y_slots = (b * self.rows[self.row_starts] + comp[:, None]).ravel()
+        self.row_starts = segment_starts(self.rows)[:self.rows.size]   # no run for no edges
 
     @property
     def block_size(self) -> int:
         return self.blocks.shape[-1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        b = self.block_size
-        prod = self._entries.reshape(b, -1) * np.asarray(x).ravel()[self._x_slots]
-        y = np.zeros(self.n_nodes * b, dtype=prod.dtype)
-        y[self._y_slots] = np.add.reduceat(prod.ravel(), self._starts)
-        return y
+        prod = np.matmul(self.blocks, np.asarray(x).reshape(self.n_nodes, -1)[self.cols, :, None])
+        y = np.zeros((self.n_nodes, self.block_size), dtype=prod.dtype)
+        y[self.rows[self.row_starts]] = np.add.reduceat(prod[..., 0], self.row_starts, axis=0)
+        return y.ravel()
 
     def to_dense(self) -> np.ndarray:
         b = self.block_size
@@ -534,7 +506,7 @@ class GmresResult(NamedTuple):
     converged: bool
 
 
-def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
+def gmres(matvec: Callable, b: np.ndarray, config: SolverConfig,
           precond: Callable | None = None) -> GmresResult:
     """Right-preconditioned restarted GMRES from x = 0.
 
@@ -545,13 +517,11 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
     restart, and the end, takes the true residual b - Ax, so a cycle of k
     Arnoldi steps costs k + 1 matvecs, and its norm replaces the last
     rotation estimate of the cycle: the last recorded residual is the
-    ||b - Ax|| the solve reached.  Terminates when ||Ax - b|| <=
-    tol*||b||, on stagnation, or when the matvec budget cannot pay for
-    another cycle (flagged in the result); matvec is never called more
-    than max_matvecs times.
+    ||b - Ax|| the solve reached.  A cycle takes config.krylov_dim Arnoldi
+    steps at most.  Terminates when ||Ax - b|| <= eps_ls*||b||, on
+    stagnation, or when the budget of max_linear_iters matvecs cannot pay
+    for another cycle (flagged in the result), which is never exceeded.
     """
-    if config is None:
-        config = GmresConfig()
     b = np.asarray(b, dtype=float).ravel()
     if not np.all(np.isfinite(b)):
         raise ValueError("gmres: right-hand side contains NaN/Inf")
@@ -560,7 +530,7 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
         return GmresResult(np.zeros_like(b), 0, [0.0], True)
     x = np.zeros_like(b)
     r, beta = b, norm_b
-    target = config.tol * norm_b
+    target = config.eps_ls * norm_b
     matvecs = 0
     history = [float(beta)]
     prev_beta = np.inf
@@ -568,11 +538,11 @@ def gmres(matvec: Callable, b: np.ndarray, config: GmresConfig | None = None,
     while True:
         if beta <= target:
             return GmresResult(x, matvecs, history, True)
-        if matvecs + 2 > config.max_matvecs or beta >= prev_beta * (1.0 - 1e-14):
+        if matvecs + 2 > config.max_linear_iters or beta >= prev_beta * (1.0 - 1e-14):
             return GmresResult(x, matvecs, history, False)
         prev_beta = beta
 
-        k_max = min(config.restart, config.max_matvecs - matvecs - 1)   # one for b - Ax
+        k_max = min(config.krylov_dim, config.max_linear_iters - matvecs - 1)   # one for b - Ax
         v = np.empty((k_max + 1, b.size))
         v[0] = r / beta
         # the rotated Hessenberg columns, the Givens rotations and the
@@ -670,7 +640,7 @@ def block_jacobi_preconditioner(op: BlockTangent, pins: np.ndarray | None = None
     which raises MemoryError when the factor would exceed
     LEVEL_LU_MAX_BYTES.  The pins must pin every slot of a component alike
     (ValueError otherwise), as layout_pins does; pinned slots act as
-    identity rows and columns.  A BlockMatrix is preconditioned by
+    identity rows and columns.  A BlockMatrix is solved by
     level_lu_preconditioner.
 
     System h of _level_lu holds harmonic h in 2 slots per component: its

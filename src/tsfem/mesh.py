@@ -502,11 +502,11 @@ def validate_mesh(mesh: Mesh) -> None:
     """Check facet/element consistency and the boundary partition."""
     mesh.element_data()
     all_faces, all_parents = boundary_faces(mesh.elements, mesh.elem_type)
-    boundary = {tuple(sorted(f)) for f in all_faces}
+    boundary = {tuple(sorted(f)) for f in all_faces.tolist()}
     seen = {}
     for name, fg in mesh.facet_groups.items():
         for f, p in zip(fg.nodes, fg.parents):
-            key = tuple(sorted(f))
+            key = tuple(sorted(f.tolist()))
             if not set(f) <= set(mesh.elements[p]):
                 raise ValueError(f"facet {key} not contained in its parent element {p}")
             if key in seen:
@@ -547,7 +547,7 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    """Parse the text format; malformed input raises with the line number."""
+    """Parse the text format; malformed input or an id out of range raises with the line."""
     with open(path) as fh:
         lines = fh.readlines()
     pos = 0
@@ -563,6 +563,12 @@ def load_mesh(path) -> Mesh:
                 raise MeshFormatError(pos, f"expected {expected!r}, got {tok[0]!r}")
             return tok
         raise MeshFormatError(len(lines), f"unexpected end of file (wanted {expected!r})")
+
+    def ids(tokens, count: int, what: str) -> list:
+        values = [int(v) for v in tokens]
+        if not all(0 <= v < count for v in values):
+            raise MeshFormatError(pos, f"{what} out of range [0, {count}): {values}")
+        return values
 
     try:
         dim = int(next_tokens("dimension")[1])
@@ -583,7 +589,7 @@ def load_mesh(path) -> Mesh:
             tok = next_tokens()
             if len(tok) != nen:
                 raise MeshFormatError(pos, f"expected {nen} node ids, got {len(tok)}")
-            elements[i] = [int(v) for v in tok]
+            elements[i] = ids(tok, n_nodes, "node id")
         groups = {}
         k = FACET_NODES[FACET_TYPE[elem_type]]
         while pos < len(lines):
@@ -598,8 +604,8 @@ def load_mesh(path) -> Mesh:
                 row = next_tokens()
                 if len(row) != k + 1:
                     raise MeshFormatError(pos, f"expected parent + {k} node ids")
-                parents[i] = int(row[0])
-                nodes[i] = [int(v) for v in row[1:]]
+                parents[i] = ids(row[:1], n_el, "parent id")[0]
+                nodes[i] = ids(row[1:], n_nodes, "node id")
             groups[name] = FacetGroup(name, nodes, parents)
         if not groups:
             raise MeshFormatError(pos, "missing facet_group section")

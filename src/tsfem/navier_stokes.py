@@ -76,12 +76,12 @@ import numpy as np
 
 from . import spectral
 from .boundary import (
+    DirichletNodes,
     FacetBlocks,
     NodalValues,
     add_traction,
     boundary_values,
     check_groups,
-    resolve_dirichlet,
 )
 from .linsolve import (
     BlockTangent,
@@ -262,9 +262,9 @@ class NSResult:
 
 def resolve_ns_dirichlet(case: NSCase, mesh: Mesh):
     """Dirichlet node ids and (K, dim, 2N-1) values; walls override."""
-    nodes, vals = resolve_dirichlet(mesh, case.dirichlet, case.walls,
-                                    (mesh.dim, n_coeffs(case.n_modes)))
-    return nodes, symmetrize_modes(vals)
+    nodes = DirichletNodes.of(mesh, case.dirichlet, case.walls)
+    return nodes.ids, symmetrize_modes(
+        nodes.values(mesh, case.dirichlet, (mesh.dim, n_coeffs(case.n_modes))))
 
 
 @dataclass
@@ -691,7 +691,7 @@ def newton_step(case: NSCase, mesh: Mesh, state: NSState, config: SolverConfig,
     rhs[pins] = 0.0
     op = pinned_operator(tangent.matvec, pins)
     assembled = time.perf_counter()
-    res = gmres(op, rhs, config.gmres_config(), precond=lagged.apply)
+    res = gmres(op, rhs, config, precond=lagged.apply)
     solved = time.perf_counter()
     if res.matvecs > REFACTOR_MATVECS:
         lagged.apply = None

@@ -16,8 +16,8 @@ the one the Navier-Stokes momentum block is built from: spectral_real's
 gls_tables, evaluated on the quadrature tables of the mesh's ElementData,
 and gls_operator of them with rho = 1 and mu = kappa.  The assembled
 system is linsolve's layout of 2N-1 real slots per node as it stands:
-the solver solves it directly, pins the Dirichlet nodes only, and maps
-the solution back by modes_from_real.
+the solver pins the Dirichlet nodes only, solves it by its exact level LU
+factor, and maps the solution back by modes_from_real.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from . import spectral
-from .boundary import FacetBlocks, boundary_values, check_groups, resolve_dirichlet
+from .boundary import DirichletNodes, FacetBlocks, boundary_values, check_groups
 from .linsolve import (
     BlockMatrix,
     LinearSolveError,
     SolverConfig,
     assembly_context,
     build_graph,
-    gmres,
     layout_pins,
     level_lu_preconditioner,
     pinned_operator,
@@ -196,24 +195,24 @@ def assemble_scalar(case: ScalarCase, mesh: Mesh):
 
 def resolve_scalar_dirichlet(case: ScalarCase, mesh: Mesh):
     """Dirichlet node ids and per-node mode values; later groups override."""
-    nodes, vals = resolve_dirichlet(mesh, case.dirichlet, (), (n_coeffs(case.n_modes),))
-    return nodes, symmetrize_modes(vals)
+    nodes = DirichletNodes.of(mesh, case.dirichlet, ())
+    return nodes.ids, symmetrize_modes(
+        nodes.values(mesh, case.dirichlet, (n_coeffs(case.n_modes),)))
 
 
 def solve_scalar(case: ScalarCase, mesh: Mesh,
                  solver_config: SolverConfig | None = None) -> np.ndarray:
     """Solve for the nodal spectral field, shape (n_nodes, 2N-1) complex.
 
-    The Dirichlet nodes of the real-basis system are pinned, and the
-    system is solved by GMRES preconditioned with its level LU factor
-    (linsolve.level_lu_preconditioner), factored once.  Every term of the
-    system lives in its nodal blocks, so the factor is an exact solve and
-    GMRES only checks it.  The returned
-    field carries the Dirichlet data exactly and is conjugate-symmetric at
-    every node.
+    The Dirichlet nodes of the real-basis system are pinned, and every
+    term lives in its nodal blocks, so one apply of its level LU factor
+    (linsolve.level_lu_preconditioner) solves it; a relative residual
+    above solver_config.eps_ls (a singular level block) raises
+    LinearSolveError.  The returned field carries the Dirichlet data
+    exactly and is conjugate-symmetric at every node.
     """
     if solver_config is None:
-        solver_config = SolverConfig(eps_ls=1e-10, max_linear_iters=50_000)
+        solver_config = SolverConfig(eps_ls=1e-10)
     system, rhs = assemble_scalar(case, mesh)
     dir_nodes, dir_vals = resolve_scalar_dirichlet(case, mesh)
     y0 = np.zeros((mesh.n_nodes, n_coeffs(case.n_modes)), dtype=complex)
@@ -221,14 +220,13 @@ def solve_scalar(case: ScalarCase, mesh: Mesh,
     resid = rhs.ravel() - system.matvec(modes_to_real(y0).ravel())
     pins = layout_pins(mesh.n_nodes, case.n_modes, dir_nodes)
     resid[pins] = 0.0
-    op = pinned_operator(system.matvec, pins)
     plan = assembly_context(mesh, build_graph).level_plan()
-    precond = level_lu_preconditioner(system, pins, plan)
-    res = gmres(op, resid, solver_config.gmres_config(), precond=precond)
-    if not res.converged:
-        raise LinearSolveError("scalar linear solve did not converge",
-                               res.matvecs, res.residuals[-1])
-    out = y0 + modes_from_real(res.x.reshape(mesh.n_nodes, -1))
+    x = level_lu_preconditioner(system, pins, plan)(resid)
+    miss = np.linalg.norm(resid - pinned_operator(system.matvec, pins)(x))
+    rel = miss / (np.linalg.norm(resid) or 1.0)     # a zero rhs has x = 0 and miss = 0
+    if not rel <= solver_config.eps_ls:             # also when the factor made a NaN
+        raise LinearSolveError(f"scalar factor solve missed eps_ls {solver_config.eps_ls:.0e}", 1, rel)
+    out = y0 + modes_from_real(x.reshape(mesh.n_nodes, -1))
     out[dir_nodes] = dir_vals
     return out
 

@@ -463,7 +463,6 @@ def test_criterion_10_optimization_equivalences():
     )
     from tsfem.linsolve import (
         gmres,
-        GmresConfig,
         layout_pins,
         level_lu_preconditioner,
         pinned_operator,
@@ -484,7 +483,7 @@ def test_criterion_10_optimization_equivalences():
     pins = layout_pins(4, 3, np.array([], dtype=int))   # no Dirichlet node: nothing pinned
     real_rhs[pins] = 0.0
     res = gmres(pinned_operator(real_sys.matvec, pins), real_rhs,
-                GmresConfig(restart=60, tol=1e-13, max_matvecs=2000),
+                SolverConfig(krylov_dim=60, eps_ls=1e-13, max_linear_iters=2000),
                 precond=level_lu_preconditioner(real_sys, pins))
     assert res.converged
     x_back = modes_from_real(res.x.reshape(4, -1))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsfem.boundary import (FacetBlocks, NodalValues, add_traction, check_groups,
-                            resolve_dirichlet)
+from tsfem.boundary import DirichletNodes, FacetBlocks, NodalValues, add_traction, check_groups
 from tsfem.linsolve import assembly_context, build_graph
 from tsfem.mesh import (facet_quadrature, generate_bent_channel_tet, generate_box_tet,
                         generate_rect_tri)
@@ -168,20 +167,21 @@ class TestSharedMerge:
                         dirichlet={"xmin": lambda x, t: np.cos(t) * x + 1.0,
                                    "ymin": lambda x, t: np.sin(t) * x[:, ::-1]},
                         walls=["ymax", "xmax"])
-        got = resolve_dirichlet(mesh, case.dirichlet, case.walls, (2,), 0.3, dtype=float)
+        nodes = DirichletNodes.of(mesh, case.dirichlet, case.walls)
+        got = nodes.ids, nodes.values(mesh, case.dirichlet, (2,), 0.3, dtype=float)
         assert_identical(got, oracle_resolve_time_dirichlet(case, mesh, 0.3))
 
     def test_empty(self):
         mesh = generate_rect_tri((1.0, 1.0), (2, 2))
-        nodes, vals = resolve_dirichlet(mesh, {}, [], (2, 3))
-        assert nodes.shape == (0,) and vals.shape == (0, 2, 3) and vals.dtype == complex
+        nodes = DirichletNodes.of(mesh, {}, [])
+        vals = nodes.values(mesh, {}, (2, 3))
+        assert nodes.ids.shape == (0,) and vals.shape == (0, 2, 3) and vals.dtype == complex
 
     def test_wrong_shape_names_the_group(self):
         mesh = generate_rect_tri((1.0, 1.0), (2, 2))
-        with pytest.raises(ValueError, match="group 'xmin'"):
-            resolve_dirichlet(mesh, {"xmin": np.zeros((2, 4))}, [], (2, 3))
-        with pytest.raises(ValueError, match="group 'ymin'"):
-            resolve_dirichlet(mesh, {"ymin": lambda x: np.zeros((1, 2, 3))}, [], (2, 3))
+        for name, data in (("xmin", np.zeros((2, 4))), ("ymin", lambda x: np.zeros((1, 2, 3)))):
+            with pytest.raises(ValueError, match=f"group '{name}'"):
+                DirichletNodes.of(mesh, {name: data}, []).values(mesh, {name: data}, (2, 3))
 
 
 class TestCheckGroups:

@@ -32,7 +32,7 @@ class TestConfigParsing:
     def test_solver_defaults_are_solver_config_defaults(self):
         assert build_solver_config({}) == linsolve.SolverConfig()
         assert build_solver_config({"pseudo_dt": "auto"}) == linsolve.SolverConfig()
-        assert build_solver_config({"eps_nr": "1e-4"}) == linsolve.SolverConfig(eps_nr=1e-4)
+        assert build_solver_config({"eps_nr": 1e-4}) == linsolve.SolverConfig(eps_nr=1e-4)
 
     def test_round_trip_semantically_identical(self):
         text = (CONFIG_DIR / "steady_channel.yaml").read_text()
@@ -515,16 +515,85 @@ class TestMainEntry:
         assert err.count("\n") == 1 and "needs an estimated" in err and " MB, over" in err
 
     def test_run_exits_1_on_a_linear_solve_error(self, tmp_path, capsys, monkeypatch):
-        # a GMRES solve that ends unconverged: the scalar solver raises LinearSolveError
-        monkeypatch.setattr(scalar, "gmres", lambda op, b, config, precond=None:
-                            linsolve.GmresResult(np.zeros_like(b), 2, [1.0, 0.5], False))
+        # a factor that misses eps_ls: the scalar solver raises LinearSolveError
+        real = scalar.level_lu_preconditioner
+        monkeypatch.setattr(scalar, "level_lu_preconditioner",
+                            lambda *a: (lambda r: 0.5 * real(*a)(r)))
         code = main(["run", str(CONFIG_DIR / "tracer_1d.yaml"),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "scalar linear solve did not converge (matvecs 2, residual 5.000e-01)" in err
+        assert "scalar factor solve missed eps_ls 1e-10 (matvecs 1, residual 5.000e-01)" in err
         assert not (tmp_path / "out" / "summary.yaml").exists()
+
+    @staticmethod
+    def _assert_config_error(tmp_path, capsys, raw, message):
+        """validate-config and run both exit 2 naming message, one error, and write no summary."""
+        path = tmp_path / "case.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        for argv in (["validate-config", str(path)], ["run", str(path), "--output-dir", str(out)]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert message in err and err.count("\n  - ") == 1, err
+        assert not (out / "summary.yaml").exists()
+
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("steady_channel.yaml", "resolution", [0, 4],
+         "mesh.resolution must be a list of 2 integers > 0 (got [0, 4])"),
+        ("steady_channel.yaml", "resolution", ["a", 4],
+         "mesh.resolution must be a list of 2 integers > 0 (got ['a', 4])"),
+        ("steady_channel.yaml", "extents", [-1.0, 1.0],
+         "mesh.extents must be a list of 2 numbers > 0 (got [-1.0, 1.0])"),
+        ("tracer_1d.yaml", "resolution", 2.5, "mesh.resolution must be an integer > 0 (got 2.5)"),
+        ("tracer_1d.yaml", "length", "1.0", "mesh.length must be a number > 0 (got '1.0')"),
+        ("pulsatile_bent_channel.yaml", "extents", [1.0, 2.0, 0.5],
+         "mesh.extents: bend too tight"),
+        ("pulsatile_bent_channel.yaml", "bend_angle", 0, "mesh.bend_angle must be a number > 0")])
+    def test_bad_mesh_values_are_config_errors(self, tmp_path, capsys, name, key, value,
+                                               message):
+        raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+        raw["mesh"][key] = value
+        self._assert_config_error(tmp_path, capsys, raw, message)
+
+    @pytest.mark.parametrize("first, last, rows, message", [   # rows replace lines first..last
+        (11, 11, ["1 3 -2"], "line 11: node id out of range [0, 6): [1, 3, -2]"),
+        (11, 11, ["1 3 7"], "line 11: node id out of range [0, 6): [1, 3, 7]"),
+        (11, 11, ["1 3 x"], "line 11: invalid literal"),
+        (16, 16, ["4 1 0"], "line 16: parent id out of range [0, 4): [4]"),
+        (16, 16, ["2 1 6"], "line 16: node id out of range [0, 6): [1, 6]"),
+        (16, 16, ["0 1 0"], "facet (0, 1) not contained in its parent element 0"),
+        (23, 24, [], "1 boundary facets belong to no group")])    # the ymax group
+    def test_bad_mesh_files_are_config_errors(self, tmp_path, capsys, first, last, rows,
+                                              message):
+        from tsfem.mesh import generate_rect_tri, save_mesh
+        path = tmp_path / "square.mesh"
+        save_mesh(generate_rect_tri((1.0, 1.0), (1, 2)), path)
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        raw["mesh"] = {"path": str(path)}
+        case = tmp_path / "case.yaml"
+        case.write_text(yaml.safe_dump(raw))
+        assert main(["validate-config", str(case)]) == 0
+        capsys.readouterr()
+        lines = path.read_text().splitlines()
+        lines[first - 1:last] = rows
+        path.write_text("\n".join(lines) + "\n")
+        self._assert_config_error(tmp_path, capsys, raw, f"mesh.path {str(path)!r}: {message}")
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("max_steps", 2.5, "an integer"), ("krylov_dim", 100.7, "an integer"),
+        ("max_steps", True, "an integer"), ("max_linear_iters", "50", "an integer"),
+        ("eps_ls", "0.05", "a number"), ("eps_nr", True, "a number"),
+        ("pseudo_dt", "0.1", "a number")])
+    def test_solver_values_of_another_type_are_config_errors(self, tmp_path, capsys, key, value,
+                                                             rule):
+        with pytest.raises(ConfigError, match=re.escape(f"solver.{key} must be {rule}")):
+            build_solver_config({key: value})
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        raw["solver"][key] = value
+        self._assert_config_error(tmp_path, capsys, raw,
+                                  f"solver.{key} must be {rule} (got {value!r})")
 
     @pytest.mark.parametrize("key, value, rule", [
         ("n_cycles", 1, "an integer >= 2"), ("n_cycles", 2.5, "an integer >= 2"),

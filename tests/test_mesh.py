@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,18 @@ class TestMeshIO:
         path = tmp_path / "bad2.mesh"
         path.write_text("dimension 1\nelement_type line2\nnodes 2\n0.0\nbogus x\n")
         with pytest.raises(MeshFormatError, match="line 5"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0 -2", "line 8: node id out of range [0, 3): [0, -2]"),
+        ("0 3", "line 8: node id out of range [0, 3): [0, 3]"),
+        ("1 2\nfacet_group rest 1\n-1 2", "line 10: parent id out of range [0, 1): [-1]"),
+        ("1 2\nfacet_group rest 1\n0 5", "line 10: node id out of range [0, 3): [5]")])
+    def test_out_of_range_ids_report_the_line(self, tmp_path, row, message):
+        path = tmp_path / "ids.mesh"
+        path.write_text("dimension 1\nelement_type line2\nnodes 3\n0.0\n0.5\n1.0\n"
+                        f"elements 1\n{row}\n")
+        with pytest.raises(MeshFormatError, match=re.escape(message)):
             load_mesh(path)
 
     def test_hand_written_two_tets(self, tmp_path):

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import tsfem.linsolve as linsolve
 import tsfem.scalar as scalar
 from tsfem.boundary import check_groups
 from tsfem.linsolve import (
     BlockMatrix,
+    LinearSolveError,
     SolverConfig,
     assembly_context,
     build_graph,
@@ -63,6 +67,21 @@ def steady_1d_case(u, kappa, n_modes=1, omega=0.0, g_right=1.0, n_elems=8, L=1.0
         dirichlet={"left": np.zeros(m, dtype=complex), "right": g},
     )
     return case, mesh
+
+
+def dense_pinned_solve(case, mesh):
+    """Dense direct solve in real mode coordinates, the Dirichlet rows replaced by identity."""
+    m = n_coeffs(case.n_modes)
+    sys_r, rhs = assemble_scalar(case, mesh)
+    dense = sys_r.to_dense()
+    b = rhs.ravel().copy()
+    nodes, vals = resolve_scalar_dirichlet(case, mesh)
+    for node, val in zip(nodes, modes_to_real(vals)):
+        sl = slice(node * m, (node + 1) * m)
+        dense[sl, :] = 0.0
+        dense[sl, sl] = np.eye(m)
+        b[sl] = val
+    return modes_from_real(np.linalg.solve(dense, b).reshape(mesh.n_nodes, m))
 
 
 class TestAssembleScalar:
@@ -183,20 +202,7 @@ class TestSolveScalar:
                           velocity=uniform_velocity(mesh.n_nodes, 1, vel),
                           dirichlet={"left": np.zeros(m, complex), "right": g})
         sol = solve_scalar(case, mesh)
-
-        # dense direct solve in real mode coordinates with Dirichlet rows
-        # replaced by identity
-        sys_r, rhs = assemble_scalar(case, mesh)
-        dense = sys_r.to_dense()
-        b = rhs.ravel().copy()
-        nodes, vals = resolve_scalar_dirichlet(case, mesh)
-        for node, val in zip(nodes, modes_to_real(vals)):
-            sl = slice(node * m, (node + 1) * m)
-            dense[sl, :] = 0.0
-            dense[sl, sl] = np.eye(m)
-            b[sl] = val
-        ref = modes_from_real(np.linalg.solve(dense, b).reshape(mesh.n_nodes, m))
-        assert np.max(np.abs(sol - ref)) < 1e-9
+        assert np.max(np.abs(sol - dense_pinned_solve(case, mesh))) < 1e-9
 
     def test_solution_conjugate_symmetric(self):
         case, mesh = steady_1d_case(0.5, 0.1, n_modes=4, omega=1.5)
@@ -222,12 +228,28 @@ class TestSolveScalar:
                               neumann={"ymin": np.zeros(m, complex),
                                        "ymax": np.zeros(m, complex)},
                               backflow_beta=0.5)
-        results = []
-        real = scalar.gmres
-        monkeypatch.setattr(scalar, "gmres",
-                            lambda *a, **k: results.append(real(*a, **k)) or results[-1])
-        solve_scalar(case, mesh)
-        assert len(results) == 1 and results[0].converged and results[0].matvecs <= 3
+        calls = []
+        real = linsolve.gmres
+        monkeypatch.setattr(linsolve, "gmres", lambda *a, **k: calls.append(1) or real(*a, **k))
+        sol = solve_scalar(case, mesh)
+        assert not calls and not hasattr(scalar, "gmres")
+        ref = dense_pinned_solve(case, mesh)
+        assert np.max(np.abs(sol - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_inexact_factor_raises_naming_the_residual(self, monkeypatch):
+        case, mesh = steady_1d_case(0.5, 0.1, n_modes=2, omega=1.5)
+        real = scalar.level_lu_preconditioner
+        monkeypatch.setattr(scalar, "level_lu_preconditioner",
+                            lambda *a: (lambda r: 0.5 * real(*a)(r)))
+        with pytest.raises(LinearSolveError, match=r"residual 5\.000e-01"):
+            solve_scalar(case, mesh)
+
+    def test_zero_data_gives_zeros_without_a_warning(self):
+        case, mesh = steady_1d_case(0.5, 0.1, n_modes=3, omega=1.5, g_right=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_scalar(case, mesh)
+        assert sol.shape == (mesh.n_nodes, n_coeffs(3)) and np.all(sol == 0.0)
 
     def test_2d_plain_galerkin_flag(self):
         mesh = generate_rect_tri((1.0, 1.0), (4, 4))

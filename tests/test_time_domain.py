@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tsfem.linsolve as linsolve
 import tsfem.time_domain as time_domain
-from tsfem.boundary import resolve_dirichlet
+from tsfem.boundary import DirichletNodes
 from tsfem.cli import _time_reference_case
 from tsfem.config import config_from_mapping
 from tsfem.linsolve import SolverConfig, build_graph
@@ -485,8 +485,9 @@ class TestMeshCaches:
                         neumann={"xmax": lambda t: 0.7})
         mesh = generate_rect_tri((1.0, 1.0), resolution)
         groups = [mesh.facet_groups[g].nodes for g in ("xmin", "ymin", "ymax")]
-        nodes, vals = resolve_dirichlet(mesh, case.dirichlet, case.walls, (2,), 0.2,
-                                        dtype=float)
+        dirichlet = DirichletNodes.of(mesh, case.dirichlet, case.walls)
+        nodes = dirichlet.ids
+        vals = dirichlet.values(mesh, case.dirichlet, (2,), 0.2, dtype=float)
         np.testing.assert_array_equal(nodes,
                                       np.unique(np.concatenate([g.ravel() for g in groups])))
         assert vals.shape == (nodes.size, 2)
