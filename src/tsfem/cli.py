@@ -26,13 +26,14 @@ import numpy as np
 import yaml
 
 from .config import (
+    KEY_KINDS,
     CaseConfig,
     ConfigError,
-    _floats,
     _groups_of,
     build_case,
     build_mesh,
     build_solver_config,
+    check_block,
     config_from_mapping,
     load_config,
 )
@@ -145,7 +146,7 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
     case, info = build_case(config, mesh)
     solver_config = build_solver_config(config.solver)
     omega = float(config.physics["omega"])
-    samples = int(config.output.get("trace_samples", 128))
+    samples = config.output.get("trace_samples", 128)
     # one period of trace times; a steady case (omega 0) has one
     times = 2 * np.pi / omega * np.arange(samples) / samples if omega > 0.0 else np.zeros(1)
     outputs: List[str] = []
@@ -199,47 +200,21 @@ def run(config_path, out_dir=None) -> RunSummary:
 # studies
 # ---------------------------------------------------------------------------
 
-# the keys the studies read; any other key is a typo
-_STUDY_KEYS = {"kind", "modes", "resolutions", "case", "reference", "directory"}
-_REFERENCE_KEYS = {"group", "dt_per_cycle", "n_cycles", "ramp_steps", "n_fit"}
-# the least value of each integer reference key
-_REFERENCE_MINIMA = {"dt_per_cycle": 1, "n_cycles": 2, "ramp_steps": 0, "n_fit": 1}
-# the list each study kind sweeps over
-_STUDY_LISTS = {"mode_sweep": "modes", "h_sweep": "resolutions"}
-
-
 def _study_case(study: Dict[str, Any], kind: str | None = None) -> CaseConfig:
     """A study's case block, validated as a case file is, after the study's own keys.
 
-    kind is the study kind to check against, study.kind when None: a
-    mode_sweep needs modes and reference.group, an h_sweep resolutions,
-    each list with at least two integers >= 1.  The integer reference keys
-    must reach _REFERENCE_MINIMA, and n_fit fit the inflow's flow_samples.
+    kind is the study kind to check against, study.kind when None: a mode_sweep needs
+    modes and reference.group, an h_sweep resolutions.  The keys of study and
+    study.reference are checked against KEY_KINDS, and n_fit against the inflow samples.
     """
-    reference = study.get("reference", {})
-    if not isinstance(reference, dict):
-        raise ConfigError(["study.reference must be a mapping"])
-    errors = [f"unknown key {section}.{key}; known keys: {sorted(known)}"
-              for section, block, known in (("study", study, _STUDY_KEYS),
-                                            ("study.reference", reference, _REFERENCE_KEYS))
-              for key in sorted(set(block) - known, key=str)]
-    errors += [f"study.reference.{key} must be an integer >= {least} (got {reference[key]!r})"
-               for key, least in _REFERENCE_MINIMA.items()
-               if key in reference and not (type(reference[key]) is int
-                                            and reference[key] >= least)]
-    errors += [] if "case" in study else ["study.case is required"]
     kind = study.get("kind") if kind is None else kind
-    if kind not in _STUDY_LISTS:
-        errors.append(f"study.kind must be one of {sorted(_STUDY_LISTS)} (got {kind!r})")
-    else:
-        key = _STUDY_LISTS[kind]
-        values = study.get(key)
-        if not (isinstance(values, list) and len(values) >= 2
-                and all(type(v) is int and v >= 1 for v in values)):
-            errors.append(f"study.{key} needs a list of at least two integers >= 1 "
-                          f"(got {values!r})")
-    if kind == "mode_sweep" and "group" not in reference:
-        errors.append("study.reference.group is required")
+    reference = study.get("reference", {})
+    # a study needs its case and the list its kind sweeps over, or a known kind
+    swept = {"mode_sweep": "modes", "h_sweep": "resolutions"}.get(str(kind), "kind")
+    errors = check_block("study", study, KEY_KINDS["study"], ("case", swept))
+    if isinstance(reference, dict):
+        errors += check_block("study.reference", reference, KEY_KINDS["study.reference"],
+                              ("group",) if kind == "mode_sweep" else ())
     if errors:
         raise ConfigError(errors)
     config = config_from_mapping(study["case"])
@@ -269,8 +244,7 @@ def _reference_bcs(config: CaseConfig):
         if bc["kind"] == "noslip":
             walls += _groups_of(bc)
         elif bc["kind"] == "neumann" and not any(
-                np.any(_floats(value, f"bcs.{name}.{key}"))
-                for key, value in bc.items() if key.endswith(("_modes", "_samples"))):
+                np.any(v) for key, v in bc.items() if key.endswith(("_modes", "_samples"))):
             zero_traction += _groups_of(bc)
         elif name != inflow:
             dropped.append(name)
@@ -296,7 +270,7 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     mesh = build_mesh(base.mesh)
     phys = base.physics
     period = 2 * np.pi / float(phys["omega"])
-    n_fit = int(ref_block.get("n_fit", min(16, (samples.size + 2) // 4)))
+    n_fit = ref_block.get("n_fit", min(16, (samples.size + 2) // 4))
     inflow_modes = fourier_coefficients(samples, n_fit).values
 
     def time_inflow(group):
@@ -310,9 +284,9 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
 
         return values
 
-    steps = int(ref_block.get("dt_per_cycle", 160))
+    steps = ref_block.get("dt_per_cycle", 160)
     tcase = TimeCase(rho=float(phys["rho"]), mu=float(phys["mu"]), period=period,
-                     n_cycles=int(ref_block.get("n_cycles", 4)), dt=period / steps,
+                     n_cycles=ref_block.get("n_cycles", 4), dt=period / steps,
                      dirichlet={g: time_inflow(g) for g in _groups_of(inflow)},
                      walls=walls, neumann={g: lambda t: 0.0 for g in zero_traction},
                      c_i=phys.get("c_i"))
@@ -350,7 +324,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     tcase, mesh, inflow_name = _time_reference_case(base, ref_block)
     phys = base.physics
     omega = float(phys["omega"])
-    ramp = {"ramp_steps": int(ref_block["ramp_steps"])} if "ramp_steps" in ref_block else {}
+    ramp = {"ramp_steps": ref_block["ramp_steps"]} if "ramp_steps" in ref_block else {}
     tres = run_time_simulation(tcase, mesh, build_solver_config(base.solver),
                                report_groups=[group], **ramp)
     reference_seconds = time.perf_counter() - t0
@@ -512,7 +486,7 @@ def main(argv=None) -> int:
         if args.verb == "mesh-gen":
             raw = yaml.safe_load(Path(args.config).read_text())
             block = raw.get("mesh", raw) if isinstance(raw, dict) else None
-            if block is None:
+            if not isinstance(block, dict):
                 raise ConfigError(["mesh-gen needs a mesh section"])
             mesh = build_mesh(block)
             save_mesh(mesh, args.out)

@@ -13,11 +13,13 @@ import tsfem.scalar as scalar
 import tsfem.time_domain as time_domain
 from tsfem.cli import main, run_case, sweep
 from tsfem.config import (
+    KEY_KINDS,
     CaseConfig,
     ConfigError,
     build_case,
     build_mesh,
     build_solver_config,
+    config_from_mapping,
     load_config,
     parse_config,
     serialize_config,
@@ -77,11 +79,48 @@ output: {trace_sample: 8}
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml"))
                              + sorted(BENCH_CASES.glob("*.yaml")), ids=lambda p: p.name)
-    def test_bundled_configs_validate(self, path):
+    def test_bundled_configs_validate(self, path, capsys):
         raw = yaml.safe_load(path.read_text())
         text = yaml.safe_dump(raw["study"]["case"]) if "study" in raw else path.read_text()
         config = parse_config(text)
         build_case(config, build_mesh(config.mesh))
+        assert main(["validate-config", str(path)]) == 0
+        assert "configuration is valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("table, key", [
+        pytest.param(table, key, id=f"{table.replace(' ', '-')}.{key}")
+        for table, kinds in KEY_KINDS.items() for key in kinds])
+    def test_every_table_key_rejects_values_of_another_kind(self, table, key):
+        # each key of the table, set to values its kind rejects, is named by the entry
+        # point that reads its block: build_mesh, config_from_mapping,
+        # build_solver_config or cli._study_case
+        kind = KEY_KINDS[table][key]
+        wrong = [value for value in ({"wrong": 1}, "x", 1.5) if not kind.test(value)]
+        assert len(wrong) >= 2
+        block, *variant = table.split()
+        for value in wrong:
+            # raw is what check reads, target the block in it that gets the value
+            path = "bcs.probe" if block == "bcs" else block
+            if block == "mesh":
+                raw = {"path": "unread.mesh"} if variant == ["path"] else {"generator": variant[0]}
+                target, check = raw, build_mesh
+            elif block == "solver":
+                raw = target = {}
+                check = build_solver_config
+            elif block.startswith("study"):
+                raw = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())["study"]
+                target = raw["reference"] if block == "study.reference" else raw
+                check = cli._study_case
+            else:
+                name = "tracer_1d.yaml" if variant[:1] == ["scalar"] else "steady_channel.yaml"
+                raw, check = yaml.safe_load((CONFIG_DIR / name).read_text()), config_from_mapping
+                target = (raw["bcs"].setdefault("probe", {"kind": variant[1], "group": "xmin"})
+                          if block == "bcs" else raw[block])
+            target[key] = value
+            with pytest.raises(ConfigError) as err:
+                check(raw)
+            assert any(e.startswith(f"{path}.{key} must be ") and e.endswith(f"(got {value!r})")
+                       for e in err.value.errors), err.value.errors
 
     def test_exactly_one_data_source_per_bc(self):
         bad = """
@@ -557,6 +596,44 @@ class TestMainEntry:
         raw["mesh"][key] = value
         self._assert_config_error(tmp_path, capsys, raw, message)
 
+    def test_degenerate_inflow_is_a_config_error(self, tmp_path, capsys):
+        # one cell across leaves the parabolic profile no interior node on the inlet
+        raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
+        raw["mesh"]["resolution"] = [1, 1]
+        self._assert_config_error(tmp_path, capsys, raw,
+                                  "bcs.inlet: degenerate inflow profile on group 'xmin'")
+
+    @pytest.mark.parametrize("mesh, message", [
+        ({"generator": "bent_channel", "extents": [3.0, 1.0, 1.0], "resolution": [9, 3, 3],
+          "bend_angel": 0.1},
+         "unknown key mesh.bend_angel; known keys: "
+         "['bend_angle', 'extents', 'generator', 'resolution']"),
+        ({"path": "unread.mesh", "extents": [3.0, 1.0, 1.0]},
+         "unknown key mesh.extents; known keys: ['path']")])
+    def test_unknown_mesh_keys_are_config_errors(self, tmp_path, capsys, mesh, message):
+        raw = yaml.safe_load((CONFIG_DIR / "pulsatile_bent_channel.yaml").read_text())
+        raw["mesh"] = mesh
+        self._assert_config_error(tmp_path, capsys, raw, message)
+        path = tmp_path / "case.yaml"
+        assert main(["mesh-gen", str(path), "--out", str(tmp_path / "m.mesh")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.mesh").exists()
+
+    @pytest.mark.parametrize("name, section, key, value, kind", [
+        ("tracer_1d.yaml", "physics", "galerkin_only", "false", "true or false"),
+        ("steady_channel.yaml", "output", "trace_samples", "8", "an integer >= 1"),
+        ("steady_channel.yaml", "output", "trace_samples", 2.9, "an integer >= 1"),
+        ("steady_channel.yaml", "output", "trace_samples", 0, "an integer >= 1"),
+        ("steady_channel.yaml", "output", "trace_samples", -3, "an integer >= 1"),
+        ("steady_channel.yaml", "output", "fields_t_samples", "x", "a list of finite numbers"),
+        ("steady_channel.yaml", "output", "directory", 5, "a string")])
+    def test_values_once_coerced_are_config_errors(self, tmp_path, capsys, name, section, key,
+                                                   value, kind):
+        raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+        raw[section][key] = value
+        self._assert_config_error(tmp_path, capsys, raw,
+                                  f"{section}.{key} must be {kind} (got {value!r})")
+
     @pytest.mark.parametrize("first, last, rows, message", [   # rows replace lines first..last
         (11, 11, ["1 3 -2"], "line 11: node id out of range [0, 6): [1, 3, -2]"),
         (11, 11, ["1 3 7"], "line 11: node id out of range [0, 6): [1, 3, 7]"),
@@ -652,7 +729,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("section, key, value", [
         ("physics", "n_modes", "three"), ("physics", "n_modes", 2.5), ("physics", "rho", 0),
-        ("physics", "omega", -1), ("solver", "krylov_dim", "big")])
+        ("physics", "omega", -1), ("solver", "krylov_dim", "big"),
+        ("physics", "c_i", float("nan")), ("physics", "kappa", float("inf"))])
     def test_validate_verb_reports_bad_case_values(self, tmp_path, capsys, section, key, value):
         raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
         raw[section][key] = value
@@ -674,17 +752,20 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("bc, key, value", [
         ("inlet", "flow_modes", [["abc", 0.0]]), ("outlet", "h_modes", [[0.0, None]]),
-        ("inlet", "flow_samples", [1.0, "x", 2.0])])
+        ("inlet", "flow_samples", [1.0, "x", 2.0]), ("inlet", "flow_modes", [["0.5", 0.0]]),
+        (None, "velocity_modes", [["1.0", 0]]), ("inlet", "flow_modes", [[1.0, 0.0], [1.0]])])
     def test_validate_verb_names_non_numeric_table(self, tmp_path, capsys, bc, key, value):
+        # bc None puts the table in the physics block
         raw = yaml.safe_load((CONFIG_DIR / "steady_channel.yaml").read_text())
-        block = raw["bcs"][bc]
+        block = raw["physics"] if bc is None else raw["bcs"][bc]
         for data_key in [k for k in block if k.endswith(("_modes", "_samples"))]:
             del block[data_key]
         block[key] = value
         bad = tmp_path / "bad_table.yaml"
         bad.write_text(yaml.safe_dump(raw))
         assert main(["validate-config", str(bad)]) == 2
-        assert f"bcs.{bc}.{key} must be finite numbers" in capsys.readouterr().err
+        path = "physics" if bc is None else f"bcs.{bc}"
+        assert f"{path}.{key} must be finite numbers (got {value!r})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bc, entries, key", [
         ("outlet", {"h_samples": [0.0]}, "h_samples"),
