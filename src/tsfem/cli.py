@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import numpy as np
-import yaml
 
 from .config import (
     KEY_KINDS,
@@ -35,7 +34,9 @@ from .config import (
     build_solver_config,
     check_block,
     config_from_mapping,
+    dump_yaml,
     load_config,
+    read_yaml,
 )
 from .io import export_fields, export_mesh_vtk, export_traces
 from .linsolve import LinearSolveError
@@ -184,7 +185,7 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
                          truncation=info.get("truncation", {}), outputs=outputs, **solved)
 
     with open(out_dir / "summary.yaml", "w") as fh:
-        yaml.safe_dump(summary.to_dict(), fh, sort_keys=True)
+        dump_yaml(summary.to_dict(), fh)
     summary.outputs.append(str(out_dir / "summary.yaml"))
     return summary
 
@@ -361,7 +362,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
              "reference_assembly_s": float(sum(tres.assembly_seconds)),
              "reference_linear_s": float(sum(tres.linear_seconds))}
     with open(out_dir / "sweep.yaml", "w") as fh:
-        yaml.safe_dump(table, fh, sort_keys=True)
+        dump_yaml(table, fh)
     export_traces(t_ref, {"Q_time": q_ref_cycle}, out_dir / "reference_trace.csv")
     return table
 
@@ -421,12 +422,12 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
             for i, (h, e) in enumerate(zip(hs, errors))]
     table = {"kind": "h_sweep", "rows": rows, "order": float(report.order)}
     with open(out_dir / "sweep.yaml", "w") as fh:
-        yaml.safe_dump(table, fh, sort_keys=True)
+        dump_yaml(table, fh)
     return table
 
 
 def sweep(study_path, out_dir=None) -> Dict[str, Any]:
-    raw = yaml.safe_load(Path(study_path).read_text())
+    raw = read_yaml(study_path)
     if not isinstance(raw, dict) or not isinstance(raw.get("study"), dict):
         raise ConfigError(["study file needs a top-level 'study' mapping"])
     study = raw["study"]
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
         if args.verb == "run":
             summary = run(args.config, args.output_dir)
             if args.verbose:
-                print(yaml.safe_dump(summary.to_dict(), sort_keys=True))
+                print(dump_yaml(summary.to_dict()))
                 if summary.kind == "ns":
                     print(summary.step_table())
             else:
@@ -475,7 +476,7 @@ def main(argv=None) -> int:
             return 0 if summary.converged else 1
         if args.verb == "sweep":
             table = sweep(args.study, args.output_dir)
-            print(yaml.safe_dump(table, sort_keys=True))
+            print(dump_yaml(table))
             unconverged = [row["n_modes"] for row in table["rows"]
                            if not row.get("converged", True)]
             if unconverged:
@@ -484,7 +485,7 @@ def main(argv=None) -> int:
                 return 1
             return 0
         if args.verb == "mesh-gen":
-            raw = yaml.safe_load(Path(args.config).read_text())
+            raw = read_yaml(args.config)
             block = raw.get("mesh", raw) if isinstance(raw, dict) else None
             if not isinstance(block, dict):
                 raise ConfigError(["mesh-gen needs a mesh section"])
@@ -496,7 +497,7 @@ def main(argv=None) -> int:
                   f"{mesh.n_elements} {mesh.elem_type} elements")
             return 0
         if args.verb == "validate-config":
-            raw = yaml.safe_load(Path(args.config).read_text())
+            raw = read_yaml(args.config)
             config = (_study_case(raw["study"])
                       if isinstance(raw, dict) and isinstance(raw.get("study"), dict)
                       else config_from_mapping(raw))

@@ -32,8 +32,15 @@ from .scalar import ScalarCase
 from .spectral import SpectralCoeffs, evaluate_field_in_time, fourier_coefficients, n_coeffs
 
 __all__ = ["ConfigError", "CaseConfig", "parse_config", "config_from_mapping", "load_config",
-           "serialize_config", "build_mesh", "build_case", "mode_table", "KEY_KINDS",
-           "check_block"]
+           "serialize_config", "load_yaml", "read_yaml", "dump_yaml", "build_mesh",
+           "build_case", "mode_table", "KEY_KINDS", "check_block"]
+
+# libyaml's C scanner, parser and emitter where PyYAML was built with them, else
+# the pure-Python classes: both give the same mappings and text, since construction
+# and tag resolution stay PyYAML's SafeConstructor and Resolver, but the C scanner
+# parses a case file several times faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class ConfigError(ValueError):
@@ -165,8 +172,37 @@ def check_block(path: str, block: Dict[str, Any], kinds: Dict[str, Kind], requir
     return errors
 
 
+def load_yaml(text, where: str = "<text>") -> Any:
+    """The data of YAML text (str, or bytes in a YAML encoding).
+
+    Malformed YAML is a ConfigError naming where and, when the parser
+    marks one, the 1-based line and column of the problem.
+    """
+    try:
+        return yaml.load(text, Loader=YAML_LOADER)
+    except yaml.YAMLError as err:
+        mark = getattr(err, "problem_mark", None)
+        at = f"{where}:{mark.line + 1}:{mark.column + 1}" if mark is not None else where
+        problem = getattr(err, "problem", None) or str(err).splitlines()[0]
+        raise ConfigError([f"{at}: malformed YAML: {problem}"]) from None
+
+
+def read_yaml(path) -> Any:
+    """The data of a YAML file; a file that cannot be read or parsed is a ConfigError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise ConfigError([f"{path}: cannot read: {err.strerror or err}"]) from None
+    return load_yaml(data, str(path))
+
+
+def dump_yaml(data: Any, stream=None):
+    """data as YAML with sorted keys, written to stream, or returned as text if stream is None."""
+    return yaml.dump(data, stream, Dumper=YAML_DUMPER, sort_keys=True)
+
+
 def parse_config(text: str) -> CaseConfig:
-    return config_from_mapping(yaml.safe_load(text))
+    return config_from_mapping(load_yaml(text))
 
 
 def config_from_mapping(raw: Any) -> CaseConfig:
@@ -216,11 +252,11 @@ def config_from_mapping(raw: Any) -> CaseConfig:
 
 
 def load_config(path) -> CaseConfig:
-    return parse_config(Path(path).read_text())
+    return config_from_mapping(read_yaml(path))
 
 
 def serialize_config(config: CaseConfig) -> str:
-    return yaml.safe_dump(config.normalized(), sort_keys=True)
+    return dump_yaml(config.normalized())
 
 
 def _mesh_errors(block: Dict[str, Any]) -> List[str]:

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import tsfem.cli as cli
+import tsfem.config as config_module
 import tsfem.linsolve as linsolve
 import tsfem.scalar as scalar
 import tsfem.time_domain as time_domain
@@ -20,14 +21,19 @@ from tsfem.config import (
     build_mesh,
     build_solver_config,
     config_from_mapping,
+    dump_yaml,
     load_config,
     parse_config,
+    read_yaml,
     serialize_config,
 )
 from tsfem.spectral import SpectralCoeffs, evaluate_field_in_time
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
+BUNDLED = sorted(CONFIG_DIR.glob("*.yaml")) + sorted(BENCH_CASES.glob("*.yaml"))
+# a flow sequence left open: both parsers mark the problem at line 3, column 5
+MALFORMED = "physics:\n  rho: [1, 2\n  mu: 0.1\n"
 
 
 class TestConfigParsing:
@@ -77,8 +83,7 @@ output: {trace_sample: 8}
             assert f"unknown key {name}" in joined
         assert "unknown key solver.eps_nr" not in joined
 
-    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml"))
-                             + sorted(BENCH_CASES.glob("*.yaml")), ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.name)
     def test_bundled_configs_validate(self, path, capsys):
         raw = yaml.safe_load(path.read_text())
         text = yaml.safe_dump(raw["study"]["case"]) if "study" in raw else path.read_text()
@@ -144,6 +149,69 @@ bcs:
         mesh = build_mesh(config.mesh)
         with pytest.raises(ConfigError, match="nonexistent"):
             build_case(config, mesh)
+
+
+class TestYamlHelpers:
+    def test_helpers_use_libyaml_when_pyyaml_has_it(self):
+        # the pure-Python scanner takes most of a case's set-up time
+        if yaml.__with_libyaml__:
+            assert config_module.YAML_LOADER is yaml.CSafeLoader
+            assert config_module.YAML_DUMPER is yaml.CSafeDumper
+        else:
+            assert config_module.YAML_LOADER is yaml.SafeLoader
+            assert config_module.YAML_DUMPER is yaml.SafeDumper
+
+    @staticmethod
+    def _pure_python(monkeypatch):
+        monkeypatch.setattr(config_module, "YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(config_module, "YAML_DUMPER", yaml.SafeDumper)
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.name)
+    def test_libyaml_and_pure_python_read_and_write_alike(self, path, monkeypatch):
+        def read_and_write():
+            raw = read_yaml(path)
+            config = config_from_mapping(raw["study"]["case"] if "study" in raw else raw)
+            return raw, serialize_config(config), dump_yaml(raw)
+
+        fast = read_and_write()
+        self._pure_python(monkeypatch)
+        pure = read_and_write()
+        assert pure[0] == fast[0] and repr(pure[0]) == repr(fast[0])
+        assert pure[1:] == fast[1:]
+
+    def test_libyaml_and_pure_python_dump_results_alike(self, tmp_path, monkeypatch):
+        summary = run_case(load_config(CONFIG_DIR / "steady_channel.yaml"), tmp_path / "run")
+        summary.wall_time = 1.5
+        summary.updates = [u._replace(assembly_s=0.25, tau_s=0.125, linear_s=0.5,
+                                      precond_s=0.0625) for u in summary.updates]
+        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+        study["study"]["modes"] = [1, 2]
+        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(study))
+        table = sweep(path, tmp_path / "sweep")
+        table.update(reference_seconds=2.0, reference_assembly_s=0.75, reference_linear_s=0.5)
+        for row in table["rows"]:
+            row.update(seconds=0.5, cost_ratio=0.25)
+        results = (summary.to_dict(), table)
+        fast = [dump_yaml(data) for data in results]
+        self._pure_python(monkeypatch)
+        assert [dump_yaml(data) for data in results] == fast
+        assert len(summary.updates) >= 1 and len(table["rows"]) == 2
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["libyaml", "pure_python"])
+    def test_malformed_yaml_names_file_line_and_column(self, tmp_path, monkeypatch, pure):
+        if pure:
+            self._pure_python(monkeypatch)
+        path = tmp_path / "case.yaml"
+        path.write_text(MALFORMED)
+        with pytest.raises(ConfigError) as err:
+            read_yaml(path)
+        [message] = err.value.errors
+        assert message.startswith(f"{path}:3:5: malformed YAML: ")
+        with pytest.raises(ConfigError, match=r"^invalid configuration:\n  - <text>:3:5: "):
+            parse_config(MALFORMED)
 
 
 class TestRun:
@@ -577,6 +645,28 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert message in err and err.count("\n  - ") == 1, err
         assert not (out / "summary.yaml").exists()
+
+    @pytest.mark.parametrize("verb", ["validate-config", "run", "sweep", "mesh-gen"])
+    @pytest.mark.parametrize("fault", ["malformed", "not_utf8", "missing", "directory"])
+    def test_unreadable_or_malformed_file_exits_2(self, tmp_path, capsys, verb, fault):
+        path = tmp_path / "case.yaml"
+        if fault == "malformed":
+            path.write_text(MALFORMED)
+        elif fault == "not_utf8":
+            path.write_bytes(b"physics: {kind: \xff}\n")
+        elif fault == "directory":
+            path.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        extra = {"run": ["--output-dir", str(out)], "sweep": ["--output-dir", str(out)],
+                 "mesh-gen": ["--out", str(out)]}.get(verb, [])
+        assert main([verb, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n  - ") == 1 and err.count("\n") == 2, err
+        where = {"malformed": f"{path}:3:5: malformed YAML: ",
+                 "not_utf8": f"{path}: malformed YAML: "}.get(fault, f"{path}: cannot read: ")
+        assert f"\n  - {where}" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("name, key, value, message", [
         ("steady_channel.yaml", "resolution", [0, 4],
