@@ -129,12 +129,8 @@ def _modes_as_rows(values: np.ndarray) -> List[List[float]]:
     return [[float(v.real), float(v.imag)] for v in pos]
 
 
-def run_case(config: CaseConfig, out_dir) -> RunSummary:
-    """Solve one configured case and write its artifacts.
-
-    The output directory receives summary.yaml, traces.csv for flow cases,
-    and VTK field snapshots when output.fields_t_samples is given.
-    """
+def _output_dir(out_dir) -> Path:
+    """out_dir as a Path, made with its parents; one that cannot be is a ConfigError."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,8 +138,23 @@ def run_case(config: CaseConfig, out_dir) -> RunSummary:
         raise ConfigError([f"output directory {out_dir} is not writable: {err}"])
     if not out_dir.is_dir():
         raise ConfigError([f"output directory {out_dir} is not a directory"])
+    return out_dir
+
+
+def run_case(config: CaseConfig, out_dir) -> RunSummary:
+    """Solve one configured case and write its artifacts.
+
+    The output directory receives summary.yaml, traces.csv for flow cases,
+    and VTK field snapshots when output.fields_t_samples is given.  The
+    summary's wall_time includes the mesh build.
+    """
+    out_dir = _output_dir(out_dir)
     t0 = time.perf_counter()
-    mesh = build_mesh(config.mesh)
+    return _run_on_mesh(config, build_mesh(config.mesh), out_dir, t0)
+
+
+def _run_on_mesh(config: CaseConfig, mesh, out_dir: Path, t0: float) -> RunSummary:
+    """run_case on a mesh built from config.mesh; its wall_time counts from t0."""
     case, info = build_case(config, mesh)
     solver_config = build_solver_config(config.solver)
     omega = float(config.physics["omega"])
@@ -255,8 +266,8 @@ def _reference_bcs(config: CaseConfig):
     return inflow, walls, zero_traction
 
 
-def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
-    """The time-domain counterpart of a mode-sweep case; returns (case, mesh, inflow bc name).
+def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any], mesh):
+    """The time-domain counterpart of a mode-sweep case on its mesh; returns (case, inflow bc name).
 
     The bcs carried over are those of _reference_bcs: the inflow's
     flow_samples drive, on each of its groups, the same unit-flux parabolic
@@ -267,8 +278,6 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
     inflow_name, walls, zero_traction = _reference_bcs(base)
     inflow = base.bcs[inflow_name]
     samples = np.asarray(inflow["flow_samples"], dtype=float)
-
-    mesh = build_mesh(base.mesh)
     phys = base.physics
     period = 2 * np.pi / float(phys["omega"])
     n_fit = ref_block.get("n_fit", min(16, (samples.size + 2) // 4))
@@ -291,7 +300,7 @@ def _time_reference_case(base: CaseConfig, ref_block: Dict[str, Any]):
                      dirichlet={g: time_inflow(g) for g in _groups_of(inflow)},
                      walls=walls, neumann={g: lambda t: 0.0 for g in zero_traction},
                      c_i=phys.get("c_i"))
-    return tcase, mesh, inflow_name
+    return tcase, inflow_name
 
 
 def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
@@ -308,21 +317,29 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     about), the total and per-step maximum of its Newton iterations, and the
     totals of its Newton updates (linear_solves_total, each a direct solve
     with a lagged factor) and of the tangents it built and factored.
-    Each row's cost_ratio, the paper's cost measure, is its run's wall_time
-    (seconds) over that of the time reference run (reference_seconds), of
-    which reference_assembly_s went to its residuals and tangents and
+    The study's mesh is built once, before any timing, and the reference and
+    every row solve on that one mesh, sharing its element data, scatter plan
+    and facet tables.  Each row's cost_ratio, the paper's cost measure, is
+    its run's wall_time (seconds) over that of the time reference run
+    (reference_seconds); neither includes the mesh build.  Of the reference's
+    seconds, reference_assembly_s went to its residuals and tangents and
     reference_linear_s to its factorizations and solves; a diverged
     time-reference step raises DivergedStepError before any output.
     """
-    base = _study_case(study, "mode_sweep")
+    return _mode_sweep(study, _study_case(study, "mode_sweep"), out_dir)
+
+
+def _mode_sweep(study: Dict[str, Any], base: CaseConfig, out_dir) -> Dict[str, Any]:
+    """mode_sweep of a study whose case block _study_case has checked into base."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     modes = study["modes"]
     ref_block = dict(study.get("reference", {}))
     group = ref_block["group"]
+    mesh = build_mesh(base.mesh)
 
     t0 = time.perf_counter()
-    tcase, mesh, inflow_name = _time_reference_case(base, ref_block)
+    tcase, inflow_name = _time_reference_case(base, ref_block, mesh)
     phys = base.physics
     omega = float(phys["omega"])
     ramp = {"ramp_steps": ref_block["ramp_steps"]} if "ramp_steps" in ref_block else {}
@@ -340,7 +357,7 @@ def mode_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     for n in modes:
         cfg = CaseConfig(dict(phys, n_modes=n), base.mesh, base.bcs,
                          base.solver, {"directory": str(out_dir / f"n{n}")})
-        summary = run_case(cfg, out_dir / f"n{n}")
+        summary = _run_on_mesh(cfg, mesh, _output_dir(out_dir / f"n{n}"), time.perf_counter())
         flow_modes = np.asarray(summary.flows[group]["flow_modes"], dtype=float)
         coeffs = SpectralCoeffs.from_positive_modes(flow_modes[:, 0] + 1j * flow_modes[:, 1])
         q_spec = evaluate_field_in_time(coeffs.values, t_ref, omega)
@@ -381,16 +398,25 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
     The oracle's velocity and Dirichlet values, phi = 0 on left and g != 0
     on right, are the built case's and must be steady, else a ConfigError.
     """
+    return _h_sweep(study, _study_case(study, "h_sweep"), out_dir)
+
+
+def _h_sweep(study: Dict[str, Any], base: CaseConfig, out_dir) -> Dict[str, Any]:
+    """h_sweep of a study whose case block _study_case has checked into base."""
     from .verification import exact_steady_advection_diffusion_1d, l2_error
 
-    base = _study_case(study, "h_sweep")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolutions = study["resolutions"]
     phys = base.physics
     if phys["kind"] != "scalar" or base.mesh.get("generator") != "interval":
         raise ConfigError(["h_sweep expects a scalar case on an interval mesh"])
-    case, _ = build_case(base, build_mesh(base.mesh))
+    runs = []   # (mesh, case) per resolution; the oracle's data is the first case's
+    for res in resolutions:
+        cfg_mesh = dict(base.mesh, resolution=res)
+        mesh = build_mesh(cfg_mesh)
+        runs.append((mesh, build_case(CaseConfig(phys, cfg_mesh, base.bcs, base.solver), mesh)[0]))
+    case = runs[0][1]
     u = _steady_value(case.velocity[0, 0], "velocity")
     # a side without Dirichlet data reads as nan, which fails the check below
     left, g_bc = (_steady_value(case.dirichlet.get(side, np.full(1, np.nan)), f"phi on {side}")
@@ -410,10 +436,7 @@ def h_sweep(study: Dict[str, Any], out_dir) -> Dict[str, Any]:
 
     errors = []
     hs = []
-    for res in resolutions:
-        cfg_mesh = dict(base.mesh, resolution=res)
-        mesh = build_mesh(cfg_mesh)
-        case, _ = build_case(CaseConfig(phys, cfg_mesh, base.bcs, base.solver), mesh)
+    for res, (mesh, case) in zip(resolutions, runs):
         sol = solve_scalar(case, mesh, build_solver_config(base.solver))
         errors.append(l2_error(sol, exact_modes, mesh))
         hs.append(length / res)
@@ -431,10 +454,10 @@ def sweep(study_path, out_dir=None) -> Dict[str, Any]:
     if not isinstance(raw, dict) or not isinstance(raw.get("study"), dict):
         raise ConfigError(["study file needs a top-level 'study' mapping"])
     study = raw["study"]
-    _study_case(study)
+    base = _study_case(study)
     if out_dir is None:
         out_dir = study.get("directory", Path(study_path).stem + "_out")
-    return (mode_sweep if study["kind"] == "mode_sweep" else h_sweep)(study, out_dir)
+    return (_mode_sweep if study["kind"] == "mode_sweep" else _h_sweep)(study, base, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ operator and the edge blocks all apply.
 
 from __future__ import annotations
 
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -111,6 +112,8 @@ from .spectral_real import (
     negative_part_batch,
     tau_from_modes,
 )
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "NSCase",
@@ -724,7 +727,8 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
     with its pseudo mass, and again only after a GMRES solve that takes
     more than REFACTOR_MATVECS matvecs.  If max_steps is exhausted, or a
     linear solve stagnates (warned about), the partial state is returned
-    flagged as non-converged.
+    flagged as non-converged.  Each update logs, at DEBUG, its residual,
+    pseudo_dt and matvecs.
     """
     if config is None:
         config = SolverConfig()
@@ -753,6 +757,8 @@ def solve_ns(case: NSCase, mesh: Mesh, config: SolverConfig | None = None) -> NS
             return NSResult(state, True, residuals, updates)
         state = state_new
         updates.append(record)
+        logger.debug("spectral update %d: residual %.3e, pseudo_dt %.3e, %d matvecs",
+                     len(updates), record.residual, record.pseudo_dt, record.matvecs)
     return NSResult(state, False, residuals, updates)
 
 

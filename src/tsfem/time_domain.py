@@ -40,6 +40,7 @@ in linear work (factorizations and solves).
 
 from __future__ import annotations
 
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -59,6 +60,8 @@ from .linsolve import (
 # not called here: benchmarks/tracing.py wraps this module's names of them
 from .linsolve import block_jacobi_preconditioner, gmres  # noqa: F401
 from .mesh import ElementData, Mesh, c_i_for, facet_quadrature
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "TimeCase",
@@ -620,7 +623,8 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
     generalized-alpha constants ALPHA_M, ALPHA_F and GAMMA.  The run's
     Newton updates share one LaggedFactor, with the REFACTOR_CONTRACTION
     of the call's time, and its steps one DirichletNodes.  A step's
-    DivergedStepError stops the run.
+    DivergedStepError stops the run.  Each finished cycle logs, at INFO, its
+    Newton iterations, factorizations and seconds.
     """
     if case.n_cycles < 2:
         raise ValueError("need at least two cycles to assess convergence")
@@ -659,6 +663,11 @@ def run_time_simulation(case: TimeCase, mesh: Mesh,
             traces_p[g].append(ps[g])
         if step >= total - steps_per_cycle:
             last_states.append(state.copy())
+        if (step + 1) % steps_per_cycle == 0:
+            _, iters, _, factors, _, _, seconds = zip(*records[-steps_per_cycle:])
+            logger.info("time reference cycle %d/%d (t = %.6g): %d Newton iterations, "
+                        "%d factorizations, %.3f s", (step + 1) // steps_per_cycle,
+                        case.n_cycles, state.t, sum(iters), sum(factors), sum(seconds))
 
     cycle_change = []
     for c in range(1, case.n_cycles):

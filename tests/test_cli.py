@@ -1,3 +1,4 @@
+import logging
 import re
 import time
 import warnings
@@ -10,6 +11,7 @@ import yaml
 import tsfem.cli as cli
 import tsfem.config as config_module
 import tsfem.linsolve as linsolve
+import tsfem.navier_stokes as navier_stokes
 import tsfem.scalar as scalar
 import tsfem.time_domain as time_domain
 from tsfem.cli import main, run_case, sweep
@@ -34,6 +36,17 @@ BENCH_CASES = Path(__file__).resolve().parent.parent / "benchmarks" / "cases"
 BUNDLED = sorted(CONFIG_DIR.glob("*.yaml")) + sorted(BENCH_CASES.glob("*.yaml"))
 # a flow sequence left open: both parsers mark the problem at line 3, column 5
 MALFORMED = "physics:\n  rho: [1, 2\n  mu: 0.1\n"
+
+
+def reduced_bent_study(tmp_path) -> Path:
+    """The bundled bent study at modes [1, 2], 2 cycles of 12 steps, on a 3x2x2 mesh."""
+    study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
+    study["study"]["modes"] = [1, 2]
+    study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
+    study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
+    path = tmp_path / "study.yaml"
+    path.write_text(yaml.safe_dump(study))
+    return path
 
 
 class TestConfigParsing:
@@ -184,12 +197,7 @@ class TestYamlHelpers:
         summary.wall_time = 1.5
         summary.updates = [u._replace(assembly_s=0.25, tau_s=0.125, linear_s=0.5,
                                       precond_s=0.0625) for u in summary.updates]
-        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
-        study["study"]["modes"] = [1, 2]
-        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
-        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
-        path = tmp_path / "study.yaml"
-        path.write_text(yaml.safe_dump(study))
+        path = reduced_bent_study(tmp_path)
         table = sweep(path, tmp_path / "sweep")
         table.update(reference_seconds=2.0, reference_assembly_s=0.75, reference_linear_s=0.5)
         for row in table["rows"]:
@@ -396,13 +404,21 @@ class TestSweep:
             assert (row["flow_error"] == 0.0) == zero_flow
             assert (row["steps"] == 0) == zero_flow
 
+    @staticmethod
+    def _spy(monkeypatch, name) -> list:
+        """The list that receives the result of each call of cli.<name>."""
+        real = getattr(cli, name)
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, name, recording)
+        return results
+
     def test_mode_sweep_reports_time_reference_failures(self, tmp_path, monkeypatch):
-        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
-        study["study"]["modes"] = [1, 2]
-        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
-        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
-        path = tmp_path / "study.yaml"
-        path.write_text(yaml.safe_dump(study))
+        path = reduced_bent_study(tmp_path)
         real = cli.run_time_simulation
 
         def failing_reference(*args, **kwargs):
@@ -417,20 +433,8 @@ class TestSweep:
         assert table["newton_failures"] == 3
 
     def test_mode_sweep_reports_time_reference_newton_iterations(self, tmp_path, monkeypatch):
-        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
-        study["study"]["modes"] = [1, 2]
-        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
-        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
-        path = tmp_path / "study.yaml"
-        path.write_text(yaml.safe_dump(study))
-        real = cli.run_time_simulation
-        results = []
-
-        def recording_reference(*args, **kwargs):
-            results.append(real(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "run_time_simulation", recording_reference)
+        path = reduced_bent_study(tmp_path)
+        results = self._spy(monkeypatch, "run_time_simulation")
         sweep(path, tmp_path / "out")
         iters = results[0].newton_iters
         assert len(iters) == 24 and min(iters) >= 1
@@ -439,20 +443,8 @@ class TestSweep:
         assert table["newton_iters_max"] == max(iters)
 
     def test_mode_sweep_reports_reference_work_and_cost_ratio(self, tmp_path, monkeypatch):
-        study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())
-        study["study"]["modes"] = [1, 2]
-        study["study"]["reference"].update(dt_per_cycle=12, n_cycles=2, ramp_steps=2)
-        study["study"]["case"]["mesh"]["resolution"] = [3, 2, 2]
-        path = tmp_path / "study.yaml"
-        path.write_text(yaml.safe_dump(study))
-        real = cli.run_time_simulation
-        results = []
-
-        def recording_reference(*args, **kwargs):
-            results.append(real(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "run_time_simulation", recording_reference)
+        path = reduced_bent_study(tmp_path)
+        results = self._spy(monkeypatch, "run_time_simulation")
         sweep(path, tmp_path / "out")
         table = yaml.safe_load((tmp_path / "out" / "sweep.yaml").read_text())
         assert table["linear_solves_total"] == sum(results[0].linear_solves) > 0
@@ -467,6 +459,86 @@ class TestSweep:
         for row in table["rows"]:
             assert row["seconds"] > 0.0
             assert row["cost_ratio"] == pytest.approx(row["seconds"] / table["reference_seconds"])
+
+    def test_sweep_builds_one_mesh_and_checks_the_study_once(self, tmp_path, monkeypatch):
+        meshes = self._spy(monkeypatch, "build_mesh")
+        checks = self._spy(monkeypatch, "config_from_mapping")
+        sweep(reduced_bent_study(tmp_path), tmp_path / "modes")
+        assert (len(meshes), len(checks)) == (1, 1)
+        # an h sweep builds one mesh per resolution
+        meshes.clear()
+        table = sweep(CONFIG_DIR / "h_sweep_1d.yaml", tmp_path / "h")
+        assert [mesh.n_elements for mesh in meshes] == [8, 16, 32]
+        assert len(table["rows"]) == 3
+
+    def test_mode_sweep_called_directly_checks_its_study(self, tmp_path):
+        study = yaml.safe_load(reduced_bent_study(tmp_path).read_text())["study"]
+        study["reference"]["n_cycles"] = 1
+        with pytest.raises(ConfigError, match="study.reference.n_cycles"):
+            cli.mode_sweep(study, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("first", ["reference", "spectral"])
+    def test_shared_mesh_changes_no_number(self, tmp_path, monkeypatch, first):
+        # the sweep's rows and reference, on its one mesh, against each solve on a mesh of
+        # its own; first names the solver that builds the shared mesh's caches
+        path = reduced_bent_study(tmp_path)
+        study = yaml.safe_load(path.read_text())["study"]
+        base = config_from_mapping(study["case"])
+        solver = build_solver_config(base.solver)
+        configs = {n: CaseConfig(dict(base.physics, n_modes=n), base.mesh, base.bcs, base.solver)
+                   for n in study["modes"]}
+        alone = {n: run_case(cfg, tmp_path / f"alone{n}") for n, cfg in configs.items()}
+        mesh = build_mesh(base.mesh)
+        tcase, _ = cli._time_reference_case(base, study["reference"], mesh)
+        expected = time_domain.run_time_simulation(tcase, mesh, solver, report_groups=["xmax"],
+                                                   ramp_steps=2)
+        if first == "spectral":
+            real_build = cli.build_mesh
+
+            def warmed(block):
+                shared = real_build(block)
+                navier_stokes.solve_ns(build_case(configs[2], shared)[0], shared, solver)
+                return shared
+
+            monkeypatch.setattr(cli, "build_mesh", warmed)
+        results = self._spy(monkeypatch, "run_time_simulation")
+        sweep(path, tmp_path / "out")
+        (ref,) = results
+        assert np.array_equal(ref.flow["xmax"], expected.flow["xmax"])
+        assert np.array_equal(ref.times, expected.times)
+        assert np.array_equal(ref.last_cycle_states[-1].velocity,
+                              expected.last_cycle_states[-1].velocity)
+        for key in ("newton_iters", "linear_solves", "factorizations", "cycle_change"):
+            assert getattr(ref, key) == getattr(expected, key), key
+        for n, summary in alone.items():
+            row = read_yaml(tmp_path / "out" / f"n{n}" / "summary.yaml")
+            assert row["steps"] == summary.steps
+            assert row["residuals"] == summary.residuals
+            assert row["flows"] == read_yaml(tmp_path / f"alone{n}" / "summary.yaml")["flows"]
+
+    def test_sweep_logs_reference_cycles_and_spectral_updates(self, tmp_path, monkeypatch,
+                                                              caplog):
+        results = self._spy(monkeypatch, "run_time_simulation")
+        with caplog.at_level(logging.DEBUG, logger="tsfem"):
+            sweep(reduced_bent_study(tmp_path), tmp_path / "out")
+        (ref,) = results
+        cycles = [r for r in caplog.records if r.name == "tsfem.time_domain"]
+        assert [r.levelno for r in cycles] == [logging.INFO] * 2
+        for c, record in enumerate(cycles):
+            steps = slice(12 * c, 12 * (c + 1))
+            assert record.args[:2] == (c + 1, 2)
+            assert record.args[3:5] == (sum(ref.newton_iters[steps]),
+                                        sum(ref.factorizations[steps]))
+            assert record.args[5] == pytest.approx(sum(ref.step_seconds[steps]))
+        updates = [r.args for r in caplog.records if r.name == "tsfem.navier_stokes"]
+        expected = []
+        for n in (1, 2):
+            row = read_yaml(tmp_path / "out" / f"n{n}" / "summary.yaml")
+            expected += list(zip(range(1, len(row["pseudo_dts"]) + 1), row["residuals"],
+                                 row["pseudo_dts"], row["linear_iters"]))
+        assert len(expected) > 0
+        assert updates == expected
 
     @pytest.mark.parametrize("section,key,known", [("study", "mode", "modes"),
                                                    ("study.reference", "dt_per_cyle",

@@ -12,7 +12,7 @@ import tsfem.linsolve as linsolve
 import tsfem.time_domain as time_domain
 from tsfem.boundary import DirichletNodes
 from tsfem.cli import _time_reference_case
-from tsfem.config import config_from_mapping
+from tsfem.config import build_mesh, config_from_mapping
 from tsfem.linsolve import SolverConfig, build_graph
 from tsfem.mesh import (
     c_i_for,
@@ -566,7 +566,9 @@ def bent_reference_run(dt_per_cycle):
     study = yaml.safe_load((CONFIG_DIR / "mode_sweep_bent.yaml").read_text())["study"]
     study["case"]["mesh"]["resolution"] = [6, 2, 2]
     ref = dict(study["reference"], dt_per_cycle=dt_per_cycle)
-    case, mesh, _ = _time_reference_case(config_from_mapping(study["case"]), ref)
+    config = config_from_mapping(study["case"])
+    mesh = build_mesh(config.mesh)
+    case, _ = _time_reference_case(config, ref, mesh)
     res = run_time_simulation(case, mesh, SolverConfig(eps_nr=1e-3), report_groups=["xmax"],
                               ramp_steps=ref["ramp_steps"])
     assert res.newton_failures == 0
